@@ -13,6 +13,7 @@ the published values.
 import argparse
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -23,10 +24,18 @@ from .baselines import (
     step_response_metrics,
 )
 from .der_models import default_pv_params, default_wind_params
-from .estimator import EstimatorConfig, N_AUGMENTED, default_estimator_config
+from .estimator import (
+    DEFAULT_DISTURBANCE_NOISE,
+    DEFAULT_INITIAL_COVARIANCE,
+    DEFAULT_MEASUREMENT_NOISE,
+    DEFAULT_STATE_NOISE,
+    EstimatorConfig,
+    N_AUGMENTED,
+    default_estimator_config,
+)
 from .lfc_model import MicrogridParams, N_STATES
 from .mpc import MpcConfig
-from .profiles import read_profiles_csv
+from .profiles import PROFILE_KINDS, read_profiles_csv
 from .simulate import (
     CONTROLLER_KINDS,
     RunConfig,
@@ -37,14 +46,15 @@ from .simulate import (
     write_trace_csv,
 )
 
-SCENARIO_KINDS = ("step", "moderate", "rapid")
+# "sim" config keys, each overriding the RunConfig field of the same name.
+SIM_KEYS = ("deload", "dispatch_du_kw", "dispatch_bess_kw", "measurement_noise_std")
 
 
 def _estimator_from_dict(d):
-    state_noise = d.get("state_noise", 1e-8)
-    disturbance_noise = d.get("disturbance_noise", 1e-4)
-    measurement_noise = d.get("measurement_noise", 1e-8)
-    p0_scale = d.get("initial_covariance", 1e-2)
+    state_noise = d.get("state_noise", DEFAULT_STATE_NOISE)
+    disturbance_noise = d.get("disturbance_noise", DEFAULT_DISTURBANCE_NOISE)
+    measurement_noise = d.get("measurement_noise", DEFAULT_MEASUREMENT_NOISE)
+    p0_scale = d.get("initial_covariance", DEFAULT_INITIAL_COVARIANCE)
     Q = np.diag([state_noise] * N_STATES + [disturbance_noise])
     return EstimatorConfig(Q=Q, R_noise=measurement_noise, P0=p0_scale * np.eye(N_AUGMENTED))
 
@@ -56,6 +66,14 @@ def load_run_config(path=None):
         with open(path) as fh:
             raw = json.load(fh)
     params = MicrogridParams(**raw.get("microgrid", {}))
+    # Availability and reserve bands use one wind and one PV model, sized
+    # from unit 1, so unit 2 must have the same rating.
+    for unit1, unit2 in (("p_wt1", "p_wt2"), ("p_pv1", "p_pv2")):
+        if getattr(params, unit2) != getattr(params, unit1):
+            raise ValueError(
+                f"microgrid {unit2}={getattr(params, unit2)} differs from "
+                f"{unit1}={getattr(params, unit1)}; twin units must have equal ratings"
+            )
     mpc = MpcConfig(**raw.get("mpc", {}))
     estimator = (
         _estimator_from_dict(raw["estimator"]) if "estimator" in raw else default_estimator_config()
@@ -71,18 +89,33 @@ def load_run_config(path=None):
         pv=default_pv_params(rated_kw=params.p_pv1),
         pi_kp=pi.get("kp", kp_default),
         pi_ki=pi.get("ki", ki_default),
-        deload=sim.get("deload", 0.1),
-        dispatch_du_kw=sim.get("dispatch_du_kw", 60.0),
-        dispatch_bess_kw=sim.get("dispatch_bess_kw", 0.0),
-        measurement_noise_std=sim.get("measurement_noise_std", 0.0),
+        **{key: sim[key] for key in SIM_KEYS if key in sim},
     )
 
 
-def _scenario_from_args(args, controller, config):
-    profiles = None
-    if args.profiles is not None and os.path.exists(args.profiles):
-        profiles = read_profiles_csv(args.profiles)
-    return make_scenario(args.scenario, controller, args.seed, profiles=profiles)
+def _profiles_from_args(args):
+    """The --profiles recording, or None (generated profiles) when no file
+    is given or the file is missing; a missing file is warned about."""
+    if args.profiles is None:
+        return None
+    if os.path.exists(args.profiles):
+        return read_profiles_csv(args.profiles)
+    print(
+        f"warning: profile file {args.profiles} not found; "
+        f"using generated {args.scenario} profiles for seed {args.seed}",
+        file=sys.stderr,
+    )
+    return None
+
+
+def _ordered(per_controller):
+    """The ordering verdict: mpc < pi_all < pi_dubess on both the standard
+    deviation and the largest absolute deviation of frequency."""
+    mpc_m, pa_m, pd_m = (per_controller[c] for c in ("mpc", "pi_all", "pi_dubess"))
+    return (
+        mpc_m.freq_std < pa_m.freq_std < pd_m.freq_std
+        and mpc_m.max_abs_freq_dev < pa_m.max_abs_freq_dev < pd_m.max_abs_freq_dev
+    )
 
 
 def _write_outputs(trace, metrics, out_dir):
@@ -108,7 +141,9 @@ def _summary_line(trace, metrics):
 
 def cmd_run(args):
     config = load_run_config(args.config)
-    scenario = _scenario_from_args(args, args.controller, config)
+    scenario = make_scenario(
+        args.scenario, args.controller, args.seed, profiles=_profiles_from_args(args)
+    )
     trace = run_scenario(scenario, config)
     metrics = compute_metrics(trace)
     print(_summary_line(trace, metrics))
@@ -122,9 +157,10 @@ def cmd_run(args):
 
 def cmd_compare(args):
     config = load_run_config(args.config)
+    profiles = _profiles_from_args(args)
     results = {}
     for controller in CONTROLLER_KINDS:
-        scenario = _scenario_from_args(args, controller, config)
+        scenario = make_scenario(args.scenario, controller, args.seed, profiles=profiles)
         trace = run_scenario(scenario, config)
         results[controller] = (trace, compute_metrics(trace))
     print(f"scenario={args.scenario} seed={args.seed}")
@@ -135,13 +171,7 @@ def cmd_compare(args):
             f"{controller:12s} {m.freq_std:14.6e} {m.max_abs_freq_dev:14.6e} "
             f"{m.settle_time:9.1f}"
         )
-    mpc_m = results["mpc"][1]
-    pa_m = results["pi_all"][1]
-    pd_m = results["pi_dubess"][1]
-    ordered = (
-        mpc_m.freq_std < pa_m.freq_std < pd_m.freq_std
-        and mpc_m.max_abs_freq_dev < pa_m.max_abs_freq_dev < pd_m.max_abs_freq_dev
-    )
+    ordered = _ordered({controller: m for controller, (_, m) in results.items()})
     print(f"ordering mpc < pi_all < pi_dubess: {'yes' if ordered else 'NO'}")
     if args.out:
         for controller in CONTROLLER_KINDS:
@@ -167,19 +197,10 @@ def cmd_sweep(args):
                 summaries.append(metrics_summary(trace, metrics))
                 if args.out:
                     _write_outputs(trace, metrics, args.out)
-            mpc_m = per_controller["mpc"]
-            pa_m = per_controller["pi_all"]
-            pd_m = per_controller["pi_dubess"]
-            ordered = (
-                mpc_m.freq_std < pa_m.freq_std < pd_m.freq_std
-                and mpc_m.max_abs_freq_dev < pa_m.max_abs_freq_dev < pd_m.max_abs_freq_dev
-            )
+            ordered = _ordered(per_controller)
             all_ordered &= ordered
-            print(
-                f"{kind:9s} seed={seed:<3d} std "
-                f"{mpc_m.freq_std:.3e}/{pa_m.freq_std:.3e}/{pd_m.freq_std:.3e} "
-                f"ordered={'yes' if ordered else 'NO'}"
-            )
+            stds = "/".join(f"{per_controller[c].freq_std:.3e}" for c in CONTROLLER_KINDS)
+            print(f"{kind:9s} seed={seed:<3d} std {stds} ordered={'yes' if ordered else 'NO'}")
     print(f"all runs ordered mpc < pi_all < pi_dubess: {'yes' if all_ordered else 'NO'}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -223,12 +244,14 @@ def build_parser():
 
     def add_common(p, controller=False, scenario=True, seed=True):
         if scenario:
-            p.add_argument("--scenario", choices=SCENARIO_KINDS, default="step")
+            p.add_argument("--scenario", choices=PROFILE_KINDS, default="step")
         if controller:
             p.add_argument("--controller", choices=CONTROLLER_KINDS, default="mpc")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--profiles", default=None, help="profile CSV (missing file: generated)")
+        p.add_argument(
+            "--profiles", default=None, help="profile CSV (missing file: warning, then generated)"
+        )
         p.add_argument("--out", default=None, help="output directory for traces/metrics")
         p.add_argument("--config", default=None, help="JSON config override file")
 
@@ -242,7 +265,7 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="run seeds x kinds x controllers")
     p_sweep.add_argument("--seeds", default="0,1,2,3,4")
-    p_sweep.add_argument("--kinds", default="step,moderate,rapid")
+    p_sweep.add_argument("--kinds", default=",".join(PROFILE_KINDS))
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--config", default=None)
     p_sweep.set_defaults(func=cmd_sweep)

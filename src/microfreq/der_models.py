@@ -4,6 +4,10 @@ Wind power follows the polynomial-exponential power-coefficient curve
 evaluated at the optimal tip-speed ratio; PV power follows the
 irradiance/cell-temperature module model. Both are operated deloaded by a
 fraction ``deload`` to hold a frequency-support reserve.
+
+Availability and reserve limits are elementwise: a scalar input gives one
+instant, an array gives a whole time grid in one call, with every input check
+applied once over the grid. Both forms give the same bits per element.
 """
 
 import math
@@ -79,21 +83,34 @@ class PvParams:
 
 @dataclass(frozen=True)
 class ReserveLimits:
-    """Per-unit bounds on the total secondary adjustment of each unit at one
-    control instant, in control-vector order (pv1, pv2, wt1, wt2, du, bess)."""
+    """Per-unit bounds on the total secondary adjustment of each unit, in
+    control-vector order (pv1, pv2, wt1, wt2, du, bess).
+
+    ``lo`` and ``hi`` have shape (6,) for one control instant, or (n, 6) for a
+    time grid with one row per sample; a grid is checked as a whole.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float).reshape(6)
-        hi = np.asarray(self.hi, dtype=float).reshape(6)
+        shape = (-1, 6) if np.ndim(self.lo) == 2 else (6,)
+        lo = np.asarray(self.lo, dtype=float).reshape(shape)
+        hi = np.asarray(self.hi, dtype=float).reshape(lo.shape)
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("reserve limits must be finite")
         if np.any(lo > hi + 1e-15):
             raise ValueError("lower limits exceed upper limits")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+
+    def at(self, k):
+        """The limits of sample k of a grid. The grid was checked when it was
+        built, so the row is not checked again."""
+        row = object.__new__(ReserveLimits)
+        object.__setattr__(row, "lo", self.lo[k])
+        object.__setattr__(row, "hi", self.hi[k])
+        return row
 
 
 def power_coefficient(tip_speed_ratio, beta, params):
@@ -150,44 +167,69 @@ def default_pv_params(rated_kw=80.0):
     return PvParams(n_series=20, n_parallel=16, rated_module_w=module_w)
 
 
+def _require_nonnegative(value, message):
+    """Raise ``message`` with the first negative element of ``value``."""
+    negative = value < 0
+    if negative.any():
+        raise ValueError(f"{message}, got {value[negative][0]}")
+
+
+def _require_deload(deload):
+    if not 0 <= deload < 1:
+        raise ValueError(f"deload must be in [0, 1), got {deload}")
+
+
+def _elementwise_result(value):
+    """A Python float for a scalar input, the array otherwise."""
+    return float(value) if value.ndim == 0 else value
+
+
+def _cube(v):
+    """v ** 3 per element through the scalar power, as a scalar call computes
+    it; numpy's array power differs from it in the last bit on some inputs."""
+    return np.array([x ** 3 for x in v.ravel()]).reshape(v.shape)
+
+
 def wind_available_power(v, params, deload=DELOAD_FRACTION):
-    """Deloaded available wind power in kW at wind speed v (m/s).
+    """Deloaded available wind power in kW at wind speed v (m/s), elementwise.
 
     The turbine tracks the optimal tip-speed ratio, so rotor speed is
     proportional to wind speed: zero below cut-in, (1 - deload) times the
     aerodynamic power in the normal region, and (1 - deload) times rated
     above rated rotor speed.
     """
-    if v < 0:
-        raise ValueError(f"wind speed must be >= 0, got {v}")
-    if not 0 <= deload < 1:
-        raise ValueError(f"deload must be in [0, 1), got {deload}")
+    v = np.asarray(v, dtype=float)
+    _require_nonnegative(v, "wind speed must be >= 0")
+    _require_deload(deload)
     lam_star, cp_star = optimal_tip_speed_ratio(params)
     omega = lam_star * v / params.blade_radius
-    if omega <= params.omega_min:
-        return 0.0
-    if omega >= params.omega_max:
-        return (1.0 - deload) * params.rated_power
+    # Speeds at or above rated rotor speed never reach the aerodynamic branch.
+    v_cubed = _cube(np.where(omega >= params.omega_max, 0.0, v))
     aero_kw = (
-        0.5 * params.rho_air * math.pi * params.blade_radius ** 2 * v ** 3 * cp_star / 1000.0
+        0.5 * params.rho_air * math.pi * params.blade_radius ** 2 * v_cubed * cp_star / 1000.0
     )
-    return min((1.0 - deload) * aero_kw, (1.0 - deload) * params.rated_power)
+    deloaded_rated = (1.0 - deload) * params.rated_power
+    normal = np.minimum((1.0 - deload) * aero_kw, deloaded_rated)
+    power = np.where(
+        omega <= params.omega_min, 0.0, np.where(omega >= params.omega_max, deloaded_rated, normal)
+    )
+    return _elementwise_result(power)
 
 
 def pv_available_power(g_eff, t_ambient, params, deload=DELOAD_FRACTION):
     """Deloaded available PV power in kW at irradiance g_eff (W/m^2) and
-    ambient temperature t_ambient (C)."""
-    if g_eff < 0:
-        raise ValueError(f"irradiance must be >= 0, got {g_eff}")
-    if not 0 <= deload < 1:
-        raise ValueError(f"deload must be in [0, 1), got {deload}")
+    ambient temperature t_ambient (C), elementwise with broadcasting."""
+    g_eff = np.asarray(g_eff, dtype=float)
+    _require_nonnegative(g_eff, "irradiance must be >= 0")
+    _require_deload(deload)
     t_cell = t_ambient + params.temp_rise_coefficient * g_eff
     power_kw = (
         params.rated_array_kw
         * (g_eff / params.ref_irradiance)
         * (1.0 - params.temp_coefficient * (t_cell - params.ref_cell_temp))
     )
-    return (1.0 - deload) * max(0.0, power_kw)
+    # max(0, power) in the scalar sense: the power only where strictly positive.
+    return _elementwise_result((1.0 - deload) * np.where(power_kw > 0.0, power_kw, 0.0))
 
 
 def reserve_limits(
@@ -200,16 +242,20 @@ def reserve_limits(
     params,
     deload=DELOAD_FRACTION,
 ):
-    """Per-unit secondary-adjustment bounds at one instant, in p.u. on s_base.
+    """Per-unit secondary-adjustment bounds in p.u. on s_base.
 
     Wind/PV bounds are the symmetric deloading reserve +-deload * P_MAP;
     diesel swings between zero output and its capacity around its dispatch;
-    the battery swings across its full four-quadrant capacity.
+    the battery swings across its full four-quadrant capacity. Scalar
+    availabilities give the limits of one instant; arrays of n samples give
+    a grid whose ``lo`` and ``hi`` are (n, 6).
     """
+    p_map_wt1, p_map_wt2, p_map_pv1, p_map_pv2 = np.broadcast_arrays(
+        *(np.asarray(p, dtype=float) for p in (p_map_wt1, p_map_wt2, p_map_pv1, p_map_pv2))
+    )
     for name, val in (("p_map_wt1", p_map_wt1), ("p_map_wt2", p_map_wt2),
                       ("p_map_pv1", p_map_pv1), ("p_map_pv2", p_map_pv2)):
-        if val < 0:
-            raise ValueError(f"{name} must be >= 0, got {val}")
+        _require_nonnegative(val, f"{name} must be >= 0")
     if not 0.0 <= dispatch_du <= params.p_du:
         raise ValueError(f"diesel dispatch {dispatch_du} kW outside [0, {params.p_du}]")
     if not -params.p_bess <= dispatch_bess <= params.p_bess:
@@ -218,20 +264,21 @@ def reserve_limits(
         )
 
     sb = params.s_base
-    lo = np.array([
+    shape = p_map_wt1.shape
+    lo = np.stack([
         -deload * p_map_pv1,
         -deload * p_map_pv2,
         -deload * p_map_wt1,
         -deload * p_map_wt2,
-        0.0 - dispatch_du,
-        -params.p_bess - dispatch_bess,
-    ]) / sb
-    hi = np.array([
+        np.full(shape, 0.0 - dispatch_du),
+        np.full(shape, -params.p_bess - dispatch_bess),
+    ], axis=-1) / sb
+    hi = np.stack([
         deload * p_map_pv1,
         deload * p_map_pv2,
         deload * p_map_wt1,
         deload * p_map_wt2,
-        params.p_du - dispatch_du,
-        params.p_bess - dispatch_bess,
-    ]) / sb
+        np.full(shape, params.p_du - dispatch_du),
+        np.full(shape, params.p_bess - dispatch_bess),
+    ], axis=-1) / sb
     return ReserveLimits(lo=lo, hi=hi)

@@ -4,6 +4,17 @@ The five disturbance channels enter the swing equation identically, so only
 their aggregate is observable from frequency alone. The filter therefore runs
 on the plant state augmented with one random-walk disturbance state, which is
 exactly the quantity the predictive controller consumes.
+
+The covariance and gain recursion never sees the data: it depends only on
+the model, the noise covariances and P0. In floating point it also settles
+into an exact cycle, where a covariance repeats an earlier one bit for bit
+and every later step repeats the steps since then (with the default tuning
+and steps counted from 0, P after step 52 equals P after step 48). Each run
+therefore builds its gains once with ``gain_schedule``: the recursion up to
+the first repeated covariance, indexed cyclically after it, or the full
+sequence when nothing repeats within the run. Per sample only the state
+predict/update is left. ``estimator_step`` is the single-step reference and
+shares the covariance update with the schedule, so both give the same bits.
 """
 
 from dataclasses import dataclass
@@ -18,6 +29,7 @@ N_AUGMENTED = N_STATES + 1
 DEFAULT_STATE_NOISE = 1e-8
 DEFAULT_DISTURBANCE_NOISE = 1e-4
 DEFAULT_MEASUREMENT_NOISE = 1e-8
+DEFAULT_INITIAL_COVARIANCE = 1e-2
 
 _CLIP_LIMIT = 1e-6
 
@@ -47,13 +59,16 @@ class EstimatorConfig:
 
 def default_estimator_config():
     Q = np.diag([DEFAULT_STATE_NOISE] * N_STATES + [DEFAULT_DISTURBANCE_NOISE])
-    return EstimatorConfig(Q=Q, R_noise=DEFAULT_MEASUREMENT_NOISE, P0=1e-2 * np.eye(N_AUGMENTED))
+    return EstimatorConfig(
+        Q=Q, R_noise=DEFAULT_MEASUREMENT_NOISE, P0=DEFAULT_INITIAL_COVARIANCE * np.eye(N_AUGMENTED)
+    )
 
 
 @dataclass(frozen=True)
 class EstimatorState:
     """Filtered estimate: plant state, aggregate disturbance, covariance, and
-    the previous estimates needed to form increments for the controller."""
+    the previous estimates needed to form increments for the controller;
+    ``innovation`` and ``gain`` are those of the step that produced it."""
 
     x_hat: np.ndarray
     d_hat: float
@@ -61,6 +76,7 @@ class EstimatorState:
     prev_x_hat: np.ndarray
     prev_d_hat: float
     innovation: float = 0.0
+    gain: np.ndarray = None
 
     @property
     def delta_x(self):
@@ -152,31 +168,26 @@ def _condition_covariance(P):
     return (V * np.clip(w, 0.0, None)) @ V.T
 
 
-def estimator_step(state, u, y, model, config):
-    """One predict/update cycle.
+def _covariance_step(P, A_aug, c, config):
+    """Covariance predict/update of one step and the Kalman gain it uses.
+    Needs no data, only the previous covariance."""
+    P_pred = A_aug @ P @ A_aug.T + config.Q
+    s = float(c @ P_pred @ c + config.R_noise)
+    gain = P_pred @ c / s
+    ikc = np.eye(N_AUGMENTED) - np.outer(gain, c)
+    P_new = ikc @ P_pred @ ikc.T + config.R_noise * np.outer(gain, gain)  # Joseph form
+    return gain, _condition_covariance(P_new)
 
-    ``u`` is the control applied over the previous sample interval and ``y``
-    the current frequency measurement. Returns the new EstimatorState; the
-    previous estimates are kept so delta_x / delta_d are available.
-    """
+
+def _state_step(state, u, y, A_aug, B_aug, c, gain, P_new):
+    """State predict/update of one step with a precomputed gain."""
     u = np.asarray(u, dtype=float).reshape(N_CONTROLS)
     if not np.isfinite(y):
         raise ValueError("measurement must be finite")
-    A_aug, B_aug, C_aug = augmented_matrices(model)
-
     z = np.concatenate([state.x_hat, [state.d_hat]])
     z_pred = A_aug @ z + B_aug @ u
-    P_pred = A_aug @ state.P @ A_aug.T + config.Q
-
-    c = C_aug[0]
     innovation = float(y - c @ z_pred)
-    s = float(c @ P_pred @ c + config.R_noise)
-    gain = P_pred @ c / s
     z_new = z_pred + gain * innovation
-    ikc = np.eye(N_AUGMENTED) - np.outer(gain, c)
-    P_new = ikc @ P_pred @ ikc.T + config.R_noise * np.outer(gain, gain)  # Joseph form
-    P_new = _condition_covariance(P_new)
-
     return EstimatorState(
         x_hat=z_new[:N_STATES],
         d_hat=float(z_new[N_STATES]),
@@ -184,4 +195,82 @@ def estimator_step(state, u, y, model, config):
         prev_x_hat=state.x_hat,
         prev_d_hat=state.d_hat,
         innovation=innovation,
+        gain=gain,
+    )
+
+
+def estimator_step(state, u, y, model, config):
+    """One predict/update cycle.
+
+    ``u`` is the control applied over the previous sample interval and ``y``
+    the current frequency measurement. Returns the new EstimatorState; the
+    previous estimates are kept so delta_x / delta_d are available.
+    """
+    A_aug, B_aug, C_aug = augmented_matrices(model)
+    c = C_aug[0]
+    gain, P_new = _covariance_step(state.P, A_aug, c, config)
+    return _state_step(state, u, y, A_aug, B_aug, c, gain, P_new)
+
+
+@dataclass(frozen=True)
+class GainSchedule:
+    """The data-free part of a run of the filter, built once.
+
+    Entry t of ``gains`` and ``covariances`` is the gain and the updated
+    covariance of step t (0-based) of a run started from
+    ``initial_estimator_state``. When the covariance after the last entry
+    repeats the input covariance of step ``cycle_start``, later steps repeat
+    the entries from there with period ``period``; ``period`` 0 means no
+    repeat was found and the entries cover every step there is.
+    """
+
+    A_aug: np.ndarray
+    B_aug: np.ndarray
+    c: np.ndarray
+    gains: tuple
+    covariances: tuple
+    cycle_start: int
+    period: int
+
+    def index(self, k):
+        """Entry used by step k."""
+        if k < len(self.gains):
+            return k
+        if not self.period:
+            raise IndexError(f"step {k} is beyond the {len(self.gains)} scheduled steps")
+        return self.cycle_start + (k - self.cycle_start) % self.period
+
+    def step(self, state, u, y, k):
+        """Step k of the run: estimator_step with the gain looked up, not
+        recomputed. ``state`` must be the result of step k - 1."""
+        i = self.index(k)
+        return _state_step(
+            state, u, y, self.A_aug, self.B_aug, self.c, self.gains[i], self.covariances[i]
+        )
+
+
+def gain_schedule(model, config, n_steps):
+    """Gains and covariances of the first ``n_steps`` filter steps, stopped at
+    the first covariance that repeats an earlier one bit for bit."""
+    A_aug, B_aug, C_aug = augmented_matrices(model)
+    c = C_aug[0]
+    # Input covariance of each step, by its bytes: equal bytes give equal
+    # futures, because the recursion is a deterministic function of P.
+    step_of_input = {config.P0.tobytes(): 0}
+    gains, covariances = [], []
+    cycle_start = period = 0
+    P = config.P0
+    for t in range(n_steps):
+        gain, P = _covariance_step(P, A_aug, c, config)
+        # Every repeat of the entry shares these, so nothing may write to them.
+        gain.flags.writeable = P.flags.writeable = False
+        gains.append(gain)
+        covariances.append(P)
+        earlier = step_of_input.setdefault(P.tobytes(), t + 1)
+        if earlier != t + 1:
+            cycle_start, period = earlier, t + 1 - earlier
+            break
+    return GainSchedule(
+        A_aug=A_aug, B_aug=B_aug, c=c, gains=tuple(gains), covariances=tuple(covariances),
+        cycle_start=cycle_start, period=period,
     )

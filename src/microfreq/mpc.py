@@ -6,6 +6,14 @@ plus the measured output, and integral action follows automatically. Reserve
 bounds apply to the cumulative totals, so they are mapped to increment
 constraints through a running-sum pattern. Only the first increment block is
 applied each sample.
+
+Horizons, weights and plant are fixed for a run, so everything of the QP
+except the reserve bands and the measured state is built once per run by
+``build_prediction_matrices``: the Hessian, the linear-term map and the
+running-sum constraint matrix sit next to the prediction matrices, and
+``control_step`` assembles only the linear term and the constraint bounds.
+The weights live in that prepared object only, so a control step cannot mix
+the matrices of one configuration with the weights of another.
 """
 
 from dataclasses import dataclass
@@ -63,6 +71,11 @@ class PredictionMatrices:
     S_d is the single aggregate-disturbance column; S_d_full keeps the full
     five-channel block-lower-triangular structure for verification (only its
     first block column ever multiplies a nonzero increment).
+
+    The QP pieces that do not change within a run come with it: the cost
+    weights (``alpha_sq`` = alpha^2 and the per-increment move weights
+    ``gamma_u``), the Hessian ``H``, the map ``F`` with linear term
+    f = F @ Y_free, and the running-sum constraint matrix ``Cu``.
     """
 
     p: int
@@ -72,6 +85,11 @@ class PredictionMatrices:
     S_d: np.ndarray
     S_d_full: np.ndarray
     I_vec: np.ndarray
+    alpha_sq: float
+    gamma_u: np.ndarray
+    H: np.ndarray
+    F: np.ndarray
+    Cu: np.ndarray
 
     @property
     def n_inputs(self):
@@ -117,19 +135,27 @@ def build_prediction_matrices(model, config):
     if np.abs(replicated - nd * S_d[:, 0]).max() > _IDENTICAL_COLUMN_TOL:
         raise ValueError("disturbance columns are not identical; aggregate collapse invalid")
 
+    gamma_u = np.tile(config.control_weights(), m)
+    alpha_sq = config.alpha ** 2
+    H = 2.0 * (alpha_sq * S_B.T @ S_B + np.diag(gamma_u ** 2))
+    F = 2.0 * alpha_sq * S_B.T
+    running_sum = np.kron(np.tril(np.ones((m, m))), np.eye(nu))
+    Cu = np.vstack([running_sum, -running_sum])
+    # Every sample of a run shares these, so nothing may write to them.
+    for shared in (gamma_u, H, F, Cu):
+        shared.flags.writeable = False
     return PredictionMatrices(
-        p=p, m=m, S_x=S_x, S_B=S_B, S_d=S_d, S_d_full=S_d_full, I_vec=np.ones(p)
+        p=p, m=m, S_x=S_x, S_B=S_B, S_d=S_d, S_d_full=S_d_full, I_vec=np.ones(p),
+        alpha_sq=alpha_sq, gamma_u=gamma_u, H=H, F=F, Cu=Cu,
     )
 
 
-def mpc_gain(pred, config):
+def mpc_gain(pred):
     """Closed-form unconstrained gain: dU* = K_mpc @ (0 - Y_free)."""
-    gamma_u = np.tile(config.control_weights(), pred.m)
-    lhs = config.alpha ** 2 * pred.S_B.T @ pred.S_B + np.diag(gamma_u ** 2)
-    return np.linalg.solve(lhs, config.alpha ** 2 * pred.S_B.T)
+    return np.linalg.solve(pred.H, pred.F)
 
 
-def build_constraints(limits, u_prev, config, n_inputs=6):
+def build_constraints(limits, u_prev, pred):
     """Map total-adjustment bounds to increment constraints, Cu dU >= b.
 
     For unit j and horizon step i the cumulative total must stay in band:
@@ -137,16 +163,12 @@ def build_constraints(limits, u_prev, config, n_inputs=6):
     step-major: m blocks of n_inputs lower bounds, then the same for upper.
     If u_prev has drifted outside a (shrunken) band, the first-step rows
     force the move back inside; the event itself is the caller's to flag.
+    ``Cu`` is the prepared ``pred.Cu``; only ``b`` depends on the sample.
     """
-    u_prev = np.asarray(u_prev, dtype=float).reshape(n_inputs)
-    m = config.m
-    running_sum = np.kron(np.tril(np.ones((m, m))), np.eye(n_inputs))
-    Cu = np.vstack([running_sum, -running_sum])
-    b = np.concatenate([
-        np.tile(limits.lo - u_prev, m),
-        np.tile(u_prev - limits.hi, m),
-    ])
-    return Cu, b
+    u_prev = np.asarray(u_prev, dtype=float).reshape(pred.n_inputs)
+    lower = limits.lo - u_prev
+    upper = u_prev - limits.hi
+    return pred.Cu, np.concatenate([lower] * pred.m + [upper] * pred.m)
 
 
 def out_of_band_units(limits, u_prev):
@@ -173,9 +195,10 @@ def free_response(pred, est, y):
     return pred.S_x @ est.delta_x + pred.I_vec * y + pred.S_d[:, 0] * est.delta_d
 
 
-def control_step(est, y, u_prev, limits, pred, config, qp_tol=1e-10):
+def control_step(est, y, u_prev, limits, pred, *, qp_tol=1e-10):
     """Solve the constrained QP for this sample and apply the first block.
 
+    The weights and horizons are those ``pred`` was built with.
     ``limits=None`` disables constraints (the solution then matches the
     closed-form gain). Returns an MpcStepResult whose ``command`` is the new
     cumulative total per unit, u_prev + first increment block.
@@ -183,21 +206,19 @@ def control_step(est, y, u_prev, limits, pred, config, qp_tol=1e-10):
     nu = pred.n_inputs
     u_prev = np.asarray(u_prev, dtype=float).reshape(nu)
     y_free = free_response(pred, est, y)
-
-    gamma_u = np.tile(config.control_weights(), pred.m)
-    H = 2.0 * (config.alpha ** 2 * pred.S_B.T @ pred.S_B + np.diag(gamma_u ** 2))
-    f = 2.0 * config.alpha ** 2 * pred.S_B.T @ y_free
+    f = pred.F @ y_free
 
     if limits is None:
         Cu, b = None, None
     else:
-        Cu, b = build_constraints(limits, u_prev, config, n_inputs=nu)
+        Cu, b = build_constraints(limits, u_prev, pred)
 
-    problem = QpProblem(H, f, Cu, b)
+    problem = QpProblem(pred.H, f, Cu, b)
     du, lam, _ = solve_qp_info(problem, tol=qp_tol)
 
     predicted = y_free + pred.S_B @ du
-    objective = config.alpha ** 2 * float(predicted @ predicted) + float((gamma_u * du) @ (gamma_u * du))
+    moves = pred.gamma_u * du
+    objective = pred.alpha_sq * float(predicted @ predicted) + float(moves @ moves)
     if problem.q:
         slack = problem.Cu @ du - problem.b
         qp_active = slack <= 1e-9

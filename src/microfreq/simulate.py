@@ -1,11 +1,17 @@
 """Closed-loop scenario runner: plant + availability + estimator + one
 controller, with trace logging and the comparison metrics.
 
-The loop is a deterministic fixed-step cycle: evaluate renewable
-availability, form the instant's reserve limits, update the disturbance
-estimator from the last measurement, run the selected controller, then step
-the true plant with the applied command and the true disturbances. Identical
-scenario, config, and seed give bit-identical traces.
+The loop is a deterministic fixed-step cycle: update the disturbance
+estimator from the last measurement, take the instant's reserve limits, run
+the selected controller, then step the true plant with the applied command
+and the true disturbances. Identical scenario, config, and seed give
+bit-identical traces.
+
+Everything that does not depend on the closed loop is built once per run,
+before the first sample: renewable availability and the reserve limits over
+the whole time grid (checked as a whole), the estimator's gain schedule, and
+the controller's prepared QP matrices. Per sample the loop computes only the
+state estimate, the command and the plant step.
 """
 
 import csv
@@ -29,9 +35,12 @@ from .der_models import (
     reserve_limits,
     wind_available_power,
 )
-from .estimator import (
+# estimator_step is no longer called here, but perfbench/tracer.py wraps it
+# in this namespace, so it stays importable from it.
+from .estimator import (  # noqa: F401
     default_estimator_config,
     estimator_step,
+    gain_schedule,
     initial_estimator_state,
     require_detectable,
 )
@@ -160,15 +169,8 @@ class RunMetrics:
 
 def _availability(profiles, config):
     """Deloaded available power (kW) per renewable unit at every sample."""
-    n = profiles.t.shape[0]
-    p_wt = np.empty((2, n))
-    p_pv = np.empty((2, n))
-    for k in range(n):
-        for i in range(2):
-            p_wt[i, k] = wind_available_power(profiles.v_w[i, k], config.wind, config.deload)
-            p_pv[i, k] = pv_available_power(
-                profiles.g_eff[i, k], profiles.t_amb[k], config.pv, config.deload
-            )
+    p_wt = wind_available_power(profiles.v_w, config.wind, config.deload)
+    p_pv = pv_available_power(profiles.g_eff, profiles.t_amb, config.pv, config.deload)
     return p_wt, p_pv
 
 
@@ -193,10 +195,16 @@ def run_scenario(scenario, config=None):
     model = build_plant(params, scenario.Ts)
     require_detectable(model)
 
+    n = scenario.n_steps
     p_wt, p_pv = _availability(scenario.profiles, config)
     disturbances = _true_disturbances(scenario.profiles, p_wt, p_pv, params.s_base)
+    # One row per sample; the terminal row repeats the last sample's limits.
+    bands = reserve_limits(
+        p_wt[0, :n], p_wt[1, :n], p_pv[0, :n], p_pv[1, :n],
+        config.dispatch_du_kw, config.dispatch_bess_kw, params, config.deload,
+    )
+    gains = gain_schedule(model, config.estimator, n)
 
-    n = scenario.n_steps
     n_rows = n + 1
     trace = ScenarioTrace(
         kind=scenario.kind,
@@ -209,8 +217,8 @@ def run_scenario(scenario, config=None):
         outputs=np.zeros((n_rows, N_CONTROLS)),
         disturbances=disturbances.copy(),
         d_hat=np.zeros(n_rows),
-        limits_lo=np.zeros((n_rows, N_CONTROLS)),
-        limits_hi=np.zeros((n_rows, N_CONTROLS)),
+        limits_lo=np.concatenate([bands.lo, bands.lo[-1:]]),
+        limits_hi=np.concatenate([bands.hi, bands.hi[-1:]]),
         binding=np.zeros((n_rows, N_CONTROLS), dtype=int),
         objective=np.zeros(n_rows),
     )
@@ -226,6 +234,7 @@ def run_scenario(scenario, config=None):
     pi_state = initial_pi_state()
 
     noise_rng = np.random.default_rng([scenario.seed, 9001])
+    outputs = list(OUTPUT_STATE_INDICES)
     x = np.zeros(model.A.shape[0])
     u_prev = np.zeros(N_CONTROLS)
     max_kkt = 0.0
@@ -235,22 +244,19 @@ def run_scenario(scenario, config=None):
         y = freq
         if config.measurement_noise_std > 0.0:
             y = freq + noise_rng.normal(scale=config.measurement_noise_std)
-        est_state = estimator_step(est_state, u_prev, y, model, config.estimator)
-        limits = reserve_limits(
-            p_wt[0, k], p_wt[1, k], p_pv[0, k], p_pv[1, k],
-            config.dispatch_du_kw, config.dispatch_bess_kw, params, config.deload,
-        )
+        est_state = gains.step(est_state, u_prev, y, k)
+        limits = bands.at(k)
 
         if scenario.controller == "mpc":
             drifted = out_of_band_units(limits, u_prev)
             try:
-                result = control_step(est_state, y, u_prev, limits, pred, config.mpc)
+                result = control_step(est_state, y, u_prev, limits, pred)
             except QpInfeasibleError:
                 trace.aborted_at = k
                 _truncate_trace(trace, k)
                 return trace
             u = result.command
-            binding = active_units(result.qp_active, config.mpc.m) | drifted
+            binding = active_units(result.qp_active, pred.m) | drifted
             objective = result.objective
             max_kkt = max(max_kkt, max(result.kkt_residuals))
         else:
@@ -261,24 +267,20 @@ def run_scenario(scenario, config=None):
 
         trace.freq[k] = freq
         trace.commands[k] = u
-        trace.outputs[k] = x[list(OUTPUT_STATE_INDICES)]
+        trace.outputs[k] = x[outputs]
         trace.d_hat[k] = est_state.d_hat
-        trace.limits_lo[k] = limits.lo
-        trace.limits_hi[k] = limits.hi
-        trace.binding[k] = binding.astype(int)
+        trace.binding[k] = binding
         trace.objective[k] = objective
 
         x = step_plant(model, x, u, disturbances[k])
         u_prev = u
 
-    # Terminal row: state at t = duration with the last command held, paired
-    # with the limits that command was issued under.
+    # Terminal row: state at t = duration with the last command held (its
+    # limits are already in place).
     trace.freq[n] = x[IDX_FREQ]
     trace.commands[n] = u_prev
-    trace.outputs[n] = x[list(OUTPUT_STATE_INDICES)]
+    trace.outputs[n] = x[outputs]
     trace.d_hat[n] = est_state.d_hat
-    trace.limits_lo[n] = limits.lo
-    trace.limits_hi[n] = limits.hi
     trace.max_kkt_residual = max_kkt
     return trace
 

@@ -178,7 +178,7 @@ def test_criterion_4_qp_oracle_and_mpc_kkt(sweep):
 def test_criterion_5_unconstrained_gain_equivalence():
     config = MpcConfig()
     pred = build_prediction_matrices(MODEL, config)
-    K = mpc_gain(pred, config)
+    K = mpc_gain(pred)
     est_config = default_estimator_config()
     est = initial_estimator_state(est_config)
     profiles = generate_profiles("moderate", seed=0, duration=180.0)
@@ -188,7 +188,7 @@ def test_criterion_5_unconstrained_gain_equivalence():
     for k in range(900):
         y = x[IDX_FREQ]
         est = estimator_step(est, u_prev, y, MODEL, est_config)
-        result = control_step(est, y, u_prev, None, pred, config)
+        result = control_step(est, y, u_prev, None, pred)
         reference = K @ (0.0 - free_response(pred, est, y))
         worst = max(worst, float(np.abs(result.increments - reference).max()))
         u_prev = result.command

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from microfreq.cli import load_run_config, main
+from microfreq.cli import SIM_KEYS, load_run_config, main
+from microfreq.der_models import DELOAD_FRACTION
 from microfreq.profiles import generate_profiles, write_profiles_csv
+from microfreq.simulate import RunConfig
 
 
 def test_run_writes_trace_and_metrics(tmp_path, capsys):
@@ -76,7 +78,39 @@ def test_profiles_file_used_when_present(tmp_path, capsys):
 def test_missing_profiles_file_falls_back_to_generated(capsys):
     assert main(["run", "--scenario", "step", "--controller", "pi_dubess",
                  "--seed", "1", "--profiles", "/nonexistent/profiles.csv"]) == 0
-    assert "step" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "step" in captured.out
+    assert "warning: profile file /nonexistent/profiles.csv not found" in captured.err
+    assert "generated step profiles for seed 1" in captured.err
+
+
+def test_compare_warns_once_for_a_missing_profiles_file(capsys):
+    assert main(["compare", "--scenario", "step", "--seed", "0",
+                 "--profiles", "/nonexistent/profiles.csv"]) == 0
+    assert capsys.readouterr().err.count("warning:") == 1
+
+
+@pytest.mark.parametrize("unit2", ["p_wt2", "p_pv2"])
+def test_config_rejects_unequal_twin_unit_ratings(tmp_path, unit2):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"microgrid": {unit2: 50.0}}))
+    with pytest.raises(ValueError, match=f"{unit2}=50.0 differs from"):
+        load_run_config(str(config_path))
+
+
+def test_config_accepts_equal_twin_unit_ratings(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"microgrid": {"p_wt1": 50.0, "p_wt2": 50.0}}))
+    config = load_run_config(str(config_path))
+    assert config.wind.rated_power == 50.0
+
+
+def test_sim_defaults_come_from_run_config():
+    defaults = RunConfig()
+    config = load_run_config(None)
+    for key in SIM_KEYS:
+        assert getattr(config, key) == getattr(defaults, key), key
+    assert config.deload == DELOAD_FRACTION
 
 
 def test_config_file_overrides(tmp_path):

@@ -9,6 +9,7 @@ from microfreq.estimator import (
     augmented_matrices,
     default_estimator_config,
     estimator_step,
+    gain_schedule,
     initial_estimator_state,
     observability_report,
     require_detectable,
@@ -177,3 +178,60 @@ def test_config_validation():
         EstimatorConfig(Q=np.eye(N_AUGMENTED), R_noise=0.0, P0=np.eye(N_AUGMENTED))
     with pytest.raises(ValueError):
         EstimatorConfig(Q=-np.eye(N_AUGMENTED), R_noise=1e-8, P0=np.eye(N_AUGMENTED))
+
+
+# ------------------------------------------------------- gain schedule
+
+
+def assert_same_step(a, b):
+    for name in ("x_hat", "P", "prev_x_hat", "gain"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.d_hat, a.prev_d_hat, a.innovation) == (b.d_hat, b.prev_d_hat, b.innovation)
+
+
+def test_gain_schedule_matches_estimator_step_past_the_cycle():
+    n = 900
+    schedule = gain_schedule(MODEL, CONFIG, n)
+    # The default tuning repeats a covariance early, so most steps below are
+    # served from the cycle, not from a directly computed entry.
+    assert schedule.period > 0
+    assert schedule.cycle_start + schedule.period == len(schedule.gains) < n // 10
+    rng = np.random.default_rng(7)
+    reference = scheduled = initial_estimator_state(CONFIG)
+    for k in range(n):
+        u = rng.normal(scale=1e-2, size=N_CONTROLS)
+        y = rng.normal(scale=1e-3)
+        reference = estimator_step(reference, u, y, MODEL, CONFIG)
+        scheduled = schedule.step(scheduled, u, y, k)
+        assert_same_step(reference, scheduled)
+
+
+def test_gain_schedule_without_repeat_keeps_every_step():
+    n = 12  # shorter than the default tuning's first repeat
+    schedule = gain_schedule(MODEL, CONFIG, n)
+    assert schedule.period == 0
+    assert len(schedule.gains) == len(schedule.covariances) == n
+    reference = scheduled = initial_estimator_state(CONFIG)
+    u = np.full(N_CONTROLS, 1e-3)
+    for k in range(n):
+        reference = estimator_step(reference, u, 1e-4 * k, MODEL, CONFIG)
+        scheduled = schedule.step(scheduled, u, 1e-4 * k, k)
+        assert_same_step(reference, scheduled)
+    with pytest.raises(IndexError):
+        schedule.index(n)
+
+
+def test_gain_schedule_cycle_indexing():
+    schedule = gain_schedule(MODEL, CONFIG, 900)
+    start, period = schedule.cycle_start, schedule.period
+    last = len(schedule.gains)
+    assert [schedule.index(k) for k in range(last)] == list(range(last))
+    assert [schedule.index(last + j) for j in range(2 * period)] == [
+        start + j % period for j in range(2 * period)
+    ]
+
+
+def test_gain_schedule_keeps_the_measurement_check():
+    schedule = gain_schedule(MODEL, CONFIG, 5)
+    with pytest.raises(ValueError, match="finite"):
+        schedule.step(initial_estimator_state(CONFIG), np.zeros(N_CONTROLS), np.nan, 0)

@@ -64,7 +64,7 @@ def closed_loop(
     for k in range(n_steps):
         y = x[IDX_FREQ]
         est = estimator_step(est, u_prev, y, MODEL, EST_CONFIG)
-        result = control_step(est, y, u_prev, limits, pred, config)
+        result = control_step(est, y, u_prev, limits, pred)
         u_prev = result.command
         d = np.zeros(N_DISTURBANCES)
         if k >= step_at:
@@ -114,6 +114,27 @@ def test_sd_collapse_matches_replicated_channels():
     assert np.allclose(stacked, PRED.S_d[:, 0] * (5 * s), atol=1e-15)
 
 
+@pytest.mark.parametrize("config", [CONFIG, MpcConfig(p=8, m=2, alpha=2.3, beta_bess=0.5)])
+def test_prepared_qp_matrices_match_per_sample_expressions(config):
+    # The expressions a control step used to evaluate at every sample.
+    pred = build_prediction_matrices(MODEL, config)
+    gamma_u = np.tile(config.control_weights(), config.m)
+    H = 2.0 * (config.alpha ** 2 * pred.S_B.T @ pred.S_B + np.diag(gamma_u ** 2))
+    y_free = np.linspace(-1e-3, 2e-3, config.p)
+    f = 2.0 * config.alpha ** 2 * pred.S_B.T @ y_free
+    running_sum = np.kron(np.tril(np.ones((config.m, config.m))), np.eye(N_CONTROLS))
+    assert pred.H.tobytes() == H.tobytes()
+    assert (pred.F @ y_free).tobytes() == f.tobytes()
+    assert pred.gamma_u.tobytes() == gamma_u.tobytes()
+    assert np.array_equal(pred.Cu, np.vstack([running_sum, -running_sum]))
+    assert not (pred.H.flags.writeable or pred.F.flags.writeable or pred.Cu.flags.writeable)
+
+
+def test_control_step_takes_its_weights_from_the_prepared_matrices():
+    with pytest.raises(TypeError):
+        control_step(FrozenEstimate(), 0.0, np.zeros(6), None, PRED, CONFIG)
+
+
 def test_prediction_requires_matching_ts():
     slow = discretize_model(MODEL, Ts=0.5)
     with pytest.raises(ValueError, match="Ts"):
@@ -134,7 +155,7 @@ def test_config_validation():
 
 def test_gain_vanishes_under_huge_move_penalty():
     config = MpcConfig(beta_pv=1e6, beta_wt=1e6, beta_du=1.1e6, beta_bess=1.1e6)
-    K = mpc_gain(PRED, config)
+    K = mpc_gain(build_prediction_matrices(MODEL, config))
     assert np.abs(K).max() < 1e-4
 
 
@@ -149,7 +170,7 @@ def test_gain_single_input_scalar_formula():
     )
     config = MpcConfig(p=1, m=1)
     pred = build_prediction_matrices(one_input, config)
-    K = mpc_gain(pred, config)
+    K = mpc_gain(pred)
     s = float(one_input.Cc[0] @ one_input.B[:, 4])
     expected = config.alpha ** 2 * s / (config.alpha ** 2 * s ** 2 + config.beta_du ** 2)
     assert K[4, 0] == pytest.approx(expected, rel=1e-12)
@@ -158,13 +179,13 @@ def test_gain_single_input_scalar_formula():
 
 def test_unconstrained_qp_matches_gain():
     rng = np.random.default_rng(12)
-    K = mpc_gain(PRED, CONFIG)
+    K = mpc_gain(PRED)
     for _ in range(10):
         est = FrozenEstimate(delta_x=rng.normal(scale=1e-3, size=N_STATES),
                              delta_d=rng.normal(scale=1e-3))
         y = rng.normal(scale=1e-3)
         y_free = free_response(PRED, est, y)
-        result = control_step(est, y, np.zeros(6), None, PRED, CONFIG)
+        result = control_step(est, y, np.zeros(6), None, PRED)
         assert np.abs(result.increments - K @ (0.0 - y_free)).max() < 1e-9
 
 
@@ -174,7 +195,7 @@ def test_unconstrained_qp_matches_gain():
 def test_constraint_box_single_step():
     config = MpcConfig(p=10, m=1)
     limits = ReserveLimits(lo=np.full(6, -0.027), hi=np.full(6, 0.027))
-    Cu, b = build_constraints(limits, np.zeros(6), config)
+    Cu, b = build_constraints(limits, np.zeros(6), build_prediction_matrices(MODEL, config))
     assert Cu.shape == (12, 6)
     assert np.allclose(b[:6], -0.027)
     assert np.allclose(b[6:], -0.027)
@@ -184,7 +205,7 @@ def test_constraint_no_headroom_at_upper_bound():
     limits = ReserveLimits(lo=np.full(6, -0.1), hi=np.full(6, 0.1))
     u_prev = np.zeros(6)
     u_prev[2] = 0.1  # wt1 already at its cap
-    Cu, b = build_constraints(limits, u_prev, CONFIG)
+    Cu, b = build_constraints(limits, u_prev, PRED)
     # Upper rows are -cumsum >= u_prev - hi; step-1 row for wt1 forces du <= 0.
     du = np.zeros(6 * CONFIG.m)
     du[2] = 1e-6
@@ -194,7 +215,7 @@ def test_constraint_no_headroom_at_upper_bound():
 
 
 def test_constraint_rows_count():
-    Cu, b = build_constraints(WIDE_LIMITS, np.zeros(6), CONFIG)
+    Cu, b = build_constraints(WIDE_LIMITS, np.zeros(6), PRED)
     assert Cu.shape == (2 * 6 * CONFIG.m, 6 * CONFIG.m)
     assert b.shape == (2 * 6 * CONFIG.m,)
 
@@ -212,7 +233,7 @@ def test_drifted_total_forced_back_inside():
     u_prev = np.zeros(6)
     u_prev[0] = 0.05  # outside the shrunken band
     est = FrozenEstimate()
-    result = control_step(est, 0.0, u_prev, limits, PRED, CONFIG)
+    result = control_step(est, 0.0, u_prev, limits, PRED)
     assert result.command[0] <= 0.02 + 1e-9
 
 
@@ -220,30 +241,30 @@ def test_drifted_total_forced_back_inside():
 
 
 def test_zero_error_zero_move():
-    result = control_step(FrozenEstimate(), 0.0, np.zeros(6), WIDE_LIMITS, PRED, CONFIG)
+    result = control_step(FrozenEstimate(), 0.0, np.zeros(6), WIDE_LIMITS, PRED)
     assert np.abs(result.command).max() < 1e-12
     assert result.objective == pytest.approx(0.0, abs=1e-20)
 
 
 def test_over_frequency_pushes_all_units_down():
-    result = control_step(FrozenEstimate(), 1e-3, np.zeros(6), None, PRED, CONFIG)
+    result = control_step(FrozenEstimate(), 1e-3, np.zeros(6), None, PRED)
     assert np.all(result.command <= 0.0)
     assert np.any(result.command < 0.0)
 
 
 def test_binding_limit_redistributes_to_other_units():
     # Scale an under-frequency event so the unconstrained wt1 move is 0.04.
-    K = mpc_gain(PRED, CONFIG)
-    base = control_step(FrozenEstimate(), -1e-3, np.zeros(6), None, PRED, CONFIG)
+    K = mpc_gain(PRED)
+    base = control_step(FrozenEstimate(), -1e-3, np.zeros(6), None, PRED)
     scale = 0.04 / base.increments[2]
     y = -1e-3 * scale
-    unconstrained = control_step(FrozenEstimate(), y, np.zeros(6), None, PRED, CONFIG)
+    unconstrained = control_step(FrozenEstimate(), y, np.zeros(6), None, PRED)
     assert unconstrained.increments[2] == pytest.approx(0.04, rel=1e-9)
 
     lo = np.full(6, -10.0)
     hi = np.full(6, 10.0)
     hi[2] = 0.027
-    result = control_step(FrozenEstimate(), y, np.zeros(6), ReserveLimits(lo, hi), PRED, CONFIG)
+    result = control_step(FrozenEstimate(), y, np.zeros(6), ReserveLimits(lo, hi), PRED)
     assert result.command[2] == pytest.approx(0.027, abs=1e-9)
     others = [i for i in range(6) if i != 2]
     assert np.all(result.command[others] >= unconstrained.command[others] - 1e-12)
@@ -254,7 +275,7 @@ def test_binding_limit_redistributes_to_other_units():
 def test_weight_scaling_invariance():
     est = FrozenEstimate(delta_x=np.full(N_STATES, 1e-4), delta_d=2e-4)
     limits = ReserveLimits(lo=np.full(6, -0.01), hi=np.full(6, 0.01))
-    base = control_step(est, -2e-3, np.zeros(6), limits, PRED, CONFIG)
+    base = control_step(est, -2e-3, np.zeros(6), limits, PRED)
     scaled_config = MpcConfig(
         alpha=CONFIG.alpha * 7.0,
         beta_pv=CONFIG.beta_pv * 7.0,
@@ -262,14 +283,15 @@ def test_weight_scaling_invariance():
         beta_du=CONFIG.beta_du * 7.0,
         beta_bess=CONFIG.beta_bess * 7.0,
     )
-    scaled = control_step(est, -2e-3, np.zeros(6), limits, PRED, scaled_config)
+    scaled_pred = build_prediction_matrices(MODEL, scaled_config)
+    scaled = control_step(est, -2e-3, np.zeros(6), limits, scaled_pred)
     assert np.abs(base.increments - scaled.increments).max() < 1e-10
 
 
 def test_kkt_residuals_reported_small():
     est = FrozenEstimate(delta_x=np.full(N_STATES, 1e-4), delta_d=5e-4)
     limits = ReserveLimits(lo=np.full(6, -0.005), hi=np.full(6, 0.005))
-    result = control_step(est, -3e-3, np.zeros(6), limits, PRED, CONFIG)
+    result = control_step(est, -3e-3, np.zeros(6), limits, PRED)
     stat, primal, comp = result.kkt_residuals
     assert stat < 1e-8 and primal < 1e-8 and comp < 1e-8
 
@@ -296,8 +318,8 @@ def test_commands_respect_limits_in_closed_loop():
 
 def test_wide_limits_reduce_to_unconstrained_gain():
     est = FrozenEstimate(delta_x=np.full(N_STATES, 2e-4), delta_d=1e-4)
-    wide = control_step(est, -1e-3, np.zeros(6), WIDE_LIMITS, PRED, CONFIG)
-    free = control_step(est, -1e-3, np.zeros(6), None, PRED, CONFIG)
+    wide = control_step(est, -1e-3, np.zeros(6), WIDE_LIMITS, PRED)
+    free = control_step(est, -1e-3, np.zeros(6), None, PRED)
     assert not wide.qp_active.any()  # empty active set
     assert np.abs(wide.increments - free.increments).max() < 1e-12
 
@@ -322,7 +344,7 @@ def test_total_vs_increment_bound_readings_archived():
             y = x[IDX_FREQ]
             est = estimator_step(est, u_prev, y, MODEL, est_config)
             if reading == "totals":
-                result = control_step(est, y, u_prev, limits, PRED, CONFIG)
+                result = control_step(est, y, u_prev, limits, PRED)
                 u_prev = result.command
             else:
                 # per-increment boxes, same band, no cumulative coupling

@@ -1,5 +1,7 @@
 """Tests for the closed-loop scenario engine and metrics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -216,3 +218,29 @@ def test_profile_ts_mismatch_rejected():
 def test_unknown_controller_rejected():
     with pytest.raises(ValueError, match="controller"):
         make_scenario("step", "lqr", seed=0, profiles=constant_profiles())
+
+
+def profiles_with(series, row, k, value):
+    """constant_profiles with one wind or irradiance sample replaced."""
+    p = constant_profiles()
+    fields = {"v_w": p.v_w.copy(), "g_eff": p.g_eff.copy()}
+    fields[series][row, k] = value
+    return ProfileSet(t=p.t, load_pu=p.load_pu, t_amb=p.t_amb, **fields)
+
+
+@pytest.mark.parametrize("series, value, message", [
+    ("v_w", -1.0, "wind speed must be >= 0, got -1.0"),
+    ("g_eff", -5.0, "irradiance must be >= 0, got -5.0"),
+    ("v_w", np.nan, "reserve limits must be finite"),
+])
+@pytest.mark.parametrize("controller", ["mpc", "pi_all"])
+def test_bad_profile_sample_fails_before_the_first_sample(monkeypatch, series, value, message,
+                                                         controller):
+    steps = []
+    real = sim.step_plant
+    monkeypatch.setattr(sim, "step_plant", lambda *a: steps.append(1) or real(*a))
+    scenario = make_scenario("step", controller, seed=0,
+                             profiles=profiles_with(series, 1, 100, value))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_scenario(scenario)
+    assert steps == []
