@@ -72,14 +72,13 @@ class PiConfig:
 
 @dataclass(frozen=True)
 class PiState:
-    """Integrator accumulation (p.u.*s) and the last applied command."""
+    """Integrator accumulation (p.u.*s)."""
 
     integral: float
-    last_command: np.ndarray
 
 
 def initial_pi_state():
-    return PiState(integral=0.0, last_command=np.zeros(N_CONTROLS))
+    return PiState(integral=0.0)
 
 
 def _make_config(params, mask, kp, ki):
@@ -142,7 +141,7 @@ def pi_step(state, y, limits, config, Ts):
         integral_new = state.integral
         total, cmd = commands_for(integral_new)
 
-    return PiState(integral=integral_new, last_command=cmd), cmd
+    return PiState(integral=integral_new), cmd
 
 
 def design_pi_gains(params, recovery_time=DESIGN_RECOVERY_TIME):

@@ -80,6 +80,9 @@ def load_run_config(path=None):
     )
     pi = raw.get("pi", {})
     sim = raw.get("sim", {})
+    unknown = sorted(set(sim) - set(SIM_KEYS))
+    if unknown:
+        raise ValueError(f"unknown sim config keys {unknown}; expected some of {list(SIM_KEYS)}")
     kp_default, ki_default = design_pi_gains(params)
     return RunConfig(
         params=params,
@@ -89,7 +92,7 @@ def load_run_config(path=None):
         pv=default_pv_params(rated_kw=params.p_pv1),
         pi_kp=pi.get("kp", kp_default),
         pi_ki=pi.get("ki", ki_default),
-        **{key: sim[key] for key in SIM_KEYS if key in sim},
+        **sim,
     )
 
 

@@ -10,7 +10,8 @@ applied each sample.
 Horizons, weights and plant are fixed for a run, so everything of the QP
 except the reserve bands and the measured state is built once per run by
 ``build_prediction_matrices``: the Hessian, the linear-term map and the
-running-sum constraint matrix sit next to the prediction matrices, and
+running-sum constraint matrix sit next to the prediction matrices, the
+Hessian checked and factorized once in a ``PreparedQp``, and
 ``control_step`` assembles only the linear term and the constraint bounds.
 The weights live in that prepared object only, so a control step cannot mix
 the matrices of one configuration with the weights of another.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import QpProblem, kkt_residuals, solve_qp_info
+from .numerics import PreparedQp, QpProblem, kkt_residuals, solve_qp_info
 
 _IDENTICAL_COLUMN_TOL = 1e-12
 
@@ -68,14 +69,14 @@ class PredictionMatrices:
 
         Y = S_x @ dx(k) + I_vec * y(k) + S_d * dd(k) + S_B @ dU
 
-    S_d is the single aggregate-disturbance column; S_d_full keeps the full
-    five-channel block-lower-triangular structure for verification (only its
-    first block column ever multiplies a nonzero increment).
+    S_d is the single aggregate-disturbance column: the five disturbance
+    channels enter the plant through one shared column of D.
 
     The QP pieces that do not change within a run come with it: the cost
     weights (``alpha_sq`` = alpha^2 and the per-increment move weights
-    ``gamma_u``), the Hessian ``H``, the map ``F`` with linear term
-    f = F @ Y_free, and the running-sum constraint matrix ``Cu``.
+    ``gamma_u``), the map ``F`` with linear term f = F @ Y_free, and ``qp``,
+    the PreparedQp of the Hessian ``H`` and the running-sum constraint
+    matrix ``Cu``.
     """
 
     p: int
@@ -83,13 +84,19 @@ class PredictionMatrices:
     S_x: np.ndarray
     S_B: np.ndarray
     S_d: np.ndarray
-    S_d_full: np.ndarray
     I_vec: np.ndarray
     alpha_sq: float
     gamma_u: np.ndarray
-    H: np.ndarray
     F: np.ndarray
-    Cu: np.ndarray
+    qp: PreparedQp
+
+    @property
+    def H(self):
+        return self.qp.H
+
+    @property
+    def Cu(self):
+        return self.qp.Cu
 
     @property
     def n_inputs(self):
@@ -119,19 +126,17 @@ def build_prediction_matrices(model, config):
     cumD = np.cumsum(CA[:p] @ D, axis=0)
 
     S_B = np.zeros((p, nu * m))
-    S_d_full = np.zeros((p, nd * m))
     for j in range(1, p + 1):
         for col in range(1, min(j, m) + 1):
             S_B[j - 1, (col - 1) * nu:col * nu] = cumB[j - col]
-            S_d_full[j - 1, (col - 1) * nd:col * nd] = cumD[j - col]
 
     d_col = D[:, 0]
     S_d = np.cumsum(CA[:p] @ d_col)[:, None]
 
-    # The five disturbance channels share one column of D, so the stacked
-    # first block times a replicated scalar must collapse to S_d times the
+    # The five disturbance channels share one column of D, so their stacked
+    # prediction under a replicated scalar must collapse to S_d times the
     # aggregate; anything else means the plant broke that assumption.
-    replicated = S_d_full[:, :nd] @ np.ones(nd)
+    replicated = cumD @ np.ones(nd)
     if np.abs(replicated - nd * S_d[:, 0]).max() > _IDENTICAL_COLUMN_TOL:
         raise ValueError("disturbance columns are not identical; aggregate collapse invalid")
 
@@ -141,12 +146,13 @@ def build_prediction_matrices(model, config):
     F = 2.0 * alpha_sq * S_B.T
     running_sum = np.kron(np.tril(np.ones((m, m))), np.eye(nu))
     Cu = np.vstack([running_sum, -running_sum])
-    # Every sample of a run shares these, so nothing may write to them.
-    for shared in (gamma_u, H, F, Cu):
+    # Every sample of a run shares these, so nothing may write to them
+    # (PreparedQp keeps read-only copies of H and Cu).
+    for shared in (gamma_u, F):
         shared.flags.writeable = False
     return PredictionMatrices(
-        p=p, m=m, S_x=S_x, S_B=S_B, S_d=S_d, S_d_full=S_d_full, I_vec=np.ones(p),
-        alpha_sq=alpha_sq, gamma_u=gamma_u, H=H, F=F, Cu=Cu,
+        p=p, m=m, S_x=S_x, S_B=S_B, S_d=S_d, I_vec=np.ones(p),
+        alpha_sq=alpha_sq, gamma_u=gamma_u, F=F, qp=PreparedQp(H, Cu),
     )
 
 
@@ -179,12 +185,11 @@ def out_of_band_units(limits, u_prev):
 
 @dataclass(frozen=True)
 class MpcStepResult:
-    """One controller sample: applied totals, raw increments, prediction,
-    constraint activity, cost, and the QP's KKT residuals."""
+    """One controller sample: applied totals, raw increments, constraint
+    activity, cost, and the QP's KKT residuals."""
 
     command: np.ndarray
     increments: np.ndarray
-    predicted_freq: np.ndarray
     qp_active: np.ndarray
     objective: float
     kkt_residuals: tuple
@@ -200,8 +205,10 @@ def control_step(est, y, u_prev, limits, pred, *, qp_tol=1e-10):
 
     The weights and horizons are those ``pred`` was built with.
     ``limits=None`` disables constraints (the solution then matches the
-    closed-form gain). Returns an MpcStepResult whose ``command`` is the new
-    cumulative total per unit, u_prev + first increment block.
+    closed-form gain). With limits, the QP is solved through ``pred.qp``,
+    so only the sample's f and b are checked. Returns an MpcStepResult
+    whose ``command`` is the new cumulative total per unit, u_prev + first
+    increment block.
     """
     nu = pred.n_inputs
     u_prev = np.asarray(u_prev, dtype=float).reshape(nu)
@@ -209,11 +216,12 @@ def control_step(est, y, u_prev, limits, pred, *, qp_tol=1e-10):
     f = pred.F @ y_free
 
     if limits is None:
-        Cu, b = None, None
+        Cu, b, prepared = None, None, None
     else:
         Cu, b = build_constraints(limits, u_prev, pred)
+        prepared = pred.qp
 
-    problem = QpProblem(pred.H, f, Cu, b)
+    problem = QpProblem(pred.H, f, Cu, b, prepared=prepared)
     du, lam, _ = solve_qp_info(problem, tol=qp_tol)
 
     predicted = y_free + pred.S_B @ du
@@ -228,7 +236,6 @@ def control_step(est, y, u_prev, limits, pred, *, qp_tol=1e-10):
     return MpcStepResult(
         command=u_prev + du[:nu],
         increments=du,
-        predicted_freq=predicted,
         qp_active=qp_active,
         objective=objective,
         kkt_residuals=kkt_residuals(problem, du, lam),

@@ -100,33 +100,92 @@ def discretize(Ac, Bc, Dc, Ts):
     return A, B, D
 
 
+def _check_symmetric(H):
+    H = _check_square(H, "H")
+    if np.abs(H - H.T).max() > _SYMMETRY_TOL:
+        raise ValueError("H is not symmetric within 1e-10")
+    return H
+
+
+def _constraint_rows(Cu, n):
+    if Cu is None:
+        return np.zeros((0, n))
+    return np.asarray(Cu, dtype=float).reshape(-1, n)
+
+
+class PreparedQp:
+    """The fixed part of  min 1/2 x'Hx + f'x  subject to  Cu x >= b:  H and
+    Cu, checked and factorized once for solving many (f, b) pairs.
+
+    H must be square, finite, symmetric and positive definite, and Cu finite;
+    otherwise ValueError. The object keeps read-only copies of H and Cu and
+    the products the dual active-set method works from:
+
+    - ``H_inv``: H^-1, built from the Cholesky factor of H;
+    - ``H_inv_Ct``: H^-1 Cu' (n x q), column j the primal direction of row j;
+    - ``gram``: Cu H^-1 Cu' (q x q), the constraint Gram matrix.
+    """
+
+    def __init__(self, H, Cu=None):
+        H = np.array(_check_symmetric(H))
+        n = H.shape[0]
+        Cu = np.array(_constraint_rows(Cu, n))
+        if not np.isfinite(Cu).all():
+            raise ValueError("QP data contains non-finite entries")
+        # Symmetric factorization succeeds iff H is positive definite.
+        try:
+            L = np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            raise ValueError("H is not positive definite") from None
+        L_inv = np.linalg.solve(L, np.eye(n))
+        H_inv = L_inv.T @ L_inv
+        H_inv_Ct = H_inv @ Cu.T
+        gram = Cu @ H_inv_Ct
+        for shared in (H, Cu, H_inv, H_inv_Ct, gram):
+            shared.flags.writeable = False
+        self.H, self.Cu = H, Cu
+        self.H_inv, self.H_inv_Ct, self.gram = H_inv, H_inv_Ct, gram
+        self.cu_scale = max(1.0, np.abs(Cu).max()) if Cu.size else 1.0
+        self.zero_dir_tol = 1e-12 * max(1.0, np.abs(H).max())
+
+    @property
+    def n(self):
+        return self.H.shape[0]
+
+    @property
+    def q(self):
+        return self.Cu.shape[0]
+
+
 @dataclass
 class QpProblem:
     """Strictly convex QP:  min 1/2 x'Hx + f'x  subject to  Cu x >= b.
 
     H must be symmetric positive definite. Cu may have zero rows for an
-    unconstrained problem.
+    unconstrained problem. A one-off problem is checked here (shape,
+    finiteness, symmetry) and factorized when solved. A problem built with
+    ``prepared`` takes H and Cu from that PreparedQp (they must be its own
+    arrays), so only f and b are checked.
     """
 
     H: np.ndarray
     f: np.ndarray
     Cu: np.ndarray = field(default=None)
     b: np.ndarray = field(default=None)
+    prepared: PreparedQp = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
-        self.H = _check_square(self.H, "H")
-        n = self.H.shape[0]
-        if np.abs(self.H - self.H.T).max() > _SYMMETRY_TOL:
-            raise ValueError("H is not symmetric within 1e-10")
+        if self.prepared is None:
+            self.H = _check_symmetric(self.H)
+            self.Cu = _constraint_rows(self.Cu, self.H.shape[0])
+            if not np.isfinite(self.Cu).all():
+                raise ValueError("QP data contains non-finite entries")
+        elif self.H is not self.prepared.H or self.Cu is not self.prepared.Cu:
+            raise ValueError("H and Cu must be the prepared QP's own arrays")
+        n, q = self.n, self.q
         self.f = np.asarray(self.f, dtype=float).reshape(n)
-        if self.Cu is None:
-            self.Cu = np.zeros((0, n))
-        self.Cu = np.asarray(self.Cu, dtype=float).reshape(-1, n)
-        q = self.Cu.shape[0]
-        if self.b is None:
-            self.b = np.zeros(q)
-        self.b = np.asarray(self.b, dtype=float).reshape(q)
-        if not (np.isfinite(self.f).all() and np.isfinite(self.Cu).all() and np.isfinite(self.b).all()):
+        self.b = np.zeros(q) if self.b is None else np.asarray(self.b, dtype=float).reshape(q)
+        if not (np.isfinite(self.f).all() and np.isfinite(self.b).all()):
             raise ValueError("QP data contains non-finite entries")
 
     @property
@@ -141,12 +200,11 @@ class QpProblem:
         return 0.5 * x @ self.H @ x + self.f @ x
 
 
-def _check_positive_definite(H):
-    # Symmetric factorization succeeds iff H is positive definite.
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        raise ValueError("H is not positive definite") from None
+def _step_ratio(lam_active, r):
+    """Largest dual step before an active multiplier hits zero, and the
+    first row reaching it: (t, k), or (inf, -1) when no multiplier falls."""
+    return min(((lam / ri, k) for k, (lam, ri) in enumerate(zip(lam_active, r)) if ri > 0),
+               default=(np.inf, -1))
 
 
 def solve_qp_info(problem, tol=1e-8):
@@ -154,6 +212,9 @@ def solve_qp_info(problem, tol=1e-8):
 
     Starts at the unconstrained minimizer and adds violated constraints one
     at a time, taking dual steps; finite termination for strictly convex H.
+    Works from the problem's PreparedQp (built here for a one-off problem):
+    each step takes columns and sub-blocks of H^-1 Cu' and Cu H^-1 Cu', so
+    the only solve left per step is the small active-set Gram system.
     Returns (x, lam, info) where lam holds the KKT multipliers (one per
     constraint row, zero for inactive rows) and info records the active rows
     and iteration count.
@@ -163,19 +224,19 @@ def solve_qp_info(problem, tol=1e-8):
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    H, f, Cu, b = problem.H, problem.f, problem.Cu, problem.b
-    n, q = problem.n, problem.q
-    _check_positive_definite(H)
+    qp = problem.prepared if problem.prepared is not None else PreparedQp(problem.H, problem.Cu)
+    f, b = problem.f, problem.b
+    Cu, H_inv_Ct, gram = qp.Cu, qp.H_inv_Ct, qp.gram
+    n, q = qp.n, qp.q
 
-    x = np.linalg.solve(H, -f)
+    x = qp.H_inv @ -f
     if q == 0:
         return x, np.zeros(0), {"iterations": 0, "active": []}
 
     active = []          # indices of active constraint rows
     lam_active = []      # multipliers for the active rows
-    scale = max(1.0, np.abs(Cu).max(), np.abs(b).max())
-    zero_dir_tol = 1e-12 * max(1.0, np.abs(H).max())
-    max_iter = 10 * max(q, 1) * max(n, 1) + 100
+    scale = max(qp.cu_scale, np.abs(b).max())
+    max_iter = 10 * q * n + 100
     iterations = 0
 
     while True:
@@ -194,48 +255,29 @@ def solve_qp_info(problem, tol=1e-8):
                     raise QpInfeasibleError(p, f"QP iteration cap reached with violation {violation:.3e} on row {p}")
                 raise RuntimeError("QP solver failed to converge within the iteration cap")
 
-            n_p = Cu[p]
-            Hinv_np = np.linalg.solve(H, n_p)
             if active:
-                N = Cu[active].T                      # n x na
-                HinvN = np.linalg.solve(H, N)
-                G = N.T @ HinvN
-                r = np.linalg.solve(G, N.T @ Hinv_np)  # dual step direction
-                z = Hinv_np - HinvN @ r                # primal step direction
+                r = np.linalg.solve(gram[active][:, active], gram[active, p])  # dual step direction
+                z = H_inv_Ct[:, p] - H_inv_Ct[:, active] @ r                  # primal step direction
+                r = r.tolist()
             else:
-                r = np.zeros(0)
-                z = Hinv_np
+                r = []
+                z = H_inv_Ct[:, p]
 
-            curvature = n_p @ z
-            if curvature <= zero_dir_tol:
+            curvature = Cu[p] @ z
+            t1, k = _step_ratio(lam_active, r)
+            if curvature <= qp.zero_dir_tol:
                 # No primal progress possible; take a pure dual step.
-                if r.size == 0 or np.all(r <= 0):
+                if k < 0:
                     raise QpInfeasibleError(p)
-                positive = r > 0
-                ratios = np.full(r.shape, np.inf)
-                ratios[positive] = np.asarray(lam_active)[positive] / r[positive]
-                k = int(np.argmin(ratios))
-                t1 = ratios[k]
-                lam_active = list(np.asarray(lam_active) - t1 * r)
+                lam_active = [lam - t1 * ri for lam, ri in zip(lam_active, r)]
                 lam_p += t1
                 del active[k], lam_active[k]
                 continue
 
-            t2 = -(n_p @ x - b[p]) / curvature        # step to make row p feasible
-            if r.size:
-                positive = r > 0
-                ratios = np.full(r.shape, np.inf)
-                ratios[positive] = np.asarray(lam_active)[positive] / r[positive]
-                k = int(np.argmin(ratios))
-                t1 = ratios[k]
-            else:
-                t1 = np.inf
-                k = -1
-
+            t2 = -(Cu[p] @ x - b[p]) / curvature      # step to make row p feasible
             t = min(t1, t2)
             x = x + t * z
-            if r.size:
-                lam_active = list(np.asarray(lam_active) - t * r)
+            lam_active = [lam - t * ri for lam, ri in zip(lam_active, r)]
             lam_p += t
 
             if t2 <= t1:
@@ -245,8 +287,7 @@ def solve_qp_info(problem, tol=1e-8):
             del active[k], lam_active[k]
 
     lam = np.zeros(q)
-    for idx, row in enumerate(active):
-        lam[row] = lam_active[idx]
+    lam[active] = lam_active
     return x, lam, {"iterations": iterations, "active": list(active)}
 
 

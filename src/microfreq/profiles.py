@@ -33,10 +33,19 @@ LOAD_CLIP = (-0.2, 0.2)
 
 _RAPID_VOLATILITY = 4.0
 
+# Largest departure of any grid spacing from the first one, relative to it.
+# Generated and CSV round-tripped grids stay within ~1e-13 of uniform.
+_GRID_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ProfileSet:
-    """Sampled exogenous inputs on a shared time grid."""
+    """Sampled exogenous inputs on a shared time grid.
+
+    Rejected with a ValueError naming the field and the first bad index:
+    series of mismatched length, non-finite entries, and a time grid that
+    does not increase in equal steps.
+    """
 
     t: np.ndarray
     load_pu: np.ndarray
@@ -50,8 +59,23 @@ class ProfileSet:
             raise ValueError("profile series lengths differ")
         if self.v_w.shape != (2, n) or self.g_eff.shape != (2, n):
             raise ValueError("wind/irradiance profiles must be (2, n)")
-        if n < 2 or np.any(np.diff(self.t) <= 0):
-            raise ValueError("time grid must be increasing")
+        for name in ("t", "load_pu", "v_w", "g_eff", "t_amb"):
+            bad = np.argwhere(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                index = ", ".join(str(i) for i in bad[0])
+                raise ValueError(f"profile {name}[{index}] is not finite")
+        if n < 2:
+            raise ValueError("time grid needs at least two samples")
+        step = np.diff(self.t)
+        if step[0] <= 0:
+            raise ValueError(f"time grid must be increasing, got t[1] - t[0] = {float(step[0])!r}")
+        uneven = np.flatnonzero(np.abs(step - step[0]) > _GRID_RTOL * step[0])
+        if uneven.size:
+            k = int(uneven[0]) + 1
+            raise ValueError(
+                f"time grid t is not uniform: t[{k}] - t[{k - 1}] = {float(step[k - 1])!r}, "
+                f"expected {float(step[0])!r}"
+            )
 
     @property
     def ts(self):

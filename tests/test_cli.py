@@ -113,6 +113,15 @@ def test_sim_defaults_come_from_run_config():
     assert config.deload == DELOAD_FRACTION
 
 
+def test_config_rejects_unknown_sim_keys(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"sim": {"delaod": 0.2}}))
+    with pytest.raises(ValueError, match=r"unknown sim config keys \['delaod'\]") as err:
+        load_run_config(str(config_path))
+    for key in SIM_KEYS:
+        assert key in str(err.value)
+
+
 def test_config_file_overrides(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({

@@ -109,8 +109,14 @@ def test_sx_last_row_matches_power_sum_oracle():
 
 def test_sd_collapse_matches_replicated_channels():
     # Replicated scalar s on all five channels == aggregate 5s on the column.
+    # First block column of the full five-channel disturbance prediction:
+    # row j = sum_{i=1..j} C A^(i-1) D.
+    C = MODEL.Cc[0]
+    S_d_first = np.cumsum(
+        [C @ np.linalg.matrix_power(MODEL.A, i) @ MODEL.D for i in range(PRED.p)], axis=0
+    )
     s = 0.37
-    stacked = PRED.S_d_full[:, :5] @ (s * np.ones(5))
+    stacked = S_d_first @ (s * np.ones(5))
     assert np.allclose(stacked, PRED.S_d[:, 0] * (5 * s), atol=1e-15)
 
 

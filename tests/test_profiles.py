@@ -1,10 +1,18 @@
 """Tests for profile generation and CSV exchange."""
 
+import csv
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from microfreq.profiles import (
     PROFILE_COLUMNS,
+    PROFILE_KINDS,
     ProfileSet,
     STEP_LOAD_EVENTS,
     generate_profiles,
@@ -101,3 +109,102 @@ def test_profileset_validation():
     with pytest.raises(ValueError):
         ProfileSet(t=t, load_pu=np.zeros(5), v_w=np.zeros((3, 5)),
                    g_eff=np.zeros((2, 5)), t_amb=np.zeros(5))
+
+
+# ------------------------------------------------------- ingest validation
+
+PROFILE_FIELDS = ("t", "load_pu", "v_w", "g_eff", "t_amb")
+# Where each CSV column lands in a ProfileSet: (field, unit row or None).
+COLUMN_FIELDS = {
+    "t": ("t", None), "load_pu": ("load_pu", None),
+    "v_w1": ("v_w", 0), "v_w2": ("v_w", 1),
+    "g_eff1": ("g_eff", 0), "g_eff2": ("g_eff", 1),
+    "t_amb": ("t_amb", None),
+}
+INGEST_SECONDS = 20.0
+INGEST_ROWS = int(INGEST_SECONDS / 0.2) + 1
+
+kinds = st.sampled_from(PROFILE_KINDS)
+seeds = st.integers(0, 10_000)
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
+samples = st.integers(0, INGEST_ROWS - 1)
+# Shifts of the grid from sample k >= 2 on, both ways, never below 1e-6 s.
+# The first spacing sets the grid step, so t[k] is the first bad sample.
+shifted_from = st.integers(2, INGEST_ROWS - 1)
+shifts = st.floats(1e-6, 0.15).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+def profile_fields(profiles):
+    return {name: getattr(profiles, name).copy() for name in PROFILE_FIELDS}
+
+
+def csv_rows(kind, seed):
+    """A generated profile written to CSV and read back as rows of text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "profiles.csv")
+        write_profiles_csv(path, generate_profiles(kind, seed, INGEST_SECONDS))
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+
+def read_csv_rows(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "profiles.csv")
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        return read_profiles_csv(path)
+
+
+@given(kinds, seeds, st.floats(1.0, 300.0))
+def test_generated_profiles_pass_ingest(kind, seed, duration):
+    p = generate_profiles(kind, seed, duration)
+    assert np.abs(np.diff(p.t) - p.ts).max() <= 1e-9 * p.ts
+
+
+@given(kinds, seeds, st.sampled_from(PROFILE_FIELDS), st.integers(0, 1), samples, non_finite)
+def test_non_finite_entry_rejected_at_ingest(kind, seed, name, unit, k, value):
+    fields = profile_fields(generate_profiles(kind, seed, INGEST_SECONDS))
+    if fields[name].ndim == 2:
+        fields[name][unit, k] = value
+        index = f"{unit}, {k}"
+    else:
+        fields[name][k] = value
+        index = f"{k}"
+    with pytest.raises(ValueError, match=re.escape(f"profile {name}[{index}] is not finite")):
+        ProfileSet(**fields)
+
+
+@given(kinds, seeds, st.sampled_from(PROFILE_COLUMNS), samples,
+       st.sampled_from(["nan", "inf", "-inf"]))
+def test_non_finite_csv_entry_rejected_at_ingest(kind, seed, column, k, text):
+    rows = csv_rows(kind, seed)
+    rows[1 + k][PROFILE_COLUMNS.index(column)] = text
+    name, unit = COLUMN_FIELDS[column]
+    index = f"{k}" if unit is None else f"{unit}, {k}"
+    with pytest.raises(ValueError, match=re.escape(f"profile {name}[{index}] is not finite")):
+        read_csv_rows(rows)
+
+
+@given(kinds, seeds, shifted_from, shifts)
+def test_uneven_grid_rejected_at_ingest(kind, seed, k, shift):
+    fields = profile_fields(generate_profiles(kind, seed, INGEST_SECONDS))
+    fields["t"][k:] += shift
+    with pytest.raises(ValueError, match=re.escape(f"t[{k}] - t[{k - 1}]")):
+        ProfileSet(**fields)
+
+
+@given(kinds, seeds, shifted_from, shifts)
+def test_uneven_csv_grid_rejected_at_ingest(kind, seed, k, shift):
+    rows = csv_rows(kind, seed)
+    for row in rows[1 + k:]:
+        row[0] = f"{float(row[0]) + shift:.15e}"
+    with pytest.raises(ValueError, match=re.escape(f"t[{k}] - t[{k - 1}]")):
+        read_csv_rows(rows)
+
+
+def test_grid_shifted_part_way_names_the_first_bad_sample():
+    p = generate_profiles("rapid", seed=3, duration=180.0)
+    fields = profile_fields(p)
+    fields["t"][50:] += 0.05
+    with pytest.raises(ValueError, match=re.escape("t[50] - t[49] = 0.25")):
+        ProfileSet(**fields)

@@ -1,0 +1,160 @@
+"""The prepared QP solver against the general solver it replaced.
+
+``microfreq.numerics.solve_qp_info`` works from a PreparedQp: H^-1 from one
+Cholesky factorization, H^-1 Cu' and the Gram matrix Cu H^-1 Cu'. The
+reference in ``qp_reference.py`` solves with H at every inner iteration.
+The two take different rounding paths, so closed-loop traces agree within a
+stated tolerance rather than bit for bit:
+
+- ``freq`` and ``commands`` within 1e-10 p.u. absolute;
+- ``binding`` flags and ``aborted_at`` identical;
+- the run's worst KKT residual at most 1e-8 (acceptance criterion 4).
+"""
+
+import hypothesis.extra.numpy as hnp
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+import microfreq.mpc
+import qp_reference
+from microfreq.lfc_model import build_plant
+from microfreq.mpc import MpcConfig, build_prediction_matrices
+from microfreq.numerics import (
+    PreparedQp,
+    QpInfeasibleError,
+    QpProblem,
+    kkt_residuals,
+    solve_qp_info,
+)
+from microfreq.profiles import PROFILE_KINDS
+from microfreq.simulate import RunConfig, make_scenario, run_scenario
+from test_numerics import enumerate_qp_minimizer
+
+TRACE_ATOL = 1e-10
+KKT_TOL = 1e-8
+ORACLE_GAP = 1e-6
+
+PRED = build_prediction_matrices(build_plant(RunConfig().params), MpcConfig())
+
+CLOSED_LOOP_CASES = (
+    [(kind, seed, 0.0) for kind in PROFILE_KINDS for seed in (0, 1)]
+    + [("rapid", 5, 2e-5)]
+)
+
+
+@pytest.mark.parametrize("kind,seed,noise", CLOSED_LOOP_CASES)
+def test_closed_loop_matches_reference_solver(kind, seed, noise, monkeypatch):
+    scenario = make_scenario(kind, "mpc", seed)
+    config = RunConfig(measurement_noise_std=noise)
+    prepared = run_scenario(scenario, config)
+
+    calls = []
+
+    def reference(problem, tol):
+        calls.append(1)
+        return qp_reference.solve_qp_info(problem, tol)
+
+    monkeypatch.setattr(microfreq.mpc, "solve_qp_info", reference)
+    ref = run_scenario(scenario, config)
+
+    assert len(calls) == scenario.n_steps
+    assert prepared.aborted_at == ref.aborted_at
+    assert np.array_equal(prepared.binding, ref.binding)
+    assert np.abs(prepared.freq - ref.freq).max() <= TRACE_ATOL
+    assert np.abs(prepared.commands - ref.commands).max() <= TRACE_ATOL
+    assert prepared.max_kkt_residual <= KKT_TOL
+
+
+def test_prepared_arrays_are_read_only():
+    qp = PRED.qp
+    for name in ("H", "Cu", "H_inv", "H_inv_Ct", "gram"):
+        assert not getattr(qp, name).flags.writeable, name
+    assert PRED.H is qp.H and PRED.Cu is qp.Cu
+
+
+def test_prepared_products_match_their_definitions():
+    qp = PRED.qp
+    n = qp.n
+    assert np.abs(qp.H_inv @ qp.H - np.eye(n)).max() < 1e-10
+    assert np.abs(qp.H_inv_Ct - np.linalg.solve(qp.H, qp.Cu.T)).max() < 1e-10
+    assert np.abs(qp.gram - qp.Cu @ np.linalg.solve(qp.H, qp.Cu.T)).max() < 1e-10
+
+
+def test_prepared_qp_copies_its_inputs():
+    H = np.diag([2.0, 3.0])
+    Cu = np.array([[1.0, 1.0]])
+    qp = PreparedQp(H, Cu)
+    assert H.flags.writeable and Cu.flags.writeable
+    H[0, 0] = -1.0
+    assert qp.H[0, 0] == 2.0
+
+
+def test_prepared_qp_rejects_bad_matrices():
+    with pytest.raises(ValueError, match="symmetric"):
+        PreparedQp(np.array([[2.0, 1.0], [0.0, 2.0]]))
+    with pytest.raises(ValueError, match="positive definite"):
+        PreparedQp(np.diag([2.0, -1.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        PreparedQp(np.eye(2), np.array([[np.nan, 1.0]]))
+
+
+def test_prepared_problem_checks_only_the_sample_data():
+    qp = PreparedQp(np.eye(2), np.array([[1.0, 0.0]]))
+    x, _, _ = solve_qp_info(QpProblem(qp.H, [0.0, 0.0], qp.Cu, [1.0], prepared=qp))
+    assert np.allclose(x, [1.0, 0.0], atol=1e-12)
+    with pytest.raises(ValueError, match="non-finite"):
+        QpProblem(qp.H, [np.nan, 0.0], qp.Cu, [1.0], prepared=qp)
+    with pytest.raises(ValueError, match="non-finite"):
+        QpProblem(qp.H, [0.0, 0.0], qp.Cu, [np.inf], prepared=qp)
+    with pytest.raises(ValueError, match="prepared"):
+        QpProblem(np.eye(2), [0.0, 0.0], qp.Cu, [1.0], prepared=qp)
+
+
+# ------------------------------------------------------- property tests
+
+_entries = st.integers(-30, 30).map(lambda v: v / 10.0)
+
+
+@st.composite
+def feasible_qps(draw):
+    """Random SPD H and random rows Cu, with b chosen so that a drawn point
+    is strictly feasible."""
+    n = draw(st.integers(1, 4))
+    q = draw(st.integers(0, 6))
+    M = draw(hnp.arrays(float, (n, n), elements=_entries))
+    H = M.T @ M + draw(st.floats(0.2, 1.2)) * np.eye(n)
+    f = draw(hnp.arrays(float, n, elements=_entries))
+    Cu = draw(hnp.arrays(float, (q, n), elements=_entries))
+    x0 = draw(hnp.arrays(float, n, elements=_entries))
+    margin = draw(hnp.arrays(float, q, elements=st.floats(0.1, 1.1)))
+    return H, f, Cu, Cu @ x0 - margin
+
+
+@given(feasible_qps())
+def test_prepared_solver_matches_enumeration_oracle(data):
+    H, f, Cu, b = data
+    qp = PreparedQp(H, Cu)
+    problem = QpProblem(qp.H, f, qp.Cu, b, prepared=qp)
+    x, lam, _ = solve_qp_info(problem, tol=1e-10)
+    ref = enumerate_qp_minimizer(H, f, Cu, b)
+    assert ref is not None
+    assert np.abs(x - ref).max() <= ORACLE_GAP
+    assert max(kkt_residuals(problem, x, lam)) <= KKT_TOL
+
+
+@given(feasible_qps(), hnp.arrays(float, 4, elements=_entries), st.floats(0.1, 1.0))
+def test_prepared_solver_reports_infeasible_rows(data, row, gap):
+    # c'x >= beta and -c'x >= gap - beta cannot both hold.
+    H, f, Cu, b = data
+    n = H.shape[0]
+    c = row[:n]
+    assume(np.abs(c).max() >= 0.1)
+    beta = float(c @ np.ones(n))
+    Cu = np.vstack([Cu, c, -c])
+    b = np.concatenate([b, [beta, gap - beta]])
+    qp = PreparedQp(H, Cu)
+    with pytest.raises(QpInfeasibleError) as err:
+        solve_qp_info(QpProblem(qp.H, f, qp.Cu, b, prepared=qp), tol=1e-10)
+    assert 0 <= err.value.row < Cu.shape[0]

@@ -231,7 +231,6 @@ def profiles_with(series, row, k, value):
 @pytest.mark.parametrize("series, value, message", [
     ("v_w", -1.0, "wind speed must be >= 0, got -1.0"),
     ("g_eff", -5.0, "irradiance must be >= 0, got -5.0"),
-    ("v_w", np.nan, "reserve limits must be finite"),
 ])
 @pytest.mark.parametrize("controller", ["mpc", "pi_all"])
 def test_bad_profile_sample_fails_before_the_first_sample(monkeypatch, series, value, message,
