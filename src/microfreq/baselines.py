@@ -14,7 +14,8 @@ CLI subcommand re-runs the design and verifies both variants' step
 responses.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +44,8 @@ class PiConfig:
 
     ``capacity_scale`` is the participating nameplate sum over the power base;
     it converts the per-unit-of-capacity PI output into the fleet total.
+    ``idle`` (the complement of ``participating``) and ``participants`` (its
+    unit indices) are derived from the mask, for ``pi_step``.
     """
 
     kp: float
@@ -50,6 +53,8 @@ class PiConfig:
     participating: np.ndarray
     allocation_weights: np.ndarray
     capacity_scale: float
+    idle: np.ndarray = field(init=False, repr=False, compare=False)
+    participants: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ki <= 0:
@@ -68,6 +73,8 @@ class PiConfig:
             raise ValueError("allocation weights must sum to 1")
         object.__setattr__(self, "participating", part)
         object.__setattr__(self, "allocation_weights", w)
+        object.__setattr__(self, "idle", ~part)
+        object.__setattr__(self, "participants", tuple(np.flatnonzero(part).tolist()))
 
 
 @dataclass(frozen=True)
@@ -104,6 +111,14 @@ def pi_du_bess_config(params, kp=None, ki=None):
     return _make_config(params, mask, kp, ki)
 
 
+def _pi_commands(config, y, integral, limits):
+    """Fleet total and clamped per-unit commands for one integrator value."""
+    total = -(config.kp * y + config.ki * integral) * config.capacity_scale
+    cmd = (total * config.allocation_weights).clip(limits.lo, limits.hi)
+    cmd[config.idle] = 0.0
+    return total, cmd
+
+
 def pi_step(state, y, limits, config, Ts):
     """One PI sample.
 
@@ -115,31 +130,27 @@ def pi_step(state, y, limits, config, Ts):
     """
     if Ts <= 0:
         raise ValueError("Ts must be > 0")
-    if not np.isfinite(y):
+    if not math.isfinite(y):
         raise ValueError("measurement must be finite")
 
-    def commands_for(integral):
-        total = -(config.kp * y + config.ki * integral) * config.capacity_scale
-        raw = total * config.allocation_weights
-        cmd = np.clip(raw, limits.lo, limits.hi)
-        cmd = np.where(config.participating, cmd, 0.0)
-        return total, cmd
-
     integral_new = state.integral + y * Ts
-    total, cmd = commands_for(integral_new)
+    total, cmd = _pi_commands(config, y, integral_new, limits)
 
-    part = config.participating
+    # Per participant on Python floats: the same subtraction and comparison
+    # as elementwise numpy, without a gather per call.
     if total > 0:
-        fully_saturated = np.all(cmd[part] >= limits.hi[part] - 1e-15)
+        c, hi = cmd.tolist(), limits.hi.tolist()
+        fully_saturated = all(c[i] >= hi[i] - 1e-15 for i in config.participants)
     elif total < 0:
-        fully_saturated = np.all(cmd[part] <= limits.lo[part] + 1e-15)
+        c, lo = cmd.tolist(), limits.lo.tolist()
+        fully_saturated = all(c[i] <= lo[i] + 1e-15 for i in config.participants)
     else:
         fully_saturated = False
     pushing_deeper = (-y) * total > 0
 
     if fully_saturated and pushing_deeper:
         integral_new = state.integral
-        total, cmd = commands_for(integral_new)
+        total, cmd = _pi_commands(config, y, integral_new, limits)
 
     return PiState(integral=integral_new), cmd
 

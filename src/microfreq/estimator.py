@@ -17,6 +17,7 @@ predict/update is left. ``estimator_step`` is the single-step reference and
 shares the covariance update with the schedule, so both give the same bits.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,24 +180,34 @@ def _covariance_step(P, A_aug, c, config):
     return gain, _condition_covariance(P_new)
 
 
+def _state_update(z, u, y, A_aug, B_aug, c, gain):
+    """Augmented estimate z = (x_hat, d_hat) after one predict/update with a
+    precomputed gain, and the step's innovation."""
+    z_pred = A_aug @ z + B_aug @ u
+    innovation = float(y - c @ z_pred)
+    return z_pred + gain * innovation, innovation
+
+
+def _estimator_state(z, z_prev, P, innovation, gain):
+    return EstimatorState(
+        x_hat=z[:N_STATES],
+        d_hat=float(z[N_STATES]),
+        P=P,
+        prev_x_hat=z_prev[:N_STATES],
+        prev_d_hat=float(z_prev[N_STATES]),
+        innovation=innovation,
+        gain=gain,
+    )
+
+
 def _state_step(state, u, y, A_aug, B_aug, c, gain, P_new):
     """State predict/update of one step with a precomputed gain."""
     u = np.asarray(u, dtype=float).reshape(N_CONTROLS)
     if not np.isfinite(y):
         raise ValueError("measurement must be finite")
     z = np.concatenate([state.x_hat, [state.d_hat]])
-    z_pred = A_aug @ z + B_aug @ u
-    innovation = float(y - c @ z_pred)
-    z_new = z_pred + gain * innovation
-    return EstimatorState(
-        x_hat=z_new[:N_STATES],
-        d_hat=float(z_new[N_STATES]),
-        P=P_new,
-        prev_x_hat=state.x_hat,
-        prev_d_hat=state.d_hat,
-        innovation=innovation,
-        gain=gain,
-    )
+    z_new, innovation = _state_update(z, u, y, A_aug, B_aug, c, gain)
+    return _estimator_state(z_new, z, P_new, innovation, gain)
 
 
 def estimator_step(state, u, y, model, config):
@@ -247,6 +258,20 @@ class GainSchedule:
         return _state_step(
             state, u, y, self.A_aug, self.B_aug, self.c, self.gains[i], self.covariances[i]
         )
+
+    def update(self, z, u, y, k):
+        """``step`` on the augmented estimate z = (x_hat, d_hat), for a run
+        loop that keeps no EstimatorState: the new z and the innovation, the
+        same bits as ``step``. ``u`` must be a (6,) float array."""
+        if not math.isfinite(y):
+            raise ValueError("measurement must be finite")
+        return _state_update(z, u, y, self.A_aug, self.B_aug, self.c, self.gains[self.index(k)])
+
+    def state(self, z, z_prev, innovation, k):
+        """The EstimatorState ``step`` k returns, from the augmented estimates
+        after (``z``) and before (``z_prev``) it."""
+        i = self.index(k)
+        return _estimator_state(z, z_prev, self.covariances[i], innovation, self.gains[i])
 
 
 def gain_schedule(model, config, n_steps):

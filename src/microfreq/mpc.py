@@ -205,8 +205,8 @@ def control_step(est, y, u_prev, limits, pred, *, qp_tol=1e-10):
 
     The weights and horizons are those ``pred`` was built with.
     ``limits=None`` disables constraints (the solution then matches the
-    closed-form gain). With limits, the QP is solved through ``pred.qp``,
-    so only the sample's f and b are checked. Returns an MpcStepResult
+    closed-form gain). Either way the QP is solved through ``pred.qp``,
+    so only the sample's f (and b) is checked. Returns an MpcStepResult
     whose ``command`` is the new cumulative total per unit, u_prev + first
     increment block.
     """
@@ -216,29 +216,30 @@ def control_step(est, y, u_prev, limits, pred, *, qp_tol=1e-10):
     f = pred.F @ y_free
 
     if limits is None:
-        Cu, b, prepared = None, None, None
+        # The unconstrained minimizer, as solve_qp_info starts from it, from
+        # the prepared inverse: H is not checked or factorized per call.
+        if not np.isfinite(f).all():
+            raise ValueError("QP data contains non-finite entries")
+        du = pred.qp.H_inv @ -f
+        qp_active = np.zeros(0, dtype=bool)
+        residuals = (np.linalg.norm(pred.H @ du + f, np.inf), 0.0, 0.0)
     else:
         Cu, b = build_constraints(limits, u_prev, pred)
-        prepared = pred.qp
-
-    problem = QpProblem(pred.H, f, Cu, b, prepared=prepared)
-    du, lam, _ = solve_qp_info(problem, tol=qp_tol)
+        problem = QpProblem(pred.H, f, Cu, b, prepared=pred.qp)
+        du, lam, _ = solve_qp_info(problem, tol=qp_tol)
+        qp_active = problem.Cu @ du - problem.b <= 1e-9
+        residuals = kkt_residuals(problem, du, lam)
 
     predicted = y_free + pred.S_B @ du
     moves = pred.gamma_u * du
     objective = pred.alpha_sq * float(predicted @ predicted) + float(moves @ moves)
-    if problem.q:
-        slack = problem.Cu @ du - problem.b
-        qp_active = slack <= 1e-9
-    else:
-        qp_active = np.zeros(0, dtype=bool)
 
     return MpcStepResult(
         command=u_prev + du[:nu],
         increments=du,
         qp_active=qp_active,
         objective=objective,
-        kkt_residuals=kkt_residuals(problem, du, lam),
+        kkt_residuals=residuals,
     )
 
 

@@ -44,7 +44,7 @@ class ProfileSet:
 
     Rejected with a ValueError naming the field and the first bad index:
     series of mismatched length, non-finite entries, and a time grid that
-    does not increase in equal steps.
+    does not increase in equal steps from 0.
     """
 
     t: np.ndarray
@@ -76,6 +76,8 @@ class ProfileSet:
                 f"time grid t is not uniform: t[{k}] - t[{k - 1}] = {float(step[k - 1])!r}, "
                 f"expected {float(step[0])!r}"
             )
+        if abs(self.t[0]) > _GRID_RTOL * step[0]:
+            raise ValueError(f"time grid must start at 0, got t[0] = {float(self.t[0])!r}")
 
     @property
     def ts(self):
@@ -188,7 +190,12 @@ def write_profiles_csv(path, profiles):
 
 
 def read_profiles_csv(path):
-    """Read a ProfileSet; the header must match the column order exactly."""
+    """Read a ProfileSet; the header must match the column order exactly.
+
+    A missing, extra or non-numeric cell is rejected with a ValueError
+    naming its 1-based data row (blank lines are skipped and not counted)
+    and its column.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader))
@@ -196,10 +203,13 @@ def read_profiles_csv(path):
             raise ValueError(
                 f"profile CSV header {header} does not match required {PROFILE_COLUMNS}"
             )
-        rows = [[float(v) for v in row] for row in reader if row]
-    data = np.array(rows)
-    if data.ndim != 2 or data.shape[1] != len(PROFILE_COLUMNS):
-        raise ValueError("malformed profile CSV")
+        try:
+            data = np.array([[float(v) for v in row] for row in reader if row])
+            readable = data.ndim == 2 and data.shape[1] == len(PROFILE_COLUMNS)
+        except ValueError:  # a non-numeric cell, or rows of unequal length
+            readable = False
+    if not readable:
+        raise ValueError(_first_bad_cell(path))
     return ProfileSet(
         t=data[:, 0],
         load_pu=data[:, 1],
@@ -207,3 +217,24 @@ def read_profiles_csv(path):
         g_eff=data[:, 4:6].T.copy(),
         t_amb=data[:, 6],
     )
+
+
+def _first_bad_cell(path):
+    """Message naming the first cell of a profile CSV that cannot be read.
+    Reads the file again: only a failed read needs the cell located."""
+    width = len(PROFILE_COLUMNS)
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row][1:]
+    for i, row in enumerate(rows, start=1):
+        for column, cell in zip(PROFILE_COLUMNS, row):
+            try:
+                float(cell)
+            except ValueError:
+                return f"profile CSV data row {i}, column {column}: {cell!r} is not a number"
+        if len(row) < width:
+            return (f"profile CSV data row {i} has {len(row)} cells, expected {width}: "
+                    f"column {PROFILE_COLUMNS[len(row)]} is missing")
+        if len(row) > width:
+            return (f"profile CSV data row {i} has {len(row)} cells, expected {width}: "
+                    f"extra cell after column {PROFILE_COLUMNS[-1]}")
+    return "profile CSV has no data rows"

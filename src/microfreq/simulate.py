@@ -11,10 +11,12 @@ Everything that does not depend on the closed loop is built once per run,
 before the first sample: renewable availability and the reserve limits over
 the whole time grid (checked as a whole), the estimator's gain schedule, and
 the controller's prepared QP matrices. Per sample the loop computes only the
-state estimate, the command and the plant step.
+state estimate (kept as the augmented vector; an ``EstimatorState`` is built
+only for the MPC), the command and the plant step. What follows from the
+commands alone, the PI binding flags, is computed over the grid after the
+loop.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +50,7 @@ from .lfc_model import (
     IDX_FREQ,
     MicrogridParams,
     N_CONTROLS,
+    N_STATES,
     OUTPUT_STATE_INDICES,
     build_plant,
     step_plant,
@@ -205,26 +208,8 @@ def run_scenario(scenario, config=None):
     )
     gains = gain_schedule(model, config.estimator, n)
 
-    n_rows = n + 1
-    trace = ScenarioTrace(
-        kind=scenario.kind,
-        controller=scenario.controller,
-        seed=scenario.seed,
-        Ts=scenario.Ts,
-        t=scenario.profiles.t.copy(),
-        freq=np.zeros(n_rows),
-        commands=np.zeros((n_rows, N_CONTROLS)),
-        outputs=np.zeros((n_rows, N_CONTROLS)),
-        disturbances=disturbances.copy(),
-        d_hat=np.zeros(n_rows),
-        limits_lo=np.concatenate([bands.lo, bands.lo[-1:]]),
-        limits_hi=np.concatenate([bands.hi, bands.hi[-1:]]),
-        binding=np.zeros((n_rows, N_CONTROLS), dtype=int),
-        objective=np.zeros(n_rows),
-    )
-
-    est_state = initial_estimator_state(config.estimator)
-    pred = build_prediction_matrices(model, config.mpc) if scenario.controller == "mpc" else None
+    mpc = scenario.controller == "mpc"
+    pred = build_prediction_matrices(model, config.mpc) if mpc else None
     if scenario.controller == "pi_all":
         pi_config = pi_all_units_config(params, config.pi_kp, config.pi_ki)
     elif scenario.controller == "pi_dubess":
@@ -233,62 +218,82 @@ def run_scenario(scenario, config=None):
         pi_config = None
     pi_state = initial_pi_state()
 
+    est = initial_estimator_state(config.estimator)
+    z = np.append(est.x_hat, est.d_hat)  # the estimate as (x_hat, d_hat)
     noise_rng = np.random.default_rng([scenario.seed, 9001])
-    outputs = list(OUTPUT_STATE_INDICES)
-    x = np.zeros(model.A.shape[0])
+
+    n_rows = n + 1
+    states = np.zeros((n_rows, N_STATES))
+    commands = np.zeros((n_rows, N_CONTROLS))
+    d_hat = np.zeros(n_rows)
+    binding = np.zeros((n_rows, N_CONTROLS), dtype=int)
+    objective = np.zeros(n_rows)
+    x = np.zeros(N_STATES)
     u_prev = np.zeros(N_CONTROLS)
     max_kkt = 0.0
+    aborted_at = None
 
     for k in range(n):
-        freq = x[IDX_FREQ]
-        y = freq
+        states[k] = x
+        y = x[IDX_FREQ]
         if config.measurement_noise_std > 0.0:
-            y = freq + noise_rng.normal(scale=config.measurement_noise_std)
-        est_state = gains.step(est_state, u_prev, y, k)
+            y = y + noise_rng.normal(scale=config.measurement_noise_std)
+        z_prev = z
+        z, innovation = gains.update(z, u_prev, y, k)
         limits = bands.at(k)
 
-        if scenario.controller == "mpc":
+        if mpc:
             drifted = out_of_band_units(limits, u_prev)
             try:
-                result = control_step(est_state, y, u_prev, limits, pred)
+                result = control_step(gains.state(z, z_prev, innovation, k), y, u_prev, limits,
+                                      pred)
             except QpInfeasibleError:
-                trace.aborted_at = k
-                _truncate_trace(trace, k)
-                return trace
+                aborted_at = k
+                break
             u = result.command
-            binding = active_units(result.qp_active, pred.m) | drifted
-            objective = result.objective
+            binding[k] = active_units(result.qp_active, pred.m) | drifted
+            objective[k] = result.objective
             max_kkt = max(max_kkt, max(result.kkt_residuals))
         else:
             pi_state, u = pi_step(pi_state, y, limits, pi_config, scenario.Ts)
-            at_bound = (u <= limits.lo + 1e-15) | (u >= limits.hi - 1e-15)
-            binding = at_bound & pi_config.participating
-            objective = 0.0
 
-        trace.freq[k] = freq
-        trace.commands[k] = u
-        trace.outputs[k] = x[outputs]
-        trace.d_hat[k] = est_state.d_hat
-        trace.binding[k] = binding
-        trace.objective[k] = objective
-
+        commands[k] = u
+        d_hat[k] = z[N_STATES]
         x = step_plant(model, x, u, disturbances[k])
         u_prev = u
+    else:
+        # Terminal row: state at t = duration with the last command held (its
+        # limits are the last sample's).
+        states[n] = x
+        commands[n] = u_prev
+        d_hat[n] = z[N_STATES]
 
-    # Terminal row: state at t = duration with the last command held (its
-    # limits are already in place).
-    trace.freq[n] = x[IDX_FREQ]
-    trace.commands[n] = u_prev
-    trace.outputs[n] = x[outputs]
-    trace.d_hat[n] = est_state.d_hat
-    trace.max_kkt_residual = max_kkt
-    return trace
-
-
-def _truncate_trace(trace, k):
-    for name in ("t", "freq", "commands", "outputs", "disturbances",
-                 "d_hat", "limits_lo", "limits_hi", "binding", "objective"):
-        setattr(trace, name, getattr(trace, name)[:k])
+    if pi_config is not None:
+        # A PI command binds within 1e-15 of either limit (participants
+        # only); elementwise, so one pass over the grid after the loop.
+        at_bound = (commands[:n] <= bands.lo + 1e-15) | (commands[:n] >= bands.hi - 1e-15)
+        binding[:n] = at_bound & pi_config.participating
+    # An aborted run keeps the rows before the failed sample (and reports no
+    # KKT residual).
+    rows = n_rows if aborted_at is None else aborted_at
+    return ScenarioTrace(
+        kind=scenario.kind,
+        controller=scenario.controller,
+        seed=scenario.seed,
+        Ts=scenario.Ts,
+        t=scenario.profiles.t[:rows].copy(),
+        freq=states[:rows, IDX_FREQ].copy(),
+        commands=commands[:rows],
+        outputs=states[:rows, OUTPUT_STATE_INDICES],
+        disturbances=disturbances[:rows],
+        d_hat=d_hat[:rows],
+        limits_lo=np.concatenate([bands.lo, bands.lo[-1:]])[:rows],
+        limits_hi=np.concatenate([bands.hi, bands.hi[-1:]])[:rows],
+        binding=binding[:rows],
+        objective=objective[:rows],
+        max_kkt_residual=max_kkt if aborted_at is None else 0.0,
+        aborted_at=aborted_at,
+    )
 
 
 def _last_disturbance_event_index(disturbances):
@@ -303,12 +308,11 @@ def compute_metrics(trace):
         raise ValueError("empty trace")
     freq = trace.freq
     last_event = _last_disturbance_event_index(trace.disturbances)
-    inside = np.abs(freq) < SETTLE_BAND
-    settle = np.nan
-    for k in range(last_event, freq.size):
-        if inside[k:].all():
-            settle = trace.t[k] - trace.t[last_event]
-            break
+    # Settled from the sample after the last one outside the band (from the
+    # event itself when none is), unless that last one is the final sample.
+    outside = np.flatnonzero(~(np.abs(freq[last_event:]) < SETTLE_BAND))
+    k = last_event + (int(outside[-1]) + 1 if outside.size else 0)
+    settle = trace.t[k] - trace.t[last_event] if k < freq.size else np.nan
     violations = int(np.sum(
         (trace.commands < trace.limits_lo - VIOLATION_TOL).any(axis=1)
         | (trace.commands > trace.limits_hi + VIOLATION_TOL).any(axis=1)
@@ -350,22 +354,22 @@ TRACE_COLUMNS = (
 )
 
 
+# One trace row: 32 float columns, the six binding flags, the objective, in
+# csv's default dialect (no cell needs quoting; rows end in CRLF).
+_TRACE_ROW = ",".join(["%.15e"] * 32 + ["%d"] * 6 + ["%.15e"]) + "\r\n"
+# Rows gathered, formatted and written at a time, so that memory stays
+# bounded by the chunk, not the trace.
+_WRITE_CHUNK = 64
+
+
 def write_trace_csv(trace, path):
-    """One row per sample; floats at 15 significant digits for bit-stable
-    reproduction (column meanings in trace_schema.md)."""
+    """One row per sample; floats as %.15e, so reruns write the same bytes
+    (column meanings and row format in trace_schema.md)."""
+    columns = (trace.t, trace.freq, trace.commands, trace.outputs, trace.disturbances,
+               trace.d_hat, trace.limits_lo, trace.limits_hi, trace.binding, trace.objective)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for k in range(trace.freq.size):
-            row = (
-                [f"{trace.t[k]:.15e}", f"{trace.freq[k]:.15e}"]
-                + [f"{v:.15e}" for v in trace.commands[k]]
-                + [f"{v:.15e}" for v in trace.outputs[k]]
-                + [f"{v:.15e}" for v in trace.disturbances[k]]
-                + [f"{trace.d_hat[k]:.15e}"]
-                + [f"{v:.15e}" for v in trace.limits_lo[k]]
-                + [f"{v:.15e}" for v in trace.limits_hi[k]]
-                + [str(int(v)) for v in trace.binding[k]]
-                + [f"{trace.objective[k]:.15e}"]
-            )
-            writer.writerow(row)
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        for start in range(0, trace.freq.size, _WRITE_CHUNK):
+            rows = slice(start, start + _WRITE_CHUNK)
+            block = np.column_stack([c[rows] for c in columns]).tolist()
+            fh.write("".join([_TRACE_ROW % tuple(row) for row in block]))

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microfreq.baselines import (
     PiConfig,
+    PiState,
     TUNED_KI,
     TUNED_KP,
     design_pi_gains,
@@ -143,3 +146,66 @@ def test_config_validation():
                  allocation_weights=np.full(6, 0.1), capacity_scale=1.0)
     with pytest.raises(ValueError):
         pi_step(initial_pi_state(), 0.0, WIDE, pi_all_units_config(PARAMS), 0.0)
+
+
+def pi_step_reference(state, y, limits, config, Ts):
+    """pi_step as it stood before the lean rewrite: a closure per call,
+    np.clip, np.where and gathers of the participants. pi_step must return
+    the same bits."""
+    if Ts <= 0:
+        raise ValueError("Ts must be > 0")
+    if not np.isfinite(y):
+        raise ValueError("measurement must be finite")
+
+    def commands_for(integral):
+        total = -(config.kp * y + config.ki * integral) * config.capacity_scale
+        raw = total * config.allocation_weights
+        cmd = np.clip(raw, limits.lo, limits.hi)
+        cmd = np.where(config.participating, cmd, 0.0)
+        return total, cmd
+
+    integral_new = state.integral + y * Ts
+    total, cmd = commands_for(integral_new)
+
+    part = config.participating
+    if total > 0:
+        fully_saturated = np.all(cmd[part] >= limits.hi[part] - 1e-15)
+    elif total < 0:
+        fully_saturated = np.all(cmd[part] <= limits.lo[part] + 1e-15)
+    else:
+        fully_saturated = False
+    pushing_deeper = (-y) * total > 0
+
+    if fully_saturated and pushing_deeper:
+        integral_new = state.integral
+        total, cmd = commands_for(integral_new)
+
+    return PiState(integral=integral_new), cmd
+
+
+# Limits with signed zeros, near-ties and bands small enough to saturate,
+# where the clamp's operand order and the sign of zero show in the bits.
+bounds = st.sampled_from([0.0, -0.0, 1e-4, -1e-4, 1e-4 - 5e-16, 1e-3, -1e-3, 1.0, -1.0])
+signed = st.floats(-0.1, 0.1) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def limit_rows(draw):
+    """(6,) lo and hi; a pair within 1e-15 may come in either order, as
+    ReserveLimits allows."""
+    pairs = []
+    for _ in range(N_CONTROLS):
+        a, b = sorted(draw(st.tuples(bounds, bounds)))
+        pairs.append((b, a) if b - a <= 1e-15 and draw(st.booleans()) else (a, b))
+    return tuple(np.array(side) for side in zip(*pairs))
+
+
+@settings(max_examples=400)
+@given(st.sampled_from([pi_all_units_config, pi_du_bess_config]), signed, signed, limit_rows())
+def test_pi_step_matches_reference_bits(factory, y, integral, rows):
+    lo, hi = rows
+    limits, config, state = ReserveLimits(lo=lo, hi=hi), factory(PARAMS), PiState(integral)
+    got_state, got = pi_step(state, y, limits, config, 0.2)
+    want_state, want = pi_step_reference(state, y, limits, config, 0.2)
+    assert got.tobytes() == want.tobytes()
+    assert np.float64(got_state.integral).tobytes() == np.float64(want_state.integral).tobytes()

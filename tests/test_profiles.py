@@ -208,3 +208,64 @@ def test_grid_shifted_part_way_names_the_first_bad_sample():
     fields["t"][50:] += 0.05
     with pytest.raises(ValueError, match=re.escape("t[50] - t[49] = 0.25")):
         ProfileSet(**fields)
+
+
+@given(kinds, seeds, st.sampled_from(PROFILE_COLUMNS), samples,
+       st.sampled_from(["ten", "", "1.0.0"]))
+def test_non_numeric_csv_cell_named_at_ingest(kind, seed, column, k, text):
+    rows = csv_rows(kind, seed)
+    rows[1 + k][PROFILE_COLUMNS.index(column)] = text
+    message = f"profile CSV data row {k + 1}, column {column}: {text!r} is not a number"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_csv_rows(rows)
+
+
+@given(kinds, seeds, samples, st.integers(1, len(PROFILE_COLUMNS) - 1))
+def test_missing_csv_cell_named_at_ingest(kind, seed, k, width):
+    rows = csv_rows(kind, seed)
+    rows[1 + k] = rows[1 + k][:width]
+    message = (f"profile CSV data row {k + 1} has {width} cells, expected 7: "
+               f"column {PROFILE_COLUMNS[width]} is missing")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_csv_rows(rows)
+
+
+def test_short_csv_rows_throughout_named_at_ingest():
+    rows = [row[:-1] if i else row for i, row in enumerate(csv_rows("step", 0))]
+    with pytest.raises(ValueError, match=re.escape("data row 1 has 6 cells, expected 7: "
+                                                   "column t_amb is missing")):
+        read_csv_rows(rows)
+
+
+def test_extra_csv_cell_named_at_ingest():
+    rows = csv_rows("rapid", 2)
+    rows[3].append("1.0")
+    with pytest.raises(ValueError, match=re.escape("data row 3 has 8 cells, expected 7")):
+        read_csv_rows(rows)
+
+
+def test_header_only_csv_rejected_at_ingest():
+    with pytest.raises(ValueError, match="profile CSV has no data rows"):
+        read_csv_rows(csv_rows("step", 0)[:1])
+
+
+# Offsets of the whole grid, both ways, well beyond the 1e-9 relative tolerance.
+offsets = st.floats(1e-6, 100.0).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@given(kinds, seeds, offsets)
+def test_grid_not_starting_at_zero_rejected_at_ingest(kind, seed, offset):
+    fields = profile_fields(generate_profiles(kind, seed, INGEST_SECONDS))
+    fields["t"] += offset
+    message = f"time grid must start at 0, got t[0] = {float(fields['t'][0])!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProfileSet(**fields)
+
+
+@given(kinds, seeds, offsets)
+def test_csv_grid_not_starting_at_zero_rejected_at_ingest(kind, seed, offset):
+    rows = csv_rows(kind, seed)
+    for row in rows[1:]:
+        row[0] = f"{float(row[0]) + offset:.15e}"
+    with pytest.raises(ValueError, match=re.escape(f"got t[0] = {float(rows[1][0])!r}")):
+        read_csv_rows(rows)

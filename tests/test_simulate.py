@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import microfreq.simulate as sim
 from microfreq.numerics import QpInfeasibleError
@@ -11,6 +13,7 @@ from microfreq.profiles import NOMINAL_AMBIENT_C, ProfileSet
 from microfreq.simulate import (
     BENCHMARK_STEP_FREQ_STD,
     BENCHMARK_STEP_MAX_DEV,
+    SETTLE_BAND,
     RunConfig,
     ScenarioTrace,
     compute_metrics,
@@ -177,6 +180,54 @@ def test_settle_time_relative_to_last_event():
     m = compute_metrics(trace)
     assert np.isfinite(m.settle_time)
     assert 0.0 < m.settle_time <= 60.0
+
+
+def settle_trace(freq, event):
+    """A trace whose only disturbance event is a load step at sample
+    ``event`` (none for 0)."""
+    n = len(freq)
+    disturbances = np.zeros((n, 5))
+    disturbances[event:, 0] = 0.05 if event else 0.0
+    return ScenarioTrace(
+        kind="step", controller="pi_all", seed=0, Ts=0.2,
+        t=np.arange(n) * 0.2, freq=np.array(freq, dtype=float),
+        commands=np.zeros((n, 6)), outputs=np.zeros((n, 6)), disturbances=disturbances,
+        d_hat=np.zeros(n), limits_lo=-np.ones((n, 6)), limits_hi=np.ones((n, 6)),
+        binding=np.zeros((n, 6), dtype=int), objective=np.zeros(n),
+    )
+
+
+def settle_time_by_definition(trace):
+    """The first sample from the last event on after which freq stays
+    inside the band, timed from the event; nan if there is none."""
+    event = sim._last_disturbance_event_index(trace.disturbances)
+    inside = np.abs(trace.freq) < SETTLE_BAND
+    for k in range(event, trace.freq.size):
+        if inside[k:].all():
+            return trace.t[k] - trace.t[event]
+    return np.nan
+
+
+near_band = st.sampled_from([0.0, 5e-5, -5e-5, 0.99 * SETTLE_BAND, SETTLE_BAND, -SETTLE_BAND,
+                             3e-3, np.nan])
+
+
+@given(st.lists(near_band, min_size=1, max_size=60), st.integers(0, 59))
+def test_settle_time_matches_its_definition(freq, event):
+    trace = settle_trace(freq, min(event, len(freq) - 1))
+    got, want = compute_metrics(trace).settle_time, settle_time_by_definition(trace)
+    assert (np.isnan(got) and np.isnan(want)) or got == want
+
+
+@pytest.mark.parametrize("freq, event, expected", [
+    ([0.0] * 10, 4, 0.0),                        # settled before the event
+    ([3e-3] * 10, 4, np.nan),                    # never settles
+    ([0.0] * 9 + [3e-3], 4, np.nan),             # leaves the band on the last sample
+    ([3e-3] * 6 + [0.0] * 4, 4, 2 * 0.2),        # enters for good at sample 6
+])
+def test_settle_time_edge_cases(freq, event, expected):
+    assert compute_metrics(settle_trace(freq, event)).settle_time == pytest.approx(
+        expected, nan_ok=True)
 
 
 def test_empty_trace_rejected():
