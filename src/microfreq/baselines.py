@@ -10,8 +10,8 @@ make every unit's command trace the same shape.
 Both variants share one (kp, ki) pair from ``design_pi_gains``: an
 overdamped second-order design on the swing equation with the all-units
 fleet gain (the binding loop), recovery time constant 1 s. The ``tune-pi``
-CLI subcommand re-runs the design and verifies both variants' step
-responses.
+CLI subcommand re-runs the design and checks both variants' step responses
+in the closed loop (``simulate.step_response_metrics``).
 """
 
 import math
@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lfc_model import (
-    IDX_FREQ,
-    N_CONTROLS,
-    N_DISTURBANCES,
-    N_STATES,
-    build_plant,
-    step_plant,
-)
+from .lfc_model import N_CONTROLS
 
 DESIGN_RECOVERY_TIME = 1.0  # s, closed-loop recovery constant for the design
 
@@ -175,38 +168,3 @@ def design_pi_gains(params, recovery_time=DESIGN_RECOVERY_TIME):
     kp = 6.0 * params.inertia / (c * recovery_time)
     ki = params.inertia / (c * recovery_time ** 2)
     return kp, ki
-
-
-def step_response_metrics(config, params, load_step=0.05, duration=120.0, Ts=0.2, model=None):
-    """Closed-loop step-response verification for one PI variant.
-
-    Returns peak |df|, time to enter (and stay in) the 1e-4 p.u. band,
-    the ITAE, and a zero-crossing count as an oscillation indicator.
-    """
-    from .der_models import reserve_limits
-
-    model = model or build_plant(params, Ts)
-    limits = reserve_limits(54.0, 54.0, 63.0, 63.0, 60.0, 0.0, params)
-    state = initial_pi_state()
-    x = np.zeros(N_STATES)
-    d = np.zeros(N_DISTURBANCES)
-    d[0] = load_step
-    disturbance_push = model.D @ d
-    n_steps = int(round(duration / Ts))
-    freqs = np.empty(n_steps)
-    itae = 0.0
-    for k in range(n_steps):
-        y = x[IDX_FREQ]
-        freqs[k] = y
-        itae += (k * Ts) * abs(y) * Ts
-        state, cmd = pi_step(state, y, limits, config, Ts)
-        x = model.A @ x + model.B @ cmd + disturbance_push
-    outside = np.where(np.abs(freqs) >= 1e-4)[0]
-    settle = (outside[-1] + 1) * Ts if outside.size else 0.0
-    crossings = int(np.sum(np.diff(np.sign(freqs[np.abs(freqs) > 1e-12])) != 0))
-    return {
-        "peak": float(np.abs(freqs).max()),
-        "settle_time": float(settle),
-        "itae": float(itae),
-        "zero_crossings": crossings,
-    }

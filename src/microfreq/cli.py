@@ -11,29 +11,18 @@ the published values.
 """
 
 import argparse
+import dataclasses
+import inspect
 import json
 import os
 import sys
 
 import numpy as np
 
-from .baselines import (
-    design_pi_gains,
-    pi_all_units_config,
-    pi_du_bess_config,
-    step_response_metrics,
-)
+from .baselines import design_pi_gains
 from .der_models import default_pv_params, default_wind_params
-from .estimator import (
-    DEFAULT_DISTURBANCE_NOISE,
-    DEFAULT_INITIAL_COVARIANCE,
-    DEFAULT_MEASUREMENT_NOISE,
-    DEFAULT_STATE_NOISE,
-    EstimatorConfig,
-    N_AUGMENTED,
-    default_estimator_config,
-)
-from .lfc_model import MicrogridParams, N_STATES
+from .estimator import default_estimator_config
+from .lfc_model import MicrogridParams
 from .mpc import MpcConfig
 from .profiles import PROFILE_KINDS, read_profiles_csv
 from .simulate import (
@@ -43,20 +32,25 @@ from .simulate import (
     make_scenario,
     metrics_summary,
     run_scenario,
+    step_response_metrics,
     write_trace_csv,
 )
 
-# "sim" config keys, each overriding the RunConfig field of the same name.
+# Config file sections, and the keys of those that are not a dataclass's
+# fields: "estimator" keys are default_estimator_config's arguments, "pi" keys
+# the two gains, and "sim" keys override the RunConfig field of the same name.
+CONFIG_SECTIONS = ("microgrid", "mpc", "estimator", "pi", "sim")
+ESTIMATOR_KEYS = tuple(inspect.signature(default_estimator_config).parameters)
+PI_KEYS = ("kp", "ki")
 SIM_KEYS = ("deload", "dispatch_du_kw", "dispatch_bess_kw", "measurement_noise_std")
 
 
-def _estimator_from_dict(d):
-    state_noise = d.get("state_noise", DEFAULT_STATE_NOISE)
-    disturbance_noise = d.get("disturbance_noise", DEFAULT_DISTURBANCE_NOISE)
-    measurement_noise = d.get("measurement_noise", DEFAULT_MEASUREMENT_NOISE)
-    p0_scale = d.get("initial_covariance", DEFAULT_INITIAL_COVARIANCE)
-    Q = np.diag([state_noise] * N_STATES + [disturbance_noise])
-    return EstimatorConfig(Q=Q, R_noise=measurement_noise, P0=p0_scale * np.eye(N_AUGMENTED))
+def _known(what, given, allowed):
+    """``given`` (a dict), rejecting any key not in ``allowed``."""
+    unknown = sorted(set(given) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} {unknown}; expected some of {list(allowed)}")
+    return given
 
 
 def load_run_config(path=None):
@@ -65,6 +59,7 @@ def load_run_config(path=None):
     if path is not None:
         with open(path) as fh:
             raw = json.load(fh)
+    _known("config sections", raw, CONFIG_SECTIONS)
     params = MicrogridParams(**raw.get("microgrid", {}))
     # Availability and reserve bands use one wind and one PV model, sized
     # from unit 1, so unit 2 must have the same rating.
@@ -75,14 +70,11 @@ def load_run_config(path=None):
                 f"{unit1}={getattr(params, unit1)}; twin units must have equal ratings"
             )
     mpc = MpcConfig(**raw.get("mpc", {}))
-    estimator = (
-        _estimator_from_dict(raw["estimator"]) if "estimator" in raw else default_estimator_config()
+    estimator = default_estimator_config(
+        **_known("estimator config keys", raw.get("estimator", {}), ESTIMATOR_KEYS)
     )
-    pi = raw.get("pi", {})
-    sim = raw.get("sim", {})
-    unknown = sorted(set(sim) - set(SIM_KEYS))
-    if unknown:
-        raise ValueError(f"unknown sim config keys {unknown}; expected some of {list(SIM_KEYS)}")
+    pi = _known("pi config keys", raw.get("pi", {}), PI_KEYS)
+    sim = _known("sim config keys", raw.get("sim", {}), SIM_KEYS)
     kp_default, ki_default = design_pi_gains(params)
     return RunConfig(
         params=params,
@@ -158,14 +150,18 @@ def cmd_run(args):
     return 0
 
 
-def cmd_compare(args):
-    config = load_run_config(args.config)
-    profiles = _profiles_from_args(args)
+def _run_cell(kind, seed, config, profiles=None):
+    """Every controller on one scenario: {controller: (trace, metrics)}."""
     results = {}
     for controller in CONTROLLER_KINDS:
-        scenario = make_scenario(args.scenario, controller, args.seed, profiles=profiles)
-        trace = run_scenario(scenario, config)
+        trace = run_scenario(make_scenario(kind, controller, seed, profiles=profiles), config)
         results[controller] = (trace, compute_metrics(trace))
+    return results
+
+
+def cmd_compare(args):
+    config = load_run_config(args.config)
+    results = _run_cell(args.scenario, args.seed, config, _profiles_from_args(args))
     print(f"scenario={args.scenario} seed={args.seed}")
     print(f"{'controller':12s} {'freq_std':>14s} {'max_abs_dev':>14s} {'settle_s':>9s}")
     for controller in CONTROLLER_KINDS:
@@ -192,10 +188,7 @@ def cmd_sweep(args):
     for kind in kinds:
         for seed in seeds:
             per_controller = {}
-            for controller in CONTROLLER_KINDS:
-                scenario = make_scenario(kind, controller, seed)
-                trace = run_scenario(scenario, config)
-                metrics = compute_metrics(trace)
+            for controller, (trace, metrics) in _run_cell(kind, seed, config).items():
                 per_controller[controller] = metrics
                 summaries.append(metrics_summary(trace, metrics))
                 if args.out:
@@ -220,8 +213,9 @@ def cmd_tune_pi(args):
     kp, ki = design_pi_gains(config.params)
     print(f"designed gains: kp={kp:.6g} ki={ki:.6g}")
     results = {"kp": kp, "ki": ki}
-    for name, factory in (("pi_all", pi_all_units_config), ("pi_dubess", pi_du_bess_config)):
-        metrics = step_response_metrics(factory(config.params, kp, ki), config.params)
+    tuned = dataclasses.replace(config, pi_kp=kp, pi_ki=ki)
+    for name in ("pi_all", "pi_dubess"):
+        metrics = step_response_metrics(name, tuned)
         results[name] = metrics
         print(
             f"{name:10s} step verification: peak={metrics['peak']:.6e} "

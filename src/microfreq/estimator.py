@@ -58,10 +58,18 @@ class EstimatorConfig:
         object.__setattr__(self, "P0", P0)
 
 
-def default_estimator_config():
-    Q = np.diag([DEFAULT_STATE_NOISE] * N_STATES + [DEFAULT_DISTURBANCE_NOISE])
+def default_estimator_config(
+    state_noise=DEFAULT_STATE_NOISE,
+    disturbance_noise=DEFAULT_DISTURBANCE_NOISE,
+    measurement_noise=DEFAULT_MEASUREMENT_NOISE,
+    initial_covariance=DEFAULT_INITIAL_COVARIANCE,
+):
+    """Diagonal tuning: ``state_noise`` on every plant state and
+    ``disturbance_noise`` on the disturbance state of Q, ``measurement_noise``
+    as R, and P0 = ``initial_covariance`` * I."""
+    Q = np.diag([state_noise] * N_STATES + [disturbance_noise])
     return EstimatorConfig(
-        Q=Q, R_noise=DEFAULT_MEASUREMENT_NOISE, P0=DEFAULT_INITIAL_COVARIANCE * np.eye(N_AUGMENTED)
+        Q=Q, R_noise=measurement_noise, P0=initial_covariance * np.eye(N_AUGMENTED)
     )
 
 
@@ -200,16 +208,6 @@ def _estimator_state(z, z_prev, P, innovation, gain):
     )
 
 
-def _state_step(state, u, y, A_aug, B_aug, c, gain, P_new):
-    """State predict/update of one step with a precomputed gain."""
-    u = np.asarray(u, dtype=float).reshape(N_CONTROLS)
-    if not np.isfinite(y):
-        raise ValueError("measurement must be finite")
-    z = np.concatenate([state.x_hat, [state.d_hat]])
-    z_new, innovation = _state_update(z, u, y, A_aug, B_aug, c, gain)
-    return _estimator_state(z_new, z, P_new, innovation, gain)
-
-
 def estimator_step(state, u, y, model, config):
     """One predict/update cycle.
 
@@ -220,7 +218,12 @@ def estimator_step(state, u, y, model, config):
     A_aug, B_aug, C_aug = augmented_matrices(model)
     c = C_aug[0]
     gain, P_new = _covariance_step(state.P, A_aug, c, config)
-    return _state_step(state, u, y, A_aug, B_aug, c, gain, P_new)
+    u = np.asarray(u, dtype=float).reshape(N_CONTROLS)
+    if not np.isfinite(y):
+        raise ValueError("measurement must be finite")
+    z = np.concatenate([state.x_hat, [state.d_hat]])
+    z_new, innovation = _state_update(z, u, y, A_aug, B_aug, c, gain)
+    return _estimator_state(z_new, z, P_new, innovation, gain)
 
 
 @dataclass(frozen=True)
@@ -251,25 +254,18 @@ class GainSchedule:
             raise IndexError(f"step {k} is beyond the {len(self.gains)} scheduled steps")
         return self.cycle_start + (k - self.cycle_start) % self.period
 
-    def step(self, state, u, y, k):
-        """Step k of the run: estimator_step with the gain looked up, not
-        recomputed. ``state`` must be the result of step k - 1."""
-        i = self.index(k)
-        return _state_step(
-            state, u, y, self.A_aug, self.B_aug, self.c, self.gains[i], self.covariances[i]
-        )
-
     def update(self, z, u, y, k):
-        """``step`` on the augmented estimate z = (x_hat, d_hat), for a run
-        loop that keeps no EstimatorState: the new z and the innovation, the
-        same bits as ``step``. ``u`` must be a (6,) float array."""
+        """Step k of the run on the augmented estimate z = (x_hat, d_hat):
+        the state predict/update of ``estimator_step`` with the gain looked
+        up, not recomputed. Returns the new z and the innovation. ``z`` must
+        be the result of step k - 1 and ``u`` a (6,) float array."""
         if not math.isfinite(y):
             raise ValueError("measurement must be finite")
         return _state_update(z, u, y, self.A_aug, self.B_aug, self.c, self.gains[self.index(k)])
 
     def state(self, z, z_prev, innovation, k):
-        """The EstimatorState ``step`` k returns, from the augmented estimates
-        after (``z``) and before (``z_prev``) it."""
+        """The EstimatorState ``estimator_step`` returns at step k, from the
+        augmented estimates after (``z``) and before (``z_prev``) it."""
         i = self.index(k)
         return _estimator_state(z, z_prev, self.covariances[i], innovation, self.gains[i])
 

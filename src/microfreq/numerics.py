@@ -100,19 +100,6 @@ def discretize(Ac, Bc, Dc, Ts):
     return A, B, D
 
 
-def _check_symmetric(H):
-    H = _check_square(H, "H")
-    if np.abs(H - H.T).max() > _SYMMETRY_TOL:
-        raise ValueError("H is not symmetric within 1e-10")
-    return H
-
-
-def _constraint_rows(Cu, n):
-    if Cu is None:
-        return np.zeros((0, n))
-    return np.asarray(Cu, dtype=float).reshape(-1, n)
-
-
 class PreparedQp:
     """The fixed part of  min 1/2 x'Hx + f'x  subject to  Cu x >= b:  H and
     Cu, checked and factorized once for solving many (f, b) pairs.
@@ -127,9 +114,11 @@ class PreparedQp:
     """
 
     def __init__(self, H, Cu=None):
-        H = np.array(_check_symmetric(H))
+        H = np.array(_check_square(H, "H"))
+        if np.abs(H - H.T).max() > _SYMMETRY_TOL:
+            raise ValueError("H is not symmetric within 1e-10")
         n = H.shape[0]
-        Cu = np.array(_constraint_rows(Cu, n))
+        Cu = np.zeros((0, n)) if Cu is None else np.array(Cu, dtype=float).reshape(-1, n)
         if not np.isfinite(Cu).all():
             raise ValueError("QP data contains non-finite entries")
         # Symmetric factorization succeeds iff H is positive definite.
@@ -162,10 +151,10 @@ class QpProblem:
     """Strictly convex QP:  min 1/2 x'Hx + f'x  subject to  Cu x >= b.
 
     H must be symmetric positive definite. Cu may have zero rows for an
-    unconstrained problem. A one-off problem is checked here (shape,
-    finiteness, symmetry) and factorized when solved. A problem built with
-    ``prepared`` takes H and Cu from that PreparedQp (they must be its own
-    arrays), so only f and b are checked.
+    unconstrained problem. H and Cu come from ``prepared``: a problem built
+    without one checks and factorizes them into its own PreparedQp (and
+    keeps its read-only copies); one built with one must pass that
+    PreparedQp's own arrays. Either way only f and b are checked here.
     """
 
     H: np.ndarray
@@ -176,10 +165,8 @@ class QpProblem:
 
     def __post_init__(self):
         if self.prepared is None:
-            self.H = _check_symmetric(self.H)
-            self.Cu = _constraint_rows(self.Cu, self.H.shape[0])
-            if not np.isfinite(self.Cu).all():
-                raise ValueError("QP data contains non-finite entries")
+            self.prepared = PreparedQp(self.H, self.Cu)
+            self.H, self.Cu = self.prepared.H, self.prepared.Cu
         elif self.H is not self.prepared.H or self.Cu is not self.prepared.Cu:
             raise ValueError("H and Cu must be the prepared QP's own arrays")
         n, q = self.n, self.q
@@ -212,19 +199,19 @@ def solve_qp_info(problem, tol=1e-8):
 
     Starts at the unconstrained minimizer and adds violated constraints one
     at a time, taking dual steps; finite termination for strictly convex H.
-    Works from the problem's PreparedQp (built here for a one-off problem):
-    each step takes columns and sub-blocks of H^-1 Cu' and Cu H^-1 Cu', so
-    the only solve left per step is the small active-set Gram system.
+    Works from the problem's PreparedQp: each step takes columns and
+    sub-blocks of H^-1 Cu' and Cu H^-1 Cu', so the only solve left per step
+    is the small active-set Gram system.
     Returns (x, lam, info) where lam holds the KKT multipliers (one per
     constraint row, zero for inactive rows) and info records the active rows
     and iteration count.
 
     Raises QpInfeasibleError (with the offending row) if no feasible point
-    exists, and ValueError if H is not positive definite.
+    exists.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    qp = problem.prepared if problem.prepared is not None else PreparedQp(problem.H, problem.Cu)
+    qp = problem.prepared
     f, b = problem.f, problem.b
     Cu, H_inv_Ct, gram = qp.Cu, qp.H_inv_Ct, qp.gram
     n, q = qp.n, qp.q

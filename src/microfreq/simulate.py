@@ -1,5 +1,6 @@
 """Closed-loop scenario runner: plant + availability + estimator + one
-controller, with trace logging and the comparison metrics.
+controller, with trace logging, the comparison metrics and the step-response
+check of ``tune-pi``.
 
 The loop is a deterministic fixed-step cycle: update the disturbance
 estimator from the last measurement, take the instant's reserve limits, run
@@ -17,7 +18,7 @@ commands alone, the PI binding flags, is computed over the grid after the
 loop.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,6 +48,8 @@ from .estimator import (  # noqa: F401
     require_detectable,
 )
 from .lfc_model import (
+    CONTROL_LABELS,
+    DISTURBANCE_LABELS,
     IDX_FREQ,
     MicrogridParams,
     N_CONTROLS,
@@ -273,8 +276,8 @@ def run_scenario(scenario, config=None):
         # only); elementwise, so one pass over the grid after the loop.
         at_bound = (commands[:n] <= bands.lo + 1e-15) | (commands[:n] >= bands.hi - 1e-15)
         binding[:n] = at_bound & pi_config.participating
-    # An aborted run keeps the rows before the failed sample (and reports no
-    # KKT residual).
+    # An aborted run keeps the rows before the failed sample, and the largest
+    # KKT residual of the samples it solved.
     rows = n_rows if aborted_at is None else aborted_at
     return ScenarioTrace(
         kind=scenario.kind,
@@ -291,7 +294,7 @@ def run_scenario(scenario, config=None):
         limits_hi=np.concatenate([bands.hi, bands.hi[-1:]])[:rows],
         binding=binding[:rows],
         objective=objective[:rows],
-        max_kkt_residual=max_kkt if aborted_at is None else 0.0,
+        max_kkt_residual=max_kkt,
         aborted_at=aborted_at,
     )
 
@@ -341,15 +344,39 @@ def metrics_summary(trace, metrics):
     }
 
 
+def step_response_metrics(controller, config, load_step=0.05):
+    """Step-response check of one controller: a constant load step of
+    ``load_step`` p.u. from t = 0, under the step kind's weather and the
+    config's ratings, deload and dispatch, run by ``run_scenario``.
+
+    Returns the peak |df| and the time to enter (and stay in) the settle band
+    (NaN if the response never does), both from ``compute_metrics``, plus the
+    ITAE and a zero-crossing count (an oscillation indicator) over the
+    samples before the terminal row.
+    """
+    step = generate_profiles("step", 0, DEFAULT_DURATIONS["step"])
+    profiles = replace(step, load_pu=np.full_like(step.load_pu, load_step))
+    trace = run_scenario(make_scenario("step", controller, 0, profiles=profiles), config)
+    metrics = compute_metrics(trace)
+    freqs = trace.freq[:-1]
+    itae = 0.0
+    for k, y in enumerate(freqs.tolist()):
+        itae += (k * trace.Ts) * abs(y) * trace.Ts
+    crossings = int(np.sum(np.diff(np.sign(freqs[np.abs(freqs) > 1e-12])) != 0))
+    return {
+        "peak": metrics.max_abs_freq_dev,
+        "settle_time": metrics.settle_time,
+        "itae": itae,
+        "zero_crossings": crossings,
+    }
+
+
 TRACE_COLUMNS = (
     ["t", "freq_dev"]
-    + [f"cmd_{u}" for u in ("pv1", "pv2", "wt1", "wt2", "du", "bess")]
-    + [f"out_{u}" for u in ("pv1", "pv2", "wt1", "wt2", "du", "bess")]
-    + [f"dist_{c}" for c in ("load", "pv1", "pv2", "wt1", "wt2")]
+    + [f"{prefix}_{u}" for prefix in ("cmd", "out") for u in CONTROL_LABELS]
+    + [f"dist_{c}" for c in DISTURBANCE_LABELS]
     + ["d_hat"]
-    + [f"lo_{u}" for u in ("pv1", "pv2", "wt1", "wt2", "du", "bess")]
-    + [f"hi_{u}" for u in ("pv1", "pv2", "wt1", "wt2", "du", "bess")]
-    + [f"bind_{u}" for u in ("pv1", "pv2", "wt1", "wt2", "du", "bess")]
+    + [f"{prefix}_{u}" for prefix in ("lo", "hi", "bind") for u in CONTROL_LABELS]
     + ["objective"]
 )
 

@@ -15,7 +15,6 @@ from microfreq.baselines import (
     pi_all_units_config,
     pi_du_bess_config,
     pi_step,
-    step_response_metrics,
 )
 from microfreq.der_models import ReserveLimits, reserve_limits
 from microfreq.lfc_model import (
@@ -27,6 +26,7 @@ from microfreq.lfc_model import (
     build_plant,
     step_plant,
 )
+from microfreq.simulate import RunConfig, step_response_metrics
 
 PARAMS = MicrogridParams()
 MODEL = build_plant(PARAMS)
@@ -87,15 +87,15 @@ def test_identical_command_shapes_without_saturation():
 
 
 def test_offset_free_within_120s_both_variants():
-    for config in (pi_all_units_config(PARAMS), pi_du_bess_config(PARAMS)):
-        metrics = step_response_metrics(config, PARAMS, load_step=0.1)
+    for controller in ("pi_all", "pi_dubess"):
+        metrics = step_response_metrics(controller, RunConfig(), load_step=0.1)
         assert metrics["settle_time"] <= 120.0
         assert metrics["peak"] < 0.2
 
 
 def test_all_units_beats_du_bess_on_load_step():
-    all_units = step_response_metrics(pi_all_units_config(PARAMS), PARAMS, load_step=0.1)
-    du_bess = step_response_metrics(pi_du_bess_config(PARAMS), PARAMS, load_step=0.1)
+    all_units = step_response_metrics("pi_all", RunConfig(), load_step=0.1)
+    du_bess = step_response_metrics("pi_dubess", RunConfig(), load_step=0.1)
     assert all_units["peak"] < du_bess["peak"]
     assert all_units["itae"] < du_bess["itae"]
 
@@ -105,7 +105,7 @@ def test_critically_damped_design_matches_frozen_constants():
     assert kp == pytest.approx(TUNED_KP, abs=1e-12)
     assert ki == pytest.approx(TUNED_KI, abs=1e-12)
     # No ringing at the design point.
-    metrics = step_response_metrics(pi_all_units_config(PARAMS), PARAMS)
+    metrics = step_response_metrics("pi_all", RunConfig())
     assert metrics["zero_crossings"] <= 2
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from microfreq.cli import SIM_KEYS, load_run_config, main
@@ -54,15 +55,46 @@ def test_sweep_single_cell(tmp_path, capsys):
     assert len(summary) == 3  # three controllers on one cell
 
 
+# pi_gains.json of the default config, as written before the step check ran
+# through the scenario engine.
+PINNED_STEP_CHECK = {
+    "pi_all": {"peak": 0.018116259741381893, "settle_time": 31.6,
+               "itae": 0.5364857694598161, "zero_crossings": 0},
+    "pi_dubess": {"peak": 0.027592298439912025, "settle_time": 40.2,
+                  "itae": 1.3871981915359937, "zero_crossings": 0},
+}
+
+
+def tune_pi_results(tmp_path, config=None):
+    args = ["tune-pi", "--out", str(tmp_path / "tuned")]
+    if config is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        args += ["--config", str(config_path)]
+    assert main(args) == 0
+    return json.loads((tmp_path / "tuned" / "pi_gains.json").read_text())
+
+
 def test_tune_pi_reports_gains(capsys, tmp_path):
-    out = tmp_path / "tuned"
-    assert main(["tune-pi", "--out", str(out)]) == 0
+    gains = tune_pi_results(tmp_path)
     printed = capsys.readouterr().out
     assert "designed gains: kp=1.44 ki=0.24" in printed
-    gains = json.loads((out / "pi_gains.json").read_text())
     assert gains["kp"] == pytest.approx(1.44)
     assert gains["ki"] == pytest.approx(0.24)
-    assert gains["pi_all"]["settle_time"] <= 120.0
+    for name, expected in PINNED_STEP_CHECK.items():
+        assert gains[name] == expected, name
+
+
+def test_tune_pi_step_check_follows_the_config(tmp_path):
+    # A 2 % deload leaves the renewables too little headroom for their share
+    # of the 0.05 p.u. step, so the all-units response changes.
+    gains = tune_pi_results(tmp_path, {"sim": {"deload": 0.02}})
+    assert gains["pi_all"]["peak"] > PINNED_STEP_CHECK["pi_all"]["peak"]
+    assert gains["pi_all"]["itae"] > PINNED_STEP_CHECK["pi_all"]["itae"]
+    # With no deloading reserve only diesel and storage can push up.
+    gains = tune_pi_results(tmp_path, {"sim": {"deload": 0.0}})
+    assert gains["pi_all"]["peak"] == pytest.approx(
+        PINNED_STEP_CHECK["pi_dubess"]["peak"], rel=1e-12)
 
 
 def test_profiles_file_used_when_present(tmp_path, capsys):
@@ -122,19 +154,36 @@ def test_config_rejects_unknown_sim_keys(tmp_path):
         assert key in str(err.value)
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"simulaton": {"deload": 0.5}}, r"unknown config sections \['simulaton'\]"),
+    ({"estimator": {"measurment_noise": 1.0}},
+     r"unknown estimator config keys \['measurment_noise'\]"),
+    ({"pi": {"KP": 9.0}}, r"unknown pi config keys \['KP'\]"),
+], ids=["section", "estimator", "pi"])
+def test_config_rejects_unknown_keys(tmp_path, config, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=message):
+        load_run_config(str(config_path))
+
+
 def test_config_file_overrides(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
         "pi": {"kp": 2.0, "ki": 0.5},
         "mpc": {"p": 8, "m": 2},
         "sim": {"deload": 0.05},
-        "estimator": {"disturbance_noise": 1e-3},
+        "estimator": {"disturbance_noise": 1e-3, "measurement_noise": 2e-8,
+                      "initial_covariance": 0.5},
     }))
     config = load_run_config(str(config_path))
     assert config.pi_kp == 2.0 and config.pi_ki == 0.5
     assert config.mpc.p == 8 and config.mpc.m == 2
     assert config.deload == 0.05
     assert config.estimator.Q[10, 10] == pytest.approx(1e-3)
+    assert config.estimator.Q[0, 0] == RunConfig().estimator.Q[0, 0]
+    assert config.estimator.R_noise == 2e-8
+    assert np.array_equal(config.estimator.P0, 0.5 * np.eye(11))
 
 
 def test_default_config_matches_published_values():

@@ -189,6 +189,11 @@ def assert_same_step(a, b):
     assert (a.d_hat, a.prev_d_hat, a.innovation) == (b.d_hat, b.prev_d_hat, b.innovation)
 
 
+def initial_z():
+    est = initial_estimator_state(CONFIG)
+    return np.append(est.x_hat, est.d_hat)
+
+
 def test_gain_schedule_matches_estimator_step_past_the_cycle():
     n = 900
     schedule = gain_schedule(MODEL, CONFIG, n)
@@ -197,13 +202,15 @@ def test_gain_schedule_matches_estimator_step_past_the_cycle():
     assert schedule.period > 0
     assert schedule.cycle_start + schedule.period == len(schedule.gains) < n // 10
     rng = np.random.default_rng(7)
-    reference = scheduled = initial_estimator_state(CONFIG)
+    reference = initial_estimator_state(CONFIG)
+    z = initial_z()
     for k in range(n):
         u = rng.normal(scale=1e-2, size=N_CONTROLS)
         y = rng.normal(scale=1e-3)
         reference = estimator_step(reference, u, y, MODEL, CONFIG)
-        scheduled = schedule.step(scheduled, u, y, k)
-        assert_same_step(reference, scheduled)
+        z_prev = z
+        z, innovation = schedule.update(z, u, y, k)
+        assert_same_step(reference, schedule.state(z, z_prev, innovation, k))
 
 
 def test_gain_schedule_without_repeat_keeps_every_step():
@@ -211,12 +218,14 @@ def test_gain_schedule_without_repeat_keeps_every_step():
     schedule = gain_schedule(MODEL, CONFIG, n)
     assert schedule.period == 0
     assert len(schedule.gains) == len(schedule.covariances) == n
-    reference = scheduled = initial_estimator_state(CONFIG)
+    reference = initial_estimator_state(CONFIG)
+    z = initial_z()
     u = np.full(N_CONTROLS, 1e-3)
     for k in range(n):
         reference = estimator_step(reference, u, 1e-4 * k, MODEL, CONFIG)
-        scheduled = schedule.step(scheduled, u, 1e-4 * k, k)
-        assert_same_step(reference, scheduled)
+        z_prev = z
+        z, innovation = schedule.update(z, u, 1e-4 * k, k)
+        assert_same_step(reference, schedule.state(z, z_prev, innovation, k))
     with pytest.raises(IndexError):
         schedule.index(n)
 
@@ -234,4 +243,6 @@ def test_gain_schedule_cycle_indexing():
 def test_gain_schedule_keeps_the_measurement_check():
     schedule = gain_schedule(MODEL, CONFIG, 5)
     with pytest.raises(ValueError, match="finite"):
-        schedule.step(initial_estimator_state(CONFIG), np.zeros(N_CONTROLS), np.nan, 0)
+        schedule.update(initial_z(), np.zeros(N_CONTROLS), np.nan, 0)
+    with pytest.raises(ValueError, match="finite"):
+        estimator_step(initial_estimator_state(CONFIG), np.zeros(N_CONTROLS), np.nan, MODEL, CONFIG)

@@ -217,9 +217,8 @@ def test_qp_detects_infeasible_and_reports_row():
 
 
 def test_qp_rejects_indefinite_h():
-    problem = QpProblem(np.array([[2.0, 0.0], [0.0, -1.0]]), np.zeros(2))
     with pytest.raises(ValueError, match="positive definite"):
-        solve_qp(problem)
+        QpProblem(np.array([[2.0, 0.0], [0.0, -1.0]]), np.zeros(2))
 
 
 def test_qp_rejects_asymmetric_h():

@@ -256,6 +256,8 @@ def test_controller_failure_keeps_partial_trace(monkeypatch):
     trace = run_scenario(make_scenario("moderate", "mpc", seed=0))
     assert trace.aborted_at == 40
     assert trace.freq.shape[0] == 40
+    # The 40 samples solved before the failure keep their KKT residual.
+    assert 0 < trace.max_kkt_residual <= 1e-8
     summary = metrics_summary(trace, compute_metrics(trace))
     assert summary["aborted_at"] == 40
 

@@ -3,12 +3,24 @@ formatted on its own with an f-string and written through ``csv.writer``.
 Tests compare the bytes of ``microfreq.simulate.write_trace_csv`` against it.
 
 ``write_trace_csv`` here takes the same trace and path as
-``microfreq.simulate.write_trace_csv``.
+``microfreq.simulate.write_trace_csv``, and writes the header spelled out
+as it was then, so the byte tests also pin the header.
 """
 
 import csv
 
-from microfreq.simulate import TRACE_COLUMNS
+_UNITS = ("pv1", "pv2", "wt1", "wt2", "du", "bess")
+TRACE_COLUMNS = (
+    ["t", "freq_dev"]
+    + [f"cmd_{u}" for u in _UNITS]
+    + [f"out_{u}" for u in _UNITS]
+    + [f"dist_{c}" for c in ("load", "pv1", "pv2", "wt1", "wt2")]
+    + ["d_hat"]
+    + [f"lo_{u}" for u in _UNITS]
+    + [f"hi_{u}" for u in _UNITS]
+    + [f"bind_{u}" for u in _UNITS]
+    + ["objective"]
+)
 
 
 def write_trace_csv(trace, path):
