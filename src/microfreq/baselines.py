@@ -19,14 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lfc_model import N_CONTROLS
+from .lfc_model import MicrogridParams, N_CONTROLS
 
 DESIGN_RECOVERY_TIME = 1.0  # s, closed-loop recovery constant for the design
-
-# design_pi_gains(MicrogridParams()) output, frozen: kp = 6H/(c*lambda),
-# ki = H/(c*lambda^2) with H = 0.6 s, all-units fleet gain c = 500/200.
-TUNED_KP = 1.44
-TUNED_KI = 0.24
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -168,3 +163,8 @@ def design_pi_gains(params, recovery_time=DESIGN_RECOVERY_TIME):
     kp = 6.0 * params.inertia / (c * recovery_time)
     ki = params.inertia / (c * recovery_time ** 2)
     return kp, ki
+
+
+# The default gains: the design on the published parameters (kp = 1.44,
+# ki = 0.24 with H = 0.6 s and the all-units fleet gain c = 500/200).
+TUNED_KP, TUNED_KI = design_pi_gains(MicrogridParams())

@@ -36,10 +36,13 @@ from .simulate import (
     write_trace_csv,
 )
 
-# Config file sections, and the keys of those that are not a dataclass's
-# fields: "estimator" keys are default_estimator_config's arguments, "pi" keys
-# the two gains, and "sim" keys override the RunConfig field of the same name.
+# Config file sections and their keys: "microgrid" and "mpc" keys are the
+# fields of MicrogridParams and MpcConfig, "estimator" keys
+# default_estimator_config's arguments, "pi" keys the two gains, and "sim"
+# keys override the RunConfig field of the same name.
 CONFIG_SECTIONS = ("microgrid", "mpc", "estimator", "pi", "sim")
+MICROGRID_KEYS = tuple(f.name for f in dataclasses.fields(MicrogridParams))
+MPC_KEYS = tuple(f.name for f in dataclasses.fields(MpcConfig))
 ESTIMATOR_KEYS = tuple(inspect.signature(default_estimator_config).parameters)
 PI_KEYS = ("kp", "ki")
 SIM_KEYS = ("deload", "dispatch_du_kw", "dispatch_bess_kw", "measurement_noise_std")
@@ -60,7 +63,9 @@ def load_run_config(path=None):
         with open(path) as fh:
             raw = json.load(fh)
     _known("config sections", raw, CONFIG_SECTIONS)
-    params = MicrogridParams(**raw.get("microgrid", {}))
+    params = MicrogridParams(
+        **_known("microgrid config keys", raw.get("microgrid", {}), MICROGRID_KEYS)
+    )
     # Availability and reserve bands use one wind and one PV model, sized
     # from unit 1, so unit 2 must have the same rating.
     for unit1, unit2 in (("p_wt1", "p_wt2"), ("p_pv1", "p_pv2")):
@@ -69,7 +74,7 @@ def load_run_config(path=None):
                 f"microgrid {unit2}={getattr(params, unit2)} differs from "
                 f"{unit1}={getattr(params, unit1)}; twin units must have equal ratings"
             )
-    mpc = MpcConfig(**raw.get("mpc", {}))
+    mpc = MpcConfig(**_known("mpc config keys", raw.get("mpc", {}), MPC_KEYS))
     estimator = default_estimator_config(
         **_known("estimator config keys", raw.get("estimator", {}), ESTIMATOR_KEYS)
     )

@@ -6,15 +6,18 @@ on the plant state augmented with one random-walk disturbance state, which is
 exactly the quantity the predictive controller consumes.
 
 The covariance and gain recursion never sees the data: it depends only on
-the model, the noise covariances and P0. In floating point it also settles
-into an exact cycle, where a covariance repeats an earlier one bit for bit
-and every later step repeats the steps since then (with the default tuning
-and steps counted from 0, P after step 52 equals P after step 48). Each run
-therefore builds its gains once with ``gain_schedule``: the recursion up to
-the first repeated covariance, indexed cyclically after it, or the full
-sequence when nothing repeats within the run. Per sample only the state
-predict/update is left. ``estimator_step`` is the single-step reference and
-shares the covariance update with the schedule, so both give the same bits.
+the model, the noise matrices Q and R, and P0. In floating point it also
+settles into an exact cycle, where a covariance repeats an earlier one bit
+for bit and every later step repeats the steps since then (with the default
+tuning and steps counted from 0, P after step 52 equals P after step 48).
+Each run therefore builds its gains once with ``gain_schedule``: the
+recursion up to the first repeated covariance, indexed cyclically after it,
+or the full sequence when nothing repeats within the run. Per sample only
+the state predict/update is left, on the augmented estimate z, which stacks
+x_hat and d_hat. The run loop hands the controller the increments of z and
+builds no ``EstimatorState``. ``estimator_step`` is the single-step
+reference that returns one; it shares the covariance and state updates with
+the schedule, so both give the same bits.
 """
 
 import math
@@ -37,7 +40,8 @@ _CLIP_LIMIT = 1e-6
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Process/measurement covariances for the augmented filter."""
+    """Process and measurement noise (Q, R) and initial covariance (P0) of the
+    augmented filter."""
 
     Q: np.ndarray
     R_noise: float
@@ -196,18 +200,6 @@ def _state_update(z, u, y, A_aug, B_aug, c, gain):
     return z_pred + gain * innovation, innovation
 
 
-def _estimator_state(z, z_prev, P, innovation, gain):
-    return EstimatorState(
-        x_hat=z[:N_STATES],
-        d_hat=float(z[N_STATES]),
-        P=P,
-        prev_x_hat=z_prev[:N_STATES],
-        prev_d_hat=float(z_prev[N_STATES]),
-        innovation=innovation,
-        gain=gain,
-    )
-
-
 def estimator_step(state, u, y, model, config):
     """One predict/update cycle.
 
@@ -223,26 +215,27 @@ def estimator_step(state, u, y, model, config):
         raise ValueError("measurement must be finite")
     z = np.concatenate([state.x_hat, [state.d_hat]])
     z_new, innovation = _state_update(z, u, y, A_aug, B_aug, c, gain)
-    return _estimator_state(z_new, z, P_new, innovation, gain)
+    return EstimatorState(
+        x_hat=z_new[:N_STATES], d_hat=float(z_new[N_STATES]), P=P_new,
+        prev_x_hat=state.x_hat, prev_d_hat=state.d_hat, innovation=innovation, gain=gain,
+    )
 
 
 @dataclass(frozen=True)
 class GainSchedule:
     """The data-free part of a run of the filter, built once.
 
-    Entry t of ``gains`` and ``covariances`` is the gain and the updated
-    covariance of step t (0-based) of a run started from
-    ``initial_estimator_state``. When the covariance after the last entry
-    repeats the input covariance of step ``cycle_start``, later steps repeat
-    the entries from there with period ``period``; ``period`` 0 means no
-    repeat was found and the entries cover every step there is.
+    Entry t of ``gains`` is the Kalman gain of step t (0-based) of a run
+    started from ``initial_estimator_state``. When the covariance after the
+    last entry repeats the input covariance of step ``cycle_start``, later
+    steps repeat the gains from there with period ``period``; ``period`` 0
+    means no repeat was found and the entries cover every step there is.
     """
 
     A_aug: np.ndarray
     B_aug: np.ndarray
     c: np.ndarray
     gains: tuple
-    covariances: tuple
     cycle_start: int
     period: int
 
@@ -263,35 +256,28 @@ class GainSchedule:
             raise ValueError("measurement must be finite")
         return _state_update(z, u, y, self.A_aug, self.B_aug, self.c, self.gains[self.index(k)])
 
-    def state(self, z, z_prev, innovation, k):
-        """The EstimatorState ``estimator_step`` returns at step k, from the
-        augmented estimates after (``z``) and before (``z_prev``) it."""
-        i = self.index(k)
-        return _estimator_state(z, z_prev, self.covariances[i], innovation, self.gains[i])
-
 
 def gain_schedule(model, config, n_steps):
-    """Gains and covariances of the first ``n_steps`` filter steps, stopped at
-    the first covariance that repeats an earlier one bit for bit."""
+    """Gains of the first ``n_steps`` filter steps, stopped at the first
+    covariance that repeats an earlier one bit for bit."""
     A_aug, B_aug, C_aug = augmented_matrices(model)
     c = C_aug[0]
     # Input covariance of each step, by its bytes: equal bytes give equal
     # futures, because the recursion is a deterministic function of P.
     step_of_input = {config.P0.tobytes(): 0}
-    gains, covariances = [], []
+    gains = []
     cycle_start = period = 0
     P = config.P0
     for t in range(n_steps):
         gain, P = _covariance_step(P, A_aug, c, config)
-        # Every repeat of the entry shares these, so nothing may write to them.
-        gain.flags.writeable = P.flags.writeable = False
+        # Every repeat of the entry shares it, so nothing may write to it.
+        gain.flags.writeable = False
         gains.append(gain)
-        covariances.append(P)
         earlier = step_of_input.setdefault(P.tobytes(), t + 1)
         if earlier != t + 1:
             cycle_start, period = earlier, t + 1 - earlier
             break
     return GainSchedule(
-        A_aug=A_aug, B_aug=B_aug, c=c, gains=tuple(gains), covariances=tuple(covariances),
-        cycle_start=cycle_start, period=period,
+        A_aug=A_aug, B_aug=B_aug, c=c, gains=tuple(gains), cycle_start=cycle_start,
+        period=period,
     )

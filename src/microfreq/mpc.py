@@ -5,7 +5,8 @@ m control-increment blocks, predictions are built from the state increment
 plus the measured output, and integral action follows automatically. Reserve
 bounds apply to the cumulative totals, so they are mapped to increment
 constraints through a running-sum pattern. Only the first increment block is
-applied each sample.
+applied each sample. From the estimator the controller takes only the two
+increments it predicts from, the state's and the aggregate disturbance's.
 
 Horizons, weights and plant are fixed for a run, so everything of the QP
 except the reserve bands and the measured state is built once per run by
@@ -15,6 +16,10 @@ Hessian checked and factorized once in a ``PreparedQp``, and
 ``control_step`` assembles only the linear term and the constraint bounds.
 The weights live in that prepared object only, so a control step cannot mix
 the matrices of one configuration with the weights of another.
+
+Every sample solves the constrained QP; there is no unconstrained path. Under
+bands wide enough that no row is active, the solver returns the unconstrained
+minimizer it starts from, which is the closed-form gain's move.
 """
 
 from dataclasses import dataclass
@@ -156,11 +161,6 @@ def build_prediction_matrices(model, config):
     )
 
 
-def mpc_gain(pred):
-    """Closed-form unconstrained gain: dU* = K_mpc @ (0 - Y_free)."""
-    return np.linalg.solve(pred.H, pred.F)
-
-
 def build_constraints(limits, u_prev, pred):
     """Map total-adjustment bounds to increment constraints, Cu dU >= b.
 
@@ -195,40 +195,32 @@ class MpcStepResult:
     kkt_residuals: tuple
 
 
-def free_response(pred, est, y):
-    """Predicted frequency with all future increments zero."""
-    return pred.S_x @ est.delta_x + pred.I_vec * y + pred.S_d[:, 0] * est.delta_d
+def free_response(pred, dx, dd, y):
+    """Predicted frequency with all future increments zero, from the
+    estimate increments ``dx`` (state) and ``dd`` (aggregate disturbance)."""
+    return pred.S_x @ dx + pred.I_vec * y + pred.S_d[:, 0] * dd
 
 
-def control_step(est, y, u_prev, limits, pred, *, qp_tol=1e-10):
+def control_step(dx, dd, y, u_prev, limits, pred, *, qp_tol=1e-10):
     """Solve the constrained QP for this sample and apply the first block.
 
-    The weights and horizons are those ``pred`` was built with.
-    ``limits=None`` disables constraints (the solution then matches the
-    closed-form gain). Either way the QP is solved through ``pred.qp``,
-    so only the sample's f (and b) is checked. Returns an MpcStepResult
-    whose ``command`` is the new cumulative total per unit, u_prev + first
+    ``dx`` and ``dd`` are the increments of the estimated state and
+    aggregate disturbance over the last sample. The weights and horizons are
+    those ``pred`` was built with, and the QP is solved through ``pred.qp``,
+    so only the sample's f and b are checked. Returns an MpcStepResult whose
+    ``command`` is the new cumulative total per unit, u_prev + first
     increment block.
     """
     nu = pred.n_inputs
     u_prev = np.asarray(u_prev, dtype=float).reshape(nu)
-    y_free = free_response(pred, est, y)
+    y_free = free_response(pred, dx, dd, y)
     f = pred.F @ y_free
 
-    if limits is None:
-        # The unconstrained minimizer, as solve_qp_info starts from it, from
-        # the prepared inverse: H is not checked or factorized per call.
-        if not np.isfinite(f).all():
-            raise ValueError("QP data contains non-finite entries")
-        du = pred.qp.H_inv @ -f
-        qp_active = np.zeros(0, dtype=bool)
-        residuals = (np.linalg.norm(pred.H @ du + f, np.inf), 0.0, 0.0)
-    else:
-        Cu, b = build_constraints(limits, u_prev, pred)
-        problem = QpProblem(pred.H, f, Cu, b, prepared=pred.qp)
-        du, lam, _ = solve_qp_info(problem, tol=qp_tol)
-        qp_active = problem.Cu @ du - problem.b <= 1e-9
-        residuals = kkt_residuals(problem, du, lam)
+    Cu, b = build_constraints(limits, u_prev, pred)
+    problem = QpProblem(pred.H, f, Cu, b, prepared=pred.qp)
+    du, lam, _ = solve_qp_info(problem, tol=qp_tol)
+    qp_active = problem.Cu @ du - problem.b <= 1e-9
+    residuals = kkt_residuals(problem, du, lam)
 
     predicted = y_free + pred.S_B @ du
     moves = pred.gamma_u * du
@@ -245,7 +237,5 @@ def control_step(est, y, u_prev, limits, pred, *, qp_tol=1e-10):
 
 def active_units(qp_active, m, n_inputs=6):
     """Collapse per-row activity flags to per-unit flags (any step, any side)."""
-    if qp_active.size == 0:
-        return np.zeros(n_inputs, dtype=bool)
     per_unit = qp_active.reshape(2 * m, n_inputs)
     return per_unit.any(axis=0)

@@ -278,12 +278,6 @@ def solve_qp_info(problem, tol=1e-8):
     return x, lam, {"iterations": iterations, "active": list(active)}
 
 
-def solve_qp(problem, tol=1e-8):
-    """Return the unique minimizer of a QpProblem (see solve_qp_info)."""
-    x, _, _ = solve_qp_info(problem, tol=tol)
-    return x
-
-
 def kkt_residuals(problem, x, lam):
     """Residuals (stationarity, primal feasibility, complementarity) of a
     candidate KKT pair for  min 1/2 x'Hx + f'x  s.t.  Cu x >= b."""

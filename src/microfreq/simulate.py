@@ -12,10 +12,10 @@ Everything that does not depend on the closed loop is built once per run,
 before the first sample: renewable availability and the reserve limits over
 the whole time grid (checked as a whole), the estimator's gain schedule, and
 the controller's prepared QP matrices. Per sample the loop computes only the
-state estimate (kept as the augmented vector; an ``EstimatorState`` is built
-only for the MPC), the command and the plant step. What follows from the
-commands alone, the PI binding flags, is computed over the grid after the
-loop.
+state estimate (kept as the augmented vector z = (x_hat, d_hat); the MPC gets
+the increments of z, and no ``EstimatorState`` is built), the command and
+the plant step. What follows from the commands alone, the PI binding flags,
+is computed over the grid after the loop.
 """
 
 from dataclasses import dataclass, field, replace
@@ -41,10 +41,10 @@ from .der_models import (
 # estimator_step is no longer called here, but perfbench/tracer.py wraps it
 # in this namespace, so it stays importable from it.
 from .estimator import (  # noqa: F401
+    N_AUGMENTED,
     default_estimator_config,
     estimator_step,
     gain_schedule,
-    initial_estimator_state,
     require_detectable,
 )
 from .lfc_model import (
@@ -74,12 +74,6 @@ SETTLE_BAND = 1e-4  # p.u.
 VIOLATION_TOL = 1e-9  # p.u.
 
 DEFAULT_DURATIONS = {"step": 120.0, "moderate": 180.0, "rapid": 180.0}
-
-# External benchmark values for the load-step comparison (p.u.). They come
-# from a different (unpublished) disturbance set, so only the controller
-# ORDERING is comparable, never the magnitudes.
-BENCHMARK_STEP_MAX_DEV = {"mpc": 2.453e-4, "pi_all": 1.42e-3, "pi_dubess": 1.926e-3}
-BENCHMARK_STEP_FREQ_STD = {"mpc": 3.788e-4, "pi_all": 3.595e-3, "pi_dubess": 5.194e-3}
 
 
 @dataclass(frozen=True)
@@ -221,8 +215,7 @@ def run_scenario(scenario, config=None):
         pi_config = None
     pi_state = initial_pi_state()
 
-    est = initial_estimator_state(config.estimator)
-    z = np.append(est.x_hat, est.d_hat)  # the estimate as (x_hat, d_hat)
+    z = np.zeros(N_AUGMENTED)  # the estimate as (x_hat, d_hat)
     noise_rng = np.random.default_rng([scenario.seed, 9001])
 
     n_rows = n + 1
@@ -242,14 +235,15 @@ def run_scenario(scenario, config=None):
         if config.measurement_noise_std > 0.0:
             y = y + noise_rng.normal(scale=config.measurement_noise_std)
         z_prev = z
-        z, innovation = gains.update(z, u_prev, y, k)
+        z, _ = gains.update(z, u_prev, y, k)
         limits = bands.at(k)
 
         if mpc:
             drifted = out_of_band_units(limits, u_prev)
+            dx = z[:N_STATES] - z_prev[:N_STATES]
+            dd = float(z[N_STATES]) - float(z_prev[N_STATES])
             try:
-                result = control_step(gains.state(z, z_prev, innovation, k), y, u_prev, limits,
-                                      pred)
+                result = control_step(dx, dd, y, u_prev, limits, pred)
             except QpInfeasibleError:
                 aborted_at = k
                 break

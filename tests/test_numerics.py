@@ -10,7 +10,6 @@ from microfreq.numerics import (
     discretize,
     kkt_residuals,
     matrix_exponential,
-    solve_qp,
     solve_qp_info,
 )
 
@@ -149,18 +148,18 @@ def test_discretize_rejects_bad_input():
         discretize(np.eye(2), np.zeros((2, 1)), np.zeros((2, 0)), 0.0)
 
 
-# ---------------------------------------------------------------- solve_qp
+# ---------------------------------------------------------------- solve_qp_info
 
 
 def test_qp_unconstrained_minimum():
-    x = solve_qp(QpProblem(np.array([[2.0]]), np.array([-4.0])))
+    x = solve_qp_info(QpProblem(np.array([[2.0]]), np.array([-4.0])))[0]
     assert np.allclose(x, [2.0], atol=1e-12)
 
 
 def test_qp_clamps_to_active_bound():
     # min x^2 - 4x s.t. x <= 1, written as -x >= -1.
     problem = QpProblem(np.array([[2.0]]), np.array([-4.0]), np.array([[-1.0]]), np.array([-1.0]))
-    x = solve_qp(problem)
+    x = solve_qp_info(problem)[0]
     assert np.allclose(x, [1.0], atol=1e-12)
 
 
@@ -169,7 +168,7 @@ def test_qp_shared_budget_constraint():
     problem = QpProblem(
         np.diag([2.0, 2.0]), np.array([-2.0, -2.0]), np.array([[-1.0, -1.0]]), np.array([-1.0])
     )
-    x = solve_qp(problem)
+    x = solve_qp_info(problem)[0]
     assert np.allclose(x, [0.5, 0.5], atol=1e-12)
 
 
@@ -177,7 +176,7 @@ def test_qp_matches_enumeration_oracle():
     rng = np.random.default_rng(2024)
     for _ in range(200):
         problem = random_feasible_qp(rng)
-        x = solve_qp(problem, tol=1e-10)
+        x = solve_qp_info(problem, tol=1e-10)[0]
         ref = enumerate_qp_minimizer(problem.H, problem.f, problem.Cu, problem.b)
         assert ref is not None
         assert np.abs(x - ref).max() < 1e-6
@@ -197,7 +196,7 @@ def test_qp_kkt_residuals_small():
 def test_qp_beats_random_feasible_samples():
     rng = np.random.default_rng(17)
     problem = random_feasible_qp(rng, n_max=4, q_max=6)
-    x = solve_qp(problem)
+    x = solve_qp_info(problem)[0]
     obj = problem.objective(x)
     width = 2.0 * max(1.0, np.abs(x).max())
     draws = x + rng.uniform(-width, width, size=(1000, problem.n))
@@ -212,7 +211,7 @@ def test_qp_detects_infeasible_and_reports_row():
         np.array([[2.0]]), np.array([0.0]), np.array([[1.0], [-1.0]]), np.array([1.0, 0.0])
     )
     with pytest.raises(QpInfeasibleError) as err:
-        solve_qp(problem)
+        solve_qp_info(problem)
     assert err.value.row in (0, 1)
 
 
