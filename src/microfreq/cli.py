@@ -27,6 +27,7 @@ from .mpc import MpcConfig
 from .profiles import PROFILE_KINDS, read_profiles_csv
 from .simulate import (
     CONTROLLER_KINDS,
+    SCENARIO_TS,
     RunConfig,
     compute_metrics,
     make_scenario,
@@ -75,6 +76,11 @@ def load_run_config(path=None):
                 f"{unit1}={getattr(params, unit1)}; twin units must have equal ratings"
             )
     mpc = MpcConfig(**_known("mpc config keys", raw.get("mpc", {}), MPC_KEYS))
+    # Every scenario samples at SCENARIO_TS: an MPC built for another sample
+    # time cannot run on it, and a PI run would ignore the key.
+    if mpc.Ts != SCENARIO_TS:
+        raise ValueError(f"unsupported mpc config Ts {mpc.Ts}; expected {SCENARIO_TS}, "
+                         "the scenario sample time")
     estimator = default_estimator_config(
         **_known("estimator config keys", raw.get("estimator", {}), ESTIMATOR_KEYS)
     )

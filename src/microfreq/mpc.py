@@ -1,32 +1,52 @@
 """Receding-horizon secondary-frequency controller.
 
 The controller works in velocity (increment) form: the decision vector stacks
-m control-increment blocks, predictions are built from the state increment
-plus the measured output, and integral action follows automatically. Reserve
-bounds apply to the cumulative totals, so they are mapped to increment
-constraints through a running-sum pattern. Only the first increment block is
-applied each sample. From the estimator the controller takes only the two
-increments it predicts from, the state's and the aggregate disturbance's.
+m control-increment blocks dU, predictions are built from the state
+increment plus the measured output, and integral action follows
+automatically. Only the first increment block is applied each sample. From
+the estimator the controller takes only the two increments it predicts from,
+the state's and the aggregate disturbance's.
 
-Horizons, weights and plant are fixed for a run, so everything of the QP
-except the reserve bands and the measured state is built once per run by
-``build_prediction_matrices``: the Hessian, the linear-term map and the
-running-sum constraint matrix sit next to the prediction matrices, the
-Hessian checked and factorized once in a ``PreparedQp``, and
-``control_step`` assembles only the linear term and the constraint bounds.
-The weights live in that prepared object only, so a control step cannot mix
-the matrices of one configuration with the weights of another.
+Reserve bounds apply to the cumulative totals, lo <= u_prev + sum of the
+first i blocks <= hi. In the increment QP  min 1/2 dU'H dU + f'dU  they are
+the running-sum rows Cu dU >= b, with Cu = [T; -T] and T the block
+lower-triangular running sum. The controller solves the same QP over the
+cumulative moves V = T dU instead, where those rows are plain bounds
+lo - u_prev <= V <= hi - u_prev, row i of Cu being the bound on V_i. T is
+invertible, so the minimizer is the same, and V's Hessian is
+Hv = T^-T H T^-1.
 
-Every sample solves the constrained QP; there is no unconstrained path. Under
-bands wide enough that no row is active, the solver returns the unconstrained
-minimizer it starts from, which is the closed-form gain's move.
+Horizons, weights and plant are fixed for a run, so everything except the
+reserve bands and the measured state is built once per run by
+``build_prediction_matrices``: the Hessian and running-sum rows in a
+``PreparedQp``, Hv in a ``BoxQp``, and one stacked map that takes the
+sample's (dx, y, dd) to the free response, the linear term f and the
+unconstrained cumulative move V_unc in one product. A control step then
+runs the box solver's primal-dual active-set iteration from V_unc: most
+samples violate no bound and end there; the rest apply the cached affine
+law of each active set met, one law per set, built on first use and kept on
+the run's ``BoxQp``. Should the iteration reach its cap, or the bands
+cross, the step solves the increment QP with the dual active-set method
+instead, which always terminates and reports an infeasible sample. KKT
+residuals are those of the increment QP, with the bound multipliers mapped
+back to the rows of Cu.
+
+The weights live in the prepared objects only, so a control step cannot
+mix the matrices of one configuration with the weights of another.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import PreparedQp, QpProblem, kkt_residuals, solve_qp_info
+from .numerics import (
+    BoxQp,
+    PreparedQp,
+    QpProblem,
+    kkt_residual_norms,
+    kkt_residuals,
+    solve_qp_info,
+)
 
 _IDENTICAL_COLUMN_TOL = 1e-12
 
@@ -79,9 +99,12 @@ class PredictionMatrices:
 
     The QP pieces that do not change within a run come with it: the cost
     weights (``alpha_sq`` = alpha^2 and the per-increment move weights
-    ``gamma_u``), the map ``F`` with linear term f = F @ Y_free, and ``qp``,
+    ``gamma_u``), the map ``F`` with linear term f = F @ Y_free, ``qp``,
     the PreparedQp of the Hessian ``H`` and the running-sum constraint
-    matrix ``Cu``.
+    matrix ``Cu`` = [T; -T], and the cumulative-move pieces: ``box``, the
+    BoxQp of Hv = T^-T H T^-1 (with the run's law cache), ``T_inv``,
+    ``sample_map``, which takes (dx, y, dd) to the stacked (Y_free, f,
+    V_unc), and ``bound_index``, the unit of each entry of V.
     """
 
     p: int
@@ -94,6 +117,10 @@ class PredictionMatrices:
     gamma_u: np.ndarray
     F: np.ndarray
     qp: PreparedQp
+    box: BoxQp
+    T_inv: np.ndarray
+    sample_map: np.ndarray
+    bound_index: np.ndarray
 
     @property
     def H(self):
@@ -150,14 +177,22 @@ def build_prediction_matrices(model, config):
     H = 2.0 * (alpha_sq * S_B.T @ S_B + np.diag(gamma_u ** 2))
     F = 2.0 * alpha_sq * S_B.T
     running_sum = np.kron(np.tril(np.ones((m, m))), np.eye(nu))
-    Cu = np.vstack([running_sum, -running_sum])
+    qp = PreparedQp(H, np.vstack([running_sum, -running_sum]))
+    # T^-1 takes each block of V to its difference from the block before.
+    T_inv = np.eye(nu * m) - np.eye(nu * m, k=-nu)
+    # Rows: Y_free = G s, f = F G s, V_unc = -T H^-1 f, for s = (dx, y, dd).
+    G = np.column_stack([S_x, np.ones(p), S_d])
+    FG = F @ G
+    sample_map = np.vstack([G, FG, -(running_sum @ qp.H_inv) @ FG])
+    bound_index = np.tile(np.arange(nu), m)
     # Every sample of a run shares these, so nothing may write to them
-    # (PreparedQp keeps read-only copies of H and Cu).
-    for shared in (gamma_u, F):
+    # (PreparedQp and BoxQp keep read-only copies of their matrices).
+    for shared in (gamma_u, F, T_inv, sample_map, bound_index):
         shared.flags.writeable = False
     return PredictionMatrices(
         p=p, m=m, S_x=S_x, S_B=S_B, S_d=S_d, I_vec=np.ones(p),
-        alpha_sq=alpha_sq, gamma_u=gamma_u, F=F, qp=PreparedQp(H, Cu),
+        alpha_sq=alpha_sq, gamma_u=gamma_u, F=F, qp=qp, box=BoxQp(T_inv.T @ H @ T_inv),
+        T_inv=T_inv, sample_map=sample_map, bound_index=bound_index,
     )
 
 
@@ -178,7 +213,8 @@ def build_constraints(limits, u_prev, pred):
 
 
 def out_of_band_units(limits, u_prev):
-    """Units whose current total already violates the instant's limits."""
+    """Units whose total already violates the limits: elementwise, for one
+    instant or for a grid of totals against a grid of limits."""
     u_prev = np.asarray(u_prev, dtype=float)
     return (u_prev < limits.lo - 1e-12) | (u_prev > limits.hi + 1e-12)
 
@@ -195,32 +231,43 @@ class MpcStepResult:
     kkt_residuals: tuple
 
 
-def free_response(pred, dx, dd, y):
-    """Predicted frequency with all future increments zero, from the
-    estimate increments ``dx`` (state) and ``dd`` (aggregate disturbance)."""
-    return pred.S_x @ dx + pred.I_vec * y + pred.S_d[:, 0] * dd
-
-
 def control_step(dx, dd, y, u_prev, limits, pred, *, qp_tol=1e-10):
     """Solve the constrained QP for this sample and apply the first block.
 
     ``dx`` and ``dd`` are the increments of the estimated state and
     aggregate disturbance over the last sample. The weights and horizons are
-    those ``pred`` was built with, and the QP is solved through ``pred.qp``,
-    so only the sample's f and b are checked. Returns an MpcStepResult whose
-    ``command`` is the new cumulative total per unit, u_prev + first
-    increment block.
+    those ``pred`` was built with. The QP is solved over the cumulative
+    moves by ``pred.box``; if its iteration reaches the cap, or the bands
+    leave no feasible point, by the dual active-set method through
+    ``pred.qp``, which raises QpInfeasibleError in the latter case. Returns
+    an MpcStepResult whose ``command`` is the new cumulative total per unit,
+    u_prev + first increment block.
     """
-    nu = pred.n_inputs
+    nu, p = pred.n_inputs, pred.p
+    n = nu * pred.m
     u_prev = np.asarray(u_prev, dtype=float).reshape(nu)
-    y_free = free_response(pred, dx, dd, y)
-    f = pred.F @ y_free
+    stacked = pred.sample_map @ np.concatenate((dx, (y, dd)))
+    y_free, f, v_unc = stacked[:p], stacked[p:p + n], stacked[p + n:]
 
-    Cu, b = build_constraints(limits, u_prev, pred)
-    problem = QpProblem(pred.H, f, Cu, b, prepared=pred.qp)
-    du, lam, _ = solve_qp_info(problem, tol=qp_tol)
-    qp_active = problem.Cu @ du - problem.b <= 1e-9
-    residuals = kkt_residuals(problem, du, lam)
+    lo = (limits.lo - u_prev)[pred.bound_index]
+    hi = (limits.hi - u_prev)[pred.bound_index]
+    b = np.concatenate((lo, -hi))  # the right-hand side of Cu dU >= b
+    solved = pred.box.solve(v_unc, lo, hi, qp_tol * max(1.0, np.abs(b).max()))
+    if solved is None:
+        Cu, b = build_constraints(limits, u_prev, pred)
+        problem = QpProblem(pred.H, f, Cu, b, prepared=pred.qp)
+        du, lam, _ = solve_qp_info(problem, tol=qp_tol)
+        qp_active = problem.Cu @ du - problem.b <= 1e-9
+        residuals = kkt_residuals(problem, du, lam)
+    else:
+        v, lam_v, _ = solved
+        du = pred.T_inv @ v
+        # A positive multiplier belongs to the lower row, a negative one to
+        # the upper: Cu' lam = T' lam_v.
+        lam = np.concatenate((np.maximum(lam_v, 0.0), np.maximum(-lam_v, 0.0)))
+        slack = pred.Cu @ du - b
+        qp_active = slack <= 1e-9
+        residuals = kkt_residual_norms(pred.H, f, pred.Cu, du, lam, slack)
 
     predicted = y_free + pred.S_B @ du
     moves = pred.gamma_u * du

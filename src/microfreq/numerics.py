@@ -1,8 +1,12 @@
 """Dense matrix numerics: matrix exponential, zero-order-hold discretization,
-and a small strictly-convex QP solver with linear inequality constraints.
+a small strictly-convex QP solver with linear inequality constraints, and a
+box-constrained QP solver that keeps the affine law of each active set it
+meets.
 
-Everything here operates on plain numpy arrays and is pure (no hidden state),
-so all functions are safe to call concurrently.
+The functions operate on plain numpy arrays and are pure. A ``BoxQp`` fills
+its law cache as it solves, so one instance belongs to one caller at a time;
+each law depends on the active set alone, so the fill order never changes a
+result.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +19,10 @@ _SERIES_ORDER = 18
 _SCALING_TARGET = 0.5
 
 _SYMMETRY_TOL = 1e-10
+
+# Primal-dual active-set iterations a box QP may take before ``BoxQp.solve``
+# gives up and its caller falls back to ``solve_qp_info``.
+BOX_QP_MAX_ITERATIONS = 12
 
 
 class QpInfeasibleError(ValueError):
@@ -100,6 +108,26 @@ def discretize(Ac, Bc, Dc, Ts):
     return A, B, D
 
 
+def _check_symmetric(A, name):
+    """A copy of A, which must be square, finite and symmetric within 1e-10."""
+    A = np.array(_check_square(A, name))
+    if np.abs(A - A.T).max() > _SYMMETRY_TOL:
+        raise ValueError(f"{name} is not symmetric within 1e-10")
+    return A
+
+
+def _spd_inverse(A, name):
+    """The inverse of symmetric A from its Cholesky factor; ValueError if A
+    is not positive definite."""
+    # Symmetric factorization succeeds iff A is positive definite.
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{name} is not positive definite") from None
+    L_inv = np.linalg.solve(L, np.eye(A.shape[0]))
+    return L_inv.T @ L_inv
+
+
 class PreparedQp:
     """The fixed part of  min 1/2 x'Hx + f'x  subject to  Cu x >= b:  H and
     Cu, checked and factorized once for solving many (f, b) pairs.
@@ -114,20 +142,12 @@ class PreparedQp:
     """
 
     def __init__(self, H, Cu=None):
-        H = np.array(_check_square(H, "H"))
-        if np.abs(H - H.T).max() > _SYMMETRY_TOL:
-            raise ValueError("H is not symmetric within 1e-10")
+        H = _check_symmetric(H, "H")
         n = H.shape[0]
         Cu = np.zeros((0, n)) if Cu is None else np.array(Cu, dtype=float).reshape(-1, n)
         if not np.isfinite(Cu).all():
             raise ValueError("QP data contains non-finite entries")
-        # Symmetric factorization succeeds iff H is positive definite.
-        try:
-            L = np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
-            raise ValueError("H is not positive definite") from None
-        L_inv = np.linalg.solve(L, np.eye(n))
-        H_inv = L_inv.T @ L_inv
+        H_inv = _spd_inverse(H, "H")
         H_inv_Ct = H_inv @ Cu.T
         gram = Cu @ H_inv_Ct
         for shared in (H, Cu, H_inv, H_inv_Ct, gram):
@@ -278,11 +298,106 @@ def solve_qp_info(problem, tol=1e-8):
     return x, lam, {"iterations": iterations, "active": list(active)}
 
 
+class BoxQp:
+    """The fixed part of  min 1/2 v'Hv v + g'v  subject to  lo <= v <= hi:
+    Hv, checked and inverted once for solving many (g, lo, hi) triples by
+    the primal-dual active-set method (Hintermueller, Ito & Kunisch, SIAM J.
+    Optim. 2003).
+
+    Hv must be square, finite, symmetric and positive definite; otherwise
+    ValueError. The object keeps read-only ``Hv`` and ``W`` = Hv^-1. A
+    sample is given by its unconstrained minimizer v_unc = -W g. With the
+    bounds of an active set A held at their values c_A, the minimizer is the
+    affine law
+
+        v = v_unc - K_A (v_unc[A] - c_A),   K_A = W[:, A] W[A, A]^-1,
+
+    and the bound multipliers, the gradient's entries on A, are
+    -W[A, A]^-1 (v_unc[A] - c_A). Both matrices depend on A alone: each is
+    built the first time A occurs and kept in ``laws``, keyed by A's mask,
+    as explicit MPC keeps one law per region (Bemporad et al., Automatica
+    2002). A solve therefore costs a few matrix-vector products once the
+    sets a caller meets have been seen.
+    """
+
+    def __init__(self, Hv):
+        Hv = _check_symmetric(Hv, "Hv")
+        W = _spd_inverse(Hv, "Hv")
+        for shared in (Hv, W):
+            shared.flags.writeable = False
+        self.Hv, self.W = Hv, W
+        # The active-set update compares a step of the multiplier with a
+        # step of v, in the units of v: lam_i / Hv_ii.
+        self._inv_curvature = 1.0 / np.diag(Hv)
+        self.laws = {}
+
+    @property
+    def n(self):
+        return self.Hv.shape[0]
+
+    def _law(self, active):
+        """(indices of A, [K_A; W[A, A]^-1]) for the active mask ``active``."""
+        key = active.tobytes()
+        law = self.laws.get(key)
+        if law is None:
+            idx = np.flatnonzero(active)
+            W_AA_inv = np.linalg.inv(self.W[np.ix_(idx, idx)])
+            law = (idx, np.vstack([self.W[:, idx] @ W_AA_inv, W_AA_inv]))
+            self.laws[key] = law
+        return law
+
+    def solve(self, v_unc, lo, hi, tol):
+        """Minimize over the box from the unconstrained minimizer ``v_unc``.
+
+        The first active set is the bounds ``v_unc`` violates by more than
+        ``tol``; with none, ``v_unc`` is the answer. Otherwise, if some
+        lower bound exceeds its upper one by more than ``tol``, there is no
+        feasible point and the result is None. Each iteration applies
+        the set's law, then rebuilds the lower and upper sets from v - lam /
+        diag(Hv); it stops when both repeat, which is the KKT point: the
+        free entries within the box (to ``tol``), the multipliers positive
+        on lower and negative on upper bounds. Returns (v, lam, iterations),
+        lam being the gradient Hv v + g (zero off the active set), or None
+        when BOX_QP_MAX_ITERATIONS pass without the sets repeating. The
+        iteration may cycle when Hv is not an M-matrix, and the caller's
+        fallback is what guarantees an answer.
+        """
+        n = self.n
+        below, above = lo - tol, hi + tol
+        lower = v_unc < below
+        upper = v_unc > above
+        sets = lower.tobytes() + upper.tobytes()
+        if sets == bytes(2 * n):
+            return v_unc, np.zeros(n), 0
+        if (lo > above).any():
+            return None
+        for iterations in range(1, BOX_QP_MAX_ITERATIONS + 1):
+            idx, law = self._law(lower | upper)
+            bound = np.where(lower, lo, hi)[idx]
+            step = law @ (v_unc[idx] - bound)
+            v = v_unc - step[:n]
+            v[idx] = bound
+            lam = np.zeros(n)
+            lam[idx] = -step[n:]
+            shifted = v - lam * self._inv_curvature
+            lower = shifted < below
+            upper = shifted > above
+            repeated, sets = sets, lower.tobytes() + upper.tobytes()
+            if sets == repeated:
+                return v, lam, iterations
+        return None
+
+
 def kkt_residuals(problem, x, lam):
     """Residuals (stationarity, primal feasibility, complementarity) of a
     candidate KKT pair for  min 1/2 x'Hx + f'x  s.t.  Cu x >= b."""
-    stationarity = np.linalg.norm(problem.H @ x + problem.f - problem.Cu.T @ lam, np.inf)
-    slack = problem.Cu @ x - problem.b
+    return kkt_residual_norms(problem.H, problem.f, problem.Cu, x, lam, problem.Cu @ x - problem.b)
+
+
+def kkt_residual_norms(H, f, Cu, x, lam, slack):
+    """``kkt_residuals`` from the QP's arrays and the slack Cu x - b, for a
+    caller that has the slack already and no QpProblem."""
+    stationarity = float(np.abs(H @ x + f - Cu.T @ lam).max())
     primal = float(max(0.0, -slack.min())) if slack.size else 0.0
     complementarity = float(np.abs(lam * slack).max()) if slack.size else 0.0
     return stationarity, primal, complementarity

@@ -14,8 +14,8 @@ the whole time grid (checked as a whole), the estimator's gain schedule, and
 the controller's prepared QP matrices. Per sample the loop computes only the
 state estimate (kept as the augmented vector z = (x_hat, d_hat); the MPC gets
 the increments of z, and no ``EstimatorState`` is built), the command and
-the plant step. What follows from the commands alone, the PI binding flags,
-is computed over the grid after the loop.
+the plant step. What follows from the commands alone, the PI binding flags
+and the MPC's drift flags, is computed over the grid after the loop.
 """
 
 from dataclasses import dataclass, field, replace
@@ -70,6 +70,8 @@ from .profiles import PROFILE_KINDS, ProfileSet, generate_profiles
 
 CONTROLLER_KINDS = ("mpc", "pi_all", "pi_dubess")
 
+SCENARIO_TS = 0.2  # s, the sample time of built-in and replayed scenarios
+
 SETTLE_BAND = 1e-4  # p.u.
 VIOLATION_TOL = 1e-9  # p.u.
 
@@ -84,7 +86,7 @@ class Scenario:
     controller: str
     seed: int
     profiles: ProfileSet
-    Ts: float = 0.2
+    Ts: float = SCENARIO_TS
 
     def __post_init__(self):
         if self.controller not in CONTROLLER_KINDS:
@@ -103,7 +105,7 @@ class Scenario:
         return self.profiles.t.shape[0] - 1
 
 
-def make_scenario(kind, controller, seed, duration=None, profiles=None, ts=0.2):
+def make_scenario(kind, controller, seed, duration=None, profiles=None, ts=SCENARIO_TS):
     """Scenario factory; generates builtin profiles unless some are supplied."""
     if profiles is None:
         if kind not in PROFILE_KINDS:
@@ -239,7 +241,6 @@ def run_scenario(scenario, config=None):
         limits = bands.at(k)
 
         if mpc:
-            drifted = out_of_band_units(limits, u_prev)
             dx = z[:N_STATES] - z_prev[:N_STATES]
             dd = float(z[N_STATES]) - float(z_prev[N_STATES])
             try:
@@ -248,7 +249,7 @@ def run_scenario(scenario, config=None):
                 aborted_at = k
                 break
             u = result.command
-            binding[k] = active_units(result.qp_active, pred.m) | drifted
+            binding[k] = active_units(result.qp_active, pred.m)
             objective[k] = result.objective
             max_kkt = max(max_kkt, max(result.kkt_residuals))
         else:
@@ -265,6 +266,12 @@ def run_scenario(scenario, config=None):
         commands[n] = u_prev
         d_hat[n] = z[N_STATES]
 
+    if mpc:
+        # A unit whose previous command (zero before the first sample) is
+        # already outside the sample's band drifted there and is flagged as
+        # binding; elementwise, so one pass over the grid after the loop.
+        previous = np.concatenate([np.zeros((1, N_CONTROLS)), commands[:n - 1]])
+        binding[:n] |= out_of_band_units(bands, previous)
     if pi_config is not None:
         # A PI command binds within 1e-15 of either limit (participants
         # only); elementwise, so one pass over the grid after the loop.

@@ -5,13 +5,21 @@ before the prepared solver: it checks H for positive definiteness on every
 call and solves with H on every inner iteration. It takes the same QpProblem
 and returns the same (x, lam, info) as ``microfreq.numerics.solve_qp_info``.
 
-``mpc_gain`` is the controller's closed-form unconstrained gain, the oracle
-of every sample on which no reserve constraint is active.
+``reference_control_step`` is the controller's step as it stood before the
+cumulative-move box solver: the running-sum rows from ``build_constraints``,
+a ``QpProblem`` on the run's PreparedQp and the dual active-set solve, here
+this module's ``solve_qp_info``. It takes the arguments of
+``microfreq.mpc.control_step`` and returns the same MpcStepResult.
+
+``mpc_gain`` is the controller's closed-form unconstrained gain and
+``free_response`` the prediction it acts on, the oracle of every sample on
+which no reserve constraint is active.
 """
 
 import numpy as np
 
-from microfreq.numerics import QpInfeasibleError
+from microfreq.mpc import MpcStepResult, build_constraints
+from microfreq.numerics import QpInfeasibleError, QpProblem, kkt_residuals
 
 
 def _check_positive_definite(H):
@@ -121,6 +129,38 @@ def solve_qp_info(problem, tol=1e-8):
     for idx, row in enumerate(active):
         lam[row] = lam_active[idx]
     return x, lam, {"iterations": iterations, "active": list(active)}
+
+
+def free_response(pred, dx, dd, y):
+    """Predicted frequency with all future increments zero, from the
+    estimate increments ``dx`` (state) and ``dd`` (aggregate disturbance)."""
+    return pred.S_x @ dx + pred.I_vec * y + pred.S_d[:, 0] * dd
+
+
+def reference_control_step(dx, dd, y, u_prev, limits, pred, *, qp_tol=1e-10):
+    """One controller sample over the increments dU, solved with the
+    running-sum rows Cu dU >= b by the reference dual active-set method."""
+    nu = pred.n_inputs
+    u_prev = np.asarray(u_prev, dtype=float).reshape(nu)
+    y_free = free_response(pred, dx, dd, y)
+    f = pred.F @ y_free
+
+    Cu, b = build_constraints(limits, u_prev, pred)
+    problem = QpProblem(pred.H, f, Cu, b, prepared=pred.qp)
+    du, lam, _ = solve_qp_info(problem, tol=qp_tol)
+    qp_active = problem.Cu @ du - problem.b <= 1e-9
+    residuals = kkt_residuals(problem, du, lam)
+
+    predicted = y_free + pred.S_B @ du
+    moves = pred.gamma_u * du
+    objective = pred.alpha_sq * float(predicted @ predicted) + float(moves @ moves)
+    return MpcStepResult(
+        command=u_prev + du[:nu],
+        increments=du,
+        qp_active=qp_active,
+        objective=objective,
+        kkt_residuals=residuals,
+    )
 
 
 def mpc_gain(pred):

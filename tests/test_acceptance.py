@@ -36,7 +36,7 @@ from microfreq.lfc_model import (
     step_plant,
 )
 from microfreq.der_models import ReserveLimits
-from microfreq.mpc import MpcConfig, build_prediction_matrices, control_step, free_response
+from microfreq.mpc import MpcConfig, build_prediction_matrices, control_step
 from microfreq.numerics import solve_qp_info
 from microfreq.profiles import NOMINAL_AMBIENT_C, ProfileSet, generate_profiles
 from microfreq.simulate import (
@@ -47,7 +47,7 @@ from microfreq.simulate import (
     write_trace_csv,
 )
 
-from qp_reference import mpc_gain
+from qp_reference import free_response, mpc_gain
 from test_numerics import enumerate_qp_minimizer, random_feasible_qp
 
 PARAMS = MicrogridParams()

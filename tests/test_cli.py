@@ -170,6 +170,23 @@ def test_config_rejects_unknown_keys(tmp_path, config, message):
         load_run_config(str(config_path))
 
 
+@pytest.mark.parametrize("controller", ["mpc", "pi_all"])
+def test_run_rejects_an_mpc_sample_time_off_the_scenario_grid(tmp_path, controller):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"mpc": {"Ts": 0.5}}))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"unsupported mpc config Ts 0\.5; expected 0\.2"):
+        main(["run", "--scenario", "step", "--controller", controller, "--seed", "0",
+              "--config", str(config_path), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_config_accepts_the_scenario_sample_time(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"mpc": {"Ts": 0.2}}))
+    assert load_run_config(str(config_path)).mpc.Ts == 0.2
+
+
 def test_config_file_overrides(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({

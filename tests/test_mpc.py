@@ -25,10 +25,9 @@ from microfreq.mpc import (
     build_constraints,
     build_prediction_matrices,
     control_step,
-    free_response,
     out_of_band_units,
 )
-from qp_reference import mpc_gain
+from qp_reference import free_response, mpc_gain
 
 PARAMS = MicrogridParams()
 MODEL = build_plant(PARAMS)
@@ -131,6 +130,30 @@ def test_prepared_qp_matrices_match_per_sample_expressions(config):
     assert pred.gamma_u.tobytes() == gamma_u.tobytes()
     assert np.array_equal(pred.Cu, np.vstack([running_sum, -running_sum]))
     assert not (pred.H.flags.writeable or pred.F.flags.writeable or pred.Cu.flags.writeable)
+
+
+@pytest.mark.parametrize("config", [CONFIG, MpcConfig(p=8, m=2, alpha=2.3, beta_bess=0.5)])
+def test_cumulative_move_pieces_match_their_definitions(config):
+    pred = build_prediction_matrices(MODEL, config)
+    n = N_CONTROLS * config.m
+    running_sum = pred.Cu[:n]
+    assert np.array_equal(pred.T_inv @ running_sum, np.eye(n))
+    Hv = pred.T_inv.T @ pred.H @ pred.T_inv
+    assert pred.box.Hv.tobytes() == Hv.tobytes()
+    W = running_sum @ np.linalg.solve(pred.H, running_sum.T)
+    assert np.abs(pred.box.W - W).max() <= 1e-10 * np.abs(W).max()
+    assert np.array_equal(pred.bound_index, np.tile(np.arange(N_CONTROLS), config.m))
+    rng = np.random.default_rng(3)
+    dx, dd, y = rng.normal(scale=1e-3, size=N_STATES), 4e-4, -2e-3
+    stacked = pred.sample_map @ np.concatenate((dx, (y, dd)))
+    y_free = free_response(pred, dx, dd, y)
+    f = pred.F @ y_free
+    v_unc = running_sum @ np.linalg.solve(pred.H, -f)
+    p = config.p
+    for got, want in ((stacked[:p], y_free), (stacked[p:p + n], f), (stacked[p + n:], v_unc)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for shared in (pred.T_inv, pred.sample_map, pred.bound_index, pred.box.Hv, pred.box.W):
+        assert not shared.flags.writeable
 
 
 def test_control_step_takes_its_weights_from_the_prepared_matrices():

@@ -1,10 +1,13 @@
-"""The prepared QP solver against the general solver it replaced.
+"""The controller's QP path against the reference step it replaced.
 
-``microfreq.numerics.solve_qp_info`` works from a PreparedQp: H^-1 from one
-Cholesky factorization, H^-1 Cu' and the Gram matrix Cu H^-1 Cu'. The
-reference in ``qp_reference.py`` solves with H at every inner iteration.
-The two take different rounding paths, so closed-loop traces agree within a
-stated tolerance rather than bit for bit:
+``microfreq.mpc.control_step`` solves over the cumulative moves with the
+run's BoxQp and its cached active-set laws, and falls back to
+``microfreq.numerics.solve_qp_info`` on the PreparedQp (H^-1 from one
+Cholesky factorization, H^-1 Cu' and the Gram matrix Cu H^-1 Cu'). The
+reference ``qp_reference.reference_control_step`` builds the running-sum
+rows at every sample and solves with H at every inner iteration. The two
+take different rounding paths, so closed-loop traces agree within a stated
+tolerance rather than bit for bit:
 
 - ``freq`` and ``commands`` within 1e-10 p.u. absolute;
 - ``binding`` flags and ``aborted_at`` identical;
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-import microfreq.mpc
+import microfreq.simulate
 import qp_reference
 from microfreq.lfc_model import build_plant
 from microfreq.mpc import MpcConfig, build_prediction_matrices
@@ -52,11 +55,11 @@ def test_closed_loop_matches_reference_solver(kind, seed, noise, monkeypatch):
 
     calls = []
 
-    def reference(problem, tol):
+    def reference(*args, **kwargs):
         calls.append(1)
-        return qp_reference.solve_qp_info(problem, tol)
+        return qp_reference.reference_control_step(*args, **kwargs)
 
-    monkeypatch.setattr(microfreq.mpc, "solve_qp_info", reference)
+    monkeypatch.setattr(microfreq.simulate, "control_step", reference)
     ref = run_scenario(scenario, config)
 
     assert len(calls) == scenario.n_steps
