@@ -12,9 +12,11 @@ the published values.
 
 import argparse
 import dataclasses
+import hashlib
 import inspect
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -27,11 +29,13 @@ from .mpc import MpcConfig
 from .profiles import PROFILE_KINDS, read_profiles_csv
 from .simulate import (
     CONTROLLER_KINDS,
+    DEFAULT_DURATIONS,
     SCENARIO_TS,
     RunConfig,
     compute_metrics,
     make_scenario,
     metrics_summary,
+    prepare_run,
     run_scenario,
     step_response_metrics,
     write_trace_csv,
@@ -124,15 +128,26 @@ def _ordered(per_controller):
     )
 
 
-def _write_outputs(trace, metrics, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    stem = f"{trace.kind}_{trace.controller}_seed{trace.seed}"
-    trace_path = os.path.join(out_dir, f"trace_{stem}.csv")
-    metrics_path = os.path.join(out_dir, f"metrics_{stem}.json")
-    write_trace_csv(trace, trace_path)
-    with open(metrics_path, "w") as fh:
-        json.dump(metrics_summary(trace, metrics), fh, indent=2, sort_keys=True)
+def _write_json(obj, path):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _output_paths(out_dir, summary):
+    """The trace CSV and metrics JSON paths, in ``out_dir`` (created if
+    missing), of the run a metrics summary labels."""
+    os.makedirs(out_dir, exist_ok=True)
+    stem = f"{summary['scenario']}_{summary['controller']}_seed{summary['seed']}"
+    return (os.path.join(out_dir, f"trace_{stem}.csv"),
+            os.path.join(out_dir, f"metrics_{stem}.json"))
+
+
+def _write_outputs(trace, metrics, out_dir):
+    summary = metrics_summary(trace, metrics)
+    trace_path, metrics_path = _output_paths(out_dir, summary)
+    write_trace_csv(trace, trace_path)
+    _write_json(summary, metrics_path)
     return trace_path, metrics_path
 
 
@@ -161,18 +176,46 @@ def cmd_run(args):
     return 0
 
 
-def _run_cell(kind, seed, config, profiles=None):
-    """Every controller on one scenario: {controller: (trace, metrics)}."""
+def _run_cell(scenario, config, prepared):
+    """Every controller on one scenario, whichever controller it names:
+    {controller: (trace, metrics)}."""
     results = {}
     for controller in CONTROLLER_KINDS:
-        trace = run_scenario(make_scenario(kind, controller, seed, profiles=profiles), config)
+        trace = run_scenario(dataclasses.replace(scenario, controller=controller),
+                             config, prepared)
         results[controller] = (trace, compute_metrics(trace))
     return results
 
 
+def _sweep_plan(kinds, seeds, config):
+    """Yield the sweep's cells in order as (kind, seed, results, first), all
+    run on one ``PreparedRun``. ``results`` is ``_run_cell``'s, or None when
+    the cell's inputs repeat an earlier cell's: then ``first`` is that cell's
+    (kind, seed). Inputs repeat when the profile arrays have the same bytes
+    and, with measurement noise on, the seed is the same (a run draws nothing
+    else from it)."""
+    n_steps = max(round(DEFAULT_DURATIONS[kind] / SCENARIO_TS) for kind in kinds)
+    prepared = prepare_run(config, SCENARIO_TS, n_steps)
+    first_of = {}
+    for kind in kinds:
+        for seed in seeds:
+            scenario = make_scenario(kind, CONTROLLER_KINDS[0], seed)
+            digest = hashlib.sha256()
+            for series in vars(scenario.profiles).values():
+                digest.update(series.tobytes())
+            key = (digest.digest(), seed if config.measurement_noise_std else None)
+            if key in first_of:
+                yield kind, seed, None, first_of[key]
+            else:
+                first_of[key] = (kind, seed)
+                yield kind, seed, _run_cell(scenario, config, prepared), None
+
+
 def cmd_compare(args):
     config = load_run_config(args.config)
-    results = _run_cell(args.scenario, args.seed, config, _profiles_from_args(args))
+    scenario = make_scenario(
+        args.scenario, CONTROLLER_KINDS[0], args.seed, profiles=_profiles_from_args(args))
+    results = _run_cell(scenario, config, prepare_run(config, scenario.Ts, scenario.n_steps))
     print(f"scenario={args.scenario} seed={args.seed}")
     print(f"{'controller':12s} {'freq_std':>14s} {'max_abs_dev':>14s} {'settle_s':>9s}")
     for controller in CONTROLLER_KINDS:
@@ -192,29 +235,35 @@ def cmd_compare(args):
 
 def cmd_sweep(args):
     config = load_run_config(args.config)
-    seeds = [int(s) for s in args.seeds.split(",") if s != ""]
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     summaries = []
     all_ordered = True
-    for kind in kinds:
-        for seed in seeds:
-            per_controller = {}
-            for controller, (trace, metrics) in _run_cell(kind, seed, config).items():
-                per_controller[controller] = metrics
-                summaries.append(metrics_summary(trace, metrics))
-                if args.out:
-                    _write_outputs(trace, metrics, args.out)
-            ordered = _ordered(per_controller)
-            all_ordered &= ordered
-            stds = "/".join(f"{per_controller[c].freq_std:.3e}" for c in CONTROLLER_KINDS)
-            print(f"{kind:9s} seed={seed:<3d} std {stds} ordered={'yes' if ordered else 'NO'}")
+    ran = {}  # {(kind, seed): {controller: (summary, metrics)}} of the cells that ran
+    for kind, seed, results, first in _sweep_plan(args.kinds, args.seeds, config):
+        if first is None:
+            ran[(kind, seed)] = {controller: (metrics_summary(trace, metrics), metrics)
+                                 for controller, (trace, metrics) in results.items()}
+        cell = ran[first or (kind, seed)]
+        for controller, (summary, _) in cell.items():
+            labelled = dict(summary, scenario=kind, seed=seed)
+            summaries.append(labelled)
+            if args.out:
+                trace_path, metrics_path = _output_paths(args.out, labelled)
+                if first is None:
+                    write_trace_csv(results[controller][0], trace_path)
+                elif (source := _output_paths(args.out, summary)[0]) != trace_path:
+                    # Identical inputs gave the first cell's trace; its CSV holds no label.
+                    shutil.copyfile(source, trace_path)
+                _write_json(labelled, metrics_path)
+        ordered = _ordered({controller: metrics for controller, (_, metrics) in cell.items()})
+        all_ordered &= ordered
+        stds = "/".join(f"{cell[c][1].freq_std:.3e}" for c in CONTROLLER_KINDS)
+        print(f"{kind:9s} seed={seed:<3d} std {stds} ordered={'yes' if ordered else 'NO'}")
+        del results  # no trace outlives its cell
     print(f"all runs ordered mpc < pi_all < pi_dubess: {'yes' if all_ordered else 'NO'}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "sweep_summary.json")
-        with open(path, "w") as fh:
-            json.dump(summaries, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(summaries, path)
         print(f"wrote {path}")
     return 0
 
@@ -236,11 +285,23 @@ def cmd_tune_pi(args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "pi_gains.json")
-        with open(path, "w") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(results, path)
         print(f"wrote {path}")
     return 0
+
+
+def _seed(token):
+    """A scenario seed: numpy's generators take only integers >= 0."""
+    if not token.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"invalid seed {token!r}: expected an integer >= 0")
+    return int(token)
+
+
+def _kind(token):
+    if token.strip() not in PROFILE_KINDS:
+        raise argparse.ArgumentTypeError(
+            f"invalid scenario kind {token!r}: expected one of {', '.join(PROFILE_KINDS)}")
+    return token.strip()
 
 
 def build_parser():
@@ -256,7 +317,7 @@ def build_parser():
         if controller:
             p.add_argument("--controller", choices=CONTROLLER_KINDS, default="mpc")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         p.add_argument(
             "--profiles", default=None, help="profile CSV (missing file: warning, then generated)"
         )
@@ -272,8 +333,10 @@ def build_parser():
     p_cmp.set_defaults(func=cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="run seeds x kinds x controllers")
-    p_sweep.add_argument("--seeds", default="0,1,2,3,4")
-    p_sweep.add_argument("--kinds", default=",".join(PROFILE_KINDS))
+    p_sweep.add_argument("--seeds", default="0,1,2,3,4",
+                         type=lambda text: [_seed(token) for token in text.split(",")])
+    p_sweep.add_argument("--kinds", default=",".join(PROFILE_KINDS),
+                         type=lambda text: [_kind(token) for token in text.split(",")])
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--config", default=None)
     p_sweep.set_defaults(func=cmd_sweep)

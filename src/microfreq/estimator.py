@@ -10,14 +10,14 @@ the model, the noise matrices Q and R, and P0. In floating point it also
 settles into an exact cycle, where a covariance repeats an earlier one bit
 for bit and every later step repeats the steps since then (with the default
 tuning and steps counted from 0, P after step 52 equals P after step 48).
-Each run therefore builds its gains once with ``gain_schedule``: the
+The gains are therefore built once per config with ``gain_schedule``: the
 recursion up to the first repeated covariance, indexed cyclically after it,
-or the full sequence when nothing repeats within the run. Per sample only
-the state predict/update is left, on the augmented estimate z, which stacks
-x_hat and d_hat. The run loop hands the controller the increments of z and
-builds no ``EstimatorState``. ``estimator_step`` is the single-step
-reference that returns one; it shares the covariance and state updates with
-the schedule, so both give the same bits.
+or the full sequence when nothing repeats within the runs it serves. Per
+sample only the state predict/update is left, on the augmented estimate z,
+which stacks x_hat and d_hat. The run loop hands the controller the
+increments of z and builds no ``EstimatorState``. ``estimator_step`` is the
+single-step reference that returns one; it shares the covariance and state
+updates with the schedule, so both give the same bits.
 """
 
 import math

@@ -8,10 +8,12 @@ the selected controller, then step the true plant with the applied command
 and the true disturbances. Identical scenario, config, and seed give
 bit-identical traces.
 
-Everything that does not depend on the closed loop is built once per run,
-before the first sample: renewable availability and the reserve limits over
-the whole time grid (checked as a whole), the estimator's gain schedule, and
-the controller's prepared QP matrices. Per sample the loop computes only the
+Everything that does not depend on the closed loop is built before the
+first sample. What depends on the config alone (plant, detectability check,
+gain schedule, MPC prediction matrices) is a ``PreparedRun``, built once per
+``sweep`` or ``compare`` call and shared by its runs, or else once per run.
+Availability and the reserve limits over the whole time grid (checked as a
+whole) are built once per run. Per sample the loop computes only the
 state estimate (kept as the augmented vector z = (x_hat, d_hat); the MPC gets
 the increments of z, and no ``EstimatorState`` is built), the command and
 the plant step. What follows from the commands alone, the PI binding flags
@@ -19,6 +21,7 @@ and the MPC's drift flags, is computed over the grid after the loop.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -189,15 +192,43 @@ def _true_disturbances(profiles, p_wt, p_pv, sbase):
     return d
 
 
-def run_scenario(scenario, config=None):
+@dataclass(frozen=True)
+class PreparedRun:
+    """What every run of one config up to ``n_steps`` samples shares: the
+    plant (checked detectable, discretized at ``model.Ts``), the estimator's
+    gain schedule and, built on first use, the MPC's prediction matrices.
+    Runs sharing them fill one QP law cache; a law depends on its active
+    set alone, so no run's bytes depend on the others."""
+
+    config: RunConfig
+    n_steps: int
+    model: object
+    gains: object
+
+    @cached_property
+    def pred(self):
+        return build_prediction_matrices(self.model, self.config.mpc)
+
+
+def prepare_run(config, Ts, n_steps):
+    """The ``PreparedRun`` of ``config`` for runs of up to ``n_steps``
+    samples of ``Ts``."""
+    model = build_plant(config.params, Ts)
+    require_detectable(model)
+    return PreparedRun(config, n_steps, model, gain_schedule(model, config.estimator, n_steps))
+
+
+def run_scenario(scenario, config=None, prepared=None):
     """Run one scenario to completion (or controller failure) and return the
-    trace. Deterministic for identical inputs."""
+    trace. Deterministic for identical inputs. ``prepared``, from
+    ``prepare_run`` with this very config, is built here when not given."""
     config = config or RunConfig()
     params = config.params
-    model = build_plant(params, scenario.Ts)
-    require_detectable(model)
-
     n = scenario.n_steps
+    prepared = prepared or prepare_run(config, scenario.Ts, n)
+    model, gains = prepared.model, prepared.gains
+    if prepared.config is not config or model.Ts != scenario.Ts or n > prepared.n_steps:
+        raise ValueError("prepared run is for another config, sample time or length")
     p_wt, p_pv = _availability(scenario.profiles, config)
     disturbances = _true_disturbances(scenario.profiles, p_wt, p_pv, params.s_base)
     # One row per sample; the terminal row repeats the last sample's limits.
@@ -205,10 +236,9 @@ def run_scenario(scenario, config=None):
         p_wt[0, :n], p_wt[1, :n], p_pv[0, :n], p_pv[1, :n],
         config.dispatch_du_kw, config.dispatch_bess_kw, params, config.deload,
     )
-    gains = gain_schedule(model, config.estimator, n)
 
     mpc = scenario.controller == "mpc"
-    pred = build_prediction_matrices(model, config.mpc) if mpc else None
+    pred = prepared.pred if mpc else None
     if scenario.controller == "pi_all":
         pi_config = pi_all_units_config(params, config.pi_kp, config.pi_ki)
     elif scenario.controller == "pi_dubess":

@@ -2,9 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion. The controller-comparison criteria share one cached sweep
-(3 scenario kinds x 5 seeds x 3 controllers). The step kind draws nothing
-from its seed and the sweep runs without measurement noise, so its five step
-cells are one case: their traces are identical.
+(3 scenario kinds x 5 seeds x 3 controllers), run by ``microfreq sweep``'s
+plan. The step kind draws nothing from its seed and the sweep runs without
+measurement noise, so its five step cells are one case with identical
+traces, and the plan runs it once.
 """
 
 import time
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from microfreq.cli import _sweep_plan
 from microfreq.der_models import (
     BETZ_LIMIT,
     default_pv_params,
@@ -74,11 +76,11 @@ class SweepCell:
 @pytest.fixture(scope="module")
 def sweep():
     cells = {}
-    for kind in KINDS:
-        for seed in SEEDS:
-            for controller in CONTROLLERS:
-                trace = run_scenario(make_scenario(kind, controller, seed))
-                cells[(kind, seed, controller)] = SweepCell(trace)
+    for kind, seed, results, first in _sweep_plan(KINDS, SEEDS, RunConfig()):
+        for controller in CONTROLLERS:
+            cells[(kind, seed, controller)] = (
+                cells[first + (controller,)] if results is None
+                else SweepCell(results[controller][0]))
     return cells
 
 

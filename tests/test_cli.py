@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from microfreq import cli
 from microfreq.cli import SIM_KEYS, load_run_config, main
 from microfreq.der_models import DELOAD_FRACTION
 from microfreq.profiles import generate_profiles, write_profiles_csv
@@ -53,6 +54,32 @@ def test_sweep_single_cell(tmp_path, capsys):
     assert "all runs ordered mpc < pi_all < pi_dubess: yes" in printed
     summary = json.loads((out / "sweep_summary.json").read_text())
     assert len(summary) == 3  # three controllers on one cell
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--seeds", ""], "argument --seeds: invalid seed ''"),
+    (["sweep", "--seeds", "0,,1"], "argument --seeds: invalid seed ''"),
+    (["sweep", "--seeds", "-1"], "argument --seeds: invalid seed '-1'"),
+    (["sweep", "--kinds", ""], "argument --kinds: invalid scenario kind ''"),
+    (["sweep", "--kinds", "step,bogus"], "argument --kinds: invalid scenario kind 'bogus'"),
+    (["run", "--seed", "-3"], "argument --seed: invalid seed '-3'"),
+    (["compare", "--seed", "x"], "argument --seed: invalid seed 'x'"),
+], ids=["no-seeds", "empty-seed", "negative-seeds", "no-kinds", "unknown-kind",
+        "negative-seed", "non-integer-seed"])
+def test_bad_arguments_fail_at_parse_time(monkeypatch, capsys, argv, message):
+    runs = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *args: runs.append(args))
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert f"error: {message}" in captured.err
+    assert captured.out == "" and runs == []
+
+
+def test_sweep_arguments_accept_spaces_around_tokens(capsys):
+    assert main(["sweep", "--seeds", " 2 ", "--kinds", " step"]) == 0
+    assert capsys.readouterr().out.startswith("step      seed=2 ")
 
 
 # pi_gains.json of the default config, as written before the step check ran

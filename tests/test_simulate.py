@@ -273,6 +273,18 @@ def test_profile_ts_mismatch_rejected():
         make_scenario("step", "mpc", seed=0, profiles=bad)
 
 
+def test_prepared_run_serves_only_its_config_sample_time_and_length():
+    config = RunConfig()
+    prepared = sim.prepare_run(config, 0.2, 150)
+    short = make_scenario("step", "mpc", seed=0, profiles=constant_profiles(duration=30.0))
+    long = make_scenario("step", "mpc", seed=0, profiles=constant_profiles(duration=31.0))
+    slow = make_scenario("step", "mpc", seed=0, profiles=constant_profiles(ts=0.5), ts=0.5)
+    assert run_scenario(short, config, prepared).freq.size == 151
+    for scenario, other_config in ((short, RunConfig()), (long, config), (slow, config)):
+        with pytest.raises(ValueError, match="prepared run is for another config"):
+            run_scenario(scenario, other_config, prepared)
+
+
 def test_unknown_controller_rejected():
     with pytest.raises(ValueError, match="controller"):
         make_scenario("step", "lqr", seed=0, profiles=constant_profiles())
