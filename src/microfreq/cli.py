@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .baselines import design_pi_gains
+from .baselines import design_pi_gains, pi_all_units_config
 from .der_models import default_pv_params, default_wind_params
 from .estimator import default_estimator_config
 from .lfc_model import MicrogridParams
@@ -61,12 +61,21 @@ def _known(what, given, allowed):
     return given
 
 
+def _finite_number(token):
+    """A JSON number token as a float; ValueError naming the token when it
+    is NaN, Infinity, -Infinity or too large for a float."""
+    value = float(token)
+    if not np.isfinite(value):
+        raise ValueError(f"config value {token} is not finite")
+    return value
+
+
 def load_run_config(path=None):
     """Build a RunConfig from an optional JSON override file."""
     raw = {}
     if path is not None:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     _known("config sections", raw, CONFIG_SECTIONS)
     params = MicrogridParams(
         **_known("microgrid config keys", raw.get("microgrid", {}), MICROGRID_KEYS)
@@ -90,15 +99,22 @@ def load_run_config(path=None):
     )
     pi = _known("pi config keys", raw.get("pi", {}), PI_KEYS)
     sim = _known("sim config keys", raw.get("sim", {}), SIM_KEYS)
+    if sim.get("measurement_noise_std", 0.0) < 0.0:
+        raise ValueError(f"sim measurement_noise_std must be >= 0, "
+                         f"got {sim['measurement_noise_std']}")
     kp_default, ki_default = design_pi_gains(params)
+    kp, ki = pi.get("kp", kp_default), pi.get("ki", ki_default)
+    # The PI runs check their gains when they build their PiConfig; check
+    # them here too, so that bad gains fail before any run, MPC ones too.
+    pi_all_units_config(params, kp, ki)
     return RunConfig(
         params=params,
         mpc=mpc,
         estimator=estimator,
         wind=default_wind_params(rated_kw=params.p_wt1),
         pv=default_pv_params(rated_kw=params.p_pv1),
-        pi_kp=pi.get("kp", kp_default),
-        pi_ki=pi.get("ki", ki_default),
+        pi_kp=kp,
+        pi_ki=ki,
         **sim,
     )
 

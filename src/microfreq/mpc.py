@@ -8,28 +8,25 @@ the estimator the controller takes only the two increments it predicts from,
 the state's and the aggregate disturbance's.
 
 Reserve bounds apply to the cumulative totals, lo <= u_prev + sum of the
-first i blocks <= hi. In the increment QP  min 1/2 dU'H dU + f'dU  they are
-the running-sum rows Cu dU >= b, with Cu = [T; -T] and T the block
-lower-triangular running sum. The controller solves the same QP over the
-cumulative moves V = T dU instead, where those rows are plain bounds
-lo - u_prev <= V <= hi - u_prev, row i of Cu being the bound on V_i. T is
-invertible, so the minimizer is the same, and V's Hessian is
-Hv = T^-T H T^-1.
+first i blocks <= hi. The controller therefore solves its QP over the
+cumulative moves V = T dU, T the block lower-triangular running sum, where
+those bounds are plain boxes lo - u_prev <= V <= hi - u_prev: the rows
+Cu V >= b with Cu = [I; -I]. T is invertible, so the minimizer of the
+increment QP  min 1/2 dU'H dU + f'dU  is T^-1 times that of the box QP,
+whose Hessian is Hv = T^-T H T^-1 and whose linear term is g = T^-T f.
 
 Horizons, weights and plant are fixed for a run, so everything except the
 reserve bands and the measured state is built once per run by
-``build_prediction_matrices``: the Hessian and running-sum rows in a
-``PreparedQp``, Hv in a ``BoxQp``, and one stacked map that takes the
-sample's (dx, y, dd) to the free response, the linear term f and the
-unconstrained cumulative move V_unc in one product. A control step then
-runs the box solver's primal-dual active-set iteration from V_unc: most
-samples violate no bound and end there; the rest apply the cached affine
-law of each active set met, one law per set, built on first use and kept on
-the run's ``BoxQp``. Should the iteration reach its cap, or the bands
-cross, the step solves the increment QP with the dual active-set method
-instead, which always terminates and reports an infeasible sample. KKT
-residuals are those of the increment QP, with the bound multipliers mapped
-back to the rows of Cu.
+``build_prediction_matrices``: Hv and the box rows in a ``BoxQp``, and one
+stacked map that takes the sample's (dx, y, dd) to the free response, the
+linear term g and the unconstrained cumulative move V_unc in one product.
+A control step then runs the box solver's primal-dual active-set iteration
+from V_unc: most samples violate no bound and end there; the rest apply the
+cached affine law of each active set met, one law per set, built on first
+use and kept on the run's ``BoxQp``. Should the iteration reach its cap, or
+the bands cross, the step solves the same box QP with the dual active-set
+method instead, which always terminates and reports an infeasible sample.
+Either way the step reports the KKT residuals of the box QP.
 
 The weights live in the prepared objects only, so a control step cannot
 mix the matrices of one configuration with the weights of another.
@@ -39,13 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
+# ``kkt_residuals`` is not called here, but stays importable: the benchmark's
+# layer tracer (perfbench/tracer.py) wraps the QP functions in this namespace.
+from .numerics import (  # noqa: F401
     BoxQp,
-    PreparedQp,
     QpProblem,
     kkt_residual_norms,
     kkt_residuals,
     solve_qp_info,
+    spd_inverse,
 )
 
 _IDENTICAL_COLUMN_TOL = 1e-12
@@ -99,12 +98,11 @@ class PredictionMatrices:
 
     The QP pieces that do not change within a run come with it: the cost
     weights (``alpha_sq`` = alpha^2 and the per-increment move weights
-    ``gamma_u``), the map ``F`` with linear term f = F @ Y_free, ``qp``,
-    the PreparedQp of the Hessian ``H`` and the running-sum constraint
-    matrix ``Cu`` = [T; -T], and the cumulative-move pieces: ``box``, the
-    BoxQp of Hv = T^-T H T^-1 (with the run's law cache), ``T_inv``,
-    ``sample_map``, which takes (dx, y, dd) to the stacked (Y_free, f,
-    V_unc), and ``bound_index``, the unit of each entry of V.
+    ``gamma_u``), the map ``F`` with linear term f = F @ Y_free, the
+    increment Hessian ``H``, and the cumulative-move pieces: ``box``, the
+    BoxQp of Hv = T^-T H T^-1 and the rows [I; -I] (with the run's law
+    cache), ``T_inv``, and ``sample_map``, which takes (dx, y, dd) to the
+    stacked (Y_free, g, V_unc).
     """
 
     p: int
@@ -116,19 +114,10 @@ class PredictionMatrices:
     alpha_sq: float
     gamma_u: np.ndarray
     F: np.ndarray
-    qp: PreparedQp
+    H: np.ndarray
     box: BoxQp
     T_inv: np.ndarray
     sample_map: np.ndarray
-    bound_index: np.ndarray
-
-    @property
-    def H(self):
-        return self.qp.H
-
-    @property
-    def Cu(self):
-        return self.qp.Cu
 
     @property
     def n_inputs(self):
@@ -177,39 +166,40 @@ def build_prediction_matrices(model, config):
     H = 2.0 * (alpha_sq * S_B.T @ S_B + np.diag(gamma_u ** 2))
     F = 2.0 * alpha_sq * S_B.T
     running_sum = np.kron(np.tril(np.ones((m, m))), np.eye(nu))
-    qp = PreparedQp(H, np.vstack([running_sum, -running_sum]))
     # T^-1 takes each block of V to its difference from the block before.
     T_inv = np.eye(nu * m) - np.eye(nu * m, k=-nu)
-    # Rows: Y_free = G s, f = F G s, V_unc = -T H^-1 f, for s = (dx, y, dd).
+    box = BoxQp(T_inv.T @ H @ T_inv)
+    # Rows: Y_free = G s, g = T^-T F G s, V_unc = -T H^-1 F G s, for
+    # s = (dx, y, dd). V_unc equals -Hv^-1 g, but that product rounds
+    # differently and would move the traces in their last bits.
     G = np.column_stack([S_x, np.ones(p), S_d])
     FG = F @ G
-    sample_map = np.vstack([G, FG, -(running_sum @ qp.H_inv) @ FG])
-    bound_index = np.tile(np.arange(nu), m)
+    sample_map = np.vstack([G, T_inv.T @ FG, -(running_sum @ spd_inverse(H, "H")) @ FG])
     # Every sample of a run shares these, so nothing may write to them
-    # (PreparedQp and BoxQp keep read-only copies of their matrices).
-    for shared in (gamma_u, F, T_inv, sample_map, bound_index):
+    # (the BoxQp keeps read-only copies of its matrices).
+    for shared in (gamma_u, F, H, T_inv, sample_map):
         shared.flags.writeable = False
     return PredictionMatrices(
-        p=p, m=m, S_x=S_x, S_B=S_B, S_d=S_d, I_vec=np.ones(p),
-        alpha_sq=alpha_sq, gamma_u=gamma_u, F=F, qp=qp, box=BoxQp(T_inv.T @ H @ T_inv),
-        T_inv=T_inv, sample_map=sample_map, bound_index=bound_index,
+        p=p, m=m, S_x=S_x, S_B=S_B, S_d=S_d, I_vec=np.ones(p), alpha_sq=alpha_sq,
+        gamma_u=gamma_u, F=F, H=H, box=box, T_inv=T_inv, sample_map=sample_map,
     )
 
 
 def build_constraints(limits, u_prev, pred):
-    """Map total-adjustment bounds to increment constraints, Cu dU >= b.
+    """Map total-adjustment bounds to the box QP's rows, Cu V >= b.
 
     For unit j and horizon step i the cumulative total must stay in band:
-    lo_j <= u_prev_j + sum_{tau<=i} dU_j(tau) <= hi_j. Rows are ordered
-    step-major: m blocks of n_inputs lower bounds, then the same for upper.
-    If u_prev has drifted outside a (shrunken) band, the first-step rows
-    force the move back inside; the event itself is the caller's to flag.
-    ``Cu`` is the prepared ``pred.Cu``; only ``b`` depends on the sample.
+    lo_j <= u_prev_j + V_j(i) <= hi_j, V_j(i) the sum of the first i
+    increments. Rows are ordered step-major: m blocks of n_inputs lower
+    bounds, then the same for upper. If u_prev has drifted outside a
+    (shrunken) band, the first-step rows force the move back inside; the
+    event itself is the caller's to flag. ``Cu`` = [I; -I] is the prepared
+    ``pred.box.Cu``; only ``b`` depends on the sample.
     """
     u_prev = np.asarray(u_prev, dtype=float).reshape(pred.n_inputs)
     lower = limits.lo - u_prev
     upper = u_prev - limits.hi
-    return pred.Cu, np.concatenate([lower] * pred.m + [upper] * pred.m)
+    return pred.box.Cu, np.concatenate([lower] * pred.m + [upper] * pred.m)
 
 
 def out_of_band_units(limits, u_prev):
@@ -236,38 +226,34 @@ def control_step(dx, dd, y, u_prev, limits, pred, *, qp_tol=1e-10):
 
     ``dx`` and ``dd`` are the increments of the estimated state and
     aggregate disturbance over the last sample. The weights and horizons are
-    those ``pred`` was built with. The QP is solved over the cumulative
-    moves by ``pred.box``; if its iteration reaches the cap, or the bands
-    leave no feasible point, by the dual active-set method through
-    ``pred.qp``, which raises QpInfeasibleError in the latter case. Returns
-    an MpcStepResult whose ``command`` is the new cumulative total per unit,
-    u_prev + first increment block.
+    those ``pred`` was built with. The box QP over the cumulative moves is
+    solved by ``pred.box``'s cached laws; if their iteration reaches the
+    cap, or the bands leave no feasible point, by the dual active-set method
+    on the same prepared QP, which raises QpInfeasibleError in the latter
+    case. Returns an MpcStepResult whose ``command`` is the new cumulative
+    total per unit, u_prev + first increment block, and whose KKT residuals
+    and active rows are the box QP's.
     """
     nu, p = pred.n_inputs, pred.p
     n = nu * pred.m
+    box = pred.box
     u_prev = np.asarray(u_prev, dtype=float).reshape(nu)
     stacked = pred.sample_map @ np.concatenate((dx, (y, dd)))
-    y_free, f, v_unc = stacked[:p], stacked[p:p + n], stacked[p + n:]
+    y_free, g, v_unc = stacked[:p], stacked[p:p + n], stacked[p + n:]
 
-    lo = (limits.lo - u_prev)[pred.bound_index]
-    hi = (limits.hi - u_prev)[pred.bound_index]
-    b = np.concatenate((lo, -hi))  # the right-hand side of Cu dU >= b
-    solved = pred.box.solve(v_unc, lo, hi, qp_tol * max(1.0, np.abs(b).max()))
+    Cu, b = build_constraints(limits, u_prev, pred)
+    solved = box.solve(v_unc, b[:n], -b[n:], qp_tol * max(1.0, np.abs(b).max()))
     if solved is None:
-        Cu, b = build_constraints(limits, u_prev, pred)
-        problem = QpProblem(pred.H, f, Cu, b, prepared=pred.qp)
-        du, lam, _ = solve_qp_info(problem, tol=qp_tol)
-        qp_active = problem.Cu @ du - problem.b <= 1e-9
-        residuals = kkt_residuals(problem, du, lam)
+        v, lam, _ = solve_qp_info(QpProblem(box.H, g, Cu, b, prepared=box), tol=qp_tol)
     else:
         v, lam_v, _ = solved
-        du = pred.T_inv @ v
         # A positive multiplier belongs to the lower row, a negative one to
-        # the upper: Cu' lam = T' lam_v.
+        # the upper.
         lam = np.concatenate((np.maximum(lam_v, 0.0), np.maximum(-lam_v, 0.0)))
-        slack = pred.Cu @ du - b
-        qp_active = slack <= 1e-9
-        residuals = kkt_residual_norms(pred.H, f, pred.Cu, du, lam, slack)
+    du = pred.T_inv @ v
+    slack = Cu @ v - b
+    qp_active = slack <= 1e-9
+    residuals = kkt_residual_norms(box.H, g, Cu, v, lam, slack)
 
     predicted = y_free + pred.S_B @ du
     moves = pred.gamma_u * du

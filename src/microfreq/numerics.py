@@ -1,7 +1,7 @@
 """Dense matrix numerics: matrix exponential, zero-order-hold discretization,
-a small strictly-convex QP solver with linear inequality constraints, and a
-box-constrained QP solver that keeps the affine law of each active set it
-meets.
+a small strictly-convex QP solver with linear inequality constraints, and,
+for the box-constrained case, a solver that keeps the affine law of each
+active set it meets.
 
 The functions operate on plain numpy arrays and are pure. A ``BoxQp`` fills
 its law cache as it solves, so one instance belongs to one caller at a time;
@@ -108,15 +108,7 @@ def discretize(Ac, Bc, Dc, Ts):
     return A, B, D
 
 
-def _check_symmetric(A, name):
-    """A copy of A, which must be square, finite and symmetric within 1e-10."""
-    A = np.array(_check_square(A, name))
-    if np.abs(A - A.T).max() > _SYMMETRY_TOL:
-        raise ValueError(f"{name} is not symmetric within 1e-10")
-    return A
-
-
-def _spd_inverse(A, name):
+def spd_inverse(A, name):
     """The inverse of symmetric A from its Cholesky factor; ValueError if A
     is not positive definite."""
     # Symmetric factorization succeeds iff A is positive definite.
@@ -132,9 +124,9 @@ class PreparedQp:
     """The fixed part of  min 1/2 x'Hx + f'x  subject to  Cu x >= b:  H and
     Cu, checked and factorized once for solving many (f, b) pairs.
 
-    H must be square, finite, symmetric and positive definite, and Cu finite;
-    otherwise ValueError. The object keeps read-only copies of H and Cu and
-    the products the dual active-set method works from:
+    H must be square, finite, symmetric within 1e-10 and positive definite,
+    and Cu finite; otherwise ValueError. The object keeps read-only copies
+    of H and Cu and the products the dual active-set method works from:
 
     - ``H_inv``: H^-1, built from the Cholesky factor of H;
     - ``H_inv_Ct``: H^-1 Cu' (n x q), column j the primal direction of row j;
@@ -142,12 +134,14 @@ class PreparedQp:
     """
 
     def __init__(self, H, Cu=None):
-        H = _check_symmetric(H, "H")
+        H = np.array(_check_square(H, "H"))
+        if np.abs(H - H.T).max() > _SYMMETRY_TOL:
+            raise ValueError("H is not symmetric within 1e-10")
         n = H.shape[0]
         Cu = np.zeros((0, n)) if Cu is None else np.array(Cu, dtype=float).reshape(-1, n)
         if not np.isfinite(Cu).all():
             raise ValueError("QP data contains non-finite entries")
-        H_inv = _spd_inverse(H, "H")
+        H_inv = spd_inverse(H, "H")
         H_inv_Ct = H_inv @ Cu.T
         gram = Cu @ H_inv_Ct
         for shared in (H, Cu, H_inv, H_inv_Ct, gram):
@@ -298,17 +292,15 @@ def solve_qp_info(problem, tol=1e-8):
     return x, lam, {"iterations": iterations, "active": list(active)}
 
 
-class BoxQp:
-    """The fixed part of  min 1/2 v'Hv v + g'v  subject to  lo <= v <= hi:
-    Hv, checked and inverted once for solving many (g, lo, hi) triples by
-    the primal-dual active-set method (Hintermueller, Ito & Kunisch, SIAM J.
+class BoxQp(PreparedQp):
+    """The PreparedQp of  min 1/2 v'H v + g'v  subject to  lo <= v <= hi,
+    the rows Cu = [I; -I] with b = [lo; -hi], and the law cache of its
+    primal-dual active-set method (Hintermueller, Ito & Kunisch, SIAM J.
     Optim. 2003).
 
-    Hv must be square, finite, symmetric and positive definite; otherwise
-    ValueError. The object keeps read-only ``Hv`` and ``W`` = Hv^-1. A
-    sample is given by its unconstrained minimizer v_unc = -W g. With the
-    bounds of an active set A held at their values c_A, the minimizer is the
-    affine law
+    A sample is given by its unconstrained minimizer v_unc = -W g, where
+    W = H^-1 is the prepared ``H_inv``. With the bounds of an active set A
+    held at their values c_A, the minimizer is the affine law
 
         v = v_unc - K_A (v_unc[A] - c_A),   K_A = W[:, A] W[A, A]^-1,
 
@@ -317,23 +309,17 @@ class BoxQp:
     built the first time A occurs and kept in ``laws``, keyed by A's mask,
     as explicit MPC keeps one law per region (Bemporad et al., Automatica
     2002). A solve therefore costs a few matrix-vector products once the
-    sets a caller meets have been seen.
+    sets a caller meets have been seen. The same problem, as a QpProblem on
+    this object, is what ``solve_qp_info`` falls back on.
     """
 
-    def __init__(self, Hv):
-        Hv = _check_symmetric(Hv, "Hv")
-        W = _spd_inverse(Hv, "Hv")
-        for shared in (Hv, W):
-            shared.flags.writeable = False
-        self.Hv, self.W = Hv, W
+    def __init__(self, H):
+        n = len(H)
+        super().__init__(H, np.vstack([np.eye(n), -np.eye(n)]))
         # The active-set update compares a step of the multiplier with a
-        # step of v, in the units of v: lam_i / Hv_ii.
-        self._inv_curvature = 1.0 / np.diag(Hv)
+        # step of v, in the units of v: lam_i / H_ii.
+        self._inv_curvature = 1.0 / np.diag(self.H)
         self.laws = {}
-
-    @property
-    def n(self):
-        return self.Hv.shape[0]
 
     def _law(self, active):
         """(indices of A, [K_A; W[A, A]^-1]) for the active mask ``active``."""
@@ -341,8 +327,8 @@ class BoxQp:
         law = self.laws.get(key)
         if law is None:
             idx = np.flatnonzero(active)
-            W_AA_inv = np.linalg.inv(self.W[np.ix_(idx, idx)])
-            law = (idx, np.vstack([self.W[:, idx] @ W_AA_inv, W_AA_inv]))
+            W_AA_inv = np.linalg.inv(self.H_inv[np.ix_(idx, idx)])
+            law = (idx, np.vstack([self.H_inv[:, idx] @ W_AA_inv, W_AA_inv]))
             self.laws[key] = law
         return law
 
@@ -354,13 +340,14 @@ class BoxQp:
         lower bound exceeds its upper one by more than ``tol``, there is no
         feasible point and the result is None. Each iteration applies
         the set's law, then rebuilds the lower and upper sets from v - lam /
-        diag(Hv); it stops when both repeat, which is the KKT point: the
+        diag(H); it stops when both repeat, which is the KKT point: the
         free entries within the box (to ``tol``), the multipliers positive
         on lower and negative on upper bounds. Returns (v, lam, iterations),
-        lam being the gradient Hv v + g (zero off the active set), or None
+        lam being the gradient H v + g (zero off the active set), or None
         when BOX_QP_MAX_ITERATIONS pass without the sets repeating. The
-        iteration may cycle when Hv is not an M-matrix, and the caller's
-        fallback is what guarantees an answer.
+        iteration may cycle when H is not an M-matrix, and the caller's
+        fallback, ``solve_qp_info`` on this PreparedQp, is what guarantees
+        an answer.
         """
         n = self.n
         below, above = lo - tol, hi + tol

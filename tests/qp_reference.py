@@ -6,10 +6,12 @@ call and solves with H on every inner iteration. It takes the same QpProblem
 and returns the same (x, lam, info) as ``microfreq.numerics.solve_qp_info``.
 
 ``reference_control_step`` is the controller's step as it stood before the
-cumulative-move box solver: the running-sum rows from ``build_constraints``,
-a ``QpProblem`` on the run's PreparedQp and the dual active-set solve, here
-this module's ``solve_qp_info``. It takes the arguments of
-``microfreq.mpc.control_step`` and returns the same MpcStepResult.
+cumulative-move box solver: the increment QP over dU with the running-sum
+rows ``increment_rows`` = [T; -T], its own PreparedQp of (H, [T; -T]), the
+right-hand side b from ``build_constraints`` (the same b as the box rows')
+and the dual active-set solve, here this module's ``solve_qp_info``. It
+takes the arguments of ``microfreq.mpc.control_step`` and returns the same
+MpcStepResult, with the increment QP's active rows and KKT residuals.
 
 ``mpc_gain`` is the controller's closed-form unconstrained gain and
 ``free_response`` the prediction it acts on, the oracle of every sample on
@@ -19,7 +21,7 @@ which no reserve constraint is active.
 import numpy as np
 
 from microfreq.mpc import MpcStepResult, build_constraints
-from microfreq.numerics import QpInfeasibleError, QpProblem, kkt_residuals
+from microfreq.numerics import PreparedQp, QpInfeasibleError, QpProblem, kkt_residuals
 
 
 def _check_positive_definite(H):
@@ -137,6 +139,17 @@ def free_response(pred, dx, dd, y):
     return pred.S_x @ dx + pred.I_vec * y + pred.S_d[:, 0] * dd
 
 
+def running_sum(pred):
+    """T, the block lower-triangular running sum with V = T dU."""
+    return np.kron(np.tril(np.ones((pred.m, pred.m))), np.eye(pred.n_inputs))
+
+
+def increment_rows(pred):
+    """Cu = [T; -T]: the reserve bounds as rows on the increments dU."""
+    T = running_sum(pred)
+    return np.vstack([T, -T])
+
+
 def reference_control_step(dx, dd, y, u_prev, limits, pred, *, qp_tol=1e-10):
     """One controller sample over the increments dU, solved with the
     running-sum rows Cu dU >= b by the reference dual active-set method."""
@@ -145,8 +158,9 @@ def reference_control_step(dx, dd, y, u_prev, limits, pred, *, qp_tol=1e-10):
     y_free = free_response(pred, dx, dd, y)
     f = pred.F @ y_free
 
-    Cu, b = build_constraints(limits, u_prev, pred)
-    problem = QpProblem(pred.H, f, Cu, b, prepared=pred.qp)
+    _, b = build_constraints(limits, u_prev, pred)
+    qp = PreparedQp(pred.H, increment_rows(pred))
+    problem = QpProblem(qp.H, f, qp.Cu, b, prepared=qp)
     du, lam, _ = solve_qp_info(problem, tol=qp_tol)
     qp_active = problem.Cu @ du - problem.b <= 1e-9
     residuals = kkt_residuals(problem, du, lam)

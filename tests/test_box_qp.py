@@ -1,11 +1,13 @@
 """The box-constrained QP solver and the controller's use of it.
 
-``microfreq.numerics.BoxQp`` solves  min 1/2 v'Hv v + g'v  s.t.  lo <= v <= hi
-by the primal-dual active-set method with one cached affine law per active
-set. Its oracle is the enumeration QP solver with the bounds written as the
-rows Cu = [I; -I]. The controller falls back to the dual active-set solver
-when the iteration reaches its cap, and the law cache must not make a
-sample's answer depend on which samples came before it.
+``microfreq.numerics.BoxQp``, the PreparedQp of the rows Cu = [I; -I],
+solves  min 1/2 v'H v + g'v  s.t.  lo <= v <= hi  by the primal-dual
+active-set method with one cached affine law per active set. Its oracle is
+the enumeration QP solver on the same rows. The controller falls back to the
+dual active-set solver on the same BoxQp when the iteration reaches its cap,
+and the law cache must not make a sample's answer depend on which samples
+came before it. The controller reports the box QP's KKT residuals; the
+increment QP's residuals of the same answer are their oracle.
 """
 
 import hypothesis.extra.numpy as hnp
@@ -21,6 +23,7 @@ from microfreq.lfc_model import build_plant
 from microfreq.mpc import MpcConfig, build_constraints, build_prediction_matrices, control_step
 from microfreq.numerics import BoxQp, QpProblem, kkt_residuals, solve_qp_info
 from microfreq.simulate import RunConfig, make_scenario, run_scenario
+from qp_reference import free_response, increment_rows
 from test_numerics import enumerate_qp_minimizer
 
 KKT_TOL = 1e-8
@@ -39,7 +42,7 @@ def box_qps(draw):
     Hv = M.T @ M + draw(st.floats(0.2, 1.2)) * np.eye(n)
     g = draw(hnp.arrays(float, n, elements=_entries))
     box = BoxQp(Hv)
-    v_unc = -box.W @ g
+    v_unc = -box.H_inv @ g
     lo = draw(hnp.arrays(float, n, elements=_entries))
     width = draw(hnp.arrays(float, n, elements=st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0])))
     # 0: as drawn; 1: lower bound on v_unc; 2: upper bound on v_unc.
@@ -58,14 +61,12 @@ def test_box_solver_matches_enumeration_oracle(data):
     # then falls back (test_capped_step_falls_back_to_the_dual_solver).
     assume(solved is not None)
     v, lam, _ = solved
-    n = box.n
-    Cu = np.vstack([np.eye(n), -np.eye(n)])
     b = np.concatenate([lo, -hi])
-    ref = enumerate_qp_minimizer(box.Hv, g, Cu, b)
+    ref = enumerate_qp_minimizer(box.H, g, box.Cu, b)
     assert ref is not None
     assert np.abs(v - ref).max() <= ORACLE_GAP
     rows = np.concatenate([np.maximum(lam, 0.0), np.maximum(-lam, 0.0)])
-    assert max(kkt_residuals(QpProblem(box.Hv, g, Cu, b), v, rows)) <= KKT_TOL
+    assert max(kkt_residuals(QpProblem(box.H, g, box.Cu, b, prepared=box), v, rows)) <= KKT_TOL
 
 
 def test_box_solver_returns_the_unconstrained_minimizer_inside_the_box():
@@ -77,9 +78,9 @@ def test_box_solver_returns_the_unconstrained_minimizer_inside_the_box():
 
 
 def test_box_qp_rejects_bad_hessians():
-    with pytest.raises(ValueError, match="Hv is not symmetric"):
+    with pytest.raises(ValueError, match="H is not symmetric"):
         BoxQp(np.array([[2.0, 1.0], [0.0, 2.0]]))
-    with pytest.raises(ValueError, match="Hv is not positive definite"):
+    with pytest.raises(ValueError, match="H is not positive definite"):
         BoxQp(np.diag([2.0, -1.0]))
 
 
@@ -152,10 +153,10 @@ def test_capped_step_falls_back_to_the_dual_solver(monkeypatch):
         result = control_step(*sample, pred)
         dx, dd, y, u_prev, limits = sample
         stacked = pred.sample_map @ np.concatenate((dx, (y, dd)))
-        f = stacked[pred.p:pred.p + pred.n_inputs * pred.m]
+        g = stacked[pred.p:pred.p + pred.n_inputs * pred.m]
         Cu, b = build_constraints(limits, u_prev, pred)
-        du = solve_qp_info(QpProblem(pred.H, f, Cu, b, prepared=pred.qp), tol=1e-10)[0]
-        assert result.increments.tobytes() == du.tobytes()
+        v = solve_qp_info(QpProblem(pred.box.H, g, Cu, b, prepared=pred.box), tol=1e-10)[0]
+        assert result.increments.tobytes() == (pred.T_inv @ v).tobytes()
         assert np.abs(result.increments - box_result.increments).max() <= 1e-10
         assert np.array_equal(result.qp_active, box_result.qp_active)
         assert max(result.kkt_residuals) <= KKT_TOL
@@ -179,3 +180,31 @@ def test_law_cache_never_changes_an_answer():
     for sample, expected in zip(samples[:10], in_order):
         fresh = build_prediction_matrices(MODEL, MpcConfig())
         assert result_bytes(control_step(*sample, fresh)) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 4])
+def test_box_kkt_residuals_match_the_increment_qp(seed, monkeypatch):
+    # The increment QP over dU = T^-1 v has rows [T; -T] and linear term
+    # f = T' g, so its stationarity residual is T' times the box QP's:
+    # H dU + f - [T; -T]' lam = T' (Hv v + g - [I; -I]' lam), at most m times
+    # larger in the max norm.
+    pred = build_prediction_matrices(MODEL, MpcConfig())
+    samples = binding_samples(seed=seed, count=60)
+    solved = []
+    real = microfreq.mpc.kkt_residual_norms
+
+    def recording(H, g, Cu, v, lam, slack):
+        solved.append((v, lam))
+        return real(H, g, Cu, v, lam, slack)
+
+    monkeypatch.setattr(microfreq.mpc, "kkt_residual_norms", recording)
+    for dx, dd, y, u_prev, limits in samples:
+        result = control_step(dx, dd, y, u_prev, limits, pred)
+        v, lam = solved[-1]
+        assert result.qp_active.any()
+        assert max(result.kkt_residuals) <= KKT_TOL
+        f = pred.F @ free_response(pred, dx, dd, y)
+        _, b = build_constraints(limits, u_prev, pred)
+        increment = kkt_residuals(QpProblem(pred.H, f, increment_rows(pred), b), pred.T_inv @ v, lam)
+        assert max(increment) <= KKT_TOL
+        assert increment[0] <= pred.m * result.kkt_residuals[0] + 1e-12

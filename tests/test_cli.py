@@ -197,6 +197,33 @@ def test_config_rejects_unknown_keys(tmp_path, config, message):
         load_run_config(str(config_path))
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"sim": {"measurement_noise_std": -1e-5}}', r"measurement_noise_std must be >= 0, got -1e-05"),
+    ('{"sim": {"measurement_noise_std": NaN}}', r"config value NaN is not finite"),
+    ('{"sim": {"measurement_noise_std": Infinity}}', r"config value Infinity is not finite"),
+    ('{"estimator": {"measurement_noise": NaN}}', r"config value NaN is not finite"),
+    ('{"mpc": {"alpha": Infinity}}', r"config value Infinity is not finite"),
+    ('{"sim": {"deload": -Infinity}}', r"config value -Infinity is not finite"),
+    ('{"microgrid": {"p_load": 1e999}}', r"config value 1e999 is not finite"),
+    ('{"pi": {"kp": NaN}}', r"config value NaN is not finite"),
+    ('{"pi": {"kp": -1}}', r"kp must be >= 0"),
+    ('{"pi": {"ki": 0.0}}', r"ki must be > 0"),
+], ids=["negative-noise", "nan-noise", "infinite-noise", "nan-estimator-noise",
+        "infinite-mpc-weight", "negative-infinite-deload", "overflowing-number", "nan-kp", "negative-kp", "zero-ki"])
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "step", "--controller", "mpc", "--seed", "0"],
+    ["sweep", "--seeds", "0", "--kinds", "step"],
+], ids=["run-mpc", "sweep"])
+def test_bad_config_values_fail_at_ingest(tmp_path, monkeypatch, argv, text, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text)
+    runs = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *args: runs.append(args))
+    with pytest.raises(ValueError, match=message):
+        main(argv + ["--config", str(config_path)])
+    assert runs == []
+
+
 @pytest.mark.parametrize("controller", ["mpc", "pi_all"])
 def test_run_rejects_an_mpc_sample_time_off_the_scenario_grid(tmp_path, controller):
     config_path = tmp_path / "config.json"

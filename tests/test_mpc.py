@@ -27,7 +27,7 @@ from microfreq.mpc import (
     control_step,
     out_of_band_units,
 )
-from qp_reference import free_response, mpc_gain
+from qp_reference import free_response, mpc_gain, running_sum
 
 PARAMS = MicrogridParams()
 MODEL = build_plant(PARAMS)
@@ -124,35 +124,38 @@ def test_prepared_qp_matrices_match_per_sample_expressions(config):
     H = 2.0 * (config.alpha ** 2 * pred.S_B.T @ pred.S_B + np.diag(gamma_u ** 2))
     y_free = np.linspace(-1e-3, 2e-3, config.p)
     f = 2.0 * config.alpha ** 2 * pred.S_B.T @ y_free
-    running_sum = np.kron(np.tril(np.ones((config.m, config.m))), np.eye(N_CONTROLS))
+    n = N_CONTROLS * config.m
     assert pred.H.tobytes() == H.tobytes()
     assert (pred.F @ y_free).tobytes() == f.tobytes()
     assert pred.gamma_u.tobytes() == gamma_u.tobytes()
-    assert np.array_equal(pred.Cu, np.vstack([running_sum, -running_sum]))
-    assert not (pred.H.flags.writeable or pred.F.flags.writeable or pred.Cu.flags.writeable)
+    # The reserve bounds are the box QP's rows on V; its caller gets them
+    # from build_constraints.
+    assert np.array_equal(pred.box.Cu, np.vstack([np.eye(n), -np.eye(n)]))
+    assert build_constraints(WIDE_LIMITS, np.zeros(N_CONTROLS), pred)[0] is pred.box.Cu
+    assert not (pred.H.flags.writeable or pred.F.flags.writeable or pred.box.Cu.flags.writeable)
 
 
 @pytest.mark.parametrize("config", [CONFIG, MpcConfig(p=8, m=2, alpha=2.3, beta_bess=0.5)])
 def test_cumulative_move_pieces_match_their_definitions(config):
     pred = build_prediction_matrices(MODEL, config)
     n = N_CONTROLS * config.m
-    running_sum = pred.Cu[:n]
-    assert np.array_equal(pred.T_inv @ running_sum, np.eye(n))
+    T = running_sum(pred)
+    assert np.array_equal(pred.T_inv @ T, np.eye(n))
     Hv = pred.T_inv.T @ pred.H @ pred.T_inv
-    assert pred.box.Hv.tobytes() == Hv.tobytes()
-    W = running_sum @ np.linalg.solve(pred.H, running_sum.T)
-    assert np.abs(pred.box.W - W).max() <= 1e-10 * np.abs(W).max()
-    assert np.array_equal(pred.bound_index, np.tile(np.arange(N_CONTROLS), config.m))
+    assert pred.box.H.tobytes() == Hv.tobytes()
+    W = T @ np.linalg.solve(pred.H, T.T)
+    assert np.abs(pred.box.H_inv - W).max() <= 1e-10 * np.abs(W).max()
     rng = np.random.default_rng(3)
     dx, dd, y = rng.normal(scale=1e-3, size=N_STATES), 4e-4, -2e-3
     stacked = pred.sample_map @ np.concatenate((dx, (y, dd)))
     y_free = free_response(pred, dx, dd, y)
     f = pred.F @ y_free
-    v_unc = running_sum @ np.linalg.solve(pred.H, -f)
+    g = np.linalg.solve(T.T, f)
+    v_unc = T @ np.linalg.solve(pred.H, -f)
     p = config.p
-    for got, want in ((stacked[:p], y_free), (stacked[p:p + n], f), (stacked[p + n:], v_unc)):
+    for got, want in ((stacked[:p], y_free), (stacked[p:p + n], g), (stacked[p + n:], v_unc)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    for shared in (pred.T_inv, pred.sample_map, pred.bound_index, pred.box.Hv, pred.box.W):
+    for shared in (pred.T_inv, pred.sample_map, pred.box.H, pred.box.H_inv):
         assert not shared.flags.writeable
 
 
@@ -242,12 +245,13 @@ def test_constraint_no_headroom_at_upper_bound():
     u_prev = np.zeros(6)
     u_prev[2] = 0.1  # wt1 already at its cap
     Cu, b = build_constraints(limits, u_prev, PRED)
-    # Upper rows are -cumsum >= u_prev - hi; step-1 row for wt1 forces du <= 0.
+    # Upper rows are -V >= u_prev - hi, V the cumulative moves; the step-1
+    # row for wt1 forces its first move V[2] = du[2] <= 0.
     du = np.zeros(6 * CONFIG.m)
     du[2] = 1e-6
-    assert (Cu @ du - b).min() < 0.0
+    assert (Cu @ running_sum(PRED) @ du - b).min() < 0.0
     du[2] = 0.0
-    assert (Cu @ du - b).min() >= 0.0
+    assert (Cu @ running_sum(PRED) @ du - b).min() >= 0.0
 
 
 def test_constraint_rows_count():

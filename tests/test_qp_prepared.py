@@ -1,11 +1,11 @@
 """The controller's QP path against the reference step it replaced.
 
-``microfreq.mpc.control_step`` solves over the cumulative moves with the
-run's BoxQp and its cached active-set laws, and falls back to
-``microfreq.numerics.solve_qp_info`` on the PreparedQp (H^-1 from one
-Cholesky factorization, H^-1 Cu' and the Gram matrix Cu H^-1 Cu'). The
-reference ``qp_reference.reference_control_step`` builds the running-sum
-rows at every sample and solves with H at every inner iteration. The two
+``microfreq.mpc.control_step`` solves the box QP over the cumulative moves
+with the run's BoxQp and its cached active-set laws, and falls back to
+``microfreq.numerics.solve_qp_info`` on that BoxQp, a PreparedQp (H^-1 from
+one Cholesky factorization, H^-1 Cu' and the Gram matrix Cu H^-1 Cu'). The
+reference ``qp_reference.reference_control_step`` solves the increment QP
+with the running-sum rows, and with H at every inner iteration. The two
 take different rounding paths, so closed-loop traces agree within a stated
 tolerance rather than bit for bit:
 
@@ -71,18 +71,25 @@ def test_closed_loop_matches_reference_solver(kind, seed, noise, monkeypatch):
 
 
 def test_prepared_arrays_are_read_only():
-    qp = PRED.qp
+    qp = PRED.box
     for name in ("H", "Cu", "H_inv", "H_inv_Ct", "gram"):
         assert not getattr(qp, name).flags.writeable, name
-    assert PRED.H is qp.H and PRED.Cu is qp.Cu
+    assert not PRED.H.flags.writeable
 
 
 def test_prepared_products_match_their_definitions():
-    qp = PRED.qp
+    qp = PRED.box
     n = qp.n
+    assert np.array_equal(qp.Cu, np.vstack([np.eye(n), -np.eye(n)]))
     assert np.abs(qp.H_inv @ qp.H - np.eye(n)).max() < 1e-10
     assert np.abs(qp.H_inv_Ct - np.linalg.solve(qp.H, qp.Cu.T)).max() < 1e-10
     assert np.abs(qp.gram - qp.Cu @ np.linalg.solve(qp.H, qp.Cu.T)).max() < 1e-10
+    # The box Hessian is T^-T H T^-1, H the increment QP's, so its inverse
+    # is T H^-1 T' with H^-1 from the increment QP's own PreparedQp.
+    T = qp_reference.running_sum(PRED)
+    increment = PreparedQp(PRED.H, qp_reference.increment_rows(PRED))
+    W = T @ increment.H_inv @ T.T
+    assert np.abs(qp.H_inv - W).max() <= 1e-10 * np.abs(W).max()
 
 
 def test_prepared_qp_copies_its_inputs():

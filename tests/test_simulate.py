@@ -235,6 +235,13 @@ def test_settle_time_edge_cases(freq, event, expected):
         expected, nan_ok=True)
 
 
+def test_never_settled_run_has_a_null_settle_time_in_its_summary():
+    # trace_schema.md: the metrics JSON writes null, not NaN, for "never".
+    trace = settle_trace([3e-3] * 10, 4)
+    assert np.isnan(compute_metrics(trace).settle_time)
+    assert metrics_summary(trace, compute_metrics(trace))["settle_time"] is None
+
+
 def test_empty_trace_rejected():
     trace = ScenarioTrace(
         kind="step", controller="mpc", seed=0, Ts=0.2,
