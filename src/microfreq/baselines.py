@@ -45,10 +45,11 @@ class PiConfig:
     participants: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.ki <= 0:
-            raise ValueError("ki must be > 0")
-        if self.kp < 0:
-            raise ValueError("kp must be >= 0")
+        # Written so that NaN fails them too.
+        if not 0 < self.ki < math.inf:
+            raise ValueError(f"ki must be > 0 and finite, got {self.ki}")
+        if not 0 <= self.kp < math.inf:
+            raise ValueError(f"kp must be >= 0 and finite, got {self.kp}")
         if self.capacity_scale <= 0:
             raise ValueError("capacity_scale must be > 0")
         part = np.asarray(self.participating, dtype=bool).reshape(N_CONTROLS)
@@ -77,10 +78,12 @@ def initial_pi_state():
 
 
 def _make_config(params, mask, kp, ki):
+    """The masked units' PiConfig; a gain left None is the design on ``params``."""
     caps = params.capacities_kw() * mask
+    design_kp, design_ki = design_pi_gains(params)
     return PiConfig(
-        kp=TUNED_KP if kp is None else kp,
-        ki=TUNED_KI if ki is None else ki,
+        kp=design_kp if kp is None else kp,
+        ki=design_ki if ki is None else ki,
         participating=mask,
         allocation_weights=caps / caps.sum(),
         capacity_scale=caps.sum() / params.s_base,
@@ -165,6 +168,7 @@ def design_pi_gains(params, recovery_time=DESIGN_RECOVERY_TIME):
     return kp, ki
 
 
-# The default gains: the design on the published parameters (kp = 1.44,
-# ki = 0.24 with H = 0.6 s and the all-units fleet gain c = 500/200).
+# The published gains: the design on the published parameters (kp = 1.44,
+# ki = 0.24 with H = 0.6 s and the all-units fleet gain c = 500/200). A
+# config built without gains takes the design on its own parameters.
 TUNED_KP, TUNED_KI = design_pi_gains(MicrogridParams())

@@ -21,8 +21,6 @@ import sys
 
 import numpy as np
 
-from .baselines import design_pi_gains, pi_all_units_config
-from .der_models import default_pv_params, default_wind_params
 from .estimator import default_estimator_config
 from .lfc_model import MicrogridParams
 from .mpc import MpcConfig
@@ -71,7 +69,8 @@ def _finite_number(token):
 
 
 def load_run_config(path=None):
-    """Build a RunConfig from an optional JSON override file."""
+    """Parse an optional JSON override file into a RunConfig, which checks
+    and derives the rest."""
     raw = {}
     if path is not None:
         with open(path) as fh:
@@ -80,14 +79,6 @@ def load_run_config(path=None):
     params = MicrogridParams(
         **_known("microgrid config keys", raw.get("microgrid", {}), MICROGRID_KEYS)
     )
-    # Availability and reserve bands use one wind and one PV model, sized
-    # from unit 1, so unit 2 must have the same rating.
-    for unit1, unit2 in (("p_wt1", "p_wt2"), ("p_pv1", "p_pv2")):
-        if getattr(params, unit2) != getattr(params, unit1):
-            raise ValueError(
-                f"microgrid {unit2}={getattr(params, unit2)} differs from "
-                f"{unit1}={getattr(params, unit1)}; twin units must have equal ratings"
-            )
     mpc = MpcConfig(**_known("mpc config keys", raw.get("mpc", {}), MPC_KEYS))
     # Every scenario samples at SCENARIO_TS: an MPC built for another sample
     # time cannot run on it, and a PI run would ignore the key.
@@ -98,24 +89,13 @@ def load_run_config(path=None):
         **_known("estimator config keys", raw.get("estimator", {}), ESTIMATOR_KEYS)
     )
     pi = _known("pi config keys", raw.get("pi", {}), PI_KEYS)
-    sim = _known("sim config keys", raw.get("sim", {}), SIM_KEYS)
-    if sim.get("measurement_noise_std", 0.0) < 0.0:
-        raise ValueError(f"sim measurement_noise_std must be >= 0, "
-                         f"got {sim['measurement_noise_std']}")
-    kp_default, ki_default = design_pi_gains(params)
-    kp, ki = pi.get("kp", kp_default), pi.get("ki", ki_default)
-    # The PI runs check their gains when they build their PiConfig; check
-    # them here too, so that bad gains fail before any run, MPC ones too.
-    pi_all_units_config(params, kp, ki)
     return RunConfig(
         params=params,
         mpc=mpc,
         estimator=estimator,
-        wind=default_wind_params(rated_kw=params.p_wt1),
-        pv=default_pv_params(rated_kw=params.p_pv1),
-        pi_kp=kp,
-        pi_ki=ki,
-        **sim,
+        pi_kp=pi.get("kp"),
+        pi_ki=pi.get("ki"),
+        **_known("sim config keys", raw.get("sim", {}), SIM_KEYS),
     )
 
 
@@ -286,10 +266,10 @@ def cmd_sweep(args):
 
 def cmd_tune_pi(args):
     config = load_run_config(args.config)
-    kp, ki = design_pi_gains(config.params)
+    tuned = dataclasses.replace(config, pi_kp=None, pi_ki=None)  # the design on the ratings
+    kp, ki = tuned.pi_kp, tuned.pi_ki
     print(f"designed gains: kp={kp:.6g} ki={ki:.6g}")
     results = {"kp": kp, "ki": ki}
-    tuned = dataclasses.replace(config, pi_kp=kp, pi_ki=ki)
     for name in ("pi_all", "pi_dubess"):
         metrics = step_response_metrics(name, tuned)
         results[name] = metrics

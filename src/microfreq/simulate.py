@@ -9,9 +9,11 @@ and the true disturbances. Identical scenario, config, and seed give
 bit-identical traces.
 
 Everything that does not depend on the closed loop is built before the
-first sample. What depends on the config alone (plant, detectability check,
-gain schedule, MPC prediction matrices) is a ``PreparedRun``, built once per
-``sweep`` or ``compare`` call and shared by its runs, or else once per run.
+first sample. A ``RunConfig`` checks itself and derives its renewable models
+and PI configs when it is built. What else depends on the config alone (plant,
+detectability check, gain schedule, MPC prediction matrices) is a
+``PreparedRun``, built once per ``sweep`` or ``compare`` call and shared by
+its runs, or else once per run.
 Availability and the reserve limits over the whole time grid (checked as a
 whole) are built once per run. Per sample the loop computes only the
 state estimate (kept as the augmented vector z = (x_hat, d_hat); the MPC gets
@@ -20,19 +22,13 @@ the plant step. What follows from the commands alone, the PI binding flags
 and the MPC's drift flags, is computed over the grid after the loop.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .baselines import (
-    TUNED_KI,
-    TUNED_KP,
-    initial_pi_state,
-    pi_all_units_config,
-    pi_du_bess_config,
-    pi_step,
-)
+from .baselines import initial_pi_state, pi_all_units_config, pi_du_bess_config, pi_step
 from .der_models import (
     DELOAD_FRACTION,
     default_pv_params,
@@ -100,10 +96,6 @@ class Scenario:
             )
 
     @property
-    def duration(self):
-        return self.profiles.duration
-
-    @property
     def n_steps(self):
         return self.profiles.t.shape[0] - 1
 
@@ -120,19 +112,46 @@ def make_scenario(kind, controller, seed, duration=None, profiles=None, ts=SCENA
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything tunable about a run, with the published defaults baked in."""
+    """Everything tunable about a run, with the published defaults baked in,
+    checked when built. Derived: ``wind`` and ``pv``, sized from ``p_wt1``
+    and ``p_pv1`` (so twin ratings must be equal), gains left None (the
+    design on ``params``) and ``pi_configs``, keyed by controller name.
+    ``replace`` derives them anew but keeps the gains: pass None to redesign.
+    """
 
     params: MicrogridParams = field(default_factory=MicrogridParams)
     mpc: MpcConfig = field(default_factory=MpcConfig)
     estimator: object = field(default_factory=default_estimator_config)
-    wind: object = field(default_factory=default_wind_params)
-    pv: object = field(default_factory=default_pv_params)
-    pi_kp: float = TUNED_KP
-    pi_ki: float = TUNED_KI
+    pi_kp: float = None
+    pi_ki: float = None
     deload: float = DELOAD_FRACTION
     dispatch_du_kw: float = 60.0
     dispatch_bess_kw: float = 0.0
     measurement_noise_std: float = 0.0
+    wind: object = field(init=False, repr=False, compare=False)
+    pv: object = field(init=False, repr=False, compare=False)
+    pi_configs: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        params = self.params
+        for unit1, unit2 in (("p_wt1", "p_wt2"), ("p_pv1", "p_pv2")):
+            if getattr(params, unit2) != getattr(params, unit1):
+                raise ValueError(
+                    f"microgrid {unit2}={getattr(params, unit2)} differs from "
+                    f"{unit1}={getattr(params, unit1)}; twin units must have equal ratings"
+                )
+        if not 0.0 <= self.measurement_noise_std < math.inf:
+            raise ValueError(
+                f"measurement_noise_std must be >= 0, got {self.measurement_noise_std}")
+        pi_configs = {
+            "pi_all": pi_all_units_config(params, self.pi_kp, self.pi_ki),
+            "pi_dubess": pi_du_bess_config(params, self.pi_kp, self.pi_ki),
+        }
+        object.__setattr__(self, "pi_kp", pi_configs["pi_all"].kp)
+        object.__setattr__(self, "pi_ki", pi_configs["pi_all"].ki)
+        object.__setattr__(self, "pi_configs", pi_configs)
+        object.__setattr__(self, "wind", default_wind_params(rated_kw=params.p_wt1))
+        object.__setattr__(self, "pv", default_pv_params(rated_kw=params.p_pv1))
 
 
 @dataclass
@@ -239,12 +258,7 @@ def run_scenario(scenario, config=None, prepared=None):
 
     mpc = scenario.controller == "mpc"
     pred = prepared.pred if mpc else None
-    if scenario.controller == "pi_all":
-        pi_config = pi_all_units_config(params, config.pi_kp, config.pi_ki)
-    elif scenario.controller == "pi_dubess":
-        pi_config = pi_du_bess_config(params, config.pi_kp, config.pi_ki)
-    else:
-        pi_config = None
+    pi_config = config.pi_configs.get(scenario.controller)
     pi_state = initial_pi_state()
 
     z = np.zeros(N_AUGMENTED)  # the estimate as (x_hat, d_hat)

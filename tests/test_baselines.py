@@ -10,6 +10,7 @@ from microfreq.baselines import (
     PiState,
     TUNED_KI,
     TUNED_KP,
+    design_pi_gains,
     initial_pi_state,
     pi_all_units_config,
     pi_du_bess_config,
@@ -144,6 +145,26 @@ def test_config_validation():
                  allocation_weights=np.full(6, 0.1), capacity_scale=1.0)
     with pytest.raises(ValueError):
         pi_step(initial_pi_state(), 0.0, WIDE, pi_all_units_config(PARAMS), 0.0)
+
+
+@pytest.mark.parametrize("gain", ["kp", "ki"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0],
+                         ids=["nan", "inf", "-inf", "negative"])
+def test_config_rejects_non_finite_or_negative_gains(gain, value):
+    gains = dict({"kp": 1.0, "ki": 1.0}, **{gain: value})
+    with pytest.raises(ValueError, match=f"{gain} must be"):
+        PiConfig(participating=np.ones(6, bool), allocation_weights=np.full(6, 1 / 6),
+                 capacity_scale=1.0, **gains)
+
+
+def test_default_gains_are_the_design_on_the_given_ratings():
+    params = MicrogridParams(p_wt1=80.0, p_wt2=80.0, p_pv1=100.0, p_pv2=100.0)
+    design = design_pi_gains(params)
+    assert design != (TUNED_KP, TUNED_KI)
+    for make in (pi_all_units_config, pi_du_bess_config):
+        config = make(params)
+        assert (config.kp, config.ki) == design
+    assert (RunConfig(params=params).pi_kp, RunConfig(params=params).pi_ki) == design
 
 
 def pi_step_reference(state, y, limits, config, Ts):

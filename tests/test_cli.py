@@ -8,8 +8,9 @@ import pytest
 from microfreq import cli
 from microfreq.cli import SIM_KEYS, load_run_config, main
 from microfreq.der_models import DELOAD_FRACTION
+from microfreq.lfc_model import MicrogridParams
 from microfreq.profiles import generate_profiles, write_profiles_csv
-from microfreq.simulate import RunConfig
+from microfreq.simulate import RunConfig, make_scenario, run_scenario, write_trace_csv
 
 
 def test_run_writes_trace_and_metrics(tmp_path, capsys):
@@ -267,3 +268,23 @@ def test_default_config_matches_published_values():
     assert config.mpc.p == 10 and config.mpc.m == 3
     assert config.pi_kp == pytest.approx(1.44)
     assert config.deload == 0.10
+
+
+TWIN_RATINGS = {"p_wt1": 80.0, "p_wt2": 80.0, "p_pv1": 100.0, "p_pv2": 100.0}
+
+
+def test_library_config_matches_the_cli_config_of_the_same_ratings(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"microgrid": TWIN_RATINGS}))
+    cli_config = load_run_config(str(config_path))
+    library_config = RunConfig(params=MicrogridParams(**TWIN_RATINGS))
+    for config in (cli_config, library_config):
+        assert config.wind.rated_power == 80.0
+        assert config.pv.rated_array_kw == 100.0
+    assert (library_config.pi_kp, library_config.pi_ki) == (cli_config.pi_kp, cli_config.pi_ki)
+    for kind, controller in (("rapid", "pi_all"), ("step", "mpc")):
+        paths = []
+        for name, config in (("cli", cli_config), ("library", library_config)):
+            paths.append(tmp_path / f"{name}_{kind}_{controller}.csv")
+            write_trace_csv(run_scenario(make_scenario(kind, controller, 3), config), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes(), (kind, controller)

@@ -1,6 +1,7 @@
 """Tests for the closed-loop scenario engine and metrics."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import microfreq.simulate as sim
+from microfreq.lfc_model import MicrogridParams
 from microfreq.numerics import QpInfeasibleError
 from microfreq.profiles import NOMINAL_AMBIENT_C, ProfileSet
 from microfreq.simulate import (
@@ -320,3 +322,29 @@ def test_bad_profile_sample_fails_before_the_first_sample(monkeypatch, series, v
     with pytest.raises(ValueError, match=re.escape(message)):
         run_scenario(scenario)
     assert steps == []
+
+
+def test_run_config_derives_its_renewable_models_and_pi_configs_from_its_ratings():
+    params = MicrogridParams(p_wt1=80.0, p_wt2=80.0, p_pv1=100.0, p_pv2=100.0)
+    for config in (RunConfig(params=params), replace(RunConfig(), params=params)):
+        assert config.wind.rated_power == 80.0
+        assert config.pv.rated_array_kw == 100.0
+        for name, pi_config in config.pi_configs.items():
+            assert pi_config.capacity_scale == pytest.approx(
+                (params.capacities_kw() * pi_config.participating).sum() / params.s_base), name
+    assert set(RunConfig().pi_configs) == {"pi_all", "pi_dubess"}
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"params": MicrogridParams(p_wt2=90.0)}, r"p_wt2=90.0 differs from p_wt1=60.0"),
+    ({"params": MicrogridParams(p_pv2=90.0)}, r"p_pv2=90.0 differs from p_pv1=80.0"),
+    ({"measurement_noise_std": -1e-5}, r"measurement_noise_std must be >= 0, got -1e-05"),
+    ({"measurement_noise_std": float("inf")}, r"measurement_noise_std must be >= 0, got inf"),
+    ({"measurement_noise_std": float("nan")}, r"measurement_noise_std must be >= 0, got nan"),
+    ({"pi_kp": float("nan")}, r"kp must be >= 0"),
+    ({"pi_ki": 0.0}, r"ki must be > 0"),
+], ids=["wind-twins", "pv-twins", "negative-noise", "infinite-noise", "nan-noise", "nan-kp",
+        "zero-ki"])
+def test_run_config_rejects_bad_values_at_construction(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig(**kwargs)
