@@ -174,9 +174,20 @@ def _require_nonnegative(value, message):
         raise ValueError(f"{message}, got {value[negative][0]}")
 
 
-def _require_deload(deload):
+def require_deload(deload):
+    """The held-back fraction of renewable power within [0, 1)."""
     if not 0 <= deload < 1:
         raise ValueError(f"deload must be in [0, 1), got {deload}")
+
+
+def require_dispatch(dispatch_du, dispatch_bess, params):
+    """Diesel dispatch (kW) within [0, p_du], battery within +-p_bess."""
+    if not 0.0 <= dispatch_du <= params.p_du:
+        raise ValueError(f"diesel dispatch {dispatch_du} kW outside [0, {params.p_du}]")
+    if not -params.p_bess <= dispatch_bess <= params.p_bess:
+        raise ValueError(
+            f"battery dispatch {dispatch_bess} kW outside [{-params.p_bess}, {params.p_bess}]"
+        )
 
 
 def _elementwise_result(value):
@@ -200,7 +211,7 @@ def wind_available_power(v, params, deload=DELOAD_FRACTION):
     """
     v = np.asarray(v, dtype=float)
     _require_nonnegative(v, "wind speed must be >= 0")
-    _require_deload(deload)
+    require_deload(deload)
     lam_star, cp_star = optimal_tip_speed_ratio(params)
     omega = lam_star * v / params.blade_radius
     # Speeds at or above rated rotor speed never reach the aerodynamic branch.
@@ -221,7 +232,7 @@ def pv_available_power(g_eff, t_ambient, params, deload=DELOAD_FRACTION):
     ambient temperature t_ambient (C), elementwise with broadcasting."""
     g_eff = np.asarray(g_eff, dtype=float)
     _require_nonnegative(g_eff, "irradiance must be >= 0")
-    _require_deload(deload)
+    require_deload(deload)
     t_cell = t_ambient + params.temp_rise_coefficient * g_eff
     power_kw = (
         params.rated_array_kw
@@ -256,12 +267,7 @@ def reserve_limits(
     for name, val in (("p_map_wt1", p_map_wt1), ("p_map_wt2", p_map_wt2),
                       ("p_map_pv1", p_map_pv1), ("p_map_pv2", p_map_pv2)):
         _require_nonnegative(val, f"{name} must be >= 0")
-    if not 0.0 <= dispatch_du <= params.p_du:
-        raise ValueError(f"diesel dispatch {dispatch_du} kW outside [0, {params.p_du}]")
-    if not -params.p_bess <= dispatch_bess <= params.p_bess:
-        raise ValueError(
-            f"battery dispatch {dispatch_bess} kW outside [{-params.p_bess}, {params.p_bess}]"
-        )
+    require_dispatch(dispatch_du, dispatch_bess, params)
 
     sb = params.s_base
     shape = p_map_wt1.shape

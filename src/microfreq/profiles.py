@@ -12,8 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csv_format import FLOAT, CsvRows, write_csv
+
 PROFILE_COLUMNS = ("t", "load_pu", "v_w1", "v_w2", "g_eff1", "g_eff2", "t_amb")
 PROFILE_KINDS = ("step", "moderate", "rapid")
+_PROFILE_ROW = CsvRows([FLOAT] * len(PROFILE_COLUMNS))
 
 # Nominal operating point the fluctuating kinds wander around.
 NOMINAL_WIND_MS = 10.0
@@ -173,20 +176,9 @@ def generate_profiles(kind, seed, duration, ts=0.2):
 
 
 def write_profiles_csv(path, profiles):
-    """Write a ProfileSet in the interchange column order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROFILE_COLUMNS)
-        for k in range(profiles.t.shape[0]):
-            writer.writerow([
-                f"{profiles.t[k]:.15e}",
-                f"{profiles.load_pu[k]:.15e}",
-                f"{profiles.v_w[0, k]:.15e}",
-                f"{profiles.v_w[1, k]:.15e}",
-                f"{profiles.g_eff[0, k]:.15e}",
-                f"{profiles.g_eff[1, k]:.15e}",
-                f"{profiles.t_amb[k]:.15e}",
-            ])
+    """Write a ProfileSet in the interchange column order, each cell %.15e."""
+    columns = (profiles.t, profiles.load_pu, profiles.v_w.T, profiles.g_eff.T, profiles.t_amb)
+    write_csv(path, PROFILE_COLUMNS, _PROFILE_ROW, columns)
 
 
 def read_profiles_csv(path):

@@ -29,11 +29,14 @@ from functools import cached_property
 import numpy as np
 
 from .baselines import initial_pi_state, pi_all_units_config, pi_du_bess_config, pi_step
+from .csv_format import DIGIT, FLOAT, CsvRows, write_csv
 from .der_models import (
     DELOAD_FRACTION,
     default_pv_params,
     default_wind_params,
     pv_available_power,
+    require_deload,
+    require_dispatch,
     reserve_limits,
     wind_available_power,
 )
@@ -143,6 +146,8 @@ class RunConfig:
         if not 0.0 <= self.measurement_noise_std < math.inf:
             raise ValueError(
                 f"measurement_noise_std must be >= 0, got {self.measurement_noise_std}")
+        require_deload(self.deload)
+        require_dispatch(self.dispatch_du_kw, self.dispatch_bess_kw, params)
         pi_configs = {
             "pi_all": pi_all_units_config(params, self.pi_kp, self.pi_ki),
             "pi_dubess": pi_du_bess_config(params, self.pi_kp, self.pi_ki),
@@ -426,12 +431,8 @@ TRACE_COLUMNS = (
 )
 
 
-# One trace row: 32 float columns, the six binding flags, the objective, in
-# csv's default dialect (no cell needs quoting; rows end in CRLF).
-_TRACE_ROW = ",".join(["%.15e"] * 32 + ["%d"] * 6 + ["%.15e"]) + "\r\n"
-# Rows gathered, formatted and written at a time, so that memory stays
-# bounded by the chunk, not the trace.
-_WRITE_CHUNK = 64
+# One trace row: 32 float columns, the six binding flags, the objective.
+_TRACE_ROW = CsvRows([FLOAT] * 32 + [DIGIT] * 6 + [FLOAT])
 
 
 def write_trace_csv(trace, path):
@@ -439,9 +440,4 @@ def write_trace_csv(trace, path):
     (column meanings and row format in trace_schema.md)."""
     columns = (trace.t, trace.freq, trace.commands, trace.outputs, trace.disturbances,
                trace.d_hat, trace.limits_lo, trace.limits_hi, trace.binding, trace.objective)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for start in range(0, trace.freq.size, _WRITE_CHUNK):
-            rows = slice(start, start + _WRITE_CHUNK)
-            block = np.column_stack([c[rows] for c in columns]).tolist()
-            fh.write("".join([_TRACE_ROW % tuple(row) for row in block]))
+    write_csv(path, TRACE_COLUMNS, _TRACE_ROW, columns)

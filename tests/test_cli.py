@@ -209,13 +209,17 @@ def test_config_rejects_unknown_keys(tmp_path, config, message):
     ('{"pi": {"kp": NaN}}', r"config value NaN is not finite"),
     ('{"pi": {"kp": -1}}', r"kp must be >= 0"),
     ('{"pi": {"ki": 0.0}}', r"ki must be > 0"),
+    ('{"sim": {"deload": 1.5}}', r"deload must be in \[0, 1\), got 1.5"),
+    ('{"sim": {"dispatch_du_kw": 500}}', r"diesel dispatch 500 kW outside \[0, 120.0\]"),
 ], ids=["negative-noise", "nan-noise", "infinite-noise", "nan-estimator-noise",
-        "infinite-mpc-weight", "negative-infinite-deload", "overflowing-number", "nan-kp", "negative-kp", "zero-ki"])
+        "infinite-mpc-weight", "negative-infinite-deload", "overflowing-number", "nan-kp", "negative-kp", "zero-ki",
+        "deload-above-one", "diesel-dispatch"])
 @pytest.mark.parametrize("argv", [
     ["run", "--scenario", "step", "--controller", "mpc", "--seed", "0"],
     ["sweep", "--seeds", "0", "--kinds", "step"],
-], ids=["run-mpc", "sweep"])
-def test_bad_config_values_fail_at_ingest(tmp_path, monkeypatch, argv, text, message):
+    ["tune-pi"],
+], ids=["run-mpc", "sweep", "tune-pi"])
+def test_bad_config_values_fail_at_ingest(tmp_path, monkeypatch, capsys, argv, text, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(text)
     runs = []
@@ -223,6 +227,7 @@ def test_bad_config_values_fail_at_ingest(tmp_path, monkeypatch, argv, text, mes
     with pytest.raises(ValueError, match=message):
         main(argv + ["--config", str(config_path)])
     assert runs == []
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("controller", ["mpc", "pi_all"])

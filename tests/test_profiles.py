@@ -4,11 +4,14 @@ import csv
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import profile_csv_reference
 
 from microfreq.profiles import (
     PROFILE_COLUMNS,
@@ -153,6 +156,25 @@ def read_csv_rows(rows):
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
         return read_profiles_csv(path)
+
+
+def assert_csv_matches_reference(profiles, directory):
+    got, want = directory / "got.csv", directory / "want.csv"
+    write_profiles_csv(got, profiles)
+    profile_csv_reference.write_profiles_csv(want, profiles)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("kind", PROFILE_KINDS)
+def test_csv_matches_reference_bytes(kind, tmp_path):
+    assert_csv_matches_reference(generate_profiles(kind, 7, 180.0), tmp_path)
+
+
+@settings(max_examples=30)
+@given(kinds, seeds, st.floats(1.0, 300.0))
+def test_generated_profile_csv_matches_reference_bytes(kind, seed, duration):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_csv_matches_reference(generate_profiles(kind, seed, duration), Path(tmp))
 
 
 @given(kinds, seeds, st.floats(1.0, 300.0))

@@ -335,6 +335,17 @@ def test_run_config_derives_its_renewable_models_and_pi_configs_from_its_ratings
     assert set(RunConfig().pi_configs) == {"pi_all", "pi_dubess"}
 
 
+def test_replace_keeps_filled_gains_and_redesigns_them_when_cleared():
+    params = MicrogridParams(p_wt1=80.0, p_wt2=80.0, p_pv1=100.0, p_pv2=100.0)
+    default, fresh = RunConfig(), RunConfig(params=params)
+    assert (fresh.pi_kp, fresh.pi_ki) != (default.pi_kp, default.pi_ki)
+    kept = replace(default, params=params)
+    assert (kept.pi_kp, kept.pi_ki) == (default.pi_kp, default.pi_ki)
+    assert kept.pi_configs["pi_all"].kp == default.pi_kp
+    redesigned = replace(default, params=params, pi_kp=None, pi_ki=None)
+    assert (redesigned.pi_kp, redesigned.pi_ki) == (fresh.pi_kp, fresh.pi_ki)
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"params": MicrogridParams(p_wt2=90.0)}, r"p_wt2=90.0 differs from p_wt1=60.0"),
     ({"params": MicrogridParams(p_pv2=90.0)}, r"p_pv2=90.0 differs from p_pv1=80.0"),
@@ -343,8 +354,12 @@ def test_run_config_derives_its_renewable_models_and_pi_configs_from_its_ratings
     ({"measurement_noise_std": float("nan")}, r"measurement_noise_std must be >= 0, got nan"),
     ({"pi_kp": float("nan")}, r"kp must be >= 0"),
     ({"pi_ki": 0.0}, r"ki must be > 0"),
+    ({"deload": 1.5}, r"deload must be in \[0, 1\), got 1.5"),
+    ({"deload": float("nan")}, r"deload must be in \[0, 1\), got nan"),
+    ({"dispatch_du_kw": 500.0}, r"diesel dispatch 500.0 kW outside \[0, 120.0\]"),
+    ({"dispatch_bess_kw": -150.0}, r"battery dispatch -150.0 kW outside \[-100.0, 100.0\]"),
 ], ids=["wind-twins", "pv-twins", "negative-noise", "infinite-noise", "nan-noise", "nan-kp",
-        "zero-ki"])
+        "zero-ki", "deload-above-one", "nan-deload", "diesel-dispatch", "battery-dispatch"])
 def test_run_config_rejects_bad_values_at_construction(kwargs, message):
     with pytest.raises(ValueError, match=message):
         RunConfig(**kwargs)

@@ -10,8 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import microfreq.csv_format as csv_format
 import microfreq.simulate as sim
 import trace_csv_reference
+from microfreq.csv_format import CsvRows
 from microfreq.numerics import QpInfeasibleError
 from microfreq.profiles import PROFILE_KINDS
 from microfreq.simulate import (
@@ -91,3 +93,82 @@ def random_traces(draw):
 def test_random_trace_matches_reference_bytes(trace):
     with tempfile.TemporaryDirectory() as tmp:
         assert_bytes_match_reference(trace, Path(tmp))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The row count of every chunk formatted by the exact fallback."""
+    calls = []
+    real = CsvRows._format_exactly
+
+    def counting(self, block):
+        calls.append(block.shape[0])
+        return real(self, block)
+
+    monkeypatch.setattr(CsvRows, "_format_exactly", counting)
+    return calls
+
+
+def trace_of(values, binding=None):
+    """A trace whose row k holds ``values[k]`` in every float cell, negated
+    in every other one, and the flags ``binding[k]`` (zeros by default)."""
+    cells = np.array(values, dtype=float)[:, None] * np.where(np.arange(33) % 2, -1.0, 1.0)
+    if binding is None:
+        binding = np.zeros((len(values), 6), dtype=int)
+    return ScenarioTrace(
+        kind="rapid", controller="pi_all", seed=0, Ts=0.2,
+        t=cells[:, 0], freq=cells[:, 1], commands=cells[:, 2:8], outputs=cells[:, 8:14],
+        disturbances=cells[:, 14:19], d_hat=cells[:, 19], limits_lo=cells[:, 20:26],
+        limits_hi=cells[:, 26:32], binding=binding, objective=cells[:, 32],
+    )
+
+
+def with_neighbours(values):
+    return [y for x in values for y in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
+
+
+_rng = np.random.default_rng(11)
+# Exact ties in the 17th significant digit: k.5 with 16-digit k, k.25 with
+# 15-digit k, k.125 with 14-digit k, k.0625 with 13-digit k.
+_TIES = [1234567890123456.5, 1234567890123457.5, 123456789012345.25, 2.0**52 - 0.5] + [
+    float(k) + fraction
+    for digits, fraction in ((16, 0.5), (15, 0.25), (14, 0.125), (13, 0.0625))
+    for k in _rng.integers(10 ** (digits - 1), min(10**digits, 2**52), size=8)
+]
+# name: (values, whether the fast path formats every one of them; None
+# where the table's edges decide it one way or the other).
+ADVERSARIAL = {
+    "ties": (_TIES, False),
+    "two-53": (with_neighbours([2.0**53, 2.0**53 + 2, 2.0**53 - 1, 2.0**54]), True),
+    "powers-of-ten": (with_neighbours([float(f"1e{k}") for k in range(-39, 41)]), True),
+    "table-edges": (with_neighbours([1e-41, 1e-40, 1e41, 1e-99, 1e-100, 1e99, 1e100]), None),
+    "zeros": ([0.0, -0.0], True),
+    "non-finite-and-subnormal": (
+        [np.nan, np.inf, -np.inf, 5e-324, 2.225073858507201e-308, 1.7976931348623157e308], False),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 64])
+@pytest.mark.parametrize("name", ADVERSARIAL)
+def test_adversarial_cells_match_reference_bytes(monkeypatch, fallbacks, chunk, name, tmp_path):
+    values, fast = ADVERSARIAL[name]
+    monkeypatch.setattr(csv_format, "_WRITE_CHUNK", chunk)
+    assert_bytes_match_reference(trace_of(values), tmp_path)
+    if chunk == 1 and fast is not None:
+        # One row per chunk: each value takes the fast path or the fallback alone.
+        assert len(fallbacks) == (0 if fast else len(values))
+
+
+@pytest.mark.parametrize("flag", [10, -1])
+def test_out_of_range_flag_matches_reference_bytes(fallbacks, flag, tmp_path):
+    binding = np.zeros((100, 6), dtype=int)
+    binding[70, 2] = flag
+    assert_bytes_match_reference(trace_of(np.linspace(-1.0, 1.0, 100), binding), tmp_path)
+    assert fallbacks == [36]  # the second chunk, rows 64-99
+
+
+@pytest.mark.parametrize("controller", CONTROLLER_KINDS)
+def test_full_rapid_trace_takes_no_fallback(fallbacks, controller, tmp_path):
+    trace = run_scenario(make_scenario("rapid", controller, seed=7))
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    assert trace.freq.size == 901 and fallbacks == []
