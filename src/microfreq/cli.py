@@ -39,16 +39,21 @@ from .simulate import (
     write_trace_csv,
 )
 
-# Config file sections and their keys: "microgrid" and "mpc" keys are the
-# fields of MicrogridParams and MpcConfig, "estimator" keys
-# default_estimator_config's arguments, "pi" keys the two gains, and "sim"
-# keys override the RunConfig field of the same name.
-CONFIG_SECTIONS = ("microgrid", "mpc", "estimator", "pi", "sim")
-MICROGRID_KEYS = tuple(f.name for f in dataclasses.fields(MicrogridParams))
-MPC_KEYS = tuple(f.name for f in dataclasses.fields(MpcConfig))
-ESTIMATOR_KEYS = tuple(inspect.signature(default_estimator_config).parameters)
-PI_KEYS = ("kp", "ki")
+# Config file sections, each mapping its keys to the defaults they override:
+# "microgrid" and "mpc" keys are the fields of MicrogridParams and MpcConfig,
+# "estimator" keys default_estimator_config's arguments, "pi" keys the two
+# gains (None: the gain design) and "sim" keys the RunConfig field of the
+# same name. A key's default also gives the JSON type its value must have.
+_RUN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 SIM_KEYS = ("deload", "dispatch_du_kw", "dispatch_bess_kw", "measurement_noise_std")
+CONFIG_DEFAULTS = {
+    "microgrid": {f.name: f.default for f in dataclasses.fields(MicrogridParams)},
+    "mpc": {f.name: f.default for f in dataclasses.fields(MpcConfig)},
+    "estimator": {name: arg.default for name, arg
+                  in inspect.signature(default_estimator_config).parameters.items()},
+    "pi": {"kp": _RUN_DEFAULTS["pi_kp"], "ki": _RUN_DEFAULTS["pi_ki"]},
+    "sim": {key: _RUN_DEFAULTS[key] for key in SIM_KEYS},
+}
 
 
 def _known(what, given, allowed):
@@ -56,6 +61,30 @@ def _known(what, given, allowed):
     unknown = sorted(set(given) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {what} {unknown}; expected some of {list(allowed)}")
+    return given
+
+
+def _json_object(what, value):
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
+def _section(raw, name):
+    """The keys given in config section ``name``, each value checked against
+    the type of its default: true or false for a bool, an integer for an
+    int, and otherwise a number (not true or false)."""
+    given = _json_object(f"config section {name}", raw.get(name, {}))
+    for key, value in _known(f"{name} config keys", given, CONFIG_DEFAULTS[name]).items():
+        default = CONFIG_DEFAULTS[name][key]
+        if isinstance(default, bool):
+            kind, ok = "true or false", isinstance(value, bool)
+        elif isinstance(default, int):
+            kind, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+        else:
+            kind, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not ok:
+            raise ValueError(f"config {name}.{key} must be {kind}, got {json.dumps(value)}")
     return given
 
 
@@ -75,27 +104,23 @@ def load_run_config(path=None):
     if path is not None:
         with open(path) as fh:
             raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
-    _known("config sections", raw, CONFIG_SECTIONS)
-    params = MicrogridParams(
-        **_known("microgrid config keys", raw.get("microgrid", {}), MICROGRID_KEYS)
-    )
-    mpc = MpcConfig(**_known("mpc config keys", raw.get("mpc", {}), MPC_KEYS))
+    _known("config sections", _json_object("config file", raw), CONFIG_DEFAULTS)
+    params = MicrogridParams(**_section(raw, "microgrid"))
+    mpc = MpcConfig(**_section(raw, "mpc"))
     # Every scenario samples at SCENARIO_TS: an MPC built for another sample
     # time cannot run on it, and a PI run would ignore the key.
     if mpc.Ts != SCENARIO_TS:
         raise ValueError(f"unsupported mpc config Ts {mpc.Ts}; expected {SCENARIO_TS}, "
                          "the scenario sample time")
-    estimator = default_estimator_config(
-        **_known("estimator config keys", raw.get("estimator", {}), ESTIMATOR_KEYS)
-    )
-    pi = _known("pi config keys", raw.get("pi", {}), PI_KEYS)
+    estimator = default_estimator_config(**_section(raw, "estimator"))
+    pi = _section(raw, "pi")
     return RunConfig(
         params=params,
         mpc=mpc,
         estimator=estimator,
         pi_kp=pi.get("kp"),
         pi_ki=pi.get("ki"),
-        **_known("sim config keys", raw.get("sim", {}), SIM_KEYS),
+        **_section(raw, "sim"),
     )
 
 

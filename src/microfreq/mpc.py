@@ -25,7 +25,8 @@ from V_unc: most samples violate no bound and end there; the rest apply the
 cached affine law of each active set met, one law per set, built on first
 use and kept on the run's ``BoxQp``. Should the iteration reach its cap, or
 the bands cross, the step solves the same box QP with the dual active-set
-method instead, which always terminates and reports an infeasible sample.
+method instead, factorized for that sample alone, which always terminates
+and reports an infeasible sample.
 Either way the step reports the KKT residuals of the box QP.
 
 The weights live in the prepared objects only, so a control step cannot
@@ -229,10 +230,10 @@ def control_step(dx, dd, y, u_prev, limits, pred, *, qp_tol=1e-10):
     those ``pred`` was built with. The box QP over the cumulative moves is
     solved by ``pred.box``'s cached laws; if their iteration reaches the
     cap, or the bands leave no feasible point, by the dual active-set method
-    on the same prepared QP, which raises QpInfeasibleError in the latter
-    case. Returns an MpcStepResult whose ``command`` is the new cumulative
-    total per unit, u_prev + first increment block, and whose KKT residuals
-    and active rows are the box QP's.
+    on a QpProblem of the same box QP, which raises QpInfeasibleError in the
+    latter case. Returns an MpcStepResult whose ``command`` is the new
+    cumulative total per unit, u_prev + first increment block, and whose KKT
+    residuals and active rows are the box QP's.
     """
     nu, p = pred.n_inputs, pred.p
     n = nu * pred.m
@@ -244,7 +245,7 @@ def control_step(dx, dd, y, u_prev, limits, pred, *, qp_tol=1e-10):
     Cu, b = build_constraints(limits, u_prev, pred)
     solved = box.solve(v_unc, b[:n], -b[n:], qp_tol * max(1.0, np.abs(b).max()))
     if solved is None:
-        v, lam, _ = solve_qp_info(QpProblem(box.H, g, Cu, b, prepared=box), tol=qp_tol)
+        v, lam, _ = solve_qp_info(QpProblem(box.H, g, Cu, b), tol=qp_tol)
     else:
         v, lam_v, _ = solved
         # A positive multiplier belongs to the lower row, a negative one to

@@ -9,7 +9,7 @@ each law depends on the active set alone, so the fill order never changes a
 result.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,74 +120,51 @@ def spd_inverse(A, name):
     return L_inv.T @ L_inv
 
 
-class PreparedQp:
-    """The fixed part of  min 1/2 x'Hx + f'x  subject to  Cu x >= b:  H and
-    Cu, checked and factorized once for solving many (f, b) pairs.
-
-    H must be square, finite, symmetric within 1e-10 and positive definite,
-    and Cu finite; otherwise ValueError. The object keeps read-only copies
-    of H and Cu and the products the dual active-set method works from:
-
-    - ``H_inv``: H^-1, built from the Cholesky factor of H;
-    - ``H_inv_Ct``: H^-1 Cu' (n x q), column j the primal direction of row j;
-    - ``gram``: Cu H^-1 Cu' (q x q), the constraint Gram matrix.
-    """
-
-    def __init__(self, H, Cu=None):
-        H = np.array(_check_square(H, "H"))
-        if np.abs(H - H.T).max() > _SYMMETRY_TOL:
-            raise ValueError("H is not symmetric within 1e-10")
-        n = H.shape[0]
-        Cu = np.zeros((0, n)) if Cu is None else np.array(Cu, dtype=float).reshape(-1, n)
-        if not np.isfinite(Cu).all():
-            raise ValueError("QP data contains non-finite entries")
-        H_inv = spd_inverse(H, "H")
-        H_inv_Ct = H_inv @ Cu.T
-        gram = Cu @ H_inv_Ct
-        for shared in (H, Cu, H_inv, H_inv_Ct, gram):
-            shared.flags.writeable = False
-        self.H, self.Cu = H, Cu
-        self.H_inv, self.H_inv_Ct, self.gram = H_inv, H_inv_Ct, gram
-        self.cu_scale = max(1.0, np.abs(Cu).max()) if Cu.size else 1.0
-        self.zero_dir_tol = 1e-12 * max(1.0, np.abs(H).max())
-
-    @property
-    def n(self):
-        return self.H.shape[0]
-
-    @property
-    def q(self):
-        return self.Cu.shape[0]
+def _checked_hessian(H):
+    """A read-only copy of H and its inverse H^-1 from the Cholesky factor;
+    ValueError unless H is square, finite, symmetric within 1e-10 and
+    positive definite."""
+    H = np.array(_check_square(H, "H"))
+    if np.abs(H - H.T).max() > _SYMMETRY_TOL:
+        raise ValueError("H is not symmetric within 1e-10")
+    H_inv = spd_inverse(H, "H")
+    H.flags.writeable = H_inv.flags.writeable = False
+    return H, H_inv
 
 
 @dataclass
 class QpProblem:
     """Strictly convex QP:  min 1/2 x'Hx + f'x  subject to  Cu x >= b.
 
-    H must be symmetric positive definite. Cu may have zero rows for an
-    unconstrained problem. H and Cu come from ``prepared``: a problem built
-    without one checks and factorizes them into its own PreparedQp (and
-    keeps its read-only copies); one built with one must pass that
-    PreparedQp's own arrays. Either way only f and b are checked here.
+    H must be square, finite, symmetric within 1e-10 and positive definite,
+    and Cu, f and b finite; otherwise ValueError. Cu may have zero rows for
+    an unconstrained problem. The problem keeps read-only copies of H and Cu
+    and the products the dual active-set method works from:
+
+    - ``H_inv``: H^-1, built from the Cholesky factor of H;
+    - ``H_inv_Ct``: H^-1 Cu' (n x q), column j the primal direction of row j;
+    - ``gram``: Cu H^-1 Cu' (q x q), the constraint Gram matrix.
     """
 
     H: np.ndarray
     f: np.ndarray
-    Cu: np.ndarray = field(default=None)
-    b: np.ndarray = field(default=None)
-    prepared: PreparedQp = field(default=None, kw_only=True, repr=False)
+    Cu: np.ndarray = None
+    b: np.ndarray = None
 
     def __post_init__(self):
-        if self.prepared is None:
-            self.prepared = PreparedQp(self.H, self.Cu)
-            self.H, self.Cu = self.prepared.H, self.prepared.Cu
-        elif self.H is not self.prepared.H or self.Cu is not self.prepared.Cu:
-            raise ValueError("H and Cu must be the prepared QP's own arrays")
-        n, q = self.n, self.q
+        self.H, self.H_inv = _checked_hessian(self.H)
+        n = self.n
+        Cu = np.zeros((0, n)) if self.Cu is None else self.Cu
+        self.Cu = np.array(Cu, dtype=float).reshape(-1, n)
+        q = self.q
         self.f = np.asarray(self.f, dtype=float).reshape(n)
         self.b = np.zeros(q) if self.b is None else np.asarray(self.b, dtype=float).reshape(q)
-        if not (np.isfinite(self.f).all() and np.isfinite(self.b).all()):
+        if not all(np.isfinite(data).all() for data in (self.Cu, self.f, self.b)):
             raise ValueError("QP data contains non-finite entries")
+        self.H_inv_Ct = self.H_inv @ self.Cu.T
+        self.gram = self.Cu @ self.H_inv_Ct
+        for shared in (self.Cu, self.H_inv_Ct, self.gram):
+            shared.flags.writeable = False
 
     @property
     def n(self):
@@ -213,9 +190,9 @@ def solve_qp_info(problem, tol=1e-8):
 
     Starts at the unconstrained minimizer and adds violated constraints one
     at a time, taking dual steps; finite termination for strictly convex H.
-    Works from the problem's PreparedQp: each step takes columns and
-    sub-blocks of H^-1 Cu' and Cu H^-1 Cu', so the only solve left per step
-    is the small active-set Gram system.
+    Each step takes columns and sub-blocks of the problem's H^-1 Cu' and
+    Cu H^-1 Cu', so the only solve left per step is the small active-set
+    Gram system.
     Returns (x, lam, info) where lam holds the KKT multipliers (one per
     constraint row, zero for inactive rows) and info records the active rows
     and iteration count.
@@ -225,18 +202,18 @@ def solve_qp_info(problem, tol=1e-8):
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    qp = problem.prepared
     f, b = problem.f, problem.b
-    Cu, H_inv_Ct, gram = qp.Cu, qp.H_inv_Ct, qp.gram
-    n, q = qp.n, qp.q
+    Cu, H_inv_Ct, gram = problem.Cu, problem.H_inv_Ct, problem.gram
+    n, q = problem.n, problem.q
 
-    x = qp.H_inv @ -f
+    x = problem.H_inv @ -f
     if q == 0:
         return x, np.zeros(0), {"iterations": 0, "active": []}
 
     active = []          # indices of active constraint rows
     lam_active = []      # multipliers for the active rows
-    scale = max(qp.cu_scale, np.abs(b).max())
+    scale = max(1.0, np.abs(Cu).max(), np.abs(b).max())
+    zero_dir_tol = 1e-12 * max(1.0, np.abs(problem.H).max())
     max_iter = 10 * q * n + 100
     iterations = 0
 
@@ -266,7 +243,7 @@ def solve_qp_info(problem, tol=1e-8):
 
             curvature = Cu[p] @ z
             t1, k = _step_ratio(lam_active, r)
-            if curvature <= qp.zero_dir_tol:
+            if curvature <= zero_dir_tol:
                 # No primal progress possible; take a pure dual step.
                 if k < 0:
                     raise QpInfeasibleError(p)
@@ -292,15 +269,16 @@ def solve_qp_info(problem, tol=1e-8):
     return x, lam, {"iterations": iterations, "active": list(active)}
 
 
-class BoxQp(PreparedQp):
-    """The PreparedQp of  min 1/2 v'H v + g'v  subject to  lo <= v <= hi,
-    the rows Cu = [I; -I] with b = [lo; -hi], and the law cache of its
-    primal-dual active-set method (Hintermueller, Ito & Kunisch, SIAM J.
-    Optim. 2003).
+class BoxQp:
+    """The fixed part of  min 1/2 v'H v + g'v  subject to  lo <= v <= hi,
+    that is of the rows Cu = [I; -I] with b = [lo; -hi], and the law cache
+    of its primal-dual active-set method (Hintermueller, Ito & Kunisch,
+    SIAM J. Optim. 2003). H is checked as a QpProblem's is; the object keeps
+    read-only copies of H, W = H^-1 (``H_inv``) and ``Cu``.
 
-    A sample is given by its unconstrained minimizer v_unc = -W g, where
-    W = H^-1 is the prepared ``H_inv``. With the bounds of an active set A
-    held at their values c_A, the minimizer is the affine law
+    A sample is given by its unconstrained minimizer v_unc = -W g. With the
+    bounds of an active set A held at their values c_A, the minimizer is the
+    affine law
 
         v = v_unc - K_A (v_unc[A] - c_A),   K_A = W[:, A] W[A, A]^-1,
 
@@ -309,17 +287,24 @@ class BoxQp(PreparedQp):
     built the first time A occurs and kept in ``laws``, keyed by A's mask,
     as explicit MPC keeps one law per region (Bemporad et al., Automatica
     2002). A solve therefore costs a few matrix-vector products once the
-    sets a caller meets have been seen. The same problem, as a QpProblem on
-    this object, is what ``solve_qp_info`` falls back on.
+    sets a caller meets have been seen. The same problem, as a QpProblem of
+    ``H``, ``Cu`` and the sample's g and b, is what its caller hands
+    ``solve_qp_info`` should the iteration not settle.
     """
 
     def __init__(self, H):
-        n = len(H)
-        super().__init__(H, np.vstack([np.eye(n), -np.eye(n)]))
+        self.H, self.H_inv = _checked_hessian(H)
+        n = self.n
+        self.Cu = np.vstack([np.eye(n), -np.eye(n)])
+        self.Cu.flags.writeable = False
         # The active-set update compares a step of the multiplier with a
         # step of v, in the units of v: lam_i / H_ii.
         self._inv_curvature = 1.0 / np.diag(self.H)
         self.laws = {}
+
+    @property
+    def n(self):
+        return self.H.shape[0]
 
     def _law(self, active):
         """(indices of A, [K_A; W[A, A]^-1]) for the active mask ``active``."""
@@ -346,7 +331,7 @@ class BoxQp(PreparedQp):
         lam being the gradient H v + g (zero off the active set), or None
         when BOX_QP_MAX_ITERATIONS pass without the sets repeating. The
         iteration may cycle when H is not an M-matrix, and the caller's
-        fallback, ``solve_qp_info`` on this PreparedQp, is what guarantees
+        fallback, ``solve_qp_info`` on the same problem, is what guarantees
         an answer.
         """
         n = self.n

@@ -123,6 +123,9 @@ def generate_profiles(kind, seed, duration, ts=0.2):
     if duration <= 0:
         raise ValueError("duration must be > 0")
     n = int(round(duration / ts)) + 1
+    if n < 2:
+        raise ValueError(f"duration {duration} s is below half the sample time ts {ts} s: "
+                         "the time grid needs at least two samples")
     t = np.arange(n) * ts
 
     if kind == "step":
@@ -190,7 +193,7 @@ def read_profiles_csv(path):
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != PROFILE_COLUMNS:
             raise ValueError(
                 f"profile CSV header {header} does not match required {PROFILE_COLUMNS}"

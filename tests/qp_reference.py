@@ -1,16 +1,17 @@
 """Reference solutions the tests compare the program's QP path against.
 
 ``solve_qp_info`` is the general dual active-set QP solver as it stood
-before the prepared solver: it checks H for positive definiteness on every
-call and solves with H on every inner iteration. It takes the same QpProblem
-and returns the same (x, lam, info) as ``microfreq.numerics.solve_qp_info``.
+before it worked from H^-1 and the Gram matrix: it checks H for positive
+definiteness on every call and solves with H on every inner iteration. It
+takes the same QpProblem and returns the same (x, lam, info) as
+``microfreq.numerics.solve_qp_info``.
 
 ``reference_control_step`` is the controller's step as it stood before the
 cumulative-move box solver: the increment QP over dU with the running-sum
-rows ``increment_rows`` = [T; -T], its own PreparedQp of (H, [T; -T]), the
-right-hand side b from ``build_constraints`` (the same b as the box rows')
-and the dual active-set solve, here this module's ``solve_qp_info``. It
-takes the arguments of ``microfreq.mpc.control_step`` and returns the same
+rows ``increment_rows`` = [T; -T] in its own QpProblem, the right-hand side
+b from ``build_constraints`` (the same b as the box rows') and the dual
+active-set solve, here this module's ``solve_qp_info``. It takes the
+arguments of ``microfreq.mpc.control_step`` and returns the same
 MpcStepResult, with the increment QP's active rows and KKT residuals.
 
 ``mpc_gain`` is the controller's closed-form unconstrained gain and
@@ -21,7 +22,7 @@ which no reserve constraint is active.
 import numpy as np
 
 from microfreq.mpc import MpcStepResult, build_constraints
-from microfreq.numerics import PreparedQp, QpInfeasibleError, QpProblem, kkt_residuals
+from microfreq.numerics import QpInfeasibleError, QpProblem, kkt_residuals
 
 
 def _check_positive_definite(H):
@@ -159,8 +160,7 @@ def reference_control_step(dx, dd, y, u_prev, limits, pred, *, qp_tol=1e-10):
     f = pred.F @ y_free
 
     _, b = build_constraints(limits, u_prev, pred)
-    qp = PreparedQp(pred.H, increment_rows(pred))
-    problem = QpProblem(qp.H, f, qp.Cu, b, prepared=qp)
+    problem = QpProblem(pred.H, f, increment_rows(pred), b)
     du, lam, _ = solve_qp_info(problem, tol=qp_tol)
     qp_active = problem.Cu @ du - problem.b <= 1e-9
     residuals = kkt_residuals(problem, du, lam)

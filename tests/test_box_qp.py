@@ -1,19 +1,20 @@
 """The box-constrained QP solver and the controller's use of it.
 
-``microfreq.numerics.BoxQp``, the PreparedQp of the rows Cu = [I; -I],
-solves  min 1/2 v'H v + g'v  s.t.  lo <= v <= hi  by the primal-dual
-active-set method with one cached affine law per active set. Its oracle is
-the enumeration QP solver on the same rows. The controller falls back to the
-dual active-set solver on the same BoxQp when the iteration reaches its cap,
-and the law cache must not make a sample's answer depend on which samples
-came before it. The controller reports the box QP's KKT residuals; the
-increment QP's residuals of the same answer are their oracle.
+``microfreq.numerics.BoxQp``, with the rows Cu = [I; -I], solves
+min 1/2 v'H v + g'v  s.t.  lo <= v <= hi  by the primal-dual active-set
+method with one cached affine law per active set. Its oracle is the
+enumeration QP solver on the same rows. The controller falls back to the
+dual active-set solver on a QpProblem of the same H and rows when the
+iteration reaches its cap, and the law cache must not make a sample's
+answer depend on which samples came before it. The controller reports the
+box QP's KKT residuals; the increment QP's residuals of the same answer are
+their oracle.
 """
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import microfreq.mpc
@@ -52,21 +53,54 @@ def box_qps(draw):
     return box, g, v_unc, lo, hi
 
 
+def box_case(Hv, g, lo, hi):
+    """(box, g, v_unc, lo, hi) as ``box_qps`` draws them."""
+    box = BoxQp(np.array(Hv))
+    g = np.array(g)
+    return box, g, -box.H_inv @ g, np.array(lo), np.array(hi)
+
+
+# Two Hv on which the iteration cycles, found by a random search of the
+# strategy's space: about 15 draws in 200 000 give None, too few for the
+# examples hypothesis runs to meet one.
+CYCLING_CASES = (
+    box_case([[16.67, -15.79, 10.42], [-15.79, 16.759999999999998, -10.03], [10.42, -10.03, 7.68]],
+             [-0.3, -2.9, -0.5], [-0.7, 0.1, 0.8], [-0.6, 1.1, 1.3]),
+    box_case([[19.45, 10.410000000000002, -0.2300000000000011, 16.22],
+              [10.410000000000002, 9.18, -3.1099999999999994, 4.54],
+              [-0.2300000000000011, -3.1099999999999994, 18.419999999999998, 6.989999999999998],
+              [16.22, 4.54, 6.989999999999998, 20.81]],
+             [-2.2, -0.2, -0.1, 1.4], [-1.6, -1.7, -0.1, -1.3],
+             [-0.6000000000000001, 1.3, 0.0, 1.7]),
+)
+
+
 @settings(max_examples=60)
 @given(box_qps())
+@example(CYCLING_CASES[0])
+@example(CYCLING_CASES[1])
 def test_box_solver_matches_enumeration_oracle(data):
     box, g, v_unc, lo, hi = data
-    solved = box.solve(v_unc, lo, hi, 1e-10)
-    # The iteration may cycle on an Hv that is not an M-matrix; the caller
-    # then falls back (test_capped_step_falls_back_to_the_dual_solver).
-    assume(solved is not None)
-    v, lam, _ = solved
     b = np.concatenate([lo, -hi])
+    problem = QpProblem(box.H, g, box.Cu, b)
+    solved = box.solve(v_unc, lo, hi, 1e-10)
+    if solved is None:
+        # The iteration may cycle on an Hv that is not an M-matrix; the
+        # controller then hands the same problem to the dual active set.
+        v, rows, _ = solve_qp_info(problem, 1e-10)
+    else:
+        v, lam, _ = solved
+        rows = np.concatenate([np.maximum(lam, 0.0), np.maximum(-lam, 0.0)])
     ref = enumerate_qp_minimizer(box.H, g, box.Cu, b)
     assert ref is not None
     assert np.abs(v - ref).max() <= ORACLE_GAP
-    rows = np.concatenate([np.maximum(lam, 0.0), np.maximum(-lam, 0.0)])
-    assert max(kkt_residuals(QpProblem(box.H, g, box.Cu, b, prepared=box), v, rows)) <= KKT_TOL
+    assert max(kkt_residuals(problem, v, rows)) <= KKT_TOL
+
+
+@pytest.mark.parametrize("data", CYCLING_CASES, ids=["n3", "n4"])
+def test_box_solver_gives_up_on_cycling_hessians(data):
+    box, g, v_unc, lo, hi = data
+    assert box.solve(v_unc, lo, hi, 1e-10) is None
 
 
 def test_box_solver_returns_the_unconstrained_minimizer_inside_the_box():
@@ -155,7 +189,7 @@ def test_capped_step_falls_back_to_the_dual_solver(monkeypatch):
         stacked = pred.sample_map @ np.concatenate((dx, (y, dd)))
         g = stacked[pred.p:pred.p + pred.n_inputs * pred.m]
         Cu, b = build_constraints(limits, u_prev, pred)
-        v = solve_qp_info(QpProblem(pred.box.H, g, Cu, b, prepared=pred.box), tol=1e-10)[0]
+        v = solve_qp_info(QpProblem(pred.box.H, g, Cu, b), tol=1e-10)[0]
         assert result.increments.tobytes() == (pred.T_inv @ v).tobytes()
         assert np.abs(result.increments - box_result.increments).max() <= 1e-10
         assert np.array_equal(result.qp_active, box_result.qp_active)

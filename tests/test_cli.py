@@ -199,6 +199,40 @@ def test_config_rejects_unknown_keys(tmp_path, config, message):
 
 
 @pytest.mark.parametrize("text, message", [
+    ('{"sim": {"deload": "0.1"}}', r'config sim.deload must be a number, got "0.1"'),
+    ('{"microgrid": {"p_du": null}}', r"config microgrid.p_du must be a number, got null"),
+    ('{"sim": {"measurement_noise_std": [1]}}',
+     r"config sim.measurement_noise_std must be a number, got \[1\]"),
+    ('{"mpc": {"m": 2.0}}', r"config mpc.m must be an integer, got 2.0"),
+    ('{"mpc": {"p": 10.5}}', r"config mpc.p must be an integer, got 10.5"),
+    ('{"mpc": {"alpha": true}}', r"config mpc.alpha must be a number, got true"),
+    ('{"pi": {"kp": true}}', r"config pi.kp must be a number, got true"),
+    ('{"estimator": {"measurement_noise": "1e-8"}}',
+     r'config estimator.measurement_noise must be a number, got "1e-8"'),
+    ('{"microgrid": {"bess_droop_variant": 1}}',
+     r"config microgrid.bess_droop_variant must be true or false, got 1"),
+    ('[]', r"config file must be a JSON object, got \[\]"),
+    ('{"sim": 3}', r"config section sim must be a JSON object, got 3"),
+], ids=["string-number", "null-number", "list-number", "float-horizon", "fractional-horizon",
+        "bool-weight", "bool-gain", "string-estimator-noise", "int-flag", "top-level-list",
+        "section-not-object"])
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "step", "--controller", "mpc", "--seed", "0"],
+    ["sweep", "--seeds", "0", "--kinds", "step"],
+], ids=["run-mpc", "sweep"])
+def test_config_values_of_the_wrong_type_fail_at_ingest(tmp_path, monkeypatch, capsys, argv,
+                                                        text, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text)
+    runs = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *args: runs.append(args))
+    with pytest.raises(ValueError, match=message):
+        main(argv + ["--config", str(config_path)])
+    assert runs == []
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("text, message", [
     ('{"sim": {"measurement_noise_std": -1e-5}}', r"measurement_noise_std must be >= 0, got -1e-05"),
     ('{"sim": {"measurement_noise_std": NaN}}', r"config value NaN is not finite"),
     ('{"sim": {"measurement_noise_std": Infinity}}', r"config value Infinity is not finite"),
@@ -250,8 +284,9 @@ def test_config_accepts_the_scenario_sample_time(tmp_path):
 def test_config_file_overrides(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
-        "pi": {"kp": 2.0, "ki": 0.5},
+        "pi": {"kp": 2, "ki": 0.5},
         "mpc": {"p": 8, "m": 2},
+        "microgrid": {"bess_droop_variant": True},
         "sim": {"deload": 0.05},
         "estimator": {"disturbance_noise": 1e-3, "measurement_noise": 2e-8,
                       "initial_covariance": 0.5},
@@ -259,6 +294,7 @@ def test_config_file_overrides(tmp_path):
     config = load_run_config(str(config_path))
     assert config.pi_kp == 2.0 and config.pi_ki == 0.5
     assert config.mpc.p == 8 and config.mpc.m == 2
+    assert config.params.bess_droop_variant is True
     assert config.deload == 0.05
     assert config.estimator.Q[10, 10] == pytest.approx(1e-3)
     assert config.estimator.Q[0, 0] == RunConfig().estimator.Q[0, 0]

@@ -85,6 +85,14 @@ def test_unknown_kind_rejected():
         generate_profiles("step", seed=0, duration=0.0)
 
 
+@pytest.mark.parametrize("duration, ts", [(0.05, 0.2), (0.1, 0.2), (0.4, 1.0)])
+def test_duration_below_half_a_sample_rejected(duration, ts):
+    message = f"duration {duration} s is below half the sample time ts {ts} s"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_profiles("step", 0, duration, ts)
+    assert generate_profiles("step", 0, 0.6 * ts, ts).t.shape == (2,)
+
+
 def test_csv_roundtrip(tmp_path):
     p = generate_profiles("rapid", seed=3, duration=60.0)
     path = tmp_path / "profiles.csv"
@@ -264,6 +272,15 @@ def test_extra_csv_cell_named_at_ingest():
     rows[3].append("1.0")
     with pytest.raises(ValueError, match=re.escape("data row 3 has 8 cells, expected 7")):
         read_csv_rows(rows)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_empty_csv_rejected_at_ingest(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    message = f"profile CSV header () does not match required {PROFILE_COLUMNS}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_profiles_csv(path)
 
 
 def test_header_only_csv_rejected_at_ingest():

@@ -2,9 +2,9 @@
 
 ``microfreq.mpc.control_step`` solves the box QP over the cumulative moves
 with the run's BoxQp and its cached active-set laws, and falls back to
-``microfreq.numerics.solve_qp_info`` on that BoxQp, a PreparedQp (H^-1 from
-one Cholesky factorization, H^-1 Cu' and the Gram matrix Cu H^-1 Cu'). The
-reference ``qp_reference.reference_control_step`` solves the increment QP
+``microfreq.numerics.solve_qp_info`` on a QpProblem of the same box QP (H^-1
+from one Cholesky factorization, H^-1 Cu' and the Gram matrix Cu H^-1 Cu').
+The reference ``qp_reference.reference_control_step`` solves the increment QP
 with the running-sum rows, and with H at every inner iteration. The two
 take different rounding paths, so closed-loop traces agree within a stated
 tolerance rather than bit for bit:
@@ -24,13 +24,7 @@ import microfreq.simulate
 import qp_reference
 from microfreq.lfc_model import build_plant
 from microfreq.mpc import MpcConfig, build_prediction_matrices
-from microfreq.numerics import (
-    PreparedQp,
-    QpInfeasibleError,
-    QpProblem,
-    kkt_residuals,
-    solve_qp_info,
-)
+from microfreq.numerics import BoxQp, QpInfeasibleError, QpProblem, kkt_residuals, solve_qp_info
 from microfreq.profiles import PROFILE_KINDS
 from microfreq.simulate import RunConfig, make_scenario, run_scenario
 from test_numerics import enumerate_qp_minimizer
@@ -70,56 +64,67 @@ def test_closed_loop_matches_reference_solver(kind, seed, noise, monkeypatch):
     assert prepared.max_kkt_residual <= KKT_TOL
 
 
+def box_problem(box):
+    """A QpProblem as the controller's fallback builds it: the box QP's H
+    and rows, with a sample's linear term and right-hand side."""
+    return QpProblem(box.H, np.ones(box.n), box.Cu, np.zeros(2 * box.n))
+
+
 def test_prepared_arrays_are_read_only():
-    qp = PRED.box
+    box = PRED.box
+    for name in ("H", "Cu", "H_inv"):
+        assert not getattr(box, name).flags.writeable, name
+    problem = box_problem(box)
     for name in ("H", "Cu", "H_inv", "H_inv_Ct", "gram"):
-        assert not getattr(qp, name).flags.writeable, name
+        assert not getattr(problem, name).flags.writeable, name
     assert not PRED.H.flags.writeable
 
 
 def test_prepared_products_match_their_definitions():
-    qp = PRED.box
-    n = qp.n
-    assert np.array_equal(qp.Cu, np.vstack([np.eye(n), -np.eye(n)]))
-    assert np.abs(qp.H_inv @ qp.H - np.eye(n)).max() < 1e-10
+    box = PRED.box
+    n = box.n
+    assert np.array_equal(box.Cu, np.vstack([np.eye(n), -np.eye(n)]))
+    assert np.abs(box.H_inv @ box.H - np.eye(n)).max() < 1e-10
+    # The fallback's problem factorizes the same H into the same bits.
+    qp = box_problem(box)
+    assert qp.H_inv.tobytes() == box.H_inv.tobytes()
     assert np.abs(qp.H_inv_Ct - np.linalg.solve(qp.H, qp.Cu.T)).max() < 1e-10
     assert np.abs(qp.gram - qp.Cu @ np.linalg.solve(qp.H, qp.Cu.T)).max() < 1e-10
     # The box Hessian is T^-T H T^-1, H the increment QP's, so its inverse
-    # is T H^-1 T' with H^-1 from the increment QP's own PreparedQp.
+    # is T H^-1 T' with H^-1 from the increment QP's own QpProblem.
     T = qp_reference.running_sum(PRED)
-    increment = PreparedQp(PRED.H, qp_reference.increment_rows(PRED))
+    increment = QpProblem(PRED.H, np.zeros(n), qp_reference.increment_rows(PRED))
     W = T @ increment.H_inv @ T.T
-    assert np.abs(qp.H_inv - W).max() <= 1e-10 * np.abs(W).max()
+    assert np.abs(box.H_inv - W).max() <= 1e-10 * np.abs(W).max()
 
 
-def test_prepared_qp_copies_its_inputs():
+def test_qp_problem_copies_its_inputs():
     H = np.diag([2.0, 3.0])
     Cu = np.array([[1.0, 1.0]])
-    qp = PreparedQp(H, Cu)
+    qp = QpProblem(H, [0.0, 0.0], Cu, [1.0])
+    box = BoxQp(H)
     assert H.flags.writeable and Cu.flags.writeable
     H[0, 0] = -1.0
-    assert qp.H[0, 0] == 2.0
+    Cu[0, 0] = 5.0
+    assert qp.H[0, 0] == 2.0 and qp.Cu[0, 0] == 1.0 and box.H[0, 0] == 2.0
 
 
-def test_prepared_qp_rejects_bad_matrices():
+def test_qp_problem_rejects_bad_matrices():
     with pytest.raises(ValueError, match="symmetric"):
-        PreparedQp(np.array([[2.0, 1.0], [0.0, 2.0]]))
+        QpProblem(np.array([[2.0, 1.0], [0.0, 2.0]]), np.zeros(2))
     with pytest.raises(ValueError, match="positive definite"):
-        PreparedQp(np.diag([2.0, -1.0]))
+        QpProblem(np.diag([2.0, -1.0]), np.zeros(2))
     with pytest.raises(ValueError, match="non-finite"):
-        PreparedQp(np.eye(2), np.array([[np.nan, 1.0]]))
+        QpProblem(np.eye(2), np.zeros(2), np.array([[np.nan, 1.0]]), [0.0])
 
 
-def test_prepared_problem_checks_only_the_sample_data():
-    qp = PreparedQp(np.eye(2), np.array([[1.0, 0.0]]))
-    x, _, _ = solve_qp_info(QpProblem(qp.H, [0.0, 0.0], qp.Cu, [1.0], prepared=qp))
+def test_qp_problem_rejects_non_finite_sample_data():
+    x, _, _ = solve_qp_info(QpProblem(np.eye(2), [0.0, 0.0], [[1.0, 0.0]], [1.0]))
     assert np.allclose(x, [1.0, 0.0], atol=1e-12)
     with pytest.raises(ValueError, match="non-finite"):
-        QpProblem(qp.H, [np.nan, 0.0], qp.Cu, [1.0], prepared=qp)
+        QpProblem(np.eye(2), [np.nan, 0.0], [[1.0, 0.0]], [1.0])
     with pytest.raises(ValueError, match="non-finite"):
-        QpProblem(qp.H, [0.0, 0.0], qp.Cu, [np.inf], prepared=qp)
-    with pytest.raises(ValueError, match="prepared"):
-        QpProblem(np.eye(2), [0.0, 0.0], qp.Cu, [1.0], prepared=qp)
+        QpProblem(np.eye(2), [0.0, 0.0], [[1.0, 0.0]], [np.inf])
 
 
 # ------------------------------------------------------- property tests
@@ -145,8 +150,7 @@ def feasible_qps(draw):
 @given(feasible_qps())
 def test_prepared_solver_matches_enumeration_oracle(data):
     H, f, Cu, b = data
-    qp = PreparedQp(H, Cu)
-    problem = QpProblem(qp.H, f, qp.Cu, b, prepared=qp)
+    problem = QpProblem(H, f, Cu, b)
     x, lam, _ = solve_qp_info(problem, tol=1e-10)
     ref = enumerate_qp_minimizer(H, f, Cu, b)
     assert ref is not None
@@ -164,7 +168,6 @@ def test_prepared_solver_reports_infeasible_rows(data, row, gap):
     beta = float(c @ np.ones(n))
     Cu = np.vstack([Cu, c, -c])
     b = np.concatenate([b, [beta, gap - beta]])
-    qp = PreparedQp(H, Cu)
     with pytest.raises(QpInfeasibleError) as err:
-        solve_qp_info(QpProblem(qp.H, f, qp.Cu, b, prepared=qp), tol=1e-10)
+        solve_qp_info(QpProblem(H, f, Cu, b), tol=1e-10)
     assert 0 <= err.value.row < Cu.shape[0]
