@@ -89,12 +89,12 @@ def _section(raw, name):
 
 
 def _finite_number(token):
-    """A JSON number token as a float; ValueError naming the token when it
-    is NaN, Infinity, -Infinity or too large for a float."""
-    value = float(token)
-    if not np.isfinite(value):
+    """A JSON number token as an int (integer tokens) or a float;
+    ValueError naming the token when it is NaN, Infinity, -Infinity or,
+    integer or not, too large for a float."""
+    if not np.isfinite(float(token)):
         raise ValueError(f"config value {token} is not finite")
-    return value
+    return int(token) if token.lstrip("-").isdigit() else float(token)
 
 
 def load_run_config(path=None):
@@ -103,7 +103,8 @@ def load_run_config(path=None):
     raw = {}
     if path is not None:
         with open(path) as fh:
-            raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+            raw = json.load(fh, parse_float=_finite_number, parse_int=_finite_number,
+                            parse_constant=_finite_number)
     _known("config sections", _json_object("config file", raw), CONFIG_DEFAULTS)
     params = MicrogridParams(**_section(raw, "microgrid"))
     mpc = MpcConfig(**_section(raw, "mpc"))

@@ -10,24 +10,24 @@ the state's and the aggregate disturbance's.
 Reserve bounds apply to the cumulative totals, lo <= u_prev + sum of the
 first i blocks <= hi. The controller therefore solves its QP over the
 cumulative moves V = T dU, T the block lower-triangular running sum, where
-those bounds are plain boxes lo - u_prev <= V <= hi - u_prev: the rows
-Cu V >= b with Cu = [I; -I]. T is invertible, so the minimizer of the
-increment QP  min 1/2 dU'H dU + f'dU  is T^-1 times that of the box QP,
-whose Hessian is Hv = T^-T H T^-1 and whose linear term is g = T^-T f.
+those bounds are plain boxes lo - u_prev <= V <= hi - u_prev. T is
+invertible, so the minimizer of the increment QP  min 1/2 dU'H dU + f'dU
+is T^-1 times that of the box QP, whose Hessian is Hv = T^-T H T^-1 and
+whose linear term is g = T^-T f.
 
 Horizons, weights and plant are fixed for a run, so everything except the
 reserve bands and the measured state is built once per run by
-``build_prediction_matrices``: Hv and the box rows in a ``BoxQp``, and one
-stacked map that takes the sample's (dx, y, dd) to the free response, the
-linear term g and the unconstrained cumulative move V_unc in one product.
-A control step then runs the box solver's primal-dual active-set iteration
-from V_unc: most samples violate no bound and end there; the rest apply the
-cached affine law of each active set met, one law per set, built on first
-use and kept on the run's ``BoxQp``. Should the iteration reach its cap, or
-the bands cross, the step solves the same box QP with the dual active-set
-method instead, factorized for that sample alone, which always terminates
-and reports an infeasible sample.
-Either way the step reports the KKT residuals of the box QP.
+``build_prediction_matrices``: Hv in a ``BoxQp``, and one stacked map that
+takes the sample's (dx, y, dd) to the free response, the linear term g and
+the unconstrained cumulative move V_unc in one product. A control step
+runs the box solver's primal-dual active-set iteration from V_unc on the
+sample's bounds (lo, hi): most samples violate no bound and end there; the
+rest apply the cached affine law of each active set met, built on first use
+and kept on the run's ``BoxQp``. Crossed bands raise QpInfeasibleError.
+Only if the iteration reaches its cap does the step write the box as the
+rows [I; -I] V >= [lo; -hi], for the dual active-set method, which always
+terminates. Either way the step's slack and KKT residuals come from V, the
+bound multipliers, lo and hi.
 
 The weights live in the prepared objects only, so a control step cannot
 mix the matrices of one configuration with the weights of another.
@@ -39,16 +39,10 @@ import numpy as np
 
 # ``kkt_residuals`` is not called here, but stays importable: the benchmark's
 # layer tracer (perfbench/tracer.py) wraps the QP functions in this namespace.
-from .numerics import (  # noqa: F401
-    BoxQp,
-    QpProblem,
-    kkt_residual_norms,
-    kkt_residuals,
-    solve_qp_info,
-    spd_inverse,
-)
+from .numerics import BoxQp, QpProblem, kkt_residuals, solve_qp_info, spd_inverse  # noqa: F401
 
 _IDENTICAL_COLUMN_TOL = 1e-12
+_QP_TOL = 1e-10  # relative to the sample's largest bound
 
 
 @dataclass(frozen=True)
@@ -101,9 +95,9 @@ class PredictionMatrices:
     weights (``alpha_sq`` = alpha^2 and the per-increment move weights
     ``gamma_u``), the map ``F`` with linear term f = F @ Y_free, the
     increment Hessian ``H``, and the cumulative-move pieces: ``box``, the
-    BoxQp of Hv = T^-T H T^-1 and the rows [I; -I] (with the run's law
-    cache), ``T_inv``, and ``sample_map``, which takes (dx, y, dd) to the
-    stacked (Y_free, g, V_unc).
+    BoxQp of Hv = T^-T H T^-1 (with the run's law cache), ``T_inv``, and
+    ``sample_map``, which takes (dx, y, dd) to the stacked (Y_free, g,
+    V_unc).
     """
 
     p: int
@@ -187,20 +181,18 @@ def build_prediction_matrices(model, config):
 
 
 def build_constraints(limits, u_prev, pred):
-    """Map total-adjustment bounds to the box QP's rows, Cu V >= b.
+    """The sample's box on the cumulative moves V: (lo, hi) over the m blocks.
 
     For unit j and horizon step i the cumulative total must stay in band:
     lo_j <= u_prev_j + V_j(i) <= hi_j, V_j(i) the sum of the first i
-    increments. Rows are ordered step-major: m blocks of n_inputs lower
-    bounds, then the same for upper. If u_prev has drifted outside a
-    (shrunken) band, the first-step rows force the move back inside; the
-    event itself is the caller's to flag. ``Cu`` = [I; -I] is the prepared
-    ``pred.box.Cu``; only ``b`` depends on the sample.
+    increments, so every block of ``lo`` is limits.lo - u_prev and every
+    block of ``hi`` is limits.hi - u_prev. If u_prev has drifted outside a
+    (shrunken) band, the first block's bounds force the move back inside;
+    the event itself is the caller's to flag.
     """
     u_prev = np.asarray(u_prev, dtype=float).reshape(pred.n_inputs)
-    lower = limits.lo - u_prev
-    upper = u_prev - limits.hi
-    return pred.box.Cu, np.concatenate([lower] * pred.m + [upper] * pred.m)
+    bounds = np.concatenate([limits.lo - u_prev] * pred.m + [limits.hi - u_prev] * pred.m)
+    return tuple(bounds.reshape(2, -1))
 
 
 def out_of_band_units(limits, u_prev):
@@ -212,8 +204,9 @@ def out_of_band_units(limits, u_prev):
 
 @dataclass(frozen=True)
 class MpcStepResult:
-    """One controller sample: applied totals, raw increments, constraint
-    activity, cost, and the QP's KKT residuals."""
+    """One controller sample: applied totals, raw increments, the active
+    bounds (m blocks of lower, then m of upper), cost, and the QP's KKT
+    residuals."""
 
     command: np.ndarray
     increments: np.ndarray
@@ -222,18 +215,19 @@ class MpcStepResult:
     kkt_residuals: tuple
 
 
-def control_step(dx, dd, y, u_prev, limits, pred, *, qp_tol=1e-10):
+def control_step(dx, dd, y, u_prev, limits, pred):
     """Solve the constrained QP for this sample and apply the first block.
 
     ``dx`` and ``dd`` are the increments of the estimated state and
     aggregate disturbance over the last sample. The weights and horizons are
-    those ``pred`` was built with. The box QP over the cumulative moves is
-    solved by ``pred.box``'s cached laws; if their iteration reaches the
-    cap, or the bands leave no feasible point, by the dual active-set method
-    on a QpProblem of the same box QP, which raises QpInfeasibleError in the
-    latter case. Returns an MpcStepResult whose ``command`` is the new
-    cumulative total per unit, u_prev + first increment block, and whose KKT
-    residuals and active rows are the box QP's.
+    those ``pred`` was built with. ``pred.box`` solves the box QP over the
+    cumulative moves on the bounds (lo, hi) of ``build_constraints``;
+    crossed bounds raise QpInfeasibleError. At the iteration's cap, the dual
+    active-set method solves it as the rows [I; -I] V >= [lo; -hi], whose
+    multipliers map back to the bounds' as lam[:n] - lam[n:]. Returns an
+    MpcStepResult whose ``command`` is the new cumulative total per unit,
+    u_prev + first increment block, and whose KKT residuals and active
+    bounds are the box QP's.
     """
     nu, p = pred.n_inputs, pred.p
     n = nu * pred.m
@@ -242,19 +236,16 @@ def control_step(dx, dd, y, u_prev, limits, pred, *, qp_tol=1e-10):
     stacked = pred.sample_map @ np.concatenate((dx, (y, dd)))
     y_free, g, v_unc = stacked[:p], stacked[p:p + n], stacked[p + n:]
 
-    Cu, b = build_constraints(limits, u_prev, pred)
-    solved = box.solve(v_unc, b[:n], -b[n:], qp_tol * max(1.0, np.abs(b).max()))
+    lo, hi = build_constraints(limits, u_prev, pred)
+    solved = box.solve(v_unc, lo, hi, _QP_TOL * max(1.0, np.abs(lo).max(), np.abs(hi).max()))
     if solved is None:
-        v, lam, _ = solve_qp_info(QpProblem(box.H, g, Cu, b), tol=qp_tol)
+        rows = np.vstack([np.eye(n), -np.eye(n)])
+        v, lam_rows, _ = solve_qp_info(QpProblem(box.H, g, rows, np.concatenate((lo, -hi))), tol=_QP_TOL)
+        lam = lam_rows[:n] - lam_rows[n:]
     else:
-        v, lam_v, _ = solved
-        # A positive multiplier belongs to the lower row, a negative one to
-        # the upper.
-        lam = np.concatenate((np.maximum(lam_v, 0.0), np.maximum(-lam_v, 0.0)))
+        v, lam, _ = solved
+    slack, residuals = box.kkt(v, g, lam, lo, hi)
     du = pred.T_inv @ v
-    slack = Cu @ v - b
-    qp_active = slack <= 1e-9
-    residuals = kkt_residual_norms(box.H, g, Cu, v, lam, slack)
 
     predicted = y_free + pred.S_B @ du
     moves = pred.gamma_u * du
@@ -263,13 +254,12 @@ def control_step(dx, dd, y, u_prev, limits, pred, *, qp_tol=1e-10):
     return MpcStepResult(
         command=u_prev + du[:nu],
         increments=du,
-        qp_active=qp_active,
+        qp_active=slack <= 1e-9,
         objective=objective,
         kkt_residuals=residuals,
     )
 
 
-def active_units(qp_active, m, n_inputs=6):
-    """Collapse per-row activity flags to per-unit flags (any step, any side)."""
-    per_unit = qp_active.reshape(2 * m, n_inputs)
-    return per_unit.any(axis=0)
+def active_units(qp_active, m):
+    """Collapse per-bound activity flags to per-unit flags (any step, any side)."""
+    return qp_active.reshape(2 * m, -1).any(axis=0)

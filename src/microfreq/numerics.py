@@ -1,7 +1,7 @@
 """Dense matrix numerics: matrix exponential, zero-order-hold discretization,
 a small strictly-convex QP solver with linear inequality constraints, and,
-for the box-constrained case, a solver that keeps the affine law of each
-active set it meets.
+for the box-constrained case, a solver on the bounds (lo, hi) themselves
+that keeps the affine law of each active set it meets.
 
 The functions operate on plain numpy arrays and are pure. A ``BoxQp`` fills
 its law cache as it solves, so one instance belongs to one caller at a time;
@@ -28,7 +28,8 @@ BOX_QP_MAX_ITERATIONS = 12
 class QpInfeasibleError(ValueError):
     """Raised when the QP constraints admit no feasible point.
 
-    ``row`` is the index of the constraint row that could not be satisfied.
+    ``row`` is the index of the constraint row, or for a box the bound, that
+    could not be satisfied.
     """
 
     def __init__(self, row, message=None):
@@ -271,10 +272,9 @@ def solve_qp_info(problem, tol=1e-8):
 
 class BoxQp:
     """The fixed part of  min 1/2 v'H v + g'v  subject to  lo <= v <= hi,
-    that is of the rows Cu = [I; -I] with b = [lo; -hi], and the law cache
-    of its primal-dual active-set method (Hintermueller, Ito & Kunisch,
-    SIAM J. Optim. 2003). H is checked as a QpProblem's is; the object keeps
-    read-only copies of H, W = H^-1 (``H_inv``) and ``Cu``.
+    and the law cache of its primal-dual active-set method (Hintermueller,
+    Ito & Kunisch, SIAM J. Optim. 2003). H is checked as a QpProblem's is;
+    the object keeps read-only copies of H and W = H^-1 (``H_inv``).
 
     A sample is given by its unconstrained minimizer v_unc = -W g. With the
     bounds of an active set A held at their values c_A, the minimizer is the
@@ -287,16 +287,13 @@ class BoxQp:
     built the first time A occurs and kept in ``laws``, keyed by A's mask,
     as explicit MPC keeps one law per region (Bemporad et al., Automatica
     2002). A solve therefore costs a few matrix-vector products once the
-    sets a caller meets have been seen. The same problem, as a QpProblem of
-    ``H``, ``Cu`` and the sample's g and b, is what its caller hands
-    ``solve_qp_info`` should the iteration not settle.
+    sets a caller meets have been seen. The bounds stay (lo, hi) throughout;
+    only a caller whose iteration reached the cap writes them as the rows
+    [I; -I] v >= [lo; -hi] of a QpProblem for ``solve_qp_info``.
     """
 
     def __init__(self, H):
         self.H, self.H_inv = _checked_hessian(H)
-        n = self.n
-        self.Cu = np.vstack([np.eye(n), -np.eye(n)])
-        self.Cu.flags.writeable = False
         # The active-set update compares a step of the multiplier with a
         # step of v, in the units of v: lam_i / H_ii.
         self._inv_curvature = 1.0 / np.diag(self.H)
@@ -323,16 +320,16 @@ class BoxQp:
         The first active set is the bounds ``v_unc`` violates by more than
         ``tol``; with none, ``v_unc`` is the answer. Otherwise, if some
         lower bound exceeds its upper one by more than ``tol``, there is no
-        feasible point and the result is None. Each iteration applies
-        the set's law, then rebuilds the lower and upper sets from v - lam /
-        diag(H); it stops when both repeat, which is the KKT point: the
-        free entries within the box (to ``tol``), the multipliers positive
-        on lower and negative on upper bounds. Returns (v, lam, iterations),
-        lam being the gradient H v + g (zero off the active set), or None
-        when BOX_QP_MAX_ITERATIONS pass without the sets repeating. The
-        iteration may cycle when H is not an M-matrix, and the caller's
-        fallback, ``solve_qp_info`` on the same problem, is what guarantees
-        an answer.
+        feasible point, and QpInfeasibleError names the first such bound.
+        Each iteration applies the set's law, then rebuilds the lower and
+        upper sets from v - lam / diag(H); it stops when both repeat, which
+        is the KKT point: the free entries within the box (to ``tol``), the
+        multipliers positive on lower and negative on upper bounds. Returns
+        (v, lam, iterations), lam being the gradient H v + g (zero off the
+        active set), or None when BOX_QP_MAX_ITERATIONS pass without the
+        sets repeating. The iteration may cycle when H is not an M-matrix,
+        and the caller's fallback, ``solve_qp_info`` on the same problem, is
+        what guarantees an answer.
         """
         n = self.n
         below, above = lo - tol, hi + tol
@@ -342,7 +339,8 @@ class BoxQp:
         if sets == bytes(2 * n):
             return v_unc, np.zeros(n), 0
         if (lo > above).any():
-            return None
+            j = int(np.argmax(lo > above))
+            raise QpInfeasibleError(j, f"QP infeasible: lower bound {j} exceeds its upper bound by {lo[j] - hi[j]:.3e}")
         for iterations in range(1, BOX_QP_MAX_ITERATIONS + 1):
             idx, law = self._law(lower | upper)
             bound = np.where(lower, lo, hi)[idx]
@@ -359,17 +357,24 @@ class BoxQp:
                 return v, lam, iterations
         return None
 
+    def kkt(self, v, g, lam, lo, hi):
+        """The bounds' slack [v - lo; hi - v] and the KKT residuals of (v, lam),
+        lam the bound multipliers as ``solve`` returns them: bit for bit
+        ``kkt_residuals`` of the rows [I; -I] v >= [lo; -hi] and the
+        multipliers [max(lam, 0); max(-lam, 0)]."""
+        slack = np.concatenate((v - lo, hi - v))
+        split = np.concatenate((np.maximum(lam, 0.0), np.maximum(-lam, 0.0)))
+        stationarity = float(np.abs(self.H @ v + g - lam).max())
+        primal = float(max(0.0, -slack.min()))
+        complementarity = float(np.abs(split * slack).max())
+        return slack, (stationarity, primal, complementarity)
+
 
 def kkt_residuals(problem, x, lam):
     """Residuals (stationarity, primal feasibility, complementarity) of a
     candidate KKT pair for  min 1/2 x'Hx + f'x  s.t.  Cu x >= b."""
-    return kkt_residual_norms(problem.H, problem.f, problem.Cu, x, lam, problem.Cu @ x - problem.b)
-
-
-def kkt_residual_norms(H, f, Cu, x, lam, slack):
-    """``kkt_residuals`` from the QP's arrays and the slack Cu x - b, for a
-    caller that has the slack already and no QpProblem."""
-    stationarity = float(np.abs(H @ x + f - Cu.T @ lam).max())
+    slack = problem.Cu @ x - problem.b
+    stationarity = float(np.abs(problem.H @ x + problem.f - problem.Cu.T @ lam).max())
     primal = float(max(0.0, -slack.min())) if slack.size else 0.0
     complementarity = float(np.abs(lam * slack).max()) if slack.size else 0.0
     return stationarity, primal, complementarity

@@ -122,6 +122,8 @@ def generate_profiles(kind, seed, duration, ts=0.2):
         raise ValueError(f"unknown profile kind {kind!r}; expected one of {PROFILE_KINDS}")
     if duration <= 0:
         raise ValueError("duration must be > 0")
+    if not 0 < ts < np.inf:
+        raise ValueError(f"sample time ts must be finite and > 0, got {ts}")
     n = int(round(duration / ts)) + 1
     if n < 2:
         raise ValueError(f"duration {duration} s is below half the sample time ts {ts} s: "

@@ -6,13 +6,18 @@ definiteness on every call and solves with H on every inner iteration. It
 takes the same QpProblem and returns the same (x, lam, info) as
 ``microfreq.numerics.solve_qp_info``.
 
+``box_rows`` writes a box lo <= v <= hi as the rows [I; -I] v >= [lo; -hi]
+of the general QP, and ``row_multipliers`` splits the box's bound
+multipliers by sign into those rows' multipliers, so the tests state the
+row form of a box without relying on the program's.
+
 ``reference_control_step`` is the controller's step as it stood before the
 cumulative-move box solver: the increment QP over dU with the running-sum
 rows ``increment_rows`` = [T; -T] in its own QpProblem, the right-hand side
-b from ``build_constraints`` (the same b as the box rows') and the dual
-active-set solve, here this module's ``solve_qp_info``. It takes the
-arguments of ``microfreq.mpc.control_step`` and returns the same
-MpcStepResult, with the increment QP's active rows and KKT residuals.
+b = [lo; -hi] from the box of ``build_constraints`` and the dual active-set
+solve, here this module's ``solve_qp_info``. It takes the arguments of
+``microfreq.mpc.control_step`` and returns the same MpcStepResult, with the
+increment QP's active rows and KKT residuals.
 
 ``mpc_gain`` is the controller's closed-form unconstrained gain and
 ``free_response`` the prediction it acts on, the oracle of every sample on
@@ -134,6 +139,18 @@ def solve_qp_info(problem, tol=1e-8):
     return x, lam, {"iterations": iterations, "active": list(active)}
 
 
+def box_rows(lo, hi):
+    """(Cu, b) = ([I; -I], [lo; -hi]): the box lo <= v <= hi as rows Cu v >= b."""
+    n = len(lo)
+    return np.vstack([np.eye(n), -np.eye(n)]), np.concatenate([lo, -hi])
+
+
+def row_multipliers(lam):
+    """The box multipliers ``lam`` (positive on lower, negative on upper
+    bounds) as those of the rows ``box_rows`` builds."""
+    return np.concatenate([np.maximum(lam, 0.0), np.maximum(-lam, 0.0)])
+
+
 def free_response(pred, dx, dd, y):
     """Predicted frequency with all future increments zero, from the
     estimate increments ``dx`` (state) and ``dd`` (aggregate disturbance)."""
@@ -151,7 +168,7 @@ def increment_rows(pred):
     return np.vstack([T, -T])
 
 
-def reference_control_step(dx, dd, y, u_prev, limits, pred, *, qp_tol=1e-10):
+def reference_control_step(dx, dd, y, u_prev, limits, pred):
     """One controller sample over the increments dU, solved with the
     running-sum rows Cu dU >= b by the reference dual active-set method."""
     nu = pred.n_inputs
@@ -159,9 +176,9 @@ def reference_control_step(dx, dd, y, u_prev, limits, pred, *, qp_tol=1e-10):
     y_free = free_response(pred, dx, dd, y)
     f = pred.F @ y_free
 
-    _, b = build_constraints(limits, u_prev, pred)
+    _, b = box_rows(*build_constraints(limits, u_prev, pred))
     problem = QpProblem(pred.H, f, increment_rows(pred), b)
-    du, lam, _ = solve_qp_info(problem, tol=qp_tol)
+    du, lam, _ = solve_qp_info(problem, tol=1e-10)
     qp_active = problem.Cu @ du - problem.b <= 1e-9
     residuals = kkt_residuals(problem, du, lam)
 

@@ -1,14 +1,15 @@
 """The box-constrained QP solver and the controller's use of it.
 
-``microfreq.numerics.BoxQp``, with the rows Cu = [I; -I], solves
-min 1/2 v'H v + g'v  s.t.  lo <= v <= hi  by the primal-dual active-set
-method with one cached affine law per active set. Its oracle is the
-enumeration QP solver on the same rows. The controller falls back to the
-dual active-set solver on a QpProblem of the same H and rows when the
-iteration reaches its cap, and the law cache must not make a sample's
-answer depend on which samples came before it. The controller reports the
-box QP's KKT residuals; the increment QP's residuals of the same answer are
-their oracle.
+``microfreq.numerics.BoxQp`` solves  min 1/2 v'H v + g'v  s.t.
+lo <= v <= hi  by the primal-dual active-set method with one cached affine
+law per active set. Its oracle is the enumeration QP solver on the same
+box written as the rows [I; -I] v >= [lo; -hi] (``qp_reference.box_rows``).
+The controller falls back to the dual active-set solver on a QpProblem of
+the same H and those rows when the iteration reaches its cap, and the law
+cache must not make a sample's answer depend on which samples came before
+it. The controller reports the box QP's KKT residuals from the bounds and
+their multipliers; the row form's residuals are their bit-for-bit oracle,
+and the increment QP's residuals of the same answer bound them.
 """
 
 import hypothesis.extra.numpy as hnp
@@ -22,9 +23,9 @@ import microfreq.numerics
 import microfreq.simulate
 from microfreq.lfc_model import build_plant
 from microfreq.mpc import MpcConfig, build_constraints, build_prediction_matrices, control_step
-from microfreq.numerics import BoxQp, QpProblem, kkt_residuals, solve_qp_info
+from microfreq.numerics import BoxQp, QpInfeasibleError, QpProblem, kkt_residuals, solve_qp_info
 from microfreq.simulate import RunConfig, make_scenario, run_scenario
-from qp_reference import free_response, increment_rows
+from qp_reference import box_rows, free_response, increment_rows, row_multipliers
 from test_numerics import enumerate_qp_minimizer
 
 KKT_TOL = 1e-8
@@ -81,8 +82,8 @@ CYCLING_CASES = (
 @example(CYCLING_CASES[1])
 def test_box_solver_matches_enumeration_oracle(data):
     box, g, v_unc, lo, hi = data
-    b = np.concatenate([lo, -hi])
-    problem = QpProblem(box.H, g, box.Cu, b)
+    Cu, b = box_rows(lo, hi)
+    problem = QpProblem(box.H, g, Cu, b)
     solved = box.solve(v_unc, lo, hi, 1e-10)
     if solved is None:
         # The iteration may cycle on an Hv that is not an M-matrix; the
@@ -90,8 +91,8 @@ def test_box_solver_matches_enumeration_oracle(data):
         v, rows, _ = solve_qp_info(problem, 1e-10)
     else:
         v, lam, _ = solved
-        rows = np.concatenate([np.maximum(lam, 0.0), np.maximum(-lam, 0.0)])
-    ref = enumerate_qp_minimizer(box.H, g, box.Cu, b)
+        rows = row_multipliers(lam)
+    ref = enumerate_qp_minimizer(box.H, g, Cu, b)
     assert ref is not None
     assert np.abs(v - ref).max() <= ORACLE_GAP
     assert max(kkt_residuals(problem, v, rows)) <= KKT_TOL
@@ -119,8 +120,48 @@ def test_box_qp_rejects_bad_hessians():
 
 
 def test_box_solver_gives_up_on_crossed_bounds():
-    box = BoxQp(np.eye(2))
-    assert box.solve(np.array([0.0, 5.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0]), 1e-10) is None
+    box = BoxQp(np.eye(3))
+    lo, hi = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 0.0])
+    with pytest.raises(QpInfeasibleError, match="lower bound 1 exceeds its upper bound by 1.000e") as err:
+        box.solve(np.array([0.0, 5.0, 5.0]), lo, hi, 1e-10)
+    assert err.value.row == 1
+
+
+@settings(max_examples=60)
+@given(box_qps())
+@example(CYCLING_CASES[0])
+@example(CYCLING_CASES[1])
+def test_box_kkt_residuals_equal_the_rows_residuals(data):
+    # The controller's residuals of a box answer, from the bounds and their
+    # multipliers, are bit for bit those of the same answer on the rows
+    # [I; -I] v >= [lo; -hi] with the multipliers split by sign: for the
+    # iteration's answer and for the fallback's, its rows' multipliers
+    # mapped back as the controller maps them.
+    box, g, v_unc, lo, hi = data
+    n = box.n
+    Cu, b = box_rows(lo, hi)
+    problem = QpProblem(box.H, g, Cu, b)
+    answers = []
+    solved = box.solve(v_unc, lo, hi, 1e-10)
+    if solved is not None:
+        answers.append(solved[:2])
+    cap = microfreq.numerics.BOX_QP_MAX_ITERATIONS
+    microfreq.numerics.BOX_QP_MAX_ITERATIONS = 0
+    try:
+        capped = box.solve(v_unc, lo, hi, 1e-10)
+    finally:
+        microfreq.numerics.BOX_QP_MAX_ITERATIONS = cap
+    if capped is None:
+        v, rows, _ = solve_qp_info(problem, 1e-10)
+        answers.append((v, rows[:n] - rows[n:]))
+    else:
+        # No bound is violated at v_unc: the cap is never reached.
+        assert capped[2] == 0 and solved[2] == 0
+    for v, lam in answers:
+        slack, residuals = box.kkt(v, g, lam, lo, hi)
+        assert np.array_equal(slack, Cu @ v - b)
+        assert np.array(residuals).tobytes() == np.array(
+            kkt_residuals(problem, v, row_multipliers(lam))).tobytes()
 
 
 # ------------------------------------------------------- controller path
@@ -175,10 +216,10 @@ def test_capped_step_falls_back_to_the_dual_solver(monkeypatch):
     samples = binding_samples(seed=1, count=20)
     uncapped = [control_step(*sample, pred) for sample in samples]
 
-    calls = []
+    problems = []
 
     def counting(problem, tol):
-        calls.append(1)
+        problems.append(problem)
         return solve_qp_info(problem, tol)
 
     monkeypatch.setattr(microfreq.numerics, "BOX_QP_MAX_ITERATIONS", 0)
@@ -188,14 +229,16 @@ def test_capped_step_falls_back_to_the_dual_solver(monkeypatch):
         dx, dd, y, u_prev, limits = sample
         stacked = pred.sample_map @ np.concatenate((dx, (y, dd)))
         g = stacked[pred.p:pred.p + pred.n_inputs * pred.m]
-        Cu, b = build_constraints(limits, u_prev, pred)
+        Cu, b = box_rows(*build_constraints(limits, u_prev, pred))
+        # The fallback writes the sample's box as the rows [I; -I] >= [lo; -hi].
+        assert np.array_equal(problems[-1].Cu, Cu) and problems[-1].b.tobytes() == b.tobytes()
         v = solve_qp_info(QpProblem(pred.box.H, g, Cu, b), tol=1e-10)[0]
         assert result.increments.tobytes() == (pred.T_inv @ v).tobytes()
         assert np.abs(result.increments - box_result.increments).max() <= 1e-10
         assert np.array_equal(result.qp_active, box_result.qp_active)
         assert max(result.kkt_residuals) <= KKT_TOL
     # Every sample here binds, so every one reached the (zero) cap.
-    assert len(calls) == len(samples)
+    assert len(problems) == len(samples)
 
 
 def test_law_cache_never_changes_an_answer():
@@ -225,20 +268,21 @@ def test_box_kkt_residuals_match_the_increment_qp(seed, monkeypatch):
     pred = build_prediction_matrices(MODEL, MpcConfig())
     samples = binding_samples(seed=seed, count=60)
     solved = []
-    real = microfreq.mpc.kkt_residual_norms
+    real = pred.box.kkt
 
-    def recording(H, g, Cu, v, lam, slack):
+    def recording(v, g, lam, lo, hi):
         solved.append((v, lam))
-        return real(H, g, Cu, v, lam, slack)
+        return real(v, g, lam, lo, hi)
 
-    monkeypatch.setattr(microfreq.mpc, "kkt_residual_norms", recording)
+    monkeypatch.setattr(pred.box, "kkt", recording)
     for dx, dd, y, u_prev, limits in samples:
         result = control_step(dx, dd, y, u_prev, limits, pred)
         v, lam = solved[-1]
         assert result.qp_active.any()
         assert max(result.kkt_residuals) <= KKT_TOL
         f = pred.F @ free_response(pred, dx, dd, y)
-        _, b = build_constraints(limits, u_prev, pred)
-        increment = kkt_residuals(QpProblem(pred.H, f, increment_rows(pred), b), pred.T_inv @ v, lam)
+        _, b = box_rows(*build_constraints(limits, u_prev, pred))
+        increment = kkt_residuals(QpProblem(pred.H, f, increment_rows(pred), b), pred.T_inv @ v,
+                                  row_multipliers(lam))
         assert max(increment) <= KKT_TOL
         assert increment[0] <= pred.m * result.kkt_residuals[0] + 1e-12

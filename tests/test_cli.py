@@ -240,13 +240,14 @@ def test_config_values_of_the_wrong_type_fail_at_ingest(tmp_path, monkeypatch, c
     ('{"mpc": {"alpha": Infinity}}', r"config value Infinity is not finite"),
     ('{"sim": {"deload": -Infinity}}', r"config value -Infinity is not finite"),
     ('{"microgrid": {"p_load": 1e999}}', r"config value 1e999 is not finite"),
+    ('{"microgrid": {"p_load": 1%s}}' % ("0" * 400), r"config value 10{400} is not finite"),
     ('{"pi": {"kp": NaN}}', r"config value NaN is not finite"),
     ('{"pi": {"kp": -1}}', r"kp must be >= 0"),
     ('{"pi": {"ki": 0.0}}', r"ki must be > 0"),
     ('{"sim": {"deload": 1.5}}', r"deload must be in \[0, 1\), got 1.5"),
     ('{"sim": {"dispatch_du_kw": 500}}', r"diesel dispatch 500 kW outside \[0, 120.0\]"),
 ], ids=["negative-noise", "nan-noise", "infinite-noise", "nan-estimator-noise",
-        "infinite-mpc-weight", "negative-infinite-deload", "overflowing-number", "nan-kp", "negative-kp", "zero-ki",
+        "infinite-mpc-weight", "negative-infinite-deload", "overflowing-number", "overflowing-integer", "nan-kp", "negative-kp", "zero-ki",
         "deload-above-one", "diesel-dispatch"])
 @pytest.mark.parametrize("argv", [
     ["run", "--scenario", "step", "--controller", "mpc", "--seed", "0"],

@@ -1,5 +1,7 @@
 """Tests for the receding-horizon frequency controller."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from microfreq.mpc import (
     control_step,
     out_of_band_units,
 )
+from microfreq.numerics import QpInfeasibleError
 from qp_reference import free_response, mpc_gain, running_sum
 
 PARAMS = MicrogridParams()
@@ -128,11 +131,13 @@ def test_prepared_qp_matrices_match_per_sample_expressions(config):
     assert pred.H.tobytes() == H.tobytes()
     assert (pred.F @ y_free).tobytes() == f.tobytes()
     assert pred.gamma_u.tobytes() == gamma_u.tobytes()
-    # The reserve bounds are the box QP's rows on V; its caller gets them
-    # from build_constraints.
-    assert np.array_equal(pred.box.Cu, np.vstack([np.eye(n), -np.eye(n)]))
-    assert build_constraints(WIDE_LIMITS, np.zeros(N_CONTROLS), pred)[0] is pred.box.Cu
-    assert not (pred.H.flags.writeable or pred.F.flags.writeable or pred.box.Cu.flags.writeable)
+    # The reserve bounds are the box QP's bounds on V, one band per block;
+    # its caller gets them from build_constraints.
+    lo, hi = build_constraints(WIDE_LIMITS, np.zeros(N_CONTROLS), pred)
+    assert lo.shape == hi.shape == (n,)
+    assert np.array_equal(lo, np.tile(WIDE_LIMITS.lo, config.m))
+    assert np.array_equal(hi, np.tile(WIDE_LIMITS.hi, config.m))
+    assert not (pred.H.flags.writeable or pred.F.flags.writeable or pred.box.H.flags.writeable)
 
 
 @pytest.mark.parametrize("config", [CONFIG, MpcConfig(p=8, m=2, alpha=2.3, beta_bess=0.5)])
@@ -234,30 +239,32 @@ def test_wide_limits_reduce_to_unconstrained_gain():
 def test_constraint_box_single_step():
     config = MpcConfig(p=10, m=1)
     limits = ReserveLimits(lo=np.full(6, -0.027), hi=np.full(6, 0.027))
-    Cu, b = build_constraints(limits, np.zeros(6), build_prediction_matrices(MODEL, config))
-    assert Cu.shape == (12, 6)
-    assert np.allclose(b[:6], -0.027)
-    assert np.allclose(b[6:], -0.027)
+    lo, hi = build_constraints(limits, np.zeros(6), build_prediction_matrices(MODEL, config))
+    assert lo.shape == hi.shape == (6,)
+    assert np.allclose(lo, -0.027)
+    assert np.allclose(hi, 0.027)
 
 
 def test_constraint_no_headroom_at_upper_bound():
     limits = ReserveLimits(lo=np.full(6, -0.1), hi=np.full(6, 0.1))
     u_prev = np.zeros(6)
     u_prev[2] = 0.1  # wt1 already at its cap
-    Cu, b = build_constraints(limits, u_prev, PRED)
-    # Upper rows are -V >= u_prev - hi, V the cumulative moves; the step-1
-    # row for wt1 forces its first move V[2] = du[2] <= 0.
+    lo, hi = build_constraints(limits, u_prev, PRED)
+    # Upper bounds are V <= hi - u_prev, V the cumulative moves; the step-1
+    # bound for wt1 forces its first move V[2] = du[2] <= 0.
     du = np.zeros(6 * CONFIG.m)
     du[2] = 1e-6
-    assert (Cu @ running_sum(PRED) @ du - b).min() < 0.0
+    V = running_sum(PRED) @ du
+    assert min((V - lo).min(), (hi - V).min()) < 0.0
     du[2] = 0.0
-    assert (Cu @ running_sum(PRED) @ du - b).min() >= 0.0
+    V = running_sum(PRED) @ du
+    assert min((V - lo).min(), (hi - V).min()) >= 0.0
 
 
 def test_constraint_rows_count():
-    Cu, b = build_constraints(WIDE_LIMITS, np.zeros(6), PRED)
-    assert Cu.shape == (2 * 6 * CONFIG.m, 6 * CONFIG.m)
-    assert b.shape == (2 * 6 * CONFIG.m,)
+    lo, hi = build_constraints(WIDE_LIMITS, np.zeros(6), PRED)
+    # One lower and one upper bound per unit and block: 2 * 6 * m in all.
+    assert lo.shape == hi.shape == (6 * CONFIG.m,)
 
 
 def test_out_of_band_detection():
@@ -266,6 +273,17 @@ def test_out_of_band_detection():
     u_prev[0] = 0.05
     flags = out_of_band_units(limits, u_prev)
     assert flags[0] and not flags[1:].any()
+
+
+def test_crossed_bands_raise_infeasible():
+    # ReserveLimits refuses crossed bands, so a plain pair of arrays stands
+    # in for them here.
+    lo = np.full(6, -0.02)
+    lo[4] = 0.03
+    limits = SimpleNamespace(lo=lo, hi=np.full(6, 0.02))
+    with pytest.raises(QpInfeasibleError, match="lower bound 4 exceeds its upper bound") as err:
+        control_step(*increments(), -1e-3, np.zeros(6), limits, PRED)
+    assert err.value.row == 4
 
 
 def test_drifted_total_forced_back_inside():

@@ -93,6 +93,14 @@ def test_duration_below_half_a_sample_rejected(duration, ts):
     assert generate_profiles("step", 0, 0.6 * ts, ts).t.shape == (2,)
 
 
+@pytest.mark.parametrize("ts", [0.0, -0.2, np.nan, np.inf])
+def test_sample_time_not_finite_and_positive_rejected(ts):
+    message = f"sample time ts must be finite and > 0, got {ts}"
+    for kind in ("step", "rapid"):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_profiles(kind, 0, 10.0, ts)
+
+
 def test_csv_roundtrip(tmp_path):
     p = generate_profiles("rapid", seed=3, duration=60.0)
     path = tmp_path / "profiles.csv"

@@ -2,8 +2,9 @@
 
 ``microfreq.mpc.control_step`` solves the box QP over the cumulative moves
 with the run's BoxQp and its cached active-set laws, and falls back to
-``microfreq.numerics.solve_qp_info`` on a QpProblem of the same box QP (H^-1
-from one Cholesky factorization, H^-1 Cu' and the Gram matrix Cu H^-1 Cu').
+``microfreq.numerics.solve_qp_info`` on a QpProblem of the same box QP as
+the rows Cu = [I; -I] (H^-1 from one Cholesky factorization, H^-1 Cu' and
+the Gram matrix Cu H^-1 Cu').
 The reference ``qp_reference.reference_control_step`` solves the increment QP
 with the running-sum rows, and with H at every inner iteration. The two
 take different rounding paths, so closed-loop traces agree within a stated
@@ -66,13 +67,13 @@ def test_closed_loop_matches_reference_solver(kind, seed, noise, monkeypatch):
 
 def box_problem(box):
     """A QpProblem as the controller's fallback builds it: the box QP's H
-    and rows, with a sample's linear term and right-hand side."""
-    return QpProblem(box.H, np.ones(box.n), box.Cu, np.zeros(2 * box.n))
+    and its box as rows, with a sample's linear term and bounds."""
+    return QpProblem(box.H, np.ones(box.n), *qp_reference.box_rows(np.zeros(box.n), np.zeros(box.n)))
 
 
 def test_prepared_arrays_are_read_only():
     box = PRED.box
-    for name in ("H", "Cu", "H_inv"):
+    for name in ("H", "H_inv"):
         assert not getattr(box, name).flags.writeable, name
     problem = box_problem(box)
     for name in ("H", "Cu", "H_inv", "H_inv_Ct", "gram"):
@@ -83,7 +84,6 @@ def test_prepared_arrays_are_read_only():
 def test_prepared_products_match_their_definitions():
     box = PRED.box
     n = box.n
-    assert np.array_equal(box.Cu, np.vstack([np.eye(n), -np.eye(n)]))
     assert np.abs(box.H_inv @ box.H - np.eye(n)).max() < 1e-10
     # The fallback's problem factorizes the same H into the same bits.
     qp = box_problem(box)
