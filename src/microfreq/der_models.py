@@ -105,8 +105,9 @@ class ReserveLimits:
         object.__setattr__(self, "hi", hi)
 
     def at(self, k):
-        """The limits of sample k of a grid. The grid was checked when it was
-        built, so the row is not checked again."""
+        """The limits of sample k of a grid, or of the samples a slice k
+        selects. The grid was checked when it was built, so they are not
+        checked again."""
         row = object.__new__(ReserveLimits)
         object.__setattr__(row, "lo", self.lo[k])
         object.__setattr__(row, "hi", self.hi[k])

@@ -18,22 +18,32 @@ whose linear term is g = T^-T f.
 Horizons, weights and plant are fixed for a run, so everything except the
 reserve bands and the measured state is built once per run by
 ``build_prediction_matrices``: Hv in a ``BoxQp``, and one stacked map that
-takes the sample's (dx, y, dd) to the free response, the linear term g and
-the unconstrained cumulative move V_unc in one product. A control step
-runs the box solver's primal-dual active-set iteration from V_unc on the
-sample's bounds (lo, hi): most samples violate no bound and end there; the
-rest apply the cached affine law of each active set met, built on first use
-and kept on the run's ``BoxQp``. Crossed bands raise QpInfeasibleError.
-Only if the iteration reaches its cap does the step write the box as the
-rows [I; -I] V >= [lo; -hi], for the dual active-set method, which always
-terminates. Either way the step's slack and KKT residuals come from V, the
-bound multipliers, lo and hi.
+takes the sample's s = (dx, y, dd) to the free response, the linear term g
+and the unconstrained cumulative move V_unc. A control step takes V_unc
+from the map's last rows and runs the box solver's primal-dual active-set
+iteration from it on the sample's bounds (lo, hi): most samples violate no
+bound and end there; the rest apply the cached affine law of each active
+set met, built on first use and kept on the run's ``BoxQp``. Crossed bands
+raise QpInfeasibleError. Only if the iteration reaches its cap does the
+step write the box as the rows [I; -I] V >= [lo; -hi], for the dual
+active-set method, which always terminates. The step applies the first
+block of V and computes nothing else.
+
+What no later sample depends on (the increments, the cost, the active
+bounds, the slack and the KKT residuals) comes from ``step_diagnostics``
+for all of a run's samples at once, after its loop, from each sample's s,
+V, bound multipliers, lo and hi. Its products are stacks of
+matrix-vector products, one per sample, which sum in the order the
+one-sample product does; so the run's values have the bits that computing
+them sample by sample gives, which one matrix-matrix product would not.
 
 The weights live in the prepared objects only, so a control step cannot
 mix the matrices of one configuration with the weights of another.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,7 +191,9 @@ def build_prediction_matrices(model, config):
 
 
 def build_constraints(limits, u_prev, pred):
-    """The sample's box on the cumulative moves V: (lo, hi) over the m blocks.
+    """The box on the cumulative moves V: (lo, hi) over the m blocks, for one
+    sample, or for a stack of samples from a grid of limits and one u_prev
+    row per sample.
 
     For unit j and horizon step i the cumulative total must stay in band:
     lo_j <= u_prev_j + V_j(i) <= hi_j, V_j(i) the sum of the first i
@@ -190,9 +202,11 @@ def build_constraints(limits, u_prev, pred):
     (shrunken) band, the first block's bounds force the move back inside;
     the event itself is the caller's to flag.
     """
-    u_prev = np.asarray(u_prev, dtype=float).reshape(pred.n_inputs)
-    bounds = np.concatenate([limits.lo - u_prev] * pred.m + [limits.hi - u_prev] * pred.m)
-    return tuple(bounds.reshape(2, -1))
+    u_prev = np.asarray(u_prev, dtype=float).reshape(np.shape(limits.lo))
+    lo, hi = limits.lo - u_prev, limits.hi - u_prev
+    bounds = np.concatenate((lo,) * pred.m + (hi,) * pred.m, axis=-1)
+    n = bounds.shape[-1] // 2
+    return bounds[..., :n], bounds[..., n:]
 
 
 def out_of_band_units(limits, u_prev):
@@ -202,17 +216,82 @@ def out_of_band_units(limits, u_prev):
     return (u_prev < limits.lo - 1e-12) | (u_prev > limits.hi + 1e-12)
 
 
-@dataclass(frozen=True)
+class StepDiagnostics(NamedTuple):
+    """What a run reports of its solved MPC samples besides the commands,
+    one row per sample: the increments dU = T^-1 V, the cost, the active
+    bounds (m blocks of lower, then m of upper) and the box QP's KKT
+    residuals (stationarity, primal feasibility, complementarity)."""
+
+    increments: np.ndarray
+    objective: np.ndarray
+    qp_active: np.ndarray
+    kkt_residuals: np.ndarray
+
+
+def _rows_times(M, X):
+    """M @ x for every row x of X, each as its own matrix-vector product.
+    One matrix-matrix product X @ M.T would sum in another order and move
+    the results in their last bits."""
+    return np.matmul(M[None], X[:, :, None])[:, :, 0]
+
+
+def step_diagnostics(pred, samples, v, lam, lo, hi):
+    """The ``StepDiagnostics`` of a stack of solved samples, the one place
+    they are computed: row k of each argument is sample k's s = (dx, y, dd),
+    cumulative moves, bound multipliers and bounds, as ``control_step``
+    returns them.
+
+    From s come the free response Y_free and the linear term g (the first
+    rows of ``pred.sample_map``). The cost is that of the increment QP,
+    alpha^2 |Y_free + S_B dU|^2 + |gamma_u * dU|^2; a bound is active when
+    its slack, [V - lo; hi - V], is at most 1e-9; the residuals are those of
+    the rows [I; -I] V >= [lo; -hi] with the multipliers split by sign,
+    [max(lam, 0); max(-lam, 0)], taken from the bounds themselves. Every
+    row has the bits the same formulas give one sample.
+    """
+    p, n = pred.p, v.shape[1]
+    stacked = _rows_times(pred.sample_map, samples)
+    y_free, g = stacked[:, :p], stacked[:, p:p + n]
+    du = _rows_times(pred.T_inv, v)
+    predicted = y_free + _rows_times(pred.S_B, du)
+    moves = pred.gamma_u * du
+    objective = pred.alpha_sq * np.vecdot(predicted, predicted) + np.vecdot(moves, moves)
+    slack = np.concatenate((v - lo, hi - v), axis=1)
+    split = np.concatenate((np.maximum(lam, 0.0), np.maximum(-lam, 0.0)), axis=1)
+    residuals = np.column_stack((
+        np.abs(_rows_times(pred.box.H, v) + g - lam).max(axis=1),
+        np.maximum(0.0, -slack.min(axis=1)),
+        np.abs(split * slack).max(axis=1),
+    ))
+    return StepDiagnostics(du, objective, slack <= 1e-9, residuals)
+
+
+@dataclass(eq=False)
 class MpcStepResult:
-    """One controller sample: applied totals, raw increments, the active
-    bounds (m blocks of lower, then m of upper), cost, and the QP's KKT
-    residuals."""
+    """One controller sample as the run loop records it: the applied totals
+    ``command``, the sample s = (dx, y, dd) the prediction starts from, the
+    box QP's cumulative moves ``v``, bound multipliers ``lam`` and bounds
+    (``lo``, ``hi``), and the ``pred`` it was solved with.
+
+    A run takes the increments, active bounds, cost and KKT residuals of all
+    its samples at once after its loop; ``diagnostics`` gives them for this
+    one sample, from ``step_diagnostics`` on its one row.
+    """
 
     command: np.ndarray
-    increments: np.ndarray
-    qp_active: np.ndarray
-    objective: float
-    kkt_residuals: tuple
+    sample: np.ndarray
+    v: np.ndarray
+    lam: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    pred: PredictionMatrices
+
+    @cached_property
+    def diagnostics(self):
+        """This sample's ``StepDiagnostics``, each field without its row axis."""
+        rows = (self.sample, self.v, self.lam, self.lo, self.hi)
+        return StepDiagnostics(*(stack[0] for stack in step_diagnostics(
+            self.pred, *(row[None] for row in rows))))
 
 
 def control_step(dx, dd, y, u_prev, limits, pred):
@@ -220,46 +299,39 @@ def control_step(dx, dd, y, u_prev, limits, pred):
 
     ``dx`` and ``dd`` are the increments of the estimated state and
     aggregate disturbance over the last sample. The weights and horizons are
-    those ``pred`` was built with. ``pred.box`` solves the box QP over the
-    cumulative moves on the bounds (lo, hi) of ``build_constraints``;
-    crossed bounds raise QpInfeasibleError. At the iteration's cap, the dual
-    active-set method solves it as the rows [I; -I] V >= [lo; -hi], whose
-    multipliers map back to the bounds' as lam[:n] - lam[n:]. Returns an
-    MpcStepResult whose ``command`` is the new cumulative total per unit,
-    u_prev + first increment block, and whose KKT residuals and active
-    bounds are the box QP's.
+    those ``pred`` was built with. The step forms s = (dx, y, dd), takes the
+    unconstrained cumulative move V_unc from the last rows of
+    ``pred.sample_map``, and ``pred.box`` solves the box QP from it on the
+    bounds (lo, hi) of ``build_constraints``; crossed bounds raise
+    QpInfeasibleError. At the iteration's cap, the dual active-set method
+    solves it as the rows [I; -I] V >= [lo; -hi] with the linear term g of
+    s, and its multipliers map back to the bounds' as lam[:n] - lam[n:].
+    The first block of dU = T^-1 V is the first block of V, so the new
+    cumulative total per unit is u_prev + V[:nu]. Nothing else is computed
+    per sample: the returned MpcStepResult keeps s, V, the multipliers and
+    the bounds for ``step_diagnostics``.
     """
     nu, p = pred.n_inputs, pred.p
     n = nu * pred.m
     box = pred.box
     u_prev = np.asarray(u_prev, dtype=float).reshape(nu)
-    stacked = pred.sample_map @ np.concatenate((dx, (y, dd)))
-    y_free, g, v_unc = stacked[:p], stacked[p:p + n], stacked[p + n:]
+    sample = np.concatenate((dx, (y, dd)))
+    v_unc = pred.sample_map[p + n:] @ sample
 
     lo, hi = build_constraints(limits, u_prev, pred)
     solved = box.solve(v_unc, lo, hi, _QP_TOL * max(1.0, np.abs(lo).max(), np.abs(hi).max()))
     if solved is None:
+        g = (pred.sample_map @ sample)[p:p + n]
         rows = np.vstack([np.eye(n), -np.eye(n)])
         v, lam_rows, _ = solve_qp_info(QpProblem(box.H, g, rows, np.concatenate((lo, -hi))), tol=_QP_TOL)
         lam = lam_rows[:n] - lam_rows[n:]
     else:
         v, lam, _ = solved
-    slack, residuals = box.kkt(v, g, lam, lo, hi)
-    du = pred.T_inv @ v
-
-    predicted = y_free + pred.S_B @ du
-    moves = pred.gamma_u * du
-    objective = pred.alpha_sq * float(predicted @ predicted) + float(moves @ moves)
-
-    return MpcStepResult(
-        command=u_prev + du[:nu],
-        increments=du,
-        qp_active=slack <= 1e-9,
-        objective=objective,
-        kkt_residuals=residuals,
-    )
+    return MpcStepResult(u_prev + v[:nu], sample, v, lam, lo, hi, pred)
 
 
 def active_units(qp_active, m):
-    """Collapse per-bound activity flags to per-unit flags (any step, any side)."""
-    return qp_active.reshape(2 * m, -1).any(axis=0)
+    """Collapse per-bound activity flags to per-unit flags (any step, any
+    side), for one sample's flags or for one row of flags per sample."""
+    *rows, flags = qp_active.shape
+    return qp_active.reshape(*rows, 2 * m, flags // (2 * m)).any(axis=-2)

@@ -357,18 +357,6 @@ class BoxQp:
                 return v, lam, iterations
         return None
 
-    def kkt(self, v, g, lam, lo, hi):
-        """The bounds' slack [v - lo; hi - v] and the KKT residuals of (v, lam),
-        lam the bound multipliers as ``solve`` returns them: bit for bit
-        ``kkt_residuals`` of the rows [I; -I] v >= [lo; -hi] and the
-        multipliers [max(lam, 0); max(-lam, 0)]."""
-        slack = np.concatenate((v - lo, hi - v))
-        split = np.concatenate((np.maximum(lam, 0.0), np.maximum(-lam, 0.0)))
-        stationarity = float(np.abs(self.H @ v + g - lam).max())
-        primal = float(max(0.0, -slack.min()))
-        complementarity = float(np.abs(split * slack).max())
-        return slack, (stationarity, primal, complementarity)
-
 
 def kkt_residuals(problem, x, lam):
     """Residuals (stationarity, primal feasibility, complementarity) of a

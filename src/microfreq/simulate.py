@@ -14,12 +14,17 @@ and PI configs when it is built. What else depends on the config alone (plant,
 detectability check, gain schedule, MPC prediction matrices) is a
 ``PreparedRun``, built once per ``sweep`` or ``compare`` call and shared by
 its runs, or else once per run.
-Availability and the reserve limits over the whole time grid (checked as a
-whole) are built once per run. Per sample the loop computes only the
-state estimate (kept as the augmented vector z = (x_hat, d_hat); the MPC gets
-the increments of z, and no ``EstimatorState`` is built), the command and
-the plant step. What follows from the commands alone, the PI binding flags
-and the MPC's drift flags, is computed over the grid after the loop.
+Availability, the true disturbances and the reserve limits over the whole
+time grid (checked as a whole) are built once per profile set: the
+``PreparedRun`` keeps them for the next run on the same profiles, so a
+sweep or compare cell's three controllers share them. Per sample the loop
+computes only the state estimate (kept as the augmented vector z = (x_hat,
+d_hat); the MPC gets the increments of z, and no ``EstimatorState`` is
+built), the command and the plant step; an MPC sample also records its
+(dx, y, dd), cumulative moves and bound multipliers. What nothing in the
+loop reads is computed over the grid after it: the PI binding flags and the
+MPC's drift flags from the commands, and the MPC's cost, active bounds and
+KKT residuals from the recorded samples (``step_diagnostics``).
 """
 
 import math
@@ -63,9 +68,11 @@ from .lfc_model import (
 from .mpc import (
     MpcConfig,
     active_units,
+    build_constraints,
     build_prediction_matrices,
     control_step,
     out_of_band_units,
+    step_diagnostics,
 )
 from .numerics import QpInfeasibleError
 from .profiles import PROFILE_KINDS, ProfileSet, generate_profiles
@@ -73,6 +80,10 @@ from .profiles import PROFILE_KINDS, ProfileSet, generate_profiles
 CONTROLLER_KINDS = ("mpc", "pi_all", "pi_dubess")
 
 SCENARIO_TS = 0.2  # s, the sample time of built-in and replayed scenarios
+
+# Samples per block of the MPC's pass after the loop (about 0.3 MB of
+# temporaries).
+_DIAGNOSTIC_ROWS = 128
 
 SETTLE_BAND = 1e-4  # p.u.
 VIOLATION_TOL = 1e-9  # p.u.
@@ -222,16 +233,43 @@ class PreparedRun:
     plant (checked detectable, discretized at ``model.Ts``), the estimator's
     gain schedule and, built on first use, the MPC's prediction matrices.
     Runs sharing them fill one QP law cache; a law depends on its active
-    set alone, so no run's bytes depend on the others."""
+    set alone, so no run's bytes depend on the others. ``inputs`` keeps the
+    last profile set's disturbances and bands for the next run on it."""
 
     config: RunConfig
     n_steps: int
     model: object
     gains: object
+    _last_inputs: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @cached_property
     def pred(self):
         return build_prediction_matrices(self.model, self.config.mpc)
+
+    def inputs(self, profiles):
+        """(disturbances, bands) of ``profiles`` under this config: the true
+        disturbances at every sample, and the reserve bands, one row per
+        sample but the terminal one (checked as a whole). Consecutive runs
+        on one profiles object, as a sweep or compare cell's three
+        controllers are, share one build, so its arrays must not change in
+        between."""
+        last = self._last_inputs
+        if last and last[0] is profiles:
+            return last[1]
+        config = self.config
+        params = config.params
+        n = profiles.t.shape[0] - 1
+        p_wt, p_pv = _availability(profiles, config)
+        disturbances = _true_disturbances(profiles, p_wt, p_pv, params.s_base)
+        bands = reserve_limits(
+            p_wt[0, :n], p_wt[1, :n], p_pv[0, :n], p_pv[1, :n],
+            config.dispatch_du_kw, config.dispatch_bess_kw, params, config.deload,
+        )
+        # Every run on these profiles shares the arrays, so none may write to them.
+        for shared in (disturbances, bands.lo, bands.hi):
+            shared.flags.writeable = False
+        last[:] = (profiles, (disturbances, bands))
+        return disturbances, bands
 
 
 def prepare_run(config, Ts, n_steps):
@@ -247,22 +285,20 @@ def run_scenario(scenario, config=None, prepared=None):
     trace. Deterministic for identical inputs. ``prepared``, from
     ``prepare_run`` with this very config, is built here when not given."""
     config = config or RunConfig()
-    params = config.params
     n = scenario.n_steps
     prepared = prepared or prepare_run(config, scenario.Ts, n)
     model, gains = prepared.model, prepared.gains
     if prepared.config is not config or model.Ts != scenario.Ts or n > prepared.n_steps:
         raise ValueError("prepared run is for another config, sample time or length")
-    p_wt, p_pv = _availability(scenario.profiles, config)
-    disturbances = _true_disturbances(scenario.profiles, p_wt, p_pv, params.s_base)
-    # One row per sample; the terminal row repeats the last sample's limits.
-    bands = reserve_limits(
-        p_wt[0, :n], p_wt[1, :n], p_pv[0, :n], p_pv[1, :n],
-        config.dispatch_du_kw, config.dispatch_bess_kw, params, config.deload,
-    )
+    disturbances, bands = prepared.inputs(scenario.profiles)
 
     mpc = scenario.controller == "mpc"
-    pred = prepared.pred if mpc else None
+    if mpc:
+        pred = prepared.pred
+        # What each MPC sample leaves for the pass after the loop: s, V, lam.
+        samples = np.empty((n, pred.sample_map.shape[1]))
+        moves = np.empty((n, pred.box.n))
+        multipliers = np.empty((n, pred.box.n))
     pi_config = config.pi_configs.get(scenario.controller)
     pi_state = initial_pi_state()
 
@@ -293,14 +329,14 @@ def run_scenario(scenario, config=None, prepared=None):
             dx = z[:N_STATES] - z_prev[:N_STATES]
             dd = float(z[N_STATES]) - float(z_prev[N_STATES])
             try:
-                result = control_step(dx, dd, y, u_prev, limits, pred)
+                step = control_step(dx, dd, y, u_prev, limits, pred)
             except QpInfeasibleError:
                 aborted_at = k
                 break
-            u = result.command
-            binding[k] = active_units(result.qp_active, pred.m)
-            objective[k] = result.objective
-            max_kkt = max(max_kkt, max(result.kkt_residuals))
+            u = step.command
+            samples[k] = step.sample
+            moves[k] = step.v
+            multipliers[k] = step.lam
         else:
             pi_state, u = pi_step(pi_state, y, limits, pi_config, scenario.Ts)
 
@@ -316,10 +352,22 @@ def run_scenario(scenario, config=None, prepared=None):
         d_hat[n] = z[N_STATES]
 
     if mpc:
-        # A unit whose previous command (zero before the first sample) is
-        # already outside the sample's band drifted there and is flagged as
-        # binding; elementwise, so one pass over the grid after the loop.
+        # The samples solved (all but an aborted run's failed one and those
+        # after it) get their cost, active bounds and KKT residuals after
+        # the loop, on the bounds rebuilt from the bands and the previous
+        # commands (zero before the first sample), a block of rows at a time
+        # so that the temporaries stay small. A unit whose previous command
+        # is already outside the sample's band drifted there and is flagged
+        # as binding too.
         previous = np.concatenate([np.zeros((1, N_CONTROLS)), commands[:n - 1]])
+        solved = n if aborted_at is None else aborted_at
+        for start in range(0, solved, _DIAGNOSTIC_ROWS):
+            rows = slice(start, min(start + _DIAGNOSTIC_ROWS, solved))
+            lo, hi = build_constraints(bands.at(rows), previous[rows], pred)
+            steps = step_diagnostics(pred, samples[rows], moves[rows], multipliers[rows], lo, hi)
+            objective[rows] = steps.objective
+            binding[rows] = active_units(steps.qp_active, pred.m)
+            max_kkt = max(max_kkt, float(steps.kkt_residuals.max()))
         binding[:n] |= out_of_band_units(bands, previous)
     if pi_config is not None:
         # A PI command binds within 1e-15 of either limit (participants

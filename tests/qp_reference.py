@@ -16,18 +16,31 @@ cumulative-move box solver: the increment QP over dU with the running-sum
 rows ``increment_rows`` = [T; -T] in its own QpProblem, the right-hand side
 b = [lo; -hi] from the box of ``build_constraints`` and the dual active-set
 solve, here this module's ``solve_qp_info``. It takes the arguments of
-``microfreq.mpc.control_step`` and returns the same MpcStepResult, with the
-increment QP's active rows and KKT residuals.
+``microfreq.mpc.control_step`` and returns the same MpcStepResult: the
+cumulative moves V = T dU, and the box multipliers lam[:n] - lam[n:] of
+the increment rows' multipliers.
+
+``reference_run`` is ``run_scenario`` with the controller's step as it
+stood before the run took its samples' cost, active bounds and KKT
+residuals after the loop: ``per_sample_tail`` computes them at every
+sample, with the box residuals of ``box_kkt``, and the sample applies
+u_prev + (T^-1 V)[:nu].
 
 ``mpc_gain`` is the controller's closed-form unconstrained gain and
 ``free_response`` the prediction it acts on, the oracle of every sample on
 which no reserve constraint is active.
 """
 
+import dataclasses
+
 import numpy as np
 
-from microfreq.mpc import MpcStepResult, build_constraints
-from microfreq.numerics import QpInfeasibleError, QpProblem, kkt_residuals
+import microfreq.simulate
+from microfreq.der_models import ReserveLimits
+from microfreq.lfc_model import N_CONTROLS
+from microfreq.mpc import MpcStepResult, active_units, build_constraints, out_of_band_units
+from microfreq.numerics import QpInfeasibleError, QpProblem
+from microfreq.simulate import run_scenario
 
 
 def _check_positive_definite(H):
@@ -172,26 +185,94 @@ def reference_control_step(dx, dd, y, u_prev, limits, pred):
     """One controller sample over the increments dU, solved with the
     running-sum rows Cu dU >= b by the reference dual active-set method."""
     nu = pred.n_inputs
+    n = nu * pred.m
     u_prev = np.asarray(u_prev, dtype=float).reshape(nu)
-    y_free = free_response(pred, dx, dd, y)
-    f = pred.F @ y_free
+    f = pred.F @ free_response(pred, dx, dd, y)
 
-    _, b = box_rows(*build_constraints(limits, u_prev, pred))
-    problem = QpProblem(pred.H, f, increment_rows(pred), b)
-    du, lam, _ = solve_qp_info(problem, tol=1e-10)
-    qp_active = problem.Cu @ du - problem.b <= 1e-9
-    residuals = kkt_residuals(problem, du, lam)
+    lo, hi = build_constraints(limits, u_prev, pred)
+    _, b = box_rows(lo, hi)
+    du, lam, _ = solve_qp_info(QpProblem(pred.H, f, increment_rows(pred), b), tol=1e-10)
+    return MpcStepResult(
+        command=u_prev + du[:nu],
+        sample=np.concatenate((dx, (y, dd))),
+        v=running_sum(pred) @ du,
+        lam=lam[:n] - lam[n:],
+        lo=lo,
+        hi=hi,
+        pred=pred,
+    )
+
+
+def box_kkt(H, v, g, lam, lo, hi):
+    """The bounds' slack [v - lo; hi - v] and the KKT residuals of (v, lam)
+    for  min 1/2 v'H v + g'v  s.t.  lo <= v <= hi, lam the bound
+    multipliers: bit for bit ``kkt_residuals`` of the rows [I; -I] v >=
+    [lo; -hi] and the multipliers [max(lam, 0); max(-lam, 0)]."""
+    slack = np.concatenate((v - lo, hi - v))
+    split = np.concatenate((np.maximum(lam, 0.0), np.maximum(-lam, 0.0)))
+    stationarity = float(np.abs(H @ v + g - lam).max())
+    primal = float(max(0.0, -slack.min()))
+    complementarity = float(np.abs(split * slack).max())
+    return slack, (stationarity, primal, complementarity)
+
+
+def per_sample_tail(step, u_prev):
+    """The command, active bounds, cost and KKT residuals of one
+    ``control_step`` record, computed from it alone: (command, qp_active,
+    objective, kkt_residuals)."""
+    pred = step.pred
+    nu, p = pred.n_inputs, pred.p
+    n = nu * pred.m
+    v, lam, lo, hi = step.v, step.lam, step.lo, step.hi
+    stacked = pred.sample_map @ step.sample
+    y_free, g = stacked[:p], stacked[p:p + n]
+    slack, residuals = box_kkt(pred.box.H, v, g, lam, lo, hi)
+    du = pred.T_inv @ v
 
     predicted = y_free + pred.S_B @ du
     moves = pred.gamma_u * du
     objective = pred.alpha_sq * float(predicted @ predicted) + float(moves @ moves)
-    return MpcStepResult(
-        command=u_prev + du[:nu],
-        increments=du,
-        qp_active=qp_active,
-        objective=objective,
-        kkt_residuals=residuals,
-    )
+    return u_prev + du[:nu], slack <= 1e-9, objective, residuals
+
+
+def reference_run(scenario, config=None):
+    """``run_scenario`` of an MPC scenario with ``per_sample_tail`` at every
+    sample: the run applies its command, and its cost, binding flags and
+    largest KKT residual are those of the samples one by one. Returns its
+    freq, commands, objective, binding, max_kkt_residual and aborted_at as
+    a dict keyed by trace field."""
+    tails = []
+    step = microfreq.simulate.control_step
+
+    def step_with_tail(dx, dd, y, u_prev, limits, pred):
+        result = step(dx, dd, y, u_prev, limits, pred)
+        u_prev = np.asarray(u_prev, dtype=float)
+        command, qp_active, cost, residuals = per_sample_tail(result, u_prev)
+        tails.append((active_units(qp_active, pred.m), cost, residuals))
+        return dataclasses.replace(result, command=command)
+
+    microfreq.simulate.control_step = step_with_tail
+    try:
+        trace = run_scenario(scenario, config)
+    finally:
+        microfreq.simulate.control_step = step
+
+    objective = np.zeros_like(trace.objective)
+    binding = np.zeros_like(trace.binding)
+    max_kkt = 0.0
+    for k, (units, cost, residuals) in enumerate(tails):
+        binding[k] = units
+        objective[k] = cost
+        max_kkt = max(max_kkt, max(residuals))
+    # A unit whose previous command (zero before the first sample) is
+    # outside the sample's band drifted there: binding on every row but the
+    # terminal one.
+    rows = min(trace.freq.shape[0], scenario.n_steps)
+    previous = np.concatenate([np.zeros((1, N_CONTROLS)), trace.commands[:rows - 1]])[:rows]
+    bands = ReserveLimits(trace.limits_lo[:rows], trace.limits_hi[:rows])
+    binding[:rows] |= out_of_band_units(bands, previous)
+    return {"freq": trace.freq, "commands": trace.commands, "objective": objective,
+            "binding": binding, "max_kkt_residual": max_kkt, "aborted_at": trace.aborted_at}
 
 
 def mpc_gain(pred):

@@ -199,8 +199,8 @@ def test_criterion_5_unconstrained_gain_equivalence():
         est = estimator_step(est, u_prev, y, MODEL, est_config)
         result = control_step(est.delta_x, est.delta_d, y, u_prev, wide, pred)
         reference = K @ (0.0 - free_response(pred, est.delta_x, est.delta_d, y))
-        worst = max(worst, float(np.abs(result.increments - reference).max()))
-        active_rows += int(result.qp_active.sum())
+        worst = max(worst, float(np.abs(result.diagnostics.increments - reference).max()))
+        active_rows += int(result.diagnostics.qp_active.sum())
         u_prev = result.command
         d = np.zeros(N_DISTURBANCES)
         d[0] = profiles.load_pu[k]

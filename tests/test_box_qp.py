@@ -7,9 +7,11 @@ box written as the rows [I; -I] v >= [lo; -hi] (``qp_reference.box_rows``).
 The controller falls back to the dual active-set solver on a QpProblem of
 the same H and those rows when the iteration reaches its cap, and the law
 cache must not make a sample's answer depend on which samples came before
-it. The controller reports the box QP's KKT residuals from the bounds and
-their multipliers; the row form's residuals are their bit-for-bit oracle,
-and the increment QP's residuals of the same answer bound them.
+it. A run reports the box QP's KKT residuals from the bounds and their
+multipliers, with the bits of the per-sample formula ``qp_reference.box_kkt``
+(``test_step_diagnostics.py``); the row form's residuals are that formula's
+bit-for-bit oracle, and the increment QP's residuals of the same answer
+bound them.
 """
 
 import hypothesis.extra.numpy as hnp
@@ -25,7 +27,7 @@ from microfreq.lfc_model import build_plant
 from microfreq.mpc import MpcConfig, build_constraints, build_prediction_matrices, control_step
 from microfreq.numerics import BoxQp, QpInfeasibleError, QpProblem, kkt_residuals, solve_qp_info
 from microfreq.simulate import RunConfig, make_scenario, run_scenario
-from qp_reference import box_rows, free_response, increment_rows, row_multipliers
+from qp_reference import box_kkt, box_rows, free_response, increment_rows, row_multipliers
 from test_numerics import enumerate_qp_minimizer
 
 KKT_TOL = 1e-8
@@ -132,8 +134,8 @@ def test_box_solver_gives_up_on_crossed_bounds():
 @example(CYCLING_CASES[0])
 @example(CYCLING_CASES[1])
 def test_box_kkt_residuals_equal_the_rows_residuals(data):
-    # The controller's residuals of a box answer, from the bounds and their
-    # multipliers, are bit for bit those of the same answer on the rows
+    # The residuals of a box answer, from the bounds and their multipliers
+    # (``box_kkt``), are bit for bit those of the same answer on the rows
     # [I; -I] v >= [lo; -hi] with the multipliers split by sign: for the
     # iteration's answer and for the fallback's, its rows' multipliers
     # mapped back as the controller maps them.
@@ -158,7 +160,7 @@ def test_box_kkt_residuals_equal_the_rows_residuals(data):
         # No bound is violated at v_unc: the cap is never reached.
         assert capped[2] == 0 and solved[2] == 0
     for v, lam in answers:
-        slack, residuals = box.kkt(v, g, lam, lo, hi)
+        slack, residuals = box_kkt(box.H, v, g, lam, lo, hi)
         assert np.array_equal(slack, Cu @ v - b)
         assert np.array(residuals).tobytes() == np.array(
             kkt_residuals(problem, v, row_multipliers(lam))).tobytes()
@@ -175,7 +177,7 @@ def binding_samples(seed, count):
 
     def recording(*args, **kwargs):
         result = real(*args, **kwargs)
-        if result.qp_active.any():
+        if result.diagnostics.qp_active.any():
             samples.append(args[:5])
         return result
 
@@ -189,8 +191,9 @@ def binding_samples(seed, count):
 
 
 def result_bytes(result):
-    return (result.command.tobytes(), result.increments.tobytes(), result.qp_active.tobytes(),
-            np.float64(result.objective).tobytes(), np.array(result.kkt_residuals).tobytes())
+    row = result.diagnostics
+    return (result.command.tobytes(), row.increments.tobytes(), row.qp_active.tobytes(),
+            np.float64(row.objective).tobytes(), np.array(row.kkt_residuals).tobytes())
 
 
 def test_box_solver_answers_every_binding_sample_of_a_run(monkeypatch):
@@ -233,10 +236,11 @@ def test_capped_step_falls_back_to_the_dual_solver(monkeypatch):
         # The fallback writes the sample's box as the rows [I; -I] >= [lo; -hi].
         assert np.array_equal(problems[-1].Cu, Cu) and problems[-1].b.tobytes() == b.tobytes()
         v = solve_qp_info(QpProblem(pred.box.H, g, Cu, b), tol=1e-10)[0]
-        assert result.increments.tobytes() == (pred.T_inv @ v).tobytes()
-        assert np.abs(result.increments - box_result.increments).max() <= 1e-10
-        assert np.array_equal(result.qp_active, box_result.qp_active)
-        assert max(result.kkt_residuals) <= KKT_TOL
+        assert result.diagnostics.increments.tobytes() == (pred.T_inv @ v).tobytes()
+        increments = box_result.diagnostics.increments
+        assert np.abs(result.diagnostics.increments - increments).max() <= 1e-10
+        assert np.array_equal(result.diagnostics.qp_active, box_result.diagnostics.qp_active)
+        assert max(result.diagnostics.kkt_residuals) <= KKT_TOL
     # Every sample here binds, so every one reached the (zero) cap.
     assert len(problems) == len(samples)
 
@@ -260,29 +264,21 @@ def test_law_cache_never_changes_an_answer():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 4])
-def test_box_kkt_residuals_match_the_increment_qp(seed, monkeypatch):
+def test_box_kkt_residuals_match_the_increment_qp(seed):
     # The increment QP over dU = T^-1 v has rows [T; -T] and linear term
     # f = T' g, so its stationarity residual is T' times the box QP's:
     # H dU + f - [T; -T]' lam = T' (Hv v + g - [I; -I]' lam), at most m times
     # larger in the max norm.
     pred = build_prediction_matrices(MODEL, MpcConfig())
     samples = binding_samples(seed=seed, count=60)
-    solved = []
-    real = pred.box.kkt
-
-    def recording(v, g, lam, lo, hi):
-        solved.append((v, lam))
-        return real(v, g, lam, lo, hi)
-
-    monkeypatch.setattr(pred.box, "kkt", recording)
     for dx, dd, y, u_prev, limits in samples:
         result = control_step(dx, dd, y, u_prev, limits, pred)
-        v, lam = solved[-1]
-        assert result.qp_active.any()
-        assert max(result.kkt_residuals) <= KKT_TOL
+        v, lam = result.v, result.lam
+        assert result.diagnostics.qp_active.any()
+        assert max(result.diagnostics.kkt_residuals) <= KKT_TOL
         f = pred.F @ free_response(pred, dx, dd, y)
         _, b = box_rows(*build_constraints(limits, u_prev, pred))
         increment = kkt_residuals(QpProblem(pred.H, f, increment_rows(pred), b), pred.T_inv @ v,
                                   row_multipliers(lam))
         assert max(increment) <= KKT_TOL
-        assert increment[0] <= pred.m * result.kkt_residuals[0] + 1e-12
+        assert increment[0] <= pred.m * result.diagnostics.kkt_residuals[0] + 1e-12

@@ -78,9 +78,9 @@ def reference_run(scenario, config):
                 aborted_at = k
                 break
             u = result.command
-            binding = active_units(result.qp_active, config.mpc.m) | drifted
-            objective = result.objective
-            max_kkt = max(max_kkt, max(result.kkt_residuals))
+            binding = active_units(result.diagnostics.qp_active, config.mpc.m) | drifted
+            objective = result.diagnostics.objective
+            max_kkt = max(max_kkt, max(result.diagnostics.kkt_residuals))
         else:
             pi_state, u = pi_step(pi_state, y, limits, pi_config, scenario.Ts)
             at_bound = (u <= limits.lo + 1e-15) | (u >= limits.hi - 1e-15)

@@ -220,17 +220,17 @@ def test_unconstrained_qp_matches_gain():
         dx, dd = increments(rng.normal(scale=1e-3, size=N_STATES), rng.normal(scale=1e-3))
         y = rng.normal(scale=1e-3)
         result = control_step(dx, dd, y, np.zeros(6), WIDE_LIMITS, PRED)
-        assert not result.qp_active.any()
+        assert not result.diagnostics.qp_active.any()
         y_free = free_response(PRED, dx, dd, y)
-        assert np.abs(result.increments - K @ (0.0 - y_free)).max() < 1e-9
+        assert np.abs(result.diagnostics.increments - K @ (0.0 - y_free)).max() < 1e-9
 
 
 def test_wide_limits_reduce_to_unconstrained_gain():
     dx, dd = increments(np.full(N_STATES, 2e-4), 1e-4)
     wide = control_step(dx, dd, -1e-3, np.zeros(6), WIDE_LIMITS, PRED)
     gain_move = mpc_gain(PRED) @ (0.0 - free_response(PRED, dx, dd, -1e-3))
-    assert not wide.qp_active.any()  # empty active set
-    assert np.abs(wide.increments - gain_move).max() < 1e-12
+    assert not wide.diagnostics.qp_active.any()  # empty active set
+    assert np.abs(wide.diagnostics.increments - gain_move).max() < 1e-12
 
 
 # ------------------------------------------------------- constraints
@@ -300,7 +300,7 @@ def test_drifted_total_forced_back_inside():
 def test_zero_error_zero_move():
     result = control_step(*increments(), 0.0, np.zeros(6), WIDE_LIMITS, PRED)
     assert np.abs(result.command).max() < 1e-12
-    assert result.objective == pytest.approx(0.0, abs=1e-20)
+    assert result.diagnostics.objective == pytest.approx(0.0, abs=1e-20)
 
 
 def test_over_frequency_pushes_all_units_down():
@@ -312,11 +312,11 @@ def test_over_frequency_pushes_all_units_down():
 def test_binding_limit_redistributes_to_other_units():
     # Scale an under-frequency event so the unconstrained wt1 move is 0.04.
     base = control_step(*increments(), -1e-3, np.zeros(6), WIDE_LIMITS, PRED)
-    scale = 0.04 / base.increments[2]
+    scale = 0.04 / base.diagnostics.increments[2]
     y = -1e-3 * scale
     unconstrained = control_step(*increments(), y, np.zeros(6), WIDE_LIMITS, PRED)
-    assert not unconstrained.qp_active.any()
-    assert unconstrained.increments[2] == pytest.approx(0.04, rel=1e-9)
+    assert not unconstrained.diagnostics.qp_active.any()
+    assert unconstrained.diagnostics.increments[2] == pytest.approx(0.04, rel=1e-9)
 
     lo = np.full(6, -10.0)
     hi = np.full(6, 10.0)
@@ -326,7 +326,7 @@ def test_binding_limit_redistributes_to_other_units():
     others = [i for i in range(6) if i != 2]
     assert np.all(result.command[others] >= unconstrained.command[others] - 1e-12)
     assert result.command[others].sum() > unconstrained.command[others].sum()
-    assert active_units(result.qp_active, CONFIG.m)[2]
+    assert active_units(result.diagnostics.qp_active, CONFIG.m)[2]
 
 
 def test_weight_scaling_invariance():
@@ -342,14 +342,14 @@ def test_weight_scaling_invariance():
     )
     scaled_pred = build_prediction_matrices(MODEL, scaled_config)
     scaled = control_step(*est, -2e-3, np.zeros(6), limits, scaled_pred)
-    assert np.abs(base.increments - scaled.increments).max() < 1e-10
+    assert np.abs(base.diagnostics.increments - scaled.diagnostics.increments).max() < 1e-10
 
 
 def test_kkt_residuals_reported_small():
     dx, dd = increments(np.full(N_STATES, 1e-4), 5e-4)
     limits = ReserveLimits(lo=np.full(6, -0.005), hi=np.full(6, 0.005))
     result = control_step(dx, dd, -3e-3, np.zeros(6), limits, PRED)
-    stat, primal, comp = result.kkt_residuals
+    stat, primal, comp = result.diagnostics.kkt_residuals
     assert stat < 1e-8 and primal < 1e-8 and comp < 1e-8
 
 

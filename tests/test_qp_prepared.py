@@ -6,13 +6,16 @@ with the run's BoxQp and its cached active-set laws, and falls back to
 the rows Cu = [I; -I] (H^-1 from one Cholesky factorization, H^-1 Cu' and
 the Gram matrix Cu H^-1 Cu').
 The reference ``qp_reference.reference_control_step`` solves the increment QP
-with the running-sum rows, and with H at every inner iteration. The two
-take different rounding paths, so closed-loop traces agree within a stated
-tolerance rather than bit for bit:
+with the running-sum rows, and with H at every inner iteration, and returns
+its answer as the step's record: V = T dU and the increment rows'
+multipliers mapped to the bounds'. The run takes both records' binding
+flags and KKT residuals after its loop. The two take different rounding
+paths, so closed-loop traces agree within a stated tolerance rather than
+bit for bit:
 
 - ``freq`` and ``commands`` within 1e-10 p.u. absolute;
 - ``binding`` flags and ``aborted_at`` identical;
-- the run's worst KKT residual at most 1e-8 (acceptance criterion 4).
+- each run's worst KKT residual at most 1e-8 (acceptance criterion 4).
 """
 
 import hypothesis.extra.numpy as hnp
@@ -62,7 +65,7 @@ def test_closed_loop_matches_reference_solver(kind, seed, noise, monkeypatch):
     assert np.array_equal(prepared.binding, ref.binding)
     assert np.abs(prepared.freq - ref.freq).max() <= TRACE_ATOL
     assert np.abs(prepared.commands - ref.commands).max() <= TRACE_ATOL
-    assert prepared.max_kkt_residual <= KKT_TOL
+    assert max(prepared.max_kkt_residual, ref.max_kkt_residual) <= KKT_TOL
 
 
 def box_problem(box):

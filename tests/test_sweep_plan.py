@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from microfreq import cli
+from microfreq import cli, simulate
 from microfreq.cli import _write_outputs, load_run_config, main
 from microfreq.simulate import (
     CONTROLLER_KINDS,
@@ -106,3 +106,28 @@ def test_default_sweep_runs_each_distinct_cell_once(monkeypatch):
     assert main(["sweep"]) == 0
     assert len(calls) == 33 and len(set(calls)) == 33
     assert {(kind, seed) for kind, seed, _ in calls if kind == "step"} == {("step", 0)}
+
+
+@pytest.mark.parametrize("argv, cells", [
+    (["sweep", "--seeds", "0,1", "--kinds", "rapid"], 2),
+    (["compare", "--scenario", "rapid", "--seed", "3"], 1),
+], ids=["sweep", "compare"])
+def test_a_cell_builds_its_disturbances_and_bands_once(monkeypatch, capsys, argv, cells):
+    # The three controllers of a cell run on one profile set; its
+    # availability, true disturbances and reserve bands are built for the
+    # first of them only.
+    calls = []
+    for name in ("wind_available_power", "pv_available_power", "reserve_limits"):
+        real = getattr(simulate, name)
+
+        def counted(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(simulate, name, counted)
+    runs = count_runs(monkeypatch)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(runs) == 3 * cells
+    assert sorted(calls) == sorted(
+        ["wind_available_power", "pv_available_power", "reserve_limits"] * cells)
