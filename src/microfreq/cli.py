@@ -12,7 +12,6 @@ the published values.
 
 import argparse
 import dataclasses
-import hashlib
 import inspect
 import json
 import os
@@ -27,13 +26,11 @@ from .mpc import MpcConfig
 from .profiles import PROFILE_KINDS, read_profiles_csv
 from .simulate import (
     CONTROLLER_KINDS,
-    DEFAULT_DURATIONS,
     SCENARIO_TS,
     RunConfig,
     compute_metrics,
     make_scenario,
     metrics_summary,
-    prepare_run,
     run_scenario,
     step_response_metrics,
     write_trace_csv,
@@ -198,46 +195,39 @@ def cmd_run(args):
     return 0
 
 
-def _run_cell(scenario, config, prepared):
+def _run_cell(scenario, config):
     """Every controller on one scenario, whichever controller it names:
     {controller: (trace, metrics)}."""
     results = {}
     for controller in CONTROLLER_KINDS:
-        trace = run_scenario(dataclasses.replace(scenario, controller=controller),
-                             config, prepared)
+        trace = run_scenario(dataclasses.replace(scenario, controller=controller), config)
         results[controller] = (trace, compute_metrics(trace))
     return results
 
 
 def _sweep_plan(kinds, seeds, config):
-    """Yield the sweep's cells in order as (kind, seed, results, first), all
-    run on one ``PreparedRun``. ``results`` is ``_run_cell``'s, or None when
-    the cell's inputs repeat an earlier cell's: then ``first`` is that cell's
-    (kind, seed). Inputs repeat when the profile arrays have the same bytes
-    and, with measurement noise on, the seed is the same (a run draws nothing
-    else from it)."""
-    n_steps = max(round(DEFAULT_DURATIONS[kind] / SCENARIO_TS) for kind in kinds)
-    prepared = prepare_run(config, SCENARIO_TS, n_steps)
+    """Yield the sweep's cells in order as (kind, seed, results, first).
+    ``results`` is ``_run_cell``'s, or None when the cell's inputs repeat an
+    earlier cell's: then ``first`` is that cell's (kind, seed). Inputs
+    repeat when the profiles have the same digest and, with measurement
+    noise on, the seed is the same (a run draws nothing else from it)."""
     first_of = {}
     for kind in kinds:
         for seed in seeds:
             scenario = make_scenario(kind, CONTROLLER_KINDS[0], seed)
-            digest = hashlib.sha256()
-            for series in vars(scenario.profiles).values():
-                digest.update(series.tobytes())
-            key = (digest.digest(), seed if config.measurement_noise_std else None)
+            key = (scenario.profiles.digest(), seed if config.measurement_noise_std else None)
             if key in first_of:
                 yield kind, seed, None, first_of[key]
             else:
                 first_of[key] = (kind, seed)
-                yield kind, seed, _run_cell(scenario, config, prepared), None
+                yield kind, seed, _run_cell(scenario, config), None
 
 
 def cmd_compare(args):
     config = load_run_config(args.config)
     scenario = make_scenario(
         args.scenario, CONTROLLER_KINDS[0], args.seed, profiles=_profiles_from_args(args))
-    results = _run_cell(scenario, config, prepare_run(config, scenario.Ts, scenario.n_steps))
+    results = _run_cell(scenario, config)
     print(f"scenario={args.scenario} seed={args.seed}")
     print(f"{'controller':12s} {'freq_std':>14s} {'max_abs_dev':>14s} {'settle_s':>9s}")
     for controller in CONTROLLER_KINDS:

@@ -14,8 +14,10 @@ The gains are therefore built once per config with ``gain_schedule``: the
 recursion up to the first repeated covariance, indexed cyclically after it,
 or the full sequence when nothing repeats within the runs it serves. Per
 sample only the state predict/update is left, on the augmented estimate z,
-which stacks x_hat and d_hat. The run loop hands the controller the
-increments of z and builds no ``EstimatorState``. ``estimator_step`` is the
+which stacks x_hat and d_hat, with the control's part B_aug @ u given: the
+run loop computes that product once per sample for the plant and the
+filter. It hands the controller the increments of z and builds no
+``EstimatorState``. ``estimator_step`` is the
 single-step reference that returns one; it shares the covariance and state
 updates with the schedule, so both give the same bits.
 """
@@ -41,15 +43,17 @@ _CLIP_LIMIT = 1e-6
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Process and measurement noise (Q, R) and initial covariance (P0) of the
-    augmented filter."""
+    augmented filter. Q and P0 are kept as read-only copies: a run config
+    keeps the gain schedule built from them for all its runs, so they must
+    not change under it."""
 
     Q: np.ndarray
     R_noise: float
     P0: np.ndarray
 
     def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        P0 = np.asarray(self.P0, dtype=float)
+        Q = np.array(self.Q, dtype=float)
+        P0 = np.array(self.P0, dtype=float)
         if Q.shape != (N_AUGMENTED, N_AUGMENTED) or P0.shape != (N_AUGMENTED, N_AUGMENTED):
             raise ValueError(f"Q and P0 must be {N_AUGMENTED}x{N_AUGMENTED}")
         if self.R_noise <= 0:
@@ -58,6 +62,8 @@ class EstimatorConfig:
             raise ValueError("Q must be positive semidefinite")
         if np.linalg.eigvalsh((P0 + P0.T) / 2).min() <= 0:
             raise ValueError("P0 must be positive definite")
+        Q.flags.writeable = False
+        P0.flags.writeable = False
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "P0", P0)
 
@@ -192,10 +198,11 @@ def _covariance_step(P, A_aug, c, config):
     return gain, _condition_covariance(P_new)
 
 
-def _state_update(z, u, y, A_aug, B_aug, c, gain):
+def _state_update(z, bu, y, A_aug, c, gain):
     """Augmented estimate z = (x_hat, d_hat) after one predict/update with a
-    precomputed gain, and the step's innovation."""
-    z_pred = A_aug @ z + B_aug @ u
+    precomputed gain, and the step's innovation. ``bu`` is B_aug @ u, the
+    applied control's part of the prediction."""
+    z_pred = A_aug @ z + bu
     innovation = float(y - c @ z_pred)
     return z_pred + gain * innovation, innovation
 
@@ -214,7 +221,7 @@ def estimator_step(state, u, y, model, config):
     if not np.isfinite(y):
         raise ValueError("measurement must be finite")
     z = np.concatenate([state.x_hat, [state.d_hat]])
-    z_new, innovation = _state_update(z, u, y, A_aug, B_aug, c, gain)
+    z_new, innovation = _state_update(z, B_aug @ u, y, A_aug, c, gain)
     return EstimatorState(
         x_hat=z_new[:N_STATES], d_hat=float(z_new[N_STATES]), P=P_new,
         prev_x_hat=state.x_hat, prev_d_hat=state.d_hat, innovation=innovation, gain=gain,
@@ -247,14 +254,20 @@ class GainSchedule:
             raise IndexError(f"step {k} is beyond the {len(self.gains)} scheduled steps")
         return self.cycle_start + (k - self.cycle_start) % self.period
 
-    def update(self, z, u, y, k):
+    def covers(self, n_steps):
+        """Whether a run of ``n_steps`` samples finds an entry for every step."""
+        return bool(self.period) or n_steps <= len(self.gains)
+
+    def update(self, z, bu, y, k):
         """Step k of the run on the augmented estimate z = (x_hat, d_hat):
         the state predict/update of ``estimator_step`` with the gain looked
         up, not recomputed. Returns the new z and the innovation. ``z`` must
-        be the result of step k - 1 and ``u`` a (6,) float array."""
+        be the result of step k - 1 and ``bu`` the product B_aug @ u of the
+        (6,) control u applied since. Its first rows are B @ u, bit for bit,
+        so the run loop computes it once and steps the plant with them."""
         if not math.isfinite(y):
             raise ValueError("measurement must be finite")
-        return _state_update(z, u, y, self.A_aug, self.B_aug, self.c, self.gains[self.index(k)])
+        return _state_update(z, bu, y, self.A_aug, self.c, self.gains[self.index(k)])
 
 
 def gain_schedule(model, config, n_steps):

@@ -15,15 +15,16 @@ invertible, so the minimizer of the increment QP  min 1/2 dU'H dU + f'dU
 is T^-1 times that of the box QP, whose Hessian is Hv = T^-T H T^-1 and
 whose linear term is g = T^-T f.
 
-Horizons, weights and plant are fixed for a run, so everything except the
-reserve bands and the measured state is built once per run by
+Horizons, weights and plant are fixed for a config, so everything except
+the reserve bands and the measured state is built once per config by
 ``build_prediction_matrices``: Hv in a ``BoxQp``, and one stacked map that
 takes the sample's s = (dx, y, dd) to the free response, the linear term g
 and the unconstrained cumulative move V_unc. A control step takes V_unc
 from the map's last rows and runs the box solver's primal-dual active-set
 iteration from it on the sample's bounds (lo, hi): most samples violate no
 bound and end there; the rest apply the cached affine law of each active
-set met, built on first use and kept on the run's ``BoxQp``. Crossed bands
+set met, built on first use and kept on the ``BoxQp`` for every later run
+of the config. The step builds the box as one [lo; hi] array. Crossed bands
 raise QpInfeasibleError. Only if the iteration reaches its cap does the
 step write the box as the rows [I; -I] V >= [lo; -hi], for the dual
 active-set method, which always terminates. The step applies the first
@@ -49,7 +50,14 @@ import numpy as np
 
 # ``kkt_residuals`` is not called here, but stays importable: the benchmark's
 # layer tracer (perfbench/tracer.py) wraps the QP functions in this namespace.
-from .numerics import BoxQp, QpProblem, kkt_residuals, solve_qp_info, spd_inverse  # noqa: F401
+from .numerics import (  # noqa: F401
+    BoxQp,
+    QpProblem,
+    kkt_residuals,
+    rows_times,
+    solve_qp_info,
+    spd_inverse,
+)
 
 _IDENTICAL_COLUMN_TOL = 1e-12
 _QP_TOL = 1e-10  # relative to the sample's largest bound
@@ -190,6 +198,14 @@ def build_prediction_matrices(model, config):
     )
 
 
+def _bounds(limits, u_prev, m):
+    """[lo; hi] of the box over the m blocks, in one array, for one sample
+    or a stack of them: m copies of limits.lo - u_prev, then m of
+    limits.hi - u_prev."""
+    lo, hi = limits.lo - u_prev, limits.hi - u_prev
+    return np.concatenate((lo,) * m + (hi,) * m, axis=-1)
+
+
 def build_constraints(limits, u_prev, pred):
     """The box on the cumulative moves V: (lo, hi) over the m blocks, for one
     sample, or for a stack of samples from a grid of limits and one u_prev
@@ -203,8 +219,7 @@ def build_constraints(limits, u_prev, pred):
     the event itself is the caller's to flag.
     """
     u_prev = np.asarray(u_prev, dtype=float).reshape(np.shape(limits.lo))
-    lo, hi = limits.lo - u_prev, limits.hi - u_prev
-    bounds = np.concatenate((lo,) * pred.m + (hi,) * pred.m, axis=-1)
+    bounds = _bounds(limits, u_prev, pred.m)
     n = bounds.shape[-1] // 2
     return bounds[..., :n], bounds[..., n:]
 
@@ -228,13 +243,6 @@ class StepDiagnostics(NamedTuple):
     kkt_residuals: np.ndarray
 
 
-def _rows_times(M, X):
-    """M @ x for every row x of X, each as its own matrix-vector product.
-    One matrix-matrix product X @ M.T would sum in another order and move
-    the results in their last bits."""
-    return np.matmul(M[None], X[:, :, None])[:, :, 0]
-
-
 def step_diagnostics(pred, samples, v, lam, lo, hi):
     """The ``StepDiagnostics`` of a stack of solved samples, the one place
     they are computed: row k of each argument is sample k's s = (dx, y, dd),
@@ -250,16 +258,16 @@ def step_diagnostics(pred, samples, v, lam, lo, hi):
     row has the bits the same formulas give one sample.
     """
     p, n = pred.p, v.shape[1]
-    stacked = _rows_times(pred.sample_map, samples)
+    stacked = rows_times(pred.sample_map, samples)
     y_free, g = stacked[:, :p], stacked[:, p:p + n]
-    du = _rows_times(pred.T_inv, v)
-    predicted = y_free + _rows_times(pred.S_B, du)
+    du = rows_times(pred.T_inv, v)
+    predicted = y_free + rows_times(pred.S_B, du)
     moves = pred.gamma_u * du
     objective = pred.alpha_sq * np.vecdot(predicted, predicted) + np.vecdot(moves, moves)
     slack = np.concatenate((v - lo, hi - v), axis=1)
     split = np.concatenate((np.maximum(lam, 0.0), np.maximum(-lam, 0.0)), axis=1)
     residuals = np.column_stack((
-        np.abs(_rows_times(pred.box.H, v) + g - lam).max(axis=1),
+        np.abs(rows_times(pred.box.H, v) + g - lam).max(axis=1),
         np.maximum(0.0, -slack.min(axis=1)),
         np.abs(split * slack).max(axis=1),
     ))
@@ -298,11 +306,13 @@ def control_step(dx, dd, y, u_prev, limits, pred):
     """Solve the constrained QP for this sample and apply the first block.
 
     ``dx`` and ``dd`` are the increments of the estimated state and
-    aggregate disturbance over the last sample. The weights and horizons are
-    those ``pred`` was built with. The step forms s = (dx, y, dd), takes the
-    unconstrained cumulative move V_unc from the last rows of
-    ``pred.sample_map``, and ``pred.box`` solves the box QP from it on the
-    bounds (lo, hi) of ``build_constraints``; crossed bounds raise
+    aggregate disturbance over the last sample, and ``u_prev`` the (nu,)
+    totals applied over it. The weights and horizons are those ``pred``
+    was built with. The step forms s = (dx, y, dd), takes the unconstrained
+    cumulative move V_unc from the last rows of ``pred.sample_map``, and
+    ``pred.box`` solves the box QP from it on the bounds (lo, hi) of
+    ``build_constraints``, built here as one [lo; hi] array, with the
+    tolerance relative to its largest magnitude; crossed bounds raise
     QpInfeasibleError. At the iteration's cap, the dual active-set method
     solves it as the rows [I; -I] V >= [lo; -hi] with the linear term g of
     s, and its multipliers map back to the bounds' as lam[:n] - lam[n:].
@@ -314,12 +324,14 @@ def control_step(dx, dd, y, u_prev, limits, pred):
     nu, p = pred.n_inputs, pred.p
     n = nu * pred.m
     box = pred.box
-    u_prev = np.asarray(u_prev, dtype=float).reshape(nu)
+    if np.shape(u_prev) != (nu,):
+        raise ValueError(f"u_prev must have shape ({nu},), got {np.shape(u_prev)}")
     sample = np.concatenate((dx, (y, dd)))
     v_unc = pred.sample_map[p + n:] @ sample
 
-    lo, hi = build_constraints(limits, u_prev, pred)
-    solved = box.solve(v_unc, lo, hi, _QP_TOL * max(1.0, np.abs(lo).max(), np.abs(hi).max()))
+    bounds = _bounds(limits, u_prev, pred.m)
+    lo, hi = bounds[:n], bounds[n:]
+    solved = box.solve(v_unc, lo, hi, _QP_TOL * max(1.0, np.abs(bounds).max()))
     if solved is None:
         g = (pred.sample_map @ sample)[p:p + n]
         rows = np.vstack([np.eye(n), -np.eye(n)])

@@ -1,12 +1,13 @@
 """Dense matrix numerics: matrix exponential, zero-order-hold discretization,
 a small strictly-convex QP solver with linear inequality constraints, and,
 for the box-constrained case, a solver on the bounds (lo, hi) themselves
-that keeps the affine law of each active set it meets.
+that keeps the affine law of each active set it meets, and the stacked
+matrix-vector products (``rows_times``) that keep a per-row product's bits.
 
 The functions operate on plain numpy arrays and are pure. A ``BoxQp`` fills
-its law cache as it solves, so one instance belongs to one caller at a time;
-each law depends on the active set alone, so the fill order never changes a
-result.
+its law cache as it solves, so its solves must not run concurrently (a run
+config's MPC runs share one, one run after another); each law depends on
+the active set alone, so the fill order never changes a result.
 """
 
 from dataclasses import dataclass
@@ -35,6 +36,13 @@ class QpInfeasibleError(ValueError):
     def __init__(self, row, message=None):
         self.row = row
         super().__init__(message or f"QP infeasible: constraint row {row} cannot be satisfied")
+
+
+def rows_times(M, X):
+    """M @ x for every row x of X, each as its own matrix-vector product.
+    One matrix-matrix product X @ M.T would sum in another order and move
+    the results in their last bits."""
+    return np.matmul(M[None], X[:, :, None])[:, :, 0]
 
 
 def _check_square(A, name):
@@ -283,13 +291,16 @@ class BoxQp:
         v = v_unc - K_A (v_unc[A] - c_A),   K_A = W[:, A] W[A, A]^-1,
 
     and the bound multipliers, the gradient's entries on A, are
-    -W[A, A]^-1 (v_unc[A] - c_A). Both matrices depend on A alone: each is
-    built the first time A occurs and kept in ``laws``, keyed by A's mask,
-    as explicit MPC keeps one law per region (Bemporad et al., Automatica
-    2002). A solve therefore costs a few matrix-vector products once the
-    sets a caller meets have been seen. The bounds stay (lo, hi) throughout;
-    only a caller whose iteration reached the cap writes them as the rows
-    [I; -I] v >= [lo; -hi] of a QpProblem for ``solve_qp_info``.
+    -W[A, A]^-1 (v_unc[A] - c_A). Both matrices depend on A alone: they
+    are built the first time A occurs, as explicit MPC keeps one law per
+    region (Bemporad et al., Automatica 2002). Each split of A into lower
+    and upper bounds is kept in ``laws``, keyed by the bytes of the two
+    masks, with A's indices, the picks of c_A from [lo; hi] and A's
+    matrices. A solve therefore costs a few matrix-vector products once the
+    sets a caller meets have been seen. The bounds stay (lo, hi)
+    throughout; only a caller whose iteration reached the cap writes them
+    as the rows [I; -I] v >= [lo; -hi] of a QpProblem for
+    ``solve_qp_info``.
     """
 
     def __init__(self, H):
@@ -297,61 +308,75 @@ class BoxQp:
         # The active-set update compares a step of the multiplier with a
         # step of v, in the units of v: lam_i / H_ii.
         self._inv_curvature = 1.0 / np.diag(self.H)
+        # The sets and multipliers of every solve that binds no bound.
+        self._no_sets = bytes(2 * self.n)
+        self._no_multipliers = np.zeros(self.n)
+        self._no_multipliers.flags.writeable = False
         self.laws = {}
+        self._matrices = {}
 
     @property
     def n(self):
         return self.H.shape[0]
 
-    def _law(self, active):
-        """(indices of A, [K_A; W[A, A]^-1]) for the active mask ``active``."""
-        key = active.tobytes()
-        law = self.laws.get(key)
+    def _law(self, sets, lower, upper):
+        """(indices of A, their picks from [lo; hi], [K_A; W[A, A]^-1]) for
+        the lower and upper masks ``lower`` and ``upper``, whose bytes are
+        ``sets``; A is their union, and its splits share the matrix."""
+        law = self.laws.get(sets)
         if law is None:
+            active = lower | upper
             idx = np.flatnonzero(active)
-            W_AA_inv = np.linalg.inv(self.H_inv[np.ix_(idx, idx)])
-            law = (idx, np.vstack([self.H_inv[:, idx] @ W_AA_inv, W_AA_inv]))
-            self.laws[key] = law
+            picks = np.where(lower[idx], idx, idx + self.n)
+            key = active.tobytes()
+            matrix = self._matrices.get(key)
+            if matrix is None:
+                columns = self.H_inv[:, idx]
+                W_AA_inv = np.linalg.inv(columns[idx])
+                matrix = self._matrices[key] = np.concatenate((columns @ W_AA_inv, W_AA_inv))
+            law = self.laws[sets] = (idx, picks, matrix)
         return law
 
     def solve(self, v_unc, lo, hi, tol):
         """Minimize over the box from the unconstrained minimizer ``v_unc``.
 
         The first active set is the bounds ``v_unc`` violates by more than
-        ``tol``; with none, ``v_unc`` is the answer. Otherwise, if some
-        lower bound exceeds its upper one by more than ``tol``, there is no
-        feasible point, and QpInfeasibleError names the first such bound.
-        Each iteration applies the set's law, then rebuilds the lower and
-        upper sets from v - lam / diag(H); it stops when both repeat, which
-        is the KKT point: the free entries within the box (to ``tol``), the
-        multipliers positive on lower and negative on upper bounds. Returns
-        (v, lam, iterations), lam being the gradient H v + g (zero off the
-        active set), or None when BOX_QP_MAX_ITERATIONS pass without the
-        sets repeating. The iteration may cycle when H is not an M-matrix,
-        and the caller's fallback, ``solve_qp_info`` on the same problem, is
-        what guarantees an answer.
+        ``tol``; with none, ``v_unc`` is the answer, with the read-only
+        zero multipliers that every such solve shares, and no multiplier
+        array or law is built. Otherwise, if some lower bound exceeds its
+        upper one by more than ``tol``, there is no feasible point, and
+        QpInfeasibleError names the first such bound. Each iteration
+        applies the law of its (lower, upper) sets, then rebuilds the lower
+        and upper sets from v - lam / diag(H); it stops when both repeat,
+        which is the KKT point: the free entries within the box (to
+        ``tol``), the multipliers positive on lower and negative on upper
+        bounds. Returns (v, lam, iterations), lam being the gradient
+        H v + g (zero off the active set), or None when
+        BOX_QP_MAX_ITERATIONS pass without the sets repeating. The
+        iteration may cycle when H is not an M-matrix, and the caller's
+        fallback, ``solve_qp_info`` on the same problem, is what guarantees
+        an answer.
         """
-        n = self.n
         below, above = lo - tol, hi + tol
-        lower = v_unc < below
-        upper = v_unc > above
+        lower, upper = v_unc < below, v_unc > above
         sets = lower.tobytes() + upper.tobytes()
-        if sets == bytes(2 * n):
-            return v_unc, np.zeros(n), 0
+        if sets == self._no_sets:
+            return v_unc, self._no_multipliers, 0
         if (lo > above).any():
             j = int(np.argmax(lo > above))
             raise QpInfeasibleError(j, f"QP infeasible: lower bound {j} exceeds its upper bound by {lo[j] - hi[j]:.3e}")
+        n = self.n
+        bounds = np.concatenate((lo, hi))
         for iterations in range(1, BOX_QP_MAX_ITERATIONS + 1):
-            idx, law = self._law(lower | upper)
-            bound = np.where(lower, lo, hi)[idx]
+            idx, picks, law = self._law(sets, lower, upper)
+            bound = bounds[picks]
             step = law @ (v_unc[idx] - bound)
             v = v_unc - step[:n]
             v[idx] = bound
             lam = np.zeros(n)
             lam[idx] = -step[n:]
             shifted = v - lam * self._inv_curvature
-            lower = shifted < below
-            upper = shifted > above
+            lower, upper = shifted < below, shifted > above
             repeated, sets = sets, lower.tobytes() + upper.tobytes()
             if sets == repeated:
                 return v, lam, iterations

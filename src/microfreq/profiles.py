@@ -8,6 +8,8 @@ the same seed). All generation is seeded and deterministic.
 """
 
 import csv
+import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +83,15 @@ class ProfileSet:
             )
         if abs(self.t[0]) > _GRID_RTOL * step[0]:
             raise ValueError(f"time grid must start at 0, got t[0] = {float(self.t[0])!r}")
+
+    def digest(self):
+        """SHA-256 of every series' dtype, shape and bytes: two sets share it
+        exactly when they hold the same samples, bit for bit."""
+        digest = hashlib.sha256()
+        for series in (self.t, self.load_pu, self.v_w, self.g_eff, self.t_amb):
+            digest.update(f"{series.dtype.str}{series.shape}".encode())
+            digest.update(np.ascontiguousarray(series))
+        return digest.digest()
 
     @property
     def ts(self):
@@ -189,23 +200,25 @@ def write_profiles_csv(path, profiles):
 def read_profiles_csv(path):
     """Read a ProfileSet; the header must match the column order exactly.
 
-    A missing, extra or non-numeric cell is rejected with a ValueError
-    naming its 1-based data row (blank lines are skipped and not counted)
-    and its column.
+    The data rows are parsed in one vectorized pass (``np.loadtxt``, with
+    quoted cells read as ``csv`` reads them). Its numbers have the bits
+    Python's ``float()`` gives, but it reads fewer strings: none with
+    underscores ("1_0") or with digits outside ASCII, which are therefore
+    not numbers here. A missing, extra or non-numeric cell is rejected with
+    a ValueError naming its 1-based data row (blank lines are skipped and
+    not counted) and its column.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
+        header = tuple(next(csv.reader(fh), ()))
         if header != PROFILE_COLUMNS:
             raise ValueError(
                 f"profile CSV header {header} does not match required {PROFILE_COLUMNS}"
             )
-        try:
-            data = np.array([[float(v) for v in row] for row in reader if row])
-            readable = data.ndim == 2 and data.shape[1] == len(PROFILE_COLUMNS)
-        except ValueError:  # a non-numeric cell, or rows of unequal length
-            readable = False
-    if not readable:
+        # np.loadtxt warns about input without data, so it starts at the
+        # first line that is not blank, if there is one.
+        first = next((line for line in fh if line.strip("\r\n")), None)
+        data = None if first is None else _numbers(itertools.chain((first,), fh), '"')
+    if data is None or data.shape[1] != len(PROFILE_COLUMNS):
         raise ValueError(_first_bad_cell(path))
     return ProfileSet(
         t=data[:, 0],
@@ -216,6 +229,24 @@ def read_profiles_csv(path):
     )
 
 
+def _numbers(lines, quotechar=None):
+    """The comma-separated numbers of ``lines``, which must not all be
+    blank, as an array with one row per line that is not, or None if some
+    cell is not a number or rows differ in length."""
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, quotechar=quotechar, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _is_number(cell):
+    """Whether the parse of ``read_profiles_csv`` reads ``cell`` as a number."""
+    if not cell.strip("\r\n"):
+        return False  # a blank line to np.loadtxt
+    number = _numbers([cell])
+    return number is not None and number.shape == (1, 1)
+
+
 def _first_bad_cell(path):
     """Message naming the first cell of a profile CSV that cannot be read.
     Reads the file again: only a failed read needs the cell located."""
@@ -224,9 +255,7 @@ def _first_bad_cell(path):
         rows = [row for row in csv.reader(fh) if row][1:]
     for i, row in enumerate(rows, start=1):
         for column, cell in zip(PROFILE_COLUMNS, row):
-            try:
-                float(cell)
-            except ValueError:
+            if not _is_number(cell):
                 return f"profile CSV data row {i}, column {column}: {cell!r} is not a number"
         if len(row) < width:
             return (f"profile CSV data row {i} has {len(row)} cells, expected {width}: "

@@ -11,16 +11,19 @@ bit-identical traces.
 Everything that does not depend on the closed loop is built before the
 first sample. A ``RunConfig`` checks itself and derives its renewable models
 and PI configs when it is built. What else depends on the config alone (plant,
-detectability check, gain schedule, MPC prediction matrices) is a
-``PreparedRun``, built once per ``sweep`` or ``compare`` call and shared by
-its runs, or else once per run.
-Availability, the true disturbances and the reserve limits over the whole
-time grid (checked as a whole) are built once per profile set: the
-``PreparedRun`` keeps them for the next run on the same profiles, so a
-sweep or compare cell's three controllers share them. Per sample the loop
-computes only the state estimate (kept as the augmented vector z = (x_hat,
-d_hat); the MPC gets the increments of z, and no ``EstimatorState`` is
-built), the command and the plant step; an MPC sample also records its
+detectability check, gain schedule, MPC prediction matrices and their QP law
+cache) is a ``PreparedRun``, built by the config's first run at a sample time
+and kept by the config for every later run (``prepare_run``); only a longer
+run than a schedule without a cycle covers builds it anew. Sweeps, compares
+and library callers that run many scenarios on one config all share it this
+way. Availability, the true disturbances, their plant term D @ d and the
+reserve limits over the whole time grid (checked as a whole) are built once
+per profile set: the ``PreparedRun`` keeps them for the next run on profiles
+with the same samples, so a sweep or compare cell's three controllers share
+them. Per sample the loop computes only the state estimate (kept as the
+augmented vector z = (x_hat, d_hat); the MPC gets the increments of z, and no
+``EstimatorState`` is built), the command and the plant step, which shares
+the product B_aug @ u with the next estimate; an MPC sample also records its
 (dx, y, dd), cumulative moves and bound multipliers. What nothing in the
 loop reads is computed over the grid after it: the PI binding flags and the
 MPC's drift flags from the commands, and the MPC's cost, active bounds and
@@ -45,8 +48,9 @@ from .der_models import (
     reserve_limits,
     wind_available_power,
 )
-# estimator_step is no longer called here, but perfbench/tracer.py wraps it
-# in this namespace, so it stays importable from it.
+# estimator_step and step_plant are no longer called here, but
+# perfbench/tracer.py wraps them in this namespace, so they stay importable
+# from it.
 from .estimator import (  # noqa: F401
     N_AUGMENTED,
     default_estimator_config,
@@ -54,12 +58,13 @@ from .estimator import (  # noqa: F401
     gain_schedule,
     require_detectable,
 )
-from .lfc_model import (
+from .lfc_model import (  # noqa: F401
     CONTROL_LABELS,
     DISTURBANCE_LABELS,
     IDX_FREQ,
     MicrogridParams,
     N_CONTROLS,
+    N_DISTURBANCES,
     N_STATES,
     OUTPUT_STATE_INDICES,
     build_plant,
@@ -74,7 +79,7 @@ from .mpc import (
     out_of_band_units,
     step_diagnostics,
 )
-from .numerics import QpInfeasibleError
+from .numerics import QpInfeasibleError, rows_times
 from .profiles import PROFILE_KINDS, ProfileSet, generate_profiles
 
 CONTROLLER_KINDS = ("mpc", "pi_all", "pi_dubess")
@@ -131,6 +136,10 @@ class RunConfig:
     and ``p_pv1`` (so twin ratings must be equal), gains left None (the
     design on ``params``) and ``pi_configs``, keyed by controller name.
     ``replace`` derives them anew but keeps the gains: pass None to redesign.
+    ``prepared_runs`` holds the config's ``PreparedRun`` per sample time,
+    built by the first run that needs it (``prepare_run``); a ``replace``d
+    config starts without any. The runs of one config share them, so they
+    must not run concurrently.
     """
 
     params: MicrogridParams = field(default_factory=MicrogridParams)
@@ -145,6 +154,8 @@ class RunConfig:
     wind: object = field(init=False, repr=False, compare=False)
     pv: object = field(init=False, repr=False, compare=False)
     pi_configs: dict = field(init=False, repr=False, compare=False)
+    # {Ts: PreparedRun}, filled by prepare_run.
+    prepared_runs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         params = self.params
@@ -168,6 +179,7 @@ class RunConfig:
         object.__setattr__(self, "pi_configs", pi_configs)
         object.__setattr__(self, "wind", default_wind_params(rated_kw=params.p_wt1))
         object.__setattr__(self, "pv", default_pv_params(rated_kw=params.p_pv1))
+        object.__setattr__(self, "prepared_runs", {})
 
 
 @dataclass
@@ -227,70 +239,85 @@ def _true_disturbances(profiles, p_wt, p_pv, sbase):
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparedRun:
-    """What every run of one config up to ``n_steps`` samples shares: the
-    plant (checked detectable, discretized at ``model.Ts``), the estimator's
-    gain schedule and, built on first use, the MPC's prediction matrices.
-    Runs sharing them fill one QP law cache; a law depends on its active
-    set alone, so no run's bytes depend on the others. ``inputs`` keeps the
-    last profile set's disturbances and bands for the next run on it."""
+    """What every run of one config at one sample time shares: the plant
+    (checked detectable, discretized at ``model.Ts``), the estimator's gain
+    schedule and, built on first use from the config's ``mpc``, the MPC's
+    prediction matrices. The config keeps it in ``prepared_runs``. Runs
+    sharing it fill one QP law cache; a law depends on its active set alone,
+    so no run's bytes depend on the others. ``inputs`` keeps the last
+    profile set's disturbances and bands for the next run on the same
+    samples. Like the config's, its runs must not run concurrently."""
 
-    config: RunConfig
-    n_steps: int
+    mpc: MpcConfig = field(repr=False)
     model: object
     gains: object
-    _last_inputs: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # (digest, inputs) of the last profile set, replaced as one tuple.
+    _last_inputs: tuple = field(default=(None, None), init=False, repr=False)
 
     @cached_property
     def pred(self):
-        return build_prediction_matrices(self.model, self.config.mpc)
+        return build_prediction_matrices(self.model, self.mpc)
 
-    def inputs(self, profiles):
-        """(disturbances, bands) of ``profiles`` under this config: the true
-        disturbances at every sample, and the reserve bands, one row per
-        sample but the terminal one (checked as a whole). Consecutive runs
-        on one profiles object, as a sweep or compare cell's three
-        controllers are, share one build, so its arrays must not change in
-        between."""
-        last = self._last_inputs
-        if last and last[0] is profiles:
-            return last[1]
-        config = self.config
+    def inputs(self, profiles, config):
+        """(disturbances, plant_disturbances, bands) of ``profiles`` under
+        ``config``, the config this run was prepared for: the true
+        disturbances at every sample, D @ d of every row of them (each as
+        its own product, so with the bits of ``step_plant``'s), and the
+        reserve bands, one row per sample but the terminal one (checked as a
+        whole). The build is kept for the next run on profiles with the same
+        ``digest``, as a sweep or compare cell's three controllers are; the
+        digest is taken on every call, so a profile set edited in place gets
+        a build of its own."""
+        key = profiles.digest()
+        last_key, last_inputs = self._last_inputs
+        if last_key == key:
+            return last_inputs
         params = config.params
         n = profiles.t.shape[0] - 1
         p_wt, p_pv = _availability(profiles, config)
         disturbances = _true_disturbances(profiles, p_wt, p_pv, params.s_base)
+        plant_disturbances = rows_times(self.model.D, disturbances)
         bands = reserve_limits(
             p_wt[0, :n], p_wt[1, :n], p_pv[0, :n], p_pv[1, :n],
             config.dispatch_du_kw, config.dispatch_bess_kw, params, config.deload,
         )
         # Every run on these profiles shares the arrays, so none may write to them.
-        for shared in (disturbances, bands.lo, bands.hi):
+        for shared in (disturbances, plant_disturbances, bands.lo, bands.hi):
             shared.flags.writeable = False
-        last[:] = (profiles, (disturbances, bands))
-        return disturbances, bands
+        inputs = (disturbances, plant_disturbances, bands)
+        object.__setattr__(self, "_last_inputs", (key, inputs))
+        return inputs
 
 
 def prepare_run(config, Ts, n_steps):
-    """The ``PreparedRun`` of ``config`` for runs of up to ``n_steps``
-    samples of ``Ts``."""
-    model = build_plant(config.params, Ts)
-    require_detectable(model)
-    return PreparedRun(config, n_steps, model, gain_schedule(model, config.estimator, n_steps))
+    """The ``PreparedRun`` of ``config`` for runs of ``n_steps`` samples of
+    ``Ts``: the one the config keeps for ``Ts``, unless its gain schedule
+    does not cover that many steps (it found no cycle in a shorter run);
+    then a new one, which the config keeps from then on."""
+    prepared = config.prepared_runs.get(Ts)
+    if prepared is None or not prepared.gains.covers(n_steps):
+        model = build_plant(config.params, Ts)
+        require_detectable(model)
+        prepared = PreparedRun(config.mpc, model, gain_schedule(model, config.estimator, n_steps))
+        config.prepared_runs[Ts] = prepared
+    return prepared
 
 
-def run_scenario(scenario, config=None, prepared=None):
+def run_scenario(scenario, config=None):
     """Run one scenario to completion (or controller failure) and return the
-    trace. Deterministic for identical inputs. ``prepared``, from
-    ``prepare_run`` with this very config, is built here when not given."""
+    trace. Deterministic for identical inputs; the config's ``PreparedRun``
+    for the scenario's sample time is built by the first run that needs it
+    and shared by the later ones."""
     config = config or RunConfig()
     n = scenario.n_steps
-    prepared = prepared or prepare_run(config, scenario.Ts, n)
+    prepared = prepare_run(config, scenario.Ts, n)
     model, gains = prepared.model, prepared.gains
-    if prepared.config is not config or model.Ts != scenario.Ts or n > prepared.n_steps:
-        raise ValueError("prepared run is for another config, sample time or length")
-    disturbances, bands = prepared.inputs(scenario.profiles)
+    disturbances, plant_disturbances, bands = prepared.inputs(scenario.profiles, config)
+    if disturbances.shape != (n + 1, N_DISTURBANCES):
+        raise ValueError(f"disturbance grid has shape {disturbances.shape}, "
+                         f"expected ({n + 1}, {N_DISTURBANCES})")
 
     mpc = scenario.controller == "mpc"
     if mpc:
@@ -303,6 +330,7 @@ def run_scenario(scenario, config=None, prepared=None):
     pi_state = initial_pi_state()
 
     z = np.zeros(N_AUGMENTED)  # the estimate as (x_hat, d_hat)
+    noise_std = config.measurement_noise_std
     noise_rng = np.random.default_rng([scenario.seed, 9001])
 
     n_rows = n + 1
@@ -313,23 +341,26 @@ def run_scenario(scenario, config=None, prepared=None):
     objective = np.zeros(n_rows)
     x = np.zeros(N_STATES)
     u_prev = np.zeros(N_CONTROLS)
+    A, B_aug = model.A, gains.B_aug
+    # B_aug @ u_prev: its first rows are B @ u_prev, the plant's input term,
+    # and the whole is the filter's at the next sample.
+    bu = B_aug @ u_prev
     max_kkt = 0.0
     aborted_at = None
 
     for k in range(n):
         states[k] = x
         y = x[IDX_FREQ]
-        if config.measurement_noise_std > 0.0:
-            y = y + noise_rng.normal(scale=config.measurement_noise_std)
+        if noise_std > 0.0:
+            y = y + noise_rng.normal(scale=noise_std)
         z_prev = z
-        z, _ = gains.update(z, u_prev, y, k)
+        z, _ = gains.update(z, bu, y, k)
         limits = bands.at(k)
 
         if mpc:
-            dx = z[:N_STATES] - z_prev[:N_STATES]
-            dd = float(z[N_STATES]) - float(z_prev[N_STATES])
+            dz = z - z_prev
             try:
-                step = control_step(dx, dd, y, u_prev, limits, pred)
+                step = control_step(dz[:N_STATES], dz[N_STATES], y, u_prev, limits, pred)
             except QpInfeasibleError:
                 aborted_at = k
                 break
@@ -340,9 +371,12 @@ def run_scenario(scenario, config=None, prepared=None):
         else:
             pi_state, u = pi_step(pi_state, y, limits, pi_config, scenario.Ts)
 
+        if np.shape(u) != (N_CONTROLS,):
+            raise ValueError(f"command must have shape ({N_CONTROLS},), got {np.shape(u)}")
         commands[k] = u
         d_hat[k] = z[N_STATES]
-        x = step_plant(model, x, u, disturbances[k])
+        bu = B_aug @ u
+        x = A @ x + bu[:N_STATES] + plant_disturbances[k]
         u_prev = u
     else:
         # Terminal row: state at t = duration with the last command held (its

@@ -216,7 +216,7 @@ def test_gain_schedule_matches_estimator_step_past_the_cycle():
         y = rng.normal(scale=1e-3)
         reference = estimator_step(reference, u, y, MODEL, CONFIG)
         z_prev = z
-        z, innovation = schedule.update(z, u, y, k)
+        z, innovation = schedule.update(z, schedule.B_aug @ u, y, k)
         assert_same_step(reference, z, z_prev, innovation, schedule.gains[schedule.index(k)])
 
 
@@ -231,7 +231,7 @@ def test_gain_schedule_without_repeat_keeps_every_step():
     for k in range(n):
         reference = estimator_step(reference, u, 1e-4 * k, MODEL, CONFIG)
         z_prev = z
-        z, innovation = schedule.update(z, u, 1e-4 * k, k)
+        z, innovation = schedule.update(z, schedule.B_aug @ u, 1e-4 * k, k)
         assert_same_step(reference, z, z_prev, innovation, schedule.gains[k])
     with pytest.raises(IndexError):
         schedule.index(n)
@@ -250,6 +250,6 @@ def test_gain_schedule_cycle_indexing():
 def test_gain_schedule_keeps_the_measurement_check():
     schedule = gain_schedule(MODEL, CONFIG, 5)
     with pytest.raises(ValueError, match="finite"):
-        schedule.update(initial_z(), np.zeros(N_CONTROLS), np.nan, 0)
+        schedule.update(initial_z(), np.zeros(N_AUGMENTED), np.nan, 0)
     with pytest.raises(ValueError, match="finite"):
         estimator_step(initial_estimator_state(CONFIG), np.zeros(N_CONTROLS), np.nan, MODEL, CONFIG)

@@ -6,7 +6,10 @@ and the controller's QP matrices once per run. The reference below rebuilds
 every one of them at every sample through the single-step functions
 (``estimator_step``, scalar availability and ``reserve_limits``,
 ``control_step``, ``pi_step``, ``step_plant``), so the two must agree bit
-for bit on every trace field.
+for bit on every trace field. The run loop steps the plant without
+``step_plant``, from the products B_aug @ u it shares with the filter and
+D @ d over the whole grid, so this is also what pins the two plant steps to
+each other.
 """
 
 import numpy as np

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import profile_csv_reference
 
+import microfreq.profiles as profiles_module
 from microfreq.profiles import (
     PROFILE_COLUMNS,
     PROFILE_KINDS,
@@ -256,6 +257,46 @@ def test_non_numeric_csv_cell_named_at_ingest(kind, seed, column, k, text):
     message = f"profile CSV data row {k + 1}, column {column}: {text!r} is not a number"
     with pytest.raises(ValueError, match=re.escape(message)):
         read_csv_rows(rows)
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661\u0662"], ids=["underscore", "arabic-indic"])
+def test_csv_cells_only_float_reads_are_not_numbers_at_ingest(text):
+    # float() reads both as numbers (10.0 and 12.0); the vectorized ingest
+    # does not, and the message names them as it names any other bad cell.
+    assert float(text) in (10.0, 12.0)
+    rows = csv_rows("rapid", 1)
+    rows[5][PROFILE_COLUMNS.index("v_w1")] = text
+    message = f"profile CSV data row 5, column v_w1: {text!r} is not a number"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_csv_rows(rows)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=7, max_size=70),
+       st.sampled_from(["{:.15e}", "{!r}", "{:.17g}", " {:.6e} ", '"{!r}"']))
+def test_csv_ingest_reads_every_number_as_float_does(values, form):
+    # Subnormals and -0.0 included; a quoted cell reads as csv unquotes it.
+    rows = len(values) // 7
+    cells = [form.format(v) for v in values[:7 * rows]]
+    parsed = profiles_module._numbers(
+        [",".join(cells[7 * i:7 * i + 7]) for i in range(rows)], quotechar='"')
+    expected = np.array([float(cell.strip().strip('"')) for cell in cells]).reshape(rows, 7)
+    assert parsed.tobytes() == expected.tobytes()
+
+
+def test_csv_ingest_skips_blank_lines_and_counts_only_data_rows(tmp_path):
+    path = tmp_path / "profiles.csv"
+    write_profiles_csv(path, generate_profiles("moderate", 2, INGEST_SECONDS))
+    p = read_profiles_csv(path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + ["", ""] + lines[3:]) + "\n\n")
+    q = read_profiles_csv(path)
+    for name in PROFILE_FIELDS:
+        assert getattr(q, name).tobytes() == getattr(p, name).tobytes(), name
+    lines[3] = lines[3].replace(",", ",x", 1)
+    path.write_text("\n".join(lines[:3] + ["", "  "] + lines[3:]) + "\n")
+    # A line of spaces is not blank: it is data row 3, one cell that is no number.
+    with pytest.raises(ValueError, match=re.escape("data row 3, column t: '  ' is not a number")):
+        read_profiles_csv(path)
 
 
 @given(kinds, seeds, samples, st.integers(1, len(PROFILE_COLUMNS) - 1))

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import microfreq.simulate as sim
+from microfreq.estimator import GainSchedule
 from microfreq.lfc_model import MicrogridParams
 from microfreq.numerics import QpInfeasibleError
 from microfreq.profiles import NOMINAL_AMBIENT_C, ProfileSet
@@ -284,14 +285,34 @@ def test_profile_ts_mismatch_rejected():
 
 def test_prepared_run_serves_only_its_config_sample_time_and_length():
     config = RunConfig()
-    prepared = sim.prepare_run(config, 0.2, 150)
-    short = make_scenario("step", "mpc", seed=0, profiles=constant_profiles(duration=30.0))
+    # Ten samples: shorter than the default tuning's first repeated
+    # covariance, so the gain schedule covers ten steps and no more.
+    short = make_scenario("step", "mpc", seed=0, profiles=constant_profiles(duration=2.0))
+    assert run_scenario(short, config).freq.size == 11
+    prepared = config.prepared_runs[0.2]
+    assert prepared.mpc is config.mpc
+    assert prepared.gains.period == 0 and len(prepared.gains.gains) == 10
+    run_scenario(short, config)
+    assert config.prepared_runs == {0.2: prepared}
+
+    # A longer run than the schedule covers gets a run of its own, which the
+    # config keeps; its schedule cycles, so it covers every length.
     long = make_scenario("step", "mpc", seed=0, profiles=constant_profiles(duration=31.0))
-    slow = make_scenario("step", "mpc", seed=0, profiles=constant_profiles(ts=0.5), ts=0.5)
-    assert run_scenario(short, config, prepared).freq.size == 151
-    for scenario, other_config in ((short, RunConfig()), (long, config), (slow, config)):
-        with pytest.raises(ValueError, match="prepared run is for another config"):
-            run_scenario(scenario, other_config, prepared)
+    assert run_scenario(long, config).freq.size == 156
+    longer = config.prepared_runs[0.2]
+    assert longer is not prepared and longer.gains.period > 0
+    assert sim.prepare_run(config, 0.2, 10**6) is longer
+    assert sim.prepare_run(config, 0.2, 10) is longer
+
+    # Another sample time, and a replaced or an equal config, get their own.
+    slow = make_scenario("step", "pi_all", seed=0, profiles=constant_profiles(ts=0.5), ts=0.5)
+    run_scenario(slow, config)
+    assert config.prepared_runs[0.5].model.Ts == 0.5 and config.prepared_runs[0.2] is longer
+    for other in (replace(config, deload=0.08), replace(config), RunConfig()):
+        assert other.prepared_runs == {}
+        run_scenario(long, other)
+        assert other.prepared_runs[0.2] is not longer
+        assert other.prepared_runs[0.2].mpc is other.mpc
 
 
 def test_unknown_controller_rejected():
@@ -314,9 +335,10 @@ def profiles_with(series, row, k, value):
 @pytest.mark.parametrize("controller", ["mpc", "pi_all"])
 def test_bad_profile_sample_fails_before_the_first_sample(monkeypatch, series, value, message,
                                                          controller):
+    # Every sample starts with the filter's update, whichever the controller.
     steps = []
-    real = sim.step_plant
-    monkeypatch.setattr(sim, "step_plant", lambda *a: steps.append(1) or real(*a))
+    real = GainSchedule.update
+    monkeypatch.setattr(GainSchedule, "update", lambda *a: steps.append(1) or real(*a))
     scenario = make_scenario("step", controller, seed=0,
                              profiles=profiles_with(series, 1, 100, value))
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -1,9 +1,9 @@
 """The sweep plan against the plain sweep it replaces.
 
-``microfreq sweep`` runs every cell on one prepared run and runs a cell
-only once per distinct input. The reference here is the plain loop: one
-``run_scenario`` call per kind, seed and controller, each preparing its own
-run, with outputs written by ``_write_outputs``. Stdout and every file the
+``microfreq sweep`` runs a cell only once per distinct input, every run on
+the config's one prepared run. The reference here is the plain loop: one
+``run_scenario`` call per kind, seed and controller, with outputs written by
+``_write_outputs``. Stdout and every file the
 sweep writes must be byte-identical to it.
 """
 
@@ -97,7 +97,7 @@ def test_default_sweep_runs_each_distinct_cell_once(monkeypatch):
     stub = run_scenario(make_scenario("step", "mpc", 0, duration=1.0))
     calls = []
 
-    def run(scenario, config, prepared):
+    def run(scenario, config):
         calls.append((scenario.kind, scenario.seed, scenario.controller))
         return replace(stub, kind=scenario.kind, seed=scenario.seed,
                        controller=scenario.controller)
