@@ -32,8 +32,8 @@ class PiConfig:
 
     ``capacity_scale`` is the participating nameplate sum over the power base;
     it converts the per-unit-of-capacity PI output into the fleet total.
-    ``idle`` (the complement of ``participating``) and ``participants`` (its
-    unit indices) are derived from the mask, for ``pi_step``.
+    ``shares`` (each participant's unit index and allocation weight, as
+    Python numbers) is derived from the mask and the weights, for ``pi_step``.
     """
 
     kp: float
@@ -41,8 +41,7 @@ class PiConfig:
     participating: np.ndarray
     allocation_weights: np.ndarray
     capacity_scale: float
-    idle: np.ndarray = field(init=False, repr=False, compare=False)
-    participants: tuple = field(init=False, repr=False, compare=False)
+    shares: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Written so that NaN fails them too.
@@ -62,19 +61,8 @@ class PiConfig:
             raise ValueError("allocation weights must sum to 1")
         object.__setattr__(self, "participating", part)
         object.__setattr__(self, "allocation_weights", w)
-        object.__setattr__(self, "idle", ~part)
-        object.__setattr__(self, "participants", tuple(np.flatnonzero(part).tolist()))
-
-
-@dataclass(frozen=True)
-class PiState:
-    """Integrator accumulation (p.u.*s)."""
-
-    integral: float
-
-
-def initial_pi_state():
-    return PiState(integral=0.0)
+        units = np.flatnonzero(part).tolist()
+        object.__setattr__(self, "shares", tuple(zip(units, w[units].tolist())))
 
 
 def _make_config(params, mask, kp, ki):
@@ -102,48 +90,55 @@ def pi_du_bess_config(params, kp=None, ki=None):
     return _make_config(params, mask, kp, ki)
 
 
-def _pi_commands(config, y, integral, limits):
-    """Fleet total and clamped per-unit commands for one integrator value."""
+def _pi_commands(config, y, integral, lo, hi):
+    """Fleet total and clamped per-unit commands for one integrator value.
+    The clamp takes the bits ``numpy.clip`` gives, the sign of a zero
+    included, which ``max`` and ``min`` would not."""
     total = -(config.kp * y + config.ki * integral) * config.capacity_scale
-    cmd = (total * config.allocation_weights).clip(limits.lo, limits.hi)
-    cmd[config.idle] = 0.0
+    cmd = [0.0] * N_CONTROLS
+    for unit, weight in config.shares:
+        raw = total * weight
+        low, high = lo[unit], hi[unit]
+        raw = raw if raw > low else low
+        cmd[unit] = raw if raw < high else high
     return total, cmd
 
 
-def pi_step(state, y, limits, config, Ts):
-    """One PI sample.
+def pi_step(integral, y, lo, hi, config, Ts):
+    """One PI sample, on Python floats.
+
+    ``integral`` is the integrator (p.u.*s) before the sample, ``y`` the
+    frequency measurement and ``lo`` and ``hi`` the instant's six limits as
+    sequences of floats. Returns the new integral and the six commands as a
+    list.
 
     Total correction -(kp*y + ki*integral) * capacity_scale, split by the
-    allocation weights, clamped per unit to the instant's limits.
-    Conditional anti-windup: when every participating unit is clamped at the
-    bound in the push direction and the error keeps pushing that way, the
-    integrator holds instead of winding up.
+    allocation weights, clamped per unit to the instant's limits; idle units
+    get 0. Conditional anti-windup: when every participating unit is clamped
+    at the bound in the push direction and the error keeps pushing that way,
+    the integrator holds instead of winding up.
     """
     if Ts <= 0:
         raise ValueError("Ts must be > 0")
     if not math.isfinite(y):
         raise ValueError("measurement must be finite")
 
-    integral_new = state.integral + y * Ts
-    total, cmd = _pi_commands(config, y, integral_new, limits)
+    integral_new = integral + y * Ts
+    total, cmd = _pi_commands(config, y, integral_new, lo, hi)
 
-    # Per participant on Python floats: the same subtraction and comparison
-    # as elementwise numpy, without a gather per call.
     if total > 0:
-        c, hi = cmd.tolist(), limits.hi.tolist()
-        fully_saturated = all(c[i] >= hi[i] - 1e-15 for i in config.participants)
+        fully_saturated = all(cmd[unit] >= hi[unit] - 1e-15 for unit, _ in config.shares)
     elif total < 0:
-        c, lo = cmd.tolist(), limits.lo.tolist()
-        fully_saturated = all(c[i] <= lo[i] + 1e-15 for i in config.participants)
+        fully_saturated = all(cmd[unit] <= lo[unit] + 1e-15 for unit, _ in config.shares)
     else:
         fully_saturated = False
     pushing_deeper = (-y) * total > 0
 
     if fully_saturated and pushing_deeper:
-        integral_new = state.integral
-        total, cmd = _pi_commands(config, y, integral_new, limits)
+        integral_new = integral
+        total, cmd = _pi_commands(config, y, integral_new, lo, hi)
 
-    return PiState(integral=integral_new), cmd
+    return integral_new, cmd
 
 
 def design_pi_gains(params, recovery_time=DESIGN_RECOVERY_TIME):

@@ -31,6 +31,7 @@ from .simulate import (
     compute_metrics,
     make_scenario,
     metrics_summary,
+    run_cell,
     run_scenario,
     step_response_metrics,
     write_trace_csv,
@@ -196,13 +197,11 @@ def cmd_run(args):
 
 
 def _run_cell(scenario, config):
-    """Every controller on one scenario, whichever controller it names:
-    {controller: (trace, metrics)}."""
-    results = {}
-    for controller in CONTROLLER_KINDS:
-        trace = run_scenario(dataclasses.replace(scenario, controller=controller), config)
-        results[controller] = (trace, compute_metrics(trace))
-    return results
+    """Every controller on one scenario, whichever controller it names,
+    stepped in lockstep by ``run_cell``: {controller: (trace, metrics)}."""
+    traces = run_cell([dataclasses.replace(scenario, controller=controller)
+                       for controller in CONTROLLER_KINDS], config)
+    return {trace.controller: (trace, compute_metrics(trace)) for trace in traces}
 
 
 def _sweep_plan(kinds, seeds, config):

@@ -67,6 +67,14 @@ class EstimatorConfig:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "P0", P0)
 
+    def __eq__(self, other):
+        """Equal noise and covariance matrices, element for element (the
+        generated ``__eq__`` would compare the arrays as truth values)."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.R_noise == other.R_noise and np.array_equal(self.Q, other.Q)
+                and np.array_equal(self.P0, other.P0))
+
 
 def default_estimator_config(
     state_noise=DEFAULT_STATE_NOISE,

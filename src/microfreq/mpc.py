@@ -198,11 +198,11 @@ def build_prediction_matrices(model, config):
     )
 
 
-def _bounds(limits, u_prev, m):
+def _bounds(band_lo, band_hi, u_prev, m):
     """[lo; hi] of the box over the m blocks, in one array, for one sample
-    or a stack of them: m copies of limits.lo - u_prev, then m of
-    limits.hi - u_prev."""
-    lo, hi = limits.lo - u_prev, limits.hi - u_prev
+    or a stack of them: m copies of band_lo - u_prev, then m of
+    band_hi - u_prev."""
+    lo, hi = band_lo - u_prev, band_hi - u_prev
     return np.concatenate((lo,) * m + (hi,) * m, axis=-1)
 
 
@@ -219,7 +219,7 @@ def build_constraints(limits, u_prev, pred):
     the event itself is the caller's to flag.
     """
     u_prev = np.asarray(u_prev, dtype=float).reshape(np.shape(limits.lo))
-    bounds = _bounds(limits, u_prev, pred.m)
+    bounds = _bounds(limits.lo, limits.hi, u_prev, pred.m)
     n = bounds.shape[-1] // 2
     return bounds[..., :n], bounds[..., n:]
 
@@ -302,12 +302,13 @@ class MpcStepResult:
             self.pred, *(row[None] for row in rows))))
 
 
-def control_step(dx, dd, y, u_prev, limits, pred):
+def control_step(dx, dd, y, u_prev, band_lo, band_hi, pred):
     """Solve the constrained QP for this sample and apply the first block.
 
     ``dx`` and ``dd`` are the increments of the estimated state and
-    aggregate disturbance over the last sample, and ``u_prev`` the (nu,)
-    totals applied over it. The weights and horizons are those ``pred``
+    aggregate disturbance over the last sample, ``u_prev`` the (nu,)
+    totals applied over it, and ``band_lo`` and ``band_hi`` the (nu,)
+    reserve limits of the sample. The weights and horizons are those ``pred``
     was built with. The step forms s = (dx, y, dd), takes the unconstrained
     cumulative move V_unc from the last rows of ``pred.sample_map``, and
     ``pred.box`` solves the box QP from it on the bounds (lo, hi) of
@@ -329,7 +330,7 @@ def control_step(dx, dd, y, u_prev, limits, pred):
     sample = np.concatenate((dx, (y, dd)))
     v_unc = pred.sample_map[p + n:] @ sample
 
-    bounds = _bounds(limits, u_prev, pred.m)
+    bounds = _bounds(band_lo, band_hi, u_prev, pred.m)
     lo, hi = bounds[:n], bounds[n:]
     solved = box.solve(v_unc, lo, hi, _QP_TOL * max(1.0, np.abs(bounds).max()))
     if solved is None:

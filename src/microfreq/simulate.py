@@ -8,6 +8,16 @@ the selected controller, then step the true plant with the applied command
 and the true disturbances. Identical scenario, config, and seed give
 bit-identical traces.
 
+There are two loops, chosen by how many runs share one profile set. A
+single run (``run_scenario``, as ``microfreq run`` uses it) steps one plant
+on 1-D arrays. A cell (``run_cell``, the three controllers of a ``compare``
+or ``sweep`` cell) steps its runs in lockstep, one iteration per sample,
+with the plant, filter and control-term products stacked over its rows;
+a run on its own pays less in the 1-D loop than in a one-row cell. Both
+loops share everything but the loop itself: the prepared run and inputs,
+``pi_step``, ``control_step`` and the pass after the loop
+(``_finish_trace``), and both give a run the same bytes.
+
 Everything that does not depend on the closed loop is built before the
 first sample. A ``RunConfig`` checks itself and derives its renewable models
 and PI configs when it is built. What else depends on the config alone (plant,
@@ -20,23 +30,25 @@ way. Availability, the true disturbances, their plant term D @ d and the
 reserve limits over the whole time grid (checked as a whole) are built once
 per profile set: the ``PreparedRun`` keeps them for the next run on profiles
 with the same samples, so a sweep or compare cell's three controllers share
-them. Per sample the loop computes only the state estimate (kept as the
+them. Per sample a loop computes only the state estimate (kept as the
 augmented vector z = (x_hat, d_hat); the MPC gets the increments of z, and no
-``EstimatorState`` is built), the command and the plant step, which shares
-the product B_aug @ u with the next estimate; an MPC sample also records its
-(dx, y, dd), cumulative moves and bound multipliers. What nothing in the
-loop reads is computed over the grid after it: the PI binding flags and the
-MPC's drift flags from the commands, and the MPC's cost, active bounds and
-KKT residuals from the recorded samples (``step_diagnostics``).
+``EstimatorState`` is built), the command from the sample's row of the
+bands and the plant step, which shares the product B_aug @ u with the next
+estimate; an MPC sample also records its (dx, y, dd), cumulative moves and
+bound multipliers. What nothing in the loop reads is computed over the grid
+after it: the PI binding flags and the MPC's drift flags from the commands,
+and the MPC's cost, active bounds and KKT residuals from the recorded
+samples (``step_diagnostics``).
 """
 
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .baselines import initial_pi_state, pi_all_units_config, pi_du_bess_config, pi_step
+from .baselines import pi_all_units_config, pi_du_bess_config, pi_step
 from .csv_format import DIGIT, FLOAT, CsvRows, write_csv
 from .der_models import (
     DELOAD_FRACTION,
@@ -305,87 +317,49 @@ def prepare_run(config, Ts, n_steps):
     return prepared
 
 
-def run_scenario(scenario, config=None):
-    """Run one scenario to completion (or controller failure) and return the
-    trace. Deterministic for identical inputs; the config's ``PreparedRun``
-    for the scenario's sample time is built by the first run that needs it
-    and shared by the later ones."""
-    config = config or RunConfig()
+def _prepared_inputs(scenario, config):
+    """The config's ``PreparedRun`` for ``scenario`` and the scenario's
+    (disturbances, plant_disturbances, bands), checked against its steps."""
     n = scenario.n_steps
     prepared = prepare_run(config, scenario.Ts, n)
-    model, gains = prepared.model, prepared.gains
     disturbances, plant_disturbances, bands = prepared.inputs(scenario.profiles, config)
     if disturbances.shape != (n + 1, N_DISTURBANCES):
         raise ValueError(f"disturbance grid has shape {disturbances.shape}, "
                          f"expected ({n + 1}, {N_DISTURBANCES})")
+    return prepared, disturbances, plant_disturbances, bands
 
-    mpc = scenario.controller == "mpc"
-    if mpc:
-        pred = prepared.pred
-        # What each MPC sample leaves for the pass after the loop: s, V, lam.
-        samples = np.empty((n, pred.sample_map.shape[1]))
-        moves = np.empty((n, pred.box.n))
-        multipliers = np.empty((n, pred.box.n))
-    pi_config = config.pi_configs.get(scenario.controller)
-    pi_state = initial_pi_state()
 
-    z = np.zeros(N_AUGMENTED)  # the estimate as (x_hat, d_hat)
-    noise_std = config.measurement_noise_std
-    noise_rng = np.random.default_rng([scenario.seed, 9001])
+class _MpcRecord(NamedTuple):
+    """What each sample of an MPC run leaves for the pass after the loop,
+    one row per sample: s, V and lam, with the ``pred`` they were solved
+    with."""
 
+    pred: object
+    samples: np.ndarray
+    moves: np.ndarray
+    multipliers: np.ndarray
+
+    @classmethod
+    def empty(cls, pred, n):
+        return cls(pred, np.empty((n, pred.sample_map.shape[1])), np.empty((n, pred.box.n)),
+                   np.empty((n, pred.box.n)))
+
+    def keep(self, k, step):
+        self.samples[k], self.moves[k], self.multipliers[k] = step.sample, step.v, step.lam
+
+
+def _finish_trace(scenario, config, disturbances, bands, states, commands, d_hat, mpc,
+                  aborted_at):
+    """The ``ScenarioTrace`` of one run from what its loop recorded: the
+    states, commands and d_hat of its n + 1 rows, and for an MPC run its
+    ``_MpcRecord``. What nothing in the loop reads is computed here, over
+    the grid: the binding flags, and an MPC run's cost and KKT residuals."""
+    n = scenario.n_steps
     n_rows = n + 1
-    states = np.zeros((n_rows, N_STATES))
-    commands = np.zeros((n_rows, N_CONTROLS))
-    d_hat = np.zeros(n_rows)
     binding = np.zeros((n_rows, N_CONTROLS), dtype=int)
     objective = np.zeros(n_rows)
-    x = np.zeros(N_STATES)
-    u_prev = np.zeros(N_CONTROLS)
-    A, B_aug = model.A, gains.B_aug
-    # B_aug @ u_prev: its first rows are B @ u_prev, the plant's input term,
-    # and the whole is the filter's at the next sample.
-    bu = B_aug @ u_prev
     max_kkt = 0.0
-    aborted_at = None
-
-    for k in range(n):
-        states[k] = x
-        y = x[IDX_FREQ]
-        if noise_std > 0.0:
-            y = y + noise_rng.normal(scale=noise_std)
-        z_prev = z
-        z, _ = gains.update(z, bu, y, k)
-        limits = bands.at(k)
-
-        if mpc:
-            dz = z - z_prev
-            try:
-                step = control_step(dz[:N_STATES], dz[N_STATES], y, u_prev, limits, pred)
-            except QpInfeasibleError:
-                aborted_at = k
-                break
-            u = step.command
-            samples[k] = step.sample
-            moves[k] = step.v
-            multipliers[k] = step.lam
-        else:
-            pi_state, u = pi_step(pi_state, y, limits, pi_config, scenario.Ts)
-
-        if np.shape(u) != (N_CONTROLS,):
-            raise ValueError(f"command must have shape ({N_CONTROLS},), got {np.shape(u)}")
-        commands[k] = u
-        d_hat[k] = z[N_STATES]
-        bu = B_aug @ u
-        x = A @ x + bu[:N_STATES] + plant_disturbances[k]
-        u_prev = u
-    else:
-        # Terminal row: state at t = duration with the last command held (its
-        # limits are the last sample's).
-        states[n] = x
-        commands[n] = u_prev
-        d_hat[n] = z[N_STATES]
-
-    if mpc:
+    if mpc is not None:
         # The samples solved (all but an aborted run's failed one and those
         # after it) get their cost, active bounds and KKT residuals after
         # the loop, on the bounds rebuilt from the bands and the previous
@@ -393,6 +367,7 @@ def run_scenario(scenario, config=None):
         # so that the temporaries stay small. A unit whose previous command
         # is already outside the sample's band drifted there and is flagged
         # as binding too.
+        pred, samples, moves, multipliers = mpc
         previous = np.concatenate([np.zeros((1, N_CONTROLS)), commands[:n - 1]])
         solved = n if aborted_at is None else aborted_at
         for start in range(0, solved, _DIAGNOSTIC_ROWS):
@@ -403,6 +378,7 @@ def run_scenario(scenario, config=None):
             binding[rows] = active_units(steps.qp_active, pred.m)
             max_kkt = max(max_kkt, float(steps.kkt_residuals.max()))
         binding[:n] |= out_of_band_units(bands, previous)
+    pi_config = config.pi_configs.get(scenario.controller)
     if pi_config is not None:
         # A PI command binds within 1e-15 of either limit (participants
         # only); elementwise, so one pass over the grid after the loop.
@@ -429,6 +405,190 @@ def run_scenario(scenario, config=None):
         max_kkt_residual=max_kkt,
         aborted_at=aborted_at,
     )
+
+
+def run_scenario(scenario, config=None):
+    """Run one scenario to completion (or controller failure) and return the
+    trace. Deterministic for identical inputs; the config's ``PreparedRun``
+    for the scenario's sample time is built by the first run that needs it
+    and shared by the later ones."""
+    config = config or RunConfig()
+    n = scenario.n_steps
+    prepared, disturbances, plant_disturbances, bands = _prepared_inputs(scenario, config)
+    model, gains = prepared.model, prepared.gains
+    band_lo, band_hi = bands.lo, bands.hi
+
+    mpc = _MpcRecord.empty(prepared.pred, n) if scenario.controller == "mpc" else None
+    pi_config = config.pi_configs.get(scenario.controller)
+    integral = 0.0
+
+    z = np.zeros(N_AUGMENTED)  # the estimate as (x_hat, d_hat)
+    noise_std = config.measurement_noise_std
+    noise_rng = np.random.default_rng([scenario.seed, 9001])
+
+    states = np.zeros((n + 1, N_STATES))
+    commands = np.zeros((n + 1, N_CONTROLS))
+    d_hat = np.zeros(n + 1)
+    x = np.zeros(N_STATES)
+    u_prev = np.zeros(N_CONTROLS)
+    A, B_aug = model.A, gains.B_aug
+    # B_aug @ u_prev: its first rows are B @ u_prev, the plant's input term,
+    # and the whole is the filter's at the next sample.
+    bu = B_aug @ u_prev
+    aborted_at = None
+
+    for k in range(n):
+        states[k] = x
+        y = x.item(IDX_FREQ)
+        if noise_std > 0.0:
+            y = y + noise_rng.normal(scale=noise_std)
+        z_prev = z
+        z, _ = gains.update(z, bu, y, k)
+
+        if mpc is not None:
+            dz = z - z_prev
+            try:
+                step = control_step(dz[:N_STATES], dz[N_STATES], y, u_prev, band_lo[k],
+                                    band_hi[k], mpc.pred)
+            except QpInfeasibleError:
+                aborted_at = k
+                break
+            u = step.command
+            mpc.keep(k, step)
+        else:
+            integral, u = pi_step(integral, y, band_lo[k].tolist(), band_hi[k].tolist(),
+                                  pi_config, scenario.Ts)
+
+        if np.shape(u) != (N_CONTROLS,):
+            raise ValueError(f"command must have shape ({N_CONTROLS},), got {np.shape(u)}")
+        commands[k] = u
+        d_hat[k] = z[N_STATES]
+        bu = B_aug @ u
+        x = A @ x + bu[:N_STATES] + plant_disturbances[k]
+        u_prev = u
+    else:
+        # Terminal row: state at t = duration with the last command held (its
+        # limits are the last sample's).
+        states[n] = x
+        commands[n] = u_prev
+        d_hat[n] = z[N_STATES]
+
+    return _finish_trace(scenario, config, disturbances, bands, states, commands, d_hat, mpc,
+                         aborted_at)
+
+
+def run_cell(scenarios, config=None):
+    """Run scenarios that share one profile set, seed and sample time (the
+    three controllers of a ``compare`` or ``sweep`` cell) in lockstep, and
+    return their traces in order. Each trace is the one ``run_scenario``
+    gives its scenario, bit for bit.
+
+    One loop iteration steps every run by one sample. The plant step A x,
+    the filter's A_aug z and the control term B_aug u are each one stacked
+    product with a row per run (``rows_times``, so every row has the bits
+    of its own matrix-vector product). Every run of a seed draws the same
+    measurement noise, so the cell draws once per sample and adds the draw
+    to every row. Each row's controller then runs on its own: ``pi_step``
+    on Python floats, ``control_step`` for an MPC row. An MPC row whose QP
+    is infeasible at sample k leaves the cell there, its trace ending at k
+    as a single run's does; the other rows run to the end.
+    """
+    config = config or RunConfig()
+    first = scenarios[0]
+    digest = first.profiles.digest()
+    for scenario in scenarios[1:]:
+        if ((scenario.seed, scenario.Ts) != (first.seed, first.Ts)
+                or scenario.profiles.digest() != digest):
+            raise ValueError("the scenarios of a cell must share their profiles, seed and Ts")
+    n, Ts = first.n_steps, first.Ts
+    prepared, disturbances, plant_disturbances, bands = _prepared_inputs(first, config)
+    model, gains = prepared.model, prepared.gains
+    band_lo, band_hi = bands.lo, bands.hi
+
+    n_runs = len(scenarios)
+    pi_configs = [config.pi_configs.get(scenario.controller) for scenario in scenarios]
+    mpcs = [_MpcRecord.empty(prepared.pred, n) if scenario.controller == "mpc" else None
+            for scenario in scenarios]
+    integrals = [0.0] * n_runs
+    aborted_at = [None] * n_runs
+
+    noise_std = config.measurement_noise_std
+    noise_rng = np.random.default_rng([first.seed, 9001])
+
+    states = np.zeros((n_runs, n + 1, N_STATES))
+    commands = np.zeros((n_runs, n + 1, N_CONTROLS))
+    d_hat = np.zeros((n_runs, n + 1))
+    # One row per run still running: its index in ``live``, and its records
+    # at ``rows`` (every run until one aborts).
+    live = list(range(n_runs))
+    rows = slice(None)
+    x = np.zeros((n_runs, N_STATES))
+    z = np.zeros((n_runs, N_AUGMENTED))
+    u = np.zeros((n_runs, N_CONTROLS))
+    A, A_aug, B_aug, c = model.A, gains.A_aug, gains.B_aug, gains.c
+    bu = rows_times(B_aug, u)
+
+    for k in range(n):
+        states[rows, k] = x
+        y = x[:, IDX_FREQ]
+        if noise_std > 0.0:
+            y = y + noise_rng.normal(scale=noise_std)
+        ys = y.tolist()
+        if not all(map(math.isfinite, ys)):
+            raise ValueError("measurement must be finite")
+        # GainSchedule.update, one row per run.
+        z_pred = rows_times(A_aug, z)
+        z_pred += bu
+        z_pred += (y - np.vecdot(z_pred, c))[:, None] * gains.gains[gains.index(k)]
+        z_prev, z = z, z_pred
+
+        lo, hi = band_lo[k].tolist(), band_hi[k].tolist()
+        applied, aborts = [], []
+        for i, run in enumerate(live):
+            mpc = mpcs[run]
+            if mpc is None:
+                integrals[run], cmd = pi_step(integrals[run], ys[i], lo, hi, pi_configs[run], Ts)
+                applied.append(cmd)
+                continue
+            dz = z[i] - z_prev[i]
+            try:
+                step = control_step(dz[:N_STATES], dz[N_STATES], ys[i], u[i], band_lo[k],
+                                    band_hi[k], mpc.pred)
+            except QpInfeasibleError:
+                aborted_at[run] = k
+                aborts.append(i)
+                continue
+            applied.append(step.command)
+            mpc.keep(k, step)
+        if aborts:
+            keep = [i for i in range(len(live)) if i not in aborts]
+            live = [live[i] for i in keep]
+            if not live:
+                break
+            rows = np.array(live)
+            x, z = x[keep], z[keep]
+
+        u = np.array(applied)
+        if u.shape != (len(live), N_CONTROLS):
+            raise ValueError(f"commands must have shape ({len(live)}, {N_CONTROLS}), "
+                             f"got {u.shape}")
+        commands[rows, k] = u
+        d_hat[rows, k] = z[:, N_STATES]
+        bu = rows_times(B_aug, u)
+        x = rows_times(A, x)
+        x += bu[:, :N_STATES]
+        x += plant_disturbances[k]
+    else:
+        # Terminal row of the runs that finished, as in ``run_scenario``.
+        states[rows, n] = x
+        commands[rows, n] = u
+        d_hat[rows, n] = z[:, N_STATES]
+
+    return [
+        _finish_trace(scenario, config, disturbances, bands, states[run], commands[run],
+                      d_hat[run], mpcs[run], aborted_at[run])
+        for run, scenario in enumerate(scenarios)
+    ]
 
 
 def _last_disturbance_event_index(disturbances):

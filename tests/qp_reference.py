@@ -181,7 +181,7 @@ def increment_rows(pred):
     return np.vstack([T, -T])
 
 
-def reference_control_step(dx, dd, y, u_prev, limits, pred):
+def reference_control_step(dx, dd, y, u_prev, band_lo, band_hi, pred):
     """One controller sample over the increments dU, solved with the
     running-sum rows Cu dU >= b by the reference dual active-set method."""
     nu = pred.n_inputs
@@ -189,7 +189,7 @@ def reference_control_step(dx, dd, y, u_prev, limits, pred):
     u_prev = np.asarray(u_prev, dtype=float).reshape(nu)
     f = pred.F @ free_response(pred, dx, dd, y)
 
-    lo, hi = build_constraints(limits, u_prev, pred)
+    lo, hi = build_constraints(ReserveLimits(band_lo, band_hi), u_prev, pred)
     _, b = box_rows(lo, hi)
     du, lam, _ = solve_qp_info(QpProblem(pred.H, f, increment_rows(pred), b), tol=1e-10)
     return MpcStepResult(
@@ -244,8 +244,8 @@ def reference_run(scenario, config=None):
     tails = []
     step = microfreq.simulate.control_step
 
-    def step_with_tail(dx, dd, y, u_prev, limits, pred):
-        result = step(dx, dd, y, u_prev, limits, pred)
+    def step_with_tail(dx, dd, y, u_prev, band_lo, band_hi, pred):
+        result = step(dx, dd, y, u_prev, band_lo, band_hi, pred)
         u_prev = np.asarray(u_prev, dtype=float)
         command, qp_active, cost, residuals = per_sample_tail(result, u_prev)
         tails.append((active_units(qp_active, pred.m), cost, residuals))

@@ -197,7 +197,7 @@ def test_criterion_5_unconstrained_gain_equivalence():
     for k in range(900):
         y = x[IDX_FREQ]
         est = estimator_step(est, u_prev, y, MODEL, est_config)
-        result = control_step(est.delta_x, est.delta_d, y, u_prev, wide, pred)
+        result = control_step(est.delta_x, est.delta_d, y, u_prev, wide.lo, wide.hi, pred)
         reference = K @ (0.0 - free_response(pred, est.delta_x, est.delta_d, y))
         worst = max(worst, float(np.abs(result.diagnostics.increments - reference).max()))
         active_rows += int(result.diagnostics.qp_active.sum())

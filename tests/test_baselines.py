@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from microfreq.baselines import (
     PiConfig,
-    PiState,
     TUNED_KI,
     TUNED_KP,
     design_pi_gains,
-    initial_pi_state,
     pi_all_units_config,
     pi_du_bess_config,
     pi_step,
@@ -34,11 +32,17 @@ WIDE = ReserveLimits(lo=-np.ones(6), hi=np.ones(6))
 NOMINAL_LIMITS = reserve_limits(54.0, 54.0, 63.0, 63.0, 60.0, 0.0, PARAMS)
 
 
+def step(integral, y, limits, config):
+    """``pi_step`` at Ts = 0.2 s on the rows of ``limits``: (integral, commands array)."""
+    integral, cmd = pi_step(integral, y, limits.lo.tolist(), limits.hi.tolist(), config, 0.2)
+    return integral, np.array(cmd)
+
+
 def test_zero_error_zero_action():
     config = pi_all_units_config(PARAMS)
-    state, cmd = pi_step(initial_pi_state(), 0.0, WIDE, config, 0.2)
+    integral, cmd = step(0.0, 0.0, WIDE, config)
     assert np.array_equal(cmd, np.zeros(N_CONTROLS))
-    assert state.integral == 0.0
+    assert integral == 0.0
 
 
 def test_capacity_proportional_allocation():
@@ -46,7 +50,7 @@ def test_capacity_proportional_allocation():
     # 10 * 120/500 = 2.4 kW.
     config = pi_all_units_config(PARAMS)
     y = -0.05 / ((config.kp + config.ki * 0.2) * config.capacity_scale)
-    _, cmd = pi_step(initial_pi_state(), y, WIDE, config, 0.2)
+    _, cmd = step(0.0, y, WIDE, config)
     assert cmd.sum() == pytest.approx(0.05, rel=1e-12)
     assert cmd[4] * PARAMS.s_base == pytest.approx(2.4, rel=1e-12)
     expected_weights = np.array([80, 80, 60, 60, 120, 100]) / 500.0
@@ -60,22 +64,22 @@ def test_fleet_scales():
 
 def test_du_bess_variant_keeps_renewables_idle():
     config = pi_du_bess_config(PARAMS)
-    state = initial_pi_state()
+    integral = 0.0
     rng = np.random.default_rng(3)
     for _ in range(50):
-        state, cmd = pi_step(state, rng.normal(scale=1e-3), NOMINAL_LIMITS, config, 0.2)
+        integral, cmd = step(integral, rng.normal(scale=1e-3), NOMINAL_LIMITS, config)
         assert np.array_equal(cmd[:4], np.zeros(4))
 
 
 def test_identical_command_shapes_without_saturation():
     config = pi_all_units_config(PARAMS)
-    state = initial_pi_state()
+    integral = 0.0
     x = np.zeros(N_STATES)
     d = np.zeros(N_DISTURBANCES)
     commands = []
     for k in range(150):
         y = x[IDX_FREQ]
-        state, cmd = pi_step(state, y, WIDE, config, 0.2)
+        integral, cmd = step(integral, y, WIDE, config)
         commands.append(cmd)
         if k >= 5:
             d[0] = 0.05
@@ -111,15 +115,14 @@ def test_critically_damped_design_matches_frozen_constants():
 def test_anti_windup_freezes_integrator_when_saturated():
     config = pi_all_units_config(PARAMS)
     tiny = ReserveLimits(lo=np.full(6, -1e-4), hi=np.full(6, 1e-4))
-    state = initial_pi_state()
-    state, cmd = pi_step(state, -0.05, tiny, config, 0.2)  # deep under-frequency
-    frozen_integral = state.integral
+    integral, cmd = step(0.0, -0.05, tiny, config)  # deep under-frequency
+    frozen_integral = integral
     assert np.allclose(cmd, 1e-4)  # everyone pinned at the cap
-    state, _ = pi_step(state, -0.05, tiny, config, 0.2)
-    assert state.integral == frozen_integral  # conditional integration held
+    integral, _ = step(integral, -0.05, tiny, config)
+    assert integral == frozen_integral  # conditional integration held
     # Small reversed error: no longer saturated in its direction, so unwind.
-    state, _ = pi_step(state, +1e-6, tiny, config, 0.2)
-    assert state.integral != frozen_integral
+    integral, _ = step(integral, +1e-6, tiny, config)
+    assert integral != frozen_integral
 
 
 def test_windup_not_frozen_when_only_some_units_clamp():
@@ -128,9 +131,8 @@ def test_windup_not_frozen_when_only_some_units_clamp():
         lo=np.array([-1e-4, -1e-4, -1.0, -1.0, -1.0, -1.0]),
         hi=np.array([+1e-4, +1e-4, +1.0, +1.0, +1.0, +1.0]),
     )
-    state = initial_pi_state()
-    state, cmd = pi_step(state, -0.05, mixed, config, 0.2)
-    assert state.integral == pytest.approx(-0.05 * 0.2)
+    integral, cmd = step(0.0, -0.05, mixed, config)
+    assert integral == pytest.approx(-0.05 * 0.2)
 
 
 def test_config_validation():
@@ -144,7 +146,7 @@ def test_config_validation():
         PiConfig(kp=1.0, ki=1.0, participating=np.ones(6, bool),
                  allocation_weights=np.full(6, 0.1), capacity_scale=1.0)
     with pytest.raises(ValueError):
-        pi_step(initial_pi_state(), 0.0, WIDE, pi_all_units_config(PARAMS), 0.0)
+        pi_step(0.0, 0.0, WIDE.lo.tolist(), WIDE.hi.tolist(), pi_all_units_config(PARAMS), 0.0)
 
 
 @pytest.mark.parametrize("gain", ["kp", "ki"])
@@ -167,10 +169,10 @@ def test_default_gains_are_the_design_on_the_given_ratings():
     assert (RunConfig(params=params).pi_kp, RunConfig(params=params).pi_ki) == design
 
 
-def pi_step_reference(state, y, limits, config, Ts):
-    """pi_step as it stood before the lean rewrite: a closure per call,
-    np.clip, np.where and gathers of the participants. pi_step must return
-    the same bits."""
+def pi_step_reference(integral, y, limits, config, Ts):
+    """pi_step as it stood before it ran on Python floats: a closure per
+    call, np.clip, np.where and gathers of the participants, on arrays.
+    pi_step must return the same bits."""
     if Ts <= 0:
         raise ValueError("Ts must be > 0")
     if not np.isfinite(y):
@@ -183,7 +185,7 @@ def pi_step_reference(state, y, limits, config, Ts):
         cmd = np.where(config.participating, cmd, 0.0)
         return total, cmd
 
-    integral_new = state.integral + y * Ts
+    integral_new = integral + y * Ts
     total, cmd = commands_for(integral_new)
 
     part = config.participating
@@ -196,10 +198,10 @@ def pi_step_reference(state, y, limits, config, Ts):
     pushing_deeper = (-y) * total > 0
 
     if fully_saturated and pushing_deeper:
-        integral_new = state.integral
+        integral_new = integral
         total, cmd = commands_for(integral_new)
 
-    return PiState(integral=integral_new), cmd
+    return integral_new, cmd
 
 
 # Limits with signed zeros, near-ties and bands small enough to saturate,
@@ -223,8 +225,8 @@ def limit_rows(draw):
 @given(st.sampled_from([pi_all_units_config, pi_du_bess_config]), signed, signed, limit_rows())
 def test_pi_step_matches_reference_bits(factory, y, integral, rows):
     lo, hi = rows
-    limits, config, state = ReserveLimits(lo=lo, hi=hi), factory(PARAMS), PiState(integral)
-    got_state, got = pi_step(state, y, limits, config, 0.2)
-    want_state, want = pi_step_reference(state, y, limits, config, 0.2)
-    assert got.tobytes() == want.tobytes()
-    assert np.float64(got_state.integral).tobytes() == np.float64(want_state.integral).tobytes()
+    config = factory(PARAMS)
+    got_integral, got = pi_step(integral, y, lo.tolist(), hi.tolist(), config, 0.2)
+    want_integral, want = pi_step_reference(integral, y, ReserveLimits(lo=lo, hi=hi), config, 0.2)
+    assert np.array(got).tobytes() == want.tobytes()
+    assert np.float64(got_integral).tobytes() == np.float64(want_integral).tobytes()

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import microfreq.mpc
 import microfreq.numerics
 import microfreq.simulate
+from microfreq.der_models import ReserveLimits
 from microfreq.lfc_model import build_plant
 from microfreq.mpc import MpcConfig, build_constraints, build_prediction_matrices, control_step
 from microfreq.numerics import BoxQp, QpInfeasibleError, QpProblem, kkt_residuals, solve_qp_info
@@ -170,15 +171,15 @@ def test_box_kkt_residuals_equal_the_rows_residuals(data):
 
 
 def binding_samples(seed, count):
-    """(dx, dd, y, u_prev, limits) of the first ``count`` samples of a rapid
-    MPC run that have an active QP row."""
+    """(dx, dd, y, u_prev, band_lo, band_hi) of the first ``count`` samples
+    of a rapid MPC run that have an active QP row."""
     samples = []
     real = microfreq.simulate.control_step
 
     def recording(*args, **kwargs):
         result = real(*args, **kwargs)
         if result.diagnostics.qp_active.any():
-            samples.append(args[:5])
+            samples.append(args[:6])
         return result
 
     microfreq.simulate.control_step = recording
@@ -229,10 +230,10 @@ def test_capped_step_falls_back_to_the_dual_solver(monkeypatch):
     monkeypatch.setattr(microfreq.mpc, "solve_qp_info", counting)
     for sample, box_result in zip(samples, uncapped):
         result = control_step(*sample, pred)
-        dx, dd, y, u_prev, limits = sample
+        dx, dd, y, u_prev, band_lo, band_hi = sample
         stacked = pred.sample_map @ np.concatenate((dx, (y, dd)))
         g = stacked[pred.p:pred.p + pred.n_inputs * pred.m]
-        Cu, b = box_rows(*build_constraints(limits, u_prev, pred))
+        Cu, b = box_rows(*build_constraints(ReserveLimits(band_lo, band_hi), u_prev, pred))
         # The fallback writes the sample's box as the rows [I; -I] >= [lo; -hi].
         assert np.array_equal(problems[-1].Cu, Cu) and problems[-1].b.tobytes() == b.tobytes()
         v = solve_qp_info(QpProblem(pred.box.H, g, Cu, b), tol=1e-10)[0]
@@ -271,13 +272,13 @@ def test_box_kkt_residuals_match_the_increment_qp(seed):
     # larger in the max norm.
     pred = build_prediction_matrices(MODEL, MpcConfig())
     samples = binding_samples(seed=seed, count=60)
-    for dx, dd, y, u_prev, limits in samples:
-        result = control_step(dx, dd, y, u_prev, limits, pred)
+    for dx, dd, y, u_prev, band_lo, band_hi in samples:
+        result = control_step(dx, dd, y, u_prev, band_lo, band_hi, pred)
         v, lam = result.v, result.lam
         assert result.diagnostics.qp_active.any()
         assert max(result.diagnostics.kkt_residuals) <= KKT_TOL
         f = pred.F @ free_response(pred, dx, dd, y)
-        _, b = box_rows(*build_constraints(limits, u_prev, pred))
+        _, b = box_rows(*build_constraints(ReserveLimits(band_lo, band_hi), u_prev, pred))
         increment = kkt_residuals(QpProblem(pred.H, f, increment_rows(pred), b), pred.T_inv @ v,
                                   row_multipliers(lam))
         assert max(increment) <= KKT_TOL

@@ -69,7 +69,8 @@ def test_sweep_single_cell(tmp_path, capsys):
         "negative-seed", "non-integer-seed"])
 def test_bad_arguments_fail_at_parse_time(monkeypatch, capsys, argv, message):
     runs = []
-    monkeypatch.setattr(cli, "run_scenario", lambda *args: runs.append(args))
+    for engine in ("run_scenario", "run_cell"):
+        monkeypatch.setattr(cli, engine, lambda *args: runs.append(args))
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     captured = capsys.readouterr()
@@ -225,7 +226,8 @@ def test_config_values_of_the_wrong_type_fail_at_ingest(tmp_path, monkeypatch, c
     config_path = tmp_path / "config.json"
     config_path.write_text(text)
     runs = []
-    monkeypatch.setattr(cli, "run_scenario", lambda *args: runs.append(args))
+    for engine in ("run_scenario", "run_cell"):
+        monkeypatch.setattr(cli, engine, lambda *args: runs.append(args))
     with pytest.raises(ValueError, match=message):
         main(argv + ["--config", str(config_path)])
     assert runs == []
@@ -258,7 +260,8 @@ def test_bad_config_values_fail_at_ingest(tmp_path, monkeypatch, capsys, argv, t
     config_path = tmp_path / "config.json"
     config_path.write_text(text)
     runs = []
-    monkeypatch.setattr(cli, "run_scenario", lambda *args: runs.append(args))
+    for engine in ("run_scenario", "run_cell"):
+        monkeypatch.setattr(cli, engine, lambda *args: runs.append(args))
     with pytest.raises(ValueError, match=message):
         main(argv + ["--config", str(config_path)])
     assert runs == []

@@ -15,7 +15,7 @@ each other.
 import numpy as np
 import pytest
 
-from microfreq.baselines import initial_pi_state, pi_all_units_config, pi_du_bess_config, pi_step
+from microfreq.baselines import pi_all_units_config, pi_du_bess_config, pi_step
 from microfreq.der_models import pv_available_power, reserve_limits, wind_available_power
 from microfreq.estimator import estimator_step, initial_estimator_state
 from microfreq.lfc_model import IDX_FREQ, N_CONTROLS, OUTPUT_STATE_INDICES, build_plant, step_plant
@@ -57,7 +57,7 @@ def reference_run(scenario, config):
     elif controller == "pi_dubess":
         pi_config = pi_du_bess_config(params, config.pi_kp, config.pi_ki)
     est = initial_estimator_state(config.estimator)
-    pi_state = initial_pi_state()
+    integral = 0.0
     noise_rng = np.random.default_rng([scenario.seed, 9001])
     x = np.zeros(model.A.shape[0])
     u_prev = np.zeros(N_CONTROLS)
@@ -76,7 +76,8 @@ def reference_run(scenario, config):
         if controller == "mpc":
             drifted = out_of_band_units(limits, u_prev)
             try:
-                result = control_step(est.delta_x, est.delta_d, y, u_prev, limits, pred)
+                result = control_step(est.delta_x, est.delta_d, y, u_prev, limits.lo, limits.hi,
+                                      pred)
             except QpInfeasibleError:
                 aborted_at = k
                 break
@@ -85,7 +86,9 @@ def reference_run(scenario, config):
             objective = result.diagnostics.objective
             max_kkt = max(max_kkt, max(result.diagnostics.kkt_residuals))
         else:
-            pi_state, u = pi_step(pi_state, y, limits, pi_config, scenario.Ts)
+            integral, u = pi_step(integral, y, limits.lo.tolist(), limits.hi.tolist(), pi_config,
+                                  scenario.Ts)
+            u = np.array(u)
             at_bound = (u <= limits.lo + 1e-15) | (u >= limits.hi - 1e-15)
             binding = at_bound & pi_config.participating
             objective = 0.0

@@ -1,7 +1,5 @@
 """Tests for the receding-horizon frequency controller."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -63,7 +61,7 @@ def closed_loop(
     for k in range(n_steps):
         y = x[IDX_FREQ]
         est = estimator_step(est, u_prev, y, MODEL, EST_CONFIG)
-        result = control_step(est.delta_x, est.delta_d, y, u_prev, limits, pred)
+        result = control_step(est.delta_x, est.delta_d, y, u_prev, limits.lo, limits.hi, pred)
         u_prev = result.command
         d = np.zeros(N_DISTURBANCES)
         if k >= step_at:
@@ -166,7 +164,7 @@ def test_cumulative_move_pieces_match_their_definitions(config):
 
 def test_control_step_takes_its_weights_from_the_prepared_matrices():
     with pytest.raises(TypeError):
-        control_step(*increments(), 0.0, np.zeros(6), WIDE_LIMITS, PRED, CONFIG)
+        control_step(*increments(), 0.0, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED, CONFIG)
 
 
 def test_prediction_requires_matching_ts():
@@ -219,7 +217,7 @@ def test_unconstrained_qp_matches_gain():
     for _ in range(10):
         dx, dd = increments(rng.normal(scale=1e-3, size=N_STATES), rng.normal(scale=1e-3))
         y = rng.normal(scale=1e-3)
-        result = control_step(dx, dd, y, np.zeros(6), WIDE_LIMITS, PRED)
+        result = control_step(dx, dd, y, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
         assert not result.diagnostics.qp_active.any()
         y_free = free_response(PRED, dx, dd, y)
         assert np.abs(result.diagnostics.increments - K @ (0.0 - y_free)).max() < 1e-9
@@ -227,7 +225,7 @@ def test_unconstrained_qp_matches_gain():
 
 def test_wide_limits_reduce_to_unconstrained_gain():
     dx, dd = increments(np.full(N_STATES, 2e-4), 1e-4)
-    wide = control_step(dx, dd, -1e-3, np.zeros(6), WIDE_LIMITS, PRED)
+    wide = control_step(dx, dd, -1e-3, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
     gain_move = mpc_gain(PRED) @ (0.0 - free_response(PRED, dx, dd, -1e-3))
     assert not wide.diagnostics.qp_active.any()  # empty active set
     assert np.abs(wide.diagnostics.increments - gain_move).max() < 1e-12
@@ -276,13 +274,12 @@ def test_out_of_band_detection():
 
 
 def test_crossed_bands_raise_infeasible():
-    # ReserveLimits refuses crossed bands, so a plain pair of arrays stands
-    # in for them here.
+    # ReserveLimits refuses crossed bands, but control_step takes plain
+    # arrays.
     lo = np.full(6, -0.02)
     lo[4] = 0.03
-    limits = SimpleNamespace(lo=lo, hi=np.full(6, 0.02))
     with pytest.raises(QpInfeasibleError, match="lower bound 4 exceeds its upper bound") as err:
-        control_step(*increments(), -1e-3, np.zeros(6), limits, PRED)
+        control_step(*increments(), -1e-3, np.zeros(6), lo, np.full(6, 0.02), PRED)
     assert err.value.row == 4
 
 
@@ -290,7 +287,7 @@ def test_drifted_total_forced_back_inside():
     limits = ReserveLimits(lo=np.full(6, -0.02), hi=np.full(6, 0.02))
     u_prev = np.zeros(6)
     u_prev[0] = 0.05  # outside the shrunken band
-    result = control_step(*increments(), 0.0, u_prev, limits, PRED)
+    result = control_step(*increments(), 0.0, u_prev, limits.lo, limits.hi, PRED)
     assert result.command[0] <= 0.02 + 1e-9
 
 
@@ -298,30 +295,31 @@ def test_drifted_total_forced_back_inside():
 
 
 def test_zero_error_zero_move():
-    result = control_step(*increments(), 0.0, np.zeros(6), WIDE_LIMITS, PRED)
+    result = control_step(*increments(), 0.0, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
     assert np.abs(result.command).max() < 1e-12
     assert result.diagnostics.objective == pytest.approx(0.0, abs=1e-20)
 
 
 def test_over_frequency_pushes_all_units_down():
-    result = control_step(*increments(), 1e-3, np.zeros(6), WIDE_LIMITS, PRED)
+    result = control_step(*increments(), 1e-3, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
     assert np.all(result.command <= 0.0)
     assert np.any(result.command < 0.0)
 
 
 def test_binding_limit_redistributes_to_other_units():
     # Scale an under-frequency event so the unconstrained wt1 move is 0.04.
-    base = control_step(*increments(), -1e-3, np.zeros(6), WIDE_LIMITS, PRED)
+    base = control_step(*increments(), -1e-3, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
     scale = 0.04 / base.diagnostics.increments[2]
     y = -1e-3 * scale
-    unconstrained = control_step(*increments(), y, np.zeros(6), WIDE_LIMITS, PRED)
+    unconstrained = control_step(*increments(), y, np.zeros(6), WIDE_LIMITS.lo,
+                                 WIDE_LIMITS.hi, PRED)
     assert not unconstrained.diagnostics.qp_active.any()
     assert unconstrained.diagnostics.increments[2] == pytest.approx(0.04, rel=1e-9)
 
     lo = np.full(6, -10.0)
     hi = np.full(6, 10.0)
     hi[2] = 0.027
-    result = control_step(*increments(), y, np.zeros(6), ReserveLimits(lo, hi), PRED)
+    result = control_step(*increments(), y, np.zeros(6), lo, hi, PRED)
     assert result.command[2] == pytest.approx(0.027, abs=1e-9)
     others = [i for i in range(6) if i != 2]
     assert np.all(result.command[others] >= unconstrained.command[others] - 1e-12)
@@ -332,7 +330,7 @@ def test_binding_limit_redistributes_to_other_units():
 def test_weight_scaling_invariance():
     est = increments(np.full(N_STATES, 1e-4), 2e-4)
     limits = ReserveLimits(lo=np.full(6, -0.01), hi=np.full(6, 0.01))
-    base = control_step(*est, -2e-3, np.zeros(6), limits, PRED)
+    base = control_step(*est, -2e-3, np.zeros(6), limits.lo, limits.hi, PRED)
     scaled_config = MpcConfig(
         alpha=CONFIG.alpha * 7.0,
         beta_pv=CONFIG.beta_pv * 7.0,
@@ -341,14 +339,14 @@ def test_weight_scaling_invariance():
         beta_bess=CONFIG.beta_bess * 7.0,
     )
     scaled_pred = build_prediction_matrices(MODEL, scaled_config)
-    scaled = control_step(*est, -2e-3, np.zeros(6), limits, scaled_pred)
+    scaled = control_step(*est, -2e-3, np.zeros(6), limits.lo, limits.hi, scaled_pred)
     assert np.abs(base.diagnostics.increments - scaled.diagnostics.increments).max() < 1e-10
 
 
 def test_kkt_residuals_reported_small():
     dx, dd = increments(np.full(N_STATES, 1e-4), 5e-4)
     limits = ReserveLimits(lo=np.full(6, -0.005), hi=np.full(6, 0.005))
-    result = control_step(dx, dd, -3e-3, np.zeros(6), limits, PRED)
+    result = control_step(dx, dd, -3e-3, np.zeros(6), limits.lo, limits.hi, PRED)
     stat, primal, comp = result.diagnostics.kkt_residuals
     assert stat < 1e-8 and primal < 1e-8 and comp < 1e-8
 
@@ -393,7 +391,8 @@ def test_total_vs_increment_bound_readings_archived():
             y = x[IDX_FREQ]
             est = estimator_step(est, u_prev, y, MODEL, est_config)
             if reading == "totals":
-                result = control_step(est.delta_x, est.delta_d, y, u_prev, limits, PRED)
+                result = control_step(est.delta_x, est.delta_d, y, u_prev, limits.lo,
+                                      limits.hi, PRED)
                 u_prev = result.command
             else:
                 # per-increment boxes, same band, no cumulative coupling

@@ -1,5 +1,6 @@
 """Tests for the closed-loop scenario engine and metrics."""
 
+import copy
 import re
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import microfreq.simulate as sim
-from microfreq.estimator import GainSchedule
+from microfreq.estimator import GainSchedule, default_estimator_config
 from microfreq.lfc_model import MicrogridParams
 from microfreq.numerics import QpInfeasibleError
 from microfreq.profiles import NOMINAL_AMBIENT_C, ProfileSet
@@ -385,3 +386,19 @@ def test_replace_keeps_filled_gains_and_redesigns_them_when_cleared():
 def test_run_config_rejects_bad_values_at_construction(kwargs, message):
     with pytest.raises(ValueError, match=message):
         RunConfig(**kwargs)
+
+
+@pytest.mark.parametrize("other, equal", [
+    (lambda config: copy.deepcopy(config), True),
+    (lambda config: RunConfig(deload=0.08), True),
+    (lambda config: RunConfig(deload=0.1), False),
+    (lambda config: RunConfig(
+        deload=0.08, estimator=default_estimator_config(disturbance_noise=1e-3)), False),
+    (lambda config: RunConfig(
+        deload=0.08, estimator=default_estimator_config(initial_covariance=1.0)), False),
+], ids=["deepcopy", "rebuilt", "deload", "estimator-q", "estimator-p0"])
+def test_run_configs_compare_by_value(other, equal):
+    config = RunConfig(deload=0.08)
+    run_scenario(make_scenario("step", "pi_all", 0, duration=2.0), config)  # fills prepared_runs
+    assert (other(config) == config) is equal
+    assert (config != other(config)) is not equal

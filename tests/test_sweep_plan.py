@@ -1,19 +1,22 @@
 """The sweep plan against the plain sweep it replaces.
 
-``microfreq sweep`` runs a cell only once per distinct input, every run on
-the config's one prepared run. The reference here is the plain loop: one
-``run_scenario`` call per kind, seed and controller, with outputs written by
-``_write_outputs``. Stdout and every file the
-sweep writes must be byte-identical to it.
+``microfreq sweep`` runs a cell only once per distinct input, its three
+controllers in lockstep (``run_cell``), every run on the config's one
+prepared run. The reference here is the plain loop: one ``run_scenario``
+call per kind, seed and controller, with outputs written by
+``_write_outputs``. Stdout and every file the sweep writes must be
+byte-identical to it.
 """
 
+import itertools
 import json
 from dataclasses import replace
 
 import pytest
 
-from microfreq import cli, simulate
+from microfreq import cli, mpc, simulate
 from microfreq.cli import _write_outputs, load_run_config, main
+from microfreq.numerics import QpInfeasibleError
 from microfreq.simulate import (
     CONTROLLER_KINDS,
     compute_metrics,
@@ -50,31 +53,54 @@ def reference_sweep(kinds, seeds, config, out):
 
 
 def count_runs(monkeypatch):
-    """Count the sweep's ``run_scenario`` calls; returns the live count list."""
+    """Count the runs the sweep steps, the scenarios of every ``run_cell``
+    call; returns the live list of them."""
     calls = []
-    real = cli.run_scenario
+    real = cli.run_cell
 
-    def counted(*args):
-        calls.append(args[0])
-        return real(*args)
+    def counted(scenarios, config):
+        calls.extend(scenarios)
+        return real(scenarios, config)
 
-    monkeypatch.setattr(cli, "run_scenario", counted)
+    monkeypatch.setattr(cli, "run_cell", counted)
     return calls
 
 
-@pytest.mark.parametrize("seeds, kinds, sim, runs", [
-    ("0,3,3", "step,rapid", None, 9),
-    ("0,1", "step", {"deload": 0.08}, 3),
-    ("0,1", "step", {"measurement_noise_std": 1e-5}, 6),
-], ids=["repeated-seed", "deload", "measurement-noise"])
-def test_sweep_matches_the_plain_sweep(tmp_path, monkeypatch, capsys, seeds, kinds, sim, runs):
+def abort_mpc_at(monkeypatch, sample, rows=1):
+    """Make every MPC run's QP infeasible at ``sample``, for MPC runs that
+    step ``rows`` at a time (a cell's one MPC row steps alone). The calls of
+    one sample then come ``rows`` in a row, and each run calls
+    ``control_step`` sample + 1 times, so one count over all calls raises at
+    the right call of each run."""
+    calls = itertools.count()
+
+    def failing(*args):
+        if next(calls) // rows % (sample + 1) == sample:
+            raise QpInfeasibleError(0)
+        return mpc.control_step(*args)
+
+    monkeypatch.setattr(simulate, "control_step", failing)
+
+
+@pytest.mark.parametrize("seeds, kinds, sim, abort_at, runs", [
+    ("0,3,3", "step,rapid", None, None, 9),
+    ("0,1", "step", {"deload": 0.08}, None, 3),
+    ("0,1", "step", {"measurement_noise_std": 1e-5}, None, 6),
+    ("0,2", "moderate", {"measurement_noise_std": 1e-5}, 40, 6),
+], ids=["repeated-seed", "deload", "measurement-noise", "mpc-abort"])
+def test_sweep_matches_the_plain_sweep(tmp_path, monkeypatch, capsys, seeds, kinds, sim,
+                                       abort_at, runs):
     config_path = None
     if sim is not None:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"sim": sim}))
     config = load_run_config(config_path)
+    if abort_at is not None:
+        abort_mpc_at(monkeypatch, abort_at)
     expected = reference_sweep(kinds.split(","), [int(s) for s in seeds.split(",")], config,
                                tmp_path / "plain")
+    if abort_at is not None:
+        abort_mpc_at(monkeypatch, abort_at)  # the count starts anew
 
     calls = count_runs(monkeypatch)
     argv = ["sweep", "--seeds", seeds, "--kinds", kinds, "--out", str(tmp_path / "plan")]
@@ -88,21 +114,34 @@ def test_sweep_matches_the_plain_sweep(tmp_path, monkeypatch, capsys, seeds, kin
     for name in plain:
         assert (tmp_path / "plan" / name).read_bytes() == \
             (tmp_path / "plain" / name).read_bytes(), name
+    if abort_at is not None:
+        # The MPC trace stops at the failed sample; the PI runs of its cell
+        # keep every row (a header line and one per sample and the terminal).
+        samples = round(simulate.DEFAULT_DURATIONS[kinds] / simulate.SCENARIO_TS)
+        for seed in seeds.split(","):
+            for controller, rows in (("mpc", abort_at), ("pi_all", samples + 1),
+                                     ("pi_dubess", samples + 1)):
+                stem = f"{kinds}_{controller}_seed{seed}"
+                trace = (tmp_path / "plan" / f"trace_{stem}.csv").read_text()
+                assert trace.count("\n") == 1 + rows, stem
+                metrics = json.loads((tmp_path / "plan" / f"metrics_{stem}.json").read_text())
+                assert metrics["aborted_at"] == (abort_at if controller == "mpc" else None)
 
 
 def test_default_sweep_runs_each_distinct_cell_once(monkeypatch):
     # The step kind draws nothing from its seed, so without measurement
     # noise its five cells are one: 11 distinct cells of 3 controllers. Only
-    # the calls count here, so each run returns a relabelled 1 s trace.
+    # the runs count here, so each run returns a relabelled 1 s trace.
     stub = run_scenario(make_scenario("step", "mpc", 0, duration=1.0))
     calls = []
 
-    def run(scenario, config):
-        calls.append((scenario.kind, scenario.seed, scenario.controller))
-        return replace(stub, kind=scenario.kind, seed=scenario.seed,
-                       controller=scenario.controller)
+    def run(scenarios, config):
+        calls.extend((scenario.kind, scenario.seed, scenario.controller)
+                     for scenario in scenarios)
+        return [replace(stub, kind=scenario.kind, seed=scenario.seed,
+                        controller=scenario.controller) for scenario in scenarios]
 
-    monkeypatch.setattr(cli, "run_scenario", run)
+    monkeypatch.setattr(cli, "run_cell", run)
     assert main(["sweep"]) == 0
     assert len(calls) == 33 and len(set(calls)) == 33
     assert {(kind, seed) for kind, seed, _ in calls if kind == "step"} == {("step", 0)}
