@@ -75,6 +75,11 @@ class EstimatorConfig:
         return (self.R_noise == other.R_noise and np.array_equal(self.Q, other.Q)
                 and np.array_equal(self.P0, other.P0))
 
+    def __hash__(self):
+        """A hash over the values ``__eq__`` compares, as Python floats, so
+        that equal configs hash alike (-0.0 and 0.0 among them)."""
+        return hash((self.R_noise, *self.Q.ravel().tolist(), *self.P0.ravel().tolist()))
+
 
 def default_estimator_config(
     state_noise=DEFAULT_STATE_NOISE,

@@ -32,8 +32,8 @@ block of V and computes nothing else.
 
 What no later sample depends on (the increments, the cost, the active
 bounds, the slack and the KKT residuals) comes from ``step_diagnostics``
-for all of a run's samples at once, after its loop, from each sample's s,
-V, bound multipliers, lo and hi. Its products are stacks of
+for a block of a run's samples at once, as its loop passes them, from each
+sample's s, V, bound multipliers, lo and hi. Its products are stacks of
 matrix-vector products, one per sample, which sum in the order the
 one-sample product does; so the run's values have the bits that computing
 them sample by sample gives, which one matrix-matrix product would not.
@@ -281,8 +281,8 @@ class MpcStepResult:
     box QP's cumulative moves ``v``, bound multipliers ``lam`` and bounds
     (``lo``, ``hi``), and the ``pred`` it was solved with.
 
-    A run takes the increments, active bounds, cost and KKT residuals of all
-    its samples at once after its loop; ``diagnostics`` gives them for this
+    A run takes the increments, active bounds, cost and KKT residuals of a
+    block of its samples at once; ``diagnostics`` gives them for this
     one sample, from ``step_diagnostics`` on its one row.
     """
 

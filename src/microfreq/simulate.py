@@ -8,15 +8,29 @@ the selected controller, then step the true plant with the applied command
 and the true disturbances. Identical scenario, config, and seed give
 bit-identical traces.
 
-There are two loops, chosen by how many runs share one profile set. A
-single run (``run_scenario``, as ``microfreq run`` uses it) steps one plant
-on 1-D arrays. A cell (``run_cell``, the three controllers of a ``compare``
-or ``sweep`` cell) steps its runs in lockstep, one iteration per sample,
-with the plant, filter and control-term products stacked over its rows;
-a run on its own pays less in the 1-D loop than in a one-row cell. Both
-loops share everything but the loop itself: the prepared run and inputs,
-``pi_step``, ``control_step`` and the pass after the loop
-(``_finish_trace``), and both give a run the same bytes.
+There are two loops, chosen by how many runs step together. A single run
+(``run_scenario``, as ``microfreq run`` uses it) steps one plant on 1-D
+arrays. A batch (``run_cells``) steps cells in lockstep, one iteration per
+sample, with the plant, filter and control-term products stacked over all
+its live rows. A cell is the runs of one profile set and seed (the three
+controllers of a ``compare`` or ``sweep`` cell); the cells of a batch share
+their number of samples and sample time, so they share the gain-schedule
+entry of each sample, and each keeps its own disturbances, limits and noise
+stream. ``compare`` runs a batch of one cell; ``sweep`` runs the distinct
+cells of each scenario kind as one batch. A run on its own pays less in the
+1-D loop than in a one-row batch. Both loops share everything but the loop
+itself: the prepared run and inputs, ``pi_step``, ``control_step``, the MPC
+record and the finish (``_finish_trace``), and both give a run the same
+bytes.
+
+A batch records only what its traces keep: the frequency and the six unit
+outputs (7 of the 10 states), the commands and d_hat of every row, and an
+MPC row's cost, binding flags and KKT residuals, diagnosed a block of
+samples at a time as the loop passes them. Each cell stores its limits once,
+as the trace's (n + 1, 6) arrays, which its runs share. The traces are
+finished a cell at a time, as the caller reads them. A batch of 180 s cells
+(900 samples) holds about 0.6 MB per cell of three runs until its last cell
+is read.
 
 Everything that does not depend on the closed loop is built before the
 first sample. A ``RunConfig`` checks itself and derives its renewable models
@@ -26,25 +40,22 @@ cache) is a ``PreparedRun``, built by the config's first run at a sample time
 and kept by the config for every later run (``prepare_run``); only a longer
 run than a schedule without a cycle covers builds it anew. Sweeps, compares
 and library callers that run many scenarios on one config all share it this
-way. Availability, the true disturbances, their plant term D @ d and the
-reserve limits over the whole time grid (checked as a whole) are built once
-per profile set: the ``PreparedRun`` keeps them for the next run on profiles
-with the same samples, so a sweep or compare cell's three controllers share
-them. Per sample a loop computes only the state estimate (kept as the
+way. Availability, the true disturbances and the reserve limits over the
+whole time grid (checked as a whole) are built once per cell; a single run
+takes the plant term D @ d over the grid, a batch a block of samples at a
+time. Per sample a loop computes only the state estimate (kept as the
 augmented vector z = (x_hat, d_hat); the MPC gets the increments of z, and no
 ``EstimatorState`` is built), the command from the sample's row of the
-bands and the plant step, which shares the product B_aug @ u with the next
-estimate; an MPC sample also records its (dx, y, dd), cumulative moves and
-bound multipliers. What nothing in the loop reads is computed over the grid
-after it: the PI binding flags and the MPC's drift flags from the commands,
-and the MPC's cost, active bounds and KKT residuals from the recorded
-samples (``step_diagnostics``).
+limits and the plant step, which shares the product B_aug @ u with the next
+estimate; an MPC sample also keeps its (dx, y, dd), cumulative moves and
+bound multipliers until its block is diagnosed (``step_diagnostics``). The
+PI binding flags, which nothing in the loop reads, are computed over the
+grid when the trace is finished.
 """
 
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -98,9 +109,12 @@ CONTROLLER_KINDS = ("mpc", "pi_all", "pi_dubess")
 
 SCENARIO_TS = 0.2  # s, the sample time of built-in and replayed scenarios
 
-# Samples per block of the MPC's pass after the loop (about 0.3 MB of
-# temporaries).
+# Samples per block of an MPC run's diagnostics (about 0.3 MB of
+# temporaries), and of a batch's plant disturbance terms.
 _DIAGNOSTIC_ROWS = 128
+
+# The state columns a batch records: the frequency, then the six unit outputs.
+_RECORDED_STATES = np.array([IDX_FREQ, *OUTPUT_STATE_INDICES])
 
 SETTLE_BAND = 1e-4  # p.u.
 VIOLATION_TOL = 1e-9  # p.u.
@@ -258,49 +272,35 @@ class PreparedRun:
     schedule and, built on first use from the config's ``mpc``, the MPC's
     prediction matrices. The config keeps it in ``prepared_runs``. Runs
     sharing it fill one QP law cache; a law depends on its active set alone,
-    so no run's bytes depend on the others. ``inputs`` keeps the last
-    profile set's disturbances and bands for the next run on the same
-    samples. Like the config's, its runs must not run concurrently."""
+    so no run's bytes depend on the others. Like the config's, its runs must
+    not run concurrently."""
 
     mpc: MpcConfig = field(repr=False)
     model: object
     gains: object
-    # (digest, inputs) of the last profile set, replaced as one tuple.
-    _last_inputs: tuple = field(default=(None, None), init=False, repr=False)
 
     @cached_property
     def pred(self):
         return build_prediction_matrices(self.model, self.mpc)
 
     def inputs(self, profiles, config):
-        """(disturbances, plant_disturbances, bands) of ``profiles`` under
-        ``config``, the config this run was prepared for: the true
-        disturbances at every sample, D @ d of every row of them (each as
-        its own product, so with the bits of ``step_plant``'s), and the
-        reserve bands, one row per sample but the terminal one (checked as a
-        whole). The build is kept for the next run on profiles with the same
-        ``digest``, as a sweep or compare cell's three controllers are; the
-        digest is taken on every call, so a profile set edited in place gets
-        a build of its own."""
-        key = profiles.digest()
-        last_key, last_inputs = self._last_inputs
-        if last_key == key:
-            return last_inputs
+        """(disturbances, limits) of ``profiles`` under ``config``, the
+        config this run was prepared for: the true disturbances at every
+        sample, and the reserve limits of the trace, one row per sample
+        (checked as a whole) and a terminal row that repeats the last
+        sample's. The runs of a cell share them, so they are read-only."""
         params = config.params
         n = profiles.t.shape[0] - 1
         p_wt, p_pv = _availability(profiles, config)
         disturbances = _true_disturbances(profiles, p_wt, p_pv, params.s_base)
-        plant_disturbances = rows_times(self.model.D, disturbances)
         bands = reserve_limits(
             p_wt[0, :n], p_wt[1, :n], p_pv[0, :n], p_pv[1, :n],
             config.dispatch_du_kw, config.dispatch_bess_kw, params, config.deload,
         )
-        # Every run on these profiles shares the arrays, so none may write to them.
-        for shared in (disturbances, plant_disturbances, bands.lo, bands.hi):
+        limits = bands.at(np.minimum(np.arange(n + 1), n - 1))
+        for shared in (disturbances, limits.lo, limits.hi):
             shared.flags.writeable = False
-        inputs = (disturbances, plant_disturbances, bands)
-        object.__setattr__(self, "_last_inputs", (key, inputs))
-        return inputs
+        return disturbances, limits
 
 
 def prepare_run(config, Ts, n_steps):
@@ -317,89 +317,98 @@ def prepare_run(config, Ts, n_steps):
     return prepared
 
 
-def _prepared_inputs(scenario, config):
-    """The config's ``PreparedRun`` for ``scenario`` and the scenario's
-    (disturbances, plant_disturbances, bands), checked against its steps."""
+def _inputs(prepared, scenario, config):
+    """``prepared.inputs`` of the scenario's profiles, checked against its
+    steps."""
     n = scenario.n_steps
-    prepared = prepare_run(config, scenario.Ts, n)
-    disturbances, plant_disturbances, bands = prepared.inputs(scenario.profiles, config)
+    disturbances, limits = prepared.inputs(scenario.profiles, config)
     if disturbances.shape != (n + 1, N_DISTURBANCES):
         raise ValueError(f"disturbance grid has shape {disturbances.shape}, "
                          f"expected ({n + 1}, {N_DISTURBANCES})")
-    return prepared, disturbances, plant_disturbances, bands
+    return disturbances, limits
 
 
-class _MpcRecord(NamedTuple):
-    """What each sample of an MPC run leaves for the pass after the loop,
-    one row per sample: s, V and lam, with the ``pred`` they were solved
-    with."""
+class _MpcRecord:
+    """What an MPC run keeps of its samples for its trace: the cost, the
+    binding flags (as bools) and the largest KKT residual. A sample's s, V
+    and bound multipliers wait in a block of ``_DIAGNOSTIC_ROWS`` rows; when
+    the block is full, or the run ends, ``step_diagnostics`` gives its cost,
+    active bounds and KKT residuals, on the bounds rebuilt from the limits
+    and the previous commands (zero before the first sample). A unit whose
+    previous command is already outside the sample's band drifted there and
+    is flagged as binding too. ``commands`` is the run's own record, which
+    the loop fills a sample ahead of the block."""
 
-    pred: object
-    samples: np.ndarray
-    moves: np.ndarray
-    multipliers: np.ndarray
-
-    @classmethod
-    def empty(cls, pred, n):
-        return cls(pred, np.empty((n, pred.sample_map.shape[1])), np.empty((n, pred.box.n)),
-                   np.empty((n, pred.box.n)))
+    def __init__(self, pred, limits, commands):
+        self.pred, self.limits, self.commands = pred, limits, commands
+        self.objective = np.zeros(commands.shape[0])
+        self.binding = np.zeros((commands.shape[0], N_CONTROLS), dtype=bool)
+        self.max_kkt = 0.0
+        self.start = 0  # the sample of the block's first row
+        self.samples = np.empty((_DIAGNOSTIC_ROWS, pred.sample_map.shape[1]))
+        self.moves = np.empty((_DIAGNOSTIC_ROWS, pred.box.n))
+        self.multipliers = np.empty((_DIAGNOSTIC_ROWS, pred.box.n))
 
     def keep(self, k, step):
-        self.samples[k], self.moves[k], self.multipliers[k] = step.sample, step.v, step.lam
+        i = k - self.start
+        self.samples[i], self.moves[i], self.multipliers[i] = step.sample, step.v, step.lam
+        if i + 1 == _DIAGNOSTIC_ROWS:
+            self.close(k + 1)
+
+    def close(self, end):
+        """Diagnose the block's samples before ``end``."""
+        start, rows = self.start, end - self.start
+        if rows == 0:
+            return
+        if start:
+            previous = self.commands[start - 1:end - 1]
+        else:
+            previous = np.concatenate([np.zeros((1, N_CONTROLS)), self.commands[:end - 1]])
+        limits = self.limits.at(slice(start, end))
+        lo, hi = build_constraints(limits, previous, self.pred)
+        steps = step_diagnostics(self.pred, self.samples[:rows], self.moves[:rows],
+                                 self.multipliers[:rows], lo, hi)
+        self.objective[start:end] = steps.objective
+        self.binding[start:end] = (active_units(steps.qp_active, self.pred.m)
+                                   | out_of_band_units(limits, previous))
+        self.max_kkt = max(self.max_kkt, float(steps.kkt_residuals.max()))
+        self.start = end
 
 
-def _finish_trace(scenario, config, disturbances, bands, states, commands, d_hat, mpc,
+def _finish_trace(scenario, config, disturbances, limits, freq, outputs, commands, d_hat, mpc,
                   aborted_at):
     """The ``ScenarioTrace`` of one run from what its loop recorded: the
-    states, commands and d_hat of its n + 1 rows, and for an MPC run its
-    ``_MpcRecord``. What nothing in the loop reads is computed here, over
-    the grid: the binding flags, and an MPC run's cost and KKT residuals."""
+    frequency, outputs, commands and d_hat of its n + 1 rows, and for an MPC
+    run its ``_MpcRecord``, whose last block is diagnosed here. A PI run's
+    binding flags, which nothing in the loop reads, are computed here over
+    the grid. The trace shares the disturbances and limits with the other
+    runs of its cell."""
     n = scenario.n_steps
-    n_rows = n + 1
-    binding = np.zeros((n_rows, N_CONTROLS), dtype=int)
-    objective = np.zeros(n_rows)
-    max_kkt = 0.0
     if mpc is not None:
-        # The samples solved (all but an aborted run's failed one and those
-        # after it) get their cost, active bounds and KKT residuals after
-        # the loop, on the bounds rebuilt from the bands and the previous
-        # commands (zero before the first sample), a block of rows at a time
-        # so that the temporaries stay small. A unit whose previous command
-        # is already outside the sample's band drifted there and is flagged
-        # as binding too.
-        pred, samples, moves, multipliers = mpc
-        previous = np.concatenate([np.zeros((1, N_CONTROLS)), commands[:n - 1]])
-        solved = n if aborted_at is None else aborted_at
-        for start in range(0, solved, _DIAGNOSTIC_ROWS):
-            rows = slice(start, min(start + _DIAGNOSTIC_ROWS, solved))
-            lo, hi = build_constraints(bands.at(rows), previous[rows], pred)
-            steps = step_diagnostics(pred, samples[rows], moves[rows], multipliers[rows], lo, hi)
-            objective[rows] = steps.objective
-            binding[rows] = active_units(steps.qp_active, pred.m)
-            max_kkt = max(max_kkt, float(steps.kkt_residuals.max()))
-        binding[:n] |= out_of_band_units(bands, previous)
-    pi_config = config.pi_configs.get(scenario.controller)
-    if pi_config is not None:
-        # A PI command binds within 1e-15 of either limit (participants
-        # only); elementwise, so one pass over the grid after the loop.
-        at_bound = (commands[:n] <= bands.lo + 1e-15) | (commands[:n] >= bands.hi - 1e-15)
-        binding[:n] = at_bound & pi_config.participating
+        mpc.close(n if aborted_at is None else aborted_at)
+        objective, binding, max_kkt = mpc.objective, mpc.binding.astype(int), mpc.max_kkt
+    else:
+        objective, binding, max_kkt = np.zeros(n + 1), np.zeros((n + 1, N_CONTROLS), int), 0.0
+        # A PI command binds within 1e-15 of either limit (participants only).
+        at_bound = ((commands[:n] <= limits.lo[:n] + 1e-15)
+                    | (commands[:n] >= limits.hi[:n] - 1e-15))
+        binding[:n] = at_bound & config.pi_configs[scenario.controller].participating
     # An aborted run keeps the rows before the failed sample, and the largest
     # KKT residual of the samples it solved.
-    rows = n_rows if aborted_at is None else aborted_at
+    rows = n + 1 if aborted_at is None else aborted_at
     return ScenarioTrace(
         kind=scenario.kind,
         controller=scenario.controller,
         seed=scenario.seed,
         Ts=scenario.Ts,
         t=scenario.profiles.t[:rows].copy(),
-        freq=states[:rows, IDX_FREQ].copy(),
+        freq=freq[:rows].copy(),
         commands=commands[:rows],
-        outputs=states[:rows, OUTPUT_STATE_INDICES],
+        outputs=outputs[:rows],
         disturbances=disturbances[:rows],
         d_hat=d_hat[:rows],
-        limits_lo=np.concatenate([bands.lo, bands.lo[-1:]])[:rows],
-        limits_hi=np.concatenate([bands.hi, bands.hi[-1:]])[:rows],
+        limits_lo=limits.lo[:rows],
+        limits_hi=limits.hi[:rows],
         binding=binding[:rows],
         objective=objective[:rows],
         max_kkt_residual=max_kkt,
@@ -414,11 +423,19 @@ def run_scenario(scenario, config=None):
     and shared by the later ones."""
     config = config or RunConfig()
     n = scenario.n_steps
-    prepared, disturbances, plant_disturbances, bands = _prepared_inputs(scenario, config)
+    prepared = prepare_run(config, scenario.Ts, n)
+    disturbances, limits = _inputs(prepared, scenario, config)
     model, gains = prepared.model, prepared.gains
-    band_lo, band_hi = bands.lo, bands.hi
+    # D @ d of every sample, each row as its own product (so with the bits of
+    # ``step_plant``'s).
+    plant_disturbances = rows_times(model.D, disturbances)
+    band_lo, band_hi = limits.lo, limits.hi
 
-    mpc = _MpcRecord.empty(prepared.pred, n) if scenario.controller == "mpc" else None
+    states = np.zeros((n + 1, N_STATES))
+    commands = np.zeros((n + 1, N_CONTROLS))
+    d_hat = np.zeros(n + 1)
+    mpc = (_MpcRecord(prepared.pred, limits, commands) if scenario.controller == "mpc"
+           else None)
     pi_config = config.pi_configs.get(scenario.controller)
     integral = 0.0
 
@@ -426,9 +443,6 @@ def run_scenario(scenario, config=None):
     noise_std = config.measurement_noise_std
     noise_rng = np.random.default_rng([scenario.seed, 9001])
 
-    states = np.zeros((n + 1, N_STATES))
-    commands = np.zeros((n + 1, N_CONTROLS))
-    d_hat = np.zeros(n + 1)
     x = np.zeros(N_STATES)
     u_prev = np.zeros(N_CONTROLS)
     A, B_aug = model.A, gains.B_aug
@@ -473,66 +487,93 @@ def run_scenario(scenario, config=None):
         commands[n] = u_prev
         d_hat[n] = z[N_STATES]
 
-    return _finish_trace(scenario, config, disturbances, bands, states, commands, d_hat, mpc,
-                         aborted_at)
+    return _finish_trace(scenario, config, disturbances, limits, states[:, IDX_FREQ],
+                         states[:, OUTPUT_STATE_INDICES], commands, d_hat, mpc, aborted_at)
 
 
-def run_cell(scenarios, config=None):
-    """Run scenarios that share one profile set, seed and sample time (the
-    three controllers of a ``compare`` or ``sweep`` cell) in lockstep, and
-    return their traces in order. Each trace is the one ``run_scenario``
-    gives its scenario, bit for bit.
+def run_cells(cells, config=None):
+    """Run a batch of cells in lockstep and return a generator of each
+    cell's traces, a list per cell, in order. A cell is a list of scenarios
+    that share one profile set, seed and sample time (the three controllers
+    of a ``compare`` or ``sweep`` cell); the cells of a batch share their
+    number of samples and sample time. Each trace is the one
+    ``run_scenario`` gives its scenario, bit for bit.
 
-    One loop iteration steps every run by one sample. The plant step A x,
-    the filter's A_aug z and the control term B_aug u are each one stacked
-    product with a row per run (``rows_times``, so every row has the bits
-    of its own matrix-vector product). Every run of a seed draws the same
-    measurement noise, so the cell draws once per sample and adds the draw
-    to every row. Each row's controller then runs on its own: ``pi_step``
-    on Python floats, ``control_step`` for an MPC row. An MPC row whose QP
-    is infeasible at sample k leaves the cell there, its trace ending at k
-    as a single run's does; the other rows run to the end.
+    One loop iteration steps every row, a row per scenario, by one sample.
+    The plant step A x, the filter's A_aug z and the control term B_aug u
+    are each one stacked product over the live rows (``rows_times``, so
+    every row has the bits of its own matrix-vector product). Each cell
+    keeps its own disturbances, limits and noise stream: a single run of a
+    seed draws one value per sample, so the cell draws its seed's values
+    before the loop and adds the same draw to each of its rows. Each row's
+    controller runs on its own: ``pi_step`` on Python floats,
+    ``control_step`` for an MPC row. An MPC row whose QP is infeasible at
+    sample k leaves the batch there, its trace ending at k as a single
+    run's does; the other rows run to the end.
+
+    The loop records what the traces keep: the frequency and the six unit
+    outputs of every row, its commands and d_hat, and an MPC row's cost,
+    binding flags and KKT residuals a block of samples at a time
+    (``_MpcRecord``). The traces are finished a cell at a time, as the
+    generator is read.
     """
     config = config or RunConfig()
-    first = scenarios[0]
-    digest = first.profiles.digest()
-    for scenario in scenarios[1:]:
-        if ((scenario.seed, scenario.Ts) != (first.seed, first.Ts)
-                or scenario.profiles.digest() != digest):
-            raise ValueError("the scenarios of a cell must share their profiles, seed and Ts")
-    n, Ts = first.n_steps, first.Ts
-    prepared, disturbances, plant_disturbances, bands = _prepared_inputs(first, config)
+    if not cells or not all(cells):
+        raise ValueError("a batch needs at least one cell, and a cell at least one scenario")
+    n, Ts = cells[0][0].n_steps, cells[0][0].Ts
+    for cell in cells:
+        first = cell[0]
+        digest = first.profiles.digest()
+        for scenario in cell[1:]:
+            if ((scenario.seed, scenario.Ts) != (first.seed, first.Ts)
+                    or scenario.profiles.digest() != digest):
+                raise ValueError("the scenarios of a cell must share their profiles, seed and Ts")
+        if (first.n_steps, first.Ts) != (n, Ts):
+            raise ValueError("the cells of a batch must share their number of samples and Ts")
+    prepared = prepare_run(config, Ts, n)
     model, gains = prepared.model, prepared.gains
-    band_lo, band_hi = bands.lo, bands.hi
+    disturbances, limits = zip(*(_inputs(prepared, cell[0], config) for cell in cells))
+    # (n + 1, cells, N_DISTURBANCES): a sample's disturbances, a row per cell.
+    # A trace takes its cell's column.
+    disturbances = np.stack(disturbances, axis=1)
+    disturbances.flags.writeable = False
 
+    scenarios = [scenario for cell in cells for scenario in cell]
+    cell_of = [index for index, cell in enumerate(cells) for _ in cell]
     n_runs = len(scenarios)
+    states = np.zeros((n_runs, n + 1, len(_RECORDED_STATES)))
+    commands = np.zeros((n_runs, n + 1, N_CONTROLS))
+    d_hat = np.zeros((n_runs, n + 1))
+    mpcs = [_MpcRecord(prepared.pred, limits[cell_of[run]], commands[run])
+            if scenario.controller == "mpc" else None
+            for run, scenario in enumerate(scenarios)]
     pi_configs = [config.pi_configs.get(scenario.controller) for scenario in scenarios]
-    mpcs = [_MpcRecord.empty(prepared.pred, n) if scenario.controller == "mpc" else None
-            for scenario in scenarios]
     integrals = [0.0] * n_runs
     aborted_at = [None] * n_runs
 
-    noise_std = config.measurement_noise_std
-    noise_rng = np.random.default_rng([first.seed, 9001])
+    noise = None
+    if config.measurement_noise_std > 0.0:
+        draws = [np.random.default_rng([cell[0].seed, 9001]).normal(
+            scale=config.measurement_noise_std, size=n) for cell in cells]
+        noise = np.stack(draws, axis=1)[:, cell_of]  # (n, rows)
 
-    states = np.zeros((n_runs, n + 1, N_STATES))
-    commands = np.zeros((n_runs, n + 1, N_CONTROLS))
-    d_hat = np.zeros((n_runs, n + 1))
-    # One row per run still running: its index in ``live``, and its records
-    # at ``rows`` (every run until one aborts).
-    live = list(range(n_runs))
+    # One row per run still running, as (run, cell, MPC record) in ``live``,
+    # its records at ``rows`` and its cell in ``live_cells`` (every run until
+    # one aborts).
+    live = list(zip(range(n_runs), cell_of, mpcs))
     rows = slice(None)
+    live_cells = np.array(cell_of)
     x = np.zeros((n_runs, N_STATES))
     z = np.zeros((n_runs, N_AUGMENTED))
     u = np.zeros((n_runs, N_CONTROLS))
-    A, A_aug, B_aug, c = model.A, gains.A_aug, gains.B_aug, gains.c
+    A, D, A_aug, B_aug, c = model.A, model.D, gains.A_aug, gains.B_aug, gains.c
     bu = rows_times(B_aug, u)
 
     for k in range(n):
-        states[rows, k] = x
+        states[rows, k] = x[:, _RECORDED_STATES]
         y = x[:, IDX_FREQ]
-        if noise_std > 0.0:
-            y = y + noise_rng.normal(scale=noise_std)
+        if noise is not None:
+            y = y + noise[k]
         ys = y.tolist()
         if not all(map(math.isfinite, ys)):
             raise ValueError("measurement must be finite")
@@ -540,20 +581,22 @@ def run_cell(scenarios, config=None):
         z_pred = rows_times(A_aug, z)
         z_pred += bu
         z_pred += (y - np.vecdot(z_pred, c))[:, None] * gains.gains[gains.index(k)]
-        z_prev, z = z, z_pred
+        dz = z_pred - z
+        z = z_pred
 
-        lo, hi = band_lo[k].tolist(), band_hi[k].tolist()
+        bands = [(each.lo[k], each.hi[k]) for each in limits]
+        band_lists = [(lo.tolist(), hi.tolist()) for lo, hi in bands]
         applied, aborts = [], []
-        for i, run in enumerate(live):
-            mpc = mpcs[run]
+        for i, (run, cell, mpc) in enumerate(live):
             if mpc is None:
+                lo, hi = band_lists[cell]
                 integrals[run], cmd = pi_step(integrals[run], ys[i], lo, hi, pi_configs[run], Ts)
                 applied.append(cmd)
                 continue
-            dz = z[i] - z_prev[i]
+            lo, hi = bands[cell]
             try:
-                step = control_step(dz[:N_STATES], dz[N_STATES], ys[i], u[i], band_lo[k],
-                                    band_hi[k], mpc.pred)
+                step = control_step(dz[i, :N_STATES], dz[i, N_STATES], ys[i], u[i], lo, hi,
+                                    mpc.pred)
             except QpInfeasibleError:
                 aborted_at[run] = k
                 aborts.append(i)
@@ -565,8 +608,11 @@ def run_cell(scenarios, config=None):
             live = [live[i] for i in keep]
             if not live:
                 break
-            rows = np.array(live)
+            rows = np.array([run for run, _, _ in live])
+            live_cells = np.array([cell for _, cell, _ in live])
             x, z = x[keep], z[keep]
+            if noise is not None:
+                noise = noise[:, keep]
 
         u = np.array(applied)
         if u.shape != (len(live), N_CONTROLS):
@@ -577,18 +623,26 @@ def run_cell(scenarios, config=None):
         bu = rows_times(B_aug, u)
         x = rows_times(A, x)
         x += bu[:, :N_STATES]
-        x += plant_disturbances[k]
+        if k % _DIAGNOSTIC_ROWS == 0:
+            # D @ d of every cell over the next block of samples, each row as
+            # its own product (so with the bits of ``step_plant``'s).
+            block = disturbances[k:k + _DIAGNOSTIC_ROWS]
+            plant_disturbances = rows_times(D, block.reshape(-1, N_DISTURBANCES)).reshape(
+                block.shape[:2] + (N_STATES,))
+        x += plant_disturbances[k % _DIAGNOSTIC_ROWS].take(live_cells, axis=0)
     else:
         # Terminal row of the runs that finished, as in ``run_scenario``.
-        states[rows, n] = x
+        states[rows, n] = x[:, _RECORDED_STATES]
         commands[rows, n] = u
         d_hat[rows, n] = z[:, N_STATES]
 
-    return [
-        _finish_trace(scenario, config, disturbances, bands, states[run], commands[run],
-                      d_hat[run], mpcs[run], aborted_at[run])
-        for run, scenario in enumerate(scenarios)
-    ]
+    return (
+        [_finish_trace(scenarios[run], config, disturbances[:, index], limits[index],
+                       states[run, :, 0], states[run, :, 1:], commands[run], d_hat[run],
+                       mpcs[run], aborted_at[run])
+         for run in range(n_runs) if cell_of[run] == index]
+        for index in range(len(cells))
+    )
 
 
 def _last_disturbance_event_index(disturbances):

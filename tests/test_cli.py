@@ -69,7 +69,7 @@ def test_sweep_single_cell(tmp_path, capsys):
         "negative-seed", "non-integer-seed"])
 def test_bad_arguments_fail_at_parse_time(monkeypatch, capsys, argv, message):
     runs = []
-    for engine in ("run_scenario", "run_cell"):
+    for engine in ("run_scenario", "run_cells"):
         monkeypatch.setattr(cli, engine, lambda *args: runs.append(args))
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
@@ -226,7 +226,7 @@ def test_config_values_of_the_wrong_type_fail_at_ingest(tmp_path, monkeypatch, c
     config_path = tmp_path / "config.json"
     config_path.write_text(text)
     runs = []
-    for engine in ("run_scenario", "run_cell"):
+    for engine in ("run_scenario", "run_cells"):
         monkeypatch.setattr(cli, engine, lambda *args: runs.append(args))
     with pytest.raises(ValueError, match=message):
         main(argv + ["--config", str(config_path)])
@@ -260,7 +260,7 @@ def test_bad_config_values_fail_at_ingest(tmp_path, monkeypatch, capsys, argv, t
     config_path = tmp_path / "config.json"
     config_path.write_text(text)
     runs = []
-    for engine in ("run_scenario", "run_cell"):
+    for engine in ("run_scenario", "run_cells"):
         monkeypatch.setattr(cli, engine, lambda *args: runs.append(args))
     with pytest.raises(ValueError, match=message):
         main(argv + ["--config", str(config_path)])

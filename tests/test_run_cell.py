@@ -1,23 +1,58 @@
-"""The cell engine against single runs.
+"""The batch engine against single runs.
 
-``run_cell`` steps the runs of one profile set and seed in lockstep, with
-the plant, filter and control-term products stacked over its rows and one
-noise draw per sample. Each of its traces must have the bytes
-``run_scenario`` gives the same scenario on its own, also when an MPC row
-aborts and leaves the cell while the others run on.
+``run_cells`` steps the runs of a batch of cells in lockstep, with the
+plant, filter and control-term products stacked over its rows. A cell is
+the runs of one profile set and seed; each cell of a batch keeps its own
+disturbances, limits and noise stream. Each trace must have the bytes
+``run_scenario`` gives the same scenario on its own, also when MPC rows
+abort and leave the batch while the others run on.
 """
 
 import pytest
 
-from microfreq.simulate import CONTROLLER_KINDS, RunConfig, make_scenario, run_cell, run_scenario
+from microfreq import mpc
+from microfreq.numerics import QpInfeasibleError
+from microfreq.simulate import (
+    CONTROLLER_KINDS,
+    RunConfig,
+    make_scenario,
+    run_cells,
+    run_scenario,
+)
 from test_shared_prepared_run import assert_same_bytes
 from test_sweep_plan import abort_mpc_at
 
 
 def cell(kind, seed, controllers=CONTROLLER_KINDS, **kwargs):
     first = make_scenario(kind, controllers[0], seed, **kwargs)
-    return [make_scenario(kind, controller, seed, profiles=first.profiles)
+    return [make_scenario(kind, controller, seed, profiles=first.profiles, ts=first.Ts)
             for controller in controllers]
+
+
+def run_cell(scenarios, config=None):
+    """The traces of a batch of one cell."""
+    (traces,) = run_cells([scenarios], config)
+    return traces
+
+
+def abort_rows_at(monkeypatch, samples):
+    """Make the QP of MPC row r infeasible at ``samples[r]`` (None: never),
+    for MPC rows that step in lockstep in row order; a row that aborts makes
+    no later call."""
+    state = {"sample": 0, "next": 0, "live": list(range(len(samples)))}
+
+    def failing(*args):
+        live, sample = state["live"], state["sample"]
+        row = live[state["next"]]
+        state["next"] += 1
+        if state["next"] == len(live):  # the sample's last MPC row
+            state.update(sample=sample + 1, next=0,
+                         live=[r for r in live if samples[r] != sample])
+        if samples[row] == sample:
+            raise QpInfeasibleError(0)
+        return mpc.control_step(*args)
+
+    monkeypatch.setattr("microfreq.simulate.control_step", failing)
 
 
 # On rapid seeds 1 and 4 a PI clamp meets a bound that is a zero, where the
@@ -31,6 +66,22 @@ def test_a_cell_gives_each_run_the_bytes_of_a_single_run(kind, seed, noise):
     for scenario, trace in zip(scenarios, traces):
         assert trace.controller == scenario.controller
         assert_same_bytes(trace, run_scenario(scenario, single))
+
+
+@pytest.mark.parametrize("noise", [0.0, 2e-5], ids=["noiseless", "noise"])
+def test_a_batch_gives_each_run_the_bytes_of_a_single_run(noise):
+    # Cells of three kinds and several seeds at one length, in one batch.
+    cells = [cell(kind, seed, duration=180.0) for kind, seed in
+             [("rapid", 1), ("moderate", 2), ("rapid", 4), ("step", 0), ("moderate", 7)]]
+    cells[2] = cells[2][::-1]
+    config = RunConfig(measurement_noise_std=noise)
+    batch = run_cells(cells, config)
+    single = RunConfig(measurement_noise_std=noise)
+    for scenarios, traces in zip(cells, batch, strict=True):
+        assert [trace.seed for trace in traces] == [scenario.seed for scenario in scenarios]
+        for scenario, trace in zip(scenarios, traces, strict=True):
+            assert trace.controller == scenario.controller
+            assert_same_bytes(trace, run_scenario(scenario, single))
 
 
 @pytest.mark.parametrize("controllers", [
@@ -51,6 +102,28 @@ def test_an_mpc_row_that_aborts_leaves_the_cell_and_the_others_run_on(monkeypatc
         assert_same_bytes(trace, want)
 
 
+def test_mpc_rows_that_abort_at_different_samples_leave_the_batch(monkeypatch):
+    # The MPC rows abort at the first sample, on either side of the first
+    # block of diagnostics, and late; the last one runs to the end.
+    aborts = [0, 127, 128, 300, None]
+    orders = [("pi_all", "mpc", "pi_dubess"), ("mpc", "pi_all"), ("pi_dubess", "mpc"),
+              ("mpc", "pi_all", "pi_dubess"), ("pi_all", "mpc")]
+    cells = [cell("rapid", seed, order, duration=80.0) for seed, order in enumerate(orders)]
+    config = RunConfig(measurement_noise_std=2e-5)
+    expected = []
+    for scenarios, abort_at in zip(cells, aborts):
+        for scenario in scenarios:
+            abort_rows_at(monkeypatch, [abort_at])
+            expected.append(run_scenario(scenario, config))
+    abort_rows_at(monkeypatch, aborts)
+    traces = [trace for traces in run_cells(cells, config) for trace in traces]
+    assert len(traces) == len(expected) == 12
+    for trace, want in zip(traces, expected):
+        assert_same_bytes(trace, want)
+    assert [trace.aborted_at for trace in traces if trace.controller == "mpc"] == aborts
+    assert all(trace.freq.size == 401 for trace in traces if trace.controller != "mpc")
+
+
 @pytest.mark.parametrize("change", [
     {"seed": 4},
     {"profiles": make_scenario("rapid", "mpc", 4, duration=30.0).profiles},
@@ -61,3 +134,16 @@ def test_a_cell_takes_only_runs_of_one_profile_set_and_seed(change):
         "seed": 3, "duration": 30.0, "profiles": scenarios[0].profiles, **change})
     with pytest.raises(ValueError, match="share their profiles, seed and Ts"):
         run_cell(scenarios)
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([], "a batch needs at least one cell"),
+    ([[]], "a cell at least one scenario"),
+    ([cell("rapid", 0, duration=30.0), cell("rapid", 1, duration=36.0)],
+     "share their number of samples and Ts"),
+    ([cell("rapid", 0, duration=30.0), cell("rapid", 1, duration=15.0, ts=0.1)],
+     "share their number of samples and Ts"),
+], ids=["no-cells", "empty-cell", "unequal-n", "unequal-ts"])
+def test_a_batch_takes_only_cells_of_one_length_and_sample_time(cells, message):
+    with pytest.raises(ValueError, match=message):
+        run_cells(cells)

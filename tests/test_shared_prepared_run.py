@@ -5,15 +5,15 @@ A config builds its plant, detectability check, gain schedule and MPC
 matrices for its first run and keeps them. The prepared run holds the
 config's ``MpcConfig``, not the config, so the two form no reference cycle.
 Sharing must never show in a run's bytes: not through the QP law cache,
-which later runs find filled, and not through the disturbances and bands of
-the last profile set, which a run reuses only for profiles with the same
-samples.
+which later runs find filled, and not through the disturbances and limits
+the runs of a cell share.
 """
 
 import copy
 import gc
 import pickle
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +23,15 @@ from hypothesis import strategies as st
 import microfreq.simulate as sim
 from microfreq.estimator import EstimatorConfig, augmented_matrices
 from microfreq.lfc_model import N_CONTROLS, N_STATES, build_plant
+from microfreq.numerics import rows_times
 from microfreq.profiles import generate_profiles
-from microfreq.simulate import SCENARIO_TS, RunConfig, make_scenario, run_scenario
+from microfreq.simulate import (
+    CONTROLLER_KINDS,
+    SCENARIO_TS,
+    RunConfig,
+    make_scenario,
+    run_scenario,
+)
 
 MODEL = build_plant(RunConfig().params, SCENARIO_TS)
 _, B_AUG, _ = augmented_matrices(MODEL)
@@ -126,23 +133,33 @@ def test_a_profile_set_edited_in_place_gets_inputs_of_its_own():
 
 
 def test_runs_on_equal_profiles_share_one_build_of_their_inputs():
-    config = RunConfig()
-    prepared = sim.prepare_run(config, SCENARIO_TS, 180)
-    inputs = prepared.inputs(generate_profiles("moderate", 2, 36.0), config)
-    assert prepared.inputs(generate_profiles("moderate", 2, 36.0), config) is inputs
-    assert prepared.inputs(generate_profiles("moderate", 3, 36.0), config) is not inputs
-    for shared in (inputs[0], inputs[1], inputs[2].lo, inputs[2].hi):
-        assert not shared.flags.writeable
+    # The runs of a cell share its disturbances and trace limits, built
+    # once, so none of them may write to them.
+    first = make_scenario("moderate", "mpc", 2, duration=36.0)
+    cells = [[replace(first, controller=controller) for controller in CONTROLLER_KINDS],
+             [make_scenario("moderate", "pi_all", 3, duration=36.0)]]
+    traces, (other,) = sim.run_cells(cells, RunConfig())
+    for name in ("disturbances", "limits_lo", "limits_hi"):
+        shared = [getattr(trace, name) for trace in traces]
+        assert all(np.shares_memory(shared[0], array) for array in shared[1:]), name
+        assert not any(array.flags.writeable for array in shared + [getattr(other, name)]), name
+    assert not np.array_equal(traces[0].disturbances, other.disturbances)
 
 
 def test_plant_disturbances_have_the_bits_of_one_product_per_sample():
+    # A single run takes D @ d over the grid, a batch over the live rows of
+    # each sample; both must give each row the bits of its own product.
     profiles = generate_profiles("rapid", 6, 60.0)
     config = RunConfig()
     prepared = sim.prepare_run(config, SCENARIO_TS, 300)
-    disturbances, plant_disturbances, _ = prepared.inputs(profiles, config)
-    assert plant_disturbances.shape == (disturbances.shape[0], N_STATES)
-    for d, dd in zip(disturbances, plant_disturbances):
-        assert dd.tobytes() == (prepared.model.D @ d).tobytes()
+    disturbances, _ = prepared.inputs(profiles, config)
+    D = prepared.model.D
+    grid = rows_times(D, disturbances)
+    assert grid.shape == (disturbances.shape[0], N_STATES)
+    stacked = np.stack([disturbances, disturbances[::-1]], axis=1)
+    for k, d in enumerate(disturbances):
+        assert grid[k].tobytes() == (D @ d).tobytes()
+        assert rows_times(D, stacked[k][[1, 0, 0]])[2].tobytes() == (D @ d).tobytes()
 
 
 @given(st.lists(st.floats(-1.0, 1.0), min_size=N_CONTROLS, max_size=N_CONTROLS))

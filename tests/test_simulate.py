@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import microfreq.simulate as sim
-from microfreq.estimator import GainSchedule, default_estimator_config
+from microfreq.estimator import EstimatorConfig, GainSchedule, default_estimator_config
 from microfreq.lfc_model import MicrogridParams
 from microfreq.numerics import QpInfeasibleError
 from microfreq.profiles import NOMINAL_AMBIENT_C, ProfileSet
@@ -402,3 +402,26 @@ def test_run_configs_compare_by_value(other, equal):
     run_scenario(make_scenario("step", "pi_all", 0, duration=2.0), config)  # fills prepared_runs
     assert (other(config) == config) is equal
     assert (config != other(config)) is not equal
+
+
+def test_equal_configs_hash_alike_and_key_a_dict():
+    config = RunConfig(deload=0.08)
+    run_scenario(make_scenario("step", "pi_all", 0, duration=2.0), config)  # fills prepared_runs
+    twins = [copy.deepcopy(config), RunConfig(deload=0.08)]
+    assert all(hash(twin) == hash(config) for twin in twins)
+    keyed = {config: "first"}
+    for twin in twins:
+        keyed[twin] = "twin"
+    assert keyed == {config: "twin"}
+    assert RunConfig(deload=0.1) not in keyed
+
+
+def test_estimator_configs_equal_by_value_hash_alike_with_a_signed_zero():
+    tuning = default_estimator_config()
+    Q = np.array(tuning.Q)
+    Q[Q == 0.0] = -0.0
+    signed = EstimatorConfig(Q=Q, R_noise=tuning.R_noise, P0=tuning.P0)
+    assert np.signbit(signed.Q).any() and signed == tuning
+    assert hash(signed) == hash(tuning)
+    assert hash(RunConfig(estimator=signed)) == hash(RunConfig(estimator=tuning))
+    assert len({tuning, signed, default_estimator_config(disturbance_noise=1e-3)}) == 2

@@ -1,8 +1,8 @@
 """The run's MPC diagnostics against the per-sample reference, bit for bit.
 
 ``run_scenario`` applies u_prev + V[:nu] at each MPC sample and takes the
-cost, active bounds and KKT residuals of all its solved samples in one pass
-after the loop (``microfreq.mpc.step_diagnostics``, a stack of
+cost, active bounds and KKT residuals of its solved samples a block at a
+time, as the loop passes them (``microfreq.mpc.step_diagnostics``, a stack of
 matrix-vector products). ``qp_reference.reference_run`` computes them at
 every sample from the same records, as the step once did, and applies
 u_prev + (T^-1 V)[:nu]. The first block of T^-1 V is V's first block, and

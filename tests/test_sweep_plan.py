@@ -1,8 +1,8 @@
 """The sweep plan against the plain sweep it replaces.
 
-``microfreq sweep`` runs a cell only once per distinct input, its three
-controllers in lockstep (``run_cell``), every run on the config's one
-prepared run. The reference here is the plain loop: one ``run_scenario``
+``microfreq sweep`` runs a cell only once per distinct input, the distinct
+cells of a kind in one lockstep batch (``run_cells``), every run on the
+config's one prepared run. The reference here is the plain loop: one ``run_scenario``
 call per kind, seed and controller, with outputs written by
 ``_write_outputs``. Stdout and every file the sweep writes must be
 byte-identical to it.
@@ -53,22 +53,22 @@ def reference_sweep(kinds, seeds, config, out):
 
 
 def count_runs(monkeypatch):
-    """Count the runs the sweep steps, the scenarios of every ``run_cell``
-    call; returns the live list of them."""
+    """Count the runs the sweep steps, the rows of every ``run_cells``
+    batch; returns the live list of them."""
     calls = []
-    real = cli.run_cell
+    real = cli.run_cells
 
-    def counted(scenarios, config):
-        calls.extend(scenarios)
-        return real(scenarios, config)
+    def counted(cells, config):
+        calls.extend(scenario for cell in cells for scenario in cell)
+        return real(cells, config)
 
-    monkeypatch.setattr(cli, "run_cell", counted)
+    monkeypatch.setattr(cli, "run_cells", counted)
     return calls
 
 
 def abort_mpc_at(monkeypatch, sample, rows=1):
     """Make every MPC run's QP infeasible at ``sample``, for MPC runs that
-    step ``rows`` at a time (a cell's one MPC row steps alone). The calls of
+    step ``rows`` at a time (one per cell of a batch). The calls of
     one sample then come ``rows`` in a row, and each run calls
     ``control_step`` sample + 1 times, so one count over all calls raises at
     the right call of each run."""
@@ -100,7 +100,8 @@ def test_sweep_matches_the_plain_sweep(tmp_path, monkeypatch, capsys, seeds, kin
     expected = reference_sweep(kinds.split(","), [int(s) for s in seeds.split(",")], config,
                                tmp_path / "plain")
     if abort_at is not None:
-        abort_mpc_at(monkeypatch, abort_at)  # the count starts anew
+        # The count starts anew, for the MPC rows of the kind's batch.
+        abort_mpc_at(monkeypatch, abort_at, rows=len(set(seeds.split(","))))
 
     calls = count_runs(monkeypatch)
     argv = ["sweep", "--seeds", seeds, "--kinds", kinds, "--out", str(tmp_path / "plan")]
@@ -130,21 +131,26 @@ def test_sweep_matches_the_plain_sweep(tmp_path, monkeypatch, capsys, seeds, kin
 
 def test_default_sweep_runs_each_distinct_cell_once(monkeypatch):
     # The step kind draws nothing from its seed, so without measurement
-    # noise its five cells are one: 11 distinct cells of 3 controllers. Only
-    # the runs count here, so each run returns a relabelled 1 s trace.
+    # noise its five cells are one: 11 distinct cells of 3 controllers, in
+    # one batch per kind. Only the runs count here, so each run returns a
+    # relabelled 1 s trace.
     stub = run_scenario(make_scenario("step", "mpc", 0, duration=1.0))
-    calls = []
+    calls, batches = [], []
 
-    def run(scenarios, config):
+    def run(cells, config):
+        batches.append([(cell[0].kind, cell[0].seed) for cell in cells])
         calls.extend((scenario.kind, scenario.seed, scenario.controller)
-                     for scenario in scenarios)
-        return [replace(stub, kind=scenario.kind, seed=scenario.seed,
-                        controller=scenario.controller) for scenario in scenarios]
+                     for cell in cells for scenario in cell)
+        return iter([[replace(stub, kind=scenario.kind, seed=scenario.seed,
+                              controller=scenario.controller) for scenario in cell]
+                     for cell in cells])
 
-    monkeypatch.setattr(cli, "run_cell", run)
+    monkeypatch.setattr(cli, "run_cells", run)
     assert main(["sweep"]) == 0
     assert len(calls) == 33 and len(set(calls)) == 33
     assert {(kind, seed) for kind, seed, _ in calls if kind == "step"} == {("step", 0)}
+    assert batches == [[("step", 0)]] + [[(kind, seed) for seed in range(5)]
+                                         for kind in ("moderate", "rapid")]
 
 
 @pytest.mark.parametrize("argv, cells", [
