@@ -27,8 +27,11 @@ set met, built on first use and kept on the ``BoxQp`` for every later run
 of the config. The step builds the box as one [lo; hi] array. Crossed bands
 raise QpInfeasibleError. Only if the iteration reaches its cap does the
 step write the box as the rows [I; -I] V >= [lo; -hi], for the dual
-active-set method, which always terminates. The step applies the first
-block of V and computes nothing else.
+active-set method, which always terminates (``_capped_solve``). The step
+applies the first block of V and computes nothing else. ``control_rows``
+takes the samples of many runs at once, with the same bits per row: the
+prologue up to the test for a violated bound is one stack over the rows,
+and only the rows that bind run the iteration.
 
 What no later sample depends on (the increments, the cost, the active
 bounds, the slack and the KKT residuals) comes from ``step_diagnostics``
@@ -52,6 +55,7 @@ import numpy as np
 # layer tracer (perfbench/tracer.py) wraps the QP functions in this namespace.
 from .numerics import (  # noqa: F401
     BoxQp,
+    QpInfeasibleError,
     QpProblem,
     kkt_residuals,
     rows_times,
@@ -314,17 +318,15 @@ def control_step(dx, dd, y, u_prev, band_lo, band_hi, pred):
     ``pred.box`` solves the box QP from it on the bounds (lo, hi) of
     ``build_constraints``, built here as one [lo; hi] array, with the
     tolerance relative to its largest magnitude; crossed bounds raise
-    QpInfeasibleError. At the iteration's cap, the dual active-set method
-    solves it as the rows [I; -I] V >= [lo; -hi] with the linear term g of
-    s, and its multipliers map back to the bounds' as lam[:n] - lam[n:].
-    The first block of dU = T^-1 V is the first block of V, so the new
-    cumulative total per unit is u_prev + V[:nu]. Nothing else is computed
-    per sample: the returned MpcStepResult keeps s, V, the multipliers and
-    the bounds for ``step_diagnostics``.
+    QpInfeasibleError. At the iteration's cap, ``_capped_solve`` solves it
+    with the dual active-set method. The first block of dU = T^-1 V is the
+    first block of V, so the new cumulative total per unit is
+    u_prev + V[:nu]. Nothing else is computed per sample: the returned
+    MpcStepResult keeps s, V, the multipliers and the bounds for
+    ``step_diagnostics``. A stack of samples takes ``control_rows``.
     """
     nu, p = pred.n_inputs, pred.p
     n = nu * pred.m
-    box = pred.box
     if np.shape(u_prev) != (nu,):
         raise ValueError(f"u_prev must have shape ({nu},), got {np.shape(u_prev)}")
     sample = np.concatenate((dx, (y, dd)))
@@ -332,15 +334,76 @@ def control_step(dx, dd, y, u_prev, band_lo, band_hi, pred):
 
     bounds = _bounds(band_lo, band_hi, u_prev, pred.m)
     lo, hi = bounds[:n], bounds[n:]
-    solved = box.solve(v_unc, lo, hi, _QP_TOL * max(1.0, np.abs(bounds).max()))
+    solved = pred.box.solve(v_unc, lo, hi, _QP_TOL * max(1.0, np.abs(bounds).max()))
     if solved is None:
-        g = (pred.sample_map @ sample)[p:p + n]
-        rows = np.vstack([np.eye(n), -np.eye(n)])
-        v, lam_rows, _ = solve_qp_info(QpProblem(box.H, g, rows, np.concatenate((lo, -hi))), tol=_QP_TOL)
-        lam = lam_rows[:n] - lam_rows[n:]
+        v, lam = _capped_solve(pred, sample, bounds)
     else:
         v, lam, _ = solved
     return MpcStepResult(u_prev + v[:nu], sample, v, lam, lo, hi, pred)
+
+
+def _capped_solve(pred, sample, bounds):
+    """(V, bound multipliers) of a sample whose box iteration reached its
+    cap: the dual active-set method solves the box [lo; hi] = ``bounds`` as
+    the rows [I; -I] V >= [lo; -hi], with the linear term g of s =
+    ``sample``, and its multipliers map back to the bounds' as
+    lam[:n] - lam[n:]."""
+    p, n = pred.p, pred.box.n
+    g = (pred.sample_map @ sample)[p:p + n]
+    rows = np.vstack([np.eye(n), -np.eye(n)])
+    problem = QpProblem(pred.box.H, g, rows, np.concatenate((bounds[:n], -bounds[n:])))
+    v, lam_rows, _ = solve_qp_info(problem, tol=_QP_TOL)
+    return v, lam_rows[:n] - lam_rows[n:]
+
+
+class MpcRows(NamedTuple):
+    """What ``control_rows`` gives a stack of MPC samples, row r for row r
+    of its arguments: the applied totals, s = (dx, y, dd), the cumulative
+    moves V and the bound multipliers, and the list of rows whose QP is
+    infeasible (whose other entries mean nothing)."""
+
+    commands: np.ndarray
+    samples: np.ndarray
+    v: np.ndarray
+    lam: np.ndarray
+    infeasible: list
+
+
+def control_rows(dx, dd, y, u_prev, band_lo, band_hi, pred):
+    """``control_step`` for a stack of samples, a row each: the arguments
+    are those of ``control_step`` with a row axis in front, and each row's
+    command, V and multipliers have the bits ``control_step`` gives it.
+
+    The prologue is one stack: s of every row, V_unc = one ``rows_times``
+    of the last rows of ``pred.sample_map`` (each row its own product, so
+    with the bits of ``control_step``'s), the [lo; hi] bounds, each row's
+    tolerance, and the sets each row's V_unc violates. A row that violates
+    no bound ends there, with zero multipliers. Only the rows
+    that bind run the box iteration (``BoxQp.iterate``), each from its first
+    sets, with ``_capped_solve`` at its cap. A row whose bands cross is
+    infeasible if it binds, as ``control_step`` would raise on it; it is
+    listed in ``infeasible`` and the other rows are solved as usual.
+    """
+    nu, p = pred.n_inputs, pred.p
+    n = nu * pred.m
+    samples = np.concatenate((dx, y[:, None], dd[:, None]), axis=1)
+    v = rows_times(pred.sample_map[p + n:], samples)
+    bounds = _bounds(band_lo, band_hi, u_prev, pred.m)
+    tol = _QP_TOL * np.maximum(1.0, np.abs(bounds).max(axis=1))
+    below, above = bounds[:, :n] - tol[:, None], bounds[:, n:] + tol[:, None]
+    lower, upper = v < below, v > above
+    lam = np.zeros_like(v)
+    infeasible = []
+    for r in np.flatnonzero((lower | upper).any(axis=1)).tolist():
+        try:
+            solved = pred.box.iterate(v[r], bounds[r], below[r], above[r], lower[r], upper[r])
+            if solved is None:
+                v[r], lam[r] = _capped_solve(pred, samples[r], bounds[r])
+            else:
+                v[r], lam[r], _ = solved
+        except QpInfeasibleError:
+            infeasible.append(r)
+    return MpcRows(u_prev + v[:, :nu], samples, v, lam, infeasible)
 
 
 def active_units(qp_active, m):

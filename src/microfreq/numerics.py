@@ -343,30 +343,40 @@ class BoxQp:
         The first active set is the bounds ``v_unc`` violates by more than
         ``tol``; with none, ``v_unc`` is the answer, with the read-only
         zero multipliers that every such solve shares, and no multiplier
-        array or law is built. Otherwise, if some lower bound exceeds its
-        upper one by more than ``tol``, there is no feasible point, and
-        QpInfeasibleError names the first such bound. Each iteration
-        applies the law of its (lower, upper) sets, then rebuilds the lower
-        and upper sets from v - lam / diag(H); it stops when both repeat,
-        which is the KKT point: the free entries within the box (to
-        ``tol``), the multipliers positive on lower and negative on upper
-        bounds. Returns (v, lam, iterations), lam being the gradient
-        H v + g (zero off the active set), or None when
+        array or law is built. Otherwise ``iterate`` solves it from that
+        set, on the bounds widened by ``tol``. Returns (v, lam, iterations),
+        lam being the gradient H v + g (zero off the active set), or None
+        when the iteration gives up; QpInfeasibleError on crossed bounds.
+        """
+        below, above = lo - tol, hi + tol
+        lower, upper = v_unc < below, v_unc > above
+        if lower.tobytes() + upper.tobytes() == self._no_sets:
+            return v_unc, self._no_multipliers, 0
+        return self.iterate(v_unc, np.concatenate((lo, hi)), below, above, lower, upper)
+
+    def iterate(self, v_unc, bounds, below, above, lower, upper):
+        """The box iteration of a sample that binds: ``bounds`` is [lo; hi],
+        ``below`` and ``above`` are lo - tol and hi + tol, and ``lower`` and
+        ``upper`` the first sets, the bounds ``v_unc`` violates.
+
+        If some lower bound exceeds its upper one by more than tol, there is
+        no feasible point, and QpInfeasibleError names the first such bound.
+        Each iteration applies the law of its (lower, upper) sets, then
+        rebuilds the lower and upper sets from v - lam / diag(H); it stops
+        when both repeat, which is the KKT point: the free entries within
+        the box (to tol), the multipliers positive on lower and negative on
+        upper bounds. Returns (v, lam, iterations), or None when
         BOX_QP_MAX_ITERATIONS pass without the sets repeating. The
         iteration may cycle when H is not an M-matrix, and the caller's
         fallback, ``solve_qp_info`` on the same problem, is what guarantees
         an answer.
         """
-        below, above = lo - tol, hi + tol
-        lower, upper = v_unc < below, v_unc > above
-        sets = lower.tobytes() + upper.tobytes()
-        if sets == self._no_sets:
-            return v_unc, self._no_multipliers, 0
-        if (lo > above).any():
-            j = int(np.argmax(lo > above))
-            raise QpInfeasibleError(j, f"QP infeasible: lower bound {j} exceeds its upper bound by {lo[j] - hi[j]:.3e}")
         n = self.n
-        bounds = np.concatenate((lo, hi))
+        crossed = bounds[:n] > above
+        if crossed.any():
+            j = int(np.argmax(crossed))
+            raise QpInfeasibleError(j, f"QP infeasible: lower bound {j} exceeds its upper bound by {bounds[j] - bounds[n + j]:.3e}")
+        sets = lower.tobytes() + upper.tobytes()
         for iterations in range(1, BOX_QP_MAX_ITERATIONS + 1):
             idx, picks, law = self._law(sets, lower, upper)
             bound = bounds[picks]

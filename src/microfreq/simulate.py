@@ -19,18 +19,22 @@ entry of each sample, and each keeps its own disturbances, limits and noise
 stream. ``compare`` runs a batch of one cell; ``sweep`` runs the distinct
 cells of each scenario kind as one batch. A run on its own pays less in the
 1-D loop than in a one-row batch. Both loops share everything but the loop
-itself: the prepared run and inputs, ``pi_step``, ``control_step``, the MPC
-record and the finish (``_finish_trace``), and both give a run the same
-bytes.
+itself and its MPC prologue: the prepared run and inputs, ``pi_step``, the
+box QP and its fallback, the MPC record and the finish (``_finish_trace``),
+and both give a run the same bytes. A single run solves its MPC sample with
+``control_step``; a batch solves the samples of all its MPC rows with one
+``control_rows`` call, whose prologue is stacked over the rows and which
+iterates only the rows that bind.
 
 A batch records only what its traces keep: the frequency and the six unit
 outputs (7 of the 10 states), the commands and d_hat of every row, and an
 MPC row's cost, binding flags and KKT residuals, diagnosed a block of
 samples at a time as the loop passes them. Each cell stores its limits once,
 as the trace's (n + 1, 6) arrays, which its runs share. The traces are
-finished a cell at a time, as the caller reads them. A batch of 180 s cells
-(900 samples) holds about 0.6 MB per cell of three runs until its last cell
-is read.
+finished a cell at a time, as the caller reads them, each with its own copy
+of its rows. A batch of 180 s cells (900 samples) holds about 0.6 MB per
+cell of three runs until its last cell is read; a trace the caller keeps
+holds only its own records and its cell's inputs.
 
 Everything that does not depend on the closed loop is built before the
 first sample. A ``RunConfig`` checks itself and derives its renewable models
@@ -98,6 +102,7 @@ from .mpc import (
     active_units,
     build_constraints,
     build_prediction_matrices,
+    control_rows,
     control_step,
     out_of_band_units,
     step_diagnostics,
@@ -328,26 +333,34 @@ def _inputs(prepared, scenario, config):
     return disturbances, limits
 
 
+def _mpc_blocks(pred, rows):
+    """The blocks of s, V and bound multipliers of ``rows`` MPC runs:
+    (rows, _DIAGNOSTIC_ROWS, ·) arrays, a run's block at its row."""
+    widths = (pred.sample_map.shape[1], pred.box.n, pred.box.n)
+    return tuple(np.empty((rows, _DIAGNOSTIC_ROWS, width)) for width in widths)
+
+
 class _MpcRecord:
     """What an MPC run keeps of its samples for its trace: the cost, the
     binding flags (as bools) and the largest KKT residual. A sample's s, V
-    and bound multipliers wait in a block of ``_DIAGNOSTIC_ROWS`` rows; when
-    the block is full, or the run ends, ``step_diagnostics`` gives its cost,
+    and bound multipliers wait in the run's block of ``_DIAGNOSTIC_ROWS``
+    rows, row ``row`` of the ``_mpc_blocks`` arrays ``blocks``; when the
+    block is full, or the run ends, ``step_diagnostics`` gives its cost,
     active bounds and KKT residuals, on the bounds rebuilt from the limits
     and the previous commands (zero before the first sample). A unit whose
     previous command is already outside the sample's band drifted there and
     is flagged as binding too. ``commands`` is the run's own record, which
-    the loop fills a sample ahead of the block."""
+    the loop fills a sample ahead of the block. A single run fills its
+    block with ``keep``; a batch writes the rows of all its MPC runs' blocks
+    at once and closes each full block itself."""
 
-    def __init__(self, pred, limits, commands):
-        self.pred, self.limits, self.commands = pred, limits, commands
+    def __init__(self, pred, limits, commands, blocks, row):
+        self.pred, self.limits, self.commands, self.row = pred, limits, commands, row
         self.objective = np.zeros(commands.shape[0])
         self.binding = np.zeros((commands.shape[0], N_CONTROLS), dtype=bool)
         self.max_kkt = 0.0
         self.start = 0  # the sample of the block's first row
-        self.samples = np.empty((_DIAGNOSTIC_ROWS, pred.sample_map.shape[1]))
-        self.moves = np.empty((_DIAGNOSTIC_ROWS, pred.box.n))
-        self.multipliers = np.empty((_DIAGNOSTIC_ROWS, pred.box.n))
+        self.samples, self.moves, self.multipliers = (block[row] for block in blocks)
 
     def keep(self, k, step):
         i = k - self.start
@@ -382,7 +395,8 @@ def _finish_trace(scenario, config, disturbances, limits, freq, outputs, command
     run its ``_MpcRecord``, whose last block is diagnosed here. A PI run's
     binding flags, which nothing in the loop reads, are computed here over
     the grid. The trace shares the disturbances and limits with the other
-    runs of its cell."""
+    runs of its cell, and holds its own copy of the rest, so a batch's
+    records need not outlive the batch."""
     n = scenario.n_steps
     if mpc is not None:
         mpc.close(n if aborted_at is None else aborted_at)
@@ -403,10 +417,10 @@ def _finish_trace(scenario, config, disturbances, limits, freq, outputs, command
         Ts=scenario.Ts,
         t=scenario.profiles.t[:rows].copy(),
         freq=freq[:rows].copy(),
-        commands=commands[:rows],
-        outputs=outputs[:rows],
+        commands=commands[:rows].copy(),
+        outputs=outputs[:rows].copy(),
         disturbances=disturbances[:rows],
-        d_hat=d_hat[:rows],
+        d_hat=d_hat[:rows].copy(),
         limits_lo=limits.lo[:rows],
         limits_hi=limits.hi[:rows],
         binding=binding[:rows],
@@ -434,8 +448,8 @@ def run_scenario(scenario, config=None):
     states = np.zeros((n + 1, N_STATES))
     commands = np.zeros((n + 1, N_CONTROLS))
     d_hat = np.zeros(n + 1)
-    mpc = (_MpcRecord(prepared.pred, limits, commands) if scenario.controller == "mpc"
-           else None)
+    mpc = (_MpcRecord(prepared.pred, limits, commands, _mpc_blocks(prepared.pred, 1), 0)
+           if scenario.controller == "mpc" else None)
     pi_config = config.pi_configs.get(scenario.controller)
     integral = 0.0
 
@@ -505,17 +519,21 @@ def run_cells(cells, config=None):
     every row has the bits of its own matrix-vector product). Each cell
     keeps its own disturbances, limits and noise stream: a single run of a
     seed draws one value per sample, so the cell draws its seed's values
-    before the loop and adds the same draw to each of its rows. Each row's
-    controller runs on its own: ``pi_step`` on Python floats,
-    ``control_step`` for an MPC row. An MPC row whose QP is infeasible at
-    sample k leaves the batch there, its trace ending at k as a single
-    run's does; the other rows run to the end.
+    before the loop and adds the same draw to each of its rows. A PI row
+    runs ``pi_step`` on its own, on Python floats. The MPC rows of a sample
+    are one ``control_rows`` call, with their bands taken from the cells'
+    limits, stacked once per batch, by one index; only the rows that bind
+    iterate. An MPC row whose QP is infeasible at sample k leaves the batch
+    there, its trace ending at k as a single run's does; the other rows run
+    to the end. Every row's command goes into one (rows, 6) array in place.
 
     The loop records what the traces keep: the frequency and the six unit
     outputs of every row, its commands and d_hat, and an MPC row's cost,
     binding flags and KKT residuals a block of samples at a time
-    (``_MpcRecord``). The traces are finished a cell at a time, as the
-    generator is read.
+    (``_MpcRecord``); the s, V and multipliers of all MPC rows go into
+    their blocks with one write per sample. The traces are finished a cell
+    at a time, as the generator is read, and hold their own rows and their
+    cell's inputs, not the batch's records.
     """
     config = config or RunConfig()
     if not cells or not all(cells):
@@ -532,11 +550,13 @@ def run_cells(cells, config=None):
             raise ValueError("the cells of a batch must share their number of samples and Ts")
     prepared = prepare_run(config, Ts, n)
     model, gains = prepared.model, prepared.gains
-    disturbances, limits = zip(*(_inputs(prepared, cell[0], config) for cell in cells))
-    # (n + 1, cells, N_DISTURBANCES): a sample's disturbances, a row per cell.
-    # A trace takes its cell's column.
-    disturbances = np.stack(disturbances, axis=1)
-    disturbances.flags.writeable = False
+    cell_disturbances, limits = zip(*(_inputs(prepared, cell[0], config) for cell in cells))
+    # (n + 1, cells, ·): a sample's disturbances and bands, a row per cell.
+    disturbances = np.stack(cell_disturbances, axis=1)
+    band_lo = np.stack([each.lo for each in limits], axis=1)
+    band_hi = np.stack([each.hi for each in limits], axis=1)
+    for stacked in (disturbances, band_lo, band_hi):
+        stacked.flags.writeable = False
 
     scenarios = [scenario for cell in cells for scenario in cell]
     cell_of = [index for index, cell in enumerate(cells) for _ in cell]
@@ -544,9 +564,13 @@ def run_cells(cells, config=None):
     states = np.zeros((n_runs, n + 1, len(_RECORDED_STATES)))
     commands = np.zeros((n_runs, n + 1, N_CONTROLS))
     d_hat = np.zeros((n_runs, n + 1))
-    mpcs = [_MpcRecord(prepared.pred, limits[cell_of[run]], commands[run])
-            if scenario.controller == "mpc" else None
-            for run, scenario in enumerate(scenarios)]
+    mpc_runs = [run for run, scenario in enumerate(scenarios) if scenario.controller == "mpc"]
+    mpcs = [None] * n_runs
+    if mpc_runs:
+        pred = prepared.pred
+        blocks = _mpc_blocks(pred, len(mpc_runs))
+        for row, run in enumerate(mpc_runs):
+            mpcs[run] = _MpcRecord(pred, limits[cell_of[run]], commands[run], blocks, row)
     pi_configs = [config.pi_configs.get(scenario.controller) for scenario in scenarios]
     integrals = [0.0] * n_runs
     aborted_at = [None] * n_runs
@@ -557,15 +581,16 @@ def run_cells(cells, config=None):
             scale=config.measurement_noise_std, size=n) for cell in cells]
         noise = np.stack(draws, axis=1)[:, cell_of]  # (n, rows)
 
-    # One row per run still running, as (run, cell, MPC record) in ``live``,
-    # its records at ``rows`` and its cell in ``live_cells`` (every run until
-    # one aborts).
-    live = list(zip(range(n_runs), cell_of, mpcs))
+    # One row per run still running: ``live`` holds its run, its records
+    # are at ``rows`` and its cell in ``live_cells`` (every run until one
+    # aborts).
+    live = list(range(n_runs))
     rows = slice(None)
     live_cells = np.array(cell_of)
+    pi_rows, mpc_rows = _controller_rows(live, cell_of, mpcs)
     x = np.zeros((n_runs, N_STATES))
     z = np.zeros((n_runs, N_AUGMENTED))
-    u = np.zeros((n_runs, N_CONTROLS))
+    u = np.zeros((n_runs, N_CONTROLS))  # the commands, written in place each sample
     A, D, A_aug, B_aug, c = model.A, model.D, gains.A_aug, gains.B_aug, gains.c
     bu = rows_times(B_aug, u)
 
@@ -584,40 +609,38 @@ def run_cells(cells, config=None):
         dz = z_pred - z
         z = z_pred
 
-        bands = [(each.lo[k], each.hi[k]) for each in limits]
-        band_lists = [(lo.tolist(), hi.tolist()) for lo, hi in bands]
-        applied, aborts = [], []
-        for i, (run, cell, mpc) in enumerate(live):
-            if mpc is None:
-                lo, hi = band_lists[cell]
-                integrals[run], cmd = pi_step(integrals[run], ys[i], lo, hi, pi_configs[run], Ts)
-                applied.append(cmd)
-                continue
-            lo, hi = bands[cell]
-            try:
-                step = control_step(dz[i, :N_STATES], dz[i, N_STATES], ys[i], u[i], lo, hi,
-                                    mpc.pred)
-            except QpInfeasibleError:
-                aborted_at[run] = k
-                aborts.append(i)
-                continue
-            applied.append(step.command)
-            mpc.keep(k, step)
-        if aborts:
-            keep = [i for i in range(len(live)) if i not in aborts]
-            live = [live[i] for i in keep]
-            if not live:
-                break
-            rows = np.array([run for run, _, _ in live])
-            live_cells = np.array([cell for _, cell, _ in live])
-            x, z = x[keep], z[keep]
-            if noise is not None:
-                noise = noise[:, keep]
+        if pi_rows:
+            lo_rows, hi_rows = band_lo[k].tolist(), band_hi[k].tolist()
+            for i, run, cell in pi_rows:
+                integrals[run], u[i] = pi_step(integrals[run], ys[i], lo_rows[cell],
+                                               hi_rows[cell], pi_configs[run], Ts)
+        if mpc_rows:
+            at, mpc_cells, block_rows, records = mpc_rows
+            dz_mpc = dz[at]
+            steps = control_rows(dz_mpc[:, :N_STATES], dz_mpc[:, N_STATES], y[at], u[at],
+                                 band_lo[k, mpc_cells], band_hi[k, mpc_cells], pred)
+            u[at] = steps.commands
+            slot = k % _DIAGNOSTIC_ROWS
+            for block, step_rows in zip(blocks, (steps.samples, steps.v, steps.lam)):
+                block[block_rows, slot] = step_rows
+            if steps.infeasible:
+                failed = {int(at[r]) for r in steps.infeasible}
+                for i in failed:
+                    aborted_at[live[i]] = k
+                keep = [i for i in range(len(live)) if i not in failed]
+                live = [live[i] for i in keep]
+                if not live:
+                    break
+                rows = np.array(live)
+                live_cells = np.array([cell_of[run] for run in live])
+                x, z, u = x[keep], z[keep], u[keep]
+                if noise is not None:
+                    noise = noise[:, keep]
+                pi_rows, mpc_rows = _controller_rows(live, cell_of, mpcs)
+            if slot + 1 == _DIAGNOSTIC_ROWS and mpc_rows:
+                for record in mpc_rows[3]:
+                    record.close(k + 1)
 
-        u = np.array(applied)
-        if u.shape != (len(live), N_CONTROLS):
-            raise ValueError(f"commands must have shape ({len(live)}, {N_CONTROLS}), "
-                             f"got {u.shape}")
         commands[rows, k] = u
         d_hat[rows, k] = z[:, N_STATES]
         bu = rows_times(B_aug, u)
@@ -637,12 +660,26 @@ def run_cells(cells, config=None):
         d_hat[rows, n] = z[:, N_STATES]
 
     return (
-        [_finish_trace(scenarios[run], config, disturbances[:, index], limits[index],
+        [_finish_trace(scenarios[run], config, cell_disturbances[index], limits[index],
                        states[run, :, 0], states[run, :, 1:], commands[run], d_hat[run],
                        mpcs[run], aborted_at[run])
          for run in range(n_runs) if cell_of[run] == index]
         for index in range(len(cells))
     )
+
+
+def _controller_rows(live, cell_of, mpcs):
+    """The rows of the ``live`` runs by controller: a PI row as (position,
+    run, cell), in a list; the MPC rows as (positions, cells, block rows,
+    records), the first three as index arrays, or None if there are none."""
+    pi_rows = [(i, run, cell_of[run]) for i, run in enumerate(live) if mpcs[run] is None]
+    mpc = [(i, run) for i, run in enumerate(live) if mpcs[run] is not None]
+    if not mpc:
+        return pi_rows, None
+    at = np.array([i for i, _ in mpc])
+    records = [mpcs[run] for _, run in mpc]
+    return pi_rows, (at, np.array([cell_of[run] for _, run in mpc]),
+                     np.array([record.row for record in records]), records)
 
 
 def _last_disturbance_event_index(disturbances):

@@ -8,6 +8,9 @@ disturbances, limits and noise stream. Each trace must have the bytes
 abort and leave the batch while the others run on.
 """
 
+import gc
+import tracemalloc
+
 import pytest
 
 from microfreq import mpc
@@ -36,23 +39,30 @@ def run_cell(scenarios, config=None):
 
 
 def abort_rows_at(monkeypatch, samples):
-    """Make the QP of MPC row r infeasible at ``samples[r]`` (None: never),
-    for MPC rows that step in lockstep in row order; a row that aborts makes
-    no later call."""
-    state = {"sample": 0, "next": 0, "live": list(range(len(samples)))}
+    """Make the QP of MPC row r infeasible at ``samples[r]`` (None: never).
+    A single run is row 0, and its ``control_step`` call of that sample
+    raises. A batch's MPC rows step in lockstep in row order, one
+    ``control_rows`` call per sample, whose outcome then lists row r as
+    infeasible; a row that aborts is in no later call."""
+    state = {"step": 0, "sample": 0, "live": list(range(len(samples)))}
 
-    def failing(*args):
-        live, sample = state["live"], state["sample"]
-        row = live[state["next"]]
-        state["next"] += 1
-        if state["next"] == len(live):  # the sample's last MPC row
-            state.update(sample=sample + 1, next=0,
-                         live=[r for r in live if samples[r] != sample])
-        if samples[row] == sample:
+    def failing_step(*args):
+        sample = state["step"]
+        state["step"] += 1
+        if samples[0] == sample:
             raise QpInfeasibleError(0)
         return mpc.control_step(*args)
 
-    monkeypatch.setattr("microfreq.simulate.control_step", failing)
+    def failing_rows(*args):
+        outcome = mpc.control_rows(*args)
+        live, sample = state["live"], state["sample"]
+        assert len(outcome.commands) == len(live)
+        failed = [i for i, row in enumerate(live) if samples[row] == sample]
+        state.update(sample=sample + 1, live=[row for row in live if samples[row] != sample])
+        return outcome._replace(infeasible=sorted(set(outcome.infeasible) | set(failed)))
+
+    monkeypatch.setattr("microfreq.simulate.control_step", failing_step)
+    monkeypatch.setattr("microfreq.simulate.control_rows", failing_rows)
 
 
 # On rapid seeds 1 and 4 a PI clamp meets a bound that is a zero, where the
@@ -94,7 +104,7 @@ def test_an_mpc_row_that_aborts_leaves_the_cell_and_the_others_run_on(monkeypatc
     scenarios = cell("moderate", 3, controllers, duration=30.0)
     abort_mpc_at(monkeypatch, 40)
     expected = [run_scenario(scenario, config) for scenario in scenarios]
-    abort_mpc_at(monkeypatch, 40, rows=controllers.count("mpc"))
+    abort_mpc_at(monkeypatch, 40)
     traces = run_cell(scenarios, config)
     for scenario, trace, want in zip(scenarios, traces, expected):
         assert trace.aborted_at == (40 if scenario.controller == "mpc" else None)
@@ -122,6 +132,56 @@ def test_mpc_rows_that_abort_at_different_samples_leave_the_batch(monkeypatch):
         assert_same_bytes(trace, want)
     assert [trace.aborted_at for trace in traces if trace.controller == "mpc"] == aborts
     assert all(trace.freq.size == 401 for trace in traces if trace.controller != "mpc")
+
+
+def test_an_mpc_row_aborts_in_the_sample_another_mpc_row_binds(monkeypatch):
+    # Rapid seed 2's MPC row binds at sample k; seed 1's aborts there. The
+    # batch drops seed 1's row from the sample it solved the binding row in.
+    cells = [cell("rapid", seed, duration=60.0) for seed in (1, 2)]
+    config = RunConfig()
+    multipliers = []
+    real = mpc.control_step
+
+    def recording(*args):
+        step = real(*args)
+        multipliers.append(step.lam.any())
+        return step
+
+    monkeypatch.setattr("microfreq.simulate.control_step", recording)
+    binding = run_scenario(cells[1][0], config)
+    k = multipliers.index(True, 1)
+    assert binding.binding[k].any()
+    expected = []
+    for scenarios, abort_at in zip(cells, (k, None)):
+        for scenario in scenarios:
+            abort_rows_at(monkeypatch, [abort_at])
+            expected.append(run_scenario(scenario, config))
+    abort_rows_at(monkeypatch, [k, None])
+    traces = [trace for traces in run_cells(cells, config) for trace in traces]
+    assert [trace.aborted_at for trace in traces] == [k, None, None, None, None, None]
+    for trace, want in zip(traces, expected, strict=True):
+        assert_same_bytes(trace, want)
+
+
+def test_a_kept_trace_holds_only_its_own_records():
+    # Sixteen cells' records are about 2 MB; one trace's are about 0.1 MB.
+    cells = [cell("rapid", seed, duration=60.0) for seed in range(16)]
+    config = RunConfig()
+    for _ in run_cells(cells, config):  # builds the prepared run and its law cache
+        pass
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        batch = run_cells(cells, config)
+        kept = next(batch)[0]
+        del batch
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept.controller == "mpc" and kept.freq.size == 301
+    assert held < 0.3e6
 
 
 @pytest.mark.parametrize("change", [

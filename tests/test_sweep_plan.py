@@ -66,20 +66,28 @@ def count_runs(monkeypatch):
     return calls
 
 
-def abort_mpc_at(monkeypatch, sample, rows=1):
-    """Make every MPC run's QP infeasible at ``sample``, for MPC runs that
-    step ``rows`` at a time (one per cell of a batch). The calls of
-    one sample then come ``rows`` in a row, and each run calls
-    ``control_step`` sample + 1 times, so one count over all calls raises at
-    the right call of each run."""
-    calls = itertools.count()
+def abort_mpc_at(monkeypatch, sample):
+    """Make every MPC run's QP infeasible at ``sample``. A single run calls
+    ``control_step`` once per sample, which then raises; a batch calls
+    ``control_rows`` once per sample for all its MPC rows, whose outcome
+    then lists every row infeasible. Either makes sample + 1 calls before
+    its MPC runs abort, so one count over all calls of each fails the right
+    call of every run and batch."""
+    steps, batches = itertools.count(), itertools.count()
 
-    def failing(*args):
-        if next(calls) // rows % (sample + 1) == sample:
+    def failing_step(*args):
+        if next(steps) % (sample + 1) == sample:
             raise QpInfeasibleError(0)
         return mpc.control_step(*args)
 
-    monkeypatch.setattr(simulate, "control_step", failing)
+    def failing_rows(*args):
+        outcome = mpc.control_rows(*args)
+        if next(batches) % (sample + 1) == sample:
+            return outcome._replace(infeasible=list(range(len(outcome.commands))))
+        return outcome
+
+    monkeypatch.setattr(simulate, "control_step", failing_step)
+    monkeypatch.setattr(simulate, "control_rows", failing_rows)
 
 
 @pytest.mark.parametrize("seeds, kinds, sim, abort_at, runs", [
@@ -100,8 +108,8 @@ def test_sweep_matches_the_plain_sweep(tmp_path, monkeypatch, capsys, seeds, kin
     expected = reference_sweep(kinds.split(","), [int(s) for s in seeds.split(",")], config,
                                tmp_path / "plain")
     if abort_at is not None:
-        # The count starts anew, for the MPC rows of the kind's batch.
-        abort_mpc_at(monkeypatch, abort_at, rows=len(set(seeds.split(","))))
+        # The count starts anew, for the kind's batch.
+        abort_mpc_at(monkeypatch, abort_at)
 
     calls = count_runs(monkeypatch)
     argv = ["sweep", "--seeds", seeds, "--kinds", kinds, "--out", str(tmp_path / "plan")]
