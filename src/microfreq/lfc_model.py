@@ -17,6 +17,8 @@ N_STATES = 10
 N_CONTROLS = 6
 N_DISTURBANCES = 5
 
+SAMPLE_TIME = 0.2  # s: the sample time of the plant, the MPC and every scenario
+
 # State ordering: [dF, X1, Ppv1, X2, Ppv2, Pwt1, Pwt2, X3, Pdu, Pbess]
 IDX_FREQ = 0
 IDX_PV1_LAG = 1
@@ -148,13 +150,13 @@ def build_continuous_model(params):
     return PlantModel(Ac=Ac, Bc=Bc, Cc=Cc, Dc=Dc)
 
 
-def discretize_model(model, Ts=0.2):
+def discretize_model(model, Ts=SAMPLE_TIME):
     """Return a copy of the model with exact ZOH discrete matrices at Ts."""
     A, B, D = discretize(model.Ac, model.Bc, model.Dc, Ts)
     return PlantModel(Ac=model.Ac, Bc=model.Bc, Cc=model.Cc, Dc=model.Dc, A=A, B=B, D=D, Ts=Ts)
 
 
-def build_plant(params, Ts=0.2):
+def build_plant(params, Ts=SAMPLE_TIME):
     """Build and discretize the plant in one call."""
     return discretize_model(build_continuous_model(params), Ts)
 

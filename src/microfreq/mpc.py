@@ -46,11 +46,11 @@ mix the matrices of one configuration with the weights of another.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from .lfc_model import SAMPLE_TIME
 # ``kkt_residuals`` is not called here, but stays importable: the benchmark's
 # layer tracer (perfbench/tracer.py) wraps the QP functions in this namespace.
 from .numerics import (  # noqa: F401
@@ -78,7 +78,7 @@ class MpcConfig:
 
     p: int = 10
     m: int = 3
-    Ts: float = 0.2
+    Ts: float = SAMPLE_TIME
     alpha: float = 1.6596
     beta_pv: float = 0.2894
     beta_wt: float = 0.2894
@@ -250,8 +250,8 @@ class StepDiagnostics(NamedTuple):
 def step_diagnostics(pred, samples, v, lam, lo, hi):
     """The ``StepDiagnostics`` of a stack of solved samples, the one place
     they are computed: row k of each argument is sample k's s = (dx, y, dd),
-    cumulative moves, bound multipliers and bounds, as ``control_step``
-    returns them.
+    cumulative moves and bound multipliers, as ``control_step`` returns
+    them, and its bounds, as ``build_constraints`` gives them.
 
     From s come the free response Y_free and the linear term g (the first
     rows of ``pred.sample_map``). The cost is that of the increment QP,
@@ -278,32 +278,15 @@ def step_diagnostics(pred, samples, v, lam, lo, hi):
     return StepDiagnostics(du, objective, slack <= 1e-9, residuals)
 
 
-@dataclass(eq=False)
-class MpcStepResult:
+class MpcStep(NamedTuple):
     """One controller sample as the run loop records it: the applied totals
-    ``command``, the sample s = (dx, y, dd) the prediction starts from, the
-    box QP's cumulative moves ``v``, bound multipliers ``lam`` and bounds
-    (``lo``, ``hi``), and the ``pred`` it was solved with.
-
-    A run takes the increments, active bounds, cost and KKT residuals of a
-    block of its samples at once; ``diagnostics`` gives them for this
-    one sample, from ``step_diagnostics`` on its one row.
-    """
+    ``command``, the sample s = (dx, y, dd) the prediction starts from, and
+    the box QP's cumulative moves ``v`` and bound multipliers ``lam``."""
 
     command: np.ndarray
     sample: np.ndarray
     v: np.ndarray
     lam: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    pred: PredictionMatrices
-
-    @cached_property
-    def diagnostics(self):
-        """This sample's ``StepDiagnostics``, each field without its row axis."""
-        rows = (self.sample, self.v, self.lam, self.lo, self.hi)
-        return StepDiagnostics(*(stack[0] for stack in step_diagnostics(
-            self.pred, *(row[None] for row in rows))))
 
 
 def control_step(dx, dd, y, u_prev, band_lo, band_hi, pred):
@@ -312,18 +295,14 @@ def control_step(dx, dd, y, u_prev, band_lo, band_hi, pred):
     ``dx`` and ``dd`` are the increments of the estimated state and
     aggregate disturbance over the last sample, ``u_prev`` the (nu,)
     totals applied over it, and ``band_lo`` and ``band_hi`` the (nu,)
-    reserve limits of the sample. The weights and horizons are those ``pred``
-    was built with. The step forms s = (dx, y, dd), takes the unconstrained
-    cumulative move V_unc from the last rows of ``pred.sample_map``, and
-    ``pred.box`` solves the box QP from it on the bounds (lo, hi) of
-    ``build_constraints``, built here as one [lo; hi] array, with the
-    tolerance relative to its largest magnitude; crossed bounds raise
-    QpInfeasibleError. At the iteration's cap, ``_capped_solve`` solves it
-    with the dual active-set method. The first block of dU = T^-1 V is the
-    first block of V, so the new cumulative total per unit is
-    u_prev + V[:nu]. Nothing else is computed per sample: the returned
-    MpcStepResult keeps s, V, the multipliers and the bounds for
-    ``step_diagnostics``. A stack of samples takes ``control_rows``.
+    reserve limits of the sample; the weights and horizons are those
+    ``pred`` was built with. ``pred.box`` solves the box QP from V_unc on
+    the bounds of ``build_constraints``, with the tolerance relative to
+    their largest magnitude, and ``_capped_solve`` at the iteration's cap;
+    crossed bounds raise QpInfeasibleError. The new total per unit is
+    u_prev + V[:nu]. The returned ``MpcStep`` holds what the run records;
+    ``step_diagnostics`` takes the rest from it and the bounds after the
+    loop. A stack of samples takes ``control_rows``.
     """
     nu, p = pred.n_inputs, pred.p
     n = nu * pred.m
@@ -339,7 +318,7 @@ def control_step(dx, dd, y, u_prev, band_lo, band_hi, pred):
         v, lam = _capped_solve(pred, sample, bounds)
     else:
         v, lam, _ = solved
-    return MpcStepResult(u_prev + v[:nu], sample, v, lam, lo, hi, pred)
+    return MpcStep(u_prev + v[:nu], sample, v, lam)
 
 
 def _capped_solve(pred, sample, bounds):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csv_format import FLOAT, CsvRows, write_csv
+from .lfc_model import SAMPLE_TIME
 
 PROFILE_COLUMNS = ("t", "load_pu", "v_w1", "v_w2", "g_eff1", "g_eff2", "t_amb")
 PROFILE_KINDS = ("step", "moderate", "rapid")
@@ -127,7 +128,7 @@ def _apply_ramp_events(rng, series, t, rate_per_s, depth_range, ramp_range, hold
     return series * mult
 
 
-def generate_profiles(kind, seed, duration, ts=0.2):
+def generate_profiles(kind, seed, duration, ts=SAMPLE_TIME):
     """Build a deterministic ProfileSet of the requested kind."""
     if kind not in PROFILE_KINDS:
         raise ValueError(f"unknown profile kind {kind!r}; expected one of {PROFILE_KINDS}")

@@ -8,53 +8,38 @@ the selected controller, then step the true plant with the applied command
 and the true disturbances. Identical scenario, config, and seed give
 bit-identical traces.
 
-There are two loops, chosen by how many runs step together. A single run
-(``run_scenario``, as ``microfreq run`` uses it) steps one plant on 1-D
-arrays. A batch (``run_cells``) steps cells in lockstep, one iteration per
-sample, with the plant, filter and control-term products stacked over all
-its live rows. A cell is the runs of one profile set and seed (the three
-controllers of a ``compare`` or ``sweep`` cell); the cells of a batch share
-their number of samples and sample time, so they share the gain-schedule
-entry of each sample, and each keeps its own disturbances, limits and noise
-stream. ``compare`` runs a batch of one cell; ``sweep`` runs the distinct
-cells of each scenario kind as one batch. A run on its own pays less in the
-1-D loop than in a one-row batch. Both loops share everything but the loop
-itself and its MPC prologue: the prepared run and inputs, ``pi_step``, the
-box QP and its fallback, the MPC record and the finish (``_finish_trace``),
-and both give a run the same bytes. A single run solves its MPC sample with
-``control_step``; a batch solves the samples of all its MPC rows with one
-``control_rows`` call, whose prologue is stacked over the rows and which
+A single run (``run_scenario``, as ``microfreq run`` uses it) and a batch
+(``run_cells``, which steps cells in lockstep; a cell is the runs of one
+profile set and seed, as in ``compare`` and ``sweep``) differ only in their
+sample loop. Both set up and finish through ``_Runs``: the cell check, the
+prepared run and inputs, the records, the measurement noise (drawn up
+front) and the traces; a run gets the same bytes from either. The loops
+stay forked because only batch size pays for the batch. In CPU time on one
+host, a one-row batch costs a lone run 1.54x (MPC) and 1.46x (PI), a
+one-row ``control_rows`` costs 1.43x ``control_step``, and even a
+violated-bound test shared by the two adds 14 % to ``control_step``. So
+the 1-D loop steps one plant on 1-D arrays and Python floats; the batch
+stacks the plant, filter and control-term products over its live rows, and
+solves the MPC rows of a sample with one ``control_rows`` call, which
 iterates only the rows that bind.
 
 A batch records only what its traces keep: the frequency and the six unit
-outputs (7 of the 10 states), the commands and d_hat of every row, and an
-MPC row's cost, binding flags and KKT residuals, diagnosed a block of
-samples at a time as the loop passes them. Each cell stores its limits once,
-as the trace's (n + 1, 6) arrays, which its runs share. The traces are
+outputs (7 of the 10 states), the commands and d_hat. The traces are
 finished a cell at a time, as the caller reads them, each with its own copy
-of its rows. A batch of 180 s cells (900 samples) holds about 0.6 MB per
-cell of three runs until its last cell is read; a trace the caller keeps
-holds only its own records and its cell's inputs.
+of its rows; a batch of 180 s cells holds about 0.6 MB per cell of three
+runs until its last cell is read.
 
 Everything that does not depend on the closed loop is built before the
-first sample. A ``RunConfig`` checks itself and derives its renewable models
-and PI configs when it is built. What else depends on the config alone (plant,
-detectability check, gain schedule, MPC prediction matrices and their QP law
-cache) is a ``PreparedRun``, built by the config's first run at a sample time
-and kept by the config for every later run (``prepare_run``); only a longer
-run than a schedule without a cycle covers builds it anew. Sweeps, compares
-and library callers that run many scenarios on one config all share it this
-way. Availability, the true disturbances and the reserve limits over the
-whole time grid (checked as a whole) are built once per cell; a single run
-takes the plant term D @ d over the grid, a batch a block of samples at a
-time. Per sample a loop computes only the state estimate (kept as the
-augmented vector z = (x_hat, d_hat); the MPC gets the increments of z, and no
-``EstimatorState`` is built), the command from the sample's row of the
-limits and the plant step, which shares the product B_aug @ u with the next
-estimate; an MPC sample also keeps its (dx, y, dd), cumulative moves and
-bound multipliers until its block is diagnosed (``step_diagnostics``). The
-PI binding flags, which nothing in the loop reads, are computed over the
-grid when the trace is finished.
+first sample: the config's ``PreparedRun`` (plant, gain schedule, MPC
+prediction matrices and QP law cache), kept for the config's later runs
+(``prepare_run``), and each cell's true disturbances and reserve limits
+over the whole grid (``PreparedRun.inputs``). Per sample a loop computes
+only the state estimate z = (x_hat, d_hat), whose increments the MPC takes,
+the command from the sample's row of the limits, and the plant step, which
+shares B_aug @ u with the next estimate. An MPC run's cost, binding flags
+and KKT residuals come from ``step_diagnostics`` a block of samples at a
+time (``_MpcRecord``); a PI run's binding flags are computed over the grid
+when its trace is finished.
 """
 
 import math
@@ -94,6 +79,7 @@ from .lfc_model import (  # noqa: F401
     N_DISTURBANCES,
     N_STATES,
     OUTPUT_STATE_INDICES,
+    SAMPLE_TIME as SCENARIO_TS,
     build_plant,
     step_plant,
 )
@@ -111,8 +97,6 @@ from .numerics import QpInfeasibleError, rows_times
 from .profiles import PROFILE_KINDS, ProfileSet, generate_profiles
 
 CONTROLLER_KINDS = ("mpc", "pi_all", "pi_dubess")
-
-SCENARIO_TS = 0.2  # s, the sample time of built-in and replayed scenarios
 
 # Samples per block of an MPC run's diagnostics (about 0.3 MB of
 # temporaries), and of a batch's plant disturbance terms.
@@ -322,29 +306,11 @@ def prepare_run(config, Ts, n_steps):
     return prepared
 
 
-def _inputs(prepared, scenario, config):
-    """``prepared.inputs`` of the scenario's profiles, checked against its
-    steps."""
-    n = scenario.n_steps
-    disturbances, limits = prepared.inputs(scenario.profiles, config)
-    if disturbances.shape != (n + 1, N_DISTURBANCES):
-        raise ValueError(f"disturbance grid has shape {disturbances.shape}, "
-                         f"expected ({n + 1}, {N_DISTURBANCES})")
-    return disturbances, limits
-
-
-def _mpc_blocks(pred, rows):
-    """The blocks of s, V and bound multipliers of ``rows`` MPC runs:
-    (rows, _DIAGNOSTIC_ROWS, ·) arrays, a run's block at its row."""
-    widths = (pred.sample_map.shape[1], pred.box.n, pred.box.n)
-    return tuple(np.empty((rows, _DIAGNOSTIC_ROWS, width)) for width in widths)
-
-
 class _MpcRecord:
     """What an MPC run keeps of its samples for its trace: the cost, the
     binding flags (as bools) and the largest KKT residual. A sample's s, V
     and bound multipliers wait in the run's block of ``_DIAGNOSTIC_ROWS``
-    rows, row ``row`` of the ``_mpc_blocks`` arrays ``blocks``; when the
+    rows, row ``row`` of the ``_Runs.blocks`` arrays ``blocks``; when the
     block is full, or the run ends, ``step_diagnostics`` gives its cost,
     active bounds and KKT residuals, on the bounds rebuilt from the limits
     and the previous commands (zero before the first sample). A unit whose
@@ -388,46 +354,122 @@ class _MpcRecord:
         self.start = end
 
 
-def _finish_trace(scenario, config, disturbances, limits, freq, outputs, commands, d_hat, mpc,
-                  aborted_at):
-    """The ``ScenarioTrace`` of one run from what its loop recorded: the
-    frequency, outputs, commands and d_hat of its n + 1 rows, and for an MPC
-    run its ``_MpcRecord``, whose last block is diagnosed here. A PI run's
-    binding flags, which nothing in the loop reads, are computed here over
-    the grid. The trace shares the disturbances and limits with the other
-    runs of its cell, and holds its own copy of the rest, so a batch's
-    records need not outlive the batch."""
-    n = scenario.n_steps
-    if mpc is not None:
-        mpc.close(n if aborted_at is None else aborted_at)
-        objective, binding, max_kkt = mpc.objective, mpc.binding.astype(int), mpc.max_kkt
-    else:
-        objective, binding, max_kkt = np.zeros(n + 1), np.zeros((n + 1, N_CONTROLS), int), 0.0
-        # A PI command binds within 1e-15 of either limit (participants only).
-        at_bound = ((commands[:n] <= limits.lo[:n] + 1e-15)
-                    | (commands[:n] >= limits.hi[:n] - 1e-15))
-        binding[:n] = at_bound & config.pi_configs[scenario.controller].participating
-    # An aborted run keeps the rows before the failed sample, and the largest
-    # KKT residual of the samples it solved.
-    rows = n + 1 if aborted_at is None else aborted_at
-    return ScenarioTrace(
-        kind=scenario.kind,
-        controller=scenario.controller,
-        seed=scenario.seed,
-        Ts=scenario.Ts,
-        t=scenario.profiles.t[:rows].copy(),
-        freq=freq[:rows].copy(),
-        commands=commands[:rows].copy(),
-        outputs=outputs[:rows].copy(),
-        disturbances=disturbances[:rows],
-        d_hat=d_hat[:rows].copy(),
-        limits_lo=limits.lo[:rows],
-        limits_hi=limits.hi[:rows],
-        binding=binding[:rows],
-        objective=objective[:rows],
-        max_kkt_residual=max_kkt,
-        aborted_at=aborted_at,
-    )
+class _Runs:
+    """What both loops do before their first sample and after their last,
+    for a batch of ``cells`` (a single run is one cell of one scenario).
+
+    Built, it has checked the cells, taken the config's ``PreparedRun`` and
+    each cell's ``inputs``, and made the records of every run, a run per
+    row: the states in ``columns`` (sorted state indices: all ten for a
+    single run, which writes its state whole each sample), the commands and
+    d_hat of its n + 1 rows, an MPC run's ``_MpcRecord`` (its s, V and
+    multipliers wait in ``blocks``, (MPC runs, _DIAGNOSTIC_ROWS, ·) arrays)
+    and a PI run's config. ``noise`` is each run's measurement noise, (n,
+    runs), or None: a seed's values are drawn once, one per sample, and
+    every run of its cell adds the same ones. The loop sets
+    ``aborted_at[run]`` to the sample at which a run's QP was infeasible;
+    ``traces`` then finishes the runs."""
+
+    def __init__(self, cells, config, columns):
+        if not cells or not all(cells):
+            raise ValueError("a batch needs at least one cell, and a cell at least one scenario")
+        self.n, self.Ts = n, Ts = cells[0][0].n_steps, cells[0][0].Ts
+        for cell in cells:
+            first = cell[0]
+            for scenario in cell[1:]:
+                if ((scenario.seed, scenario.Ts) != (first.seed, first.Ts)
+                        or (scenario.profiles is not first.profiles
+                            and scenario.profiles.digest() != first.profiles.digest())):
+                    raise ValueError(
+                        "the scenarios of a cell must share their profiles, seed and Ts")
+            if (first.n_steps, first.Ts) != (n, Ts):
+                raise ValueError("the cells of a batch must share their number of samples and Ts")
+        self.prepared = prepare_run(config, Ts, n)
+        self.inputs = [self.prepared.inputs(cell[0].profiles, config) for cell in cells]
+        self.scenarios = [scenario for cell in cells for scenario in cell]
+        self.cell_of = [index for index, cell in enumerate(cells) for _ in cell]
+        runs = len(self.scenarios)
+        self.columns = columns
+        self.freq_at, *self.outputs_at = np.searchsorted(columns, _RECORDED_STATES).tolist()
+        self.states = np.zeros((runs, n + 1, len(columns)))
+        self.commands = np.zeros((runs, n + 1, N_CONTROLS))
+        self.d_hat = np.zeros((runs, n + 1))
+        mpc_runs = [run for run, scenario in enumerate(self.scenarios)
+                    if scenario.controller == "mpc"]
+        self.mpcs = [None] * runs
+        if mpc_runs:
+            pred = self.prepared.pred
+            widths = (pred.sample_map.shape[1], pred.box.n, pred.box.n)
+            self.blocks = tuple(np.empty((len(mpc_runs), _DIAGNOSTIC_ROWS, width))
+                                for width in widths)
+            for row, run in enumerate(mpc_runs):
+                self.mpcs[run] = _MpcRecord(pred, self.inputs[self.cell_of[run]][1],
+                                            self.commands[run], self.blocks, row)
+        self.pi_configs = [config.pi_configs.get(scenario.controller)
+                           for scenario in self.scenarios]
+        self.aborted_at = [None] * runs
+        self.noise = None
+        if config.measurement_noise_std > 0.0:
+            draws = [np.random.default_rng([cell[0].seed, 9001]).normal(
+                scale=config.measurement_noise_std, size=n) for cell in cells]
+            self.noise = np.stack(draws, axis=1)[:, self.cell_of]
+
+    def traces(self, x, u, z):
+        """The traces of each cell, a list per cell, from a generator that
+        finishes a cell at a time. The runs that did not abort first get
+        their terminal row, the state at t = duration with the last command
+        held (its limits are the last sample's): ``x``, ``u`` and ``z`` are
+        the loop's last states, commands and estimates, a row per such run
+        in order (1-D for a single run)."""
+        finished = [run for run, at in enumerate(self.aborted_at) if at is None]
+        if finished:
+            self.states[finished, self.n] = x[..., self.columns]
+            self.commands[finished, self.n] = u
+            self.d_hat[finished, self.n] = z[..., N_STATES]
+        return ([self._trace(run) for run, of in enumerate(self.cell_of) if of == index]
+                for index in range(len(self.inputs)))
+
+    def _trace(self, run):
+        """The ``ScenarioTrace`` of one run from its records; an MPC run's
+        last block is diagnosed here. A PI run's binding flags, which
+        nothing in the loop reads, are computed here over the grid. The
+        trace shares the disturbances and limits with the other runs of its
+        cell, and holds its own copy of the rest, so the records need not
+        outlive the batch."""
+        n, scenario, mpc = self.n, self.scenarios[run], self.mpcs[run]
+        aborted_at = self.aborted_at[run]
+        disturbances, limits = self.inputs[self.cell_of[run]]
+        states, commands = self.states[run], self.commands[run]
+        if mpc is not None:
+            mpc.close(n if aborted_at is None else aborted_at)
+            objective, binding, max_kkt = mpc.objective, mpc.binding.astype(int), mpc.max_kkt
+        else:
+            objective, binding, max_kkt = np.zeros(n + 1), np.zeros((n + 1, N_CONTROLS), int), 0.0
+            # A PI command binds within 1e-15 of either limit (participants only).
+            at_bound = ((commands[:n] <= limits.lo[:n] + 1e-15)
+                        | (commands[:n] >= limits.hi[:n] - 1e-15))
+            binding[:n] = at_bound & self.pi_configs[run].participating
+        # An aborted run keeps the rows before the failed sample, and the
+        # largest KKT residual of the samples it solved.
+        rows = n + 1 if aborted_at is None else aborted_at
+        return ScenarioTrace(
+            kind=scenario.kind,
+            controller=scenario.controller,
+            seed=scenario.seed,
+            Ts=scenario.Ts,
+            t=scenario.profiles.t[:rows].copy(),
+            freq=states[:rows, self.freq_at].copy(),
+            commands=commands[:rows].copy(),
+            outputs=states[:rows, self.outputs_at],
+            disturbances=disturbances[:rows],
+            d_hat=self.d_hat[run, :rows].copy(),
+            limits_lo=limits.lo[:rows],
+            limits_hi=limits.hi[:rows],
+            binding=binding[:rows],
+            objective=objective[:rows],
+            max_kkt_residual=max_kkt,
+            aborted_at=aborted_at,
+        )
 
 
 def run_scenario(scenario, config=None):
@@ -435,41 +477,31 @@ def run_scenario(scenario, config=None):
     trace. Deterministic for identical inputs; the config's ``PreparedRun``
     for the scenario's sample time is built by the first run that needs it
     and shared by the later ones."""
-    config = config or RunConfig()
-    n = scenario.n_steps
-    prepared = prepare_run(config, scenario.Ts, n)
-    disturbances, limits = _inputs(prepared, scenario, config)
-    model, gains = prepared.model, prepared.gains
+    runs = _Runs([[scenario]], config or RunConfig(), np.arange(N_STATES))
+    model, gains = runs.prepared.model, runs.prepared.gains
+    disturbances, limits = runs.inputs[0]
     # D @ d of every sample, each row as its own product (so with the bits of
     # ``step_plant``'s).
     plant_disturbances = rows_times(model.D, disturbances)
     band_lo, band_hi = limits.lo, limits.hi
-
-    states = np.zeros((n + 1, N_STATES))
-    commands = np.zeros((n + 1, N_CONTROLS))
-    d_hat = np.zeros(n + 1)
-    mpc = (_MpcRecord(prepared.pred, limits, commands, _mpc_blocks(prepared.pred, 1), 0)
-           if scenario.controller == "mpc" else None)
-    pi_config = config.pi_configs.get(scenario.controller)
+    states, commands, d_hat = runs.states[0], runs.commands[0], runs.d_hat[0]
+    mpc, pi_config = runs.mpcs[0], runs.pi_configs[0]
+    noise = None if runs.noise is None else runs.noise[:, 0].tolist()
     integral = 0.0
 
     z = np.zeros(N_AUGMENTED)  # the estimate as (x_hat, d_hat)
-    noise_std = config.measurement_noise_std
-    noise_rng = np.random.default_rng([scenario.seed, 9001])
-
     x = np.zeros(N_STATES)
     u_prev = np.zeros(N_CONTROLS)
     A, B_aug = model.A, gains.B_aug
     # B_aug @ u_prev: its first rows are B @ u_prev, the plant's input term,
     # and the whole is the filter's at the next sample.
     bu = B_aug @ u_prev
-    aborted_at = None
 
-    for k in range(n):
+    for k in range(runs.n):
         states[k] = x
         y = x.item(IDX_FREQ)
-        if noise_std > 0.0:
-            y = y + noise_rng.normal(scale=noise_std)
+        if noise is not None:
+            y = y + noise[k]
         z_prev = z
         z, _ = gains.update(z, bu, y, k)
 
@@ -479,7 +511,7 @@ def run_scenario(scenario, config=None):
                 step = control_step(dz[:N_STATES], dz[N_STATES], y, u_prev, band_lo[k],
                                     band_hi[k], mpc.pred)
             except QpInfeasibleError:
-                aborted_at = k
+                runs.aborted_at[0] = k
                 break
             u = step.command
             mpc.keep(k, step)
@@ -494,15 +526,8 @@ def run_scenario(scenario, config=None):
         bu = B_aug @ u
         x = A @ x + bu[:N_STATES] + plant_disturbances[k]
         u_prev = u
-    else:
-        # Terminal row: state at t = duration with the last command held (its
-        # limits are the last sample's).
-        states[n] = x
-        commands[n] = u_prev
-        d_hat[n] = z[N_STATES]
 
-    return _finish_trace(scenario, config, disturbances, limits, states[:, IDX_FREQ],
-                         states[:, OUTPUT_STATE_INDICES], commands, d_hat, mpc, aborted_at)
+    return next(runs.traces(x, u_prev, z))[0]
 
 
 def run_cells(cells, config=None):
@@ -517,69 +542,30 @@ def run_cells(cells, config=None):
     The plant step A x, the filter's A_aug z and the control term B_aug u
     are each one stacked product over the live rows (``rows_times``, so
     every row has the bits of its own matrix-vector product). Each cell
-    keeps its own disturbances, limits and noise stream: a single run of a
-    seed draws one value per sample, so the cell draws its seed's values
-    before the loop and adds the same draw to each of its rows. A PI row
-    runs ``pi_step`` on its own, on Python floats. The MPC rows of a sample
-    are one ``control_rows`` call, with their bands taken from the cells'
+    keeps its own disturbances, limits and noise stream. A PI row runs
+    ``pi_step`` on its own, on Python floats. The MPC rows of a sample are
+    one ``control_rows`` call, with their bands taken from the cells'
     limits, stacked once per batch, by one index; only the rows that bind
     iterate. An MPC row whose QP is infeasible at sample k leaves the batch
     there, its trace ending at k as a single run's does; the other rows run
-    to the end. Every row's command goes into one (rows, 6) array in place.
-
-    The loop records what the traces keep: the frequency and the six unit
-    outputs of every row, its commands and d_hat, and an MPC row's cost,
-    binding flags and KKT residuals a block of samples at a time
-    (``_MpcRecord``); the s, V and multipliers of all MPC rows go into
-    their blocks with one write per sample. The traces are finished a cell
-    at a time, as the generator is read, and hold their own rows and their
-    cell's inputs, not the batch's records.
+    to the end. Every row's command goes into one (rows, 6) array in place,
+    and the s, V and multipliers of all MPC rows into their blocks with one
+    write per sample.
     """
-    config = config or RunConfig()
-    if not cells or not all(cells):
-        raise ValueError("a batch needs at least one cell, and a cell at least one scenario")
-    n, Ts = cells[0][0].n_steps, cells[0][0].Ts
-    for cell in cells:
-        first = cell[0]
-        digest = first.profiles.digest()
-        for scenario in cell[1:]:
-            if ((scenario.seed, scenario.Ts) != (first.seed, first.Ts)
-                    or scenario.profiles.digest() != digest):
-                raise ValueError("the scenarios of a cell must share their profiles, seed and Ts")
-        if (first.n_steps, first.Ts) != (n, Ts):
-            raise ValueError("the cells of a batch must share their number of samples and Ts")
-    prepared = prepare_run(config, Ts, n)
-    model, gains = prepared.model, prepared.gains
-    cell_disturbances, limits = zip(*(_inputs(prepared, cell[0], config) for cell in cells))
+    runs = _Runs(cells, config or RunConfig(), _RECORDED_STATES)
+    n, Ts, cell_of = runs.n, runs.Ts, runs.cell_of
+    model, gains = runs.prepared.model, runs.prepared.gains
+    cell_disturbances, limits = zip(*runs.inputs)
     # (n + 1, cells, ·): a sample's disturbances and bands, a row per cell.
     disturbances = np.stack(cell_disturbances, axis=1)
     band_lo = np.stack([each.lo for each in limits], axis=1)
     band_hi = np.stack([each.hi for each in limits], axis=1)
     for stacked in (disturbances, band_lo, band_hi):
         stacked.flags.writeable = False
-
-    scenarios = [scenario for cell in cells for scenario in cell]
-    cell_of = [index for index, cell in enumerate(cells) for _ in cell]
-    n_runs = len(scenarios)
-    states = np.zeros((n_runs, n + 1, len(_RECORDED_STATES)))
-    commands = np.zeros((n_runs, n + 1, N_CONTROLS))
-    d_hat = np.zeros((n_runs, n + 1))
-    mpc_runs = [run for run, scenario in enumerate(scenarios) if scenario.controller == "mpc"]
-    mpcs = [None] * n_runs
-    if mpc_runs:
-        pred = prepared.pred
-        blocks = _mpc_blocks(pred, len(mpc_runs))
-        for row, run in enumerate(mpc_runs):
-            mpcs[run] = _MpcRecord(pred, limits[cell_of[run]], commands[run], blocks, row)
-    pi_configs = [config.pi_configs.get(scenario.controller) for scenario in scenarios]
+    states, commands, d_hat, mpcs = runs.states, runs.commands, runs.d_hat, runs.mpcs
+    noise, aborted_at, pi_configs = runs.noise, runs.aborted_at, runs.pi_configs
+    n_runs = len(mpcs)
     integrals = [0.0] * n_runs
-    aborted_at = [None] * n_runs
-
-    noise = None
-    if config.measurement_noise_std > 0.0:
-        draws = [np.random.default_rng([cell[0].seed, 9001]).normal(
-            scale=config.measurement_noise_std, size=n) for cell in cells]
-        noise = np.stack(draws, axis=1)[:, cell_of]  # (n, rows)
 
     # One row per run still running: ``live`` holds its run, its records
     # are at ``rows`` and its cell in ``live_cells`` (every run until one
@@ -618,10 +604,11 @@ def run_cells(cells, config=None):
             at, mpc_cells, block_rows, records = mpc_rows
             dz_mpc = dz[at]
             steps = control_rows(dz_mpc[:, :N_STATES], dz_mpc[:, N_STATES], y[at], u[at],
-                                 band_lo[k, mpc_cells], band_hi[k, mpc_cells], pred)
+                                 band_lo[k, mpc_cells], band_hi[k, mpc_cells],
+                                 runs.prepared.pred)
             u[at] = steps.commands
             slot = k % _DIAGNOSTIC_ROWS
-            for block, step_rows in zip(blocks, (steps.samples, steps.v, steps.lam)):
+            for block, step_rows in zip(runs.blocks, (steps.samples, steps.v, steps.lam)):
                 block[block_rows, slot] = step_rows
             if steps.infeasible:
                 failed = {int(at[r]) for r in steps.infeasible}
@@ -653,19 +640,8 @@ def run_cells(cells, config=None):
             plant_disturbances = rows_times(D, block.reshape(-1, N_DISTURBANCES)).reshape(
                 block.shape[:2] + (N_STATES,))
         x += plant_disturbances[k % _DIAGNOSTIC_ROWS].take(live_cells, axis=0)
-    else:
-        # Terminal row of the runs that finished, as in ``run_scenario``.
-        states[rows, n] = x[:, _RECORDED_STATES]
-        commands[rows, n] = u
-        d_hat[rows, n] = z[:, N_STATES]
 
-    return (
-        [_finish_trace(scenarios[run], config, cell_disturbances[index], limits[index],
-                       states[run, :, 0], states[run, :, 1:], commands[run], d_hat[run],
-                       mpcs[run], aborted_at[run])
-         for run in range(n_runs) if cell_of[run] == index]
-        for index in range(len(cells))
-    )
+    return runs.traces(x, u, z)
 
 
 def _controller_rows(live, cell_of, mpcs):

@@ -16,9 +16,12 @@ cumulative-move box solver: the increment QP over dU with the running-sum
 rows ``increment_rows`` = [T; -T] in its own QpProblem, the right-hand side
 b = [lo; -hi] from the box of ``build_constraints`` and the dual active-set
 solve, here this module's ``solve_qp_info``. It takes the arguments of
-``microfreq.mpc.control_step`` and returns the same MpcStepResult: the
+``microfreq.mpc.control_step`` and returns the same MpcStep: the
 cumulative moves V = T dU, and the box multipliers lam[:n] - lam[n:] of
 the increment rows' multipliers.
+
+``sample_diagnostics`` is ``step_diagnostics`` of one ``control_step``
+result, on the bounds of its sample's band and previous totals.
 
 ``reference_run`` is ``run_scenario`` with the controller's step as it
 stood before the run took its samples' cost, active bounds and KKT
@@ -31,14 +34,19 @@ u_prev + (T^-1 V)[:nu].
 which no reserve constraint is active.
 """
 
-import dataclasses
-
 import numpy as np
 
 import microfreq.simulate
 from microfreq.der_models import ReserveLimits
 from microfreq.lfc_model import N_CONTROLS
-from microfreq.mpc import MpcStepResult, active_units, build_constraints, out_of_band_units
+from microfreq.mpc import (
+    MpcStep,
+    StepDiagnostics,
+    active_units,
+    build_constraints,
+    out_of_band_units,
+    step_diagnostics,
+)
 from microfreq.numerics import QpInfeasibleError, QpProblem
 from microfreq.simulate import run_scenario
 
@@ -192,15 +200,23 @@ def reference_control_step(dx, dd, y, u_prev, band_lo, band_hi, pred):
     lo, hi = build_constraints(ReserveLimits(band_lo, band_hi), u_prev, pred)
     _, b = box_rows(lo, hi)
     du, lam, _ = solve_qp_info(QpProblem(pred.H, f, increment_rows(pred), b), tol=1e-10)
-    return MpcStepResult(
+    return MpcStep(
         command=u_prev + du[:nu],
         sample=np.concatenate((dx, (y, dd))),
         v=running_sum(pred) @ du,
         lam=lam[:n] - lam[n:],
-        lo=lo,
-        hi=hi,
-        pred=pred,
     )
+
+
+def sample_diagnostics(step, u_prev, band_lo, band_hi, pred):
+    """The ``StepDiagnostics`` of one ``control_step`` result ``step``,
+    each field without its row axis: ``step_diagnostics`` on its one row,
+    with the bounds ``build_constraints`` gives the sample's band and
+    ``u_prev``, the arguments the step was solved with."""
+    lo, hi = build_constraints(ReserveLimits(band_lo, band_hi), u_prev, pred)
+    rows = (step.sample, step.v, step.lam, lo, hi)
+    return StepDiagnostics(*(stack[0] for stack in step_diagnostics(
+        pred, *(row[None] for row in rows))))
 
 
 def box_kkt(H, v, g, lam, lo, hi):
@@ -216,14 +232,13 @@ def box_kkt(H, v, g, lam, lo, hi):
     return slack, (stationarity, primal, complementarity)
 
 
-def per_sample_tail(step, u_prev):
+def per_sample_tail(step, u_prev, lo, hi, pred):
     """The command, active bounds, cost and KKT residuals of one
-    ``control_step`` record, computed from it alone: (command, qp_active,
-    objective, kkt_residuals)."""
-    pred = step.pred
+    ``control_step`` record, computed from it, its bounds (lo, hi) and
+    ``pred`` alone: (command, qp_active, objective, kkt_residuals)."""
     nu, p = pred.n_inputs, pred.p
     n = nu * pred.m
-    v, lam, lo, hi = step.v, step.lam, step.lo, step.hi
+    v, lam = step.v, step.lam
     stacked = pred.sample_map @ step.sample
     y_free, g = stacked[:p], stacked[p:p + n]
     slack, residuals = box_kkt(pred.box.H, v, g, lam, lo, hi)
@@ -247,9 +262,10 @@ def reference_run(scenario, config=None):
     def step_with_tail(dx, dd, y, u_prev, band_lo, band_hi, pred):
         result = step(dx, dd, y, u_prev, band_lo, band_hi, pred)
         u_prev = np.asarray(u_prev, dtype=float)
-        command, qp_active, cost, residuals = per_sample_tail(result, u_prev)
+        lo, hi = build_constraints(ReserveLimits(band_lo, band_hi), u_prev, pred)
+        command, qp_active, cost, residuals = per_sample_tail(result, u_prev, lo, hi, pred)
         tails.append((active_units(qp_active, pred.m), cost, residuals))
-        return dataclasses.replace(result, command=command)
+        return result._replace(command=command)
 
     microfreq.simulate.control_step = step_with_tail
     try:

@@ -49,7 +49,7 @@ from microfreq.simulate import (
     write_trace_csv,
 )
 
-from qp_reference import free_response, mpc_gain
+from qp_reference import free_response, mpc_gain, sample_diagnostics
 from test_numerics import enumerate_qp_minimizer, random_feasible_qp
 
 PARAMS = MicrogridParams()
@@ -198,9 +198,10 @@ def test_criterion_5_unconstrained_gain_equivalence():
         y = x[IDX_FREQ]
         est = estimator_step(est, u_prev, y, MODEL, est_config)
         result = control_step(est.delta_x, est.delta_d, y, u_prev, wide.lo, wide.hi, pred)
+        diagnostics = sample_diagnostics(result, u_prev, wide.lo, wide.hi, pred)
         reference = K @ (0.0 - free_response(pred, est.delta_x, est.delta_d, y))
-        worst = max(worst, float(np.abs(result.diagnostics.increments - reference).max()))
-        active_rows += int(result.diagnostics.qp_active.sum())
+        worst = max(worst, float(np.abs(diagnostics.increments - reference).max()))
+        active_rows += int(diagnostics.qp_active.sum())
         u_prev = result.command
         d = np.zeros(N_DISTURBANCES)
         d[0] = profiles.load_pu[k]

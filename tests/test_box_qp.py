@@ -28,7 +28,14 @@ from microfreq.lfc_model import build_plant
 from microfreq.mpc import MpcConfig, build_constraints, build_prediction_matrices, control_step
 from microfreq.numerics import BoxQp, QpInfeasibleError, QpProblem, kkt_residuals, solve_qp_info
 from microfreq.simulate import RunConfig, make_scenario, run_scenario
-from qp_reference import box_kkt, box_rows, free_response, increment_rows, row_multipliers
+from qp_reference import (
+    box_kkt,
+    box_rows,
+    free_response,
+    increment_rows,
+    row_multipliers,
+    sample_diagnostics,
+)
 from test_numerics import enumerate_qp_minimizer
 
 KKT_TOL = 1e-8
@@ -178,7 +185,7 @@ def binding_samples(seed, count):
 
     def recording(*args, **kwargs):
         result = real(*args, **kwargs)
-        if result.diagnostics.qp_active.any():
+        if sample_diagnostics(result, *args[3:]).qp_active.any():
             samples.append(args[:6])
         return result
 
@@ -191,8 +198,8 @@ def binding_samples(seed, count):
     return samples[:count]
 
 
-def result_bytes(result):
-    row = result.diagnostics
+def result_bytes(result, sample, pred):
+    row = sample_diagnostics(result, *sample[3:], pred)
     return (result.command.tobytes(), row.increments.tobytes(), row.qp_active.tobytes(),
             np.float64(row.objective).tobytes(), np.array(row.kkt_residuals).tobytes())
 
@@ -237,11 +244,13 @@ def test_capped_step_falls_back_to_the_dual_solver(monkeypatch):
         # The fallback writes the sample's box as the rows [I; -I] >= [lo; -hi].
         assert np.array_equal(problems[-1].Cu, Cu) and problems[-1].b.tobytes() == b.tobytes()
         v = solve_qp_info(QpProblem(pred.box.H, g, Cu, b), tol=1e-10)[0]
-        assert result.diagnostics.increments.tobytes() == (pred.T_inv @ v).tobytes()
-        increments = box_result.diagnostics.increments
-        assert np.abs(result.diagnostics.increments - increments).max() <= 1e-10
-        assert np.array_equal(result.diagnostics.qp_active, box_result.diagnostics.qp_active)
-        assert max(result.diagnostics.kkt_residuals) <= KKT_TOL
+        row = sample_diagnostics(result, u_prev, band_lo, band_hi, pred)
+        box_row = sample_diagnostics(box_result, u_prev, band_lo, band_hi, pred)
+        assert row.increments.tobytes() == (pred.T_inv @ v).tobytes()
+        increments = box_row.increments
+        assert np.abs(row.increments - increments).max() <= 1e-10
+        assert np.array_equal(row.qp_active, box_row.qp_active)
+        assert max(row.kkt_residuals) <= KKT_TOL
     # Every sample here binds, so every one reached the (zero) cap.
     assert len(problems) == len(samples)
 
@@ -249,19 +258,20 @@ def test_capped_step_falls_back_to_the_dual_solver(monkeypatch):
 def test_law_cache_never_changes_an_answer():
     samples = binding_samples(seed=1, count=80)
     cold = build_prediction_matrices(MODEL, MpcConfig())
-    in_order = [result_bytes(control_step(*sample, cold)) for sample in samples]
+    in_order = [result_bytes(control_step(*sample, cold), sample, cold) for sample in samples]
 
     warm = build_prediction_matrices(MODEL, MpcConfig())
     for sample in binding_samples(seed=2, count=80):
         control_step(*sample, warm)
     warmed_laws = len(warm.box.laws)
-    reversed_order = [result_bytes(control_step(*sample, warm)) for sample in reversed(samples)]
+    reversed_order = [result_bytes(control_step(*sample, warm), sample, warm)
+                      for sample in reversed(samples)]
 
     assert warmed_laws > 0 and len(cold.box.laws) > 1
     assert reversed_order[::-1] == in_order
     for sample, expected in zip(samples[:10], in_order):
         fresh = build_prediction_matrices(MODEL, MpcConfig())
-        assert result_bytes(control_step(*sample, fresh)) == expected
+        assert result_bytes(control_step(*sample, fresh), sample, fresh) == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 4])
@@ -275,11 +285,12 @@ def test_box_kkt_residuals_match_the_increment_qp(seed):
     for dx, dd, y, u_prev, band_lo, band_hi in samples:
         result = control_step(dx, dd, y, u_prev, band_lo, band_hi, pred)
         v, lam = result.v, result.lam
-        assert result.diagnostics.qp_active.any()
-        assert max(result.diagnostics.kkt_residuals) <= KKT_TOL
+        row = sample_diagnostics(result, u_prev, band_lo, band_hi, pred)
+        assert row.qp_active.any()
+        assert max(row.kkt_residuals) <= KKT_TOL
         f = pred.F @ free_response(pred, dx, dd, y)
         _, b = box_rows(*build_constraints(ReserveLimits(band_lo, band_hi), u_prev, pred))
         increment = kkt_residuals(QpProblem(pred.H, f, increment_rows(pred), b), pred.T_inv @ v,
                                   row_multipliers(lam))
         assert max(increment) <= KKT_TOL
-        assert increment[0] <= pred.m * result.diagnostics.kkt_residuals[0] + 1e-12
+        assert increment[0] <= pred.m * row.kkt_residuals[0] + 1e-12

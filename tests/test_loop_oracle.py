@@ -23,6 +23,7 @@ from microfreq.mpc import active_units, build_prediction_matrices, control_step,
 from microfreq.numerics import QpInfeasibleError
 from microfreq.profiles import PROFILE_KINDS
 from microfreq.simulate import CONTROLLER_KINDS, RunConfig, make_scenario, run_scenario
+from qp_reference import sample_diagnostics
 
 TRACE_ARRAYS = ("t", "freq", "commands", "outputs", "disturbances", "d_hat",
                 "limits_lo", "limits_hi", "binding", "objective")
@@ -82,9 +83,10 @@ def reference_run(scenario, config):
                 aborted_at = k
                 break
             u = result.command
-            binding = active_units(result.diagnostics.qp_active, config.mpc.m) | drifted
-            objective = result.diagnostics.objective
-            max_kkt = max(max_kkt, max(result.diagnostics.kkt_residuals))
+            diagnostics = sample_diagnostics(result, u_prev, limits.lo, limits.hi, pred)
+            binding = active_units(diagnostics.qp_active, config.mpc.m) | drifted
+            objective = diagnostics.objective
+            max_kkt = max(max_kkt, max(diagnostics.kkt_residuals))
         else:
             integral, u = pi_step(integral, y, limits.lo.tolist(), limits.hi.tolist(), pi_config,
                                   scenario.Ts)

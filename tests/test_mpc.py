@@ -28,7 +28,7 @@ from microfreq.mpc import (
     out_of_band_units,
 )
 from microfreq.numerics import QpInfeasibleError
-from qp_reference import free_response, mpc_gain, running_sum
+from qp_reference import free_response, mpc_gain, running_sum, sample_diagnostics
 
 PARAMS = MicrogridParams()
 MODEL = build_plant(PARAMS)
@@ -218,17 +218,19 @@ def test_unconstrained_qp_matches_gain():
         dx, dd = increments(rng.normal(scale=1e-3, size=N_STATES), rng.normal(scale=1e-3))
         y = rng.normal(scale=1e-3)
         result = control_step(dx, dd, y, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
-        assert not result.diagnostics.qp_active.any()
+        row = sample_diagnostics(result, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
+        assert not row.qp_active.any()
         y_free = free_response(PRED, dx, dd, y)
-        assert np.abs(result.diagnostics.increments - K @ (0.0 - y_free)).max() < 1e-9
+        assert np.abs(row.increments - K @ (0.0 - y_free)).max() < 1e-9
 
 
 def test_wide_limits_reduce_to_unconstrained_gain():
     dx, dd = increments(np.full(N_STATES, 2e-4), 1e-4)
     wide = control_step(dx, dd, -1e-3, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
     gain_move = mpc_gain(PRED) @ (0.0 - free_response(PRED, dx, dd, -1e-3))
-    assert not wide.diagnostics.qp_active.any()  # empty active set
-    assert np.abs(wide.diagnostics.increments - gain_move).max() < 1e-12
+    row = sample_diagnostics(wide, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
+    assert not row.qp_active.any()  # empty active set
+    assert np.abs(row.increments - gain_move).max() < 1e-12
 
 
 # ------------------------------------------------------- constraints
@@ -297,7 +299,8 @@ def test_drifted_total_forced_back_inside():
 def test_zero_error_zero_move():
     result = control_step(*increments(), 0.0, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
     assert np.abs(result.command).max() < 1e-12
-    assert result.diagnostics.objective == pytest.approx(0.0, abs=1e-20)
+    row = sample_diagnostics(result, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
+    assert row.objective == pytest.approx(0.0, abs=1e-20)
 
 
 def test_over_frequency_pushes_all_units_down():
@@ -309,12 +312,14 @@ def test_over_frequency_pushes_all_units_down():
 def test_binding_limit_redistributes_to_other_units():
     # Scale an under-frequency event so the unconstrained wt1 move is 0.04.
     base = control_step(*increments(), -1e-3, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
-    scale = 0.04 / base.diagnostics.increments[2]
+    base_row = sample_diagnostics(base, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
+    scale = 0.04 / base_row.increments[2]
     y = -1e-3 * scale
     unconstrained = control_step(*increments(), y, np.zeros(6), WIDE_LIMITS.lo,
                                  WIDE_LIMITS.hi, PRED)
-    assert not unconstrained.diagnostics.qp_active.any()
-    assert unconstrained.diagnostics.increments[2] == pytest.approx(0.04, rel=1e-9)
+    row = sample_diagnostics(unconstrained, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
+    assert not row.qp_active.any()
+    assert row.increments[2] == pytest.approx(0.04, rel=1e-9)
 
     lo = np.full(6, -10.0)
     hi = np.full(6, 10.0)
@@ -324,7 +329,8 @@ def test_binding_limit_redistributes_to_other_units():
     others = [i for i in range(6) if i != 2]
     assert np.all(result.command[others] >= unconstrained.command[others] - 1e-12)
     assert result.command[others].sum() > unconstrained.command[others].sum()
-    assert active_units(result.diagnostics.qp_active, CONFIG.m)[2]
+    assert active_units(sample_diagnostics(result, np.zeros(6), lo, hi, PRED).qp_active,
+                        CONFIG.m)[2]
 
 
 def test_weight_scaling_invariance():
@@ -340,14 +346,17 @@ def test_weight_scaling_invariance():
     )
     scaled_pred = build_prediction_matrices(MODEL, scaled_config)
     scaled = control_step(*est, -2e-3, np.zeros(6), limits.lo, limits.hi, scaled_pred)
-    assert np.abs(base.diagnostics.increments - scaled.diagnostics.increments).max() < 1e-10
+    base_row = sample_diagnostics(base, np.zeros(6), limits.lo, limits.hi, PRED)
+    scaled_row = sample_diagnostics(scaled, np.zeros(6), limits.lo, limits.hi, scaled_pred)
+    assert np.abs(base_row.increments - scaled_row.increments).max() < 1e-10
 
 
 def test_kkt_residuals_reported_small():
     dx, dd = increments(np.full(N_STATES, 1e-4), 5e-4)
     limits = ReserveLimits(lo=np.full(6, -0.005), hi=np.full(6, 0.005))
     result = control_step(dx, dd, -3e-3, np.zeros(6), limits.lo, limits.hi, PRED)
-    stat, primal, comp = result.diagnostics.kkt_residuals
+    stat, primal, comp = sample_diagnostics(
+        result, np.zeros(6), limits.lo, limits.hi, PRED).kkt_residuals
     assert stat < 1e-8 and primal < 1e-8 and comp < 1e-8
 
 

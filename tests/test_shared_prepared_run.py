@@ -179,8 +179,7 @@ def test_a_command_of_the_wrong_shape_stops_the_run(monkeypatch, controller):
 
         def widened(*args):
             step = real(*args)
-            step.command = step.command[None]
-            return step
+            return step._replace(command=step.command[None])
 
         monkeypatch.setattr(sim, "control_step", widened)
     else:
