@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lfc_model import MicrogridParams, N_CONTROLS
+from .lfc_model import MicrogridParams, N_CONTROLS, SAMPLE_TIME
 
 DESIGN_RECOVERY_TIME = 1.0  # s, closed-loop recovery constant for the design
+PI_BIND_TOL = 1e-15  # p.u.: a participant's command this close to a limit binds
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -104,8 +105,8 @@ def _pi_commands(config, y, integral, lo, hi):
     return total, cmd
 
 
-def pi_step(integral, y, lo, hi, config, Ts):
-    """One PI sample, on Python floats.
+def pi_step(integral, y, lo, hi, config):
+    """One PI sample of ``SAMPLE_TIME``, on Python floats.
 
     ``integral`` is the integrator (p.u.*s) before the sample, ``y`` the
     frequency measurement and ``lo`` and ``hi`` the instant's six limits as
@@ -118,18 +119,16 @@ def pi_step(integral, y, lo, hi, config, Ts):
     at the bound in the push direction and the error keeps pushing that way,
     the integrator holds instead of winding up.
     """
-    if Ts <= 0:
-        raise ValueError("Ts must be > 0")
     if not math.isfinite(y):
         raise ValueError("measurement must be finite")
 
-    integral_new = integral + y * Ts
+    integral_new = integral + y * SAMPLE_TIME
     total, cmd = _pi_commands(config, y, integral_new, lo, hi)
 
     if total > 0:
-        fully_saturated = all(cmd[unit] >= hi[unit] - 1e-15 for unit, _ in config.shares)
+        fully_saturated = all(cmd[unit] >= hi[unit] - PI_BIND_TOL for unit, _ in config.shares)
     elif total < 0:
-        fully_saturated = all(cmd[unit] <= lo[unit] + 1e-15 for unit, _ in config.shares)
+        fully_saturated = all(cmd[unit] <= lo[unit] + PI_BIND_TOL for unit, _ in config.shares)
     else:
         fully_saturated = False
     pushing_deeper = (-y) * total > 0
@@ -141,7 +140,7 @@ def pi_step(integral, y, lo, hi, config, Ts):
     return integral_new, cmd
 
 
-def design_pi_gains(params, recovery_time=DESIGN_RECOVERY_TIME):
+def design_pi_gains(params):
     """Overdamped PI design on the reduced swing model.
 
     Neglecting the sub-second unit lags, the secondary loop is
@@ -155,11 +154,9 @@ def design_pi_gains(params, recovery_time=DESIGN_RECOVERY_TIME):
     (highest-gain) loop, so its c sizes the shared gains; the diesel+storage
     variant runs the same gains at a lower fleet gain, even more overdamped.
     """
-    if recovery_time <= 0:
-        raise ValueError("recovery_time must be > 0")
     c = params.capacities_kw().sum() / params.s_base
-    kp = 6.0 * params.inertia / (c * recovery_time)
-    ki = params.inertia / (c * recovery_time ** 2)
+    kp = 6.0 * params.inertia / (c * DESIGN_RECOVERY_TIME)
+    ki = params.inertia / (c * DESIGN_RECOVERY_TIME ** 2)
     return kp, ki
 
 

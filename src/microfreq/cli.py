@@ -26,7 +26,6 @@ from .mpc import MpcConfig
 from .profiles import PROFILE_KINDS, read_profiles_csv
 from .simulate import (
     CONTROLLER_KINDS,
-    SCENARIO_TS,
     RunConfig,
     compute_metrics,
     make_scenario,
@@ -106,11 +105,6 @@ def load_run_config(path=None):
     _known("config sections", _json_object("config file", raw), CONFIG_DEFAULTS)
     params = MicrogridParams(**_section(raw, "microgrid"))
     mpc = MpcConfig(**_section(raw, "mpc"))
-    # Every scenario samples at SCENARIO_TS: an MPC built for another sample
-    # time cannot run on it, and a PI run would ignore the key.
-    if mpc.Ts != SCENARIO_TS:
-        raise ValueError(f"unsupported mpc config Ts {mpc.Ts}; expected {SCENARIO_TS}, "
-                         "the scenario sample time")
     estimator = default_estimator_config(**_section(raw, "estimator"))
     pi = _section(raw, "pi")
     return RunConfig(

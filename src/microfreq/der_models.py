@@ -12,6 +12,7 @@ applied once over the grid. Both forms give the same bits per element.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -56,18 +57,14 @@ class PvParams:
     n_series: int = 20
     n_parallel: int = 16
     rated_module_w: float = 250.0
-    ref_irradiance: float = 1000.0
+    ref_irradiance: ClassVar[float] = 1000.0  # W/m^2, standard test conditions
     temp_coefficient: float = 0.004
-    ref_cell_temp: float = 25.0
+    ref_cell_temp: ClassVar[float] = 25.0  # C, standard test conditions
     noct: float = 45.0
 
     def __post_init__(self):
         if self.n_series < 1 or self.n_parallel < 1:
             raise ValueError("module counts must be >= 1")
-        if self.ref_irradiance != 1000.0:
-            raise ValueError("reference irradiance is the 1000 W/m^2 standard condition")
-        if self.ref_cell_temp != 25.0:
-            raise ValueError("reference cell temperature is the 25 C standard condition")
         if self.temp_coefficient < 0:
             raise ValueError("temp_coefficient must be >= 0")
 
@@ -124,13 +121,13 @@ def power_coefficient(tip_speed_ratio, beta, params):
     return max(0.0, cp)
 
 
-def optimal_tip_speed_ratio(params, beta=None):
-    """(lambda, Cp) at the interior maximum of the Cp curve for fixed pitch.
+def optimal_tip_speed_ratio(params):
+    """(lambda, Cp) at the interior maximum of the Cp curve at ``params.pitch_beta``.
 
     Stationarity of c1*(c2 z - c3 b - c4)*exp(c5 z) in z gives
     z* = (c3 b + c4)/c2 - 1/c5, which is a maximum because c5 < 0.
     """
-    beta = params.pitch_beta if beta is None else beta
+    beta = params.pitch_beta
     z_star = (params.c3 * beta + params.c4) / params.c2 - 1.0 / params.c5
     denom = z_star + params.c7 / (1.0 + beta ** 3)
     if denom <= 0:

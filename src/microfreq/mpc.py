@@ -46,7 +46,7 @@ mix the matrices of one configuration with the weights of another.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -69,7 +69,7 @@ _QP_TOL = 1e-10  # relative to the sample's largest bound
 
 @dataclass(frozen=True)
 class MpcConfig:
-    """Horizons, sample time, and the cost weights.
+    """Horizons and cost weights; ``Ts`` is the constant model sample time.
 
     alpha penalizes predicted frequency deviation at every horizon step;
     the betas penalize each unit's control increment, with diesel/storage
@@ -78,7 +78,7 @@ class MpcConfig:
 
     p: int = 10
     m: int = 3
-    Ts: float = SAMPLE_TIME
+    Ts: ClassVar[float] = SAMPLE_TIME
     alpha: float = 1.6596
     beta_pv: float = 0.2894
     beta_wt: float = 0.2894
@@ -88,8 +88,6 @@ class MpcConfig:
     def __post_init__(self):
         if not 1 <= self.m <= self.p:
             raise ValueError(f"need 1 <= m <= p, got m={self.m}, p={self.p}")
-        if self.Ts <= 0:
-            raise ValueError("Ts must be > 0")
         for name in ("alpha", "beta_pv", "beta_wt", "beta_du", "beta_bess"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"weight {name} must be > 0")

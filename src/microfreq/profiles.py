@@ -103,13 +103,13 @@ class ProfileSet:
         return float(self.t[-1])
 
 
-def _ou_series(rng, n, mu, theta, sigma, ts, clip):
+def _ou_series(rng, n, mu, theta, sigma, clip):
     """Ornstein-Uhlenbeck wander started at its mean, clipped to a band."""
     x = np.empty(n)
     x[0] = mu
-    shocks = rng.normal(size=n - 1) * sigma * np.sqrt(ts)
+    shocks = rng.normal(size=n - 1) * sigma * np.sqrt(SAMPLE_TIME)
     for k in range(n - 1):
-        x[k + 1] = x[k] + theta * (mu - x[k]) * ts + shocks[k]
+        x[k + 1] = x[k] + theta * (mu - x[k]) * SAMPLE_TIME + shocks[k]
     return np.clip(x, *clip)
 
 
@@ -128,19 +128,18 @@ def _apply_ramp_events(rng, series, t, rate_per_s, depth_range, ramp_range, hold
     return series * mult
 
 
-def generate_profiles(kind, seed, duration, ts=SAMPLE_TIME):
-    """Build a deterministic ProfileSet of the requested kind."""
+def generate_profiles(kind, seed, duration):
+    """Build a deterministic ProfileSet of the requested kind, sampled every
+    ``SAMPLE_TIME``."""
     if kind not in PROFILE_KINDS:
         raise ValueError(f"unknown profile kind {kind!r}; expected one of {PROFILE_KINDS}")
     if duration <= 0:
         raise ValueError("duration must be > 0")
-    if not 0 < ts < np.inf:
-        raise ValueError(f"sample time ts must be finite and > 0, got {ts}")
-    n = int(round(duration / ts)) + 1
+    n = int(round(duration / SAMPLE_TIME)) + 1
     if n < 2:
-        raise ValueError(f"duration {duration} s is below half the sample time ts {ts} s: "
+        raise ValueError(f"duration {duration} s is below half the sample time {SAMPLE_TIME} s: "
                          "the time grid needs at least two samples")
-    t = np.arange(n) * ts
+    t = np.arange(n) * SAMPLE_TIME
 
     if kind == "step":
         load = np.zeros(n)
@@ -161,13 +160,13 @@ def generate_profiles(kind, seed, duration, ts=SAMPLE_TIME):
     event_rng = np.random.default_rng([int(seed), 5])
 
     vol = _RAPID_VOLATILITY if kind == "rapid" else 1.0
-    load = _ou_series(load_rng, n, 0.0, 0.02, 0.01, ts, LOAD_CLIP)
+    load = _ou_series(load_rng, n, 0.0, 0.02, 0.01, LOAD_CLIP)
     v_w = np.array([
-        _ou_series(rng, n, NOMINAL_WIND_MS, 0.05, 0.25 * vol, ts, WIND_CLIP)
+        _ou_series(rng, n, NOMINAL_WIND_MS, 0.05, 0.25 * vol, WIND_CLIP)
         for rng in wind_rngs
     ])
     g_eff = np.array([
-        _ou_series(rng, n, NOMINAL_IRRADIANCE, 0.05, 15.0 * vol, ts, IRRADIANCE_CLIP)
+        _ou_series(rng, n, NOMINAL_IRRADIANCE, 0.05, 15.0 * vol, IRRADIANCE_CLIP)
         for rng in pv_rngs
     ])
 

@@ -48,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .baselines import pi_all_units_config, pi_du_bess_config, pi_step
+from .baselines import PI_BIND_TOL, pi_all_units_config, pi_du_bess_config, pi_step
 from .csv_format import DIGIT, FLOAT, CsvRows, write_csv
 from .der_models import (
     DELOAD_FRACTION,
@@ -79,7 +79,7 @@ from .lfc_model import (  # noqa: F401
     N_DISTURBANCES,
     N_STATES,
     OUTPUT_STATE_INDICES,
-    SAMPLE_TIME as SCENARIO_TS,
+    SAMPLE_TIME,
     build_plant,
     step_plant,
 )
@@ -113,35 +113,34 @@ DEFAULT_DURATIONS = {"step": 120.0, "moderate": 180.0, "rapid": 180.0}
 
 @dataclass(frozen=True)
 class Scenario:
-    """One closed-loop experiment: profiles plus controller selection."""
+    """One closed-loop experiment: profiles plus controller selection. The
+    profiles must be sampled every ``SAMPLE_TIME``."""
 
     kind: str
     controller: str
     seed: int
     profiles: ProfileSet
-    Ts: float = SCENARIO_TS
 
     def __post_init__(self):
         if self.controller not in CONTROLLER_KINDS:
             raise ValueError(f"unknown controller {self.controller!r}")
-        if abs(self.profiles.ts - self.Ts) > 1e-12:
-            raise ValueError(
-                f"profile sample time {self.profiles.ts} does not match scenario Ts {self.Ts}"
-            )
+        if abs(self.profiles.ts - SAMPLE_TIME) > 1e-12:
+            raise ValueError(f"profile sample time {self.profiles.ts} does not match "
+                             f"the model sample time {SAMPLE_TIME}")
 
     @property
     def n_steps(self):
         return self.profiles.t.shape[0] - 1
 
 
-def make_scenario(kind, controller, seed, duration=None, profiles=None, ts=SCENARIO_TS):
+def make_scenario(kind, controller, seed, duration=None, profiles=None):
     """Scenario factory; generates builtin profiles unless some are supplied."""
     if profiles is None:
         if kind not in PROFILE_KINDS:
             raise ValueError(f"unknown scenario kind {kind!r}")
         duration = DEFAULT_DURATIONS[kind] if duration is None else duration
-        profiles = generate_profiles(kind, seed, duration, ts)
-    return Scenario(kind=kind, controller=controller, seed=int(seed), profiles=profiles, Ts=ts)
+        profiles = generate_profiles(kind, seed, duration)
+    return Scenario(kind=kind, controller=controller, seed=int(seed), profiles=profiles)
 
 
 @dataclass(frozen=True)
@@ -151,10 +150,9 @@ class RunConfig:
     and ``p_pv1`` (so twin ratings must be equal), gains left None (the
     design on ``params``) and ``pi_configs``, keyed by controller name.
     ``replace`` derives them anew but keeps the gains: pass None to redesign.
-    ``prepared_runs`` holds the config's ``PreparedRun`` per sample time,
-    built by the first run that needs it (``prepare_run``); a ``replace``d
-    config starts without any. The runs of one config share them, so they
-    must not run concurrently.
+    ``prepared`` holds the config's ``PreparedRun``, built by the first run
+    that needs it (``prepare_run``); a ``replace``d config starts without
+    one. The runs of one config share it, so they must not run concurrently.
     """
 
     params: MicrogridParams = field(default_factory=MicrogridParams)
@@ -169,8 +167,7 @@ class RunConfig:
     wind: object = field(init=False, repr=False, compare=False)
     pv: object = field(init=False, repr=False, compare=False)
     pi_configs: dict = field(init=False, repr=False, compare=False)
-    # {Ts: PreparedRun}, filled by prepare_run.
-    prepared_runs: dict = field(init=False, repr=False, compare=False)
+    prepared: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         params = self.params
@@ -194,7 +191,7 @@ class RunConfig:
         object.__setattr__(self, "pi_configs", pi_configs)
         object.__setattr__(self, "wind", default_wind_params(rated_kw=params.p_wt1))
         object.__setattr__(self, "pv", default_pv_params(rated_kw=params.p_pv1))
-        object.__setattr__(self, "prepared_runs", {})
+        object.__setattr__(self, "prepared", None)
 
 
 @dataclass
@@ -208,7 +205,6 @@ class ScenarioTrace:
     kind: str
     controller: str
     seed: int
-    Ts: float
     t: np.ndarray
     freq: np.ndarray
     commands: np.ndarray        # (n, 6) applied totals, p.u.
@@ -256,13 +252,12 @@ def _true_disturbances(profiles, p_wt, p_pv, sbase):
 
 @dataclass(frozen=True, eq=False)
 class PreparedRun:
-    """What every run of one config at one sample time shares: the plant
-    (checked detectable, discretized at ``model.Ts``), the estimator's gain
-    schedule and, built on first use from the config's ``mpc``, the MPC's
-    prediction matrices. The config keeps it in ``prepared_runs``. Runs
-    sharing it fill one QP law cache; a law depends on its active set alone,
-    so no run's bytes depend on the others. Like the config's, its runs must
-    not run concurrently."""
+    """What every run of one config shares: the plant (checked detectable),
+    the estimator's gain schedule and, built on first use from the config's
+    ``mpc``, the MPC's prediction matrices. The config keeps it in
+    ``prepared``. Runs sharing it fill one QP law cache; a law depends on its
+    active set alone, so no run's bytes depend on the others. Like the
+    config's, its runs must not run concurrently."""
 
     mpc: MpcConfig = field(repr=False)
     model: object
@@ -292,17 +287,17 @@ class PreparedRun:
         return disturbances, limits
 
 
-def prepare_run(config, Ts, n_steps):
-    """The ``PreparedRun`` of ``config`` for runs of ``n_steps`` samples of
-    ``Ts``: the one the config keeps for ``Ts``, unless its gain schedule
-    does not cover that many steps (it found no cycle in a shorter run);
-    then a new one, which the config keeps from then on."""
-    prepared = config.prepared_runs.get(Ts)
+def prepare_run(config, n_steps):
+    """The ``PreparedRun`` of ``config`` for runs of ``n_steps`` samples: the
+    one the config keeps, unless its gain schedule does not cover that many
+    steps (it found no cycle in a shorter run); then a new one, which the
+    config keeps from then on."""
+    prepared = config.prepared
     if prepared is None or not prepared.gains.covers(n_steps):
-        model = build_plant(config.params, Ts)
+        model = build_plant(config.params)
         require_detectable(model)
         prepared = PreparedRun(config.mpc, model, gain_schedule(model, config.estimator, n_steps))
-        config.prepared_runs[Ts] = prepared
+        object.__setattr__(config, "prepared", prepared)
     return prepared
 
 
@@ -373,18 +368,17 @@ class _Runs:
     def __init__(self, cells, config, columns):
         if not cells or not all(cells):
             raise ValueError("a batch needs at least one cell, and a cell at least one scenario")
-        self.n, self.Ts = n, Ts = cells[0][0].n_steps, cells[0][0].Ts
+        self.n = n = cells[0][0].n_steps
         for cell in cells:
             first = cell[0]
             for scenario in cell[1:]:
-                if ((scenario.seed, scenario.Ts) != (first.seed, first.Ts)
+                if (scenario.seed != first.seed
                         or (scenario.profiles is not first.profiles
                             and scenario.profiles.digest() != first.profiles.digest())):
-                    raise ValueError(
-                        "the scenarios of a cell must share their profiles, seed and Ts")
-            if (first.n_steps, first.Ts) != (n, Ts):
-                raise ValueError("the cells of a batch must share their number of samples and Ts")
-        self.prepared = prepare_run(config, Ts, n)
+                    raise ValueError("the scenarios of a cell must share their profiles and seed")
+            if first.n_steps != n:
+                raise ValueError("the cells of a batch must share their number of samples")
+        self.prepared = prepare_run(config, n)
         self.inputs = [self.prepared.inputs(cell[0].profiles, config) for cell in cells]
         self.scenarios = [scenario for cell in cells for scenario in cell]
         self.cell_of = [index for index, cell in enumerate(cells) for _ in cell]
@@ -445,9 +439,9 @@ class _Runs:
             objective, binding, max_kkt = mpc.objective, mpc.binding.astype(int), mpc.max_kkt
         else:
             objective, binding, max_kkt = np.zeros(n + 1), np.zeros((n + 1, N_CONTROLS), int), 0.0
-            # A PI command binds within 1e-15 of either limit (participants only).
-            at_bound = ((commands[:n] <= limits.lo[:n] + 1e-15)
-                        | (commands[:n] >= limits.hi[:n] - 1e-15))
+            # A PI command binds within PI_BIND_TOL of a limit (participants only).
+            at_bound = ((commands[:n] <= limits.lo[:n] + PI_BIND_TOL)
+                        | (commands[:n] >= limits.hi[:n] - PI_BIND_TOL))
             binding[:n] = at_bound & self.pi_configs[run].participating
         # An aborted run keeps the rows before the failed sample, and the
         # largest KKT residual of the samples it solved.
@@ -456,7 +450,6 @@ class _Runs:
             kind=scenario.kind,
             controller=scenario.controller,
             seed=scenario.seed,
-            Ts=scenario.Ts,
             t=scenario.profiles.t[:rows].copy(),
             freq=states[:rows, self.freq_at].copy(),
             commands=commands[:rows].copy(),
@@ -475,8 +468,7 @@ class _Runs:
 def run_scenario(scenario, config=None):
     """Run one scenario to completion (or controller failure) and return the
     trace. Deterministic for identical inputs; the config's ``PreparedRun``
-    for the scenario's sample time is built by the first run that needs it
-    and shared by the later ones."""
+    is built by the first run that needs it and shared by the later ones."""
     runs = _Runs([[scenario]], config or RunConfig(), np.arange(N_STATES))
     model, gains = runs.prepared.model, runs.prepared.gains
     disturbances, limits = runs.inputs[0]
@@ -516,8 +508,7 @@ def run_scenario(scenario, config=None):
             u = step.command
             mpc.keep(k, step)
         else:
-            integral, u = pi_step(integral, y, band_lo[k].tolist(), band_hi[k].tolist(),
-                                  pi_config, scenario.Ts)
+            integral, u = pi_step(integral, y, band_lo[k].tolist(), band_hi[k].tolist(), pi_config)
 
         if np.shape(u) != (N_CONTROLS,):
             raise ValueError(f"command must have shape ({N_CONTROLS},), got {np.shape(u)}")
@@ -533,10 +524,10 @@ def run_scenario(scenario, config=None):
 def run_cells(cells, config=None):
     """Run a batch of cells in lockstep and return a generator of each
     cell's traces, a list per cell, in order. A cell is a list of scenarios
-    that share one profile set, seed and sample time (the three controllers
-    of a ``compare`` or ``sweep`` cell); the cells of a batch share their
-    number of samples and sample time. Each trace is the one
-    ``run_scenario`` gives its scenario, bit for bit.
+    that share one profile set and seed (the three controllers of a
+    ``compare`` or ``sweep`` cell); the cells of a batch share their number
+    of samples. Each trace is the one ``run_scenario`` gives its scenario,
+    bit for bit.
 
     One loop iteration steps every row, a row per scenario, by one sample.
     The plant step A x, the filter's A_aug z and the control term B_aug u
@@ -553,7 +544,7 @@ def run_cells(cells, config=None):
     write per sample.
     """
     runs = _Runs(cells, config or RunConfig(), _RECORDED_STATES)
-    n, Ts, cell_of = runs.n, runs.Ts, runs.cell_of
+    n, cell_of = runs.n, runs.cell_of
     model, gains = runs.prepared.model, runs.prepared.gains
     cell_disturbances, limits = zip(*runs.inputs)
     # (n + 1, cells, ·): a sample's disturbances and bands, a row per cell.
@@ -599,7 +590,7 @@ def run_cells(cells, config=None):
             lo_rows, hi_rows = band_lo[k].tolist(), band_hi[k].tolist()
             for i, run, cell in pi_rows:
                 integrals[run], u[i] = pi_step(integrals[run], ys[i], lo_rows[cell],
-                                               hi_rows[cell], pi_configs[run], Ts)
+                                               hi_rows[cell], pi_configs[run])
         if mpc_rows:
             at, mpc_cells, block_rows, records = mpc_rows
             dz_mpc = dz[at]
@@ -683,7 +674,7 @@ def compute_metrics(trace):
         max_abs_freq_dev=float(np.abs(freq).max()),
         freq_std=float(freq.std()),
         settle_time=float(settle),
-        cmd_energy=np.abs(trace.commands).sum(axis=0) * trace.Ts,
+        cmd_energy=np.abs(trace.commands).sum(axis=0) * SAMPLE_TIME,
         constraint_violations=violations,
     )
 
@@ -720,7 +711,7 @@ def step_response_metrics(controller, config, load_step=0.05):
     freqs = trace.freq[:-1]
     itae = 0.0
     for k, y in enumerate(freqs.tolist()):
-        itae += (k * trace.Ts) * abs(y) * trace.Ts
+        itae += (k * SAMPLE_TIME) * abs(y) * SAMPLE_TIME
     crossings = int(np.sum(np.diff(np.sign(freqs[np.abs(freqs) > 1e-12])) != 0))
     return {
         "peak": metrics.max_abs_freq_dev,

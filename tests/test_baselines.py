@@ -33,8 +33,8 @@ NOMINAL_LIMITS = reserve_limits(54.0, 54.0, 63.0, 63.0, 60.0, 0.0, PARAMS)
 
 
 def step(integral, y, limits, config):
-    """``pi_step`` at Ts = 0.2 s on the rows of ``limits``: (integral, commands array)."""
-    integral, cmd = pi_step(integral, y, limits.lo.tolist(), limits.hi.tolist(), config, 0.2)
+    """``pi_step`` on the rows of ``limits``: (integral, commands array)."""
+    integral, cmd = pi_step(integral, y, limits.lo.tolist(), limits.hi.tolist(), config)
     return integral, np.array(cmd)
 
 
@@ -145,8 +145,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PiConfig(kp=1.0, ki=1.0, participating=np.ones(6, bool),
                  allocation_weights=np.full(6, 0.1), capacity_scale=1.0)
-    with pytest.raises(ValueError):
-        pi_step(0.0, 0.0, WIDE.lo.tolist(), WIDE.hi.tolist(), pi_all_units_config(PARAMS), 0.0)
 
 
 @pytest.mark.parametrize("gain", ["kp", "ki"])
@@ -226,7 +224,7 @@ def limit_rows(draw):
 def test_pi_step_matches_reference_bits(factory, y, integral, rows):
     lo, hi = rows
     config = factory(PARAMS)
-    got_integral, got = pi_step(integral, y, lo.tolist(), hi.tolist(), config, 0.2)
+    got_integral, got = pi_step(integral, y, lo.tolist(), hi.tolist(), config)
     want_integral, want = pi_step_reference(integral, y, ReserveLimits(lo=lo, hi=hi), config, 0.2)
     assert np.array(got).tobytes() == want.tobytes()
     assert np.float64(got_integral).tobytes() == np.float64(want_integral).tobytes()

@@ -9,7 +9,7 @@ from microfreq import cli
 from microfreq.cli import SIM_KEYS, load_run_config, main
 from microfreq.der_models import DELOAD_FRACTION
 from microfreq.lfc_model import MicrogridParams
-from microfreq.profiles import generate_profiles, write_profiles_csv
+from microfreq.profiles import ProfileSet, generate_profiles, write_profiles_csv
 from microfreq.simulate import RunConfig, make_scenario, run_scenario, write_trace_csv
 
 
@@ -269,20 +269,31 @@ def test_bad_config_values_fail_at_ingest(tmp_path, monkeypatch, capsys, argv, t
 
 
 @pytest.mark.parametrize("controller", ["mpc", "pi_all"])
-def test_run_rejects_an_mpc_sample_time_off_the_scenario_grid(tmp_path, controller):
+def test_run_rejects_an_mpc_sample_time_as_an_unknown_key(tmp_path, controller):
+    # The sample time is the model's constant, not a config key, even at its value.
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"mpc": {"Ts": 0.5}}))
+    config_path.write_text(json.dumps({"mpc": {"Ts": 0.2}}))
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match=r"unsupported mpc config Ts 0\.5; expected 0\.2"):
+    with pytest.raises(ValueError, match=r"unknown mpc config keys \['Ts'\]"):
         main(["run", "--scenario", "step", "--controller", controller, "--seed", "0",
               "--config", str(config_path), "--out", str(out)])
     assert not out.exists()
+    assert load_run_config().mpc.Ts == 0.2
 
 
-def test_config_accepts_the_scenario_sample_time(tmp_path):
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"mpc": {"Ts": 0.2}}))
-    assert load_run_config(str(config_path)).mpc.Ts == 0.2
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_profiles_off_the_model_sample_time_fail_before_any_output(tmp_path, command):
+    n = 31
+    fine = ProfileSet(t=np.arange(n) * 0.1, load_pu=np.zeros(n), v_w=np.full((2, n), 12.0),
+                      g_eff=np.full((2, n), 1000.0), t_amb=np.full(n, 25.0))
+    path = tmp_path / "fine.csv"
+    write_profiles_csv(path, fine)
+    out = tmp_path / "out"
+    message = r"profile sample time 0\.1 does not match the model sample time 0\.2"
+    with pytest.raises(ValueError, match=message):
+        main([command, "--scenario", "step", "--seed", "0", "--profiles", str(path),
+              "--out", str(out)])
+    assert not out.exists()
 
 
 def test_config_file_overrides(tmp_path):

@@ -113,8 +113,6 @@ def test_pv_params_validation():
     with pytest.raises(ValueError):
         PvParams(n_series=0)
     with pytest.raises(ValueError):
-        PvParams(ref_irradiance=900.0)
-    with pytest.raises(ValueError):
         PvParams(temp_coefficient=-0.1)
 
 

@@ -34,7 +34,7 @@ def reference_run(scenario, config):
     Returns the trace fields as a dict."""
     params = config.params
     profiles = scenario.profiles
-    model = build_plant(params, scenario.Ts)
+    model = build_plant(params)
     n = scenario.n_steps
     p_wt = np.array([[wind_available_power(profiles.v_w[i, k], config.wind, config.deload)
                       for k in range(n + 1)] for i in range(2)])
@@ -88,8 +88,7 @@ def reference_run(scenario, config):
             objective = diagnostics.objective
             max_kkt = max(max_kkt, max(diagnostics.kkt_residuals))
         else:
-            integral, u = pi_step(integral, y, limits.lo.tolist(), limits.hi.tolist(), pi_config,
-                                  scenario.Ts)
+            integral, u = pi_step(integral, y, limits.lo.tolist(), limits.hi.tolist(), pi_config)
             u = np.array(u)
             at_bound = (u <= limits.lo + 1e-15) | (u >= limits.hi - 1e-15)
             binding = at_bound & pi_config.participating

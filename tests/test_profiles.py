@@ -73,7 +73,7 @@ def test_rapid_keeps_the_moderate_load_stream():
 
 
 def test_grid_length_and_spacing():
-    p = generate_profiles("moderate", seed=0, duration=180.0, ts=0.2)
+    p = generate_profiles("moderate", seed=0, duration=180.0)
     assert p.t.shape[0] == 901
     assert p.ts == pytest.approx(0.2)
     assert p.duration == pytest.approx(180.0)
@@ -86,20 +86,13 @@ def test_unknown_kind_rejected():
         generate_profiles("step", seed=0, duration=0.0)
 
 
-@pytest.mark.parametrize("duration, ts", [(0.05, 0.2), (0.1, 0.2), (0.4, 1.0)])
+# ts is the sample time every profile set is generated at.
+@pytest.mark.parametrize("duration, ts", [(0.05, 0.2), (0.1, 0.2)])
 def test_duration_below_half_a_sample_rejected(duration, ts):
-    message = f"duration {duration} s is below half the sample time ts {ts} s"
+    message = f"duration {duration} s is below half the sample time {ts} s"
     with pytest.raises(ValueError, match=re.escape(message)):
-        generate_profiles("step", 0, duration, ts)
-    assert generate_profiles("step", 0, 0.6 * ts, ts).t.shape == (2,)
-
-
-@pytest.mark.parametrize("ts", [0.0, -0.2, np.nan, np.inf])
-def test_sample_time_not_finite_and_positive_rejected(ts):
-    message = f"sample time ts must be finite and > 0, got {ts}"
-    for kind in ("step", "rapid"):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            generate_profiles(kind, 0, 10.0, ts)
+        generate_profiles("step", 0, duration)
+    assert generate_profiles("step", 0, 0.6 * ts).t.shape == (2,)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -1,4 +1,4 @@
-"""One ``PreparedRun`` per config and sample time, shared by every run on
+"""One ``PreparedRun`` per config, shared by every run on
 the config, and the lean sample loop that runs on it.
 
 A config builds its plant, detectability check, gain schedule and MPC
@@ -27,13 +27,12 @@ from microfreq.numerics import rows_times
 from microfreq.profiles import generate_profiles
 from microfreq.simulate import (
     CONTROLLER_KINDS,
-    SCENARIO_TS,
     RunConfig,
     make_scenario,
     run_scenario,
 )
 
-MODEL = build_plant(RunConfig().params, SCENARIO_TS)
+MODEL = build_plant(RunConfig().params)
 _, B_AUG, _ = augmented_matrices(MODEL)
 
 TRACE_ARRAYS = ("t", "freq", "commands", "outputs", "disturbances", "d_hat",
@@ -70,14 +69,14 @@ def test_a_config_builds_its_invariants_once_for_all_its_runs(monkeypatch):
 
 
 def test_a_used_config_is_freed_without_the_cycle_collector():
-    # The config holds its prepared runs and they do not hold it, so no
+    # The config holds its prepared run and it does not hold the config, so no
     # cycle keeps a used config (and its law cache) alive.
     gc.disable()
     try:
         config = RunConfig()
         for controller in ("mpc", "pi_all"):
             run_scenario(make_scenario("rapid", controller, 0, duration=20.0), config)
-        assert config.prepared_runs[SCENARIO_TS].pred.box.laws
+        assert config.prepared.pred.box.laws
         freed = weakref.ref(config)
         del config
         assert freed() is None
@@ -115,7 +114,7 @@ def test_an_mpc_run_has_the_same_bytes_first_or_after_other_runs_on_its_config(s
     config = RunConfig()
     for other in range(10):
         run_scenario(make_scenario("rapid", "mpc", other), config)
-    laws = len(config.prepared_runs[SCENARIO_TS].pred.box.laws)
+    laws = len(config.prepared.pred.box.laws)
     assert laws > 50
     assert_same_bytes(run_scenario(scenario, config), first)
 
@@ -151,7 +150,7 @@ def test_plant_disturbances_have_the_bits_of_one_product_per_sample():
     # each sample; both must give each row the bits of its own product.
     profiles = generate_profiles("rapid", 6, 60.0)
     config = RunConfig()
-    prepared = sim.prepare_run(config, SCENARIO_TS, 300)
+    prepared = sim.prepare_run(config, 300)
     disturbances, _ = prepared.inputs(profiles, config)
     D = prepared.model.D
     grid = rows_times(D, disturbances)

@@ -121,7 +121,7 @@ def test_pi_deloading_saturation_degrades_in_rapid_scenario():
 
 def test_metrics_degenerate_series():
     trace = ScenarioTrace(
-        kind="step", controller="mpc", seed=0, Ts=0.2,
+        kind="step", controller="mpc", seed=0,
         t=np.arange(4) * 0.2,
         freq=np.full(4, 2.5e-3),
         commands=np.zeros((4, 6)),
@@ -143,7 +143,7 @@ def test_metrics_four_point_series():
     # squared deviations (0.25 + 6.25 + 2.25 + 0.25)e-6, so std = 1.5e-3.
     freq = np.array([0.0, 3e-3, -1e-3, 0.0])
     trace = ScenarioTrace(
-        kind="step", controller="mpc", seed=0, Ts=0.2,
+        kind="step", controller="mpc", seed=0,
         t=np.arange(4) * 0.2,
         freq=freq,
         commands=np.zeros((4, 6)),
@@ -198,7 +198,7 @@ def settle_trace(freq, event):
     disturbances = np.zeros((n, 5))
     disturbances[event:, 0] = 0.05 if event else 0.0
     return ScenarioTrace(
-        kind="step", controller="pi_all", seed=0, Ts=0.2,
+        kind="step", controller="pi_all", seed=0,
         t=np.arange(n) * 0.2, freq=np.array(freq, dtype=float),
         commands=np.zeros((n, 6)), outputs=np.zeros((n, 6)), disturbances=disturbances,
         d_hat=np.zeros(n), limits_lo=-np.ones((n, 6)), limits_hi=np.ones((n, 6)),
@@ -248,7 +248,7 @@ def test_never_settled_run_has_a_null_settle_time_in_its_summary():
 
 def test_empty_trace_rejected():
     trace = ScenarioTrace(
-        kind="step", controller="mpc", seed=0, Ts=0.2,
+        kind="step", controller="mpc", seed=0,
         t=np.zeros(0), freq=np.zeros(0), commands=np.zeros((0, 6)),
         outputs=np.zeros((0, 6)), disturbances=np.zeros((0, 5)),
         d_hat=np.zeros(0), limits_lo=np.zeros((0, 6)), limits_hi=np.zeros((0, 6)),
@@ -290,30 +290,27 @@ def test_prepared_run_serves_only_its_config_sample_time_and_length():
     # covariance, so the gain schedule covers ten steps and no more.
     short = make_scenario("step", "mpc", seed=0, profiles=constant_profiles(duration=2.0))
     assert run_scenario(short, config).freq.size == 11
-    prepared = config.prepared_runs[0.2]
+    prepared = config.prepared
     assert prepared.mpc is config.mpc
     assert prepared.gains.period == 0 and len(prepared.gains.gains) == 10
     run_scenario(short, config)
-    assert config.prepared_runs == {0.2: prepared}
+    assert config.prepared is prepared
 
     # A longer run than the schedule covers gets a run of its own, which the
     # config keeps; its schedule cycles, so it covers every length.
     long = make_scenario("step", "mpc", seed=0, profiles=constant_profiles(duration=31.0))
     assert run_scenario(long, config).freq.size == 156
-    longer = config.prepared_runs[0.2]
+    longer = config.prepared
     assert longer is not prepared and longer.gains.period > 0
-    assert sim.prepare_run(config, 0.2, 10**6) is longer
-    assert sim.prepare_run(config, 0.2, 10) is longer
+    assert sim.prepare_run(config, 10**6) is longer
+    assert sim.prepare_run(config, 10) is longer
 
-    # Another sample time, and a replaced or an equal config, get their own.
-    slow = make_scenario("step", "pi_all", seed=0, profiles=constant_profiles(ts=0.5), ts=0.5)
-    run_scenario(slow, config)
-    assert config.prepared_runs[0.5].model.Ts == 0.5 and config.prepared_runs[0.2] is longer
+    # A replaced or an equal config gets its own.
     for other in (replace(config, deload=0.08), replace(config), RunConfig()):
-        assert other.prepared_runs == {}
+        assert other.prepared is None
         run_scenario(long, other)
-        assert other.prepared_runs[0.2] is not longer
-        assert other.prepared_runs[0.2].mpc is other.mpc
+        assert other.prepared is not longer
+        assert other.prepared.mpc is other.mpc
 
 
 def test_unknown_controller_rejected():
@@ -399,14 +396,14 @@ def test_run_config_rejects_bad_values_at_construction(kwargs, message):
 ], ids=["deepcopy", "rebuilt", "deload", "estimator-q", "estimator-p0"])
 def test_run_configs_compare_by_value(other, equal):
     config = RunConfig(deload=0.08)
-    run_scenario(make_scenario("step", "pi_all", 0, duration=2.0), config)  # fills prepared_runs
+    run_scenario(make_scenario("step", "pi_all", 0, duration=2.0), config)  # fills prepared
     assert (other(config) == config) is equal
     assert (config != other(config)) is not equal
 
 
 def test_equal_configs_hash_alike_and_key_a_dict():
     config = RunConfig(deload=0.08)
-    run_scenario(make_scenario("step", "pi_all", 0, duration=2.0), config)  # fills prepared_runs
+    run_scenario(make_scenario("step", "pi_all", 0, duration=2.0), config)  # fills prepared
     twins = [copy.deepcopy(config), RunConfig(deload=0.08)]
     assert all(hash(twin) == hash(config) for twin in twins)
     keyed = {config: "first"}

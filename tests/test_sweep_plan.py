@@ -16,6 +16,7 @@ import pytest
 
 from microfreq import cli, mpc, simulate
 from microfreq.cli import _write_outputs, load_run_config, main
+from microfreq.lfc_model import SAMPLE_TIME
 from microfreq.numerics import QpInfeasibleError
 from microfreq.simulate import (
     CONTROLLER_KINDS,
@@ -126,7 +127,7 @@ def test_sweep_matches_the_plain_sweep(tmp_path, monkeypatch, capsys, seeds, kin
     if abort_at is not None:
         # The MPC trace stops at the failed sample; the PI runs of its cell
         # keep every row (a header line and one per sample and the terminal).
-        samples = round(simulate.DEFAULT_DURATIONS[kinds] / simulate.SCENARIO_TS)
+        samples = round(simulate.DEFAULT_DURATIONS[kinds] / SAMPLE_TIME)
         for seed in seeds.split(","):
             for controller, rows in (("mpc", abort_at), ("pi_all", samples + 1),
                                      ("pi_dubess", samples + 1)):

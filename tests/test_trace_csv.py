@@ -81,7 +81,7 @@ def random_traces(draw):
         return draw(hnp.arrays(np.float64, (n, *shape), elements=cells))
 
     return ScenarioTrace(
-        kind="rapid", controller="pi_all", seed=0, Ts=0.2,
+        kind="rapid", controller="pi_all", seed=0,
         t=floats(), freq=floats(), commands=floats(6), outputs=floats(6),
         disturbances=floats(5), d_hat=floats(), limits_lo=floats(6), limits_hi=floats(6),
         binding=draw(hnp.arrays(int, (n, 6), elements=st.integers(0, 1))),
@@ -116,7 +116,7 @@ def trace_of(values, binding=None):
     if binding is None:
         binding = np.zeros((len(values), 6), dtype=int)
     return ScenarioTrace(
-        kind="rapid", controller="pi_all", seed=0, Ts=0.2,
+        kind="rapid", controller="pi_all", seed=0,
         t=cells[:, 0], freq=cells[:, 1], commands=cells[:, 2:8], outputs=cells[:, 8:14],
         disturbances=cells[:, 14:19], d_hat=cells[:, 19], limits_lo=cells[:, 20:26],
         limits_hi=cells[:, 26:32], binding=binding, objective=cells[:, 32],

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import microfreq.simulate as sim
+from microfreq.lfc_model import SAMPLE_TIME
 from microfreq.numerics import QpInfeasibleError
 from microfreq.profiles import PROFILE_KINDS
 from microfreq.simulate import (
@@ -46,7 +47,7 @@ def test_completed_trace_invariants(kind, controller, seed, duration, deload):
               & (trace.commands <= trace.limits_hi + VIOLATION_TOL))
     assert (inside | trace.binding.astype(bool)).all()
     # Uniform time from 0.
-    assert np.array_equal(trace.t, np.arange(n_rows) * scenario.Ts)
+    assert np.array_equal(trace.t, np.arange(n_rows) * SAMPLE_TIME)
     # The terminal row holds the last command under the last limits.
     assert np.array_equal(trace.limits_lo[-1], trace.limits_lo[-2])
     assert np.array_equal(trace.limits_hi[-1], trace.limits_hi[-2])
@@ -72,4 +73,4 @@ def test_aborted_trace_keeps_the_rows_before_the_failure(kind, seed, duration, w
     assert trace.aborted_at == abort_at
     for name in TRACE_ROWS:
         assert getattr(trace, name).shape[0] == abort_at, name
-    assert np.array_equal(trace.t, np.arange(abort_at) * scenario.Ts)
+    assert np.array_equal(trace.t, np.arange(abort_at) * SAMPLE_TIME)
