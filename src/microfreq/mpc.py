@@ -310,8 +310,7 @@ def control_step(dx, dd, y, u_prev, band_lo, band_hi, pred):
     v_unc = pred.sample_map[p + n:] @ sample
 
     bounds = _bounds(band_lo, band_hi, u_prev, pred.m)
-    lo, hi = bounds[:n], bounds[n:]
-    solved = pred.box.solve(v_unc, lo, hi, _QP_TOL * max(1.0, np.abs(bounds).max()))
+    solved = pred.box.solve(v_unc, bounds, _QP_TOL * max(1.0, np.abs(bounds).max()))
     if solved is None:
         v, lam = _capped_solve(pred, sample, bounds)
     else:
@@ -367,11 +366,13 @@ def control_rows(dx, dd, y, u_prev, band_lo, band_hi, pred):
     v = rows_times(pred.sample_map[p + n:], samples)
     bounds = _bounds(band_lo, band_hi, u_prev, pred.m)
     tol = _QP_TOL * np.maximum(1.0, np.abs(bounds).max(axis=1))
-    below, above = bounds[:, :n] - tol[:, None], bounds[:, n:] + tol[:, None]
+    # lo - tol and hi + tol in one product and one sum, with their bits.
+    widened = bounds + tol[:, None] * pred.box.widening
+    below, above = widened[:, :n], widened[:, n:]
     lower, upper = v < below, v > above
-    lam = np.zeros_like(v)
+    lam = np.zeros(v.shape)
     infeasible = []
-    for r in np.flatnonzero((lower | upper).any(axis=1)).tolist():
+    for r in np.logical_or.reduce(lower | upper, axis=1).nonzero()[0].tolist():
         try:
             solved = pred.box.iterate(v[r], bounds[r], below[r], above[r], lower[r], upper[r])
             if solved is None:

@@ -308,10 +308,13 @@ class BoxQp:
         # The active-set update compares a step of the multiplier with a
         # step of v, in the units of v: lam_i / H_ii.
         self._inv_curvature = 1.0 / np.diag(self.H)
+        # -1 on the lower bounds of [lo; hi], +1 on the upper ones: [lo; hi]
+        # plus tol times these is [lo - tol; hi + tol], bit for bit.
+        self.widening = np.concatenate((np.full(self.n, -1.0), np.ones(self.n)))
         # The sets and multipliers of every solve that binds no bound.
         self._no_sets = bytes(2 * self.n)
         self._no_multipliers = np.zeros(self.n)
-        self._no_multipliers.flags.writeable = False
+        self._no_multipliers.flags.writeable = self.widening.flags.writeable = False
         self.laws = {}
         self._matrices = {}
 
@@ -320,9 +323,10 @@ class BoxQp:
         return self.H.shape[0]
 
     def _law(self, sets, lower, upper):
-        """(indices of A, their picks from [lo; hi], [K_A; W[A, A]^-1]) for
-        the lower and upper masks ``lower`` and ``upper``, whose bytes are
-        ``sets``; A is their union, and its splits share the matrix."""
+        """(indices of A, their picks from [lo; hi], [K_A; W[A, A]^-1], 1 /
+        H_ii on A) for the lower and upper masks ``lower`` and ``upper``,
+        whose bytes are ``sets``; A is their union, and its splits share
+        the matrix."""
         law = self.laws.get(sets)
         if law is None:
             active = lower | upper
@@ -334,11 +338,12 @@ class BoxQp:
                 columns = self.H_inv[:, idx]
                 W_AA_inv = np.linalg.inv(columns[idx])
                 matrix = self._matrices[key] = np.concatenate((columns @ W_AA_inv, W_AA_inv))
-            law = self.laws[sets] = (idx, picks, matrix)
+            law = self.laws[sets] = (idx, picks, matrix, self._inv_curvature[idx])
         return law
 
-    def solve(self, v_unc, lo, hi, tol):
-        """Minimize over the box from the unconstrained minimizer ``v_unc``.
+    def solve(self, v_unc, bounds, tol):
+        """Minimize over the box [lo; hi] = ``bounds`` from the
+        unconstrained minimizer ``v_unc``.
 
         The first active set is the bounds ``v_unc`` violates by more than
         ``tol``; with none, ``v_unc`` is the answer, with the read-only
@@ -348,11 +353,12 @@ class BoxQp:
         lam being the gradient H v + g (zero off the active set), or None
         when the iteration gives up; QpInfeasibleError on crossed bounds.
         """
-        below, above = lo - tol, hi + tol
+        n = self.n
+        below, above = bounds[:n] - tol, bounds[n:] + tol
         lower, upper = v_unc < below, v_unc > above
         if lower.tobytes() + upper.tobytes() == self._no_sets:
             return v_unc, self._no_multipliers, 0
-        return self.iterate(v_unc, np.concatenate((lo, hi)), below, above, lower, upper)
+        return self.iterate(v_unc, bounds, below, above, lower, upper)
 
     def iterate(self, v_unc, bounds, below, above, lower, upper):
         """The box iteration of a sample that binds: ``bounds`` is [lo; hi],
@@ -365,31 +371,34 @@ class BoxQp:
         rebuilds the lower and upper sets from v - lam / diag(H); it stops
         when both repeat, which is the KKT point: the free entries within
         the box (to tol), the multipliers positive on lower and negative on
-        upper bounds. Returns (v, lam, iterations), or None when
-        BOX_QP_MAX_ITERATIONS pass without the sets repeating. The
-        iteration may cycle when H is not an M-matrix, and the caller's
-        fallback, ``solve_qp_info`` on the same problem, is what guarantees
-        an answer.
+        upper bounds. On a free entry lam is zero and the shifted value is v
+        itself; on an active one, where v is the bound, it is the bound plus
+        -lam times 1 / H_ii, with the bits of v - lam / H_ii. So v and lam
+        are built only when the sets repeat. Returns (v, lam,
+        iterations), or None when BOX_QP_MAX_ITERATIONS pass without the
+        sets repeating. The iteration may cycle when H is not an M-matrix,
+        and the caller's fallback, ``solve_qp_info`` on the same problem, is
+        what guarantees an answer.
         """
         n = self.n
-        crossed = bounds[:n] > above
-        if crossed.any():
-            j = int(np.argmax(crossed))
+        crossed = (bounds[:n] > above).nonzero()[0]
+        if crossed.size:
+            j = int(crossed[0])
             raise QpInfeasibleError(j, f"QP infeasible: lower bound {j} exceeds its upper bound by {bounds[j] - bounds[n + j]:.3e}")
         sets = lower.tobytes() + upper.tobytes()
         for iterations in range(1, BOX_QP_MAX_ITERATIONS + 1):
-            idx, picks, law = self._law(sets, lower, upper)
+            idx, picks, law, inv_curvature = self._law(sets, lower, upper)
             bound = bounds[picks]
             step = law @ (v_unc[idx] - bound)
-            v = v_unc - step[:n]
-            v[idx] = bound
-            lam = np.zeros(n)
-            lam[idx] = -step[n:]
-            shifted = v - lam * self._inv_curvature
+            shifted = v_unc - step[:n]
+            shifted[idx] = bound + step[n:] * inv_curvature
             lower, upper = shifted < below, shifted > above
             repeated, sets = sets, lower.tobytes() + upper.tobytes()
             if sets == repeated:
-                return v, lam, iterations
+                shifted[idx] = bound
+                lam = np.zeros(n)
+                lam[idx] = -step[n:]
+                return shifted, lam, iterations
         return None
 
 

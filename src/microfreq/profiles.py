@@ -10,6 +10,7 @@ the same seed). All generation is seeded and deterministic.
 import csv
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,13 +105,16 @@ class ProfileSet:
 
 
 def _ou_series(rng, n, mu, theta, sigma, clip):
-    """Ornstein-Uhlenbeck wander started at its mean, clipped to a band."""
-    x = np.empty(n)
-    x[0] = mu
+    """Ornstein-Uhlenbeck wander started at its mean, clipped to a band. The
+    recursion runs on Python floats: the same IEEE operations, in the same
+    order, as on numpy scalars, at a third of the cost."""
     shocks = rng.normal(size=n - 1) * sigma * np.sqrt(SAMPLE_TIME)
-    for k in range(n - 1):
-        x[k + 1] = x[k] + theta * (mu - x[k]) * SAMPLE_TIME + shocks[k]
-    return np.clip(x, *clip)
+    last = float(mu)
+    series = [last]
+    for shock in shocks.tolist():
+        last = last + theta * (mu - last) * SAMPLE_TIME + shock
+        series.append(last)
+    return np.clip(np.array(series), *clip)
 
 
 def _apply_ramp_events(rng, series, t, rate_per_s, depth_range, ramp_range, hold_range):
@@ -133,8 +137,8 @@ def generate_profiles(kind, seed, duration):
     ``SAMPLE_TIME``."""
     if kind not in PROFILE_KINDS:
         raise ValueError(f"unknown profile kind {kind!r}; expected one of {PROFILE_KINDS}")
-    if duration <= 0:
-        raise ValueError("duration must be > 0")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be finite and > 0, got {duration!r}")
     n = int(round(duration / SAMPLE_TIME)) + 1
     if n < 2:
         raise ValueError(f"duration {duration} s is below half the sample time {SAMPLE_TIME} s: "

@@ -15,19 +15,19 @@ sample loop. Both set up and finish through ``_Runs``: the cell check, the
 prepared run and inputs, the records, the measurement noise (drawn up
 front) and the traces; a run gets the same bytes from either. The loops
 stay forked because only batch size pays for the batch. In CPU time on one
-host, a one-row batch costs a lone run 1.54x (MPC) and 1.46x (PI), a
-one-row ``control_rows`` costs 1.43x ``control_step``, and even a
-violated-bound test shared by the two adds 14 % to ``control_step``. So
-the 1-D loop steps one plant on 1-D arrays and Python floats; the batch
-stacks the plant, filter and control-term products over its live rows, and
-solves the MPC rows of a sample with one ``control_rows`` call, which
-iterates only the rows that bind.
+host (medians of 15, alternating with the lone runs, on one config), a
+one-row batch costs a lone run 1.35-1.49x (MPC) and 1.25-1.31x (PI), and
+a one-row ``control_rows`` costs 1.24x ``control_step``; a cell of three
+runs costs 0.93-0.94x its three lone runs. So the 1-D loop steps one plant
+on 1-D arrays and Python floats; the batch stacks the plant, filter and
+control-term products over its live rows, and solves the MPC rows of a
+sample with one ``control_rows`` call, which iterates only the rows that
+bind.
 
-A batch records only what its traces keep: the frequency and the six unit
-outputs (7 of the 10 states), the commands and d_hat. The traces are
-finished a cell at a time, as the caller reads them, each with its own copy
-of its rows; a batch of 180 s cells holds about 0.6 MB per cell of three
-runs until its last cell is read.
+A batch records what a single run does: each run's states, commands and
+d_hat. The traces are finished a cell at a time, as the caller reads them,
+each with its own copy of its rows; a batch of 180 s cells holds about
+0.65 MB per cell of three runs until its last cell is read.
 
 Everything that does not depend on the closed loop is built before the
 first sample: the config's ``PreparedRun`` (plant, gain schedule, MPC
@@ -101,9 +101,6 @@ CONTROLLER_KINDS = ("mpc", "pi_all", "pi_dubess")
 # Samples per block of an MPC run's diagnostics (about 0.3 MB of
 # temporaries), and of a batch's plant disturbance terms.
 _DIAGNOSTIC_ROWS = 128
-
-# The state columns a batch records: the frequency, then the six unit outputs.
-_RECORDED_STATES = np.array([IDX_FREQ, *OUTPUT_STATE_INDICES])
 
 SETTLE_BAND = 1e-4  # p.u.
 VIOLATION_TOL = 1e-9  # p.u.
@@ -354,18 +351,19 @@ class _Runs:
     for a batch of ``cells`` (a single run is one cell of one scenario).
 
     Built, it has checked the cells, taken the config's ``PreparedRun`` and
-    each cell's ``inputs``, and made the records of every run, a run per
-    row: the states in ``columns`` (sorted state indices: all ten for a
-    single run, which writes its state whole each sample), the commands and
-    d_hat of its n + 1 rows, an MPC run's ``_MpcRecord`` (its s, V and
-    multipliers wait in ``blocks``, (MPC runs, _DIAGNOSTIC_ROWS, ·) arrays)
-    and a PI run's config. ``noise`` is each run's measurement noise, (n,
-    runs), or None: a seed's values are drawn once, one per sample, and
-    every run of its cell adds the same ones. The loop sets
-    ``aborted_at[run]`` to the sample at which a run's QP was infeasible;
-    ``traces`` then finishes the runs."""
+    each cell's ``inputs``, and ordered the runs controller-major: the MPC
+    runs, then the PI runs, each group in cell order (``cell_of`` holds
+    each run's cell, and ``cell_runs`` each cell's runs in the order the
+    cell lists them). It has made the records of every run, a run per
+    row: the states, commands and d_hat of its n + 1 rows, an MPC run's
+    ``_MpcRecord`` (its s, V and multipliers wait in ``blocks``, (MPC runs,
+    _DIAGNOSTIC_ROWS, ·) arrays) and a PI run's config. ``noise`` is each
+    run's measurement noise, (n, runs), or None: a seed's values are drawn
+    once, one per sample, and every run of its cell adds the same ones. The
+    loop sets ``aborted_at[run]`` to the sample at which a run's QP was
+    infeasible; ``traces`` then finishes the runs."""
 
-    def __init__(self, cells, config, columns):
+    def __init__(self, cells, config):
         if not cells or not all(cells):
             raise ValueError("a batch needs at least one cell, and a cell at least one scenario")
         self.n = n = cells[0][0].n_steps
@@ -380,12 +378,16 @@ class _Runs:
                 raise ValueError("the cells of a batch must share their number of samples")
         self.prepared = prepare_run(config, n)
         self.inputs = [self.prepared.inputs(cell[0].profiles, config) for cell in cells]
-        self.scenarios = [scenario for cell in cells for scenario in cell]
-        self.cell_of = [index for index, cell in enumerate(cells) for _ in cell]
+        listed = [(index, scenario) for index, cell in enumerate(cells) for scenario in cell]
+        order = sorted(range(len(listed)), key=lambda at: listed[at][1].controller != "mpc")
+        self.scenarios = [listed[at][1] for at in order]
+        self.cell_of = [listed[at][0] for at in order]
+        run_at = {at: run for run, at in enumerate(order)}
+        self.cell_runs = [[] for _ in cells]
+        for at, (index, _) in enumerate(listed):
+            self.cell_runs[index].append(run_at[at])
         runs = len(self.scenarios)
-        self.columns = columns
-        self.freq_at, *self.outputs_at = np.searchsorted(columns, _RECORDED_STATES).tolist()
-        self.states = np.zeros((runs, n + 1, len(columns)))
+        self.states = np.zeros((runs, n + 1, N_STATES))
         self.commands = np.zeros((runs, n + 1, N_CONTROLS))
         self.d_hat = np.zeros((runs, n + 1))
         mpc_runs = [run for run, scenario in enumerate(self.scenarios)
@@ -417,11 +419,10 @@ class _Runs:
         in order (1-D for a single run)."""
         finished = [run for run, at in enumerate(self.aborted_at) if at is None]
         if finished:
-            self.states[finished, self.n] = x[..., self.columns]
+            self.states[finished, self.n] = x
             self.commands[finished, self.n] = u
             self.d_hat[finished, self.n] = z[..., N_STATES]
-        return ([self._trace(run) for run, of in enumerate(self.cell_of) if of == index]
-                for index in range(len(self.inputs)))
+        return ([self._trace(run) for run in runs] for runs in self.cell_runs)
 
     def _trace(self, run):
         """The ``ScenarioTrace`` of one run from its records; an MPC run's
@@ -451,9 +452,9 @@ class _Runs:
             controller=scenario.controller,
             seed=scenario.seed,
             t=scenario.profiles.t[:rows].copy(),
-            freq=states[:rows, self.freq_at].copy(),
+            freq=states[:rows, IDX_FREQ].copy(),
             commands=commands[:rows].copy(),
-            outputs=states[:rows, self.outputs_at],
+            outputs=states[:rows, list(OUTPUT_STATE_INDICES)],
             disturbances=disturbances[:rows],
             d_hat=self.d_hat[run, :rows].copy(),
             limits_lo=limits.lo[:rows],
@@ -469,7 +470,7 @@ def run_scenario(scenario, config=None):
     """Run one scenario to completion (or controller failure) and return the
     trace. Deterministic for identical inputs; the config's ``PreparedRun``
     is built by the first run that needs it and shared by the later ones."""
-    runs = _Runs([[scenario]], config or RunConfig(), np.arange(N_STATES))
+    runs = _Runs([[scenario]], config or RunConfig())
     model, gains = runs.prepared.model, runs.prepared.gains
     disturbances, limits = runs.inputs[0]
     # D @ d of every sample, each row as its own product (so with the bits of
@@ -530,20 +531,27 @@ def run_cells(cells, config=None):
     bit for bit.
 
     One loop iteration steps every row, a row per scenario, by one sample.
-    The plant step A x, the filter's A_aug z and the control term B_aug u
-    are each one stacked product over the live rows (``rows_times``, so
-    every row has the bits of its own matrix-vector product). Each cell
-    keeps its own disturbances, limits and noise stream. A PI row runs
-    ``pi_step`` on its own, on Python floats. The MPC rows of a sample are
-    one ``control_rows`` call, with their bands taken from the cells'
-    limits, stacked once per batch, by one index; only the rows that bind
-    iterate. An MPC row whose QP is infeasible at sample k leaves the batch
-    there, its trace ending at k as a single run's does; the other rows run
-    to the end. Every row's command goes into one (rows, 6) array in place,
-    and the s, V and multipliers of all MPC rows into their blocks with one
-    write per sample.
+    The rows are controller-major: the MPC runs first, then the PI runs,
+    each group in cell order (``_Runs``); each cell's traces still come
+    back in the order the cell lists its scenarios. The plant step A x, the
+    filter's A_aug z and the control term B_aug u are each one stacked
+    product over the live rows (``rows_times``, so every row has the bits
+    of its own matrix-vector product). Each cell keeps its own
+    disturbances, limits and noise stream. A PI row runs ``pi_step`` on its
+    own, on Python floats, and a sample's PI commands are written with one
+    assignment. The MPC rows of a sample are one ``control_rows`` call,
+    with their bands taken from the cells' limits, stacked once per batch;
+    only the rows that bind iterate. The s, V and multipliers of all MPC
+    rows go into their blocks with one write each per sample. While every
+    row is live, the MPC rows, their block rows and the PI rows are each a
+    run of consecutive indices, and so are the MPC rows' cells when each
+    cell has one MPC run: ``_controller_rows`` gives them as slices, so the
+    stage reads views and writes through strides instead of copying. An
+    MPC row whose QP is infeasible at sample k leaves the batch there, its
+    trace ending at k as a single run's does; the other rows run to the
+    end, and an index that is no longer consecutive becomes an index array.
     """
-    runs = _Runs(cells, config or RunConfig(), _RECORDED_STATES)
+    runs = _Runs(cells, config or RunConfig())
     n, cell_of = runs.n, runs.cell_of
     model, gains = runs.prepared.model, runs.prepared.gains
     cell_disturbances, limits = zip(*runs.inputs)
@@ -572,7 +580,7 @@ def run_cells(cells, config=None):
     bu = rows_times(B_aug, u)
 
     for k in range(n):
-        states[rows, k] = x[:, _RECORDED_STATES]
+        states[rows, k] = x
         y = x[:, IDX_FREQ]
         if noise is not None:
             y = y + noise[k]
@@ -587,12 +595,16 @@ def run_cells(cells, config=None):
         z = z_pred
 
         if pi_rows:
+            at, pis = pi_rows
             lo_rows, hi_rows = band_lo[k].tolist(), band_hi[k].tolist()
-            for i, run, cell in pi_rows:
-                integrals[run], u[i] = pi_step(integrals[run], ys[i], lo_rows[cell],
-                                               hi_rows[cell], pi_configs[run])
+            pi_commands = []
+            for i, run, cell in pis:
+                integrals[run], command = pi_step(integrals[run], ys[i], lo_rows[cell],
+                                                  hi_rows[cell], pi_configs[run])
+                pi_commands.append(command)
+            u[at] = pi_commands
         if mpc_rows:
-            at, mpc_cells, block_rows, records = mpc_rows
+            at, mpc_cells, block_rows, mpc_runs = mpc_rows
             dz_mpc = dz[at]
             steps = control_rows(dz_mpc[:, :N_STATES], dz_mpc[:, N_STATES], y[at], u[at],
                                  band_lo[k, mpc_cells], band_hi[k, mpc_cells],
@@ -602,22 +614,22 @@ def run_cells(cells, config=None):
             for block, step_rows in zip(runs.blocks, (steps.samples, steps.v, steps.lam)):
                 block[block_rows, slot] = step_rows
             if steps.infeasible:
-                failed = {int(at[r]) for r in steps.infeasible}
-                for i in failed:
-                    aborted_at[live[i]] = k
-                keep = [i for i in range(len(live)) if i not in failed]
+                failed = {mpc_runs[r] for r in steps.infeasible}
+                for run in failed:
+                    aborted_at[run] = k
+                keep = [i for i, run in enumerate(live) if run not in failed]
                 live = [live[i] for i in keep]
                 if not live:
                     break
-                rows = np.array(live)
+                rows = _index(live)
                 live_cells = np.array([cell_of[run] for run in live])
                 x, z, u = x[keep], z[keep], u[keep]
                 if noise is not None:
                     noise = noise[:, keep]
                 pi_rows, mpc_rows = _controller_rows(live, cell_of, mpcs)
             if slot + 1 == _DIAGNOSTIC_ROWS and mpc_rows:
-                for record in mpc_rows[3]:
-                    record.close(k + 1)
+                for run in mpc_rows[3]:
+                    mpcs[run].close(k + 1)
 
         commands[rows, k] = u
         d_hat[rows, k] = z[:, N_STATES]
@@ -636,17 +648,30 @@ def run_cells(cells, config=None):
 
 
 def _controller_rows(live, cell_of, mpcs):
-    """The rows of the ``live`` runs by controller: a PI row as (position,
-    run, cell), in a list; the MPC rows as (positions, cells, block rows,
-    records), the first three as index arrays, or None if there are none."""
-    pi_rows = [(i, run, cell_of[run]) for i, run in enumerate(live) if mpcs[run] is None]
+    """The rows of the ``live`` runs by controller, or None for a controller
+    with none: the PI rows as (positions, [(position, run, cell)]) and the
+    MPC rows as (positions, cells, block rows, runs). Positions index the
+    live rows, cells the cells' bands and block rows the ``_Runs.blocks``.
+    Each is a slice while its values are consecutive, so the stage reads
+    views and writes through strides, and an index array once they are not:
+    the positions and block rows are consecutive while every row is live,
+    and the cells too if each cell has one MPC run."""
+    pis = [(i, run, cell_of[run]) for i, run in enumerate(live) if mpcs[run] is None]
+    pi_rows = (_index([i for i, _, _ in pis]), pis) if pis else None
     mpc = [(i, run) for i, run in enumerate(live) if mpcs[run] is not None]
     if not mpc:
         return pi_rows, None
-    at = np.array([i for i, _ in mpc])
-    records = [mpcs[run] for _, run in mpc]
-    return pi_rows, (at, np.array([cell_of[run] for _, run in mpc]),
-                     np.array([record.row for record in records]), records)
+    runs = [run for _, run in mpc]
+    return pi_rows, (_index([i for i, _ in mpc]), _index([cell_of[run] for run in runs]),
+                     _index([mpcs[run].row for run in runs]), runs)
+
+
+def _index(values):
+    """Non-decreasing ints ``values`` as an index: their slice when they
+    are consecutive, else an index array."""
+    if values[-1] - values[0] == len(values) - 1:
+        return slice(values[0], values[-1] + 1)
+    return np.array(values)
 
 
 def _last_disturbance_event_index(disturbances):

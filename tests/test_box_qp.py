@@ -11,8 +11,12 @@ it. A run reports the box QP's KKT residuals from the bounds and their
 multipliers, with the bits of the per-sample formula ``qp_reference.box_kkt``
 (``test_step_diagnostics.py``); the row form's residuals are that formula's
 bit-for-bit oracle, and the increment QP's residuals of the same answer
-bound them.
+bound them. The solver must also give the bytes of its previous version
+(``box_qp_reference.BoxQp``), iteration counts, give-ups at the cap and
+infeasible bounds included.
 """
+
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -28,6 +32,7 @@ from microfreq.lfc_model import build_plant
 from microfreq.mpc import MpcConfig, build_constraints, build_prediction_matrices, control_step
 from microfreq.numerics import BoxQp, QpInfeasibleError, QpProblem, kkt_residuals, solve_qp_info
 from microfreq.simulate import RunConfig, make_scenario, run_scenario
+from box_qp_reference import BoxQp as ReferenceBoxQp
 from qp_reference import (
     box_kkt,
     box_rows,
@@ -94,7 +99,7 @@ def test_box_solver_matches_enumeration_oracle(data):
     box, g, v_unc, lo, hi = data
     Cu, b = box_rows(lo, hi)
     problem = QpProblem(box.H, g, Cu, b)
-    solved = box.solve(v_unc, lo, hi, 1e-10)
+    solved = box.solve(v_unc, np.concatenate((lo, hi)), 1e-10)
     if solved is None:
         # The iteration may cycle on an Hv that is not an M-matrix; the
         # controller then hands the same problem to the dual active set.
@@ -111,13 +116,13 @@ def test_box_solver_matches_enumeration_oracle(data):
 @pytest.mark.parametrize("data", CYCLING_CASES, ids=["n3", "n4"])
 def test_box_solver_gives_up_on_cycling_hessians(data):
     box, g, v_unc, lo, hi = data
-    assert box.solve(v_unc, lo, hi, 1e-10) is None
+    assert box.solve(v_unc, np.concatenate((lo, hi)), 1e-10) is None
 
 
 def test_box_solver_returns_the_unconstrained_minimizer_inside_the_box():
     box = BoxQp(np.array([[2.0, 0.5], [0.5, 1.0]]))
     v_unc = np.array([0.3, -0.2])
-    v, lam, iterations = box.solve(v_unc, np.full(2, -1.0), np.full(2, 1.0), 1e-10)
+    v, lam, iterations = box.solve(v_unc, np.array([-1.0, -1.0, 1.0, 1.0]), 1e-10)
     assert v is v_unc and iterations == 0 and not lam.any()
     assert not box.laws
 
@@ -133,8 +138,94 @@ def test_box_solver_gives_up_on_crossed_bounds():
     box = BoxQp(np.eye(3))
     lo, hi = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 0.0])
     with pytest.raises(QpInfeasibleError, match="lower bound 1 exceeds its upper bound by 1.000e") as err:
-        box.solve(np.array([0.0, 5.0, 5.0]), lo, hi, 1e-10)
+        box.solve(np.array([0.0, 5.0, 5.0]), np.concatenate((lo, hi)), 1e-10)
     assert err.value.row == 1
+
+
+# The default config's Hv (18 x 18; not an M-matrix: off-diagonal entries up
+# to +18.3).
+DEFAULT_HV = build_prediction_matrices(MODEL, MpcConfig()).box.H
+_band = st.floats(-0.3, 0.3, allow_subnormal=False)
+
+
+@st.composite
+def default_hv_boxes(draw):
+    """The default Hv with a sample's box as the controller builds it: the
+    m blocks of band_lo - u_prev, then m of band_hi - u_prev, in p.u.; in
+    some draws one band crosses. Each entry of v_unc is drawn relative to
+    its box, from half a width below to half a width above it, and some sit
+    on a lower bound."""
+    nu = 6
+    m = DEFAULT_HV.shape[0] // nu
+    band_lo = draw(hnp.arrays(float, nu, elements=_band))
+    width = draw(hnp.arrays(float, nu, elements=st.sampled_from([0.0, 0.01, 0.05, 0.3])))
+    if draw(st.integers(0, 9)) == 5:
+        width[draw(st.integers(0, nu - 1))] = -0.01
+    u_prev = draw(hnp.arrays(float, nu, elements=_band))
+    lo, hi = np.tile(band_lo - u_prev, m), np.tile(band_lo + width - u_prev, m)
+    place = draw(hnp.arrays(float, nu * m, elements=st.sampled_from([-0.5, 0.0, 0.3, 1.0, 1.5]),
+                            fill=st.nothing()))
+    return DEFAULT_HV, lo + place * (hi - lo), lo, hi
+
+
+def random_boxes():
+    """``box_qps`` with Hv that are not M-matrices (a positive off-diagonal
+    entry), as (Hv, v_unc, lo, hi)."""
+    return box_qps().map(lambda data: (data[0].H, *data[2:])).filter(
+        lambda data: (data[0] - np.diag(np.diag(data[0])) > 0).any())
+
+
+CROSSED_CASE = (np.eye(3), np.array([0.0, 5.0, 5.0]), np.array([0.0, 1.0, 2.0]),
+                np.array([1.0, 0.0, 0.0]))
+
+
+@settings(max_examples=150)
+@given(st.one_of(random_boxes(), default_hv_boxes()),
+       st.sampled_from([0, 1, 2, microfreq.numerics.BOX_QP_MAX_ITERATIONS]))
+@example((CYCLING_CASES[0][0].H, *CYCLING_CASES[0][2:]), microfreq.numerics.BOX_QP_MAX_ITERATIONS)
+@example((CYCLING_CASES[1][0].H, *CYCLING_CASES[1][2:]), 0)
+@example(CROSSED_CASE, microfreq.numerics.BOX_QP_MAX_ITERATIONS)
+def test_box_solver_matches_its_previous_version(data, cap):
+    # Each solve has the bytes of v and lam, the iteration count, the
+    # give-up at the cap and the infeasible bound of the old solver, on a
+    # cold law cache and then on a warm one.
+    H, v_unc, lo, hi = data
+    box, reference = BoxQp(H), ReferenceBoxQp(H)
+    tol = 1e-10 * max(1.0, np.abs(np.concatenate((lo, hi))).max())
+    with mock.patch.object(microfreq.numerics, "BOX_QP_MAX_ITERATIONS", cap):
+        for _ in range(2):
+            assert_same_solve(box, reference, v_unc, lo, hi, tol)
+        assert cap or not box.laws
+
+
+def assert_same_solve(box, reference, v_unc, lo, hi, tol):
+    try:
+        want = reference.solve(v_unc, lo, hi, tol)
+    except QpInfeasibleError as err:
+        with pytest.raises(QpInfeasibleError) as got:
+            box.solve(v_unc, np.concatenate((lo, hi)), tol)
+        assert got.value.row == err.row and str(got.value) == str(err)
+        return
+    got = box.solve(v_unc, np.concatenate((lo, hi)), tol)
+    if want is None:
+        assert got is None
+        return
+    v, lam, iterations = got
+    assert v.tobytes() == want[0].tobytes() and lam.tobytes() == want[1].tobytes()
+    assert iterations == want[2]
+
+
+def test_box_solver_gives_up_at_a_zero_cap(monkeypatch):
+    # A sample that binds returns None at once at cap 0, in both solvers; one
+    # that binds nothing is still solved.
+    monkeypatch.setattr(microfreq.numerics, "BOX_QP_MAX_ITERATIONS", 0)
+    box, reference = BoxQp(DEFAULT_HV), ReferenceBoxQp(DEFAULT_HV)
+    lo, hi = np.full(18, -0.1), np.full(18, 0.1)
+    binding = np.linspace(-0.2, 0.2, 18)
+    assert box.solve(binding, np.concatenate((lo, hi)), 1e-10) is None
+    assert reference.solve(binding, lo, hi, 1e-10) is None
+    inside = binding / 4
+    assert box.solve(inside, np.concatenate((lo, hi)), 1e-10)[2] == 0
 
 
 @settings(max_examples=60)
@@ -152,13 +243,13 @@ def test_box_kkt_residuals_equal_the_rows_residuals(data):
     Cu, b = box_rows(lo, hi)
     problem = QpProblem(box.H, g, Cu, b)
     answers = []
-    solved = box.solve(v_unc, lo, hi, 1e-10)
+    solved = box.solve(v_unc, np.concatenate((lo, hi)), 1e-10)
     if solved is not None:
         answers.append(solved[:2])
     cap = microfreq.numerics.BOX_QP_MAX_ITERATIONS
     microfreq.numerics.BOX_QP_MAX_ITERATIONS = 0
     try:
-        capped = box.solve(v_unc, lo, hi, 1e-10)
+        capped = box.solve(v_unc, np.concatenate((lo, hi)), 1e-10)
     finally:
         microfreq.numerics.BOX_QP_MAX_ITERATIONS = cap
     if capped is None:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ou_reference
 import profile_csv_reference
 
 import microfreq.profiles as profiles_module
@@ -23,6 +24,7 @@ from microfreq.profiles import (
     read_profiles_csv,
     write_profiles_csv,
 )
+from microfreq.simulate import make_scenario
 
 
 def test_step_kind_load_events_and_calm_weather():
@@ -93,6 +95,32 @@ def test_duration_below_half_a_sample_rejected(duration, ts):
     with pytest.raises(ValueError, match=re.escape(message)):
         generate_profiles("step", 0, duration)
     assert generate_profiles("step", 0, 0.6 * ts).t.shape == (2,)
+
+
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_duration_rejected(duration):
+    # Rejected before the grid is sized, with a message that names the
+    # duration, from either entry point.
+    message = f"duration must be finite and > 0, got {duration!r}"
+    for kind in PROFILE_KINDS:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_profiles(kind, 0, duration)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_scenario(kind, "mpc", 0, duration=duration)
+
+
+_ou_numbers = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400),
+       mu=st.one_of(_ou_numbers, st.integers(-1000, 1000)), theta=st.floats(0.0, 5.0),
+       sigma=st.floats(0.0, 100.0), clip=st.lists(_ou_numbers, min_size=2, max_size=2).map(sorted))
+def test_ou_series_matches_its_previous_version(seed, n, mu, theta, sigma, clip):
+    # The float loop does the old recursion's IEEE operations in its order.
+    got = profiles_module._ou_series(np.random.default_rng(seed), n, mu, theta, sigma, clip)
+    want = ou_reference._ou_series(np.random.default_rng(seed), n, mu, theta, sigma, clip)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_csv_roundtrip(tmp_path):

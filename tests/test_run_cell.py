@@ -5,7 +5,9 @@ plant, filter and control-term products stacked over its rows. A cell is
 the runs of one profile set and seed; each cell of a batch keeps its own
 disturbances, limits and noise stream. Each trace must have the bytes
 ``run_scenario`` gives the same scenario on its own, also when MPC rows
-abort and leave the batch while the others run on.
+abort and leave the batch while the others run on. The batch steps its MPC
+rows first and its PI rows after them, whatever order the cells list their
+controllers in; each cell's traces still come back in that cell's order.
 """
 
 import gc
@@ -13,7 +15,7 @@ import tracemalloc
 
 import pytest
 
-from microfreq import mpc
+from microfreq import mpc, simulate
 from microfreq.numerics import QpInfeasibleError
 from microfreq.simulate import (
     CONTROLLER_KINDS,
@@ -159,6 +161,79 @@ def test_an_mpc_row_aborts_in_the_sample_another_mpc_row_binds(monkeypatch):
     abort_rows_at(monkeypatch, [k, None])
     traces = [trace for traces in run_cells(cells, config) for trace in traces]
     assert [trace.aborted_at for trace in traces] == [k, None, None, None, None, None]
+    for trace, want in zip(traces, expected, strict=True):
+        assert_same_bytes(trace, want)
+
+
+def index_kinds(monkeypatch):
+    """Record, at each call of the batch's ``_controller_rows``, the kind of
+    each index it returns: "slice" or "array", PI positions first, then
+    the MPC positions, cells and block rows (None for a missing group)."""
+    calls = []
+    real = simulate._controller_rows
+
+    def recording(*args):
+        pi_rows, mpc_rows = real(*args)
+        indices = [pi_rows and pi_rows[0]] + list(mpc_rows[:3] if mpc_rows else [None] * 3)
+        calls.append([None if index is None else
+                      "slice" if isinstance(index, slice) else "array" for index in indices])
+        return pi_rows, mpc_rows
+
+    monkeypatch.setattr(simulate, "_controller_rows", recording)
+    return calls
+
+
+def assert_batch_matches_single_runs(cells, config):
+    """Each trace of the batch, in its cell's order, has the bytes of the
+    single run of its scenario."""
+    for scenarios, traces in zip(cells, run_cells(cells, config), strict=True):
+        assert [trace.controller for trace in traces] == [s.controller for s in scenarios]
+        for scenario, trace in zip(scenarios, traces, strict=True):
+            assert_same_bytes(trace, run_scenario(scenario, config))
+
+
+@pytest.mark.parametrize("orders, kinds", [
+    ([("pi_all", "pi_dubess"), ("pi_dubess",), ("pi_all", "pi_dubess")],
+     ["slice", None, None, None]),
+    ([("mpc",), ("mpc",), ("mpc",)], [None, "slice", "slice", "slice"]),
+    ([("pi_all", "pi_dubess", "mpc"), ("pi_dubess", "mpc"), ("mpc", "pi_all")],
+     ["slice", "slice", "slice", "slice"]),
+    ([("mpc", "pi_all", "mpc"), ("pi_dubess", "mpc", "pi_all"), ("mpc", "mpc")],
+     ["slice", "slice", "array", "slice"]),
+    ([("pi_all", "mpc"), ("pi_dubess",), ("mpc", "pi_all", "pi_dubess")],
+     ["slice", "slice", "array", "slice"]),
+], ids=["pi-only", "mpc-only", "mpc-last", "mpc-twice", "a-cell-without-mpc"])
+def test_any_layout_of_controllers_gives_the_single_run_bytes(monkeypatch, orders, kinds):
+    # The batch steps the MPC rows first, then the PI rows; its traces come
+    # back in each cell's own order. While every row is live each group is
+    # a slice of the rows and of the blocks; the MPC rows' cells are one
+    # only when each cell has one MPC run in cell order.
+    config = RunConfig(measurement_noise_std=2e-5)
+    cells = [cell("rapid", seed, order, duration=40.0) for seed, order in enumerate(orders)]
+    calls = index_kinds(monkeypatch)
+    assert_batch_matches_single_runs(cells, config)
+    assert calls == [kinds]
+
+
+def test_an_mpc_row_that_aborts_mid_batch_switches_its_indices_to_arrays(monkeypatch):
+    # The middle cell's MPC row aborts at sample 150, inside the second block
+    # of diagnostics: the MPC block rows and cells left are 0 and 2, no
+    # longer consecutive, so they become index arrays; the positions stay
+    # slices, the MPC rows still leading.
+    orders = [("pi_all", "mpc", "pi_dubess"), ("mpc", "pi_all"), ("pi_dubess", "mpc")]
+    cells = [cell("moderate", seed, order, duration=60.0) for seed, order in enumerate(orders)]
+    config = RunConfig(measurement_noise_std=2e-5)
+    aborts = [None, 150, None]
+    expected = []
+    for scenarios, abort_at in zip(cells, aborts):
+        for scenario in scenarios:
+            abort_rows_at(monkeypatch, [abort_at])
+            expected.append(run_scenario(scenario, config))
+    abort_rows_at(monkeypatch, aborts)
+    calls = index_kinds(monkeypatch)
+    traces = [trace for traces in run_cells(cells, config) for trace in traces]
+    assert calls == [["slice"] * 4, ["slice", "slice", "array", "array"]]
+    assert [trace.aborted_at for trace in traces] == [None, None, None, 150, None, None, None]
     for trace, want in zip(traces, expected, strict=True):
         assert_same_bytes(trace, want)
 
