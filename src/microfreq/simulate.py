@@ -667,10 +667,11 @@ def _controller_rows(live, cell_of, mpcs):
 
 
 def _index(values):
-    """Non-decreasing ints ``values`` as an index: their slice when they
-    are consecutive, else an index array."""
-    if values[-1] - values[0] == len(values) - 1:
-        return slice(values[0], values[-1] + 1)
+    """Ints ``values`` as an index: their slice when they are consecutive
+    and increasing, else an index array (repeats included)."""
+    stop = values[0] + len(values)
+    if values == list(range(values[0], stop)):
+        return slice(values[0], stop)
     return np.array(values)
 
 

@@ -202,12 +202,16 @@ def assert_batch_matches_single_runs(cells, config):
      ["slice", "slice", "array", "slice"]),
     ([("pi_all", "mpc"), ("pi_dubess",), ("mpc", "pi_all", "pi_dubess")],
      ["slice", "slice", "array", "slice"]),
-], ids=["pi-only", "mpc-only", "mpc-last", "mpc-twice", "a-cell-without-mpc"])
+    ([("mpc", "mpc"), ("pi_all",), ("mpc",)], ["slice", "slice", "array", "slice"]),
+], ids=["pi-only", "mpc-only", "mpc-last", "mpc-twice", "a-cell-without-mpc",
+        "mpc-twice-beside-a-gap"])
 def test_any_layout_of_controllers_gives_the_single_run_bytes(monkeypatch, orders, kinds):
     # The batch steps the MPC rows first, then the PI rows; its traces come
     # back in each cell's own order. While every row is live each group is
     # a slice of the rows and of the blocks; the MPC rows' cells are one
-    # only when each cell has one MPC run in cell order.
+    # only when each cell has one MPC run in cell order. In the last layout
+    # the MPC rows' cells 0, 0, 2 span as many cells as they are rows, yet
+    # are no slice.
     config = RunConfig(measurement_noise_std=2e-5)
     cells = [cell("rapid", seed, order, duration=40.0) for seed, order in enumerate(orders)]
     calls = index_kinds(monkeypatch)
@@ -215,27 +219,37 @@ def test_any_layout_of_controllers_gives_the_single_run_bytes(monkeypatch, order
     assert calls == [kinds]
 
 
-def test_an_mpc_row_that_aborts_mid_batch_switches_its_indices_to_arrays(monkeypatch):
-    # The middle cell's MPC row aborts at sample 150, inside the second block
-    # of diagnostics: the MPC block rows and cells left are 0 and 2, no
-    # longer consecutive, so they become index arrays; the positions stay
-    # slices, the MPC rows still leading.
-    orders = [("pi_all", "mpc", "pi_dubess"), ("mpc", "pi_all"), ("pi_dubess", "mpc")]
+@pytest.mark.parametrize("orders, row_aborts, kinds", [
+    # The MPC block rows and cells left are 0 and 2, no longer consecutive,
+    # so they become index arrays; the positions stay slices, the MPC rows
+    # still leading.
+    ([("pi_all", "mpc", "pi_dubess"), ("mpc", "pi_all"), ("pi_dubess", "mpc")],
+     [None, 150, None], [["slice"] * 4, ["slice", "slice", "array", "array"]]),
+    # The MPC rows' cells 0, 0, 1, 2 become 0, 0, 2: as many cells spanned
+    # as rows left, yet no slice.
+    ([("mpc", "mpc"), ("mpc",), ("mpc",)], [None, None, 150, None],
+     [[None, "slice", "array", "slice"], [None, "slice", "array", "array"]]),
+], ids=["one-mpc-per-cell", "mpc-twice"])
+def test_an_mpc_row_that_aborts_mid_batch_switches_its_indices_to_arrays(
+        monkeypatch, orders, row_aborts, kinds):
+    # The MPC row of cell 1 aborts at sample 150, inside the second block of
+    # diagnostics.
     cells = [cell("moderate", seed, order, duration=60.0) for seed, order in enumerate(orders)]
     config = RunConfig(measurement_noise_std=2e-5)
-    aborts = [None, 150, None]
     expected = []
-    for scenarios, abort_at in zip(cells, aborts):
+    for scenarios in cells:
         for scenario in scenarios:
-            abort_rows_at(monkeypatch, [abort_at])
+            abort_rows_at(monkeypatch, [150 if scenario.seed == 1 else None])
             expected.append(run_scenario(scenario, config))
-    abort_rows_at(monkeypatch, aborts)
+    abort_rows_at(monkeypatch, row_aborts)
     calls = index_kinds(monkeypatch)
     traces = [trace for traces in run_cells(cells, config) for trace in traces]
-    assert calls == [["slice"] * 4, ["slice", "slice", "array", "array"]]
-    assert [trace.aborted_at for trace in traces] == [None, None, None, 150, None, None, None]
+    assert [trace.aborted_at for trace in traces] == [
+        150 if s.seed == 1 and s.controller == "mpc" else None
+        for scenarios in cells for s in scenarios]
     for trace, want in zip(traces, expected, strict=True):
         assert_same_bytes(trace, want)
+    assert calls == kinds
 
 
 def test_a_kept_trace_holds_only_its_own_records():
