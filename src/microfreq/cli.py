@@ -11,10 +11,12 @@ the published values.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
 import json
 import os
+import pickle
 import shutil
 import sys
 
@@ -208,11 +210,14 @@ def _sweep_plan(kinds, seeds, config):
     (kind, seed). Inputs repeat when the profiles have the same digest and,
     with measurement noise on, the seed is the same (a run draws nothing
     else from it). The distinct cells of a kind share their number of
-    samples, so they run as one batch (``run_cells``), whose traces are
-    finished a cell at a time as the plan yields them."""
-    first_of = {}
+    samples, so they run as one batch (``run_cells``).
+
+    The batches run in min(usable CPUs, batches) processes
+    (``_run_batches``), and the plan yields the same cells, bit for bit,
+    whatever that number is."""
+    first_of, plan, batches = {}, [], []
     for kind in kinds:
-        plan, cells = [], []
+        cells = []
         for seed in seeds:
             scenario = make_scenario(kind, CONTROLLER_KINDS[0], seed)
             key = (scenario.profiles.digest(), seed if config.measurement_noise_std else None)
@@ -220,11 +225,122 @@ def _sweep_plan(kinds, seeds, config):
             if first is None:
                 first_of[key] = (kind, seed)
                 cells.append(_cell(scenario))
-            plan.append((seed, first))
-        batch = run_cells(cells, config) if cells else None
-        for seed, first in plan:
-            yield kind, seed, None if first else _results(next(batch)), first
-        del batch  # before the next kind's batch is built
+            plan.append((kind, seed, first))
+        if cells:
+            batches.append(cells)
+    ran = _run_batches(batches, config)
+    try:
+        for kind, seed, first in plan:
+            yield kind, seed, None if first else next(ran), first
+    finally:
+        ran.close()  # ends the workers of a sweep closed before its last cell
+
+
+def _usable_cpus():
+    """The CPUs this process may run on (its affinity mask, so ``taskset -c
+    0`` gives 1), or 1 off Linux: a sweep runs in at most this many
+    processes, and forks its workers."""
+    if sys.platform != "linux":
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _owners(batches, processes):
+    """The process of each batch, 0 being the caller's: longest first by
+    cells x samples, each batch goes to the process with the least load so
+    far (the lowest on ties)."""
+    loads, owners = [0] * processes, [0] * len(batches)
+    sizes = [len(cells) * cells[0][0].n_steps for cells in batches]
+    for at in sorted(range(len(batches)), key=lambda at: -sizes[at]):
+        owners[at] = process = loads.index(min(loads))
+        loads[process] += sizes[at]
+    return owners
+
+
+def _run_batches(batches, config):
+    """Every distinct cell's results, in order, from ``batches`` (lists of
+    cells) run in min(usable CPUs, batches) processes.
+
+    With one process, the batches run one at a time, each finishing its
+    traces a cell at a time as they are yielded. Otherwise this process and
+    forked workers (``_sweep_worker``) each run their share (``_owners``) at
+    once: the batches share nothing at run time, since a QP law depends on
+    its active set alone. Nothing is yielded until every worker has finished
+    and pickled all its cells, so no worker computes while the cells are
+    yielded. This process finishes its own cells as they are yielded and
+    reads each worker's cells from its pipe, in order, one at a time, so it
+    holds its own batches and one received cell. A worker's error is raised
+    here, with its type and message, where that worker's cells stop. Every
+    worker is ended and reaped when the generator ends, is closed or
+    raises."""
+    processes = min(_usable_cpus(), len(batches))
+    if processes <= 1:
+        for cells in batches:
+            yield from map(_results, run_cells(cells, config))
+        return
+    import multiprocessing  # only here: a serial sweep does not pay its import
+    owners = _owners(batches, processes)
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for worker in range(1, processes):
+            receiver, sender = context.Pipe(duplex=False)
+            share = [cells for cells, owner in zip(batches, owners) if owner == worker]
+            process = context.Process(target=_sweep_worker, args=(sender, share, config),
+                                      daemon=True)
+            process.start()
+            workers.append((process, receiver))
+            sender.close()
+        own = {at: run_cells(cells, config)
+               for at, (cells, owner) in enumerate(zip(batches, owners)) if owner == 0}
+        for _, receiver in workers:
+            receiver.poll(None)  # a worker sends once it has finished computing
+        for at, (cells, owner) in enumerate(zip(batches, owners)):
+            if owner == 0:
+                yield from map(_results, own.pop(at))
+                continue
+            process, receiver = workers[owner - 1]
+            for _ in cells:
+                try:
+                    message = pickle.loads(receiver.recv_bytes())
+                except EOFError:
+                    process.join()
+                    raise RuntimeError(f"a sweep worker exited with code {process.exitcode} "
+                                       "before sending all its cells") from None
+                if isinstance(message, tuple):
+                    error, where = message
+                    raise error from RuntimeError(f"in a sweep worker:\n{where}")
+                yield message
+    finally:
+        for process, receiver in workers:
+            receiver.close()
+            process.terminate()
+            process.join()
+
+
+def _sweep_worker(sender, batches, config):
+    """A forked sweep worker: run ``batches`` and send each cell's results
+    through ``sender``, pickled, in order. Every cell is finished and
+    pickled before the first is sent. An error ends the cells with a last
+    message, (error, traceback text). Ctrl-C is left to the parent, which
+    ends its workers."""
+    import signal
+    import traceback
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    messages = []
+    try:
+        for cells in batches:
+            for traces in run_cells(cells, config):
+                messages.append(pickle.dumps(_results(traces), pickle.HIGHEST_PROTOCOL))
+    except Exception as exc:  # the parent raises it
+        messages.append(pickle.dumps((exc, traceback.format_exc())))
+    try:
+        for message in messages:
+            sender.send_bytes(message)
+    except BrokenPipeError:
+        pass  # the sweep was closed early
+    finally:
+        sender.close()
 
 
 def cmd_compare(args):
@@ -254,31 +370,36 @@ def cmd_sweep(args):
     summaries = []
     all_ordered = True
     ran = {}  # {(kind, seed): {controller: (summary, metrics)}} of the cells that ran
-    for kind, seed, results, first in _sweep_plan(args.kinds, args.seeds, config):
-        if first is None:
-            ran[(kind, seed)] = {controller: (metrics_summary(trace, metrics), metrics)
-                                 for controller, (trace, metrics) in results.items()}
-        cell = ran[first or (kind, seed)]
-        for controller, (summary, _) in cell.items():
-            labelled = dict(summary, scenario=kind, seed=seed)
-            summaries.append(labelled)
-            if args.out:
-                trace_path, metrics_path = _output_paths(args.out, labelled)
-                if first is None:
-                    write_trace_csv(results[controller][0], trace_path)
-                elif (source := _output_paths(args.out, summary)[0]) != trace_path:
-                    # Identical inputs gave the first cell's trace; its CSV holds no label.
-                    shutil.copyfile(source, trace_path)
-                _write_json(labelled, metrics_path)
-        ordered = _ordered({controller: metrics for controller, (_, metrics) in cell.items()})
-        all_ordered &= ordered
-        stds = "/".join(f"{cell[c][1].freq_std:.3e}" for c in CONTROLLER_KINDS)
-        print(f"{kind:9s} seed={seed:<3d} std {stds} ordered={'yes' if ordered else 'NO'}")
-        # No trace outlives its cell, but the kind's batch keeps the records
-        # of all its cells (each run's frequency, outputs, commands and
-        # d_hat, each cell's disturbances and limits) until its last cell is
-        # written: about 0.6 MB per distinct cell of 900 samples.
-        del results
+    # Closed here even when this loop raises, so the sweep's workers end with it.
+    with contextlib.closing(_sweep_plan(args.kinds, args.seeds, config)) as plan:
+        for kind, seed, results, first in plan:
+            if first is None:
+                ran[(kind, seed)] = {controller: (metrics_summary(trace, metrics), metrics)
+                                     for controller, (trace, metrics) in results.items()}
+            cell = ran[first or (kind, seed)]
+            for controller, (summary, _) in cell.items():
+                labelled = dict(summary, scenario=kind, seed=seed)
+                summaries.append(labelled)
+                if args.out:
+                    trace_path, metrics_path = _output_paths(args.out, labelled)
+                    if first is None:
+                        write_trace_csv(results[controller][0], trace_path)
+                    elif (source := _output_paths(args.out, summary)[0]) != trace_path:
+                        # Identical inputs gave the first cell's trace; its CSV holds no label.
+                        shutil.copyfile(source, trace_path)
+                    _write_json(labelled, metrics_path)
+            ordered = _ordered({controller: metrics for controller, (_, metrics) in cell.items()})
+            all_ordered &= ordered
+            stds = "/".join(f"{cell[c][1].freq_std:.3e}" for c in CONTROLLER_KINDS)
+            print(f"{kind:9s} seed={seed:<3d} std {stds} ordered={'yes' if ordered else 'NO'}")
+            # No trace outlives its cell, but a batch keeps the records of all
+            # its cells (each run's frequency, outputs, commands and d_hat,
+            # each cell's disturbances and limits) until its last cell is
+            # written: about 0.6 MB per distinct cell of 900 samples. In one
+            # process the sweep holds one batch at a time. In several, this
+            # process holds all of its own batches and one cell received from
+            # a worker, and each worker its batches and its pickled cells.
+            del results
     print(f"all runs ordered mpc < pi_all < pi_dubess: {'yes' if all_ordered else 'NO'}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -112,6 +112,8 @@ def test_sweep_matches_the_plain_sweep(tmp_path, monkeypatch, capsys, seeds, kin
         # The count starts anew, for the kind's batch.
         abort_mpc_at(monkeypatch, abort_at)
 
+    # The runs are counted in this process, so the batches run in it alone.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     calls = count_runs(monkeypatch)
     argv = ["sweep", "--seeds", seeds, "--kinds", kinds, "--out", str(tmp_path / "plan")]
     assert main(argv + (["--config", str(config_path)] if config_path else [])) == 0
@@ -155,6 +157,7 @@ def test_default_sweep_runs_each_distinct_cell_once(monkeypatch):
                      for cell in cells])
 
     monkeypatch.setattr(cli, "run_cells", run)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # counted in this process
     assert main(["sweep"]) == 0
     assert len(calls) == 33 and len(set(calls)) == 33
     assert {(kind, seed) for kind, seed, _ in calls if kind == "step"} == {("step", 0)}
