@@ -17,12 +17,12 @@ sample only the state predict/update is left, on the augmented estimate z,
 which stacks x_hat and d_hat, with the control's part B_aug @ u given: the
 run loop computes that product once per sample for the plant and the
 filter. It hands the controller the increments of z and builds no
-``EstimatorState``. ``estimator_step`` is the
-single-step reference that returns one; it shares the covariance and state
-updates with the schedule, so both give the same bits.
+``EstimatorState``. ``estimator_step`` is the single-step reference that
+returns one; it shares the covariance update with the schedule, and its
+state update (``_state_update``) takes the loops' products in their order,
+so both give the same bits.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,17 +270,6 @@ class GainSchedule:
     def covers(self, n_steps):
         """Whether a run of ``n_steps`` samples finds an entry for every step."""
         return bool(self.period) or n_steps <= len(self.gains)
-
-    def update(self, z, bu, y, k):
-        """Step k of the run on the augmented estimate z = (x_hat, d_hat):
-        the state predict/update of ``estimator_step`` with the gain looked
-        up, not recomputed. Returns the new z and the innovation. ``z`` must
-        be the result of step k - 1 and ``bu`` the product B_aug @ u of the
-        (6,) control u applied since. Its first rows are B @ u, bit for bit,
-        so the run loop computes it once and steps the plant with them."""
-        if not math.isfinite(y):
-            raise ValueError("measurement must be finite")
-        return _state_update(z, bu, y, self.A_aug, self.c, self.gains[self.index(k)])
 
 
 def gain_schedule(model, config, n_steps):

@@ -19,19 +19,20 @@ Horizons, weights and plant are fixed for a config, so everything except
 the reserve bands and the measured state is built once per config by
 ``build_prediction_matrices``: Hv in a ``BoxQp``, and one stacked map that
 takes the sample's s = (dx, y, dd) to the free response, the linear term g
-and the unconstrained cumulative move V_unc. A control step takes V_unc
-from the map's last rows and runs the box solver's primal-dual active-set
-iteration from it on the sample's bounds (lo, hi): most samples violate no
-bound and end there; the rest apply the cached affine law of each active
-set met, built on first use and kept on the ``BoxQp`` for every later run
-of the config. The step builds the box as one [lo; hi] array. Crossed bands
-raise QpInfeasibleError. Only if the iteration reaches its cap does the
-step write the box as the rows [I; -I] V >= [lo; -hi], for the dual
-active-set method, which always terminates (``_capped_solve``). The step
-applies the first block of V and computes nothing else. ``control_rows``
-takes the samples of many runs at once, with the same bits per row: the
-prologue up to the test for a violated bound is one stack over the rows,
-and only the rows that bind run the iteration.
+and the unconstrained cumulative move V_unc. A run builds the band half of
+its bounds once, [band_lo x m; band_hi x m] over its grid (``box_bands``),
+and a control step takes the sample's row minus u_prev as its box [lo; hi].
+It takes V_unc from the map's last rows: most samples violate no bound and
+end there; the rest run the box solver's primal-dual active-set iteration
+from it, applying the cached affine law of each active set met, built on
+first use and kept on the ``BoxQp`` for every later run of the config.
+Crossed bands raise QpInfeasibleError. Only if the iteration reaches its
+cap does the step write the box as the rows [I; -I] V >= [lo; -hi], for
+the dual active-set method, which always terminates (``_capped_solve``).
+The step applies the first block of V and computes nothing else.
+``control_rows`` takes the samples of many runs at once, with the same bits
+per row: the prologue up to the test for a violated bound is one stack over
+the rows, and only the rows that bind run the iteration.
 
 What no later sample depends on (the increments, the cost, the active
 bounds, the slack and the KKT residuals) comes from ``step_diagnostics``
@@ -46,6 +47,7 @@ mix the matrices of one configuration with the weights of another.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -115,9 +117,10 @@ class PredictionMatrices:
     weights (``alpha_sq`` = alpha^2 and the per-increment move weights
     ``gamma_u``), the map ``F`` with linear term f = F @ Y_free, the
     increment Hessian ``H``, and the cumulative-move pieces: ``box``, the
-    BoxQp of Hv = T^-T H T^-1 (with the run's law cache), ``T_inv``, and
+    BoxQp of Hv = T^-T H T^-1 (with the run's law cache), ``T_inv``,
     ``sample_map``, which takes (dx, y, dd) to the stacked (Y_free, g,
-    V_unc).
+    V_unc), its V_unc rows ``v_unc_map``, and ``unit_of_bound``, the unit
+    of each bound of [lo; hi].
     """
 
     p: int
@@ -133,8 +136,10 @@ class PredictionMatrices:
     box: BoxQp
     T_inv: np.ndarray
     sample_map: np.ndarray
+    v_unc_map: np.ndarray
+    unit_of_bound: np.ndarray
 
-    @property
+    @cached_property
     def n_inputs(self):
         return self.S_B.shape[1] // self.m
 
@@ -190,22 +195,28 @@ def build_prediction_matrices(model, config):
     G = np.column_stack([S_x, np.ones(p), S_d])
     FG = F @ G
     sample_map = np.vstack([G, T_inv.T @ FG, -(running_sum @ spd_inverse(H, "H")) @ FG])
+    unit_of_bound = np.tile(np.arange(nu), 2 * m)
     # Every sample of a run shares these, so nothing may write to them
     # (the BoxQp keeps read-only copies of its matrices).
-    for shared in (gamma_u, F, H, T_inv, sample_map):
+    for shared in (gamma_u, F, H, T_inv, sample_map, unit_of_bound):
         shared.flags.writeable = False
     return PredictionMatrices(
         p=p, m=m, S_x=S_x, S_B=S_B, S_d=S_d, I_vec=np.ones(p), alpha_sq=alpha_sq,
         gamma_u=gamma_u, F=F, H=H, box=box, T_inv=T_inv, sample_map=sample_map,
+        v_unc_map=sample_map[p + nu * m:], unit_of_bound=unit_of_bound,
     )
 
 
+def box_bands(band_lo, band_hi, m):
+    """The bands of the box over the m blocks, in one array, for one sample
+    or a grid of them: m copies of band_lo, then m of band_hi."""
+    return np.concatenate((band_lo,) * m + (band_hi,) * m, axis=-1)
+
+
 def _bounds(band_lo, band_hi, u_prev, m):
-    """[lo; hi] of the box over the m blocks, in one array, for one sample
-    or a stack of them: m copies of band_lo - u_prev, then m of
-    band_hi - u_prev."""
-    lo, hi = band_lo - u_prev, band_hi - u_prev
-    return np.concatenate((lo,) * m + (hi,) * m, axis=-1)
+    """[lo; hi] of the box over the m blocks, for one sample or a stack of
+    them: the ``box_bands`` of band_lo - u_prev and band_hi - u_prev."""
+    return box_bands(band_lo - u_prev, band_hi - u_prev, m)
 
 
 def build_constraints(limits, u_prev, pred):
@@ -287,30 +298,36 @@ class MpcStep(NamedTuple):
     lam: np.ndarray
 
 
-def control_step(dx, dd, y, u_prev, band_lo, band_hi, pred):
+def control_step(dx, dd, y, u_prev, bands, pred):
     """Solve the constrained QP for this sample and apply the first block.
 
     ``dx`` and ``dd`` are the increments of the estimated state and
     aggregate disturbance over the last sample, ``u_prev`` the (nu,)
-    totals applied over it, and ``band_lo`` and ``band_hi`` the (nu,)
-    reserve limits of the sample; the weights and horizons are those
-    ``pred`` was built with. ``pred.box`` solves the box QP from V_unc on
-    the bounds of ``build_constraints``, with the tolerance relative to
-    their largest magnitude, and ``_capped_solve`` at the iteration's cap;
-    crossed bounds raise QpInfeasibleError. The new total per unit is
-    u_prev + V[:nu]. The returned ``MpcStep`` holds what the run records;
-    ``step_diagnostics`` takes the rest from it and the bounds after the
-    loop. A stack of samples takes ``control_rows``.
+    totals applied over it, and ``bands`` the sample's row of
+    ``box_bands``; the weights and horizons are those ``pred`` was built
+    with. The box is [lo; hi] = ``bands`` - u_prev of each bound's unit,
+    the tolerance relative to its largest magnitude. A sample whose V_unc
+    violates no bound ends there, with the box's shared read-only zero
+    multipliers; the rest run ``pred.box.iterate``, and ``_capped_solve``
+    at its cap. Crossed bounds raise QpInfeasibleError. The new total per
+    unit is u_prev + V[:nu]. ``step_diagnostics`` takes the rest from the
+    returned ``MpcStep`` and the bounds after the loop; a stack of samples
+    takes ``control_rows``.
     """
-    nu, p = pred.n_inputs, pred.p
-    n = nu * pred.m
-    if np.shape(u_prev) != (nu,):
-        raise ValueError(f"u_prev must have shape ({nu},), got {np.shape(u_prev)}")
-    sample = np.concatenate((dx, (y, dd)))
-    v_unc = pred.sample_map[p + n:] @ sample
-
-    bounds = _bounds(band_lo, band_hi, u_prev, pred.m)
-    solved = pred.box.solve(v_unc, bounds, _QP_TOL * max(1.0, np.abs(bounds).max()))
+    nu, box = pred.n_inputs, pred.box
+    if u_prev.shape != (nu,):
+        raise ValueError(f"u_prev must have shape ({nu},), got {u_prev.shape}")
+    sample = np.empty(pred.v_unc_map.shape[1])
+    sample[:-2], sample[-2], sample[-1] = dx, y, dd
+    v = pred.v_unc_map @ sample
+    bounds = bands - u_prev[pred.unit_of_bound]
+    # lo - tol and hi + tol in one product and one sum, with their bits.
+    widened = bounds + _QP_TOL * max(1.0, np.maximum.reduce(np.abs(bounds))) * box.widening
+    below, above = widened[:box.n], widened[box.n:]
+    lower, upper = v < below, v > above
+    if lower.tobytes() + upper.tobytes() == box.no_sets:
+        return MpcStep(u_prev + v[:nu], sample, v, box.no_multipliers)
+    solved = box.iterate(v, bounds, below, above, lower, upper)
     if solved is None:
         v, lam = _capped_solve(pred, sample, bounds)
     else:
@@ -351,8 +368,8 @@ def control_rows(dx, dd, y, u_prev, band_lo, band_hi, pred):
     command, V and multipliers have the bits ``control_step`` gives it.
 
     The prologue is one stack: s of every row, V_unc = one ``rows_times``
-    of the last rows of ``pred.sample_map`` (each row its own product, so
-    with the bits of ``control_step``'s), the [lo; hi] bounds, each row's
+    of ``pred.v_unc_map`` (each row its own product, so with the bits of
+    ``control_step``'s), the [lo; hi] bounds, each row's
     tolerance, and the sets each row's V_unc violates. A row that violates
     no bound ends there, with zero multipliers. Only the rows
     that bind run the box iteration (``BoxQp.iterate``), each from its first
@@ -360,10 +377,9 @@ def control_rows(dx, dd, y, u_prev, band_lo, band_hi, pred):
     infeasible if it binds, as ``control_step`` would raise on it; it is
     listed in ``infeasible`` and the other rows are solved as usual.
     """
-    nu, p = pred.n_inputs, pred.p
-    n = nu * pred.m
+    nu, n = pred.n_inputs, pred.box.n
     samples = np.concatenate((dx, y[:, None], dd[:, None]), axis=1)
-    v = rows_times(pred.sample_map[p + n:], samples)
+    v = rows_times(pred.v_unc_map, samples)
     bounds = _bounds(band_lo, band_hi, u_prev, pred.m)
     tol = _QP_TOL * np.maximum(1.0, np.abs(bounds).max(axis=1))
     # lo - tol and hi + tol in one product and one sum, with their bits.

@@ -21,8 +21,8 @@ _SCALING_TARGET = 0.5
 
 _SYMMETRY_TOL = 1e-10
 
-# Primal-dual active-set iterations a box QP may take before ``BoxQp.solve``
-# gives up and its caller falls back to ``solve_qp_info``.
+# Primal-dual active-set iterations a box QP may take before
+# ``BoxQp.iterate`` gives up and its caller falls back to ``solve_qp_info``.
 BOX_QP_MAX_ITERATIONS = 12
 
 
@@ -305,22 +305,19 @@ class BoxQp:
 
     def __init__(self, H):
         self.H, self.H_inv = _checked_hessian(H)
+        self.n = self.H.shape[0]
         # The active-set update compares a step of the multiplier with a
         # step of v, in the units of v: lam_i / H_ii.
         self._inv_curvature = 1.0 / np.diag(self.H)
         # -1 on the lower bounds of [lo; hi], +1 on the upper ones: [lo; hi]
         # plus tol times these is [lo - tol; hi + tol], bit for bit.
         self.widening = np.concatenate((np.full(self.n, -1.0), np.ones(self.n)))
-        # The sets and multipliers of every solve that binds no bound.
-        self._no_sets = bytes(2 * self.n)
-        self._no_multipliers = np.zeros(self.n)
-        self._no_multipliers.flags.writeable = self.widening.flags.writeable = False
+        # The sets and multipliers of every sample that binds no bound.
+        self.no_sets = bytes(2 * self.n)
+        self.no_multipliers = np.zeros(self.n)
+        self.no_multipliers.flags.writeable = self.widening.flags.writeable = False
         self.laws = {}
         self._matrices = {}
-
-    @property
-    def n(self):
-        return self.H.shape[0]
 
     def _law(self, sets, lower, upper):
         """(indices of A, their picks from [lo; hi], [K_A; W[A, A]^-1], 1 /
@@ -340,25 +337,6 @@ class BoxQp:
                 matrix = self._matrices[key] = np.concatenate((columns @ W_AA_inv, W_AA_inv))
             law = self.laws[sets] = (idx, picks, matrix, self._inv_curvature[idx])
         return law
-
-    def solve(self, v_unc, bounds, tol):
-        """Minimize over the box [lo; hi] = ``bounds`` from the
-        unconstrained minimizer ``v_unc``.
-
-        The first active set is the bounds ``v_unc`` violates by more than
-        ``tol``; with none, ``v_unc`` is the answer, with the read-only
-        zero multipliers that every such solve shares, and no multiplier
-        array or law is built. Otherwise ``iterate`` solves it from that
-        set, on the bounds widened by ``tol``. Returns (v, lam, iterations),
-        lam being the gradient H v + g (zero off the active set), or None
-        when the iteration gives up; QpInfeasibleError on crossed bounds.
-        """
-        n = self.n
-        below, above = bounds[:n] - tol, bounds[n:] + tol
-        lower, upper = v_unc < below, v_unc > above
-        if lower.tobytes() + upper.tobytes() == self._no_sets:
-            return v_unc, self._no_multipliers, 0
-        return self.iterate(v_unc, bounds, below, above, lower, upper)
 
     def iterate(self, v_unc, bounds, below, above, lower, upper):
         """The box iteration of a sample that binds: ``bounds`` is [lo; hi],

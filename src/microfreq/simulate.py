@@ -16,9 +16,9 @@ prepared run and inputs, the records, the measurement noise (drawn up
 front) and the traces; a run gets the same bytes from either. The loops
 stay forked because only batch size pays for the batch. In CPU time on one
 host (medians of 15, alternating with the lone runs, on one config), a
-one-row batch costs a lone run 1.35-1.49x (MPC) and 1.25-1.31x (PI), and
-a one-row ``control_rows`` costs 1.24x ``control_step``; a cell of three
-runs costs 0.93-0.94x its three lone runs. So the 1-D loop steps one plant
+one-row batch costs a lone run 1.47-1.72x (MPC) and 1.35-1.53x (PI), and
+a one-row ``control_rows`` costs 1.44x ``control_step``; a cell of three
+runs costs 1.03-1.09x its three lone runs. So the 1-D loop steps one plant
 on 1-D arrays and Python floats; the batch stacks the plant, filter and
 control-term products over its live rows, and solves the MPC rows of a
 sample with one ``control_rows`` call, which iterates only the rows that
@@ -32,14 +32,15 @@ each with its own copy of its rows; a batch of 180 s cells holds about
 Everything that does not depend on the closed loop is built before the
 first sample: the config's ``PreparedRun`` (plant, gain schedule, MPC
 prediction matrices and QP law cache), kept for the config's later runs
-(``prepare_run``), and each cell's true disturbances and reserve limits
-over the whole grid (``PreparedRun.inputs``). Per sample a loop computes
-only the state estimate z = (x_hat, d_hat), whose increments the MPC takes,
-the command from the sample's row of the limits, and the plant step, which
-shares B_aug @ u with the next estimate. An MPC run's cost, binding flags
-and KKT residuals come from ``step_diagnostics`` a block of samples at a
-time (``_MpcRecord``); a PI run's binding flags are computed over the grid
-when its trace is finished.
+(``prepare_run``), each cell's true disturbances and reserve limits over
+the whole grid (``PreparedRun.inputs``), and a lone run's filter gains,
+and its MPC box bands (``box_bands``) or PI limits as floats. Per sample a
+loop computes only the state estimate z = (x_hat, d_hat), whose increments
+the MPC takes, the command from the sample's row of the limits, and the
+plant step, which shares B_aug @ u with the next estimate. An MPC run's
+cost, binding flags and KKT residuals come from ``step_diagnostics`` a
+block of samples at a time (``_MpcRecord``); a PI run's binding flags are
+computed over the grid when its trace is finished.
 """
 
 import math
@@ -86,6 +87,7 @@ from .lfc_model import (  # noqa: F401
 from .mpc import (
     MpcConfig,
     active_units,
+    box_bands,
     build_constraints,
     build_prediction_matrices,
     control_rows,
@@ -476,16 +478,20 @@ def run_scenario(scenario, config=None):
     # D @ d of every sample, each row as its own product (so with the bits of
     # ``step_plant``'s).
     plant_disturbances = rows_times(model.D, disturbances)
-    band_lo, band_hi = limits.lo, limits.hi
     states, commands, d_hat = runs.states[0], runs.commands[0], runs.d_hat[0]
     mpc, pi_config = runs.mpcs[0], runs.pi_configs[0]
+    step_gains = [gains.gains[gains.index(k)] for k in range(runs.n)]
+    if mpc is None:
+        band_lo, band_hi = limits.lo.tolist(), limits.hi.tolist()
+    else:
+        bands = box_bands(limits.lo, limits.hi, mpc.pred.m)
     noise = None if runs.noise is None else runs.noise[:, 0].tolist()
     integral = 0.0
 
     z = np.zeros(N_AUGMENTED)  # the estimate as (x_hat, d_hat)
     x = np.zeros(N_STATES)
     u_prev = np.zeros(N_CONTROLS)
-    A, B_aug = model.A, gains.B_aug
+    A, A_aug, B_aug, c = model.A, gains.A_aug, gains.B_aug, gains.c
     # B_aug @ u_prev: its first rows are B @ u_prev, the plant's input term,
     # and the whole is the filter's at the next sample.
     bu = B_aug @ u_prev
@@ -495,28 +501,35 @@ def run_scenario(scenario, config=None):
         y = x.item(IDX_FREQ)
         if noise is not None:
             y = y + noise[k]
-        z_prev = z
-        z, _ = gains.update(z, bu, y, k)
+        if not math.isfinite(y):
+            raise ValueError("measurement must be finite")
+        # The filter's state update as ``estimator_step`` makes it, with the
+        # gain of step k.
+        z_prev, z = z, A_aug @ z
+        z += bu
+        z += step_gains[k] * (y - c @ z)
 
         if mpc is not None:
             dz = z - z_prev
             try:
-                step = control_step(dz[:N_STATES], dz[N_STATES], y, u_prev, band_lo[k],
-                                    band_hi[k], mpc.pred)
+                step = control_step(dz[:N_STATES], dz[N_STATES], y, u_prev, bands[k], mpc.pred)
             except QpInfeasibleError:
                 runs.aborted_at[0] = k
                 break
             u = step.command
             mpc.keep(k, step)
         else:
-            integral, u = pi_step(integral, y, band_lo[k].tolist(), band_hi[k].tolist(), pi_config)
+            integral, u = pi_step(integral, y, band_lo[k], band_hi[k], pi_config)
 
-        if np.shape(u) != (N_CONTROLS,):
+        # A command of six entries but another shape fails the row write.
+        if len(u) != N_CONTROLS:
             raise ValueError(f"command must have shape ({N_CONTROLS},), got {np.shape(u)}")
         commands[k] = u
         d_hat[k] = z[N_STATES]
         bu = B_aug @ u
-        x = A @ x + bu[:N_STATES] + plant_disturbances[k]
+        x = A @ x
+        x += bu[:N_STATES]
+        x += plant_disturbances[k]
         u_prev = u
 
     return next(runs.traces(x, u_prev, z))[0]
@@ -587,7 +600,7 @@ def run_cells(cells, config=None):
         ys = y.tolist()
         if not all(map(math.isfinite, ys)):
             raise ValueError("measurement must be finite")
-        # GainSchedule.update, one row per run.
+        # The filter's state update, one row per run.
         z_pred = rows_times(A_aug, z)
         z_pred += bu
         z_pred += (y - np.vecdot(z_pred, c))[:, None] * gains.gains[gains.index(k)]

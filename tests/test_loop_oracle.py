@@ -5,8 +5,8 @@ single-step functions.
 and the controller's QP matrices once per run. The reference below rebuilds
 every one of them at every sample through the single-step functions
 (``estimator_step``, scalar availability and ``reserve_limits``,
-``control_step``, ``pi_step``, ``step_plant``), so the two must agree bit
-for bit on every trace field. The run loop steps the plant without
+``control_step`` on the sample's bands, ``pi_step``, ``step_plant``), so
+the two must agree bit for bit on every trace field. The run loop steps the plant without
 ``step_plant``, from the products B_aug @ u it shares with the filter and
 D @ d over the whole grid, so this is also what pins the two plant steps to
 each other.
@@ -19,11 +19,11 @@ from microfreq.baselines import pi_all_units_config, pi_du_bess_config, pi_step
 from microfreq.der_models import pv_available_power, reserve_limits, wind_available_power
 from microfreq.estimator import estimator_step, initial_estimator_state
 from microfreq.lfc_model import IDX_FREQ, N_CONTROLS, OUTPUT_STATE_INDICES, build_plant, step_plant
-from microfreq.mpc import active_units, build_prediction_matrices, control_step, out_of_band_units
+from microfreq.mpc import active_units, build_prediction_matrices, out_of_band_units
 from microfreq.numerics import QpInfeasibleError
 from microfreq.profiles import PROFILE_KINDS
 from microfreq.simulate import CONTROLLER_KINDS, RunConfig, make_scenario, run_scenario
-from qp_reference import sample_diagnostics
+from qp_reference import banded_step, sample_diagnostics
 
 TRACE_ARRAYS = ("t", "freq", "commands", "outputs", "disturbances", "d_hat",
                 "limits_lo", "limits_hi", "binding", "objective")
@@ -77,8 +77,8 @@ def reference_run(scenario, config):
         if controller == "mpc":
             drifted = out_of_band_units(limits, u_prev)
             try:
-                result = control_step(est.delta_x, est.delta_d, y, u_prev, limits.lo, limits.hi,
-                                      pred)
+                result = banded_step(est.delta_x, est.delta_d, y, u_prev, limits.lo, limits.hi,
+                                     pred)
             except QpInfeasibleError:
                 aborted_at = k
                 break

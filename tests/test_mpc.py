@@ -22,13 +22,14 @@ from microfreq.lfc_model import (
 from microfreq.mpc import (
     MpcConfig,
     active_units,
+    box_bands,
     build_constraints,
     build_prediction_matrices,
     control_step,
     out_of_band_units,
 )
 from microfreq.numerics import QpInfeasibleError
-from qp_reference import free_response, mpc_gain, running_sum, sample_diagnostics
+from qp_reference import banded_step, free_response, mpc_gain, running_sum, sample_diagnostics
 
 PARAMS = MicrogridParams()
 MODEL = build_plant(PARAMS)
@@ -61,7 +62,7 @@ def closed_loop(
     for k in range(n_steps):
         y = x[IDX_FREQ]
         est = estimator_step(est, u_prev, y, MODEL, EST_CONFIG)
-        result = control_step(est.delta_x, est.delta_d, y, u_prev, limits.lo, limits.hi, pred)
+        result = banded_step(est.delta_x, est.delta_d, y, u_prev, limits.lo, limits.hi, pred)
         u_prev = result.command
         d = np.zeros(N_DISTURBANCES)
         if k >= step_at:
@@ -164,7 +165,8 @@ def test_cumulative_move_pieces_match_their_definitions(config):
 
 def test_control_step_takes_its_weights_from_the_prepared_matrices():
     with pytest.raises(TypeError):
-        control_step(*increments(), 0.0, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED, CONFIG)
+        control_step(*increments(), 0.0, np.zeros(6),
+                     box_bands(WIDE_LIMITS.lo, WIDE_LIMITS.hi, CONFIG.m), PRED, CONFIG)
 
 
 def test_prediction_requires_matching_ts():
@@ -217,7 +219,7 @@ def test_unconstrained_qp_matches_gain():
     for _ in range(10):
         dx, dd = increments(rng.normal(scale=1e-3, size=N_STATES), rng.normal(scale=1e-3))
         y = rng.normal(scale=1e-3)
-        result = control_step(dx, dd, y, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
+        result = banded_step(dx, dd, y, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
         row = sample_diagnostics(result, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
         assert not row.qp_active.any()
         y_free = free_response(PRED, dx, dd, y)
@@ -226,7 +228,7 @@ def test_unconstrained_qp_matches_gain():
 
 def test_wide_limits_reduce_to_unconstrained_gain():
     dx, dd = increments(np.full(N_STATES, 2e-4), 1e-4)
-    wide = control_step(dx, dd, -1e-3, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
+    wide = banded_step(dx, dd, -1e-3, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
     gain_move = mpc_gain(PRED) @ (0.0 - free_response(PRED, dx, dd, -1e-3))
     row = sample_diagnostics(wide, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
     assert not row.qp_active.any()  # empty active set
@@ -281,7 +283,7 @@ def test_crossed_bands_raise_infeasible():
     lo = np.full(6, -0.02)
     lo[4] = 0.03
     with pytest.raises(QpInfeasibleError, match="lower bound 4 exceeds its upper bound") as err:
-        control_step(*increments(), -1e-3, np.zeros(6), lo, np.full(6, 0.02), PRED)
+        banded_step(*increments(), -1e-3, np.zeros(6), lo, np.full(6, 0.02), PRED)
     assert err.value.row == 4
 
 
@@ -289,7 +291,7 @@ def test_drifted_total_forced_back_inside():
     limits = ReserveLimits(lo=np.full(6, -0.02), hi=np.full(6, 0.02))
     u_prev = np.zeros(6)
     u_prev[0] = 0.05  # outside the shrunken band
-    result = control_step(*increments(), 0.0, u_prev, limits.lo, limits.hi, PRED)
+    result = banded_step(*increments(), 0.0, u_prev, limits.lo, limits.hi, PRED)
     assert result.command[0] <= 0.02 + 1e-9
 
 
@@ -297,26 +299,26 @@ def test_drifted_total_forced_back_inside():
 
 
 def test_zero_error_zero_move():
-    result = control_step(*increments(), 0.0, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
+    result = banded_step(*increments(), 0.0, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
     assert np.abs(result.command).max() < 1e-12
     row = sample_diagnostics(result, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
     assert row.objective == pytest.approx(0.0, abs=1e-20)
 
 
 def test_over_frequency_pushes_all_units_down():
-    result = control_step(*increments(), 1e-3, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
+    result = banded_step(*increments(), 1e-3, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
     assert np.all(result.command <= 0.0)
     assert np.any(result.command < 0.0)
 
 
 def test_binding_limit_redistributes_to_other_units():
     # Scale an under-frequency event so the unconstrained wt1 move is 0.04.
-    base = control_step(*increments(), -1e-3, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
+    base = banded_step(*increments(), -1e-3, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
     base_row = sample_diagnostics(base, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
     scale = 0.04 / base_row.increments[2]
     y = -1e-3 * scale
-    unconstrained = control_step(*increments(), y, np.zeros(6), WIDE_LIMITS.lo,
-                                 WIDE_LIMITS.hi, PRED)
+    unconstrained = banded_step(*increments(), y, np.zeros(6), WIDE_LIMITS.lo,
+                                WIDE_LIMITS.hi, PRED)
     row = sample_diagnostics(unconstrained, np.zeros(6), WIDE_LIMITS.lo, WIDE_LIMITS.hi, PRED)
     assert not row.qp_active.any()
     assert row.increments[2] == pytest.approx(0.04, rel=1e-9)
@@ -324,7 +326,7 @@ def test_binding_limit_redistributes_to_other_units():
     lo = np.full(6, -10.0)
     hi = np.full(6, 10.0)
     hi[2] = 0.027
-    result = control_step(*increments(), y, np.zeros(6), lo, hi, PRED)
+    result = banded_step(*increments(), y, np.zeros(6), lo, hi, PRED)
     assert result.command[2] == pytest.approx(0.027, abs=1e-9)
     others = [i for i in range(6) if i != 2]
     assert np.all(result.command[others] >= unconstrained.command[others] - 1e-12)
@@ -336,7 +338,7 @@ def test_binding_limit_redistributes_to_other_units():
 def test_weight_scaling_invariance():
     est = increments(np.full(N_STATES, 1e-4), 2e-4)
     limits = ReserveLimits(lo=np.full(6, -0.01), hi=np.full(6, 0.01))
-    base = control_step(*est, -2e-3, np.zeros(6), limits.lo, limits.hi, PRED)
+    base = banded_step(*est, -2e-3, np.zeros(6), limits.lo, limits.hi, PRED)
     scaled_config = MpcConfig(
         alpha=CONFIG.alpha * 7.0,
         beta_pv=CONFIG.beta_pv * 7.0,
@@ -345,7 +347,7 @@ def test_weight_scaling_invariance():
         beta_bess=CONFIG.beta_bess * 7.0,
     )
     scaled_pred = build_prediction_matrices(MODEL, scaled_config)
-    scaled = control_step(*est, -2e-3, np.zeros(6), limits.lo, limits.hi, scaled_pred)
+    scaled = banded_step(*est, -2e-3, np.zeros(6), limits.lo, limits.hi, scaled_pred)
     base_row = sample_diagnostics(base, np.zeros(6), limits.lo, limits.hi, PRED)
     scaled_row = sample_diagnostics(scaled, np.zeros(6), limits.lo, limits.hi, scaled_pred)
     assert np.abs(base_row.increments - scaled_row.increments).max() < 1e-10
@@ -354,7 +356,7 @@ def test_weight_scaling_invariance():
 def test_kkt_residuals_reported_small():
     dx, dd = increments(np.full(N_STATES, 1e-4), 5e-4)
     limits = ReserveLimits(lo=np.full(6, -0.005), hi=np.full(6, 0.005))
-    result = control_step(dx, dd, -3e-3, np.zeros(6), limits.lo, limits.hi, PRED)
+    result = banded_step(dx, dd, -3e-3, np.zeros(6), limits.lo, limits.hi, PRED)
     stat, primal, comp = sample_diagnostics(
         result, np.zeros(6), limits.lo, limits.hi, PRED).kkt_residuals
     assert stat < 1e-8 and primal < 1e-8 and comp < 1e-8
@@ -400,8 +402,8 @@ def test_total_vs_increment_bound_readings_archived():
             y = x[IDX_FREQ]
             est = estimator_step(est, u_prev, y, MODEL, est_config)
             if reading == "totals":
-                result = control_step(est.delta_x, est.delta_d, y, u_prev, limits.lo,
-                                      limits.hi, PRED)
+                result = banded_step(est.delta_x, est.delta_d, y, u_prev, limits.lo,
+                                     limits.hi, PRED)
                 u_prev = result.command
             else:
                 # per-increment boxes, same band, no cumulative coupling

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import microfreq.simulate as sim
-from microfreq.estimator import EstimatorConfig, GainSchedule, default_estimator_config
+from microfreq.estimator import EstimatorConfig, default_estimator_config
 from microfreq.lfc_model import MicrogridParams
 from microfreq.numerics import QpInfeasibleError
 from microfreq.profiles import NOMINAL_AMBIENT_C, ProfileSet
@@ -333,15 +333,19 @@ def profiles_with(series, row, k, value):
 @pytest.mark.parametrize("controller", ["mpc", "pi_all"])
 def test_bad_profile_sample_fails_before_the_first_sample(monkeypatch, series, value, message,
                                                          controller):
-    # Every sample starts with the filter's update, whichever the controller.
+    # Every sample calls its controller's step, which a good profile shows.
     steps = []
-    real = GainSchedule.update
-    monkeypatch.setattr(GainSchedule, "update", lambda *a: steps.append(1) or real(*a))
+    seam = "control_step" if controller == "mpc" else "pi_step"
+    real = getattr(sim, seam)
+    monkeypatch.setattr(sim, seam, lambda *a: steps.append(1) or real(*a))
     scenario = make_scenario("step", controller, seed=0,
                              profiles=profiles_with(series, 1, 100, value))
     with pytest.raises(ValueError, match=re.escape(message)):
         run_scenario(scenario)
     assert steps == []
+    good = make_scenario("step", controller, seed=0, profiles=constant_profiles())
+    run_scenario(good)
+    assert len(steps) == good.n_steps
 
 
 def test_run_config_derives_its_renewable_models_and_pi_configs_from_its_ratings():
