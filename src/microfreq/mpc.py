@@ -308,11 +308,10 @@ def control_step(dx, dd, y, u_prev, bands, pred):
     with. The box is [lo; hi] = ``bands`` - u_prev of each bound's unit,
     the tolerance relative to its largest magnitude. A sample whose V_unc
     violates no bound ends there, with the box's shared read-only zero
-    multipliers; the rest run ``pred.box.iterate``, and ``_capped_solve``
-    at its cap. Crossed bounds raise QpInfeasibleError. The new total per
-    unit is u_prev + V[:nu]. ``step_diagnostics`` takes the rest from the
-    returned ``MpcStep`` and the bounds after the loop; a stack of samples
-    takes ``control_rows``.
+    multipliers; the rest run ``_binding_solve``, so crossed bounds raise
+    QpInfeasibleError. The new total per unit is u_prev + V[:nu].
+    ``step_diagnostics`` takes the rest from the returned ``MpcStep`` and
+    the bounds after the loop; a stack of samples takes ``control_rows``.
     """
     nu, box = pred.n_inputs, pred.box
     if u_prev.shape != (nu,):
@@ -327,12 +326,18 @@ def control_step(dx, dd, y, u_prev, bands, pred):
     lower, upper = v < below, v > above
     if lower.tobytes() + upper.tobytes() == box.no_sets:
         return MpcStep(u_prev + v[:nu], sample, v, box.no_multipliers)
-    solved = box.iterate(v, bounds, below, above, lower, upper)
-    if solved is None:
-        v, lam = _capped_solve(pred, sample, bounds)
-    else:
-        v, lam, _ = solved
+    v, lam = _binding_solve(pred, sample, v, bounds, below, above, lower, upper)
     return MpcStep(u_prev + v[:nu], sample, v, lam)
+
+
+def _binding_solve(pred, sample, v_unc, bounds, below, above, lower, upper):
+    """(V, bound multipliers) of a sample whose V_unc violates some bound:
+    ``pred.box.iterate`` on its arguments, and ``_capped_solve`` at its
+    cap. Crossed bounds raise QpInfeasibleError."""
+    solved = pred.box.iterate(v_unc, bounds, below, above, lower, upper)
+    if solved is None:
+        return _capped_solve(pred, sample, bounds)
+    return solved[:2]
 
 
 def _capped_solve(pred, sample, bounds):
@@ -371,9 +376,8 @@ def control_rows(dx, dd, y, u_prev, band_lo, band_hi, pred):
     of ``pred.v_unc_map`` (each row its own product, so with the bits of
     ``control_step``'s), the [lo; hi] bounds, each row's
     tolerance, and the sets each row's V_unc violates. A row that violates
-    no bound ends there, with zero multipliers. Only the rows
-    that bind run the box iteration (``BoxQp.iterate``), each from its first
-    sets, with ``_capped_solve`` at its cap. A row whose bands cross is
+    no bound ends there, with zero multipliers. Only the rows that bind run
+    ``_binding_solve``, each from its first sets. A row whose bands cross is
     infeasible if it binds, as ``control_step`` would raise on it; it is
     listed in ``infeasible`` and the other rows are solved as usual.
     """
@@ -390,11 +394,8 @@ def control_rows(dx, dd, y, u_prev, band_lo, band_hi, pred):
     infeasible = []
     for r in np.logical_or.reduce(lower | upper, axis=1).nonzero()[0].tolist():
         try:
-            solved = pred.box.iterate(v[r], bounds[r], below[r], above[r], lower[r], upper[r])
-            if solved is None:
-                v[r], lam[r] = _capped_solve(pred, samples[r], bounds[r])
-            else:
-                v[r], lam[r], _ = solved
+            v[r], lam[r] = _binding_solve(pred, samples[r], v[r], bounds[r], below[r],
+                                          above[r], lower[r], upper[r])
         except QpInfeasibleError:
             infeasible.append(r)
     return MpcRows(u_prev + v[:, :nu], samples, v, lam, infeasible)

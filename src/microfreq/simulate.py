@@ -20,7 +20,7 @@ one-row batch costs a lone run 1.47-1.72x (MPC) and 1.35-1.53x (PI), and
 a one-row ``control_rows`` costs 1.44x ``control_step``; a cell of three
 runs costs 1.03-1.09x its three lone runs. So the 1-D loop steps one plant
 on 1-D arrays and Python floats; the batch stacks the plant, filter and
-control-term products over its live rows, and solves the MPC rows of a
+control-term products over its rows, and solves the MPC rows of a
 sample with one ``control_rows`` call, which iterates only the rows that
 bind.
 
@@ -304,7 +304,7 @@ class _MpcRecord:
     """What an MPC run keeps of its samples for its trace: the cost, the
     binding flags (as bools) and the largest KKT residual. A sample's s, V
     and bound multipliers wait in the run's block of ``_DIAGNOSTIC_ROWS``
-    rows, row ``row`` of the ``_Runs.blocks`` arrays ``blocks``; when the
+    rows, ``block`` (its rows of the ``_Runs.blocks`` arrays); when the
     block is full, or the run ends, ``step_diagnostics`` gives its cost,
     active bounds and KKT residuals, on the bounds rebuilt from the limits
     and the previous commands (zero before the first sample). A unit whose
@@ -314,13 +314,13 @@ class _MpcRecord:
     block with ``keep``; a batch writes the rows of all its MPC runs' blocks
     at once and closes each full block itself."""
 
-    def __init__(self, pred, limits, commands, blocks, row):
-        self.pred, self.limits, self.commands, self.row = pred, limits, commands, row
+    def __init__(self, pred, limits, commands, block):
+        self.pred, self.limits, self.commands = pred, limits, commands
         self.objective = np.zeros(commands.shape[0])
         self.binding = np.zeros((commands.shape[0], N_CONTROLS), dtype=bool)
         self.max_kkt = 0.0
         self.start = 0  # the sample of the block's first row
-        self.samples, self.moves, self.multipliers = (block[row] for block in blocks)
+        self.samples, self.moves, self.multipliers = block
 
     def keep(self, k, step):
         i = k - self.start
@@ -357,13 +357,16 @@ class _Runs:
     runs, then the PI runs, each group in cell order (``cell_of`` holds
     each run's cell, and ``cell_runs`` each cell's runs in the order the
     cell lists them). It has made the records of every run, a run per
-    row: the states, commands and d_hat of its n + 1 rows, an MPC run's
-    ``_MpcRecord`` (its s, V and multipliers wait in ``blocks``, (MPC runs,
-    _DIAGNOSTIC_ROWS, ·) arrays) and a PI run's config. ``noise`` is each
-    run's measurement noise, (n, runs), or None: a seed's values are drawn
-    once, one per sample, and every run of its cell adds the same ones. The
-    loop sets ``aborted_at[run]`` to the sample at which a run's QP was
-    infeasible; ``traces`` then finishes the runs."""
+    row for the whole batch: the states, commands and d_hat of its n + 1
+    rows, an MPC run's ``_MpcRecord`` (its s, V and multipliers wait in
+    ``blocks``, (MPC runs, _DIAGNOSTIC_ROWS, ·) arrays, where the MPC
+    runs lead, so a run's index is also its block row) and a PI run's
+    config. ``noise`` is each run's measurement noise, (n, runs), or None:
+    a seed's values are drawn once, one per sample, and every run of its
+    cell adds the same ones. The loop sets ``aborted_at[run]`` to the
+    sample at which a run's QP was infeasible; ``traces`` then finishes
+    the runs, each aborted one at that sample, whatever its records hold
+    after it."""
 
     def __init__(self, cells, config):
         if not cells or not all(cells):
@@ -400,9 +403,9 @@ class _Runs:
             widths = (pred.sample_map.shape[1], pred.box.n, pred.box.n)
             self.blocks = tuple(np.empty((len(mpc_runs), _DIAGNOSTIC_ROWS, width))
                                 for width in widths)
-            for row, run in enumerate(mpc_runs):
+            for run in mpc_runs:
                 self.mpcs[run] = _MpcRecord(pred, self.inputs[self.cell_of[run]][1],
-                                            self.commands[run], self.blocks, row)
+                                            self.commands[run], [b[run] for b in self.blocks])
         self.pi_configs = [config.pi_configs.get(scenario.controller)
                            for scenario in self.scenarios]
         self.aborted_at = [None] * runs
@@ -417,13 +420,12 @@ class _Runs:
         finishes a cell at a time. The runs that did not abort first get
         their terminal row, the state at t = duration with the last command
         held (its limits are the last sample's): ``x``, ``u`` and ``z`` are
-        the loop's last states, commands and estimates, a row per such run
-        in order (1-D for a single run)."""
+        the loop's last states, commands and estimates, a row per run (1-D
+        for a single run)."""
         finished = [run for run, at in enumerate(self.aborted_at) if at is None]
-        if finished:
-            self.states[finished, self.n] = x
-            self.commands[finished, self.n] = u
-            self.d_hat[finished, self.n] = z[..., N_STATES]
+        self.states[finished, self.n] = np.atleast_2d(x)[finished]
+        self.commands[finished, self.n] = np.atleast_2d(u)[finished]
+        self.d_hat[finished, self.n] = np.atleast_2d(z)[finished, N_STATES]
         return ([self._trace(run) for run in runs] for runs in self.cell_runs)
 
     def _trace(self, run):
@@ -431,11 +433,13 @@ class _Runs:
         last block is diagnosed here. A PI run's binding flags, which
         nothing in the loop reads, are computed here over the grid. The
         trace shares the disturbances and limits with the other runs of its
-        cell, and holds its own copy of the rest, so the records need not
-        outlive the batch."""
+        cell (the arrays themselves unless it aborted, so pickling a cell
+        writes each once), and holds its own copy of the rest, so the
+        records need not outlive the batch."""
         n, scenario, mpc = self.n, self.scenarios[run], self.mpcs[run]
         aborted_at = self.aborted_at[run]
         disturbances, limits = self.inputs[self.cell_of[run]]
+        lo, hi = limits.lo, limits.hi
         states, commands = self.states[run], self.commands[run]
         if mpc is not None:
             mpc.close(n if aborted_at is None else aborted_at)
@@ -443,12 +447,14 @@ class _Runs:
         else:
             objective, binding, max_kkt = np.zeros(n + 1), np.zeros((n + 1, N_CONTROLS), int), 0.0
             # A PI command binds within PI_BIND_TOL of a limit (participants only).
-            at_bound = ((commands[:n] <= limits.lo[:n] + PI_BIND_TOL)
-                        | (commands[:n] >= limits.hi[:n] - PI_BIND_TOL))
+            at_bound = ((commands[:n] <= lo[:n] + PI_BIND_TOL)
+                        | (commands[:n] >= hi[:n] - PI_BIND_TOL))
             binding[:n] = at_bound & self.pi_configs[run].participating
         # An aborted run keeps the rows before the failed sample, and the
         # largest KKT residual of the samples it solved.
         rows = n + 1 if aborted_at is None else aborted_at
+        if aborted_at is not None:
+            disturbances, lo, hi = disturbances[:rows], lo[:rows], hi[:rows]
         return ScenarioTrace(
             kind=scenario.kind,
             controller=scenario.controller,
@@ -457,10 +463,10 @@ class _Runs:
             freq=states[:rows, IDX_FREQ].copy(),
             commands=commands[:rows].copy(),
             outputs=states[:rows, list(OUTPUT_STATE_INDICES)],
-            disturbances=disturbances[:rows],
+            disturbances=disturbances,
             d_hat=self.d_hat[run, :rows].copy(),
-            limits_lo=limits.lo[:rows],
-            limits_hi=limits.hi[:rows],
+            limits_lo=lo,
+            limits_hi=hi,
             binding=binding[:rows],
             objective=objective[:rows],
             max_kkt_residual=max_kkt,
@@ -548,21 +554,19 @@ def run_cells(cells, config=None):
     each group in cell order (``_Runs``); each cell's traces still come
     back in the order the cell lists its scenarios. The plant step A x, the
     filter's A_aug z and the control term B_aug u are each one stacked
-    product over the live rows (``rows_times``, so every row has the bits
-    of its own matrix-vector product). Each cell keeps its own
-    disturbances, limits and noise stream. A PI row runs ``pi_step`` on its
-    own, on Python floats, and a sample's PI commands are written with one
-    assignment. The MPC rows of a sample are one ``control_rows`` call,
-    with their bands taken from the cells' limits, stacked once per batch;
-    only the rows that bind iterate. The s, V and multipliers of all MPC
-    rows go into their blocks with one write each per sample. While every
-    row is live, the MPC rows, their block rows and the PI rows are each a
-    run of consecutive indices, and so are the MPC rows' cells when each
-    cell has one MPC run: ``_controller_rows`` gives them as slices, so the
-    stage reads views and writes through strides instead of copying. An
-    MPC row whose QP is infeasible at sample k leaves the batch there, its
-    trace ending at k as a single run's does; the other rows run to the
-    end, and an index that is no longer consecutive becomes an index array.
+    product over the rows (``rows_times``, so every row has the bits of its
+    own matrix-vector product). Each cell keeps its own disturbances,
+    limits and noise stream. A PI row runs ``pi_step`` on its own, on
+    Python floats, and a sample's PI commands are written with one
+    assignment to their slice of the rows. The MPC rows of a sample are one
+    ``control_rows`` call, with their bands taken from the cells' limits,
+    stacked once per batch; only the rows that bind iterate. The s, V and
+    multipliers of all MPC rows go into their blocks with one write each
+    per sample. The rows stay fixed from the first sample to the last. An
+    MPC row whose QP is infeasible at sample k leaves only the MPC group
+    (``_mpc_rows``), its trace ending at k as a single run's does; its
+    plant and filter step on with its last applied command, and nothing
+    reads them. The batch stops early only when no row is left running.
     """
     runs = _Runs(cells, config or RunConfig())
     n, cell_of = runs.n, runs.cell_of
@@ -579,13 +583,12 @@ def run_cells(cells, config=None):
     n_runs = len(mpcs)
     integrals = [0.0] * n_runs
 
-    # One row per run still running: ``live`` holds its run, its records
-    # are at ``rows`` and its cell in ``live_cells`` (every run until one
-    # aborts).
-    live = list(range(n_runs))
-    rows = slice(None)
-    live_cells = np.array(cell_of)
-    pi_rows, mpc_rows = _controller_rows(live, cell_of, mpcs)
+    # The MPC runs lead the rows. The PI rows, which never abort, are the
+    # rest, for the whole batch.
+    n_mpc = n_runs - mpcs.count(None)
+    mpc_rows = _mpc_rows(list(range(n_mpc)), cell_of)
+    pis = [(run, cell_of[run]) for run in range(n_mpc, n_runs)]
+    cells_at = np.array(cell_of)
     x = np.zeros((n_runs, N_STATES))
     z = np.zeros((n_runs, N_AUGMENTED))
     u = np.zeros((n_runs, N_CONTROLS))  # the commands, written in place each sample
@@ -593,7 +596,7 @@ def run_cells(cells, config=None):
     bu = rows_times(B_aug, u)
 
     for k in range(n):
-        states[rows, k] = x
+        states[:, k] = x
         y = x[:, IDX_FREQ]
         if noise is not None:
             y = y + noise[k]
@@ -607,17 +610,16 @@ def run_cells(cells, config=None):
         dz = z_pred - z
         z = z_pred
 
-        if pi_rows:
-            at, pis = pi_rows
+        if pis:
             lo_rows, hi_rows = band_lo[k].tolist(), band_hi[k].tolist()
             pi_commands = []
-            for i, run, cell in pis:
-                integrals[run], command = pi_step(integrals[run], ys[i], lo_rows[cell],
+            for run, cell in pis:
+                integrals[run], command = pi_step(integrals[run], ys[run], lo_rows[cell],
                                                   hi_rows[cell], pi_configs[run])
                 pi_commands.append(command)
-            u[at] = pi_commands
+            u[n_mpc:] = pi_commands
         if mpc_rows:
-            at, mpc_cells, block_rows, mpc_runs = mpc_rows
+            at, mpc_cells, mpc_runs = mpc_rows
             dz_mpc = dz[at]
             steps = control_rows(dz_mpc[:, :N_STATES], dz_mpc[:, N_STATES], y[at], u[at],
                                  band_lo[k, mpc_cells], band_hi[k, mpc_cells],
@@ -625,27 +627,25 @@ def run_cells(cells, config=None):
             u[at] = steps.commands
             slot = k % _DIAGNOSTIC_ROWS
             for block, step_rows in zip(runs.blocks, (steps.samples, steps.v, steps.lam)):
-                block[block_rows, slot] = step_rows
+                block[at, slot] = step_rows
             if steps.infeasible:
-                failed = {mpc_runs[r] for r in steps.infeasible}
+                failed = [mpc_runs[r] for r in steps.infeasible]
                 for run in failed:
                     aborted_at[run] = k
-                keep = [i for i, run in enumerate(live) if run not in failed]
-                live = [live[i] for i in keep]
-                if not live:
+                # Each steps on, unread, with its last applied command (zero
+                # before the first sample), so its rows stay finite whatever
+                # ``control_rows`` left in an infeasible row.
+                u[failed] = commands[failed, k - 1] if k else 0.0
+                mpc_rows = _mpc_rows([run for run in mpc_runs if aborted_at[run] is None],
+                                     cell_of)
+                if not (mpc_rows or pis):
                     break
-                rows = _index(live)
-                live_cells = np.array([cell_of[run] for run in live])
-                x, z, u = x[keep], z[keep], u[keep]
-                if noise is not None:
-                    noise = noise[:, keep]
-                pi_rows, mpc_rows = _controller_rows(live, cell_of, mpcs)
             if slot + 1 == _DIAGNOSTIC_ROWS and mpc_rows:
-                for run in mpc_rows[3]:
+                for run in mpc_rows[2]:
                     mpcs[run].close(k + 1)
 
-        commands[rows, k] = u
-        d_hat[rows, k] = z[:, N_STATES]
+        commands[:, k] = u
+        d_hat[:, k] = z[:, N_STATES]
         bu = rows_times(B_aug, u)
         x = rows_times(A, x)
         x += bu[:, :N_STATES]
@@ -655,28 +655,22 @@ def run_cells(cells, config=None):
             block = disturbances[k:k + _DIAGNOSTIC_ROWS]
             plant_disturbances = rows_times(D, block.reshape(-1, N_DISTURBANCES)).reshape(
                 block.shape[:2] + (N_STATES,))
-        x += plant_disturbances[k % _DIAGNOSTIC_ROWS].take(live_cells, axis=0)
+        x += plant_disturbances[k % _DIAGNOSTIC_ROWS].take(cells_at, axis=0)
 
     return runs.traces(x, u, z)
 
 
-def _controller_rows(live, cell_of, mpcs):
-    """The rows of the ``live`` runs by controller, or None for a controller
-    with none: the PI rows as (positions, [(position, run, cell)]) and the
-    MPC rows as (positions, cells, block rows, runs). Positions index the
-    live rows, cells the cells' bands and block rows the ``_Runs.blocks``.
-    Each is a slice while its values are consecutive, so the stage reads
-    views and writes through strides, and an index array once they are not:
-    the positions and block rows are consecutive while every row is live,
-    and the cells too if each cell has one MPC run."""
-    pis = [(i, run, cell_of[run]) for i, run in enumerate(live) if mpcs[run] is None]
-    pi_rows = (_index([i for i, _, _ in pis]), pis) if pis else None
-    mpc = [(i, run) for i, run in enumerate(live) if mpcs[run] is not None]
-    if not mpc:
-        return pi_rows, None
-    runs = [run for _, run in mpc]
-    return pi_rows, (_index([i for i, _ in mpc]), _index([cell_of[run] for run in runs]),
-                     _index([mpcs[run].row for run in runs]), runs)
+def _mpc_rows(runs, cell_of):
+    """The MPC group of a batch, (rows, cells, runs), for the MPC ``runs``
+    still running, or None when none is. The MPC runs lead the rows, so
+    ``rows`` indexes a run's row and its ``_Runs.blocks`` row alike, and
+    ``cells`` the cells' bands. Each is a slice while its values are
+    consecutive, so the stage reads views and writes through strides, and
+    an index array once they are not: the rows are consecutive at least
+    until a row aborts, and the cells too if each cell has one MPC run."""
+    if not runs:
+        return None
+    return _index(runs), _index([cell_of[run] for run in runs]), runs
 
 
 def _index(values):

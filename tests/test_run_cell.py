@@ -5,9 +5,11 @@ plant, filter and control-term products stacked over its rows. A cell is
 the runs of one profile set and seed; each cell of a batch keeps its own
 disturbances, limits and noise stream. Each trace must have the bytes
 ``run_scenario`` gives the same scenario on its own, also when MPC rows
-abort and leave the batch while the others run on. The batch steps its MPC
-rows first and its PI rows after them, whatever order the cells list their
-controllers in; each cell's traces still come back in that cell's order.
+abort: such a row keeps its place in the batch but leaves its MPC group,
+its trace ends at the failed sample, and the others run on. The batch
+steps its MPC rows first and its PI rows after them, whatever order the
+cells list their controllers in; each cell's traces still come back in
+that cell's order.
 """
 
 import gc
@@ -96,21 +98,28 @@ def test_a_batch_gives_each_run_the_bytes_of_a_single_run(noise):
             assert_same_bytes(trace, run_scenario(scenario, single))
 
 
-@pytest.mark.parametrize("controllers", [
-    ("pi_all", "mpc", "pi_dubess"),
-    ("mpc", "pi_dubess", "mpc", "pi_all"),
-    ("mpc",),
-], ids=["mpc-between-pi", "two-mpc-rows", "mpc-alone"])
-def test_an_mpc_row_that_aborts_leaves_the_cell_and_the_others_run_on(monkeypatch, controllers):
+@pytest.mark.parametrize("controllers, duration", [
+    (("pi_all", "mpc", "pi_dubess"), 30.0),
+    (("mpc", "pi_dubess", "mpc", "pi_all"), 30.0),
+    (("mpc",), 30.0),
+    # Every row aborts, so the batch stops at the failed sample.
+    (("mpc", "mpc", "mpc"), 30.0),
+    # The aborted row steps on, unread, for 260 samples, past two blocks of
+    # diagnostics, and its noise stream with it.
+    (("mpc", "pi_all"), 60.0),
+], ids=["mpc-between-pi", "two-mpc-rows", "mpc-alone", "every-row-aborts",
+        "aborts-blocks-before-the-end"])
+def test_an_mpc_row_that_aborts_leaves_the_cell_and_the_others_run_on(
+        monkeypatch, controllers, duration):
     config = RunConfig(measurement_noise_std=2e-5)
-    scenarios = cell("moderate", 3, controllers, duration=30.0)
+    scenarios = cell("moderate", 3, controllers, duration=duration)
     abort_mpc_at(monkeypatch, 40)
     expected = [run_scenario(scenario, config) for scenario in scenarios]
     abort_mpc_at(monkeypatch, 40)
     traces = run_cell(scenarios, config)
-    for scenario, trace, want in zip(scenarios, traces, expected):
+    for scenario, trace, want in zip(scenarios, traces, expected, strict=True):
         assert trace.aborted_at == (40 if scenario.controller == "mpc" else None)
-        assert trace.freq.size == (40 if scenario.controller == "mpc" else 151)
+        assert trace.freq.size == (40 if scenario.controller == "mpc" else scenario.n_steps + 1)
         assert_same_bytes(trace, want)
 
 
@@ -166,20 +175,19 @@ def test_an_mpc_row_aborts_in_the_sample_another_mpc_row_binds(monkeypatch):
 
 
 def index_kinds(monkeypatch):
-    """Record, at each call of the batch's ``_controller_rows``, the kind of
-    each index it returns: "slice" or "array", PI positions first, then
-    the MPC positions, cells and block rows (None for a missing group)."""
+    """Record, at each call of the batch's ``_mpc_rows``, the kind of each
+    index of the MPC group it returns, "slice" or "array": the rows, then
+    the cells (None when no MPC run is left)."""
     calls = []
-    real = simulate._controller_rows
+    real = simulate._mpc_rows
 
     def recording(*args):
-        pi_rows, mpc_rows = real(*args)
-        indices = [pi_rows and pi_rows[0]] + list(mpc_rows[:3] if mpc_rows else [None] * 3)
-        calls.append([None if index is None else
-                      "slice" if isinstance(index, slice) else "array" for index in indices])
-        return pi_rows, mpc_rows
+        mpc_rows = real(*args)
+        calls.append(mpc_rows and ["slice" if isinstance(index, slice) else "array"
+                                   for index in mpc_rows[:2]])
+        return mpc_rows
 
-    monkeypatch.setattr(simulate, "_controller_rows", recording)
+    monkeypatch.setattr(simulate, "_mpc_rows", recording)
     return calls
 
 
@@ -193,25 +201,23 @@ def assert_batch_matches_single_runs(cells, config):
 
 
 @pytest.mark.parametrize("orders, kinds", [
-    ([("pi_all", "pi_dubess"), ("pi_dubess",), ("pi_all", "pi_dubess")],
-     ["slice", None, None, None]),
-    ([("mpc",), ("mpc",), ("mpc",)], [None, "slice", "slice", "slice"]),
+    ([("pi_all", "pi_dubess"), ("pi_dubess",), ("pi_all", "pi_dubess")], None),
+    ([("mpc",), ("mpc",), ("mpc",)], ["slice", "slice"]),
     ([("pi_all", "pi_dubess", "mpc"), ("pi_dubess", "mpc"), ("mpc", "pi_all")],
-     ["slice", "slice", "slice", "slice"]),
+     ["slice", "slice"]),
     ([("mpc", "pi_all", "mpc"), ("pi_dubess", "mpc", "pi_all"), ("mpc", "mpc")],
-     ["slice", "slice", "array", "slice"]),
+     ["slice", "array"]),
     ([("pi_all", "mpc"), ("pi_dubess",), ("mpc", "pi_all", "pi_dubess")],
-     ["slice", "slice", "array", "slice"]),
-    ([("mpc", "mpc"), ("pi_all",), ("mpc",)], ["slice", "slice", "array", "slice"]),
+     ["slice", "array"]),
+    ([("mpc", "mpc"), ("pi_all",), ("mpc",)], ["slice", "array"]),
 ], ids=["pi-only", "mpc-only", "mpc-last", "mpc-twice", "a-cell-without-mpc",
         "mpc-twice-beside-a-gap"])
 def test_any_layout_of_controllers_gives_the_single_run_bytes(monkeypatch, orders, kinds):
     # The batch steps the MPC rows first, then the PI rows; its traces come
-    # back in each cell's own order. While every row is live each group is
-    # a slice of the rows and of the blocks; the MPC rows' cells are one
-    # only when each cell has one MPC run in cell order. In the last layout
-    # the MPC rows' cells 0, 0, 2 span as many cells as they are rows, yet
-    # are no slice.
+    # back in each cell's own order. While no row has aborted the MPC rows
+    # are a slice; their cells are one only when each cell has one MPC run
+    # in cell order. In the last layout the MPC rows' cells 0, 0, 2 span as
+    # many cells as they are rows, yet are no slice.
     config = RunConfig(measurement_noise_std=2e-5)
     cells = [cell("rapid", seed, order, duration=40.0) for seed, order in enumerate(orders)]
     calls = index_kinds(monkeypatch)
@@ -220,15 +226,14 @@ def test_any_layout_of_controllers_gives_the_single_run_bytes(monkeypatch, order
 
 
 @pytest.mark.parametrize("orders, row_aborts, kinds", [
-    # The MPC block rows and cells left are 0 and 2, no longer consecutive,
-    # so they become index arrays; the positions stay slices, the MPC rows
-    # still leading.
+    # The MPC rows and cells left are 0 and 2, no longer consecutive, so
+    # they become index arrays.
     ([("pi_all", "mpc", "pi_dubess"), ("mpc", "pi_all"), ("pi_dubess", "mpc")],
-     [None, 150, None], [["slice"] * 4, ["slice", "slice", "array", "array"]]),
-    # The MPC rows' cells 0, 0, 1, 2 become 0, 0, 2: as many cells spanned
-    # as rows left, yet no slice.
+     [None, 150, None], [["slice", "slice"], ["array", "array"]]),
+    # The MPC rows 0, 1, 2, 3 become 0, 1, 3, and their cells 0, 0, 1, 2
+    # become 0, 0, 2: as many cells spanned as rows left, yet no slice.
     ([("mpc", "mpc"), ("mpc",), ("mpc",)], [None, None, 150, None],
-     [[None, "slice", "array", "slice"], [None, "slice", "array", "array"]]),
+     [["slice", "array"], ["array", "array"]]),
 ], ids=["one-mpc-per-cell", "mpc-twice"])
 def test_an_mpc_row_that_aborts_mid_batch_switches_its_indices_to_arrays(
         monkeypatch, orders, row_aborts, kinds):

@@ -146,8 +146,8 @@ def test_runs_on_equal_profiles_share_one_build_of_their_inputs():
 
 
 def test_plant_disturbances_have_the_bits_of_one_product_per_sample():
-    # A single run takes D @ d over the grid, a batch over the live rows of
-    # each sample; both must give each row the bits of its own product.
+    # A single run takes D @ d over the grid, a batch over the rows of each
+    # sample; both must give each row the bits of its own product.
     profiles = generate_profiles("rapid", 6, 60.0)
     config = RunConfig()
     prepared = sim.prepare_run(config, 300)
