@@ -91,18 +91,17 @@ def pi_du_bess_config(params, kp=None, ki=None):
     return _make_config(params, mask, kp, ki)
 
 
-def _pi_commands(config, y, integral, lo, hi):
-    """Fleet total and clamped per-unit commands for one integrator value.
-    The clamp takes the bits ``numpy.clip`` gives, the sign of a zero
-    included, which ``max`` and ``min`` would not."""
-    total = -(config.kp * y + config.ki * integral) * config.capacity_scale
+def _clamped(total, shares, lo, hi):
+    """The six commands of a fleet total: each participant's share clamped
+    to its limits, with the bits ``numpy.clip`` gives, the sign of a zero
+    included (which ``max`` and ``min`` would not keep); idle units get 0."""
     cmd = [0.0] * N_CONTROLS
-    for unit, weight in config.shares:
+    for unit, weight in shares:
         raw = total * weight
         low, high = lo[unit], hi[unit]
         raw = raw if raw > low else low
         cmd[unit] = raw if raw < high else high
-    return total, cmd
+    return cmd
 
 
 def pi_step(integral, y, lo, hi, config):
@@ -114,29 +113,34 @@ def pi_step(integral, y, lo, hi, config):
     list.
 
     Total correction -(kp*y + ki*integral) * capacity_scale, split by the
-    allocation weights, clamped per unit to the instant's limits; idle units
-    get 0. Conditional anti-windup: when every participating unit is clamped
-    at the bound in the push direction and the error keeps pushing that way,
-    the integrator holds instead of winding up.
+    allocation weights, clamped per unit to the instant's limits
+    (``_clamped``); idle units get 0. Conditional anti-windup: when every
+    participating unit is clamped at the bound in the push direction and
+    the error keeps pushing that way, the integrator holds instead of
+    winding up. One pass clamps and tests that; only a hold clamps again.
     """
     if not math.isfinite(y):
         raise ValueError("measurement must be finite")
+    kp, ki, scale, shares = config.kp, config.ki, config.capacity_scale, config.shares
 
     integral_new = integral + y * SAMPLE_TIME
-    total, cmd = _pi_commands(config, y, integral_new, lo, hi)
+    total = -(kp * y + ki * integral_new) * scale
+    # Pushing deeper needs a nonzero total; then the push is upward when it
+    # is positive, and every participant must sit at that side's bound.
+    hold = (-y) * total > 0
+    upward = total > 0
+    cmd = [0.0] * N_CONTROLS
+    for unit, weight in shares:
+        raw = total * weight
+        low, high = lo[unit], hi[unit]
+        raw = raw if raw > low else low
+        raw = raw if raw < high else high
+        cmd[unit] = raw
+        if hold:
+            hold = raw >= high - PI_BIND_TOL if upward else raw <= low + PI_BIND_TOL
 
-    if total > 0:
-        fully_saturated = all(cmd[unit] >= hi[unit] - PI_BIND_TOL for unit, _ in config.shares)
-    elif total < 0:
-        fully_saturated = all(cmd[unit] <= lo[unit] + PI_BIND_TOL for unit, _ in config.shares)
-    else:
-        fully_saturated = False
-    pushing_deeper = (-y) * total > 0
-
-    if fully_saturated and pushing_deeper:
-        integral_new = integral
-        total, cmd = _pi_commands(config, y, integral_new, lo, hi)
-
+    if hold:
+        return integral, _clamped(-(kp * y + ki * integral) * scale, shares, lo, hi)
     return integral_new, cmd
 
 

@@ -39,6 +39,11 @@ DEFAULT_INITIAL_COVARIANCE = 1e-2
 
 _CLIP_LIMIT = 1e-6
 
+# Built once: every Riccati step takes I - gain c' and tests P + 1e-14 I.
+_IDENTITY = np.eye(N_AUGMENTED)
+_JITTER = 1e-14 * _IDENTITY
+_IDENTITY.flags.writeable = _JITTER.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -189,7 +194,7 @@ def _condition_covariance(P):
     """Re-symmetrize and clip tiny negative eigenvalues; large clips error."""
     P = (P + P.T) / 2.0
     try:
-        np.linalg.cholesky(P + 1e-14 * np.eye(P.shape[0]))
+        np.linalg.cholesky(P + _JITTER)
         return P
     except np.linalg.LinAlgError:
         pass
@@ -202,12 +207,13 @@ def _condition_covariance(P):
 
 def _covariance_step(P, A_aug, c, config):
     """Covariance predict/update of one step and the Kalman gain it uses.
-    Needs no data, only the previous covariance."""
-    P_pred = A_aug @ P @ A_aug.T + config.Q
-    s = float(c @ P_pred @ c + config.R_noise)
-    gain = P_pred @ c / s
-    ikc = np.eye(N_AUGMENTED) - np.outer(gain, c)
-    P_new = ikc @ P_pred @ ikc.T + config.R_noise * np.outer(gain, gain)  # Joseph form
+    Needs no data, only the previous covariance. The outer products are
+    broadcasts, which give ``np.outer``'s bits."""
+    P_pred = A_aug.dot(P).dot(A_aug.T) + config.Q
+    s = float(c.dot(P_pred).dot(c) + config.R_noise)
+    gain = P_pred.dot(c) / s
+    ikc = _IDENTITY - gain[:, None] * c
+    P_new = ikc.dot(P_pred).dot(ikc.T) + config.R_noise * (gain[:, None] * gain)  # Joseph form
     return gain, _condition_covariance(P_new)
 
 
@@ -266,6 +272,18 @@ class GainSchedule:
         if not self.period:
             raise IndexError(f"step {k} is beyond the {len(self.gains)} scheduled steps")
         return self.cycle_start + (k - self.cycle_start) % self.period
+
+    def sequence(self, n_steps):
+        """The gain of each of the first ``n_steps`` steps, in order: entry k
+        is ``gains[index(k)]``, the entries followed by their cycle repeated.
+        Fails as ``index`` does at the first step beyond an uncycled
+        schedule."""
+        gains = list(self.gains[:n_steps])
+        if n_steps > len(gains):
+            if not self.period:
+                self.index(len(gains))  # raises its IndexError
+            gains += self.gains[self.cycle_start:] * ((n_steps - len(gains)) // self.period + 1)
+        return gains[:n_steps]
 
     def covers(self, n_steps):
         """Whether a run of ``n_steps`` samples finds an entry for every step."""

@@ -318,7 +318,7 @@ def control_step(dx, dd, y, u_prev, bands, pred):
         raise ValueError(f"u_prev must have shape ({nu},), got {u_prev.shape}")
     sample = np.empty(pred.v_unc_map.shape[1])
     sample[:-2], sample[-2], sample[-1] = dx, y, dd
-    v = pred.v_unc_map @ sample
+    v = pred.v_unc_map.dot(sample)
     bounds = bands - u_prev[pred.unit_of_bound]
     # lo - tol and hi + tol in one product and one sum, with their bits.
     widened = bounds + _QP_TOL * max(1.0, np.maximum.reduce(np.abs(bounds))) * box.widening

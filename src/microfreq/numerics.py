@@ -39,9 +39,10 @@ class QpInfeasibleError(ValueError):
 
 
 def rows_times(M, X):
-    """M @ x for every row x of X, each as its own matrix-vector product.
-    One matrix-matrix product X @ M.T would sum in another order and move
-    the results in their last bits."""
+    """M @ x for every row x of X, each as its own matrix-vector product,
+    so with the bits of ``M @ x`` and of ``M.dot(x)``, which a lone run
+    takes. One matrix-matrix product X @ M.T would sum in another order and
+    move the results in their last bits."""
     return np.matmul(M[None], X[:, :, None])[:, :, 0]
 
 
@@ -111,9 +112,11 @@ def discretize(Ac, Bc, Dc, Ts):
     block[:n, n + nu:] = Dc
 
     E = matrix_exponential(block, Ts)
-    A = E[:n, :n]
-    B = E[:n, n:n + nu]
-    D = E[:n, n + nu:]
+    # Each block as an array of its own, so its products take it
+    # C-contiguous (``ndarray.dot`` would copy a strided block every call).
+    A = E[:n, :n].copy()
+    B = E[:n, n:n + nu].copy()
+    D = E[:n, n + nu:].copy()
     return A, B, D
 
 
@@ -367,6 +370,9 @@ class BoxQp:
         for iterations in range(1, BOX_QP_MAX_ITERATIONS + 1):
             idx, picks, law, inv_curvature = self._law(sets, lower, upper)
             bound = bounds[picks]
+            # ``@``, not ``ndarray.dot``: with one active bound the difference
+            # has one entry, and ``dot`` multiplies by it as by a scalar,
+            # which may keep an underflowed product's -0.0 where ``@`` adds +0.
             step = law @ (v_unc[idx] - bound)
             shifted = v_unc - step[:n]
             shifted[idx] = bound + step[n:] * inv_curvature

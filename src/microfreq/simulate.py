@@ -16,11 +16,12 @@ prepared run and inputs, the records, the measurement noise (drawn up
 front) and the traces; a run gets the same bytes from either. The loops
 stay forked because only batch size pays for the batch. In CPU time on one
 host (medians of 15, alternating with the lone runs, on one config), a
-one-row batch costs a lone run 1.47-1.72x (MPC) and 1.35-1.53x (PI), and
-a one-row ``control_rows`` costs 1.44x ``control_step``; a cell of three
-runs costs 1.03-1.09x its three lone runs. So the 1-D loop steps one plant
-on 1-D arrays and Python floats; the batch stacks the plant, filter and
-control-term products over its rows, and solves the MPC rows of a
+one-row batch costs a lone run 1.67-2.02x (MPC) and 1.83-2.08x (PI), and
+a one-row ``control_rows`` costs 1.43-1.60x ``control_step``; a cell of
+three runs costs 1.18-1.30x its three lone runs. So the 1-D loop steps one
+plant on 1-D arrays and Python floats, with ``ndarray.dot`` products (the
+BLAS calls of ``@``, at less dispatch); the batch stacks the plant, filter
+and control-term products over its rows, and solves the MPC rows of a
 sample with one ``control_rows`` call, which iterates only the rows that
 bind.
 
@@ -33,8 +34,9 @@ Everything that does not depend on the closed loop is built before the
 first sample: the config's ``PreparedRun`` (plant, gain schedule, MPC
 prediction matrices and QP law cache), kept for the config's later runs
 (``prepare_run``), each cell's true disturbances and reserve limits over
-the whole grid (``PreparedRun.inputs``), and a lone run's filter gains,
-and its MPC box bands (``box_bands``) or PI limits as floats. Per sample a
+the whole grid (``PreparedRun.inputs``), the filter gain of every sample
+(``GainSchedule.sequence``), and a lone run's MPC box bands
+(``box_bands``) or PI limits as floats. Per sample a
 loop computes only the state estimate z = (x_hat, d_hat), whose increments
 the MPC takes, the command from the sample's row of the limits, and the
 plant step, which shares B_aug @ u with the next estimate. An MPC run's
@@ -486,7 +488,7 @@ def run_scenario(scenario, config=None):
     plant_disturbances = rows_times(model.D, disturbances)
     states, commands, d_hat = runs.states[0], runs.commands[0], runs.d_hat[0]
     mpc, pi_config = runs.mpcs[0], runs.pi_configs[0]
-    step_gains = [gains.gains[gains.index(k)] for k in range(runs.n)]
+    step_gains = gains.sequence(runs.n)
     if mpc is None:
         band_lo, band_hi = limits.lo.tolist(), limits.hi.tolist()
     else:
@@ -498,9 +500,11 @@ def run_scenario(scenario, config=None):
     x = np.zeros(N_STATES)
     u_prev = np.zeros(N_CONTROLS)
     A, A_aug, B_aug, c = model.A, gains.A_aug, gains.B_aug, gains.c
-    # B_aug @ u_prev: its first rows are B @ u_prev, the plant's input term,
-    # and the whole is the filter's at the next sample.
-    bu = B_aug @ u_prev
+    # B_aug u_prev: its first rows are B u_prev, the plant's input term, and
+    # the whole is the filter's at the next sample. The loop's products are
+    # ``ndarray.dot``s of C-contiguous operands, with the bits of ``@`` and
+    # of ``rows_times`` at less dispatch.
+    bu = B_aug.dot(u_prev)
 
     for k in range(runs.n):
         states[k] = x
@@ -511,9 +515,9 @@ def run_scenario(scenario, config=None):
             raise ValueError("measurement must be finite")
         # The filter's state update as ``estimator_step`` makes it, with the
         # gain of step k.
-        z_prev, z = z, A_aug @ z
+        z_prev, z = z, A_aug.dot(z)
         z += bu
-        z += step_gains[k] * (y - c @ z)
+        z += step_gains[k] * (y - c.dot(z))
 
         if mpc is not None:
             dz = z - z_prev
@@ -532,11 +536,12 @@ def run_scenario(scenario, config=None):
             raise ValueError(f"command must have shape ({N_CONTROLS},), got {np.shape(u)}")
         commands[k] = u
         d_hat[k] = z[N_STATES]
-        bu = B_aug @ u
-        x = A @ x
+        # The command as the row just written: an array, whatever ``u`` is.
+        u_prev = commands[k]
+        bu = B_aug.dot(u_prev)
+        x = A.dot(x)
         x += bu[:N_STATES]
         x += plant_disturbances[k]
-        u_prev = u
 
     return next(runs.traces(x, u_prev, z))[0]
 
@@ -580,6 +585,7 @@ def run_cells(cells, config=None):
         stacked.flags.writeable = False
     states, commands, d_hat, mpcs = runs.states, runs.commands, runs.d_hat, runs.mpcs
     noise, aborted_at, pi_configs = runs.noise, runs.aborted_at, runs.pi_configs
+    step_gains = gains.sequence(n)
     n_runs = len(mpcs)
     integrals = [0.0] * n_runs
 
@@ -606,7 +612,7 @@ def run_cells(cells, config=None):
         # The filter's state update, one row per run.
         z_pred = rows_times(A_aug, z)
         z_pred += bu
-        z_pred += (y - np.vecdot(z_pred, c))[:, None] * gains.gains[gains.index(k)]
+        z_pred += (y - np.vecdot(z_pred, c))[:, None] * step_gains[k]
         dz = z_pred - z
         z = z_pred
 

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microfreq.baselines import (
+    PI_BIND_TOL,
     PiConfig,
     TUNED_KI,
     TUNED_KP,
@@ -21,6 +22,7 @@ from microfreq.lfc_model import (
     N_CONTROLS,
     N_DISTURBANCES,
     N_STATES,
+    SAMPLE_TIME,
     build_plant,
     step_plant,
 )
@@ -219,8 +221,59 @@ def limit_rows(draw):
     return tuple(np.array(side) for side in zip(*pairs))
 
 
+def sided(lo, hi):
+    """(lo, hi) rows of six entries from one value or a list per side."""
+    return tuple(np.array(side if isinstance(side, list) else [side] * N_CONTROLS, dtype=float)
+                 for side in (lo, hi))
+
+
+# (y, integral, (lo, hi)) cases that take every branch of pi_step's one-pass
+# anti-windup check, for each controller: a hold at each sign (every
+# participant at the bound it is pushed to, so the commands are clamped
+# again); the same push with one participant (storage, in both
+# controllers) inside its band, so the check stops at the last unit; a
+# zero total, with signed-zero limits; and a pair crossed within 1e-15,
+# pushed either way.
+PI_BRANCH_CASES = [
+    (-0.05, 0.0, sided(-1e-4, 1e-4)),
+    (0.05, 0.0, sided(-1e-4, 1e-4)),
+    (-0.05, 0.0, sided(-1e-4, [1e-4] * 5 + [1.0])),
+    (0.05, 0.0, sided([-1e-4] * 5 + [-1.0], 1e-4)),
+    (0.0, 0.0, sided(-0.0, 0.0)),
+    (-0.0, -0.0, sided([0.0, -0.0] * 3, [-0.0, 0.0] * 3)),
+    (-0.05, 0.0, sided(1e-4, 1e-4 - 5e-16)),
+    (0.05, 0.0, sided(1e-4, 1e-4 - 5e-16)),
+]
+
+
+def at_tolerance(config, y):
+    """(lo, hi) that put every participant's command, from a zero integral,
+    exactly PI_BIND_TOL inside the bound ``y`` pushes it to: at the edge of
+    what counts as clamped."""
+    total = -(config.kp * y + config.ki * (y * SAMPLE_TIME)) * config.capacity_scale
+    lo, hi = [-1.0] * N_CONTROLS, [1.0] * N_CONTROLS
+    for unit, weight in config.shares:
+        if total > 0:
+            hi[unit] = total * weight + PI_BIND_TOL
+            assert hi[unit] - PI_BIND_TOL == total * weight
+        else:
+            lo[unit] = total * weight - PI_BIND_TOL
+            assert lo[unit] + PI_BIND_TOL == total * weight
+    return sided(lo, hi)
+
+
+def with_pi_branch_cases(test):
+    for factory in (pi_all_units_config, pi_du_bess_config):
+        for y, integral, rows in PI_BRANCH_CASES:
+            test = example(factory, y, integral, rows)(test)
+        for y in (-0.05, 0.05):
+            test = example(factory, y, 0.0, at_tolerance(factory(PARAMS), y))(test)
+    return test
+
+
 @settings(max_examples=400)
 @given(st.sampled_from([pi_all_units_config, pi_du_bess_config]), signed, signed, limit_rows())
+@with_pi_branch_cases
 def test_pi_step_matches_reference_bits(factory, y, integral, rows):
     lo, hi = rows
     config = factory(PARAMS)

@@ -1,8 +1,14 @@
 """Tests for the augmented-state disturbance estimator."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import estimator_reference
+import microfreq.estimator
 import microfreq.simulate as simulate
 from microfreq.estimator import (
     EstimatorConfig,
@@ -255,6 +261,70 @@ def test_gain_schedule_cycle_indexing():
     assert [schedule.index(last + j) for j in range(2 * period)] == [
         start + j % period for j in range(2 * period)
     ]
+
+
+def test_gain_sequence_is_the_indexed_gains():
+    schedule = gain_schedule(MODEL, CONFIG, 900)
+    start, last = schedule.cycle_start, len(schedule.gains)
+    assert 1 < start < last
+    lengths = {0, 1, start - 1, start, start + 1, last - 1, last, last + 1,
+               last + schedule.period, last + schedule.period + 1, 900}
+    for n in sorted(lengths):
+        sequence = schedule.sequence(n)
+        assert len(sequence) == n
+        assert all(got is schedule.gains[schedule.index(k)] for k, got in enumerate(sequence))
+
+
+def test_gain_sequence_past_an_uncycled_schedule_fails_as_index_does():
+    schedule = gain_schedule(MODEL, CONFIG, 12)
+    assert schedule.period == 0
+    assert len(schedule.sequence(12)) == 12
+    with pytest.raises(IndexError, match="step 12 is beyond the 12 scheduled steps"):
+        schedule.sequence(13)
+    # A run that met such a schedule (``prepare_run`` builds one that covers
+    # its run, so the check is bypassed here) fails with the same error.
+    for run in (simulate.run_scenario,
+                lambda scenario, config: next(simulate.run_cells([[scenario]], config))):
+        config = simulate.RunConfig()
+        object.__setattr__(config, "prepared", simulate.PreparedRun(config.mpc, MODEL, schedule))
+        with mock.patch.object(type(schedule), "covers", lambda self, n_steps: True), \
+                pytest.raises(IndexError, match="step 12 is beyond the 12 scheduled steps"):
+            run(simulate.make_scenario("step", "pi_all", 0, duration=4.0), config)
+
+
+def _schedule_or_error(model, config):
+    try:
+        return gain_schedule(model, config, 300)
+    except FloatingPointError as error:
+        return str(error)
+
+
+scaling = st.floats(-2.0, 2.0).map(lambda exponent: 10.0 ** exponent)
+
+
+@settings(max_examples=30)
+@given(p0=scaling, q_state=scaling, q_disturbance=scaling, r=scaling,
+       renewables=st.tuples(st.floats(20.0, 150.0), st.floats(20.0, 150.0)),
+       storage=st.tuples(st.floats(40.0, 200.0), st.floats(40.0, 200.0)))
+def test_gain_schedule_matches_the_reference_riccati_step(p0, q_state, q_disturbance, r,
+                                                          renewables, storage):
+    pv, wt = renewables
+    bess, du = storage
+    model = build_plant(MicrogridParams(p_pv1=pv, p_pv2=pv, p_wt1=wt, p_wt2=wt,
+                                        p_bess=bess, p_du=du))
+    config = default_estimator_config(
+        state_noise=1e-8 * q_state, disturbance_noise=1e-4 * q_disturbance,
+        measurement_noise=1e-8 * r, initial_covariance=1e-2 * p0)
+    schedule = _schedule_or_error(model, config)
+    with mock.patch.object(microfreq.estimator, "_covariance_step",
+                           estimator_reference._covariance_step):
+        reference = _schedule_or_error(model, config)
+    if isinstance(reference, str):
+        assert schedule == reference
+        return
+    assert (schedule.cycle_start, schedule.period) == (reference.cycle_start, reference.period)
+    assert [gain.tobytes() for gain in schedule.gains] == [
+        gain.tobytes() for gain in reference.gains]
 
 
 def test_gain_schedule_keeps_the_measurement_check(monkeypatch):

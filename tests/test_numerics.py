@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from microfreq.numerics import (
     QpInfeasibleError,
@@ -10,6 +13,7 @@ from microfreq.numerics import (
     discretize,
     kkt_residuals,
     matrix_exponential,
+    rows_times,
     solve_qp_info,
 )
 
@@ -223,3 +227,44 @@ def test_qp_rejects_indefinite_h():
 def test_qp_rejects_asymmetric_h():
     with pytest.raises(ValueError, match="symmetric"):
         QpProblem(np.array([[2.0, 1.0], [0.0, 2.0]]), np.zeros(2))
+
+
+# ------------------------------------------- products: dot, @, rows_times
+
+# The matrix-vector shapes the lone run takes ``ndarray.dot`` of: A (10 x 10),
+# A_aug (11 x 11), B_aug (11 x 6) and the MPC's V_unc rows (18 x 12). The box
+# laws keep ``@`` (``BoxQp.iterate``).
+DOT_SHAPES = [(10, 10), (11, 11), (11, 6), (18, 12)]
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def matrix_and_rows(draw):
+    rows, columns = draw(st.sampled_from(DOT_SHAPES))
+    M = draw(arrays(float, (rows, columns), elements=finite))
+    return M, draw(arrays(float, (draw(st.integers(1, 3)), columns), elements=finite))
+
+
+@settings(max_examples=300)
+@given(matrix_and_rows())
+def test_dot_matmul_and_rows_times_give_the_same_bytes(case):
+    # The lone loop takes ``ndarray.dot`` where the batch takes
+    # ``rows_times``, and both must give the bytes ``@`` gives, on the
+    # kernel the tests run under.
+    M, X = case
+    stacked = rows_times(M, X)
+    for x, row in zip(X, stacked):
+        assert M.dot(x).tobytes() == (M @ x).tobytes() == row.tobytes()
+
+
+@settings(max_examples=100)
+@given(arrays(float, (11, 11), elements=finite), arrays(float, (3, 11), elements=finite))
+def test_dot_chains_and_inner_products_give_the_same_bytes(M, X):
+    # The Riccati step's chains, a transposed right operand included, and
+    # the inner products of length 11 (c . z of the filter).
+    P = X.T.dot(X)
+    assert M.dot(P).dot(M.T).tobytes() == (M @ P @ M.T).tobytes()
+    c = X[0]
+    assert c.dot(P).dot(c).tobytes() == (c @ P @ c).tobytes()
+    for x in X:
+        assert c.dot(x).tobytes() == (c @ x).tobytes()
