@@ -32,6 +32,7 @@ from .simulate import (
     compute_metrics,
     make_scenario,
     metrics_summary,
+    prepare_run,
     run_cells,
     run_scenario,
     step_response_metrics,
@@ -203,18 +204,32 @@ def _results(traces):
     return {trace.controller: (trace, compute_metrics(trace)) for trace in traces}
 
 
-def _sweep_plan(kinds, seeds, config):
-    """Yield the sweep's cells in order as (kind, seed, results, first).
-    ``results`` is a cell's {controller: (trace, metrics)}, or None when the
-    cell's inputs repeat an earlier cell's: then ``first`` is that cell's
-    (kind, seed). Inputs repeat when the profiles have the same digest and,
-    with measurement noise on, the seed is the same (a run draws nothing
-    else from it). The distinct cells of a kind share their number of
-    samples, so they run as one batch (``run_cells``).
+def _finished(traces, out):
+    """A sweep cell's {controller: (summary, metrics)}, with each run's trace
+    CSV and metrics JSON written under ``out`` unless it is None."""
+    results = _results(traces)
+    if out:
+        for trace, metrics in results.values():
+            _write_outputs(trace, metrics, out)
+    return {controller: (metrics_summary(trace, metrics), metrics)
+            for controller, (trace, metrics) in results.items()}
 
-    The batches run in min(usable CPUs, batches) processes
-    (``_run_batches``), and the plan yields the same cells, bit for bit,
-    whatever that number is."""
+
+def _sweep_plan(kinds, seeds, config, out=None):
+    """Yield the sweep's cells in order as (kind, seed, results, first).
+    ``results`` is a cell's {controller: (summary, metrics)}, finished by
+    the process that ran it (``_finished``, which writes the cell's files
+    under ``out``), or None when the cell's inputs repeat an earlier cell's:
+    then ``first`` is that cell's (kind, seed). Inputs repeat when the
+    profiles have the same digest and, with measurement noise on, the seed
+    is the same (a run draws nothing else from it). The distinct cells of a
+    kind share their number of samples, so they run as one batch
+    (``run_cells``).
+
+    The config's prepared run is built for the longest batch first, so
+    every batch shares it. The batches run in min(usable CPUs, batches)
+    processes (``_run_batches``), and the plan yields the same cells, bit
+    for bit, whatever that number is."""
     first_of, plan, batches = {}, [], []
     for kind in kinds:
         cells = []
@@ -228,7 +243,10 @@ def _sweep_plan(kinds, seeds, config):
             plan.append((kind, seed, first))
         if cells:
             batches.append(cells)
-    ran = _run_batches(batches, config)
+    # The prepared run of the longest batch serves them all. Built here,
+    # with its prediction matrices, a forked worker inherits it.
+    prepare_run(config, max(cells[0][0].n_steps for cells in batches)).pred
+    ran = _run_batches(batches, config, out)
     try:
         for kind, seed, first in plan:
             yield kind, seed, None if first else next(ran), first
@@ -257,26 +275,36 @@ def _owners(batches, processes):
     return owners
 
 
-def _run_batches(batches, config):
-    """Every distinct cell's results, in order, from ``batches`` (lists of
-    cells) run in min(usable CPUs, batches) processes.
+def _finish_batches(batches, config, out):
+    """Each cell of ``batches`` run and ``_finished``, in order, a batch at
+    a time."""
+    for cells in batches:
+        for traces in run_cells(cells, config):
+            finished = _finished(traces, out)
+            del traces  # before the batch finishes its next cell's traces
+            yield finished
+
+
+def _run_batches(batches, config, out):
+    """Every distinct cell's finished results (``_finished``), in order,
+    from ``batches`` (lists of cells) run in min(usable CPUs, batches)
+    processes.
 
     With one process, the batches run one at a time, each finishing its
-    traces a cell at a time as they are yielded. Otherwise this process and
-    forked workers (``_sweep_worker``) each run their share (``_owners``) at
-    once: the batches share nothing at run time, since a QP law depends on
-    its active set alone. Nothing is yielded until every worker has finished
-    and pickled all its cells, so no worker computes while the cells are
-    yielded. This process finishes its own cells as they are yielded and
-    reads each worker's cells from its pipe, in order, one at a time, so it
-    holds its own batches and one received cell. A worker's error is raised
-    here, with its type and message, where that worker's cells stop. Every
-    worker is ended and reaped when the generator ends, is closed or
-    raises."""
+    cells one at a time as they are yielded. Otherwise this process and
+    forked workers (``_sweep_worker``) each run and finish their share
+    (``_owners``) at once, a batch at a time, in plan order: the batches
+    share nothing at run time, since a QP law depends on its active set
+    alone. Only the cells' summaries and metrics cross the pipes. Nothing
+    is yielded until every worker has finished and pickled all its cells,
+    so no worker computes while the cells are yielded; this process reads
+    each worker's cells from its pipe in order, one at a time. A worker's
+    error is raised here, with its type and message, where that worker's
+    cells stop. Every worker is ended and reaped when the generator ends,
+    is closed or raises."""
     processes = min(_usable_cpus(), len(batches))
     if processes <= 1:
-        for cells in batches:
-            yield from map(_results, run_cells(cells, config))
+        yield from _finish_batches(batches, config, out)
         return
     import multiprocessing  # only here: a serial sweep does not pay its import
     owners = _owners(batches, processes)
@@ -286,18 +314,20 @@ def _run_batches(batches, config):
         for worker in range(1, processes):
             receiver, sender = context.Pipe(duplex=False)
             share = [cells for cells, owner in zip(batches, owners) if owner == worker]
-            process = context.Process(target=_sweep_worker, args=(sender, share, config),
+            process = context.Process(target=_sweep_worker, args=(sender, share, config, out),
                                       daemon=True)
             process.start()
             workers.append((process, receiver))
             sender.close()
-        own = {at: run_cells(cells, config)
-               for at, (cells, owner) in enumerate(zip(batches, owners)) if owner == 0}
+        # This process's own cells, finished now, while the workers compute.
+        own = iter(list(_finish_batches(
+            [cells for cells, owner in zip(batches, owners) if owner == 0], config, out)))
         for _, receiver in workers:
             receiver.poll(None)  # a worker sends once it has finished computing
-        for at, (cells, owner) in enumerate(zip(batches, owners)):
+        for cells, owner in zip(batches, owners):
             if owner == 0:
-                yield from map(_results, own.pop(at))
+                for _ in cells:
+                    yield next(own)
                 continue
             process, receiver = workers[owner - 1]
             for _ in cells:
@@ -318,20 +348,20 @@ def _run_batches(batches, config):
             process.join()
 
 
-def _sweep_worker(sender, batches, config):
-    """A forked sweep worker: run ``batches`` and send each cell's results
-    through ``sender``, pickled, in order. Every cell is finished and
-    pickled before the first is sent. An error ends the cells with a last
-    message, (error, traceback text). Ctrl-C is left to the parent, which
-    ends its workers."""
+def _sweep_worker(sender, batches, config, out):
+    """A forked sweep worker: run and finish ``batches`` (``_finished``,
+    which writes the cells' files under ``out``) and send each cell's
+    summaries and metrics through ``sender``, pickled, in order. Every cell
+    is finished and pickled before the first is sent. An error ends the
+    cells with a last message, (error, traceback text). Ctrl-C is left to
+    the parent, which ends its workers."""
     import signal
     import traceback
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     messages = []
     try:
-        for cells in batches:
-            for traces in run_cells(cells, config):
-                messages.append(pickle.dumps(_results(traces), pickle.HIGHEST_PROTOCOL))
+        for results in _finish_batches(batches, config, out):
+            messages.append(pickle.dumps(results, pickle.HIGHEST_PROTOCOL))
     except Exception as exc:  # the parent raises it
         messages.append(pickle.dumps((exc, traceback.format_exc())))
     try:
@@ -371,35 +401,25 @@ def cmd_sweep(args):
     all_ordered = True
     ran = {}  # {(kind, seed): {controller: (summary, metrics)}} of the cells that ran
     # Closed here even when this loop raises, so the sweep's workers end with it.
-    with contextlib.closing(_sweep_plan(args.kinds, args.seeds, config)) as plan:
+    with contextlib.closing(_sweep_plan(args.kinds, args.seeds, config, args.out)) as plan:
         for kind, seed, results, first in plan:
             if first is None:
-                ran[(kind, seed)] = {controller: (metrics_summary(trace, metrics), metrics)
-                                     for controller, (trace, metrics) in results.items()}
+                ran[(kind, seed)] = results
             cell = ran[first or (kind, seed)]
             for controller, (summary, _) in cell.items():
                 labelled = dict(summary, scenario=kind, seed=seed)
                 summaries.append(labelled)
-                if args.out:
+                if args.out and first is not None:
+                    # Identical inputs gave the first cell's outputs, written
+                    # when it ran; its trace CSV holds no label.
                     trace_path, metrics_path = _output_paths(args.out, labelled)
-                    if first is None:
-                        write_trace_csv(results[controller][0], trace_path)
-                    elif (source := _output_paths(args.out, summary)[0]) != trace_path:
-                        # Identical inputs gave the first cell's trace; its CSV holds no label.
+                    if (source := _output_paths(args.out, summary)[0]) != trace_path:
                         shutil.copyfile(source, trace_path)
                     _write_json(labelled, metrics_path)
             ordered = _ordered({controller: metrics for controller, (_, metrics) in cell.items()})
             all_ordered &= ordered
             stds = "/".join(f"{cell[c][1].freq_std:.3e}" for c in CONTROLLER_KINDS)
             print(f"{kind:9s} seed={seed:<3d} std {stds} ordered={'yes' if ordered else 'NO'}")
-            # No trace outlives its cell, but a batch keeps the records of all
-            # its cells (each run's frequency, outputs, commands and d_hat,
-            # each cell's disturbances and limits) until its last cell is
-            # written: about 0.6 MB per distinct cell of 900 samples. In one
-            # process the sweep holds one batch at a time. In several, this
-            # process holds all of its own batches and one cell received from
-            # a worker, and each worker its batches and its pickled cells.
-            del results
     print(f"all runs ordered mpc < pi_all < pi_dubess: {'yes' if all_ordered else 'NO'}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)

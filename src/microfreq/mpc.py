@@ -36,11 +36,13 @@ the rows, and only the rows that bind run the iteration.
 
 What no later sample depends on (the increments, the cost, the active
 bounds, the slack and the KKT residuals) comes from ``step_diagnostics``
-for a block of a run's samples at once, as its loop passes them, from each
-sample's s, V, bound multipliers, lo and hi. Its products are stacks of
-matrix-vector products, one per sample, which sum in the order the
-one-sample product does; so the run's values have the bits that computing
-them sample by sample gives, which one matrix-matrix product would not.
+for a stack of a run's samples at once, from each sample's s, V, bound
+multipliers, lo and hi. A run records the first three, and its trace calls
+it only when its cost, binding flags or KKT residual are first read. Its
+products are stacks of matrix-vector products, one per sample, which sum
+in the order the one-sample product does; so the run's values have the
+bits that computing them sample by sample gives, which one matrix-matrix
+product would not.
 
 The weights live in the prepared objects only, so a control step cannot
 mix the matrices of one configuration with the weights of another.
@@ -268,7 +270,9 @@ def step_diagnostics(pred, samples, v, lam, lo, hi):
     its slack, [V - lo; hi - V], is at most 1e-9; the residuals are those of
     the rows [I; -I] V >= [lo; -hi] with the multipliers split by sign,
     [max(lam, 0); max(-lam, 0)], taken from the bounds themselves. Every
-    row has the bits the same formulas give one sample.
+    row has the bits the same formulas give one sample. A run's trace calls
+    it on its recorded samples, 128 at a time, when its cost, binding flags
+    or largest KKT residual are first read.
     """
     p, n = pred.p, v.shape[1]
     stacked = rows_times(pred.sample_map, samples)
@@ -311,7 +315,8 @@ def control_step(dx, dd, y, u_prev, bands, pred):
     multipliers; the rest run ``_binding_solve``, so crossed bounds raise
     QpInfeasibleError. The new total per unit is u_prev + V[:nu].
     ``step_diagnostics`` takes the rest from the returned ``MpcStep`` and
-    the bounds after the loop; a stack of samples takes ``control_rows``.
+    the bounds when the run's trace is read; a stack of samples takes
+    ``control_rows``.
     """
     nu, box = pred.n_inputs, pred.box
     if u_prev.shape != (nu,):

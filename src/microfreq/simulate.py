@@ -26,9 +26,10 @@ sample with one ``control_rows`` call, which iterates only the rows that
 bind.
 
 A batch records what a single run does: each run's states, commands and
-d_hat. The traces are finished a cell at a time, as the caller reads them,
-each with its own copy of its rows; a batch of 180 s cells holds about
-0.65 MB per cell of three runs until its last cell is read.
+d_hat, and an MPC run's s, V and multipliers. The traces are finished a
+cell at a time, as the caller reads them, each with its own copy of its
+rows; a batch of 180 s cells holds about 0.85 MB per cell of three runs
+until its last cell is read.
 
 Everything that does not depend on the closed loop is built before the
 first sample: the config's ``PreparedRun`` (plant, gain schedule, MPC
@@ -39,9 +40,12 @@ the whole grid (``PreparedRun.inputs``), the filter gain of every sample
 (``box_bands``) or PI limits as floats. Per sample a
 loop computes only the state estimate z = (x_hat, d_hat), whose increments
 the MPC takes, the command from the sample's row of the limits, and the
-plant step, which shares B_aug @ u with the next estimate. An MPC run's
-cost, binding flags and KKT residuals come from ``step_diagnostics`` a
-block of samples at a time (``_MpcRecord``); a PI run's binding flags are
+plant step, which shares B_aug @ u with the next estimate. An MPC run
+records each sample's s = (dx, y, dd), V and bound multipliers; its trace's
+cost, binding flags and largest KKT residual come from ``step_diagnostics``
+on that record the first time one of them is read, or the trace is pickled
+or copied (``_MpcRecord``), so a run whose caller reads only frequency,
+commands and limits never computes them. A PI run's binding flags are
 computed over the grid when its trace is finished.
 """
 
@@ -102,9 +106,12 @@ from .profiles import PROFILE_KINDS, ProfileSet, generate_profiles
 
 CONTROLLER_KINDS = ("mpc", "pi_all", "pi_dubess")
 
-# Samples per block of an MPC run's diagnostics (about 0.3 MB of
-# temporaries), and of a batch's plant disturbance terms.
+# Samples per chunk of an MPC trace's diagnostics (about 0.3 MB of
+# temporaries), and per block of a batch's plant disturbance terms.
 _DIAGNOSTIC_ROWS = 128
+
+# The fields of an MPC run's trace that wait for ``_MpcRecord.diagnose``.
+_DIAGNOSED = ("binding", "objective", "max_kkt_residual")
 
 SETTLE_BAND = 1e-4  # p.u.
 VIOLATION_TOL = 1e-9  # p.u.
@@ -201,6 +208,13 @@ class ScenarioTrace:
 
     One row per sample including the terminal state; ``aborted_at`` is the
     step index of a controller failure when the run ended early, else None.
+
+    The trace of an MPC run (``run_scenario``, ``run_cells``) holds its
+    ``_MpcRecord`` instead of ``binding``, ``objective`` and
+    ``max_kkt_residual``, and fills the three from it the first time any of
+    them is read, or the trace is pickled or copied; then it drops the
+    record. The record reads the trace's own commands and limits. A trace
+    built directly, and a PI run's, holds the three fields from the start.
     """
 
     kind: str
@@ -216,8 +230,37 @@ class ScenarioTrace:
     limits_hi: np.ndarray
     binding: np.ndarray         # (n, 6) ints
     objective: np.ndarray
-    max_kkt_residual: float = 0.0
+    # A default factory leaves no class attribute, which would hide a
+    # deferred trace's missing field from ``__getattr__``.
+    max_kkt_residual: float = field(default_factory=float)
     aborted_at: int = None
+
+    def __getattr__(self, name):
+        # Reached only for a name neither the trace nor its class holds: a
+        # deferred field of an MPC trace whose record is still waiting.
+        if name not in _DIAGNOSED or "_record" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._diagnose()
+        return self.__dict__[name]
+
+    def __getstate__(self):
+        # What pickle and copy take: the fields, diagnosed first.
+        if "_record" in self.__dict__:
+            self._diagnose()
+        return self.__dict__
+
+    @classmethod
+    def _deferred(cls, record, **fields):
+        """A trace of ``fields`` whose ``_DIAGNOSED`` fields come from
+        ``record.diagnose()`` when first needed."""
+        trace = cls.__new__(cls)
+        trace.__dict__.update(fields, _record=record)
+        return trace
+
+    def _diagnose(self):
+        # A field assigned while the record waited keeps its value.
+        for name, value in zip(_DIAGNOSED, self.__dict__.pop("_record").diagnose()):
+            self.__dict__.setdefault(name, value)
 
 
 @dataclass(frozen=True)
@@ -303,51 +346,43 @@ def prepare_run(config, n_steps):
 
 
 class _MpcRecord:
-    """What an MPC run keeps of its samples for its trace: the cost, the
-    binding flags (as bools) and the largest KKT residual. A sample's s, V
-    and bound multipliers wait in the run's block of ``_DIAGNOSTIC_ROWS``
-    rows, ``block`` (its rows of the ``_Runs.blocks`` arrays); when the
-    block is full, or the run ends, ``step_diagnostics`` gives its cost,
-    active bounds and KKT residuals, on the bounds rebuilt from the limits
-    and the previous commands (zero before the first sample). A unit whose
-    previous command is already outside the sample's band drifted there and
-    is flagged as binding too. ``commands`` is the run's own record, which
-    the loop fills a sample ahead of the block. A single run fills its
-    block with ``keep``; a batch writes the rows of all its MPC runs' blocks
-    at once and closes each full block itself."""
+    """What an MPC run's trace keeps for its diagnostics until they are
+    read: each solved sample's s = (dx, y, dd), V and bound multipliers, a
+    row per sample (``samples``, ``moves``, ``multipliers``), with the
+    config's prediction matrices and the trace's limits and commands."""
 
-    def __init__(self, pred, limits, commands, block):
+    def __init__(self, pred, limits, commands, samples, moves, multipliers):
         self.pred, self.limits, self.commands = pred, limits, commands
-        self.objective = np.zeros(commands.shape[0])
-        self.binding = np.zeros((commands.shape[0], N_CONTROLS), dtype=bool)
-        self.max_kkt = 0.0
-        self.start = 0  # the sample of the block's first row
-        self.samples, self.moves, self.multipliers = block
+        self.samples, self.moves, self.multipliers = samples, moves, multipliers
 
-    def keep(self, k, step):
-        i = k - self.start
-        self.samples[i], self.moves[i], self.multipliers[i] = step.sample, step.v, step.lam
-        if i + 1 == _DIAGNOSTIC_ROWS:
-            self.close(k + 1)
-
-    def close(self, end):
-        """Diagnose the block's samples before ``end``."""
-        start, rows = self.start, end - self.start
-        if rows == 0:
-            return
-        if start:
-            previous = self.commands[start - 1:end - 1]
-        else:
-            previous = np.concatenate([np.zeros((1, N_CONTROLS)), self.commands[:end - 1]])
-        limits = self.limits.at(slice(start, end))
-        lo, hi = build_constraints(limits, previous, self.pred)
-        steps = step_diagnostics(self.pred, self.samples[:rows], self.moves[:rows],
-                                 self.multipliers[:rows], lo, hi)
-        self.objective[start:end] = steps.objective
-        self.binding[start:end] = (active_units(steps.qp_active, self.pred.m)
-                                   | out_of_band_units(limits, previous))
-        self.max_kkt = max(self.max_kkt, float(steps.kkt_residuals.max()))
-        self.start = end
+    def diagnose(self):
+        """The trace's (binding, objective, max_kkt_residual): the solved
+        samples' active units (as ints), cost and largest KKT residual, zero
+        on the rows after them, from ``step_diagnostics`` on
+        ``_DIAGNOSTIC_ROWS`` samples at a time. Their bounds are rebuilt
+        from the limits and the previous commands (zero before the first
+        sample). A unit whose previous command is already outside the
+        sample's band drifted there and is flagged as binding too. Every
+        row is its own product, so the values do not depend on the chunks."""
+        pred, commands = self.pred, self.commands
+        objective = np.zeros(commands.shape[0])
+        binding = np.zeros((commands.shape[0], N_CONTROLS), dtype=int)
+        max_kkt = 0.0
+        for start in range(0, len(self.samples), _DIAGNOSTIC_ROWS):
+            end = min(start + _DIAGNOSTIC_ROWS, len(self.samples))
+            if start:
+                previous = commands[start - 1:end - 1]
+            else:
+                previous = np.concatenate([np.zeros((1, N_CONTROLS)), commands[:end - 1]])
+            limits = self.limits.at(slice(start, end))
+            lo, hi = build_constraints(limits, previous, pred)
+            steps = step_diagnostics(pred, self.samples[start:end], self.moves[start:end],
+                                     self.multipliers[start:end], lo, hi)
+            objective[start:end] = steps.objective
+            binding[start:end] = (active_units(steps.qp_active, pred.m)
+                                  | out_of_band_units(limits, previous))
+            max_kkt = max(max_kkt, float(steps.kkt_residuals.max()))
+        return binding, objective, max_kkt
 
 
 class _Runs:
@@ -360,10 +395,10 @@ class _Runs:
     each run's cell, and ``cell_runs`` each cell's runs in the order the
     cell lists them). It has made the records of every run, a run per
     row for the whole batch: the states, commands and d_hat of its n + 1
-    rows, an MPC run's ``_MpcRecord`` (its s, V and multipliers wait in
-    ``blocks``, (MPC runs, _DIAGNOSTIC_ROWS, ·) arrays, where the MPC
-    runs lead, so a run's index is also its block row) and a PI run's
-    config. ``noise`` is each run's measurement noise, (n, runs), or None:
+    rows, an MPC run's s, V and multipliers of its n samples in
+    ``mpc_records``, (MPC runs, n, ·) arrays, where the MPC runs lead, so
+    ``n_mpc`` counts them and a run's index is also its row there, and a
+    PI run's config. ``noise`` is each run's measurement noise, (n, runs), or None:
     a seed's values are drawn once, one per sample, and every run of its
     cell adds the same ones. The loop sets ``aborted_at[run]`` to the
     sample at which a run's QP was infeasible; ``traces`` then finishes
@@ -397,17 +432,11 @@ class _Runs:
         self.states = np.zeros((runs, n + 1, N_STATES))
         self.commands = np.zeros((runs, n + 1, N_CONTROLS))
         self.d_hat = np.zeros((runs, n + 1))
-        mpc_runs = [run for run, scenario in enumerate(self.scenarios)
-                    if scenario.controller == "mpc"]
-        self.mpcs = [None] * runs
-        if mpc_runs:
+        self.n_mpc = sum(scenario.controller == "mpc" for scenario in self.scenarios)
+        if self.n_mpc:
             pred = self.prepared.pred
             widths = (pred.sample_map.shape[1], pred.box.n, pred.box.n)
-            self.blocks = tuple(np.empty((len(mpc_runs), _DIAGNOSTIC_ROWS, width))
-                                for width in widths)
-            for run in mpc_runs:
-                self.mpcs[run] = _MpcRecord(pred, self.inputs[self.cell_of[run]][1],
-                                            self.commands[run], [b[run] for b in self.blocks])
+            self.mpc_records = tuple(np.empty((self.n_mpc, n, width)) for width in widths)
         self.pi_configs = [config.pi_configs.get(scenario.controller)
                            for scenario in self.scenarios]
         self.aborted_at = [None] * runs
@@ -431,33 +460,24 @@ class _Runs:
         return ([self._trace(run) for run in runs] for runs in self.cell_runs)
 
     def _trace(self, run):
-        """The ``ScenarioTrace`` of one run from its records; an MPC run's
-        last block is diagnosed here. A PI run's binding flags, which
-        nothing in the loop reads, are computed here over the grid. The
-        trace shares the disturbances and limits with the other runs of its
-        cell (the arrays themselves unless it aborted, so pickling a cell
-        writes each once), and holds its own copy of the rest, so the
-        records need not outlive the batch."""
-        n, scenario, mpc = self.n, self.scenarios[run], self.mpcs[run]
+        """The ``ScenarioTrace`` of one run from its records. An MPC run's
+        trace takes its ``_MpcRecord``, and a PI run's its binding flags,
+        computed here over the grid, since nothing in the loop reads them.
+        The trace shares the disturbances and limits with the other runs of
+        its cell (the arrays themselves unless it aborted), and holds its
+        own copy of the rest, its record's included, so the records need
+        not outlive the batch."""
+        n, scenario = self.n, self.scenarios[run]
         aborted_at = self.aborted_at[run]
         disturbances, limits = self.inputs[self.cell_of[run]]
         lo, hi = limits.lo, limits.hi
         states, commands = self.states[run], self.commands[run]
-        if mpc is not None:
-            mpc.close(n if aborted_at is None else aborted_at)
-            objective, binding, max_kkt = mpc.objective, mpc.binding.astype(int), mpc.max_kkt
-        else:
-            objective, binding, max_kkt = np.zeros(n + 1), np.zeros((n + 1, N_CONTROLS), int), 0.0
-            # A PI command binds within PI_BIND_TOL of a limit (participants only).
-            at_bound = ((commands[:n] <= lo[:n] + PI_BIND_TOL)
-                        | (commands[:n] >= hi[:n] - PI_BIND_TOL))
-            binding[:n] = at_bound & self.pi_configs[run].participating
         # An aborted run keeps the rows before the failed sample, and the
-        # largest KKT residual of the samples it solved.
+        # diagnostics of the samples it solved.
         rows = n + 1 if aborted_at is None else aborted_at
         if aborted_at is not None:
             disturbances, lo, hi = disturbances[:rows], lo[:rows], hi[:rows]
-        return ScenarioTrace(
+        fields = dict(
             kind=scenario.kind,
             controller=scenario.controller,
             seed=scenario.seed,
@@ -469,17 +489,30 @@ class _Runs:
             d_hat=self.d_hat[run, :rows].copy(),
             limits_lo=lo,
             limits_hi=hi,
-            binding=binding[:rows],
-            objective=objective[:rows],
-            max_kkt_residual=max_kkt,
             aborted_at=aborted_at,
         )
+        if run < self.n_mpc:
+            solved = min(rows, n)
+            # The run's own rows: a copy, unless no other run shares the records.
+            rows_of = [each[run, :solved] for each in self.mpc_records]
+            if self.n_mpc > 1:
+                rows_of = [each.copy() for each in rows_of]
+            record = _MpcRecord(self.prepared.pred, limits, fields["commands"], *rows_of)
+            return ScenarioTrace._deferred(record, **fields)
+        binding = np.zeros((rows, N_CONTROLS), int)
+        # A PI command binds within PI_BIND_TOL of a limit (participants only).
+        at_bound = ((commands[:n] <= lo[:n] + PI_BIND_TOL)
+                    | (commands[:n] >= hi[:n] - PI_BIND_TOL))
+        binding[:n] = at_bound & self.pi_configs[run].participating
+        return ScenarioTrace(**fields, binding=binding, objective=np.zeros(rows))
 
 
 def run_scenario(scenario, config=None):
     """Run one scenario to completion (or controller failure) and return the
     trace. Deterministic for identical inputs; the config's ``PreparedRun``
-    is built by the first run that needs it and shared by the later ones."""
+    is built by the first run that needs it and shared by the later ones.
+    An MPC run's trace computes its cost, binding flags and largest KKT
+    residual when they are first read (``ScenarioTrace``)."""
     runs = _Runs([[scenario]], config or RunConfig())
     model, gains = runs.prepared.model, runs.prepared.gains
     disturbances, limits = runs.inputs[0]
@@ -487,12 +520,14 @@ def run_scenario(scenario, config=None):
     # ``step_plant``'s).
     plant_disturbances = rows_times(model.D, disturbances)
     states, commands, d_hat = runs.states[0], runs.commands[0], runs.d_hat[0]
-    mpc, pi_config = runs.mpcs[0], runs.pi_configs[0]
+    mpc, pi_config = runs.n_mpc, runs.pi_configs[0]
     step_gains = gains.sequence(runs.n)
-    if mpc is None:
-        band_lo, band_hi = limits.lo.tolist(), limits.hi.tolist()
+    if mpc:
+        pred = runs.prepared.pred
+        bands = box_bands(limits.lo, limits.hi, pred.m)
+        samples, moves, multipliers = (record[0] for record in runs.mpc_records)
     else:
-        bands = box_bands(limits.lo, limits.hi, mpc.pred.m)
+        band_lo, band_hi = limits.lo.tolist(), limits.hi.tolist()
     noise = None if runs.noise is None else runs.noise[:, 0].tolist()
     integral = 0.0
 
@@ -519,15 +554,14 @@ def run_scenario(scenario, config=None):
         z += bu
         z += step_gains[k] * (y - c.dot(z))
 
-        if mpc is not None:
+        if mpc:
             dz = z - z_prev
             try:
-                step = control_step(dz[:N_STATES], dz[N_STATES], y, u_prev, bands[k], mpc.pred)
+                u, samples[k], moves[k], multipliers[k] = control_step(
+                    dz[:N_STATES], dz[N_STATES], y, u_prev, bands[k], pred)
             except QpInfeasibleError:
                 runs.aborted_at[0] = k
                 break
-            u = step.command
-            mpc.keep(k, step)
         else:
             integral, u = pi_step(integral, y, band_lo[k], band_hi[k], pi_config)
 
@@ -566,7 +600,7 @@ def run_cells(cells, config=None):
     assignment to their slice of the rows. The MPC rows of a sample are one
     ``control_rows`` call, with their bands taken from the cells' limits,
     stacked once per batch; only the rows that bind iterate. The s, V and
-    multipliers of all MPC rows go into their blocks with one write each
+    multipliers of all MPC rows go into their records with one write each
     per sample. The rows stay fixed from the first sample to the last. An
     MPC row whose QP is infeasible at sample k leaves only the MPC group
     (``_mpc_rows``), its trace ending at k as a single run's does; its
@@ -583,15 +617,14 @@ def run_cells(cells, config=None):
     band_hi = np.stack([each.hi for each in limits], axis=1)
     for stacked in (disturbances, band_lo, band_hi):
         stacked.flags.writeable = False
-    states, commands, d_hat, mpcs = runs.states, runs.commands, runs.d_hat, runs.mpcs
+    states, commands, d_hat = runs.states, runs.commands, runs.d_hat
     noise, aborted_at, pi_configs = runs.noise, runs.aborted_at, runs.pi_configs
     step_gains = gains.sequence(n)
-    n_runs = len(mpcs)
+    n_runs, n_mpc = len(runs.scenarios), runs.n_mpc
     integrals = [0.0] * n_runs
 
     # The MPC runs lead the rows. The PI rows, which never abort, are the
     # rest, for the whole batch.
-    n_mpc = n_runs - mpcs.count(None)
     mpc_rows = _mpc_rows(list(range(n_mpc)), cell_of)
     pis = [(run, cell_of[run]) for run in range(n_mpc, n_runs)]
     cells_at = np.array(cell_of)
@@ -609,7 +642,10 @@ def run_cells(cells, config=None):
         ys = y.tolist()
         if not all(map(math.isfinite, ys)):
             raise ValueError("measurement must be finite")
-        # The filter's state update, one row per run.
+        # The filter's state update, one row per run. ``vecdot`` and the lone
+        # loop's ``c.dot(z)`` may sum in different orders under some BLAS
+        # kernels; their bits agree under any kernel only while c has one
+        # nonzero entry (tests/test_estimator.py pins that).
         z_pred = rows_times(A_aug, z)
         z_pred += bu
         z_pred += (y - np.vecdot(z_pred, c))[:, None] * step_gains[k]
@@ -631,9 +667,8 @@ def run_cells(cells, config=None):
                                  band_lo[k, mpc_cells], band_hi[k, mpc_cells],
                                  runs.prepared.pred)
             u[at] = steps.commands
-            slot = k % _DIAGNOSTIC_ROWS
-            for block, step_rows in zip(runs.blocks, (steps.samples, steps.v, steps.lam)):
-                block[at, slot] = step_rows
+            for record, step_rows in zip(runs.mpc_records, (steps.samples, steps.v, steps.lam)):
+                record[at, k] = step_rows
             if steps.infeasible:
                 failed = [mpc_runs[r] for r in steps.infeasible]
                 for run in failed:
@@ -646,9 +681,6 @@ def run_cells(cells, config=None):
                                      cell_of)
                 if not (mpc_rows or pis):
                     break
-            if slot + 1 == _DIAGNOSTIC_ROWS and mpc_rows:
-                for run in mpc_rows[2]:
-                    mpcs[run].close(k + 1)
 
         commands[:, k] = u
         d_hat[:, k] = z[:, N_STATES]
@@ -669,7 +701,7 @@ def run_cells(cells, config=None):
 def _mpc_rows(runs, cell_of):
     """The MPC group of a batch, (rows, cells, runs), for the MPC ``runs``
     still running, or None when none is. The MPC runs lead the rows, so
-    ``rows`` indexes a run's row and its ``_Runs.blocks`` row alike, and
+    ``rows`` indexes a run's row and its ``_Runs.mpc_records`` row alike, and
     ``cells`` the cells' bands. Each is a slice while its values are
     consecutive, so the stage reads views and writes through strides, and
     an index array once they are not: the rows are consecutive at least

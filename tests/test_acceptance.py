@@ -2,10 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion. The controller-comparison criteria share one cached sweep
-(3 scenario kinds x 5 seeds x 3 controllers), run by ``microfreq sweep``'s
-plan. The step kind draws nothing from its seed and the sweep runs without
-measurement noise, so its five step cells are one case with identical
-traces, and the plan runs it once.
+(3 scenario kinds x 5 seeds x 3 controllers), each kind's cells one
+lockstep batch (``run_cells``), as ``microfreq sweep`` steps them. The step
+kind draws nothing from its seed and the sweep runs without measurement
+noise, so its five step cells are one case with identical traces.
 """
 
 import time
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from microfreq.cli import _sweep_plan
 from microfreq.der_models import (
     BETZ_LIMIT,
     default_pv_params,
@@ -45,6 +44,7 @@ from microfreq.simulate import (
     RunConfig,
     compute_metrics,
     make_scenario,
+    run_cells,
     run_scenario,
     write_trace_csv,
 )
@@ -75,12 +75,16 @@ class SweepCell:
 
 @pytest.fixture(scope="module")
 def sweep():
-    cells = {}
-    for kind, seed, results, first in _sweep_plan(KINDS, SEEDS, RunConfig()):
-        for controller in CONTROLLERS:
-            cells[(kind, seed, controller)] = (
-                cells[first + (controller,)] if results is None
-                else SweepCell(results[controller][0]))
+    cells, config = {}, RunConfig()
+    for kind in KINDS:
+        batch = []
+        for seed in SEEDS:
+            profiles = make_scenario(kind, CONTROLLERS[0], seed).profiles
+            batch.append([make_scenario(kind, controller, seed, profiles=profiles)
+                          for controller in CONTROLLERS])
+        for seed, traces in zip(SEEDS, run_cells(batch, config), strict=True):
+            for trace in traces:
+                cells[(kind, seed, trace.controller)] = SweepCell(trace)
     return cells
 
 

@@ -1,25 +1,24 @@
 """A sweep run in several processes against the same sweep run in one.
 
 ``microfreq sweep`` runs its kind batches in min(usable CPUs, batches)
-processes: the calling one and forked workers, which send each cell back
-through a pipe. The number of usable CPUs comes from one helper,
+processes: the calling one and forked workers, which finish their own
+cells (writing their files) and send each cell's summaries and metrics
+back through a pipe. The number of usable CPUs comes from one helper,
 ``cli._usable_cpus``; these tests set it, so they force two or more
 processes on any Linux host. Every printed line, every written file and every
 trace must be the same as with one process, and no worker may outlive the
 sweep, however it ends.
 """
 
-import dataclasses
 import json
 import multiprocessing
 import os
 import sys
 import time
 
-import numpy as np
 import pytest
 
-from microfreq import cli
+from microfreq import cli, simulate
 from microfreq.cli import main
 from microfreq.simulate import RunConfig
 
@@ -77,25 +76,43 @@ def test_a_sweep_in_several_processes_writes_the_serial_bytes(tmp_path, monkeypa
             assert outputs[cpus][1][name] == data, (cpus, name)
 
 
-def test_the_plan_yields_the_serial_traces_and_metrics(monkeypatch):
+def test_the_plan_yields_the_serial_traces_and_metrics(tmp_path, monkeypatch):
+    # A cell is finished by the process that ran it: the plan yields its
+    # summaries and metrics, and its traces are the files it wrote.
     config = RunConfig(measurement_noise_std=1e-5)
-    plans = {}
+    plans, files = {}, {}
     for cpus in (1, 2):
         use_cpus(monkeypatch, cpus)
-        plans[cpus] = list(cli._sweep_plan(KINDS, [0, 3], config))
+        out = tmp_path / f"cpus{cpus}"
+        plans[cpus] = list(cli._sweep_plan(KINDS, [0, 3], config, str(out)))
+        files[cpus] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
     assert len(plans[1]) == len(plans[2]) == 6
     for serial, forked in zip(plans[1], plans[2]):
         assert serial[:2] == forked[:2] and serial[3] == forked[3]
         assert serial[2].keys() == forked[2].keys()
-        for controller, (trace, metrics) in serial[2].items():
+        for controller, (summary, metrics) in serial[2].items():
             other, other_metrics = forked[2][controller]
+            assert other == summary
             assert repr(other_metrics) == repr(metrics)
-            for field in dataclasses.fields(trace):
-                mine, theirs = getattr(trace, field.name), getattr(other, field.name)
-                if isinstance(mine, np.ndarray):
-                    assert theirs.dtype == mine.dtype and np.array_equal(theirs, mine), field.name
-                else:
-                    assert theirs == mine, field.name
+    # A trace CSV and a metrics JSON per run: 6 cells of 3 runs.
+    assert len(files[1]) == 36 and files[2] == files[1]
+
+
+def test_a_worker_inherits_the_prepared_run(monkeypatch, capsys):
+    # The plan prepares the config's run for its longest batch before it
+    # forks, so no worker builds a plant, gain schedule or MPC matrices.
+    use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    for name in ("build_plant", "gain_schedule", "build_prediction_matrices"):
+        def only_in_the_parent(*args, real=getattr(simulate, name), name=name):
+            if os.getpid() != parent:
+                raise AssertionError(f"{name} called in a sweep worker")
+            return real(*args)
+
+        monkeypatch.setattr(simulate, name, only_in_the_parent)
+    assert main(["sweep", "--seeds", "0,1"]) == 0
+    assert capsys.readouterr().out.endswith("all runs ordered mpc < pi_all < pi_dubess: yes\n")
+    assert_no_child_left()
 
 
 def test_a_sweep_starts_one_process_per_batch_at_most(monkeypatch):
