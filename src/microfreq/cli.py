@@ -193,12 +193,6 @@ def cmd_run(args):
     return 0
 
 
-def _cell(scenario):
-    """Every controller on one scenario, whichever controller it names."""
-    return [dataclasses.replace(scenario, controller=controller)
-            for controller in CONTROLLER_KINDS]
-
-
 def _results(traces):
     """A cell's traces as {controller: (trace, metrics)}."""
     return {trace.controller: (trace, compute_metrics(trace)) for trace in traces}
@@ -222,9 +216,10 @@ def _sweep_plan(kinds, seeds, config, out=None):
     under ``out``), or None when the cell's inputs repeat an earlier cell's:
     then ``first`` is that cell's (kind, seed). Inputs repeat when the
     profiles have the same digest and, with measurement noise on, the seed
-    is the same (a run draws nothing else from it). The distinct cells of a
-    kind share their number of samples, so they run as one batch
-    (``run_cells``).
+    is the same (a run draws nothing else from it). A cell is the three
+    controllers on one scenario, and the distinct cells of a kind share
+    their number of samples, so they run as one batch (``run_cells`` on
+    their scenarios).
 
     The config's prepared run is built for the longest batch first, so
     every batch shares it. The batches run in min(usable CPUs, batches)
@@ -239,13 +234,13 @@ def _sweep_plan(kinds, seeds, config, out=None):
             first = first_of.get(key)
             if first is None:
                 first_of[key] = (kind, seed)
-                cells.append(_cell(scenario))
+                cells.append(scenario)
             plan.append((kind, seed, first))
         if cells:
             batches.append(cells)
     # The prepared run of the longest batch serves them all. Built here,
     # with its prediction matrices, a forked worker inherits it.
-    prepare_run(config, max(cells[0][0].n_steps for cells in batches)).pred
+    prepare_run(config, max(cells[0].n_steps for cells in batches)).pred
     ran = _run_batches(batches, config, out)
     try:
         for kind, seed, first in plan:
@@ -268,7 +263,7 @@ def _owners(batches, processes):
     cells x samples, each batch goes to the process with the least load so
     far (the lowest on ties)."""
     loads, owners = [0] * processes, [0] * len(batches)
-    sizes = [len(cells) * cells[0][0].n_steps for cells in batches]
+    sizes = [len(cells) * cells[0].n_steps for cells in batches]
     for at in sorted(range(len(batches)), key=lambda at: -sizes[at]):
         owners[at] = process = loads.index(min(loads))
         loads[process] += sizes[at]
@@ -287,8 +282,8 @@ def _finish_batches(batches, config, out):
 
 def _run_batches(batches, config, out):
     """Every distinct cell's finished results (``_finished``), in order,
-    from ``batches`` (lists of cells) run in min(usable CPUs, batches)
-    processes.
+    from ``batches`` (lists of cells' scenarios) run in min(usable CPUs,
+    batches) processes.
 
     With one process, the batches run one at a time, each finishing its
     cells one at a time as they are yielded. Otherwise this process and
@@ -377,7 +372,7 @@ def cmd_compare(args):
     config = load_run_config(args.config)
     scenario = make_scenario(
         args.scenario, CONTROLLER_KINDS[0], args.seed, profiles=_profiles_from_args(args))
-    results = _results(next(run_cells([_cell(scenario)], config)))
+    results = _results(next(run_cells([scenario], config)))
     print(f"scenario={args.scenario} seed={args.seed}")
     print(f"{'controller':12s} {'freq_std':>14s} {'max_abs_dev':>14s} {'settle_s':>9s}")
     for controller in CONTROLLER_KINDS:

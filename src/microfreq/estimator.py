@@ -23,6 +23,7 @@ state update (``_state_update``) takes the loops' products in their order,
 so both give the same bits.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,12 @@ class EstimatorConfig:
     def __post_init__(self):
         Q = np.array(self.Q, dtype=float)
         P0 = np.array(self.P0, dtype=float)
-        if Q.shape != (N_AUGMENTED, N_AUGMENTED) or P0.shape != (N_AUGMENTED, N_AUGMENTED):
-            raise ValueError(f"Q and P0 must be {N_AUGMENTED}x{N_AUGMENTED}")
-        if self.R_noise <= 0:
-            raise ValueError("R_noise must be > 0")
+        for name, matrix in (("Q", Q), ("P0", P0)):
+            if matrix.shape != (N_AUGMENTED, N_AUGMENTED) or not np.isfinite(matrix).all():
+                raise ValueError(f"{name} must be a finite {N_AUGMENTED}x{N_AUGMENTED} matrix")
+        # Written so that NaN fails it too.
+        if not 0 < self.R_noise < math.inf:
+            raise ValueError(f"R_noise must be > 0 and finite, got {self.R_noise}")
         if np.linalg.eigvalsh((Q + Q.T) / 2).min() < -1e-12:
             raise ValueError("Q must be positive semidefinite")
         if np.linalg.eigvalsh((P0 + P0.T) / 2).min() <= 0:
@@ -97,7 +100,7 @@ def default_estimator_config(
     as R, and P0 = ``initial_covariance`` * I."""
     Q = np.diag([state_noise] * N_STATES + [disturbance_noise])
     return EstimatorConfig(
-        Q=Q, R_noise=measurement_noise, P0=initial_covariance * np.eye(N_AUGMENTED)
+        Q=Q, R_noise=measurement_noise, P0=np.diag([initial_covariance] * N_AUGMENTED)
     )
 
 

@@ -7,7 +7,8 @@ disturbance channels (load plus one availability channel per renewable unit).
 All powers are per-unit on ``s_base``; frequency deviation is per-unit.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,16 +66,12 @@ class MicrogridParams:
     bess_droop_variant: bool = False
 
     def __post_init__(self):
-        for name in ("t_pv1", "t_pv2", "t_wt", "t_bess", "t_du1", "t_du2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"time constant {name} must be > 0")
-        for name in ("p_pv1", "p_pv2", "p_wt1", "p_wt2", "p_bess", "p_du", "p_load", "s_base"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.inertia <= 0:
-            raise ValueError("inertia must be > 0")
-        if self.r_droop <= 0:
-            raise ValueError("r_droop must be > 0")
+        # Every rating, time constant, droop and inertia; written so that
+        # NaN fails it too.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not 0 < value < math.inf:
+                raise ValueError(f"{f.name} must be > 0 and finite, got {value}")
 
     def capacities_kw(self):
         """Unit capacities in control-vector order (pv1, pv2, wt1, wt2, du, bess)."""

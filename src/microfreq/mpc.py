@@ -48,6 +48,7 @@ The weights live in the prepared objects only, so a control step cannot
 mix the matrices of one configuration with the weights of another.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, NamedTuple
@@ -90,11 +91,13 @@ class MpcConfig:
     beta_bess: float = 0.3762
 
     def __post_init__(self):
-        if not 1 <= self.m <= self.p:
-            raise ValueError(f"need 1 <= m <= p, got m={self.m}, p={self.p}")
+        # Written so that NaN fails them too.
+        if not 1 <= self.m <= self.p < math.inf:
+            raise ValueError(f"need 1 <= m <= p < inf, got m={self.m}, p={self.p}")
         for name in ("alpha", "beta_pv", "beta_wt", "beta_du", "beta_bess"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"weight {name} must be > 0")
+            weight = getattr(self, name)
+            if not 0 < weight < math.inf:
+                raise ValueError(f"weight {name} must be > 0 and finite, got {weight}")
         if self.beta_du <= self.beta_wt:
             raise ValueError("beta_du must exceed beta_wt (renewables-first priority)")
 
@@ -363,7 +366,8 @@ class MpcRows(NamedTuple):
     """What ``control_rows`` gives a stack of MPC samples, row r for row r
     of its arguments: the applied totals, s = (dx, y, dd), the cumulative
     moves V and the bound multipliers, and the list of rows whose QP is
-    infeasible (whose other entries mean nothing)."""
+    infeasible. An infeasible row gets a zero move and zero multipliers, so
+    its command is its u_prev: a batch's row holds its command there."""
 
     commands: np.ndarray
     samples: np.ndarray
@@ -384,7 +388,8 @@ def control_rows(dx, dd, y, u_prev, band_lo, band_hi, pred):
     no bound ends there, with zero multipliers. Only the rows that bind run
     ``_binding_solve``, each from its first sets. A row whose bands cross is
     infeasible if it binds, as ``control_step`` would raise on it; it is
-    listed in ``infeasible`` and the other rows are solved as usual.
+    listed in ``infeasible``, with a zero move, and the other rows are
+    solved as usual.
     """
     nu, n = pred.n_inputs, pred.box.n
     samples = np.concatenate((dx, y[:, None], dd[:, None]), axis=1)
@@ -402,6 +407,7 @@ def control_rows(dx, dd, y, u_prev, band_lo, band_hi, pred):
             v[r], lam[r] = _binding_solve(pred, samples[r], v[r], bounds[r], below[r],
                                           above[r], lower[r], upper[r])
         except QpInfeasibleError:
+            v[r] = 0.0
             infeasible.append(r)
     return MpcRows(u_prev + v[:, :nu], samples, v, lam, infeasible)
 

@@ -362,6 +362,9 @@ class BoxQp:
         what guarantees an answer.
         """
         n = self.n
+        # Never true for the limits a validated config gives: ``reserve_limits``
+        # has lo <= hi exactly, and subtraction rounds monotonically, so
+        # lo - u_prev <= hi - u_prev <= hi - u_prev + tol for any finite u_prev.
         crossed = (bounds[:n] > above).nonzero()[0]
         if crossed.size:
             j = int(crossed[0])

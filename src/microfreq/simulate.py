@@ -9,11 +9,11 @@ and the true disturbances. Identical scenario, config, and seed give
 bit-identical traces.
 
 A single run (``run_scenario``, as ``microfreq run`` uses it) and a batch
-(``run_cells``, which steps cells in lockstep; a cell is the runs of one
-profile set and seed, as in ``compare`` and ``sweep``) differ only in their
-sample loop. Both set up and finish through ``_Runs``: the cell check, the
-prepared run and inputs, the records, the measurement noise (drawn up
-front) and the traces; a run gets the same bytes from either. The loops
+(``run_cells``, which steps the three controllers on each of its scenarios
+in lockstep, as ``compare`` and ``sweep`` do) differ only in their sample
+loop. Both set up and finish through ``_Runs``: the prepared run and
+inputs, the records, the measurement noise (drawn up front) and the
+traces; a run gets the same bytes from either. The loops
 stay forked because only batch size pays for the batch. In CPU time on one
 host (medians of 15, alternating with the lone runs, on one config), a
 one-row batch costs a lone run 1.67-2.02x (MPC) and 1.83-2.08x (PI), and
@@ -27,9 +27,9 @@ bind.
 
 A batch records what a single run does: each run's states, commands and
 d_hat, and an MPC run's s, V and multipliers. The traces are finished a
-cell at a time, as the caller reads them, each with its own copy of its
-rows; a batch of 180 s cells holds about 0.85 MB per cell of three runs
-until its last cell is read.
+scenario at a time, as the caller reads them, each with its own copy of
+its rows; a batch of 180 s scenarios holds about 0.85 MB per scenario
+until its last one is read.
 
 Everything that does not depend on the closed loop is built before the
 first sample: the config's ``PreparedRun`` (plant, gain schedule, MPC
@@ -387,89 +387,76 @@ class _MpcRecord:
 
 class _Runs:
     """What both loops do before their first sample and after their last,
-    for a batch of ``cells`` (a single run is one cell of one scenario).
+    for a batch that runs each of ``controllers`` on each of ``scenarios``,
+    which share their number of samples (a single run is its scenario's
+    controller alone).
 
-    Built, it has checked the cells, taken the config's ``PreparedRun`` and
-    each cell's ``inputs``, and ordered the runs controller-major: the MPC
-    runs, then the PI runs, each group in cell order (``cell_of`` holds
-    each run's cell, and ``cell_runs`` each cell's runs in the order the
-    cell lists them). It has made the records of every run, a run per
-    row for the whole batch: the states, commands and d_hat of its n + 1
-    rows, an MPC run's s, V and multipliers of its n samples in
-    ``mpc_records``, (MPC runs, n, ·) arrays, where the MPC runs lead, so
-    ``n_mpc`` counts them and a run's index is also its row there, and a
-    PI run's config. ``noise`` is each run's measurement noise, (n, runs), or None:
-    a seed's values are drawn once, one per sample, and every run of its
-    cell adds the same ones. The loop sets ``aborted_at[run]`` to the
-    sample at which a run's QP was infeasible; ``traces`` then finishes
-    the runs, each aborted one at that sample, whatever its records hold
-    after it."""
+    Row r runs ``controllers[r // C]`` on ``scenarios[r % C]``, for C
+    scenarios, so the MPC rows, ``n_mpc`` of them, lead as MPC leads
+    ``CONTROLLER_KINDS``. Each run keeps the states, commands and d_hat of
+    its n + 1 rows, an MPC run its s, V and multipliers of its n samples in
+    ``mpc_records``, (MPC runs, n, ·) arrays, and a PI run its config.
+    ``noise`` is each run's measurement noise, (n, runs), or None: a seed's
+    values are drawn once, one per sample, and every run of its scenario
+    adds the same ones. The loop sets ``aborted_at[run]`` to the sample at
+    which a run's QP was first infeasible; ``traces`` then finishes each
+    aborted run at that sample, whatever its records hold after it."""
 
-    def __init__(self, cells, config):
-        if not cells or not all(cells):
-            raise ValueError("a batch needs at least one cell, and a cell at least one scenario")
-        self.n = n = cells[0][0].n_steps
-        for cell in cells:
-            first = cell[0]
-            for scenario in cell[1:]:
-                if (scenario.seed != first.seed
-                        or (scenario.profiles is not first.profiles
-                            and scenario.profiles.digest() != first.profiles.digest())):
-                    raise ValueError("the scenarios of a cell must share their profiles and seed")
-            if first.n_steps != n:
-                raise ValueError("the cells of a batch must share their number of samples")
+    def __init__(self, scenarios, controllers, config):
+        if not scenarios:
+            raise ValueError("a batch needs at least one scenario")
+        self.n = n = scenarios[0].n_steps
+        if any(scenario.n_steps != n for scenario in scenarios):
+            raise ValueError("the scenarios of a batch must share their number of samples")
+        self.scenarios, self.controllers = scenarios, controllers
         self.prepared = prepare_run(config, n)
-        self.inputs = [self.prepared.inputs(cell[0].profiles, config) for cell in cells]
-        listed = [(index, scenario) for index, cell in enumerate(cells) for scenario in cell]
-        order = sorted(range(len(listed)), key=lambda at: listed[at][1].controller != "mpc")
-        self.scenarios = [listed[at][1] for at in order]
-        self.cell_of = [listed[at][0] for at in order]
-        run_at = {at: run for run, at in enumerate(order)}
-        self.cell_runs = [[] for _ in cells]
-        for at, (index, _) in enumerate(listed):
-            self.cell_runs[index].append(run_at[at])
-        runs = len(self.scenarios)
+        self.inputs = [self.prepared.inputs(scenario.profiles, config) for scenario in scenarios]
+        cells = len(scenarios)
+        runs = cells * len(controllers)
         self.states = np.zeros((runs, n + 1, N_STATES))
         self.commands = np.zeros((runs, n + 1, N_CONTROLS))
         self.d_hat = np.zeros((runs, n + 1))
-        self.n_mpc = sum(scenario.controller == "mpc" for scenario in self.scenarios)
+        self.n_mpc = cells * controllers.count("mpc")
         if self.n_mpc:
             pred = self.prepared.pred
             widths = (pred.sample_map.shape[1], pred.box.n, pred.box.n)
             self.mpc_records = tuple(np.empty((self.n_mpc, n, width)) for width in widths)
-        self.pi_configs = [config.pi_configs.get(scenario.controller)
-                           for scenario in self.scenarios]
+        self.pi_configs = [config.pi_configs.get(controllers[run // cells])
+                           for run in range(runs)]
         self.aborted_at = [None] * runs
         self.noise = None
         if config.measurement_noise_std > 0.0:
-            draws = [np.random.default_rng([cell[0].seed, 9001]).normal(
-                scale=config.measurement_noise_std, size=n) for cell in cells]
-            self.noise = np.stack(draws, axis=1)[:, self.cell_of]
+            draws = [np.random.default_rng([scenario.seed, 9001]).normal(
+                scale=config.measurement_noise_std, size=n) for scenario in scenarios]
+            self.noise = np.tile(np.stack(draws, axis=1), len(controllers))
 
     def traces(self, x, u, z):
-        """The traces of each cell, a list per cell, from a generator that
-        finishes a cell at a time. The runs that did not abort first get
-        their terminal row, the state at t = duration with the last command
-        held (its limits are the last sample's): ``x``, ``u`` and ``z`` are
-        the loop's last states, commands and estimates, a row per run (1-D
-        for a single run)."""
+        """The traces of each scenario, a list per scenario in the order of
+        ``controllers``, from a generator that finishes a scenario at a
+        time. The runs that did not abort first get their terminal row, the
+        state at t = duration with the last command held (its limits are the
+        last sample's): ``x``, ``u`` and ``z`` are the loop's last states,
+        commands and estimates, a row per run (1-D for a single run)."""
         finished = [run for run, at in enumerate(self.aborted_at) if at is None]
         self.states[finished, self.n] = np.atleast_2d(x)[finished]
         self.commands[finished, self.n] = np.atleast_2d(u)[finished]
         self.d_hat[finished, self.n] = np.atleast_2d(z)[finished, N_STATES]
-        return ([self._trace(run) for run in runs] for runs in self.cell_runs)
+        cells = len(self.scenarios)
+        return ([self._trace(at * cells + cell) for at in range(len(self.controllers))]
+                for cell in range(cells))
 
     def _trace(self, run):
         """The ``ScenarioTrace`` of one run from its records. An MPC run's
         trace takes its ``_MpcRecord``, and a PI run's its binding flags,
         computed here over the grid, since nothing in the loop reads them.
         The trace shares the disturbances and limits with the other runs of
-        its cell (the arrays themselves unless it aborted), and holds its
+        its scenario (the arrays themselves unless it aborted), and holds its
         own copy of the rest, its record's included, so the records need
         not outlive the batch."""
-        n, scenario = self.n, self.scenarios[run]
+        n, cells = self.n, len(self.scenarios)
+        scenario = self.scenarios[run % cells]
         aborted_at = self.aborted_at[run]
-        disturbances, limits = self.inputs[self.cell_of[run]]
+        disturbances, limits = self.inputs[run % cells]
         lo, hi = limits.lo, limits.hi
         states, commands = self.states[run], self.commands[run]
         # An aborted run keeps the rows before the failed sample, and the
@@ -479,7 +466,7 @@ class _Runs:
             disturbances, lo, hi = disturbances[:rows], lo[:rows], hi[:rows]
         fields = dict(
             kind=scenario.kind,
-            controller=scenario.controller,
+            controller=self.controllers[run // cells],
             seed=scenario.seed,
             t=scenario.profiles.t[:rows].copy(),
             freq=states[:rows, IDX_FREQ].copy(),
@@ -513,7 +500,7 @@ def run_scenario(scenario, config=None):
     is built by the first run that needs it and shared by the later ones.
     An MPC run's trace computes its cost, binding flags and largest KKT
     residual when they are first read (``ScenarioTrace``)."""
-    runs = _Runs([[scenario]], config or RunConfig())
+    runs = _Runs([scenario], (scenario.controller,), config or RunConfig())
     model, gains = runs.prepared.model, runs.prepared.gains
     disturbances, limits = runs.inputs[0]
     # D @ d of every sample, each row as its own product (so with the bits of
@@ -580,38 +567,33 @@ def run_scenario(scenario, config=None):
     return next(runs.traces(x, u_prev, z))[0]
 
 
-def run_cells(cells, config=None):
-    """Run a batch of cells in lockstep and return a generator of each
-    cell's traces, a list per cell, in order. A cell is a list of scenarios
-    that share one profile set and seed (the three controllers of a
-    ``compare`` or ``sweep`` cell); the cells of a batch share their number
-    of samples. Each trace is the one ``run_scenario`` gives its scenario,
-    bit for bit.
+def run_cells(scenarios, config=None):
+    """Run every controller of ``CONTROLLER_KINDS`` on each scenario, in
+    lockstep, whichever controller a scenario names, and return a generator
+    of each scenario's traces, a list per scenario in that order. The
+    scenarios share their number of samples (the seeds of a ``sweep`` kind,
+    or the one scenario of a ``compare``). Each trace is the one
+    ``run_scenario`` gives its scenario under its controller, bit for bit.
 
-    One loop iteration steps every row, a row per scenario, by one sample.
-    The rows are controller-major: the MPC runs first, then the PI runs,
-    each group in cell order (``_Runs``); each cell's traces still come
-    back in the order the cell lists its scenarios. The plant step A x, the
-    filter's A_aug z and the control term B_aug u are each one stacked
-    product over the rows (``rows_times``, so every row has the bits of its
-    own matrix-vector product). Each cell keeps its own disturbances,
-    limits and noise stream. A PI row runs ``pi_step`` on its own, on
-    Python floats, and a sample's PI commands are written with one
-    assignment to their slice of the rows. The MPC rows of a sample are one
-    ``control_rows`` call, with their bands taken from the cells' limits,
-    stacked once per batch; only the rows that bind iterate. The s, V and
-    multipliers of all MPC rows go into their records with one write each
-    per sample. The rows stay fixed from the first sample to the last. An
-    MPC row whose QP is infeasible at sample k leaves only the MPC group
-    (``_mpc_rows``), its trace ending at k as a single run's does; its
-    plant and filter step on with its last applied command, and nothing
-    reads them. The batch stops early only when no row is left running.
+    One loop iteration steps every row by one sample; row r runs controller
+    r // C on scenario r % C, for C scenarios (``_Runs``), from the first
+    sample to the last. The plant step A x, the filter's A_aug z and the
+    control term B_aug u are each one stacked product over the rows
+    (``rows_times``, so every row has the bits of its own matrix-vector
+    product). Each scenario keeps its own disturbances, limits and noise
+    stream. A PI row runs ``pi_step`` on its own, on Python floats. The MPC
+    rows, the first C, are one ``control_rows`` call per sample on that
+    sample's bands, stacked once per batch; only the rows that bind
+    iterate, and their s, V and multipliers go into their records with one
+    write each. An MPC row whose QP is infeasible gets a zero move, so it
+    holds its command; its trace ends at its first infeasible sample as a
+    single run's does, and nothing reads the row after it.
     """
-    runs = _Runs(cells, config or RunConfig())
-    n, cell_of = runs.n, runs.cell_of
+    runs = _Runs(scenarios, CONTROLLER_KINDS, config or RunConfig())
+    n, cells = runs.n, len(scenarios)
     model, gains = runs.prepared.model, runs.prepared.gains
     cell_disturbances, limits = zip(*runs.inputs)
-    # (n + 1, cells, ·): a sample's disturbances and bands, a row per cell.
+    # (n + 1, C, ·): a sample's disturbances and bands, a row per scenario.
     disturbances = np.stack(cell_disturbances, axis=1)
     band_lo = np.stack([each.lo for each in limits], axis=1)
     band_hi = np.stack([each.hi for each in limits], axis=1)
@@ -620,14 +602,11 @@ def run_cells(cells, config=None):
     states, commands, d_hat = runs.states, runs.commands, runs.d_hat
     noise, aborted_at, pi_configs = runs.noise, runs.aborted_at, runs.pi_configs
     step_gains = gains.sequence(n)
-    n_runs, n_mpc = len(runs.scenarios), runs.n_mpc
+    n_runs = cells * len(CONTROLLER_KINDS)
     integrals = [0.0] * n_runs
 
-    # The MPC runs lead the rows. The PI rows, which never abort, are the
-    # rest, for the whole batch.
-    mpc_rows = _mpc_rows(list(range(n_mpc)), cell_of)
-    pis = [(run, cell_of[run]) for run in range(n_mpc, n_runs)]
-    cells_at = np.array(cell_of)
+    pis = [(run, run % cells) for run in range(cells, n_runs)]  # each with its scenario
+    cells_at = np.arange(n_runs) % cells
     x = np.zeros((n_runs, N_STATES))
     z = np.zeros((n_runs, N_AUGMENTED))
     u = np.zeros((n_runs, N_CONTROLS))  # the commands, written in place each sample
@@ -652,35 +631,21 @@ def run_cells(cells, config=None):
         dz = z_pred - z
         z = z_pred
 
-        if pis:
-            lo_rows, hi_rows = band_lo[k].tolist(), band_hi[k].tolist()
-            pi_commands = []
-            for run, cell in pis:
-                integrals[run], command = pi_step(integrals[run], ys[run], lo_rows[cell],
-                                                  hi_rows[cell], pi_configs[run])
-                pi_commands.append(command)
-            u[n_mpc:] = pi_commands
-        if mpc_rows:
-            at, mpc_cells, mpc_runs = mpc_rows
-            dz_mpc = dz[at]
-            steps = control_rows(dz_mpc[:, :N_STATES], dz_mpc[:, N_STATES], y[at], u[at],
-                                 band_lo[k, mpc_cells], band_hi[k, mpc_cells],
-                                 runs.prepared.pred)
-            u[at] = steps.commands
-            for record, step_rows in zip(runs.mpc_records, (steps.samples, steps.v, steps.lam)):
-                record[at, k] = step_rows
-            if steps.infeasible:
-                failed = [mpc_runs[r] for r in steps.infeasible]
-                for run in failed:
-                    aborted_at[run] = k
-                # Each steps on, unread, with its last applied command (zero
-                # before the first sample), so its rows stay finite whatever
-                # ``control_rows`` left in an infeasible row.
-                u[failed] = commands[failed, k - 1] if k else 0.0
-                mpc_rows = _mpc_rows([run for run in mpc_runs if aborted_at[run] is None],
-                                     cell_of)
-                if not (mpc_rows or pis):
-                    break
+        lo_rows, hi_rows = band_lo[k].tolist(), band_hi[k].tolist()
+        pi_commands = []
+        for run, cell in pis:
+            integrals[run], command = pi_step(integrals[run], ys[run], lo_rows[cell],
+                                              hi_rows[cell], pi_configs[run])
+            pi_commands.append(command)
+        u[cells:] = pi_commands
+        steps = control_rows(dz[:cells, :N_STATES], dz[:cells, N_STATES], y[:cells], u[:cells],
+                             band_lo[k], band_hi[k], runs.prepared.pred)
+        u[:cells] = steps.commands
+        for record, step_rows in zip(runs.mpc_records, (steps.samples, steps.v, steps.lam)):
+            record[:, k] = step_rows
+        for run in steps.infeasible:
+            if aborted_at[run] is None:
+                aborted_at[run] = k
 
         commands[:, k] = u
         d_hat[:, k] = z[:, N_STATES]
@@ -688,36 +653,14 @@ def run_cells(cells, config=None):
         x = rows_times(A, x)
         x += bu[:, :N_STATES]
         if k % _DIAGNOSTIC_ROWS == 0:
-            # D @ d of every cell over the next block of samples, each row as
-            # its own product (so with the bits of ``step_plant``'s).
+            # D @ d of every scenario over the next block of samples, each
+            # row as its own product (so with the bits of ``step_plant``'s).
             block = disturbances[k:k + _DIAGNOSTIC_ROWS]
             plant_disturbances = rows_times(D, block.reshape(-1, N_DISTURBANCES)).reshape(
                 block.shape[:2] + (N_STATES,))
         x += plant_disturbances[k % _DIAGNOSTIC_ROWS].take(cells_at, axis=0)
 
     return runs.traces(x, u, z)
-
-
-def _mpc_rows(runs, cell_of):
-    """The MPC group of a batch, (rows, cells, runs), for the MPC ``runs``
-    still running, or None when none is. The MPC runs lead the rows, so
-    ``rows`` indexes a run's row and its ``_Runs.mpc_records`` row alike, and
-    ``cells`` the cells' bands. Each is a slice while its values are
-    consecutive, so the stage reads views and writes through strides, and
-    an index array once they are not: the rows are consecutive at least
-    until a row aborts, and the cells too if each cell has one MPC run."""
-    if not runs:
-        return None
-    return _index(runs), _index([cell_of[run] for run in runs]), runs
-
-
-def _index(values):
-    """Ints ``values`` as an index: their slice when they are consecutive
-    and increasing, else an index array (repeats included)."""
-    stop = values[0] + len(values)
-    if values == list(range(values[0], stop)):
-        return slice(values[0], stop)
-    return np.array(values)
 
 
 def _last_disturbance_event_index(disturbances):

@@ -77,11 +77,7 @@ class SweepCell:
 def sweep():
     cells, config = {}, RunConfig()
     for kind in KINDS:
-        batch = []
-        for seed in SEEDS:
-            profiles = make_scenario(kind, CONTROLLERS[0], seed).profiles
-            batch.append([make_scenario(kind, controller, seed, profiles=profiles)
-                          for controller in CONTROLLERS])
+        batch = [make_scenario(kind, CONTROLLERS[0], seed) for seed in SEEDS]
         for seed, traces in zip(SEEDS, run_cells(batch, config), strict=True):
             for trace in traces:
                 cells[(kind, seed, trace.controller)] = SweepCell(trace)

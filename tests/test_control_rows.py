@@ -4,8 +4,9 @@
 prologue over all rows, and the box iteration only for the rows that bind.
 Each row's command, s, V and bound multipliers must have the bytes
 ``control_step`` gives that row on its own, and exactly the rows on which
-``control_step`` raises QpInfeasibleError are listed infeasible, also when
-the iteration's cap sends every binding row to the dual fallback.
+``control_step`` raises QpInfeasibleError are listed infeasible, each with
+a zero move, also when the iteration's cap sends every binding row to the
+dual fallback.
 """
 
 from unittest import mock
@@ -56,6 +57,9 @@ def outcomes(dx, dd, y, u_prev, band_lo, band_hi):
                                     box_bands(band_lo[r], band_hi[r], PRED.m), PRED)
             except QpInfeasibleError:
                 kinds.append("infeasible")
+                # A zero move, so a batch's row holds its command.
+                assert not rows.v[r].any() and not rows.lam[r].any()
+                assert np.array_equal(rows.commands[r], u_prev[r])
                 continue
             kinds.append("binds" if step.lam.any() or not np.array_equal(
                 step.v, PRED.sample_map[-PRED.box.n:] @ step.sample) else "free")

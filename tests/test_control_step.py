@@ -14,14 +14,17 @@ must reach the dual fallback on the same samples.
 
 from unittest import mock
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import control_step_reference
 import microfreq.mpc
 import microfreq.numerics
-from microfreq.lfc_model import N_CONTROLS, N_STATES
+from microfreq.der_models import reserve_limits
+from microfreq.lfc_model import N_CONTROLS, N_STATES, MicrogridParams
 from microfreq.mpc import box_bands, control_step
 from microfreq.numerics import QpInfeasibleError
 from test_control_rows import BAND, PRED, sample_stacks
@@ -125,3 +128,30 @@ def test_the_step_takes_a_row_of_the_run_bands():
     assert PRED.v_unc_map.tobytes() == PRED.sample_map[-PRED.box.n:].tobytes()
     for shared in (PRED.unit_of_bound, PRED.v_unc_map):
         assert not shared.flags.writeable
+
+
+PARAMS = MicrogridParams()
+# Deloaded availabilities, kW: zero, subnormals, the smallest normal, 1e6.
+AVAILABLE = st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e6]),
+                      st.floats(0.0, 1e6))
+
+
+@CAPS
+@settings(max_examples=200)
+@given(deload=st.floats(0.0, 1.0, exclude_max=True),
+       dispatch_du=st.floats(0.0, PARAMS.p_du),
+       dispatch_bess=st.floats(-PARAMS.p_bess, PARAMS.p_bess),
+       available=st.tuples(AVAILABLE, AVAILABLE, AVAILABLE, AVAILABLE),
+       u_prev=hnp.arrays(float, N_CONTROLS, elements=st.floats(-1e20, 1e20)),
+       dx=hnp.arrays(float, N_STATES, elements=st.floats(-0.05, 0.05)),
+       dd=st.floats(-0.08, 0.08), y=st.floats(-0.02, 0.02))
+def test_validated_limits_never_make_the_qp_infeasible(cap, deload, dispatch_du, dispatch_bess,
+                                                       available, u_prev, dx, dd, y):
+    # Each unit's lower limit is at most its upper one exactly, and rounding
+    # is monotone, so lo - u_prev <= hi - u_prev for any finite u_prev: the
+    # crossed-bound check, against hi - u_prev + tol, never fires.
+    limits = reserve_limits(*available, dispatch_du, dispatch_bess, PARAMS, deload)
+    assert (limits.lo <= limits.hi).all()
+    bands = box_bands(limits.lo, limits.hi, PRED.m)
+    with mock.patch.object(microfreq.numerics, "BOX_QP_MAX_ITERATIONS", cap):
+        control_step(dx, dd, y, u_prev, bands, PRED)

@@ -35,7 +35,6 @@ from microfreq.simulate import (
     run_scenario,
 )
 from mpc_record_reference import _MpcRecord as BlockwiseRecord
-from test_run_cell import cell
 
 DIAGNOSED = ("binding", "objective", "max_kkt_residual")
 
@@ -67,8 +66,8 @@ def test_an_unread_lone_run_or_batch_diagnoses_nothing(monkeypatch):
     trace = run_scenario(make_scenario("rapid", "mpc", 3), RunConfig())
     assert trace.freq.size == 901 and "_record" in vars(trace)
     sim.compute_metrics(trace)
-    cells = [cell("rapid", 1, duration=60.0), cell("rapid", 4, duration=60.0)]
-    for traces in run_cells(cells, RunConfig(measurement_noise_std=2e-5)):
+    scenarios = [make_scenario("rapid", "mpc", seed, duration=60.0) for seed in (1, 4)]
+    for traces in run_cells(scenarios, RunConfig(measurement_noise_std=2e-5)):
         for trace in traces:
             sim.metrics_summary(trace, sim.compute_metrics(trace))
 
@@ -174,13 +173,13 @@ def reachable(root):
 @pytest.mark.parametrize("batch", [False, True], ids=["lone", "batch"])
 def test_a_copied_trace_is_diagnosed_and_holds_no_prediction_matrices(clone, batch):
     config = RunConfig()
-    scenarios = cell("rapid", 3, duration=60.0)
+    scenario = make_scenario("rapid", "mpc", 3, duration=60.0)
     if batch:
-        (traces,) = run_cells([scenarios], config)
+        (traces,) = run_cells([scenario], config)
         trace = traces[0]
     else:
-        trace = run_scenario(scenarios[0], config)
-    expected = run_scenario(scenarios[0], config)
+        trace = run_scenario(scenario, config)
+    expected = run_scenario(scenario, config)
     copied = clone(trace)
     for each in (copied, trace):
         assert "_record" not in vars(each)
@@ -198,18 +197,18 @@ def test_a_kept_unread_mpc_trace_holds_its_record_and_little_more(batch):
     # A 180 s trace's arrays are about 0.23 MB, its record of s, V and
     # multipliers 0.35 MB; diagnosed, the record gives way to 0.05 MB.
     config = RunConfig()
-    cells = [cell("rapid", seed) for seed in (3, 4)]
-    for _ in run_cells(cells, config):  # builds the prepared run and its law cache
+    scenarios = [make_scenario("rapid", "mpc", seed) for seed in (3, 4)]
+    for _ in run_cells(scenarios, config):  # builds the prepared run and its law cache
         pass
-    run_scenario(cells[0][0], config)
+    run_scenario(scenarios[0], config)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         if batch:
-            kept = next(run_cells(cells, config))[0]
+            kept = next(run_cells(scenarios, config))[0]
         else:
-            kept = run_scenario(cells[0][0], config)
+            kept = run_scenario(scenarios[0], config)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
         kept.objective

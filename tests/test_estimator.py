@@ -284,7 +284,7 @@ def test_gain_sequence_past_an_uncycled_schedule_fails_as_index_does():
     # A run that met such a schedule (``prepare_run`` builds one that covers
     # its run, so the check is bypassed here) fails with the same error.
     for run in (simulate.run_scenario,
-                lambda scenario, config: next(simulate.run_cells([[scenario]], config))):
+                lambda scenario, config: next(simulate.run_cells([scenario], config))):
         config = simulate.RunConfig()
         object.__setattr__(config, "prepared", simulate.PreparedRun(config.mpc, MODEL, schedule))
         with mock.patch.object(type(schedule), "covers", lambda self, n_steps: True), \

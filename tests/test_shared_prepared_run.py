@@ -13,7 +13,6 @@ import copy
 import gc
 import pickle
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from microfreq.lfc_model import N_CONTROLS, N_STATES, build_plant
 from microfreq.numerics import rows_times
 from microfreq.profiles import generate_profiles
 from microfreq.simulate import (
-    CONTROLLER_KINDS,
     RunConfig,
     make_scenario,
     run_scenario,
@@ -132,12 +130,10 @@ def test_a_profile_set_edited_in_place_gets_inputs_of_its_own():
 
 
 def test_runs_on_equal_profiles_share_one_build_of_their_inputs():
-    # The runs of a cell share its disturbances and trace limits, built
+    # The runs of a scenario share its disturbances and trace limits, built
     # once, so none of them may write to them.
-    first = make_scenario("moderate", "mpc", 2, duration=36.0)
-    cells = [[replace(first, controller=controller) for controller in CONTROLLER_KINDS],
-             [make_scenario("moderate", "pi_all", 3, duration=36.0)]]
-    traces, (other,) = sim.run_cells(cells, RunConfig())
+    scenarios = [make_scenario("moderate", "mpc", seed, duration=36.0) for seed in (2, 3)]
+    traces, (_, other, _) = sim.run_cells(scenarios, RunConfig())
     for name in ("disturbances", "limits_lo", "limits_hi"):
         shared = [getattr(trace, name) for trace in traces]
         assert all(np.shares_memory(shared[0], array) for array in shared[1:]), name

@@ -1,8 +1,9 @@
 """Tests for the closed-loop scenario engine and metrics."""
 
 import copy
+import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import microfreq.simulate as sim
 from microfreq.estimator import EstimatorConfig, default_estimator_config
 from microfreq.lfc_model import MicrogridParams
+from microfreq.mpc import MpcConfig
 from microfreq.numerics import QpInfeasibleError
 from microfreq.profiles import NOMINAL_AMBIENT_C, ProfileSet
 from microfreq.simulate import (
@@ -387,6 +389,29 @@ def test_replace_keeps_filled_gains_and_redesigns_them_when_cleared():
 def test_run_config_rejects_bad_values_at_construction(kwargs, message):
     with pytest.raises(ValueError, match=message):
         RunConfig(**kwargs)
+
+
+# (constructor, argument, the field its message names): every float field of
+# the model and MPC configs, and each tuning value of the filter.
+NON_FINITE = [
+    *[(MicrogridParams, f.name, f.name) for f in fields(MicrogridParams) if f.type is float],
+    *[(MpcConfig, name, name)
+      for name in ("p", "m", "alpha", "beta_pv", "beta_wt", "beta_du", "beta_bess")],
+    (default_estimator_config, "state_noise", "Q"),
+    (default_estimator_config, "disturbance_noise", "Q"),
+    (default_estimator_config, "measurement_noise", "R_noise"),
+    (default_estimator_config, "initial_covariance", "P0"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("build, argument, name", NON_FINITE,
+                         ids=[f"{build.__name__}-{argument}" for build, argument, _ in NON_FINITE])
+def test_model_mpc_and_filter_configs_reject_non_finite_values(build, argument, name, value):
+    # Library callers can pass NaN and inf, which JSON configs never carry;
+    # each fails when built, not halfway through a run.
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        build(**{argument: value})
 
 
 @pytest.mark.parametrize("other, equal", [

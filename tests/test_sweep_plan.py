@@ -8,7 +8,6 @@ call per kind, seed and controller, with outputs written by
 byte-identical to it.
 """
 
-import itertools
 import json
 from dataclasses import replace
 
@@ -59,31 +58,48 @@ def count_runs(monkeypatch):
     calls = []
     real = cli.run_cells
 
-    def counted(cells, config):
-        calls.extend(scenario for cell in cells for scenario in cell)
-        return real(cells, config)
+    def counted(scenarios, config):
+        calls.extend((scenario, controller) for scenario in scenarios
+                     for controller in CONTROLLER_KINDS)
+        return real(scenarios, config)
 
     monkeypatch.setattr(cli, "run_cells", counted)
     return calls
 
 
+def count_samples_per_run(monkeypatch):
+    """A dict whose "sample" is set to 0 as each run or batch starts (at its
+    ``_Runs``), for a helper that counts the samples of one run or batch;
+    forked sweep workers inherit it and count their own."""
+    state = {"sample": 0}
+    real = simulate._Runs
+
+    def starting(*args):
+        state["sample"] = 0
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "_Runs", starting)
+    return state
+
+
 def abort_mpc_at(monkeypatch, sample):
-    """Make every MPC run's QP infeasible at ``sample``. A single run calls
-    ``control_step`` once per sample, which then raises; a batch calls
-    ``control_rows`` once per sample for all its MPC rows, whose outcome
-    then lists every row infeasible. Either makes sample + 1 calls before
-    its MPC runs abort, so one count over all calls of each fails the right
-    call of every run and batch."""
-    steps, batches = itertools.count(), itertools.count()
+    """Make every MPC run's QP infeasible from ``sample`` on, counted from
+    the start of its run or batch. A single run calls ``control_step`` once
+    per sample, which then raises; a batch calls ``control_rows`` once per
+    sample for all its MPC rows, for the whole batch, whose outcome from
+    that sample on lists every row infeasible."""
+    state = count_samples_per_run(monkeypatch)
 
     def failing_step(*args):
-        if next(steps) % (sample + 1) == sample:
+        at, state["sample"] = state["sample"], state["sample"] + 1
+        if at == sample:
             raise QpInfeasibleError(0)
         return mpc.control_step(*args)
 
     def failing_rows(*args):
         outcome = mpc.control_rows(*args)
-        if next(batches) % (sample + 1) == sample:
+        at, state["sample"] = state["sample"], state["sample"] + 1
+        if at >= sample:
             return outcome._replace(infeasible=list(range(len(outcome.commands))))
         return outcome
 
@@ -108,9 +124,6 @@ def test_sweep_matches_the_plain_sweep(tmp_path, monkeypatch, capsys, seeds, kin
         abort_mpc_at(monkeypatch, abort_at)
     expected = reference_sweep(kinds.split(","), [int(s) for s in seeds.split(",")], config,
                                tmp_path / "plain")
-    if abort_at is not None:
-        # The count starts anew, for the kind's batch.
-        abort_mpc_at(monkeypatch, abort_at)
 
     # The runs are counted in this process, so the batches run in it alone.
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
@@ -148,13 +161,13 @@ def test_default_sweep_runs_each_distinct_cell_once(monkeypatch):
     stub = run_scenario(make_scenario("step", "mpc", 0, duration=1.0))
     calls, batches = [], []
 
-    def run(cells, config):
-        batches.append([(cell[0].kind, cell[0].seed) for cell in cells])
-        calls.extend((scenario.kind, scenario.seed, scenario.controller)
-                     for cell in cells for scenario in cell)
+    def run(scenarios, config):
+        batches.append([(scenario.kind, scenario.seed) for scenario in scenarios])
+        calls.extend((scenario.kind, scenario.seed, controller)
+                     for scenario in scenarios for controller in CONTROLLER_KINDS)
         return iter([[replace(stub, kind=scenario.kind, seed=scenario.seed,
-                              controller=scenario.controller) for scenario in cell]
-                     for cell in cells])
+                              controller=controller) for controller in CONTROLLER_KINDS]
+                     for scenario in scenarios])
 
     monkeypatch.setattr(cli, "run_cells", run)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # counted in this process

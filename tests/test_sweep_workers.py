@@ -58,12 +58,12 @@ def test_a_sweep_in_several_processes_writes_the_serial_bytes(tmp_path, monkeypa
     if sim is not None:
         (tmp_path / "config.json").write_text(json.dumps({"sim": sim}))
         argv = argv + ["--config", str(tmp_path / "config.json")]
+    if abort_at is not None:
+        # Forked workers inherit the patches; each batch counts its samples.
+        abort_mpc_at(monkeypatch, abort_at)
     outputs = {}
     for cpus in (1, 2, 3):
         use_cpus(monkeypatch, cpus)
-        if abort_at is not None:
-            # Forked workers inherit the patches, each with its count anew.
-            abort_mpc_at(monkeypatch, abort_at)
         outputs[cpus] = sweep_outputs(argv, tmp_path / f"cpus{cpus}", capsys)
         assert_no_child_left()
     printed, files = outputs[1]
@@ -121,10 +121,10 @@ def test_a_sweep_starts_one_process_per_batch_at_most(monkeypatch):
     parent, seen = os.getpid(), []
     real = cli.run_cells
 
-    def counted(cells, config):
+    def counted(scenarios, config):
         if os.getpid() == parent:
             seen.append(len(multiprocessing.active_children()))
-        return real(cells, config)
+        return real(scenarios, config)
 
     monkeypatch.setattr(cli, "run_cells", counted)
     assert len(list(cli._sweep_plan(KINDS, [0], RunConfig()))) == 3
@@ -152,11 +152,11 @@ def test_an_error_in_either_process_is_raised_and_leaves_no_worker(monkeypatch, 
     parent = os.getpid()
     real = cli.run_cells
 
-    def failing(cells, config):
-        kind = cells[0][0].kind
+    def failing(scenarios, config):
+        kind = scenarios[0].kind
         if (os.getpid() == parent) == (where == "parent"):
             raise error(f"no {kind} batch in the {where}")
-        return real(cells, config)
+        return real(scenarios, config)
 
     monkeypatch.setattr(cli, "run_cells", failing)
     # Longest first, the moderate batch is the caller's and the rapid one a
@@ -195,10 +195,10 @@ def test_a_worker_that_exits_without_its_cells_fails_the_sweep(monkeypatch):
     parent = os.getpid()
     real = cli.run_cells
 
-    def exiting(cells, config):
+    def exiting(scenarios, config):
         if os.getpid() != parent:
             os._exit(3)
-        return real(cells, config)
+        return real(scenarios, config)
 
     monkeypatch.setattr(cli, "run_cells", exiting)
     with pytest.raises(RuntimeError, match="^a sweep worker exited with code 3 before"):
@@ -213,8 +213,8 @@ def test_no_cell_is_yielded_while_a_worker_computes(tmp_path, monkeypatch):
     parent = os.getpid()
     real = cli.run_cells
 
-    def slow(cells, config):
-        batch = real(cells, config)
+    def slow(scenarios, config):
+        batch = real(scenarios, config)
         if os.getpid() != parent:
             time.sleep(0.3)
             (tmp_path / "worker-done").touch()
