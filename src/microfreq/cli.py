@@ -32,7 +32,6 @@ from .simulate import (
     compute_metrics,
     make_scenario,
     metrics_summary,
-    prepare_run,
     run_cells,
     run_scenario,
     step_response_metrics,
@@ -221,10 +220,10 @@ def _sweep_plan(kinds, seeds, config, out=None):
     their number of samples, so they run as one batch (``run_cells`` on
     their scenarios).
 
-    The config's prepared run is built for the longest batch first, so
-    every batch shares it. The batches run in min(usable CPUs, batches)
-    processes (``_run_batches``), and the plan yields the same cells, bit
-    for bit, whatever that number is."""
+    Every batch shares the config's prepared run, with the gains of the
+    longest batch computed before the batches start. The batches run in
+    min(usable CPUs, batches) processes (``_run_batches``), and the plan
+    yields the same cells, bit for bit, whatever that number is."""
     first_of, plan, batches = {}, [], []
     for kind in kinds:
         cells = []
@@ -238,9 +237,10 @@ def _sweep_plan(kinds, seeds, config, out=None):
             plan.append((kind, seed, first))
         if cells:
             batches.append(cells)
-    # The prepared run of the longest batch serves them all. Built here,
-    # with its prediction matrices, a forked worker inherits it.
-    prepare_run(config, max(cells[0].n_steps for cells in batches)).pred
+    # Built here, with its prediction matrices and the longest batch's gains,
+    # the prepared run is inherited by every forked worker.
+    config.prepared.pred
+    config.prepared.gains.sequence(max(cells[0].n_steps for cells in batches))
     ran = _run_batches(batches, config, out)
     try:
         for kind, seed, first in plan:

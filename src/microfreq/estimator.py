@@ -10,21 +10,22 @@ the model, the noise matrices Q and R, and P0. In floating point it also
 settles into an exact cycle, where a covariance repeats an earlier one bit
 for bit and every later step repeats the steps since then (with the default
 tuning and steps counted from 0, P after step 52 equals P after step 48).
-The gains are therefore built once per config with ``gain_schedule``: the
-recursion up to the first repeated covariance, indexed cyclically after it,
-or the full sequence when nothing repeats within the runs it serves. Per
-sample only the state predict/update is left, on the augmented estimate z,
-which stacks x_hat and d_hat, with the control's part B_aug @ u given: the
-run loop computes that product once per sample for the plant and the
-filter. It hands the controller the increments of z and builds no
-``EstimatorState``. ``estimator_step`` is the single-step reference that
-returns one; it shares the covariance update with the schedule, and its
-state update (``_state_update``) takes the loops' products in their order,
-so both give the same bits.
+The gains are therefore a fact of the config, kept in its ``GainSchedule``,
+which no run length reaches: it runs the recursion as far as the longest
+run so far needs, up to the first repeated covariance, and indexes the
+gains cyclically after it. Per sample only the state predict/update is
+left, on the augmented estimate z, which stacks x_hat and d_hat, with the
+control's part B_aug @ u given: the run loop computes that product once
+per sample for the plant and the filter. It hands the controller the
+increments of z and builds no ``EstimatorState``. ``estimator_step`` is
+the single-step reference that returns one; it shares the covariance
+update with the schedule, and its state update (``_state_update``) takes
+the loops' products in their order, so both give the same bits.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain, cycle, islice
 
 import numpy as np
 
@@ -250,70 +251,39 @@ def estimator_step(state, u, y, model, config):
     )
 
 
-@dataclass(frozen=True)
 class GainSchedule:
-    """The data-free part of a run of the filter, built once.
+    """The data-free part of a run of the filter, grown on demand.
 
     Entry t of ``gains`` is the Kalman gain of step t (0-based) of a run
-    started from ``initial_estimator_state``. When the covariance after the
-    last entry repeats the input covariance of step ``cycle_start``, later
-    steps repeat the gains from there with period ``period``; ``period`` 0
-    means no repeat was found and the entries cover every step there is.
+    started from ``initial_estimator_state``. ``sequence`` extends the
+    recursion from its last covariance until it covers the steps asked for
+    or a covariance repeats the input covariance of step ``cycle_start``;
+    from then on later steps repeat the gains from there with period
+    ``period`` and nothing is computed again. ``period`` 0 means no repeat
+    has been found yet.
     """
 
-    A_aug: np.ndarray
-    B_aug: np.ndarray
-    c: np.ndarray
-    gains: tuple
-    cycle_start: int
-    period: int
-
-    def index(self, k):
-        """Entry used by step k."""
-        if k < len(self.gains):
-            return k
-        if not self.period:
-            raise IndexError(f"step {k} is beyond the {len(self.gains)} scheduled steps")
-        return self.cycle_start + (k - self.cycle_start) % self.period
+    def __init__(self, model, config):
+        self.A_aug, self.B_aug, C_aug = augmented_matrices(model)
+        self.c = C_aug[0]
+        self.config = config
+        self.gains = []
+        self.cycle_start = self.period = 0
+        self._P = config.P0
+        # Input covariance of each step, by its bytes: equal bytes give equal
+        # futures, because the recursion is a deterministic function of P.
+        self._step_of_input = {config.P0.tobytes(): 0}
 
     def sequence(self, n_steps):
-        """The gain of each of the first ``n_steps`` steps, in order: entry k
-        is ``gains[index(k)]``, the entries followed by their cycle repeated.
-        Fails as ``index`` does at the first step beyond an uncycled
-        schedule."""
-        gains = list(self.gains[:n_steps])
-        if n_steps > len(gains):
-            if not self.period:
-                self.index(len(gains))  # raises its IndexError
-            gains += self.gains[self.cycle_start:] * ((n_steps - len(gains)) // self.period + 1)
-        return gains[:n_steps]
-
-    def covers(self, n_steps):
-        """Whether a run of ``n_steps`` samples finds an entry for every step."""
-        return bool(self.period) or n_steps <= len(self.gains)
-
-
-def gain_schedule(model, config, n_steps):
-    """Gains of the first ``n_steps`` filter steps, stopped at the first
-    covariance that repeats an earlier one bit for bit."""
-    A_aug, B_aug, C_aug = augmented_matrices(model)
-    c = C_aug[0]
-    # Input covariance of each step, by its bytes: equal bytes give equal
-    # futures, because the recursion is a deterministic function of P.
-    step_of_input = {config.P0.tobytes(): 0}
-    gains = []
-    cycle_start = period = 0
-    P = config.P0
-    for t in range(n_steps):
-        gain, P = _covariance_step(P, A_aug, c, config)
-        # Every repeat of the entry shares it, so nothing may write to it.
-        gain.flags.writeable = False
-        gains.append(gain)
-        earlier = step_of_input.setdefault(P.tobytes(), t + 1)
-        if earlier != t + 1:
-            cycle_start, period = earlier, t + 1 - earlier
-            break
-    return GainSchedule(
-        A_aug=A_aug, B_aug=B_aug, c=c, gains=tuple(gains), cycle_start=cycle_start,
-        period=period,
-    )
+        """The gain of each of the first ``n_steps`` steps, in order: the
+        entries followed by their cycle repeated."""
+        gains = self.gains
+        while not self.period and len(gains) < n_steps:
+            gain, self._P = _covariance_step(self._P, self.A_aug, self.c, self.config)
+            # Every repeat of the entry shares it, so nothing may write to it.
+            gain.flags.writeable = False
+            gains.append(gain)
+            earlier = self._step_of_input.setdefault(self._P.tobytes(), len(gains))
+            if earlier != len(gains):
+                self.cycle_start, self.period = earlier, len(gains) - earlier
+        return list(islice(chain(gains, cycle(gains[self.cycle_start:])), n_steps))

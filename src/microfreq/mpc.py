@@ -49,6 +49,7 @@ mix the matrices of one configuration with the weights of another.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, NamedTuple
@@ -91,9 +92,12 @@ class MpcConfig:
     beta_bess: float = 0.3762
 
     def __post_init__(self):
-        # Written so that NaN fails them too.
-        if not 1 <= self.m <= self.p < math.inf:
-            raise ValueError(f"need 1 <= m <= p < inf, got m={self.m}, p={self.p}")
+        for name, horizon in (("p", self.p), ("m", self.m)):
+            if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
+                raise ValueError(f"horizon {name} must be an integer, got {horizon!r}")
+        if not 1 <= self.m <= self.p:
+            raise ValueError(f"need 1 <= m <= p, got m={self.m}, p={self.p}")
+        # Written so that NaN fails it too.
         for name in ("alpha", "beta_pv", "beta_wt", "beta_du", "beta_bess"):
             weight = getattr(self, name)
             if not 0 < weight < math.inf:
@@ -113,16 +117,18 @@ class MpcConfig:
 class PredictionMatrices:
     """Stacked prediction of the frequency deviation over p steps:
 
-        Y = S_x @ dx(k) + I_vec * y(k) + S_d * dd(k) + S_B @ dU
+        Y = S_x @ dx(k) + 1 * y(k) + S_d * dd(k) + S_B @ dU
 
     S_d is the single aggregate-disturbance column: the five disturbance
-    channels enter the plant through one shared column of D.
+    channels enter the plant through one shared column of D. The free
+    response (dU = 0) is kept as the first p rows of ``sample_map``,
+    [S_x, 1, S_d].
 
     The QP pieces that do not change within a run come with it: the cost
     weights (``alpha_sq`` = alpha^2 and the per-increment move weights
-    ``gamma_u``), the map ``F`` with linear term f = F @ Y_free, the
-    increment Hessian ``H``, and the cumulative-move pieces: ``box``, the
-    BoxQp of Hv = T^-T H T^-1 (with the run's law cache), ``T_inv``,
+    ``gamma_u``; the increment QP's linear term is f = 2 alpha^2 S_B' Y_free),
+    the increment Hessian ``H``, and the cumulative-move pieces: ``box``,
+    the BoxQp of Hv = T^-T H T^-1 (with the run's law cache), ``T_inv``,
     ``sample_map``, which takes (dx, y, dd) to the stacked (Y_free, g,
     V_unc), its V_unc rows ``v_unc_map``, and ``unit_of_bound``, the unit
     of each bound of [lo; hi].
@@ -130,13 +136,9 @@ class PredictionMatrices:
 
     p: int
     m: int
-    S_x: np.ndarray
     S_B: np.ndarray
-    S_d: np.ndarray
-    I_vec: np.ndarray
     alpha_sq: float
     gamma_u: np.ndarray
-    F: np.ndarray
     H: np.ndarray
     box: BoxQp
     T_inv: np.ndarray
@@ -203,12 +205,11 @@ def build_prediction_matrices(model, config):
     unit_of_bound = np.tile(np.arange(nu), 2 * m)
     # Every sample of a run shares these, so nothing may write to them
     # (the BoxQp keeps read-only copies of its matrices).
-    for shared in (gamma_u, F, H, T_inv, sample_map, unit_of_bound):
+    for shared in (gamma_u, H, T_inv, sample_map, unit_of_bound):
         shared.flags.writeable = False
     return PredictionMatrices(
-        p=p, m=m, S_x=S_x, S_B=S_B, S_d=S_d, I_vec=np.ones(p), alpha_sq=alpha_sq,
-        gamma_u=gamma_u, F=F, H=H, box=box, T_inv=T_inv, sample_map=sample_map,
-        v_unc_map=sample_map[p + nu * m:], unit_of_bound=unit_of_bound,
+        p=p, m=m, S_B=S_B, alpha_sq=alpha_sq, gamma_u=gamma_u, H=H, box=box, T_inv=T_inv,
+        sample_map=sample_map, v_unc_map=sample_map[p + nu * m:], unit_of_bound=unit_of_bound,
     )
 
 

@@ -33,11 +33,12 @@ until its last one is read.
 
 Everything that does not depend on the closed loop is built before the
 first sample: the config's ``PreparedRun`` (plant, gain schedule, MPC
-prediction matrices and QP law cache), kept for the config's later runs
-(``prepare_run``), each cell's true disturbances and reserve limits over
-the whole grid (``PreparedRun.inputs``), the filter gain of every sample
-(``GainSchedule.sequence``), and a lone run's MPC box bands
-(``box_bands``) or PI limits as floats. Per sample a
+prediction matrices and QP law cache), kept for the config's later runs of
+any length (``RunConfig.prepared``), each cell's true disturbances and
+reserve limits over the whole grid (``PreparedRun.inputs``), the filter
+gain of every sample (``GainSchedule.sequence``, which grows the
+schedule when a run needs steps it has not computed yet), and a lone
+run's MPC box bands (``box_bands``) or PI limits as floats. Per sample a
 loop computes only the state estimate z = (x_hat, d_hat), whose increments
 the MPC takes, the command from the sample's row of the limits, and the
 plant step, which shares B_aug @ u with the next estimate. An MPC run
@@ -72,9 +73,9 @@ from .der_models import (
 # from it.
 from .estimator import (  # noqa: F401
     N_AUGMENTED,
+    GainSchedule,
     default_estimator_config,
     estimator_step,
-    gain_schedule,
     require_detectable,
 )
 from .lfc_model import (  # noqa: F401
@@ -158,9 +159,9 @@ class RunConfig:
     and ``p_pv1`` (so twin ratings must be equal), gains left None (the
     design on ``params``) and ``pi_configs``, keyed by controller name.
     ``replace`` derives them anew but keeps the gains: pass None to redesign.
-    ``prepared`` holds the config's ``PreparedRun``, built by the first run
-    that needs it (``prepare_run``); a ``replace``d config starts without
-    one. The runs of one config share it, so they must not run concurrently.
+    ``prepared`` is the config's ``PreparedRun``, built when first read and
+    kept for runs of any length; a ``replace``d config starts without one.
+    The runs of one config share it, so they must not run concurrently.
     """
 
     params: MicrogridParams = field(default_factory=MicrogridParams)
@@ -175,7 +176,6 @@ class RunConfig:
     wind: object = field(init=False, repr=False, compare=False)
     pv: object = field(init=False, repr=False, compare=False)
     pi_configs: dict = field(init=False, repr=False, compare=False)
-    prepared: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         params = self.params
@@ -199,7 +199,13 @@ class RunConfig:
         object.__setattr__(self, "pi_configs", pi_configs)
         object.__setattr__(self, "wind", default_wind_params(rated_kw=params.p_wt1))
         object.__setattr__(self, "pv", default_pv_params(rated_kw=params.p_pv1))
-        object.__setattr__(self, "prepared", None)
+
+    @cached_property
+    def prepared(self):
+        # cached_property writes the instance dict, which a frozen dataclass allows.
+        model = build_plant(self.params)
+        require_detectable(model)
+        return PreparedRun(self.mpc, model, GainSchedule(model, self.estimator))
 
 
 @dataclass
@@ -296,8 +302,9 @@ def _true_disturbances(profiles, p_wt, p_pv, sbase):
 
 @dataclass(frozen=True, eq=False)
 class PreparedRun:
-    """What every run of one config shares: the plant (checked detectable),
-    the estimator's gain schedule and, built on first use from the config's
+    """What every run of one config shares, whatever its length: the plant
+    (checked detectable), the estimator's gain schedule, grown as far as the
+    longest run so far needs, and, built on first use from the config's
     ``mpc``, the MPC's prediction matrices. The config keeps it in
     ``prepared``. Runs sharing it fill one QP law cache; a law depends on its
     active set alone, so no run's bytes depend on the others. Like the
@@ -329,20 +336,6 @@ class PreparedRun:
         for shared in (disturbances, limits.lo, limits.hi):
             shared.flags.writeable = False
         return disturbances, limits
-
-
-def prepare_run(config, n_steps):
-    """The ``PreparedRun`` of ``config`` for runs of ``n_steps`` samples: the
-    one the config keeps, unless its gain schedule does not cover that many
-    steps (it found no cycle in a shorter run); then a new one, which the
-    config keeps from then on."""
-    prepared = config.prepared
-    if prepared is None or not prepared.gains.covers(n_steps):
-        model = build_plant(config.params)
-        require_detectable(model)
-        prepared = PreparedRun(config.mpc, model, gain_schedule(model, config.estimator, n_steps))
-        object.__setattr__(config, "prepared", prepared)
-    return prepared
 
 
 class _MpcRecord:
@@ -409,7 +402,7 @@ class _Runs:
         if any(scenario.n_steps != n for scenario in scenarios):
             raise ValueError("the scenarios of a batch must share their number of samples")
         self.scenarios, self.controllers = scenarios, controllers
-        self.prepared = prepare_run(config, n)
+        self.prepared = config.prepared
         self.inputs = [self.prepared.inputs(scenario.profiles, config) for scenario in scenarios]
         cells = len(scenarios)
         runs = cells * len(controllers)

@@ -183,10 +183,26 @@ def row_multipliers(lam):
     return np.concatenate([np.maximum(lam, 0.0), np.maximum(-lam, 0.0)])
 
 
+def prediction_columns(pred):
+    """(S_x, I_vec, S_d) of the prediction Y = S_x dx + I_vec y + S_d dd +
+    S_B dU: the first p rows of ``sample_map``, [S_x, 1, S_d], with S_x as
+    a contiguous copy (so its products have the bits of the matrix it was
+    built as) and S_d as a vector."""
+    free = pred.sample_map[:pred.p]
+    return np.ascontiguousarray(free[:, :-2]), free[:, -2], free[:, -1]
+
+
+def linear_map(pred):
+    """F = 2 alpha^2 S_B', which takes the free response to the increment
+    QP's linear term f = F @ Y_free."""
+    return 2.0 * pred.alpha_sq * pred.S_B.T
+
+
 def free_response(pred, dx, dd, y):
     """Predicted frequency with all future increments zero, from the
     estimate increments ``dx`` (state) and ``dd`` (aggregate disturbance)."""
-    return pred.S_x @ dx + pred.I_vec * y + pred.S_d[:, 0] * dd
+    S_x, I_vec, S_d = prediction_columns(pred)
+    return S_x @ dx + I_vec * y + S_d * dd
 
 
 def running_sum(pred):
@@ -239,7 +255,7 @@ def reference_control_step(dx, dd, y, u_prev, bands, pred):
     nu = pred.n_inputs
     n = nu * pred.m
     u_prev = np.asarray(u_prev, dtype=float).reshape(nu)
-    f = pred.F @ free_response(pred, dx, dd, y)
+    f = linear_map(pred) @ free_response(pred, dx, dd, y)
 
     lo, hi = build_constraints(ReserveLimits(*sample_bands(bands, pred)), u_prev, pred)
     _, b = box_rows(lo, hi)
@@ -337,4 +353,4 @@ def reference_run(scenario, config=None):
 
 def mpc_gain(pred):
     """Closed-form unconstrained gain: dU* = K_mpc @ (0 - Y_free)."""
-    return np.linalg.solve(pred.H, pred.F)
+    return np.linalg.solve(pred.H, linear_map(pred))

@@ -42,6 +42,7 @@ from qp_reference import (
     box_solve,
     free_response,
     increment_rows,
+    linear_map,
     row_multipliers,
     sample_bands,
     sample_diagnostics,
@@ -388,7 +389,7 @@ def test_box_kkt_residuals_match_the_increment_qp(seed):
         row = sample_diagnostics(result, u_prev, band_lo, band_hi, pred)
         assert row.qp_active.any()
         assert max(row.kkt_residuals) <= KKT_TOL
-        f = pred.F @ free_response(pred, dx, dd, y)
+        f = linear_map(pred) @ free_response(pred, dx, dd, y)
         _, b = box_rows(*build_constraints(ReserveLimits(band_lo, band_hi), u_prev, pred))
         increment = kkt_residuals(QpProblem(pred.H, f, increment_rows(pred), b), pred.T_inv @ v,
                                   row_multipliers(lam))

@@ -12,12 +12,12 @@ import microfreq.estimator
 import microfreq.simulate as simulate
 from microfreq.estimator import (
     EstimatorConfig,
+    GainSchedule,
     N_AUGMENTED,
     _state_update,
     augmented_matrices,
     default_estimator_config,
     estimator_step,
-    gain_schedule,
     initial_estimator_state,
     observability_report,
     require_detectable,
@@ -209,17 +209,18 @@ def initial_z():
     return np.append(est.x_hat, est.d_hat)
 
 
-def scheduled_update(schedule, z, bu, y, k):
-    """Step k of a run of the filter on z = (x_hat, d_hat), as the run loops
-    take it: the state update of ``estimator_step`` with the gain of step k
-    looked up in ``schedule``, from the product ``bu`` = B_aug @ u. Returns
-    the new z and the innovation."""
-    return _state_update(z, bu, y, schedule.A_aug, schedule.c, schedule.gains[schedule.index(k)])
+def scheduled_update(schedule, z, bu, y, gain):
+    """A step of a run of the filter on z = (x_hat, d_hat), as the run loops
+    take it: the state update of ``estimator_step`` with the step's ``gain``
+    from ``schedule``'s sequence, from the product ``bu`` = B_aug @ u.
+    Returns the new z and the innovation."""
+    return _state_update(z, bu, y, schedule.A_aug, schedule.c, gain)
 
 
 def test_gain_schedule_matches_estimator_step_past_the_cycle():
     n = 900
-    schedule = gain_schedule(MODEL, CONFIG, n)
+    schedule = GainSchedule(MODEL, CONFIG)
+    gains = schedule.sequence(n)
     # The default tuning repeats a covariance early, so most steps below are
     # served from the cycle, not from a directly computed entry.
     assert schedule.period > 0
@@ -232,71 +233,70 @@ def test_gain_schedule_matches_estimator_step_past_the_cycle():
         y = rng.normal(scale=1e-3)
         reference = estimator_step(reference, u, y, MODEL, CONFIG)
         z_prev = z
-        z, innovation = scheduled_update(schedule, z, schedule.B_aug @ u, y, k)
-        assert_same_step(reference, z, z_prev, innovation, schedule.gains[schedule.index(k)])
+        z, innovation = scheduled_update(schedule, z, schedule.B_aug @ u, y, gains[k])
+        assert_same_step(reference, z, z_prev, innovation, gains[k])
 
 
 def test_gain_schedule_without_repeat_keeps_every_step():
     n = 12  # shorter than the default tuning's first repeat
-    schedule = gain_schedule(MODEL, CONFIG, n)
+    schedule = GainSchedule(MODEL, CONFIG)
+    gains = schedule.sequence(n)
     assert schedule.period == 0
-    assert len(schedule.gains) == n
+    assert len(schedule.gains) == n and gains == schedule.gains
     reference = initial_estimator_state(CONFIG)
     z = initial_z()
     u = np.full(N_CONTROLS, 1e-3)
     for k in range(n):
         reference = estimator_step(reference, u, 1e-4 * k, MODEL, CONFIG)
         z_prev = z
-        z, innovation = scheduled_update(schedule, z, schedule.B_aug @ u, 1e-4 * k, k)
-        assert_same_step(reference, z, z_prev, innovation, schedule.gains[k])
-    with pytest.raises(IndexError):
-        schedule.index(n)
-
-
-def test_gain_schedule_cycle_indexing():
-    schedule = gain_schedule(MODEL, CONFIG, 900)
-    start, period = schedule.cycle_start, schedule.period
-    last = len(schedule.gains)
-    assert [schedule.index(k) for k in range(last)] == list(range(last))
-    assert [schedule.index(last + j) for j in range(2 * period)] == [
-        start + j % period for j in range(2 * period)
-    ]
+        z, innovation = scheduled_update(schedule, z, schedule.B_aug @ u, 1e-4 * k, gains[k])
+        assert_same_step(reference, z, z_prev, innovation, gains[k])
+    # A longer run grows it by the steps it lacks, from where it stopped.
+    assert len(schedule.sequence(n + 1)) == len(schedule.gains) == n + 1
+    assert schedule.gains[:n] == gains
 
 
 def test_gain_sequence_is_the_indexed_gains():
-    schedule = gain_schedule(MODEL, CONFIG, 900)
-    start, last = schedule.cycle_start, len(schedule.gains)
-    assert 1 < start < last
+    schedule = GainSchedule(MODEL, CONFIG)
+    schedule.sequence(900)
+    start, period, last = schedule.cycle_start, schedule.period, len(schedule.gains)
+    assert 1 < start < last == start + period
     lengths = {0, 1, start - 1, start, start + 1, last - 1, last, last + 1,
-               last + schedule.period, last + schedule.period + 1, 900}
+               last + period, last + period + 1, 900, 10**4}
     for n in sorted(lengths):
         sequence = schedule.sequence(n)
         assert len(sequence) == n
-        assert all(got is schedule.gains[schedule.index(k)] for k, got in enumerate(sequence))
+        # Each step's own entry up to the cycle's end, then the cycle's.
+        entries = [k if k < last else start + (k - start) % period for k in range(n)]
+        assert all(got is schedule.gains[k] for k, got in zip(entries, sequence))
+    # Past the cycle, nothing more is computed.
+    assert len(schedule.gains) == last
 
 
-def test_gain_sequence_past_an_uncycled_schedule_fails_as_index_does():
-    schedule = gain_schedule(MODEL, CONFIG, 12)
-    assert schedule.period == 0
-    assert len(schedule.sequence(12)) == 12
-    with pytest.raises(IndexError, match="step 12 is beyond the 12 scheduled steps"):
-        schedule.sequence(13)
-    # A run that met such a schedule (``prepare_run`` builds one that covers
-    # its run, so the check is bypassed here) fails with the same error.
-    for run in (simulate.run_scenario,
-                lambda scenario, config: next(simulate.run_cells([scenario], config))):
-        config = simulate.RunConfig()
-        object.__setattr__(config, "prepared", simulate.PreparedRun(config.mpc, MODEL, schedule))
-        with mock.patch.object(type(schedule), "covers", lambda self, n_steps: True), \
-                pytest.raises(IndexError, match="step 12 is beyond the 12 scheduled steps"):
-            run(simulate.make_scenario("step", "pi_all", 0, duration=4.0), config)
+def test_a_schedule_grown_in_two_steps_holds_the_gains_of_one_grown_at_once():
+    grown = GainSchedule(MODEL, CONFIG)
+    with mock.patch.object(microfreq.estimator, "_covariance_step",
+                           wraps=microfreq.estimator._covariance_step) as riccati:
+        assert len(grown.sequence(12)) == 12 and grown.period == 0
+        assert riccati.call_count == 12
+        gains = grown.sequence(900)
+        # The second request extends the first from its last covariance.
+        assert riccati.call_count == len(grown.gains) < 900
+    at_once = GainSchedule(MODEL, CONFIG)
+    assert [gain.tobytes() for gain in gains] == [gain.tobytes()
+                                                  for gain in at_once.sequence(900)]
+    assert [gain.tobytes() for gain in grown.gains] == [gain.tobytes()
+                                                        for gain in at_once.gains]
+    assert (grown.cycle_start, grown.period) == (at_once.cycle_start, at_once.period)
 
 
 def _schedule_or_error(model, config):
+    schedule = GainSchedule(model, config)
     try:
-        return gain_schedule(model, config, 300)
+        schedule.sequence(300)
     except FloatingPointError as error:
         return str(error)
+    return schedule
 
 
 scaling = st.floats(-2.0, 2.0).map(lambda exponent: 10.0 ** exponent)
@@ -352,7 +352,7 @@ def test_the_measurement_row_has_one_nonzero_entry(renewables, storage, constant
                              t_pv1=t_pv1, t_pv2=t_pv2, t_wt=t_wt, t_bess=t_bess, t_du1=t_du1,
                              t_du2=t_du2, inertia=inertia, r_droop=droop,
                              bess_droop_variant=bess_droop_variant)
-    c = gain_schedule(build_plant(params), CONFIG, 1).c
+    c = GainSchedule(build_plant(params), CONFIG).c
     assert c.shape == (N_AUGMENTED,)
     assert np.flatnonzero(c).tolist() == [IDX_FREQ]
 

@@ -29,7 +29,15 @@ from microfreq.mpc import (
     out_of_band_units,
 )
 from microfreq.numerics import QpInfeasibleError
-from qp_reference import banded_step, free_response, mpc_gain, running_sum, sample_diagnostics
+from qp_reference import (
+    banded_step,
+    free_response,
+    linear_map,
+    mpc_gain,
+    prediction_columns,
+    running_sum,
+    sample_diagnostics,
+)
 
 PARAMS = MicrogridParams()
 MODEL = build_plant(PARAMS)
@@ -80,10 +88,11 @@ def test_single_step_horizon_matrices():
     config = MpcConfig(p=1, m=1)
     pred = build_prediction_matrices(MODEL, config)
     C = MODEL.Cc[0]
-    assert np.allclose(pred.S_x, (C @ MODEL.A)[None, :])
+    S_x, I_vec, S_d = prediction_columns(pred)
+    assert np.allclose(S_x, (C @ MODEL.A)[None, :])
     assert np.allclose(pred.S_B, (C @ MODEL.B)[None, :])
-    assert np.allclose(pred.S_d[:, 0], [C @ MODEL.D[:, 0]])
-    assert np.array_equal(pred.I_vec, [1.0])
+    assert np.allclose(S_d, [C @ MODEL.D[:, 0]])
+    assert np.array_equal(I_vec, [1.0])
 
 
 def test_sb_block_lower_triangular():
@@ -102,7 +111,7 @@ def test_sx_last_row_matches_power_sum_oracle():
     total = np.zeros(N_STATES)
     for i in range(1, PRED.p + 1):
         total = total + C @ np.linalg.matrix_power(MODEL.A, i)
-    assert np.abs(PRED.S_x[-1] - total).max() < 1e-12
+    assert np.abs(prediction_columns(PRED)[0][-1] - total).max() < 1e-12
 
 
 def test_sd_collapse_matches_replicated_channels():
@@ -115,7 +124,7 @@ def test_sd_collapse_matches_replicated_channels():
     )
     s = 0.37
     stacked = S_d_first @ (s * np.ones(5))
-    assert np.allclose(stacked, PRED.S_d[:, 0] * (5 * s), atol=1e-15)
+    assert np.allclose(stacked, prediction_columns(PRED)[2] * (5 * s), atol=1e-15)
 
 
 @pytest.mark.parametrize("config", [CONFIG, MpcConfig(p=8, m=2, alpha=2.3, beta_bess=0.5)])
@@ -128,7 +137,7 @@ def test_prepared_qp_matrices_match_per_sample_expressions(config):
     f = 2.0 * config.alpha ** 2 * pred.S_B.T @ y_free
     n = N_CONTROLS * config.m
     assert pred.H.tobytes() == H.tobytes()
-    assert (pred.F @ y_free).tobytes() == f.tobytes()
+    assert (linear_map(pred) @ y_free).tobytes() == f.tobytes()
     assert pred.gamma_u.tobytes() == gamma_u.tobytes()
     # The reserve bounds are the box QP's bounds on V, one band per block;
     # its caller gets them from build_constraints.
@@ -136,7 +145,7 @@ def test_prepared_qp_matrices_match_per_sample_expressions(config):
     assert lo.shape == hi.shape == (n,)
     assert np.array_equal(lo, np.tile(WIDE_LIMITS.lo, config.m))
     assert np.array_equal(hi, np.tile(WIDE_LIMITS.hi, config.m))
-    assert not (pred.H.flags.writeable or pred.F.flags.writeable or pred.box.H.flags.writeable)
+    assert not (pred.H.flags.writeable or pred.box.H.flags.writeable)
 
 
 @pytest.mark.parametrize("config", [CONFIG, MpcConfig(p=8, m=2, alpha=2.3, beta_bess=0.5)])
@@ -153,7 +162,7 @@ def test_cumulative_move_pieces_match_their_definitions(config):
     dx, dd, y = rng.normal(scale=1e-3, size=N_STATES), 4e-4, -2e-3
     stacked = pred.sample_map @ np.concatenate((dx, (y, dd)))
     y_free = free_response(pred, dx, dd, y)
-    f = pred.F @ y_free
+    f = linear_map(pred) @ y_free
     g = np.linalg.solve(T.T, f)
     v_unc = T @ np.linalg.solve(pred.H, -f)
     p = config.p

@@ -2,7 +2,8 @@
 the config, and the lean sample loop that runs on it.
 
 A config builds its plant, detectability check, gain schedule and MPC
-matrices for its first run and keeps them. The prepared run holds the
+matrices for its first run and keeps them for runs of any length; a longer
+run only extends the gain schedule. The prepared run holds the
 config's ``MpcConfig``, not the config, so the two form no reference cycle.
 Sharing must never show in a run's bytes: not through the QP law cache,
 which later runs find filled, and not through the disturbances and limits
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import microfreq.estimator
 import microfreq.simulate as sim
 from microfreq.estimator import EstimatorConfig, augmented_matrices
 from microfreq.lfc_model import N_CONTROLS, N_STATES, build_plant
@@ -49,21 +51,25 @@ def assert_same_bytes(trace, expected):
 
 def test_a_config_builds_its_invariants_once_for_all_its_runs(monkeypatch):
     calls = []
-    for name in ("build_plant", "require_detectable", "gain_schedule",
-                 "build_prediction_matrices"):
-        real = getattr(sim, name)
+    for module, name in ((sim, "build_plant"), (sim, "require_detectable"),
+                         (sim, "GainSchedule"), (sim, "build_prediction_matrices"),
+                         (microfreq.estimator, "_covariance_step")):
+        real = getattr(module, name)
 
         def counted(*args, name=name, real=real):
             calls.append(name)
             return real(*args)
 
-        monkeypatch.setattr(sim, name, counted)
+        monkeypatch.setattr(module, name, counted)
     config = RunConfig()
+    # A 2 s run, shorter than the gain schedule's cycle, then 20 s ones.
     for controller in ("mpc", "pi_all", "mpc", "pi_dubess"):
-        for seed in (0, 1):
-            run_scenario(make_scenario("rapid", controller, seed, duration=20.0), config)
-    assert sorted(calls) == ["build_plant", "build_prediction_matrices", "gain_schedule",
-                             "require_detectable"]
+        for seed, duration in ((0, 2.0), (1, 20.0)):
+            run_scenario(make_scenario("rapid", controller, seed, duration=duration), config)
+    steps = len(config.prepared.gains.gains)
+    assert 10 < steps < 100 and config.prepared.gains.period
+    assert sorted(calls) == ["GainSchedule"] + ["_covariance_step"] * steps + [
+        "build_plant", "build_prediction_matrices", "require_detectable"]
 
 
 def test_a_used_config_is_freed_without_the_cycle_collector():
@@ -146,7 +152,7 @@ def test_plant_disturbances_have_the_bits_of_one_product_per_sample():
     # sample; both must give each row the bits of its own product.
     profiles = generate_profiles("rapid", 6, 60.0)
     config = RunConfig()
-    prepared = sim.prepare_run(config, 300)
+    prepared = config.prepared
     disturbances, _ = prepared.inputs(profiles, config)
     D = prepared.model.D
     grid = rows_times(D, disturbances)

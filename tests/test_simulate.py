@@ -26,6 +26,7 @@ from microfreq.simulate import (
     run_scenario,
     write_trace_csv,
 )
+from test_shared_prepared_run import assert_same_bytes
 
 
 def constant_profiles(duration=30.0, ts=0.2, load=0.0):
@@ -286,32 +287,35 @@ def test_profile_ts_mismatch_rejected():
         make_scenario("step", "mpc", seed=0, profiles=bad)
 
 
-def test_prepared_run_serves_only_its_config_sample_time_and_length():
+def test_one_prepared_run_serves_its_config_at_every_run_length():
     config = RunConfig()
+    assert "prepared" not in vars(config)
     # Ten samples: shorter than the default tuning's first repeated
-    # covariance, so the gain schedule covers ten steps and no more.
+    # covariance, so the gain schedule grows to ten steps and no more.
     short = make_scenario("step", "mpc", seed=0, profiles=constant_profiles(duration=2.0))
     assert run_scenario(short, config).freq.size == 11
     prepared = config.prepared
     assert prepared.mpc is config.mpc
     assert prepared.gains.period == 0 and len(prepared.gains.gains) == 10
-    run_scenario(short, config)
-    assert config.prepared is prepared
+    laws = prepared.pred.box.laws
 
-    # A longer run than the schedule covers gets a run of its own, which the
-    # config keeps; its schedule cycles, so it covers every length.
+    # A longer run keeps the prepared run and its law cache, and grows the
+    # schedule until it cycles (after 51 or 53 steps, by BLAS kernel), as a
+    # fresh config's does in one go.
     long = make_scenario("step", "mpc", seed=0, profiles=constant_profiles(duration=31.0))
-    assert run_scenario(long, config).freq.size == 156
-    longer = config.prepared
-    assert longer is not prepared and longer.gains.period > 0
-    assert sim.prepare_run(config, 10**6) is longer
-    assert sim.prepare_run(config, 10) is longer
+    trace = run_scenario(long, config)
+    assert trace.freq.size == 156
+    assert config.prepared is prepared and prepared.pred.box.laws is laws
+    fresh = RunConfig()
+    assert_same_bytes(trace, run_scenario(long, fresh))
+    assert prepared.gains.period > 0
+    assert len(prepared.gains.gains) == len(fresh.prepared.gains.gains) > 10
 
     # A replaced or an equal config gets its own.
     for other in (replace(config, deload=0.08), replace(config), RunConfig()):
-        assert other.prepared is None
+        assert "prepared" not in vars(other)
         run_scenario(long, other)
-        assert other.prepared is not longer
+        assert other.prepared is not prepared
         assert other.prepared.mpc is other.mpc
 
 
@@ -402,16 +406,34 @@ NON_FINITE = [
     (default_estimator_config, "measurement_noise", "R_noise"),
     (default_estimator_config, "initial_covariance", "P0"),
 ]
+# (constructor, argument, field, value, id): each of those with NaN and inf,
+# and the MPC horizons with a fraction or a bool, which are not integers.
+BAD_VALUES = [
+    *[(build, argument, name, value, f"{build.__name__}-{argument}-{label}")
+      for build, argument, name in NON_FINITE
+      for value, label in ((math.nan, "nan"), (math.inf, "inf"))],
+    (MpcConfig, "p", "p", 10.5, "MpcConfig-p-fraction"),
+    (MpcConfig, "m", "m", 2.5, "MpcConfig-m-fraction"),
+    (MpcConfig, "p", "p", True, "MpcConfig-p-bool"),
+    (MpcConfig, "m", "m", True, "MpcConfig-m-bool"),
+]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("build, argument, name", NON_FINITE,
-                         ids=[f"{build.__name__}-{argument}" for build, argument, _ in NON_FINITE])
+@pytest.mark.parametrize("build, argument, name, value", [case[:4] for case in BAD_VALUES],
+                         ids=[case[4] for case in BAD_VALUES])
 def test_model_mpc_and_filter_configs_reject_non_finite_values(build, argument, name, value):
-    # Library callers can pass NaN and inf, which JSON configs never carry;
-    # each fails when built, not halfway through a run.
+    # Library callers can pass NaN, inf and fractional horizons, which JSON
+    # configs reject at ingest; each fails when built, not halfway through a
+    # run.
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         build(**{argument: value})
+
+
+def test_mpc_horizons_take_any_integer_type():
+    scenario = make_scenario("rapid", "mpc", 0, duration=4.0)
+    numpy_ints = RunConfig(mpc=MpcConfig(p=np.int64(8), m=np.int32(2)))
+    assert_same_bytes(run_scenario(scenario, numpy_ints),
+                      run_scenario(scenario, RunConfig(mpc=MpcConfig(p=8, m=2))))
 
 
 @pytest.mark.parametrize("other, equal", [

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from microfreq import cli, simulate
+from microfreq import cli, estimator, simulate
 from microfreq.cli import main
 from microfreq.simulate import RunConfig
 
@@ -99,17 +99,20 @@ def test_the_plan_yields_the_serial_traces_and_metrics(tmp_path, monkeypatch):
 
 
 def test_a_worker_inherits_the_prepared_run(monkeypatch, capsys):
-    # The plan prepares the config's run for its longest batch before it
-    # forks, so no worker builds a plant, gain schedule or MPC matrices.
+    # The plan prepares the config's run, with the gains of its longest
+    # batch, before it forks, so no worker builds a plant, gain schedule or
+    # MPC matrices, or steps the gain recursion.
     use_cpus(monkeypatch, 2)
     parent = os.getpid()
-    for name in ("build_plant", "gain_schedule", "build_prediction_matrices"):
-        def only_in_the_parent(*args, real=getattr(simulate, name), name=name):
+    for module, name in ((simulate, "build_plant"), (simulate, "GainSchedule"),
+                         (simulate, "build_prediction_matrices"),
+                         (estimator, "_covariance_step")):
+        def only_in_the_parent(*args, real=getattr(module, name), name=name):
             if os.getpid() != parent:
                 raise AssertionError(f"{name} called in a sweep worker")
             return real(*args)
 
-        monkeypatch.setattr(simulate, name, only_in_the_parent)
+        monkeypatch.setattr(module, name, only_in_the_parent)
     assert main(["sweep", "--seeds", "0,1"]) == 0
     assert capsys.readouterr().out.endswith("all runs ordered mpc < pi_all < pi_dubess: yes\n")
     assert_no_child_left()
