@@ -220,10 +220,11 @@ def _sweep_plan(kinds, seeds, config, out=None):
     their number of samples, so they run as one batch (``run_cells`` on
     their scenarios).
 
-    Every batch shares the config's prepared run, with the gains of the
-    longest batch computed before the batches start. The batches run in
-    min(usable CPUs, batches) processes (``_run_batches``), and the plan
-    yields the same cells, bit for bit, whatever that number is."""
+    Every batch shares the config's plant, gain schedule and MPC matrices,
+    built with the gains of the longest batch before the batches start.
+    The batches run in min(usable CPUs, batches) processes
+    (``_run_batches``), and the plan yields the same cells, bit for bit,
+    whatever that number is."""
     first_of, plan, batches = {}, [], []
     for kind in kinds:
         cells = []
@@ -237,10 +238,12 @@ def _sweep_plan(kinds, seeds, config, out=None):
             plan.append((kind, seed, first))
         if cells:
             batches.append(cells)
-    # Built here, with its prediction matrices and the longest batch's gains,
-    # the prepared run is inherited by every forked worker.
-    config.prepared.pred
-    config.prepared.gains.sequence(max(cells[0].n_steps for cells in batches))
+    # Built here, the config's plant, gain schedule (with the longest
+    # batch's gains) and prediction matrices are inherited by every forked
+    # worker.
+    gains = config.gain_schedule
+    config.pred
+    gains.sequence(max(cells[0].n_steps for cells in batches))
     ran = _run_batches(batches, config, out)
     try:
         for kind, seed, first in plan:

@@ -8,6 +8,7 @@ All powers are per-unit on ``s_base``; frequency deviation is per-unit.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,6 +39,30 @@ DISTURBANCE_LABELS = ("load", "pv1", "pv2", "wt1", "wt2")
 OUTPUT_STATE_INDICES = (IDX_PV1, IDX_PV2, IDX_WT1, IDX_WT2, IDX_DU, IDX_BESS)
 
 
+# What a config field of each annotated type takes, as (description,
+# types); a bool field takes only a bool, and a number field anything else.
+_FIELD_KINDS = {bool: ("True or False", (bool, np.bool_)), int: ("an integer", numbers.Integral),
+                float: ("a number", numbers.Real)}
+
+
+def require_fields(config, positive=False):
+    """Reject, naming the class and field, a field of the config dataclass
+    ``config`` whose value is not of its annotated type (``_FIELD_KINDS``; a
+    field whose default is None also takes None) or, with ``positive``, a
+    float field that is not > 0 and finite (written so that NaN fails it
+    too). Other ranges are the class's own checks."""
+    for f in fields(config):
+        kind, types = _FIELD_KINDS.get(f.type, (None, object))
+        value = getattr(config, f.name, None)
+        if not kind or (value is None and f.default is None):
+            continue
+        name = f"{type(config).__name__}.{f.name}"
+        if isinstance(value, (bool, np.bool_)) != (f.type is bool) or not isinstance(value, types):
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
+        if positive and f.type is float and not 0 < value < math.inf:
+            raise ValueError(f"{name} must be > 0 and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class MicrogridParams:
     """Physical constants of the microgrid; capacities in kW, times in s.
@@ -66,12 +91,7 @@ class MicrogridParams:
     bess_droop_variant: bool = False
 
     def __post_init__(self):
-        # Every rating, time constant, droop and inertia; written so that
-        # NaN fails it too.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not 0 < value < math.inf:
-                raise ValueError(f"{f.name} must be > 0 and finite, got {value}")
+        require_fields(self, positive=True)  # every rating, time constant, droop and inertia
 
     def capacities_kw(self):
         """Unit capacities in control-vector order (pv1, pv2, wt1, wt2, du, bess)."""

@@ -48,15 +48,13 @@ The weights live in the prepared objects only, so a control step cannot
 mix the matrices of one configuration with the weights of another.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .lfc_model import SAMPLE_TIME
+from .lfc_model import SAMPLE_TIME, require_fields
 # ``kkt_residuals`` is not called here, but stays importable: the benchmark's
 # layer tracer (perfbench/tracer.py) wraps the QP functions in this namespace.
 from .numerics import (  # noqa: F401
@@ -92,16 +90,9 @@ class MpcConfig:
     beta_bess: float = 0.3762
 
     def __post_init__(self):
-        for name, horizon in (("p", self.p), ("m", self.m)):
-            if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
-                raise ValueError(f"horizon {name} must be an integer, got {horizon!r}")
+        require_fields(self, positive=True)  # the weights
         if not 1 <= self.m <= self.p:
             raise ValueError(f"need 1 <= m <= p, got m={self.m}, p={self.p}")
-        # Written so that NaN fails it too.
-        for name in ("alpha", "beta_pv", "beta_wt", "beta_du", "beta_bess"):
-            weight = getattr(self, name)
-            if not 0 < weight < math.inf:
-                raise ValueError(f"weight {name} must be > 0 and finite, got {weight}")
         if self.beta_du <= self.beta_wt:
             raise ValueError("beta_du must exceed beta_wt (renewables-first priority)")
 
@@ -126,9 +117,10 @@ class PredictionMatrices:
 
     The QP pieces that do not change within a run come with it: the cost
     weights (``alpha_sq`` = alpha^2 and the per-increment move weights
-    ``gamma_u``; the increment QP's linear term is f = 2 alpha^2 S_B' Y_free),
-    the increment Hessian ``H``, and the cumulative-move pieces: ``box``,
-    the BoxQp of Hv = T^-T H T^-1 (with the run's law cache), ``T_inv``,
+    ``gamma_u``; the increment QP's linear term is f = 2 alpha^2 S_B' Y_free
+    and its Hessian H = 2 (alpha^2 S_B' S_B + diag(gamma_u^2))), and the
+    cumulative-move pieces: ``box``, the BoxQp of Hv = T^-T H T^-1 (with
+    the run's law cache), ``T_inv``,
     ``sample_map``, which takes (dx, y, dd) to the stacked (Y_free, g,
     V_unc), its V_unc rows ``v_unc_map``, and ``unit_of_bound``, the unit
     of each bound of [lo; hi].
@@ -139,7 +131,6 @@ class PredictionMatrices:
     S_B: np.ndarray
     alpha_sq: float
     gamma_u: np.ndarray
-    H: np.ndarray
     box: BoxQp
     T_inv: np.ndarray
     sample_map: np.ndarray
@@ -205,10 +196,10 @@ def build_prediction_matrices(model, config):
     unit_of_bound = np.tile(np.arange(nu), 2 * m)
     # Every sample of a run shares these, so nothing may write to them
     # (the BoxQp keeps read-only copies of its matrices).
-    for shared in (gamma_u, H, T_inv, sample_map, unit_of_bound):
+    for shared in (gamma_u, T_inv, sample_map, unit_of_bound):
         shared.flags.writeable = False
     return PredictionMatrices(
-        p=p, m=m, S_B=S_B, alpha_sq=alpha_sq, gamma_u=gamma_u, H=H, box=box, T_inv=T_inv,
+        p=p, m=m, S_B=S_B, alpha_sq=alpha_sq, gamma_u=gamma_u, box=box, T_inv=T_inv,
         sample_map=sample_map, v_unc_map=sample_map[p + nu * m:], unit_of_bound=unit_of_bound,
     )
 

@@ -50,8 +50,8 @@ class ProfileSet:
     """Sampled exogenous inputs on a shared time grid.
 
     Rejected with a ValueError naming the field and the first bad index:
-    series of mismatched length, non-finite entries, and a time grid that
-    does not increase in equal steps from 0.
+    series of mismatched length, non-finite entries, negative wind speed or
+    irradiance, and a time grid that does not increase in equal steps from 0.
     """
 
     t: np.ndarray
@@ -66,11 +66,15 @@ class ProfileSet:
             raise ValueError("profile series lengths differ")
         if self.v_w.shape != (2, n) or self.g_eff.shape != (2, n):
             raise ValueError("wind/irradiance profiles must be (2, n)")
-        for name in ("t", "load_pu", "v_w", "g_eff", "t_amb"):
-            bad = np.argwhere(~np.isfinite(getattr(self, name)))
+        checks = [(name, np.isfinite, "is not finite")
+                  for name in ("t", "load_pu", "v_w", "g_eff", "t_amb")]
+        checks += [(name, lambda series: series >= 0, "must be >= 0") for name in ("v_w", "g_eff")]
+        for name, ok, problem in checks:
+            series = getattr(self, name)
+            bad = np.argwhere(~ok(series))
             if bad.size:
-                index = ", ".join(str(i) for i in bad[0])
-                raise ValueError(f"profile {name}[{index}] is not finite")
+                raise ValueError(f"profile {name}[{', '.join(map(str, bad[0]))}] {problem}, "
+                                 f"got {float(series[tuple(bad[0])])!r}")
         if n < 2:
             raise ValueError("time grid needs at least two samples")
         step = np.diff(self.t)
@@ -98,10 +102,6 @@ class ProfileSet:
     @property
     def ts(self):
         return float(self.t[1] - self.t[0])
-
-    @property
-    def duration(self):
-        return float(self.t[-1])
 
 
 def _ou_series(rng, n, mu, theta, sigma, clip):

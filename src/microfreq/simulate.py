@@ -11,10 +11,10 @@ bit-identical traces.
 A single run (``run_scenario``, as ``microfreq run`` uses it) and a batch
 (``run_cells``, which steps the three controllers on each of its scenarios
 in lockstep, as ``compare`` and ``sweep`` do) differ only in their sample
-loop. Both set up and finish through ``_Runs``: the prepared run and
-inputs, the records, the measurement noise (drawn up front) and the
-traces; a run gets the same bytes from either. The loops
-stay forked because only batch size pays for the batch. In CPU time on one
+loop. Both set up and finish through ``_Runs``: the config's shared
+builds, the inputs, the records, the measurement noise (drawn up front)
+and the traces; a run gets the same bytes from either. The loops stay
+forked because only batch size pays for the batch. In CPU time on one
 host (medians of 15, alternating with the lone runs, on one config), a
 one-row batch costs a lone run 1.67-2.02x (MPC) and 1.83-2.08x (PI), and
 a one-row ``control_rows`` costs 1.43-1.60x ``control_step``; a cell of
@@ -32,25 +32,27 @@ its rows; a batch of 180 s scenarios holds about 0.85 MB per scenario
 until its last one is read.
 
 Everything that does not depend on the closed loop is built before the
-first sample: the config's ``PreparedRun`` (plant, gain schedule, MPC
-prediction matrices and QP law cache), kept for the config's later runs of
-any length (``RunConfig.prepared``), each cell's true disturbances and
-reserve limits over the whole grid (``PreparedRun.inputs``), the filter
-gain of every sample (``GainSchedule.sequence``, which grows the
-schedule when a run needs steps it has not computed yet), and a lone
-run's MPC box bands (``box_bands``) or PI limits as floats. Per sample a
-loop computes only the state estimate z = (x_hat, d_hat), whose increments
-the MPC takes, the command from the sample's row of the limits, and the
-plant step, which shares B_aug @ u with the next estimate. An MPC run
-records each sample's s = (dx, y, dd), V and bound multipliers; its trace's
-cost, binding flags and largest KKT residual come from ``step_diagnostics``
-on that record the first time one of them is read, or the trace is pickled
-or copied (``_MpcRecord``), so a run whose caller reads only frequency,
-commands and limits never computes them. A PI run's binding flags are
-computed over the grid when its trace is finished.
+first sample: the config's plant, gain schedule, MPC prediction matrices
+and QP law cache, kept for the config's later runs of any length
+(``RunConfig.plant``, ``gain_schedule`` and ``pred``), each cell's true
+disturbances and reserve limits over the whole grid
+(``RunConfig.inputs``), the filter gain of every sample
+(``GainSchedule.sequence``, which grows the schedule when a run needs
+steps it has not computed yet), and a lone run's MPC box bands
+(``box_bands``) or PI limits as floats. Per sample a loop computes only
+the state estimate z = (x_hat, d_hat), whose increments the MPC takes, the
+command from the sample's row of the limits, and the plant step, which
+shares B_aug @ u with the next estimate. An MPC run records each sample's
+s = (dx, y, dd), V and bound multipliers; its trace's cost, binding flags
+and largest KKT residual come from ``step_diagnostics`` on that record the
+first time one of them is read, or the trace is pickled or copied
+(``_MpcRecord``), so a run whose caller reads only frequency, commands and
+limits never computes them. A PI run's binding flags are computed over the
+grid when its trace is finished.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -89,6 +91,7 @@ from .lfc_model import (  # noqa: F401
     OUTPUT_STATE_INDICES,
     SAMPLE_TIME,
     build_plant,
+    require_fields,
     step_plant,
 )
 from .mpc import (
@@ -143,7 +146,11 @@ class Scenario:
 
 
 def make_scenario(kind, controller, seed, duration=None, profiles=None):
-    """Scenario factory; generates builtin profiles unless some are supplied."""
+    """Scenario factory; generates builtin profiles unless some are supplied.
+    The seed must be an integer >= 0 (of any integer type but bool), which
+    numpy's generators take."""
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"scenario seed must be an integer >= 0, got {seed!r}")
     if profiles is None:
         if kind not in PROFILE_KINDS:
             raise ValueError(f"unknown scenario kind {kind!r}")
@@ -159,9 +166,14 @@ class RunConfig:
     and ``p_pv1`` (so twin ratings must be equal), gains left None (the
     design on ``params``) and ``pi_configs``, keyed by controller name.
     ``replace`` derives them anew but keeps the gains: pass None to redesign.
-    ``prepared`` is the config's ``PreparedRun``, built when first read and
-    kept for runs of any length; a ``replace``d config starts without one.
-    The runs of one config share it, so they must not run concurrently.
+
+    What every run of the config shares, whatever its length, is built when
+    first read and kept: ``plant`` (checked detectable), ``gain_schedule``,
+    the filter's gains, grown as far as the longest run so far needs, and
+    ``pred``, the MPC's prediction matrices with their QP law cache. A law
+    depends on its active set alone, so no run's bytes depend on the runs
+    before it; still, the runs of one config must not run concurrently. A
+    ``replace``d config starts with none of them.
     """
 
     params: MicrogridParams = field(default_factory=MicrogridParams)
@@ -178,6 +190,7 @@ class RunConfig:
     pi_configs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        require_fields(self)
         params = self.params
         for unit1, unit2 in (("p_wt1", "p_wt2"), ("p_pv1", "p_pv2")):
             if getattr(params, unit2) != getattr(params, unit1):
@@ -200,12 +213,39 @@ class RunConfig:
         object.__setattr__(self, "wind", default_wind_params(rated_kw=params.p_wt1))
         object.__setattr__(self, "pv", default_pv_params(rated_kw=params.p_pv1))
 
+    # cached_property writes the instance dict, which a frozen dataclass allows.
     @cached_property
-    def prepared(self):
-        # cached_property writes the instance dict, which a frozen dataclass allows.
-        model = build_plant(self.params)
-        require_detectable(model)
-        return PreparedRun(self.mpc, model, GainSchedule(model, self.estimator))
+    def plant(self):
+        plant = build_plant(self.params)
+        require_detectable(plant)
+        return plant
+
+    @cached_property
+    def gain_schedule(self):
+        return GainSchedule(self.plant, self.estimator)
+
+    @cached_property
+    def pred(self):
+        return build_prediction_matrices(self.plant, self.mpc)
+
+    def inputs(self, profiles):
+        """(disturbances, limits) of ``profiles``: the true disturbances at
+        every sample, load plus the renewables' deficits against their t = 0
+        deloaded availability (positive values lower frequency), and the
+        reserve limits of the trace, one row per sample (checked as a whole)
+        and a terminal row that repeats the last sample's. The runs of a
+        cell share them, so they are read-only."""
+        n, s_base = profiles.t.shape[0] - 1, self.params.s_base
+        p_wt = wind_available_power(profiles.v_w, self.wind, self.deload)
+        p_pv = pv_available_power(profiles.g_eff, profiles.t_amb, self.pv, self.deload)
+        disturbances = np.column_stack([profiles.load_pu, *((p_pv[:, :1] - p_pv) / s_base),
+                                        *((p_wt[:, :1] - p_wt) / s_base)])
+        bands = reserve_limits(*p_wt[:, :n], *p_pv[:, :n], self.dispatch_du_kw,
+                               self.dispatch_bess_kw, self.params, self.deload)
+        limits = bands.at(np.minimum(np.arange(n + 1), n - 1))
+        for shared in (disturbances, limits.lo, limits.hi):
+            shared.flags.writeable = False
+        return disturbances, limits
 
 
 @dataclass
@@ -280,64 +320,6 @@ class RunMetrics:
     constraint_violations: int
 
 
-def _availability(profiles, config):
-    """Deloaded available power (kW) per renewable unit at every sample."""
-    p_wt = wind_available_power(profiles.v_w, config.wind, config.deload)
-    p_pv = pv_available_power(profiles.g_eff, profiles.t_amb, config.pv, config.deload)
-    return p_wt, p_pv
-
-
-def _true_disturbances(profiles, p_wt, p_pv, sbase):
-    """Five-channel disturbance series: load plus renewable deficits relative
-    to the t=0 schedule (positive values lower frequency)."""
-    n = profiles.t.shape[0]
-    d = np.zeros((n, 5))
-    d[:, 0] = profiles.load_pu
-    d[:, 1] = (p_pv[0, 0] - p_pv[0]) / sbase
-    d[:, 2] = (p_pv[1, 0] - p_pv[1]) / sbase
-    d[:, 3] = (p_wt[0, 0] - p_wt[0]) / sbase
-    d[:, 4] = (p_wt[1, 0] - p_wt[1]) / sbase
-    return d
-
-
-@dataclass(frozen=True, eq=False)
-class PreparedRun:
-    """What every run of one config shares, whatever its length: the plant
-    (checked detectable), the estimator's gain schedule, grown as far as the
-    longest run so far needs, and, built on first use from the config's
-    ``mpc``, the MPC's prediction matrices. The config keeps it in
-    ``prepared``. Runs sharing it fill one QP law cache; a law depends on its
-    active set alone, so no run's bytes depend on the others. Like the
-    config's, its runs must not run concurrently."""
-
-    mpc: MpcConfig = field(repr=False)
-    model: object
-    gains: object
-
-    @cached_property
-    def pred(self):
-        return build_prediction_matrices(self.model, self.mpc)
-
-    def inputs(self, profiles, config):
-        """(disturbances, limits) of ``profiles`` under ``config``, the
-        config this run was prepared for: the true disturbances at every
-        sample, and the reserve limits of the trace, one row per sample
-        (checked as a whole) and a terminal row that repeats the last
-        sample's. The runs of a cell share them, so they are read-only."""
-        params = config.params
-        n = profiles.t.shape[0] - 1
-        p_wt, p_pv = _availability(profiles, config)
-        disturbances = _true_disturbances(profiles, p_wt, p_pv, params.s_base)
-        bands = reserve_limits(
-            p_wt[0, :n], p_wt[1, :n], p_pv[0, :n], p_pv[1, :n],
-            config.dispatch_du_kw, config.dispatch_bess_kw, params, config.deload,
-        )
-        limits = bands.at(np.minimum(np.arange(n + 1), n - 1))
-        for shared in (disturbances, limits.lo, limits.hi):
-            shared.flags.writeable = False
-        return disturbances, limits
-
-
 class _MpcRecord:
     """What an MPC run's trace keeps for its diagnostics until they are
     read: each solved sample's s = (dx, y, dd), V and bound multipliers, a
@@ -401,9 +383,9 @@ class _Runs:
         self.n = n = scenarios[0].n_steps
         if any(scenario.n_steps != n for scenario in scenarios):
             raise ValueError("the scenarios of a batch must share their number of samples")
-        self.scenarios, self.controllers = scenarios, controllers
-        self.prepared = config.prepared
-        self.inputs = [self.prepared.inputs(scenario.profiles, config) for scenario in scenarios]
+        self.scenarios, self.controllers, self.config = scenarios, controllers, config
+        config.gain_schedule  # and the plant, so an undetectable one fails before the inputs
+        self.inputs = [config.inputs(scenario.profiles) for scenario in scenarios]
         cells = len(scenarios)
         runs = cells * len(controllers)
         self.states = np.zeros((runs, n + 1, N_STATES))
@@ -411,7 +393,7 @@ class _Runs:
         self.d_hat = np.zeros((runs, n + 1))
         self.n_mpc = cells * controllers.count("mpc")
         if self.n_mpc:
-            pred = self.prepared.pred
+            pred = config.pred
             widths = (pred.sample_map.shape[1], pred.box.n, pred.box.n)
             self.mpc_records = tuple(np.empty((self.n_mpc, n, width)) for width in widths)
         self.pi_configs = [config.pi_configs.get(controllers[run // cells])
@@ -477,7 +459,7 @@ class _Runs:
             rows_of = [each[run, :solved] for each in self.mpc_records]
             if self.n_mpc > 1:
                 rows_of = [each.copy() for each in rows_of]
-            record = _MpcRecord(self.prepared.pred, limits, fields["commands"], *rows_of)
+            record = _MpcRecord(self.config.pred, limits, fields["commands"], *rows_of)
             return ScenarioTrace._deferred(record, **fields)
         binding = np.zeros((rows, N_CONTROLS), int)
         # A PI command binds within PI_BIND_TOL of a limit (participants only).
@@ -489,12 +471,14 @@ class _Runs:
 
 def run_scenario(scenario, config=None):
     """Run one scenario to completion (or controller failure) and return the
-    trace. Deterministic for identical inputs; the config's ``PreparedRun``
-    is built by the first run that needs it and shared by the later ones.
-    An MPC run's trace computes its cost, binding flags and largest KKT
-    residual when they are first read (``ScenarioTrace``)."""
-    runs = _Runs([scenario], (scenario.controller,), config or RunConfig())
-    model, gains = runs.prepared.model, runs.prepared.gains
+    trace. Deterministic for identical inputs; the config's plant, gain
+    schedule and MPC matrices are built by the first run that needs them
+    and shared by the later ones. An MPC run's trace computes its cost,
+    binding flags and largest KKT residual when they are first read
+    (``ScenarioTrace``)."""
+    config = config or RunConfig()
+    runs = _Runs([scenario], (scenario.controller,), config)
+    model, gains = config.plant, config.gain_schedule
     disturbances, limits = runs.inputs[0]
     # D @ d of every sample, each row as its own product (so with the bits of
     # ``step_plant``'s).
@@ -503,7 +487,7 @@ def run_scenario(scenario, config=None):
     mpc, pi_config = runs.n_mpc, runs.pi_configs[0]
     step_gains = gains.sequence(runs.n)
     if mpc:
-        pred = runs.prepared.pred
+        pred = config.pred
         bands = box_bands(limits.lo, limits.hi, pred.m)
         samples, moves, multipliers = (record[0] for record in runs.mpc_records)
     else:
@@ -582,9 +566,10 @@ def run_cells(scenarios, config=None):
     holds its command; its trace ends at its first infeasible sample as a
     single run's does, and nothing reads the row after it.
     """
-    runs = _Runs(scenarios, CONTROLLER_KINDS, config or RunConfig())
+    config = config or RunConfig()
+    runs = _Runs(scenarios, CONTROLLER_KINDS, config)
     n, cells = runs.n, len(scenarios)
-    model, gains = runs.prepared.model, runs.prepared.gains
+    model, gains, pred = config.plant, config.gain_schedule, config.pred
     cell_disturbances, limits = zip(*runs.inputs)
     # (n + 1, C, ·): a sample's disturbances and bands, a row per scenario.
     disturbances = np.stack(cell_disturbances, axis=1)
@@ -632,7 +617,7 @@ def run_cells(scenarios, config=None):
             pi_commands.append(command)
         u[cells:] = pi_commands
         steps = control_rows(dz[:cells, :N_STATES], dz[:cells, N_STATES], y[:cells], u[:cells],
-                             band_lo[k], band_hi[k], runs.prepared.pred)
+                             band_lo[k], band_hi[k], pred)
         u[:cells] = steps.commands
         for record, step_rows in zip(runs.mpc_records, (steps.samples, steps.v, steps.lam)):
             record[:, k] = step_rows

@@ -38,6 +38,9 @@ residuals after the loop: ``per_sample_tail`` computes them at every
 sample, with the box residuals of ``box_kkt``, and the sample applies
 u_prev + (T^-1 V)[:nu].
 
+``hessian`` is the increment QP's Hessian H, which the program keeps only
+inside the BoxQp of T^-T H T^-1, by the expression it evaluates.
+
 ``mpc_gain`` is the controller's closed-form unconstrained gain and
 ``free_response`` the prediction it acts on, the oracle of every sample on
 which no reserve constraint is active.
@@ -192,6 +195,12 @@ def prediction_columns(pred):
     return np.ascontiguousarray(free[:, :-2]), free[:, -2], free[:, -1]
 
 
+def hessian(pred):
+    """H = 2 (alpha^2 S_B' S_B + diag(gamma_u^2)), the increment QP's
+    Hessian, by the expression ``build_prediction_matrices`` evaluates."""
+    return 2.0 * (pred.alpha_sq * pred.S_B.T @ pred.S_B + np.diag(pred.gamma_u ** 2))
+
+
 def linear_map(pred):
     """F = 2 alpha^2 S_B', which takes the free response to the increment
     QP's linear term f = F @ Y_free."""
@@ -259,7 +268,7 @@ def reference_control_step(dx, dd, y, u_prev, bands, pred):
 
     lo, hi = build_constraints(ReserveLimits(*sample_bands(bands, pred)), u_prev, pred)
     _, b = box_rows(lo, hi)
-    du, lam, _ = solve_qp_info(QpProblem(pred.H, f, increment_rows(pred), b), tol=1e-10)
+    du, lam, _ = solve_qp_info(QpProblem(hessian(pred), f, increment_rows(pred), b), tol=1e-10)
     return MpcStep(
         command=u_prev + du[:nu],
         sample=np.concatenate((dx, (y, dd))),
@@ -353,4 +362,4 @@ def reference_run(scenario, config=None):
 
 def mpc_gain(pred):
     """Closed-form unconstrained gain: dU* = K_mpc @ (0 - Y_free)."""
-    return np.linalg.solve(pred.H, linear_map(pred))
+    return np.linalg.solve(hessian(pred), linear_map(pred))

@@ -41,6 +41,7 @@ from qp_reference import (
     box_rows,
     box_solve,
     free_response,
+    hessian,
     increment_rows,
     linear_map,
     row_multipliers,
@@ -391,7 +392,7 @@ def test_box_kkt_residuals_match_the_increment_qp(seed):
         assert max(row.kkt_residuals) <= KKT_TOL
         f = linear_map(pred) @ free_response(pred, dx, dd, y)
         _, b = box_rows(*build_constraints(ReserveLimits(band_lo, band_hi), u_prev, pred))
-        increment = kkt_residuals(QpProblem(pred.H, f, increment_rows(pred), b), pred.T_inv @ v,
-                                  row_multipliers(lam))
+        increment = kkt_residuals(QpProblem(hessian(pred), f, increment_rows(pred), b),
+                                  pred.T_inv @ v, row_multipliers(lam))
         assert max(increment) <= KKT_TOL
         assert increment[0] <= pred.m * row.kkt_residuals[0] + 1e-12

@@ -108,8 +108,8 @@ def recorded_run(monkeypatch, scenario, config, abort_at=None):
 def blockwise(trace, steps, config, scenario):
     """The trace's (binding, objective, max_kkt_residual) as the loop once
     computed them, from the samples it solved."""
-    pred = config.prepared.pred
-    _, limits = config.prepared.inputs(scenario.profiles, config)
+    pred = config.pred
+    _, limits = config.inputs(scenario.profiles)
     rows = sim._DIAGNOSTIC_ROWS
     block = [np.empty((rows, width)) for width in (pred.sample_map.shape[1], pred.box.n,
                                                    pred.box.n)]
@@ -198,7 +198,7 @@ def test_a_kept_unread_mpc_trace_holds_its_record_and_little_more(batch):
     # multipliers 0.35 MB; diagnosed, the record gives way to 0.05 MB.
     config = RunConfig()
     scenarios = [make_scenario("rapid", "mpc", seed) for seed in (3, 4)]
-    for _ in run_cells(scenarios, config):  # builds the prepared run and its law cache
+    for _ in run_cells(scenarios, config):  # fills the config's builds and law cache
         pass
     run_scenario(scenarios[0], config)
     gc.collect()

@@ -156,7 +156,7 @@ def test_reserve_limits_bess_four_quadrant():
     assert lims.hi[5] == pytest.approx(100.0 / 200.0)
 
 
-def test_reserve_limits_zero_availability():
+def test_reserve_limits_at_zero_available_power():
     lims = reserve_limits(0.0, 0.0, 0.0, 0.0, 60.0, 0.0, GRID)
     assert lims.lo[2] == 0.0 and lims.hi[2] == 0.0
     assert lims.lo[0] == 0.0 and lims.hi[0] == 0.0

@@ -362,15 +362,15 @@ def test_gain_schedule_keeps_the_measurement_check(monkeypatch):
     # measurement (here from a NaN disturbance at sample 5, which reaches
     # the frequency at sample 6) stops the run there, whichever the
     # controller, as it stops ``estimator_step``.
-    real = simulate.PreparedRun.inputs
+    real = simulate.RunConfig.inputs
 
-    def poisoned(self, profiles, config):
-        disturbances, limits = real(self, profiles, config)
+    def poisoned(self, profiles):
+        disturbances, limits = real(self, profiles)
         disturbances = disturbances.copy()
         disturbances[5, 0] = np.nan
         return disturbances, limits
 
-    monkeypatch.setattr(simulate.PreparedRun, "inputs", poisoned)
+    monkeypatch.setattr(simulate.RunConfig, "inputs", poisoned)
     samples = []
     for controller, seam in (("mpc", "control_step"), ("pi_all", "pi_step")):
         step = getattr(simulate, seam)

@@ -1,4 +1,4 @@
-"""The prepared run loop against a reference loop built from the public
+"""The run loop against a reference loop built from the public
 single-step functions.
 
 ``run_scenario`` builds availability, reserve limits, the estimator's gains
@@ -126,7 +126,7 @@ def assert_trace_matches_reference(trace, reference):
 
 @pytest.mark.parametrize("kind", PROFILE_KINDS)
 @pytest.mark.parametrize("controller", CONTROLLER_KINDS)
-def test_prepared_run_matches_reference_loop(kind, controller):
+def test_run_matches_reference_loop(kind, controller):
     # 36 s covers the step kind's first load event at 30 s.
     scenario = make_scenario(kind, controller, seed=3, duration=36.0)
     config = RunConfig()
@@ -134,7 +134,7 @@ def test_prepared_run_matches_reference_loop(kind, controller):
 
 
 @pytest.mark.parametrize("controller", CONTROLLER_KINDS)
-def test_prepared_run_matches_reference_loop_with_measurement_noise(controller):
+def test_run_matches_reference_loop_with_measurement_noise(controller):
     scenario = make_scenario("rapid", controller, seed=5, duration=36.0)
     config = RunConfig(measurement_noise_std=2e-5)
     assert_trace_matches_reference(run_scenario(scenario, config), reference_run(scenario, config))

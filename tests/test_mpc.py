@@ -32,6 +32,7 @@ from microfreq.numerics import QpInfeasibleError
 from qp_reference import (
     banded_step,
     free_response,
+    hessian,
     linear_map,
     mpc_gain,
     prediction_columns,
@@ -136,7 +137,7 @@ def test_prepared_qp_matrices_match_per_sample_expressions(config):
     y_free = np.linspace(-1e-3, 2e-3, config.p)
     f = 2.0 * config.alpha ** 2 * pred.S_B.T @ y_free
     n = N_CONTROLS * config.m
-    assert pred.H.tobytes() == H.tobytes()
+    assert hessian(pred).tobytes() == H.tobytes()
     assert (linear_map(pred) @ y_free).tobytes() == f.tobytes()
     assert pred.gamma_u.tobytes() == gamma_u.tobytes()
     # The reserve bounds are the box QP's bounds on V, one band per block;
@@ -145,7 +146,7 @@ def test_prepared_qp_matrices_match_per_sample_expressions(config):
     assert lo.shape == hi.shape == (n,)
     assert np.array_equal(lo, np.tile(WIDE_LIMITS.lo, config.m))
     assert np.array_equal(hi, np.tile(WIDE_LIMITS.hi, config.m))
-    assert not (pred.H.flags.writeable or pred.box.H.flags.writeable)
+    assert not pred.box.H.flags.writeable
 
 
 @pytest.mark.parametrize("config", [CONFIG, MpcConfig(p=8, m=2, alpha=2.3, beta_bess=0.5)])
@@ -154,9 +155,9 @@ def test_cumulative_move_pieces_match_their_definitions(config):
     n = N_CONTROLS * config.m
     T = running_sum(pred)
     assert np.array_equal(pred.T_inv @ T, np.eye(n))
-    Hv = pred.T_inv.T @ pred.H @ pred.T_inv
+    Hv = pred.T_inv.T @ hessian(pred) @ pred.T_inv
     assert pred.box.H.tobytes() == Hv.tobytes()
-    W = T @ np.linalg.solve(pred.H, T.T)
+    W = T @ np.linalg.solve(hessian(pred), T.T)
     assert np.abs(pred.box.H_inv - W).max() <= 1e-10 * np.abs(W).max()
     rng = np.random.default_rng(3)
     dx, dd, y = rng.normal(scale=1e-3, size=N_STATES), 4e-4, -2e-3
@@ -164,7 +165,7 @@ def test_cumulative_move_pieces_match_their_definitions(config):
     y_free = free_response(pred, dx, dd, y)
     f = linear_map(pred) @ y_free
     g = np.linalg.solve(T.T, f)
-    v_unc = T @ np.linalg.solve(pred.H, -f)
+    v_unc = T @ np.linalg.solve(hessian(pred), -f)
     p = config.p
     for got, want in ((stacked[:p], y_free), (stacked[p:p + n], g), (stacked[p + n:], v_unc)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -78,7 +78,7 @@ def test_grid_length_and_spacing():
     p = generate_profiles("moderate", seed=0, duration=180.0)
     assert p.t.shape[0] == 901
     assert p.ts == pytest.approx(0.2)
-    assert p.duration == pytest.approx(180.0)
+    assert p.t[-1] == pytest.approx(180.0)
 
 
 def test_unknown_kind_rejected():
@@ -243,6 +243,42 @@ def test_non_finite_csv_entry_rejected_at_ingest(kind, seed, column, k, text):
     index = f"{k}" if unit is None else f"{unit}, {k}"
     with pytest.raises(ValueError, match=re.escape(f"profile {name}[{index}] is not finite")):
         read_csv_rows(rows)
+
+
+# Negative values of the series that must be >= 0, and the CSV columns
+# that hold them.
+negative = st.floats(-1e4, -1e-300)
+NON_NEGATIVE_COLUMNS = ("v_w1", "v_w2", "g_eff1", "g_eff2")
+
+
+@given(kinds, seeds, st.sampled_from(["v_w", "g_eff"]), st.integers(0, 1), samples, negative)
+def test_negative_wind_or_irradiance_rejected_at_ingest(kind, seed, name, unit, k, value):
+    fields = profile_fields(generate_profiles(kind, seed, INGEST_SECONDS))
+    fields[name][unit, k] = value
+    message = f"profile {name}[{unit}, {k}] must be >= 0, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProfileSet(**fields)
+
+
+@given(kinds, seeds, st.sampled_from(NON_NEGATIVE_COLUMNS), samples, negative)
+def test_negative_csv_wind_or_irradiance_rejected_at_ingest(kind, seed, column, k, value):
+    rows = csv_rows(kind, seed)
+    rows[1 + k][PROFILE_COLUMNS.index(column)] = repr(value)
+    name, unit = COLUMN_FIELDS[column]
+    message = f"profile {name}[{unit}, {k}] must be >= 0, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_csv_rows(rows)
+
+
+def test_negative_load_and_ambient_temperature_pass_ingest():
+    fields = profile_fields(generate_profiles("moderate", 1, INGEST_SECONDS))
+    fields["load_pu"][3] = -0.1
+    fields["t_amb"][:] = -15.0
+    rows = csv_rows("moderate", 1)
+    rows[4][PROFILE_COLUMNS.index("load_pu")] = "-0.1"
+    rows[4][PROFILE_COLUMNS.index("t_amb")] = "-15"
+    for profiles in (ProfileSet(**fields), read_csv_rows(rows)):
+        assert profiles.load_pu[3] == -0.1 and profiles.t_amb.min() < 0
 
 
 @given(kinds, seeds, shifted_from, shifts)

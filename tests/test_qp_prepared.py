@@ -81,7 +81,6 @@ def test_prepared_arrays_are_read_only():
     problem = box_problem(box)
     for name in ("H", "Cu", "H_inv", "H_inv_Ct", "gram"):
         assert not getattr(problem, name).flags.writeable, name
-    assert not PRED.H.flags.writeable
 
 
 def test_prepared_products_match_their_definitions():
@@ -96,7 +95,8 @@ def test_prepared_products_match_their_definitions():
     # The box Hessian is T^-T H T^-1, H the increment QP's, so its inverse
     # is T H^-1 T' with H^-1 from the increment QP's own QpProblem.
     T = qp_reference.running_sum(PRED)
-    increment = QpProblem(PRED.H, np.zeros(n), qp_reference.increment_rows(PRED))
+    increment = QpProblem(qp_reference.hessian(PRED), np.zeros(n),
+                          qp_reference.increment_rows(PRED))
     W = T @ increment.H_inv @ T.T
     assert np.abs(box.H_inv - W).max() <= 1e-10 * np.abs(W).max()
 

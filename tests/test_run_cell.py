@@ -25,7 +25,7 @@ from microfreq.simulate import (
     run_cells,
     run_scenario,
 )
-from test_shared_prepared_run import assert_same_bytes
+from test_shared_config import assert_same_bytes
 from test_sweep_plan import abort_mpc_at, count_samples_per_run
 
 
@@ -177,7 +177,7 @@ def test_a_kept_trace_holds_only_its_own_records():
     # Sixteen cells' records are about 2 MB; one trace's are about 0.1 MB.
     scenarios = [make_scenario("rapid", "mpc", seed, duration=60.0) for seed in range(16)]
     config = RunConfig()
-    for _ in run_cells(scenarios, config):  # builds the prepared run and its law cache
+    for _ in run_cells(scenarios, config):  # fills the config's builds and law cache
         pass
     gc.collect()
     tracemalloc.start()

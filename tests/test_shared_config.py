@@ -1,13 +1,13 @@
-"""One ``PreparedRun`` per config, shared by every run on
-the config, and the lean sample loop that runs on it.
+"""What a config builds once and shares with every run on it, and the
+lean sample loop that runs on it.
 
 A config builds its plant, detectability check, gain schedule and MPC
-matrices for its first run and keeps them for runs of any length; a longer
-run only extends the gain schedule. The prepared run holds the
-config's ``MpcConfig``, not the config, so the two form no reference cycle.
-Sharing must never show in a run's bytes: not through the QP law cache,
-which later runs find filled, and not through the disturbances and limits
-the runs of a cell share.
+matrices when its first run reads them and keeps them for runs of any
+length; a longer run only extends the gain schedule. None of them holds
+the config, so a config and its builds form no reference cycle. Sharing
+must never show in a run's bytes: not through the QP law cache, which
+later runs find filled, and not through the disturbances and limits the
+runs of a cell share.
 """
 
 import copy
@@ -66,21 +66,33 @@ def test_a_config_builds_its_invariants_once_for_all_its_runs(monkeypatch):
     for controller in ("mpc", "pi_all", "mpc", "pi_dubess"):
         for seed, duration in ((0, 2.0), (1, 20.0)):
             run_scenario(make_scenario("rapid", controller, seed, duration=duration), config)
-    steps = len(config.prepared.gains.gains)
-    assert 10 < steps < 100 and config.prepared.gains.period
+    steps = len(config.gain_schedule.gains)
+    assert 10 < steps < 100 and config.gain_schedule.period
     assert sorted(calls) == ["GainSchedule"] + ["_covariance_step"] * steps + [
         "build_plant", "build_prediction_matrices", "require_detectable"]
 
 
+def test_reading_the_mpc_matrices_builds_no_gain_schedule(monkeypatch):
+    built = []
+    for name in ("build_plant", "GainSchedule", "build_prediction_matrices"):
+        real = getattr(sim, name)
+        monkeypatch.setattr(sim, name, lambda *args, name=name, real=real:
+                            built.append(name) or real(*args))
+    config = RunConfig()
+    config.pred
+    assert built == ["build_plant", "build_prediction_matrices"]
+    assert "gain_schedule" not in vars(config)
+
+
 def test_a_used_config_is_freed_without_the_cycle_collector():
-    # The config holds its prepared run and it does not hold the config, so no
+    # The config holds its builds and none of them holds the config, so no
     # cycle keeps a used config (and its law cache) alive.
     gc.disable()
     try:
         config = RunConfig()
         for controller in ("mpc", "pi_all"):
             run_scenario(make_scenario("rapid", controller, 0, duration=20.0), config)
-        assert config.prepared.pred.box.laws
+        assert config.pred.box.laws
         freed = weakref.ref(config)
         del config
         assert freed() is None
@@ -118,7 +130,7 @@ def test_an_mpc_run_has_the_same_bytes_first_or_after_other_runs_on_its_config(s
     config = RunConfig()
     for other in range(10):
         run_scenario(make_scenario("rapid", "mpc", other), config)
-    laws = len(config.prepared.pred.box.laws)
+    laws = len(config.pred.box.laws)
     assert laws > 50
     assert_same_bytes(run_scenario(scenario, config), first)
 
@@ -152,9 +164,8 @@ def test_plant_disturbances_have_the_bits_of_one_product_per_sample():
     # sample; both must give each row the bits of its own product.
     profiles = generate_profiles("rapid", 6, 60.0)
     config = RunConfig()
-    prepared = config.prepared
-    disturbances, _ = prepared.inputs(profiles, config)
-    D = prepared.model.D
+    disturbances, _ = config.inputs(profiles)
+    D = config.plant.D
     grid = rows_times(D, disturbances)
     assert grid.shape == (disturbances.shape[0], N_STATES)
     stacked = np.stack([disturbances, disturbances[::-1]], axis=1)

@@ -26,7 +26,7 @@ from microfreq.simulate import (
     run_scenario,
     write_trace_csv,
 )
-from test_shared_prepared_run import assert_same_bytes
+from test_shared_config import assert_same_bytes
 
 
 def constant_profiles(duration=30.0, ts=0.2, load=0.0):
@@ -287,36 +287,36 @@ def test_profile_ts_mismatch_rejected():
         make_scenario("step", "mpc", seed=0, profiles=bad)
 
 
-def test_one_prepared_run_serves_its_config_at_every_run_length():
+def test_one_config_serves_its_runs_at_every_run_length():
     config = RunConfig()
-    assert "prepared" not in vars(config)
+    assert not {"plant", "gain_schedule", "pred"} & set(vars(config))
     # Ten samples: shorter than the default tuning's first repeated
     # covariance, so the gain schedule grows to ten steps and no more.
     short = make_scenario("step", "mpc", seed=0, profiles=constant_profiles(duration=2.0))
     assert run_scenario(short, config).freq.size == 11
-    prepared = config.prepared
-    assert prepared.mpc is config.mpc
-    assert prepared.gains.period == 0 and len(prepared.gains.gains) == 10
-    laws = prepared.pred.box.laws
+    plant, gains, pred = config.plant, config.gain_schedule, config.pred
+    assert gains.period == 0 and len(gains.gains) == 10
+    laws = pred.box.laws
 
-    # A longer run keeps the prepared run and its law cache, and grows the
+    # A longer run keeps the config's builds and law cache, and grows the
     # schedule until it cycles (after 51 or 53 steps, by BLAS kernel), as a
     # fresh config's does in one go.
     long = make_scenario("step", "mpc", seed=0, profiles=constant_profiles(duration=31.0))
     trace = run_scenario(long, config)
     assert trace.freq.size == 156
-    assert config.prepared is prepared and prepared.pred.box.laws is laws
+    assert config.plant is plant and config.gain_schedule is gains
+    assert config.pred is pred and pred.box.laws is laws
     fresh = RunConfig()
     assert_same_bytes(trace, run_scenario(long, fresh))
-    assert prepared.gains.period > 0
-    assert len(prepared.gains.gains) == len(fresh.prepared.gains.gains) > 10
+    assert gains.period > 0
+    assert len(gains.gains) == len(fresh.gain_schedule.gains) > 10
 
     # A replaced or an equal config gets its own.
     for other in (replace(config, deload=0.08), replace(config), RunConfig()):
-        assert "prepared" not in vars(other)
+        assert not {"plant", "gain_schedule", "pred"} & set(vars(other))
         run_scenario(long, other)
-        assert other.prepared is not prepared
-        assert other.prepared.mpc is other.mpc
+        assert other.plant is not plant and other.gain_schedule is not gains
+        assert other.pred is not pred
 
 
 def test_unknown_controller_rejected():
@@ -333,21 +333,21 @@ def profiles_with(series, row, k, value):
 
 
 @pytest.mark.parametrize("series, value, message", [
-    ("v_w", -1.0, "wind speed must be >= 0, got -1.0"),
-    ("g_eff", -5.0, "irradiance must be >= 0, got -5.0"),
+    ("v_w", -1.0, "profile v_w[1, 100] must be >= 0, got -1.0"),
+    ("g_eff", -5.0, "profile g_eff[1, 100] must be >= 0, got -5.0"),
 ])
 @pytest.mark.parametrize("controller", ["mpc", "pi_all"])
 def test_bad_profile_sample_fails_before_the_first_sample(monkeypatch, series, value, message,
                                                          controller):
     # Every sample calls its controller's step, which a good profile shows.
+    # A negative wind speed or irradiance is rejected with its profile.
     steps = []
     seam = "control_step" if controller == "mpc" else "pi_step"
     real = getattr(sim, seam)
     monkeypatch.setattr(sim, seam, lambda *a: steps.append(1) or real(*a))
-    scenario = make_scenario("step", controller, seed=0,
-                             profiles=profiles_with(series, 1, 100, value))
     with pytest.raises(ValueError, match=re.escape(message)):
-        run_scenario(scenario)
+        run_scenario(make_scenario("step", controller, seed=0,
+                                   profiles=profiles_with(series, 1, 100, value)))
     assert steps == []
     good = make_scenario("step", controller, seed=0, profiles=constant_profiles())
     run_scenario(good)
@@ -406,8 +406,19 @@ NON_FINITE = [
     (default_estimator_config, "measurement_noise", "R_noise"),
     (default_estimator_config, "initial_covariance", "P0"),
 ]
+# (constructor, field, value): values of the wrong type, each named as
+# Class.field: a bool where a number goes, a string where a number or a
+# bool goes, and a number where a bool goes.
+WRONG_TYPES = [
+    (MicrogridParams, "p_du", True), (MicrogridParams, "t_wt", "0.3"),
+    (MicrogridParams, "bess_droop_variant", "no"), (MicrogridParams, "bess_droop_variant", 1),
+    (MpcConfig, "alpha", True), (MpcConfig, "beta_du", "0.4"), (MpcConfig, "p", "10"),
+    (RunConfig, "pi_kp", True), (RunConfig, "pi_ki", "0.5"), (RunConfig, "dispatch_du_kw", True),
+    (RunConfig, "measurement_noise_std", True), (RunConfig, "deload", "0.1"),
+]
 # (constructor, argument, field, value, id): each of those with NaN and inf,
-# and the MPC horizons with a fraction or a bool, which are not integers.
+# the MPC horizons with a fraction or a bool, which are not integers, and
+# the wrong types.
 BAD_VALUES = [
     *[(build, argument, name, value, f"{build.__name__}-{argument}-{label}")
       for build, argument, name in NON_FINITE
@@ -416,17 +427,48 @@ BAD_VALUES = [
     (MpcConfig, "m", "m", 2.5, "MpcConfig-m-fraction"),
     (MpcConfig, "p", "p", True, "MpcConfig-p-bool"),
     (MpcConfig, "m", "m", True, "MpcConfig-m-bool"),
+    *[(build, name, rf"{build.__name__}\.{name}", value, f"{build.__name__}-{name}-{value!r}")
+      for build, name, value in WRONG_TYPES],
 ]
 
 
 @pytest.mark.parametrize("build, argument, name, value", [case[:4] for case in BAD_VALUES],
                          ids=[case[4] for case in BAD_VALUES])
 def test_model_mpc_and_filter_configs_reject_non_finite_values(build, argument, name, value):
-    # Library callers can pass NaN, inf and fractional horizons, which JSON
-    # configs reject at ingest; each fails when built, not halfway through a
-    # run.
+    # Library callers can pass NaN, inf, fractional horizons and values of
+    # the wrong type, which JSON configs reject at ingest; each fails when
+    # built, naming its field, not halfway through a run.
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         build(**{argument: value})
+
+
+def test_configs_take_numpy_numbers_and_bools():
+    params = MicrogridParams(p_du=np.float64(120.0), p_bess=np.int64(100),
+                             bess_droop_variant=np.bool_(False))
+    config = RunConfig(params=params, mpc=MpcConfig(alpha=np.float32(1.5)),
+                       pi_kp=np.float64(0.5), dispatch_du_kw=np.int32(60))
+    assert params == MicrogridParams() and config.pi_kp == 0.5
+
+
+@pytest.mark.parametrize("seed", [1.5, True, np.bool_(False), -1, np.int64(-2), "3", None],
+                         ids=["fraction", "true", "numpy-bool", "negative", "numpy-negative",
+                              "string", "none"])
+@pytest.mark.parametrize("kind", ["step", "rapid"])
+def test_make_scenario_rejects_a_bad_seed_before_any_profile(monkeypatch, kind, seed):
+    generated = []
+    monkeypatch.setattr(sim, "generate_profiles", lambda *args: generated.append(args))
+    with pytest.raises(ValueError, match=re.escape(f"scenario seed must be an integer >= 0, "
+                                                   f"got {seed!r}")):
+        make_scenario(kind, "mpc", seed, duration=2.0)
+    assert generated == []
+
+
+def test_make_scenario_takes_numpy_integer_seeds():
+    for seed in (np.int64(3), np.uint8(3)):
+        scenario = make_scenario("moderate", "pi_all", seed, duration=2.0)
+        assert type(scenario.seed) is int and scenario.seed == 3
+        assert_same_bytes(run_scenario(scenario),
+                          run_scenario(make_scenario("moderate", "pi_all", 3, duration=2.0)))
 
 
 def test_mpc_horizons_take_any_integer_type():
@@ -447,14 +489,14 @@ def test_mpc_horizons_take_any_integer_type():
 ], ids=["deepcopy", "rebuilt", "deload", "estimator-q", "estimator-p0"])
 def test_run_configs_compare_by_value(other, equal):
     config = RunConfig(deload=0.08)
-    run_scenario(make_scenario("step", "pi_all", 0, duration=2.0), config)  # fills prepared
+    run_scenario(make_scenario("step", "pi_all", 0, duration=2.0), config)  # fills its builds
     assert (other(config) == config) is equal
     assert (config != other(config)) is not equal
 
 
 def test_equal_configs_hash_alike_and_key_a_dict():
     config = RunConfig(deload=0.08)
-    run_scenario(make_scenario("step", "pi_all", 0, duration=2.0), config)  # fills prepared
+    run_scenario(make_scenario("step", "pi_all", 0, duration=2.0), config)  # fills its builds
     twins = [copy.deepcopy(config), RunConfig(deload=0.08)]
     assert all(hash(twin) == hash(config) for twin in twins)
     keyed = {config: "first"}

@@ -2,10 +2,10 @@
 
 ``microfreq sweep`` runs a cell only once per distinct input, the distinct
 cells of a kind in one lockstep batch (``run_cells``), every run on the
-config's one prepared run. The reference here is the plain loop: one ``run_scenario``
-call per kind, seed and controller, with outputs written by
-``_write_outputs``. Stdout and every file the sweep writes must be
-byte-identical to it.
+one config's plant, gains and MPC matrices. The reference here is the
+plain loop: one ``run_scenario`` call per kind, seed and controller, with
+outputs written by ``_write_outputs``. Stdout and every file the sweep
+writes must be byte-identical to it.
 """
 
 import json

@@ -98,10 +98,11 @@ def test_the_plan_yields_the_serial_traces_and_metrics(tmp_path, monkeypatch):
     assert len(files[1]) == 36 and files[2] == files[1]
 
 
-def test_a_worker_inherits_the_prepared_run(monkeypatch, capsys):
-    # The plan prepares the config's run, with the gains of its longest
-    # batch, before it forks, so no worker builds a plant, gain schedule or
-    # MPC matrices, or steps the gain recursion.
+def test_a_worker_inherits_the_configs_builds(monkeypatch, capsys):
+    # The plan builds the config's plant, gain schedule (with the gains of
+    # its longest batch) and MPC matrices before it forks, so no worker
+    # builds a plant, gain schedule or MPC matrices, or steps the gain
+    # recursion.
     use_cpus(monkeypatch, 2)
     parent = os.getpid()
     for module, name in ((simulate, "build_plant"), (simulate, "GainSchedule"),
