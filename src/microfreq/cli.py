@@ -13,7 +13,6 @@ the published values.
 import argparse
 import contextlib
 import dataclasses
-import inspect
 import json
 import os
 import pickle
@@ -22,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .estimator import default_estimator_config
+from .estimator import EstimatorConfig
 from .lfc_model import MicrogridParams
 from .mpc import MpcConfig
 from .profiles import PROFILE_KINDS, read_profiles_csv
@@ -38,21 +37,14 @@ from .simulate import (
     write_trace_csv,
 )
 
-# Config file sections, each mapping its keys to the defaults they override:
-# "microgrid" and "mpc" keys are the fields of MicrogridParams and MpcConfig,
-# "estimator" keys default_estimator_config's arguments, "pi" keys the two
-# gains (None: the gain design) and "sim" keys the RunConfig field of the
-# same name. A key's default also gives the JSON type its value must have.
-_RUN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+# Config file sections: "microgrid", "mpc" and "estimator" take the init
+# fields of the class each builds, as the RunConfig field named with it, and
+# "pi" and "sim" keys the RunConfig fields they map onto (a PI gain of None:
+# the gain design). The classes check every value.
+_CLASS_SECTIONS = {"microgrid": ("params", MicrogridParams), "mpc": ("mpc", MpcConfig),
+                  "estimator": ("estimator", EstimatorConfig)}
 SIM_KEYS = ("deload", "dispatch_du_kw", "dispatch_bess_kw", "measurement_noise_std")
-CONFIG_DEFAULTS = {
-    "microgrid": {f.name: f.default for f in dataclasses.fields(MicrogridParams)},
-    "mpc": {f.name: f.default for f in dataclasses.fields(MpcConfig)},
-    "estimator": {name: arg.default for name, arg
-                  in inspect.signature(default_estimator_config).parameters.items()},
-    "pi": {"kp": _RUN_DEFAULTS["pi_kp"], "ki": _RUN_DEFAULTS["pi_ki"]},
-    "sim": {key: _RUN_DEFAULTS[key] for key in SIM_KEYS},
-}
+_RUN_SECTIONS = {"pi": {"kp": "pi_kp", "ki": "pi_ki"}, "sim": {key: key for key in SIM_KEYS}}
 
 
 def _known(what, given, allowed):
@@ -69,22 +61,10 @@ def _json_object(what, value):
     return value
 
 
-def _section(raw, name):
-    """The keys given in config section ``name``, each value checked against
-    the type of its default: true or false for a bool, an integer for an
-    int, and otherwise a number (not true or false)."""
+def _given(raw, name, allowed):
+    """The keys given in config section ``name``, each one of ``allowed``."""
     given = _json_object(f"config section {name}", raw.get(name, {}))
-    for key, value in _known(f"{name} config keys", given, CONFIG_DEFAULTS[name]).items():
-        default = CONFIG_DEFAULTS[name][key]
-        if isinstance(default, bool):
-            kind, ok = "true or false", isinstance(value, bool)
-        elif isinstance(default, int):
-            kind, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
-        else:
-            kind, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not ok:
-            raise ValueError(f"config {name}.{key} must be {kind}, got {json.dumps(value)}")
-    return given
+    return _known(f"{name} config keys", given, allowed)
 
 
 def _finite_number(token):
@@ -96,27 +76,33 @@ def _finite_number(token):
     return int(token) if token.lstrip("-").isdigit() else float(token)
 
 
+def _unique_keys(pairs):
+    """A JSON object's (key, value) pairs as a dict; ValueError naming a key
+    the object repeats, whose earlier value would otherwise be dropped."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"config key {json.dumps(key)} is repeated")
+        obj[key] = value
+    return obj
+
+
 def load_run_config(path=None):
-    """Parse an optional JSON override file into a RunConfig, which checks
-    and derives the rest."""
+    """Parse an optional JSON override file into a RunConfig. The classes
+    it builds check and derive the rest."""
     raw = {}
     if path is not None:
         with open(path) as fh:
             raw = json.load(fh, parse_float=_finite_number, parse_int=_finite_number,
-                            parse_constant=_finite_number)
-    _known("config sections", _json_object("config file", raw), CONFIG_DEFAULTS)
-    params = MicrogridParams(**_section(raw, "microgrid"))
-    mpc = MpcConfig(**_section(raw, "mpc"))
-    estimator = default_estimator_config(**_section(raw, "estimator"))
-    pi = _section(raw, "pi")
-    return RunConfig(
-        params=params,
-        mpc=mpc,
-        estimator=estimator,
-        pi_kp=pi.get("kp"),
-        pi_ki=pi.get("ki"),
-        **_section(raw, "sim"),
-    )
+                            parse_constant=_finite_number, object_pairs_hook=_unique_keys)
+    _known("config sections", _json_object("config file", raw), [*_CLASS_SECTIONS, *_RUN_SECTIONS])
+    run = {}
+    for name, (run_field, cls) in _CLASS_SECTIONS.items():
+        keys = [f.name for f in dataclasses.fields(cls) if f.init]
+        run[run_field] = cls(**_given(raw, name, keys))
+    for name, keys in _RUN_SECTIONS.items():
+        run.update((keys[key], value) for key, value in _given(raw, name, keys).items())
+    return RunConfig(**run)
 
 
 def _profiles_from_args(args):

@@ -23,13 +23,13 @@ update with the schedule, and its state update (``_state_update``) takes
 the loops' products in their order, so both give the same bits.
 """
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, cycle, islice
 
 import numpy as np
 
-from .lfc_model import N_CONTROLS, N_STATES
+from .lfc_model import N_CONTROLS, N_STATES, require_fields
 
 N_AUGMENTED = N_STATES + 1
 
@@ -49,60 +49,35 @@ _IDENTITY.flags.writeable = _JITTER.flags.writeable = False
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Process and measurement noise (Q, R) and initial covariance (P0) of the
-    augmented filter. Q and P0 are kept as read-only copies: a run config
-    keeps the gain schedule built from them for all its runs, so they must
-    not change under it."""
+    """Diagonal tuning of the augmented filter: ``state_noise`` on every
+    plant state and ``disturbance_noise`` on the disturbance state of the
+    process noise Q, ``measurement_noise`` as R, and the initial covariance
+    P0 = ``initial_covariance`` * I. The noises must be >= 0, the other two
+    > 0, all finite. Q and P0 are built when first read, read-only: a run
+    config keeps the gain schedule built from them for all its runs."""
 
-    Q: np.ndarray
-    R_noise: float
-    P0: np.ndarray
+    state_noise: float = DEFAULT_STATE_NOISE
+    disturbance_noise: float = DEFAULT_DISTURBANCE_NOISE
+    measurement_noise: float = DEFAULT_MEASUREMENT_NOISE
+    initial_covariance: float = DEFAULT_INITIAL_COVARIANCE
 
     def __post_init__(self):
-        Q = np.array(self.Q, dtype=float)
-        P0 = np.array(self.P0, dtype=float)
-        for name, matrix in (("Q", Q), ("P0", P0)):
-            if matrix.shape != (N_AUGMENTED, N_AUGMENTED) or not np.isfinite(matrix).all():
-                raise ValueError(f"{name} must be a finite {N_AUGMENTED}x{N_AUGMENTED} matrix")
-        # Written so that NaN fails it too.
-        if not 0 < self.R_noise < math.inf:
-            raise ValueError(f"R_noise must be > 0 and finite, got {self.R_noise}")
-        if np.linalg.eigvalsh((Q + Q.T) / 2).min() < -1e-12:
-            raise ValueError("Q must be positive semidefinite")
-        if np.linalg.eigvalsh((P0 + P0.T) / 2).min() <= 0:
-            raise ValueError("P0 must be positive definite")
-        Q.flags.writeable = False
-        P0.flags.writeable = False
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "P0", P0)
+        require_fields(self, positive=True, nonnegative=("state_noise", "disturbance_noise"))
 
-    def __eq__(self, other):
-        """Equal noise and covariance matrices, element for element (the
-        generated ``__eq__`` would compare the arrays as truth values)."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.R_noise == other.R_noise and np.array_equal(self.Q, other.Q)
-                and np.array_equal(self.P0, other.P0))
+    # cached_property writes the instance dict, which a frozen dataclass allows.
+    @cached_property
+    def Q(self):
+        return _read_only(np.diag([self.state_noise] * N_STATES + [self.disturbance_noise]))
 
-    def __hash__(self):
-        """A hash over the values ``__eq__`` compares, as Python floats, so
-        that equal configs hash alike (-0.0 and 0.0 among them)."""
-        return hash((self.R_noise, *self.Q.ravel().tolist(), *self.P0.ravel().tolist()))
+    @cached_property
+    def P0(self):
+        return _read_only(np.diag([self.initial_covariance] * N_AUGMENTED))
 
 
-def default_estimator_config(
-    state_noise=DEFAULT_STATE_NOISE,
-    disturbance_noise=DEFAULT_DISTURBANCE_NOISE,
-    measurement_noise=DEFAULT_MEASUREMENT_NOISE,
-    initial_covariance=DEFAULT_INITIAL_COVARIANCE,
-):
-    """Diagonal tuning: ``state_noise`` on every plant state and
-    ``disturbance_noise`` on the disturbance state of Q, ``measurement_noise``
-    as R, and P0 = ``initial_covariance`` * I."""
-    Q = np.diag([state_noise] * N_STATES + [disturbance_noise])
-    return EstimatorConfig(
-        Q=Q, R_noise=measurement_noise, P0=np.diag([initial_covariance] * N_AUGMENTED)
-    )
+def _read_only(matrix):
+    matrix = np.array(matrix, dtype=float)
+    matrix.flags.writeable = False
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -129,7 +104,7 @@ class EstimatorState:
 
 
 def initial_estimator_state(config=None):
-    config = config or default_estimator_config()
+    config = config or EstimatorConfig()
     zeros = np.zeros(N_STATES)
     return EstimatorState(
         x_hat=zeros, d_hat=0.0, P=config.P0.copy(), prev_x_hat=zeros, prev_d_hat=0.0
@@ -214,10 +189,11 @@ def _covariance_step(P, A_aug, c, config):
     Needs no data, only the previous covariance. The outer products are
     broadcasts, which give ``np.outer``'s bits."""
     P_pred = A_aug.dot(P).dot(A_aug.T) + config.Q
-    s = float(c.dot(P_pred).dot(c) + config.R_noise)
+    s = float(c.dot(P_pred).dot(c) + config.measurement_noise)
     gain = P_pred.dot(c) / s
     ikc = _IDENTITY - gain[:, None] * c
-    P_new = ikc.dot(P_pred).dot(ikc.T) + config.R_noise * (gain[:, None] * gain)  # Joseph form
+    # Joseph form.
+    P_new = ikc.dot(P_pred).dot(ikc.T) + config.measurement_noise * (gain[:, None] * gain)
     return gain, _condition_covariance(P_new)
 
 

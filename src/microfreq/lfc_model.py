@@ -45,22 +45,38 @@ _FIELD_KINDS = {bool: ("True or False", (bool, np.bool_)), int: ("an integer", n
                 float: ("a number", numbers.Real)}
 
 
-def require_fields(config, positive=False):
-    """Reject, naming the class and field, a field of the config dataclass
-    ``config`` whose value is not of its annotated type (``_FIELD_KINDS``; a
-    field whose default is None also takes None) or, with ``positive``, a
-    float field that is not > 0 and finite (written so that NaN fails it
-    too). Other ranges are the class's own checks."""
+def _field_kind(annotation):
+    """(description, types) of what a field annotated ``annotation`` takes:
+    ``_FIELD_KINDS``, or else an instance of that class."""
+    if annotation in _FIELD_KINDS:
+        return _FIELD_KINDS[annotation]
+    name = annotation.__name__
+    return f"{'an' if name[0] in 'AEIOU' else 'a'} {name}", annotation
+
+
+def require_fields(config, positive=False, nonnegative=()):
+    """Reject, naming the class and field, an init field of the config
+    dataclass ``config`` whose value is not of its annotated type
+    (``_field_kind``; a field whose default is None also takes None) or,
+    with ``positive``, a float field that is not > 0 and finite, or not >= 0
+    and finite if ``nonnegative`` names it (written so that NaN fails too).
+    Other ranges are the class's own checks. Fields with ``init=False`` are
+    skipped: they are set after the check."""
     for f in fields(config):
-        kind, types = _FIELD_KINDS.get(f.type, (None, object))
-        value = getattr(config, f.name, None)
-        if not kind or (value is None and f.default is None):
+        if not f.init:
+            continue
+        kind, types = _field_kind(f.type)
+        value = getattr(config, f.name)
+        if value is None and f.default is None:
             continue
         name = f"{type(config).__name__}.{f.name}"
         if isinstance(value, (bool, np.bool_)) != (f.type is bool) or not isinstance(value, types):
             raise ValueError(f"{name} must be {kind}, got {value!r}")
-        if positive and f.type is float and not 0 < value < math.inf:
-            raise ValueError(f"{name} must be > 0 and finite, got {value}")
+        if positive and f.type is float:
+            zero_ok = f.name in nonnegative
+            if not (0 <= value if zero_ok else 0 < value) or value == math.inf:
+                raise ValueError(f"{name} must be {'>=' if zero_ok else '>'} 0 and finite, "
+                                 f"got {value}")
 
 
 @dataclass(frozen=True)

@@ -75,8 +75,8 @@ from .der_models import (
 # from it.
 from .estimator import (  # noqa: F401
     N_AUGMENTED,
+    EstimatorConfig,
     GainSchedule,
-    default_estimator_config,
     estimator_step,
     require_detectable,
 )
@@ -178,7 +178,7 @@ class RunConfig:
 
     params: MicrogridParams = field(default_factory=MicrogridParams)
     mpc: MpcConfig = field(default_factory=MpcConfig)
-    estimator: object = field(default_factory=default_estimator_config)
+    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     pi_kp: float = None
     pi_ki: float = None
     deload: float = DELOAD_FRACTION

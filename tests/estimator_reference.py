@@ -4,8 +4,9 @@ its 1e-14 jitter) on every step. Tests build the gain schedule with it in
 place of ``microfreq.estimator._covariance_step`` and compare the gains,
 ``cycle_start`` and ``period`` byte for byte.
 
-Both functions are the old ones, unchanged; ``_CLIP_LIMIT`` and
-``N_AUGMENTED`` come from the program.
+Both functions are the old ones, unchanged but for the name R now has in
+the config (``measurement_noise``); ``_CLIP_LIMIT`` and ``N_AUGMENTED``
+come from the program.
 """
 
 import numpy as np
@@ -32,8 +33,8 @@ def _covariance_step(P, A_aug, c, config):
     """Covariance predict/update of one step and the Kalman gain it uses.
     Needs no data, only the previous covariance."""
     P_pred = A_aug @ P @ A_aug.T + config.Q
-    s = float(c @ P_pred @ c + config.R_noise)
+    s = float(c @ P_pred @ c + config.measurement_noise)
     gain = P_pred @ c / s
     ikc = np.eye(N_AUGMENTED) - np.outer(gain, c)
-    P_new = ikc @ P_pred @ ikc.T + config.R_noise * np.outer(gain, gain)  # Joseph form
+    P_new = ikc @ P_pred @ ikc.T + config.measurement_noise * np.outer(gain, gain)  # Joseph form
     return gain, _condition_covariance(P_new)

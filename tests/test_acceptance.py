@@ -23,7 +23,7 @@ from microfreq.der_models import (
     wind_available_power,
 )
 from microfreq.estimator import (
-    default_estimator_config,
+    EstimatorConfig,
     estimator_step,
     initial_estimator_state,
 )
@@ -185,7 +185,7 @@ def test_criterion_5_unconstrained_gain_equivalence():
     config = MpcConfig()
     pred = build_prediction_matrices(MODEL, config)
     K = mpc_gain(pred)
-    est_config = default_estimator_config()
+    est_config = EstimatorConfig()
     est = initial_estimator_state(est_config)
     profiles = generate_profiles("moderate", seed=0, duration=180.0)
     # Bands of +-1 p.u., far beyond any move of this profile.
@@ -238,7 +238,7 @@ def test_criterion_6_offset_free_regulation():
 
 
 def test_criterion_7_estimator_convergence():
-    config = default_estimator_config()
+    config = EstimatorConfig()
     est = initial_estimator_state(config)
     x = np.zeros(N_STATES)
     u = np.zeros(N_CONTROLS)

@@ -1,14 +1,21 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microfreq import cli
 from microfreq.cli import SIM_KEYS, load_run_config, main
 from microfreq.der_models import DELOAD_FRACTION
+from microfreq.estimator import EstimatorConfig
 from microfreq.lfc_model import MicrogridParams
+from microfreq.mpc import MpcConfig
 from microfreq.profiles import ProfileSet, generate_profiles, write_profiles_csv
 from microfreq.simulate import RunConfig, make_scenario, run_scenario, write_trace_csv
 
@@ -211,18 +218,18 @@ def test_config_rejects_unknown_keys(tmp_path, config, message):
 
 
 @pytest.mark.parametrize("text, message", [
-    ('{"sim": {"deload": "0.1"}}', r'config sim.deload must be a number, got "0.1"'),
-    ('{"microgrid": {"p_du": null}}', r"config microgrid.p_du must be a number, got null"),
+    ('{"sim": {"deload": "0.1"}}', r"RunConfig.deload must be a number, got '0.1'"),
+    ('{"microgrid": {"p_du": null}}', r"MicrogridParams.p_du must be a number, got None"),
     ('{"sim": {"measurement_noise_std": [1]}}',
-     r"config sim.measurement_noise_std must be a number, got \[1\]"),
-    ('{"mpc": {"m": 2.0}}', r"config mpc.m must be an integer, got 2.0"),
-    ('{"mpc": {"p": 10.5}}', r"config mpc.p must be an integer, got 10.5"),
-    ('{"mpc": {"alpha": true}}', r"config mpc.alpha must be a number, got true"),
-    ('{"pi": {"kp": true}}', r"config pi.kp must be a number, got true"),
+     r"RunConfig.measurement_noise_std must be a number, got \[1\]"),
+    ('{"mpc": {"m": 2.0}}', r"MpcConfig.m must be an integer, got 2.0"),
+    ('{"mpc": {"p": 10.5}}', r"MpcConfig.p must be an integer, got 10.5"),
+    ('{"mpc": {"alpha": true}}', r"MpcConfig.alpha must be a number, got True"),
+    ('{"pi": {"kp": true}}', r"RunConfig.pi_kp must be a number, got True"),
     ('{"estimator": {"measurement_noise": "1e-8"}}',
-     r'config estimator.measurement_noise must be a number, got "1e-8"'),
+     r"EstimatorConfig.measurement_noise must be a number, got '1e-8'"),
     ('{"microgrid": {"bess_droop_variant": 1}}',
-     r"config microgrid.bess_droop_variant must be true or false, got 1"),
+     r"MicrogridParams.bess_droop_variant must be True or False, got 1"),
     ('[]', r"config file must be a JSON object, got \[\]"),
     ('{"sim": 3}', r"config section sim must be a JSON object, got 3"),
 ], ids=["string-number", "null-number", "list-number", "float-horizon", "fractional-horizon",
@@ -259,9 +266,19 @@ def test_config_values_of_the_wrong_type_fail_at_ingest(tmp_path, monkeypatch, c
     ('{"pi": {"ki": 0.0}}', r"ki must be > 0"),
     ('{"sim": {"deload": 1.5}}', r"deload must be in \[0, 1\), got 1.5"),
     ('{"sim": {"dispatch_du_kw": 500}}', r"diesel dispatch 500 kW outside \[0, 120.0\]"),
+    ('{"estimator": {"state_noise": -1}}',
+     r"EstimatorConfig.state_noise must be >= 0 and finite, got -1"),
+    ('{"estimator": {"initial_covariance": 0}}',
+     r"EstimatorConfig.initial_covariance must be > 0 and finite, got 0"),
+    ('{"estimator": {"measurement_noise": 0}}',
+     r"EstimatorConfig.measurement_noise must be > 0 and finite, got 0"),
+    ('{"sim": {"deload": 0.05, "deload": 0.2}, "sim": {"dispatch_du_kw": 50}}',
+     r'config key "deload" is repeated'),
+    ('{"sim": {"deload": 0.05}, "sim": {"dispatch_du_kw": 50}}', r'config key "sim" is repeated'),
 ], ids=["negative-noise", "nan-noise", "infinite-noise", "nan-estimator-noise",
         "infinite-mpc-weight", "negative-infinite-deload", "overflowing-number", "overflowing-integer", "nan-kp", "negative-kp", "zero-ki",
-        "deload-above-one", "diesel-dispatch"])
+        "deload-above-one", "diesel-dispatch", "negative-state-noise", "zero-initial-covariance",
+        "zero-measurement-noise", "repeated-key", "repeated-section"])
 @pytest.mark.parametrize("argv", [
     ["run", "--scenario", "step", "--controller", "mpc", "--seed", "0"],
     ["sweep", "--seeds", "0", "--kinds", "step"],
@@ -324,8 +341,56 @@ def test_config_file_overrides(tmp_path):
     assert config.deload == 0.05
     assert config.estimator.Q[10, 10] == pytest.approx(1e-3)
     assert config.estimator.Q[0, 0] == RunConfig().estimator.Q[0, 0]
-    assert config.estimator.R_noise == 2e-8
+    assert config.estimator.measurement_noise == 2e-8
     assert np.array_equal(config.estimator.P0, 0.5 * np.eye(11))
+
+
+# Each config section's keys, and the RunConfig each (key, value) of it
+# stands for, built directly.
+CLASS_SECTIONS = {"microgrid": ("params", MicrogridParams), "mpc": ("mpc", MpcConfig),
+                  "estimator": ("estimator", EstimatorConfig)}
+CONFIG_KEYS = [*[(section, f.name) for section, (_, cls) in CLASS_SECTIONS.items()
+                 for f in fields(cls)],
+               ("pi", "kp"), ("pi", "ki"), *[("sim", key) for key in SIM_KEYS]]
+
+
+def direct_config(section, key, value):
+    if section in CLASS_SECTIONS:
+        name, cls = CLASS_SECTIONS[section]
+        return RunConfig(**{name: cls(**{key: value})})
+    return RunConfig(**{f"pi_{key}" if section == "pi" else key: value})
+
+
+def outcome(build):
+    """What ``build()`` gives: the config, or the type and text of its error."""
+    try:
+        return build()
+    except Exception as error:  # compared, type and text, across the two paths
+        return type(error), str(error)
+
+
+JSON_VALUES = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=4),
+    st.integers(-1000, 1000), st.sampled_from([0, 0.0, -0.0, -1, -1.0]),
+    st.floats(-1e4, 1e4, allow_nan=False),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(-1.0, 1.0), st.none()), max_size=2))
+
+
+@settings(max_examples=300)
+@given(section_key=st.sampled_from(CONFIG_KEYS), value=JSON_VALUES)
+def test_a_config_file_value_is_checked_as_its_class_checks_it(section_key, value):
+    # The classes hold the one rule for a value: a config file gives the
+    # same error text, or the same config, as the value passed directly.
+    section, key = section_key
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "config.json")
+        with open(path, "w") as fh:
+            json.dump({section: {key: value}}, fh)
+        loaded = outcome(lambda: load_run_config(path))
+    direct = outcome(lambda: direct_config(section, key, value))
+    assert loaded == direct
+    if isinstance(direct, tuple):
+        assert direct[0] is ValueError
 
 
 def test_default_config_matches_published_values():

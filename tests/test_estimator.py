@@ -1,5 +1,6 @@
 """Tests for the augmented-state disturbance estimator."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,6 @@ from microfreq.estimator import (
     N_AUGMENTED,
     _state_update,
     augmented_matrices,
-    default_estimator_config,
     estimator_step,
     initial_estimator_state,
     observability_report,
@@ -34,7 +34,7 @@ from microfreq.lfc_model import (
 )
 
 MODEL = build_plant(MicrogridParams())
-CONFIG = default_estimator_config()
+CONFIG = EstimatorConfig()
 
 
 def run_filter(d_series, n_steps, u=None, noise_rng=None, noise_std=0.0):
@@ -179,13 +179,31 @@ def test_covariance_conditioning_clips_small_and_rejects_large():
         _condition_covariance(broken)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        EstimatorConfig(Q=np.eye(5), R_noise=1e-8, P0=np.eye(N_AUGMENTED))
-    with pytest.raises(ValueError):
-        EstimatorConfig(Q=np.eye(N_AUGMENTED), R_noise=0.0, P0=np.eye(N_AUGMENTED))
-    with pytest.raises(ValueError):
-        EstimatorConfig(Q=-np.eye(N_AUGMENTED), R_noise=1e-8, P0=np.eye(N_AUGMENTED))
+@pytest.mark.parametrize("name, value, expected", [
+    ("measurement_noise", 0.0, "> 0 and finite, got 0.0"),
+    ("initial_covariance", 0, "> 0 and finite, got 0"),
+    ("state_noise", -1.0, ">= 0 and finite, got -1.0"),
+    ("disturbance_noise", -1e-4, ">= 0 and finite, got -0.0001"),
+    ("state_noise", True, "a number, got True"),
+    ("measurement_noise", "1e-8", "a number, got '1e-8'"),
+    ("initial_covariance", None, "a number, got None"),
+], ids=["zero-measurement-noise", "zero-initial-covariance", "negative-state-noise",
+        "negative-disturbance-noise", "bool-state-noise", "string-measurement-noise",
+        "none-initial-covariance"])
+def test_config_validation(name, value, expected):
+    with pytest.raises(ValueError, match=re.escape(f"EstimatorConfig.{name} must be {expected}")):
+        EstimatorConfig(**{name: value})
+
+
+def test_tuning_matrices_are_diagonal_and_read_only():
+    config = EstimatorConfig(state_noise=0, disturbance_noise=2e-3, measurement_noise=1,
+                             initial_covariance=0.5)
+    assert config.Q.tobytes() == np.diag([0.0] * N_STATES + [2e-3]).tobytes()
+    assert config.P0.tobytes() == np.diag([0.5] * N_AUGMENTED).tobytes()
+    assert config.Q is config.Q and config == EstimatorConfig(0.0, 2e-3, 1.0, 0.5)
+    for matrix in (config.Q, config.P0):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
 
 
 # ------------------------------------------------------- gain schedule
@@ -312,7 +330,7 @@ def test_gain_schedule_matches_the_reference_riccati_step(p0, q_state, q_disturb
     bess, du = storage
     model = build_plant(MicrogridParams(p_pv1=pv, p_pv2=pv, p_wt1=wt, p_wt2=wt,
                                         p_bess=bess, p_du=du))
-    config = default_estimator_config(
+    config = EstimatorConfig(
         state_noise=1e-8 * q_state, disturbance_noise=1e-4 * q_disturbance,
         measurement_noise=1e-8 * r, initial_covariance=1e-2 * p0)
     schedule = _schedule_or_error(model, config)

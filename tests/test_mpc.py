@@ -5,7 +5,7 @@ import pytest
 
 from microfreq.der_models import ReserveLimits
 from microfreq.estimator import (
-    default_estimator_config,
+    EstimatorConfig,
     estimator_step,
     initial_estimator_state,
 )
@@ -44,7 +44,7 @@ PARAMS = MicrogridParams()
 MODEL = build_plant(PARAMS)
 CONFIG = MpcConfig()
 PRED = build_prediction_matrices(MODEL, CONFIG)
-EST_CONFIG = default_estimator_config()
+EST_CONFIG = EstimatorConfig()
 
 WIDE_LIMITS = ReserveLimits(lo=-np.ones(6), hi=np.ones(6))
 
@@ -401,7 +401,7 @@ def test_total_vs_increment_bound_readings_archived():
     the totals reading is the one that means 'reserve limit'.
     """
     limits = ReserveLimits(lo=np.full(6, -0.02), hi=np.full(6, 0.02))
-    est_config = default_estimator_config()
+    est_config = EstimatorConfig()
 
     def run(reading):
         est = initial_estimator_state(est_config)

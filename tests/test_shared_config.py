@@ -11,6 +11,7 @@ runs of a cell share.
 """
 
 import copy
+import dataclasses
 import gc
 import pickle
 import weakref
@@ -113,10 +114,11 @@ def test_a_copied_config_runs_as_its_original(clone):
 
 
 def test_the_estimator_tuning_a_config_keeps_gains_for_cannot_change():
-    Q = np.eye(N_STATES + 1) * 1e-6
-    config = RunConfig(estimator=EstimatorConfig(Q=Q, R_noise=1e-8, P0=np.eye(N_STATES + 1)))
+    config = RunConfig(estimator=EstimatorConfig(state_noise=1e-6, disturbance_noise=1e-6,
+                                                 initial_covariance=1.0))
     run_scenario(make_scenario("step", "pi_all", 0, duration=6.0), config)
-    Q[0, 0] = 1.0  # the caller's array is not the config's
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.estimator.state_noise = 1.0
     assert config.estimator.Q[0, 0] == 1e-6
     for tuning in (config.estimator.Q, config.estimator.P0):
         with pytest.raises(ValueError, match="read-only"):

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import microfreq.simulate as sim
-from microfreq.estimator import EstimatorConfig, default_estimator_config
+from microfreq.estimator import EstimatorConfig, GainSchedule
 from microfreq.lfc_model import MicrogridParams
 from microfreq.mpc import MpcConfig
 from microfreq.numerics import QpInfeasibleError
@@ -401,10 +401,7 @@ NON_FINITE = [
     *[(MicrogridParams, f.name, f.name) for f in fields(MicrogridParams) if f.type is float],
     *[(MpcConfig, name, name)
       for name in ("p", "m", "alpha", "beta_pv", "beta_wt", "beta_du", "beta_bess")],
-    (default_estimator_config, "state_noise", "Q"),
-    (default_estimator_config, "disturbance_noise", "Q"),
-    (default_estimator_config, "measurement_noise", "R_noise"),
-    (default_estimator_config, "initial_covariance", "P0"),
+    *[(EstimatorConfig, f.name, f.name) for f in fields(EstimatorConfig)],
 ]
 # (constructor, field, value): values of the wrong type, each named as
 # Class.field: a bool where a number goes, a string where a number or a
@@ -413,6 +410,7 @@ WRONG_TYPES = [
     (MicrogridParams, "p_du", True), (MicrogridParams, "t_wt", "0.3"),
     (MicrogridParams, "bess_droop_variant", "no"), (MicrogridParams, "bess_droop_variant", 1),
     (MpcConfig, "alpha", True), (MpcConfig, "beta_du", "0.4"), (MpcConfig, "p", "10"),
+    (EstimatorConfig, "state_noise", True), (EstimatorConfig, "measurement_noise", "1e-8"),
     (RunConfig, "pi_kp", True), (RunConfig, "pi_ki", "0.5"), (RunConfig, "dispatch_du_kw", True),
     (RunConfig, "measurement_noise_std", True), (RunConfig, "deload", "0.1"),
 ]
@@ -450,6 +448,16 @@ def test_configs_take_numpy_numbers_and_bools():
     assert params == MicrogridParams() and config.pi_kp == 0.5
 
 
+@pytest.mark.parametrize("name, cls", [
+    ("params", MicrogridParams), ("mpc", MpcConfig), ("estimator", EstimatorConfig)])
+@pytest.mark.parametrize("value", [None, {}, True], ids=["none", "dict", "true"])
+def test_run_config_parts_must_be_their_classes(name, cls, value):
+    article = "an" if cls.__name__[0] in "AEIOU" else "a"
+    message = f"RunConfig.{name} must be {article} {cls.__name__}, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig(**{name: value})
+
+
 @pytest.mark.parametrize("seed", [1.5, True, np.bool_(False), -1, np.int64(-2), "3", None],
                          ids=["fraction", "true", "numpy-bool", "negative", "numpy-negative",
                               "string", "none"])
@@ -483,9 +491,9 @@ def test_mpc_horizons_take_any_integer_type():
     (lambda config: RunConfig(deload=0.08), True),
     (lambda config: RunConfig(deload=0.1), False),
     (lambda config: RunConfig(
-        deload=0.08, estimator=default_estimator_config(disturbance_noise=1e-3)), False),
+        deload=0.08, estimator=EstimatorConfig(disturbance_noise=1e-3)), False),
     (lambda config: RunConfig(
-        deload=0.08, estimator=default_estimator_config(initial_covariance=1.0)), False),
+        deload=0.08, estimator=EstimatorConfig(initial_covariance=1.0)), False),
 ], ids=["deepcopy", "rebuilt", "deload", "estimator-q", "estimator-p0"])
 def test_run_configs_compare_by_value(other, equal):
     config = RunConfig(deload=0.08)
@@ -507,11 +515,12 @@ def test_equal_configs_hash_alike_and_key_a_dict():
 
 
 def test_estimator_configs_equal_by_value_hash_alike_with_a_signed_zero():
-    tuning = default_estimator_config()
-    Q = np.array(tuning.Q)
-    Q[Q == 0.0] = -0.0
-    signed = EstimatorConfig(Q=Q, R_noise=tuning.R_noise, P0=tuning.P0)
+    tuning = EstimatorConfig(state_noise=0.0)
+    signed = EstimatorConfig(state_noise=-0.0)
     assert np.signbit(signed.Q).any() and signed == tuning
     assert hash(signed) == hash(tuning)
     assert hash(RunConfig(estimator=signed)) == hash(RunConfig(estimator=tuning))
-    assert len({tuning, signed, default_estimator_config(disturbance_noise=1e-3)}) == 2
+    assert len({tuning, signed, EstimatorConfig(disturbance_noise=1e-3)}) == 2
+    plant = RunConfig().plant
+    gains = [GainSchedule(plant, config).sequence(200) for config in (tuning, signed)]
+    assert [gain.tobytes() for gain in gains[0]] == [gain.tobytes() for gain in gains[1]]
